@@ -102,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("conj", "decide conjugacy and print a certificate or refutation")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--jobs", type=int, default=1, help="reserved; the search is deterministic")
 
     p = add("verify", "check a conjugator certificate")
     p.add_argument("a")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 from math import gcd
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -36,14 +37,15 @@ from .orbits import (
     CycleDecomposition,
     InfiniteOrbit,
     cycle_decomposition,
-    cycle_type,
     ends_partition,
+    fixed_point_count,
 )
 
 TRANSLATION_MISMATCH = "translation-mismatch"
 SUPPORT_COUNT_MISMATCH = "support-count-mismatch"
 CYCLE_TYPE_MISMATCH = "cycle-type-mismatch"
 FORCED_MAP_INCONSISTENT = "forced-map-inconsistent"
+ORBIT_PAIRING_MISMATCH = "orbit-pairing-mismatch"
 EXHAUSTED_SEARCH = "exhausted-bounded-search"
 
 _WALK_LIMIT = 10_000_000
@@ -88,51 +90,80 @@ def verify(a: HoughtonElement, b: HoughtonElement, x: HoughtonElement) -> bool:
 # -- conjugation by finite-support elements ----------------------------------
 
 
-def fsym_conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
+def _moved_only_by(a: HoughtonElement, b: HoughtonElement) -> List[Point]:
+    """The sorted points that a moves and b fixes, for a.t == b.t.
+
+    Off its exception table an element translates every ray, so b fixes
+    a point only through an entry p -> p or on a ray with t_i = 0; there a
+    moves only the points of its own table.
+    """
+    only = [p for p, q in b.exceptions.items() if p == q and apply(a, p) != p]
+    only += [
+        p
+        for p, q in a.exceptions.items()
+        if p != q and a.t[p[0] - 1] == 0 and p not in b.exceptions
+    ]
+    return sorted(only)
+
+
+def fsym_conjugate(
+    a: HoughtonElement, b: HoughtonElement, dec_a: Optional[CycleDecomposition] = None
+) -> ConjugacyOutcome:
     """Decide whether some x with t(x) = 0 and finite support conjugates a to b.
 
     Such an x is forced to be the identity far out on every moving ray, so
     its values on every infinite orbit propagate inward from the stable
     tails; finite cycles are matched by length; the leftover supports are
     paired off.  Each stage either pins down more of x or refutes.
+
+    The work is bounded by the exception tables and the orbit spines, not
+    by the offsets.  At or beyond the cutoffs of both elements a residue
+    class meets no exception, so a and b act on it by the same
+    translation.  The walk along an orbit of a therefore starts at the
+    larger incoming cutoff: every point above it is forced to map to
+    itself.  It stops at the first point p at or beyond both outgoing
+    cutoffs: from there on a and b agree on p, and since b is a bijection
+    the next step keeps p == v or p != v as it is, so a mismatch there is
+    a mismatch at every later point of the tail.
+
+    `dec_a`, the cycle decomposition of a, may be passed in by callers
+    that test many b against one a.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
     if a.t != b.t:
         return _no(TRANSLATION_MISMATCH)
-    if cycle_type(a) != cycle_type(b):
+    if dec_a is None:
+        dec_a = cycle_decomposition(a)
+    dec_b = cycle_decomposition(b)
+    if dec_a.cycle_type() != dec_b.cycle_type():
         return _no(CYCLE_TYPE_MISMATCH)
 
-    n = a.n
-    big = max(a.max_exception_offset(), b.max_exception_offset())
-    mass = max((abs(v) for v in a.t), default=0)
-    # a zero-translation conjugator is the identity at offsets >= force on
-    # every moving ray; stop is a window top safely inside the pure region
-    force = big + 1 + mass
-    stop = force + mass + 1
-
-    window = [(i, m) for i in range(1, n + 1) for m in range(stop + 1)]
-    moved_a = {p for p in window if apply(a, p) != p}
-    moved_b = {p for p in window if apply(b, p) != p}
-    only_a = sorted(moved_a - moved_b)
-    only_b = sorted(moved_b - moved_a)
+    only_a = _moved_only_by(a, b)
+    only_b = _moved_only_by(b, a)
     if len(only_a) != len(only_b):
         return _no(SUPPORT_COUNT_MISMATCH)
 
-    dec_a = cycle_decomposition(a)
-    dec_b = cycle_decomposition(b)
+    # the common stable tails: max of the two cutoffs of each residue class
+    neg_cut: Dict[Tuple[int, int], int] = {}
+    pos_cut: Dict[Tuple[int, int], int] = {}
+    for o in dec_a.infinite_orbits + dec_b.infinite_orbits:
+        neg = (o.neg_ray, o.neg_residue)
+        pos = (o.pos_ray, o.pos_residue)
+        neg_cut[neg] = max(neg_cut.get(neg, 0), o.neg_cutoff)
+        pos_cut[pos] = max(pos_cut.get(pos, 0), o.pos_cutoff)
 
     mapping: Dict[Point, Point] = {}
     for orbit in dec_a.infinite_orbits:
-        j, s = orbit.neg_ray, orbit.neg_residue
-        step = -a.t[j - 1]
-        m0 = stop + ((s - stop) % step)
-        p = v = (j, m0)
+        neg = (orbit.neg_ray, orbit.neg_residue)
+        p = v = (orbit.neg_ray, neg_cut[neg])
         guard = 0
         while True:
             p = apply(a, p)
             v = apply(b, v)
-            if a.t[p[0] - 1] > 0 and p[1] >= stop:
+            i, m = p
+            up = a.t[i - 1]
+            if up > 0 and m >= pos_cut[(i, m % up)]:
                 if p != v:
                     return _no(FORCED_MAP_INCONSISTENT)
                 break
@@ -161,7 +192,7 @@ def fsym_conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     for pb, pa in zip(only_b, only_a):
         mapping[pb] = pa
 
-    x = HoughtonElement(n, (0,) * n, {p: q for p, q in mapping.items() if p != q})
+    x = HoughtonElement(a.n, (0,) * a.n, {p: q for p, q in mapping.items() if p != q})
     return _yes(x, verified=verify(a, b, x))
 
 
@@ -179,7 +210,7 @@ def _two_ray_shift(n: int, src: int, dst: int, amount: int, floor: int) -> Hough
         exc[(src, m)] = (src, m)
     for k in range(amount):
         exc[(src, floor + k)] = (dst, floor + k)
-    return HoughtonElement(n, t, exc)
+    return HoughtonElement(n, t, exc, validate=False)
 
 
 def construct_translation_element(
@@ -394,19 +425,21 @@ def conjugate_mod_zero(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutco
         raise ValueError("elements live in different H_n")
     if a.t != b.t:
         return _no(TRANSLATION_MISMATCH)
-    if cycle_type(a) != cycle_type(b):
+    dec_a = cycle_decomposition(a)
+    dec_b = cycle_decomposition(b)
+    if dec_a.cycle_type() != dec_b.cycle_type() or fixed_point_count(a) != fixed_point_count(b):
         return _no(CYCLE_TYPE_MISMATCH)
     try:
-        bounds = compute_bounds(a, b)
+        bounds = compute_bounds(a, b, dec_a=dec_a, dec_b=dec_b)
     except StructuralMismatch:
-        return _no(EXHAUSTED_SEARCH)
+        return _no(ORBIT_PAIRING_MISMATCH)
     steps = _conjugator_steps(a)
 
     def reps() -> Iterator[HoughtonElement]:
         for s in _tuple_stream(steps, bounds.N):
             yield inverse(construct_translation_element(a.n, s))
 
-    out = coset_reduce(fsym_conjugate, reps(), a, b)
+    out = coset_reduce(partial(fsym_conjugate, dec_a=dec_a), reps(), a, b)
     return replace(out, bounds=bounds)
 
 
@@ -481,14 +514,17 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
         raise ValueError("elements live in different H_n")
     if a.t != b.t:
         return _no(TRANSLATION_MISMATCH)
-    if cycle_type(a) != cycle_type(b):
+    dec_a = cycle_decomposition(a)
+    if (
+        dec_a.cycle_type() != cycle_decomposition(b).cycle_type()
+        or fixed_point_count(a) != fixed_point_count(b)
+    ):
         return _no(CYCLE_TYPE_MISMATCH)
 
     n = a.n
     moving = [i for i in range(1, n + 1) if a.t[i - 1] != 0]
     moduli = [abs(a.t[i - 1]) for i in moving]
     steps = _conjugator_steps(a)
-    dec_a = cycle_decomposition(a)
 
     classes = []  # (x_r, b_r, bounds)
     for residues in itertools.product(*(range(m) for m in moduli)):
@@ -502,17 +538,18 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
         except StructuralMismatch:
             continue
         classes.append((x_r, b_r, bounds))
+    if not classes:
+        return _no(ORBIT_PAIRING_MISMATCH)
 
-    last_bounds = classes[0][2] if classes else None
-    top = max((c[2].N for c in classes), default=-1)
+    top = max(c[2].N for c in classes)
     for level in range(0, top + 1, 2):
         for x_r, b_r, bounds in classes:
             if level > bounds.N:
                 continue
             for s in _level_tuples(steps, level):
                 z = construct_translation_element(n, s)
-                out = fsym_conjugate(a, conjugate_element(b_r, inverse(z)))
+                out = fsym_conjugate(a, conjugate_element(b_r, inverse(z)), dec_a=dec_a)
                 if out.is_conjugate:
                     x = compose(compose(out.conjugator, z), x_r)
                     return _yes(x, verified=verify(a, b, x), bounds=bounds)
-    return _no(EXHAUSTED_SEARCH, bounds=last_bounds)
+    return _no(EXHAUSTED_SEARCH, bounds=classes[0][2])

@@ -100,6 +100,8 @@ def brute_force_conjugator(
                 return None
             if verify(a, b, x):
                 return Word(n, letters)
+        if length == budget.max_word_length:
+            break  # the next level would never be tested
         nxt = []
         for letters, x in frontier:
             for letter in alphabet:

@@ -11,7 +11,7 @@ cutoff within the class), and the explicit finite spine in between.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .core import HoughtonElement, Point, apply, inverse
 
@@ -35,6 +35,10 @@ class CycleDecomposition:
     t: Tuple[int, ...]
     finite_cycles: Tuple[Tuple[Point, ...], ...]
     infinite_orbits: Tuple[InfiniteOrbit, ...]
+
+    def cycle_type(self) -> Tuple[Tuple[int, ...], int]:
+        """Sorted finite cycle lengths plus the infinite orbit count."""
+        return (tuple(sorted(len(c) for c in self.finite_cycles)), len(self.infinite_orbits))
 
     def successor(self, p: Point) -> Point:
         """Re-apply the decomposition: the image of p under the element."""
@@ -188,20 +192,31 @@ def infinite_orbit_count(g: HoughtonElement) -> int:
 def cycle_type(g: HoughtonElement) -> Tuple[Tuple[int, ...], int]:
     """Multiset of finite cycle lengths plus infinite orbit count.
 
-    Fixed points are deliberately not compared: two elements with equal
-    finite cycle data and equal infinite orbit counts have almost equal
-    supports inside the same countable set, hence equinumerous fixed sets.
+    Fixed points are not part of it.  An element with some t_i = 0 fixes
+    infinitely many points, but one whose rays all move fixes only its
+    exception entries p -> p, and two elements can agree here yet differ
+    in that number; fixed_point_count gives it.
     """
-    decomp = cycle_decomposition(g)
-    lengths = tuple(sorted(len(c) for c in decomp.finite_cycles))
-    return (lengths, len(decomp.infinite_orbits))
+    return cycle_decomposition(g).cycle_type()
+
+
+def fixed_point_count(g: HoughtonElement) -> Optional[int]:
+    """Number of fixed points, or None when it is infinite (some t_i = 0).
+
+    When every ray moves, a point off the exception table is translated,
+    so the fixed points are exactly the exception entries p -> p.
+    """
+    if 0 in g.t:
+        return None
+    return sum(1 for p, q in g.exceptions.items() if p == q)
 
 
 def sym_conjugate(a: HoughtonElement, b: HoughtonElement) -> bool:
-    """Conjugacy in the full symmetric group: equality of cycle types."""
+    """Conjugacy in the full symmetric group: equal cycle types and equal
+    numbers of fixed points."""
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
-    return cycle_type(a) == cycle_type(b)
+    return cycle_type(a) == cycle_type(b) and fixed_point_count(a) == fixed_point_count(b)
 
 
 def ends_partition(g: HoughtonElement) -> EndsPartition:

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from houghton import generator, serialize
+from houghton import HoughtonElement, generator, serialize
 from houghton.cli import main
 
 
@@ -139,3 +140,24 @@ def test_usage_error_exit_code(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("offset", [10**8, 10**9])
+def test_conj_far_offsets(capsys, tmp_path, offset):
+    # two 2-point transpositions: the decision must not scan up to the offset
+    def conj_at(base):
+        a = HoughtonElement(2, (0, 0), {(1, base): (2, base + 3), (2, base + 3): (1, base)})
+        b = HoughtonElement(2, (0, 0), {(1, base + 5): (2, base + 1), (2, base + 1): (1, base + 5)})
+        paths = [write_element(tmp_path, "%s-%d.json" % (name, base), g) for name, g in (("a", a), ("b", b))]
+        started = time.monotonic()
+        code, out, _ = run(capsys, "conj", *paths)
+        return code, json.loads(out), time.monotonic() - started
+
+    code, far, elapsed = conj_at(offset)
+    assert code == 0 and elapsed < 2.0
+    assert far["decision"] == "yes" and far["verified"] is True
+    _, near, _ = conj_at(10)
+    shift = offset - 10
+    moved = [[[i, m - shift], [j, k - shift]] for (i, m), (j, k) in far["certificate"]["exceptions"]]
+    assert far["certificate"]["t"] == near["certificate"]["t"]
+    assert moved == near["certificate"]["exceptions"]

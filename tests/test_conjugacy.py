@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from houghton import (
+    ConjugacyOutcome,
     HoughtonElement,
     Word,
     apply,
@@ -11,6 +14,8 @@ from houghton import (
     conjugate_element,
     conjugate_mod_zero,
     construct_translation_element,
+    cycle_decomposition,
+    cycle_type,
     ends_partition,
     evaluate,
     fsym_conjugate,
@@ -19,14 +24,17 @@ from houghton import (
     inverse,
     verify,
 )
+from houghton import conjugacy
 from houghton.conjugacy import (
     CYCLE_TYPE_MISMATCH,
     EXHAUSTED_SEARCH,
+    FORCED_MAP_INCONSISTENT,
+    ORBIT_PAIRING_MISMATCH,
     SUPPORT_COUNT_MISMATCH,
     TRANSLATION_MISMATCH,
     coset_reduce,
 )
-from houghton.oracle import random_element, random_word
+from houghton.oracle import SearchBudget, brute_force_conjugator, random_element, random_word
 
 
 def element(n, text):
@@ -250,3 +258,146 @@ def test_conjugate_deterministic():
     first = conjugate(a, b)
     second = conjugate(a, b)
     assert first.conjugator == second.conjugator
+
+
+def count_fsym_calls(monkeypatch):
+    calls = []
+    real = conjugacy.fsym_conjugate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conjugacy, "fsym_conjugate", counting)
+    return calls
+
+
+def test_conjugate_orbit_pairing_mismatch(monkeypatch):
+    # same translation, cycle type and fixed-point count, but the infinite
+    # orbits pair up in no residue class: refused before any candidate
+    a = element(2, "g2' g2' g2' g2 g2'")
+    b = element(2, "g2' s g2' s g2'")
+    assert a.t == b.t == (-3, 3) and cycle_type(a) == cycle_type(b)
+    calls = count_fsym_calls(monkeypatch)
+    out = conjugate(a, b)
+    assert not out.is_conjugate
+    assert out.reason == ORBIT_PAIRING_MISMATCH
+    assert conjugate_mod_zero(a, b).reason == ORBIT_PAIRING_MISMATCH
+    assert calls == []
+    assert brute_force_conjugator(a, b, SearchBudget(6)) is None
+
+
+def test_conjugate_refuses_on_fixed_point_count(monkeypatch):
+    # every ray moves, so fixed points are finite: a has none, b has (2,0)
+    a = HoughtonElement(3, (-1, -1, 2), {(1, 0): (3, 1), (2, 0): (3, 0)})
+    b = HoughtonElement(3, (-1, -1, 2), {(1, 0): (3, 0), (2, 0): (2, 0), (2, 1): (3, 1)})
+    assert cycle_type(a) == cycle_type(b)
+    calls = count_fsym_calls(monkeypatch)
+    assert conjugate(a, b).reason == CYCLE_TYPE_MISMATCH
+    assert conjugate_mod_zero(a, b).reason == CYCLE_TYPE_MISMATCH
+    assert calls == []
+
+
+# -- the sparse FSym test against the dense-window reference -------------------------
+
+
+def dense_fsym_conjugate(a, b):
+    """Reference: the FSym test that scans every point up to the largest
+    offset.  Its cost grows with the offsets; fsym_conjugate must agree
+    with it exactly."""
+    if a.t != b.t:
+        return ConjugacyOutcome(None, reason=TRANSLATION_MISMATCH)
+    if cycle_type(a) != cycle_type(b):
+        return ConjugacyOutcome(None, reason=CYCLE_TYPE_MISMATCH)
+    n = a.n
+    big = max(a.max_exception_offset(), b.max_exception_offset())
+    mass = max((abs(v) for v in a.t), default=0)
+    stop = big + 2 * mass + 2
+    window = [(i, m) for i in range(1, n + 1) for m in range(stop + 1)]
+    moved_a = {p for p in window if apply(a, p) != p}
+    moved_b = {p for p in window if apply(b, p) != p}
+    only_a = sorted(moved_a - moved_b)
+    only_b = sorted(moved_b - moved_a)
+    if len(only_a) != len(only_b):
+        return ConjugacyOutcome(None, reason=SUPPORT_COUNT_MISMATCH)
+    dec_a = cycle_decomposition(a)
+    dec_b = cycle_decomposition(b)
+    mapping = {}
+    for orbit in dec_a.infinite_orbits:
+        step = -a.t[orbit.neg_ray - 1]
+        p = v = (orbit.neg_ray, stop + ((orbit.neg_residue - stop) % step))
+        while True:
+            p = apply(a, p)
+            v = apply(b, v)
+            if a.t[p[0] - 1] > 0 and p[1] >= stop:
+                if p != v:
+                    return ConjugacyOutcome(None, reason=FORCED_MAP_INCONSISTENT)
+                break
+            if p != v:
+                mapping[p] = v
+    if len(set(mapping.values())) != len(mapping):
+        return ConjugacyOutcome(None, reason=FORCED_MAP_INCONSISTENT)
+    by_len_a, by_len_b = {}, {}
+    for c in dec_a.finite_cycles:
+        by_len_a.setdefault(len(c), []).append(c)
+    for c in dec_b.finite_cycles:
+        by_len_b.setdefault(len(c), []).append(c)
+    for length, cycles_a in by_len_a.items():
+        for ca, cb in zip(cycles_a, by_len_b[length]):
+            for pa, pb in zip(ca, cb):
+                if pa != pb:
+                    mapping[pa] = pb
+    for pb, pa in zip(only_b, only_a):
+        mapping[pb] = pa
+    x = HoughtonElement(n, (0,) * n, {p: q for p, q in mapping.items() if p != q})
+    return ConjugacyOutcome(x, verified=verify(a, b, x))
+
+
+def same_invariant_pairs():
+    """Random words of length <= 10 in H_2..H_4 grouped by translation and
+    cycle type; all pairs among the first 4 distinct elements of a group."""
+    pairs = []
+    for n in (2, 3, 4):
+        groups = {}
+        for k in range(100):
+            g = evaluate(random_word(n, 7000 + k, 1 + k % 10))
+            group = groups.setdefault((g.t, cycle_type(g)), [])
+            if g not in group and len(group) < 4:
+                group.append(g)
+        for group in groups.values():
+            pairs.extend(itertools.combinations(group, 2))
+    return pairs
+
+
+def test_fsym_matches_dense_reference():
+    pairs = []
+    for seed in range(300):
+        n = 2 + seed % 3
+        a = evaluate(random_word(n, seed, 1 + seed % 10))
+        pairs.append((a, conjugate_element(a, evaluate(random_word(n, seed + 1000, 1 + seed % 6)))))
+        pairs.append((a, conjugate_element(a, random_element(n, seed + 2000, profile="fsym"))))
+        pairs.append((a, evaluate(random_word(n, seed + 3000, 1 + seed % 10))))
+        pairs.append((random_element(n, seed, profile="fsym"), random_element(n, seed + 4000, profile="fsym")))
+    pairs += same_invariant_pairs()
+    assert len(pairs) >= 1000
+    reasons = set()
+    for a, b in pairs:
+        got, want = fsym_conjugate(a, b), dense_fsym_conjugate(a, b)
+        assert (got.is_conjugate, got.reason, got.verified) == (want.is_conjugate, want.reason, want.verified)
+        if want.is_conjugate:
+            assert got.conjugator.t == want.conjugator.t
+            assert sorted(got.conjugator.exceptions.items()) == sorted(want.conjugator.exceptions.items())
+        reasons.add(want.reason)
+    assert reasons == {
+        None,
+        TRANSLATION_MISMATCH,
+        CYCLE_TYPE_MISMATCH,
+        SUPPORT_COUNT_MISMATCH,
+        FORCED_MAP_INCONSISTENT,
+    }
+
+
+def test_fsym_accepts_precomputed_decomposition():
+    a = element(3, "g2 g3' g2")
+    b = conjugate_element(a, random_element(3, 5, profile="fsym"))
+    assert fsym_conjugate(a, b, dec_a=cycle_decomposition(a)) == fsym_conjugate(a, b)

@@ -9,6 +9,7 @@ from houghton import (
     cycle_type,
     ends_partition,
     evaluate,
+    fixed_point_count,
     generator,
     identity,
     infinite_orbit_count,
@@ -121,6 +122,22 @@ def test_sym_conjugate_is_cycle_type_equality():
     )
     assert sym_conjugate(a, b)
     assert not sym_conjugate(a, c)
+
+
+def test_fixed_point_count():
+    assert fixed_point_count(generator(3, "g2")) is None  # ray 3 is fixed
+    assert fixed_point_count(element(2, "g2")) == 0
+    swap = HoughtonElement(2, (1, -1), {(2, 0): (1, 1), (1, 0): (1, 0)})
+    assert fixed_point_count(swap) == 1
+
+
+def test_sym_conjugate_compares_fixed_points():
+    # every ray moves: a fixes nothing, b fixes (2,0); the cycle types agree
+    a = HoughtonElement(3, (-1, -1, 2), {(1, 0): (3, 1), (2, 0): (3, 0)})
+    b = HoughtonElement(3, (-1, -1, 2), {(1, 0): (3, 0), (2, 0): (2, 0), (2, 1): (3, 1)})
+    assert cycle_type(a) == cycle_type(b)
+    assert (fixed_point_count(a), fixed_point_count(b)) == (0, 1)
+    assert not sym_conjugate(a, b)
 
 
 def test_ends_partition_single_class():
