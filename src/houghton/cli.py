@@ -37,7 +37,7 @@ def _outcome_doc(out: conjugacy.ConjugacyOutcome) -> str:
     else:
         doc["reason"] = out.reason
     if out.bounds is not None:
-        doc["bounds"] = {"K": out.bounds.K, "M": out.bounds.M, "N": out.bounds.N}
+        doc["bounds"] = {"K": out.bounds.K, "M": out.bounds.M}
     return json.dumps(doc, separators=(",", ":"))
 
 

@@ -3,13 +3,11 @@
 The solver layers:
 
   fsym_conjugate        conjugator with zero translation (finite support)
-  conjugate_mod_zero    conjugator whose translation is divisible by the
-                        moduli |t_i(a)| on every moving ray, found by a
-                        bounded enumeration of translation tuples reduced
-                        to the finite-support case
-  conjugate             the full decision, enumerating residue classes of
-                        conjugator translations and reducing each to the
-                        divisible case
+  conjugate             the full decision: for each residue class of
+                        conjugator translations modulo the |t_i(a)|, solve
+                        the orbit-shift equations for the one translation a
+                        conjugator in that class can be normalised to, and
+                        reduce to the finite-support case
 
 Every positive answer carries an element x with x^-1 * a * x = b, checked
 exactly before it is returned.
@@ -18,10 +16,9 @@ exactly before it is returned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     HoughtonElement,
@@ -46,7 +43,7 @@ SUPPORT_COUNT_MISMATCH = "support-count-mismatch"
 CYCLE_TYPE_MISMATCH = "cycle-type-mismatch"
 FORCED_MAP_INCONSISTENT = "forced-map-inconsistent"
 ORBIT_PAIRING_MISMATCH = "orbit-pairing-mismatch"
-EXHAUSTED_SEARCH = "exhausted-bounded-search"
+ORBIT_SHIFT_MISMATCH = "orbit-shift-mismatch"
 
 _WALK_LIMIT = 10_000_000
 
@@ -59,7 +56,6 @@ class StructuralMismatch(ValueError):
 class BoundData:
     K: int  # max |S|+|T| over matched orbit pairs
     M: int  # max |t_i(a)| over moving rays
-    N: int  # cap on the total translation of the searched conjugator
 
 
 @dataclass(frozen=True)
@@ -78,8 +74,8 @@ def _yes(x: HoughtonElement, verified: bool, bounds: Optional[BoundData] = None)
     return ConjugacyOutcome(conjugator=x, verified=verified, bounds=bounds)
 
 
-def _no(reason: str, bounds: Optional[BoundData] = None) -> ConjugacyOutcome:
-    return ConjugacyOutcome(conjugator=None, reason=reason, bounds=bounds)
+def _no(reason: str) -> ConjugacyOutcome:
+    return ConjugacyOutcome(conjugator=None, reason=reason)
 
 
 def verify(a: HoughtonElement, b: HoughtonElement, x: HoughtonElement) -> bool:
@@ -291,7 +287,7 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
     return HoughtonElement(g.n, t_masked, exc)
 
 
-# -- bounds -------------------------------------------------------------------
+# -- orbit pairing ------------------------------------------------------------
 
 
 def _match_orbits(
@@ -316,15 +312,13 @@ def compute_bounds(
     dec_a: Optional[CycleDecomposition] = None,
     dec_b: Optional[CycleDecomposition] = None,
 ) -> BoundData:
-    """Search bounds for the divisible-translation conjugator enumeration.
+    """Size data of the orbit pairing of a and b, which must share t.
 
-    K caps |S| + |T| over matched orbit pairs, where S and T are the finite
-    parts of the two orbits outside common stable tails.  A conjugator
-    whose translation is divisible by the moduli can be normalised, one
-    ends class at a time, so that its per-ray translation multiplier is at
-    most K times the class diameter; N caps the resulting total translation
-    (doubled to absorb the rays that both elements almost fix, plus slack
-    for tail-alignment off-by-ones).
+    Raises StructuralMismatch unless every infinite orbit of a has a
+    counterpart in b with the same outgoing and incoming residue classes.
+    K is the largest |S| + |T| over matched orbit pairs, where S and T are
+    the finite parts of the two orbits outside their common stable tails;
+    M is the largest |t_i(a)|.
     """
     if a.t != b.t:
         raise ValueError("bounds require equal translation vectors")
@@ -350,97 +344,7 @@ def compute_bounds(
             + (neg_cut - ob.neg_cutoff) // down
         )
         big_k = max(big_k, size_a + size_b)
-    moving = [abs(v) for v in a.t if v != 0]
-    mass = max(moving, default=0)
-    if not moving:
-        cap = 0
-    else:
-        n = a.n
-        cap = 2 * n * max(1, n - 1) * big_k * mass + 2 * mass + 2
-    return BoundData(K=big_k, M=mass, N=cap)
-
-
-# -- enumeration of candidate translation tuples ------------------------------
-
-
-def _level_tuples(steps: Sequence[int], level: int) -> Iterator[Tuple[int, ...]]:
-    """Zero-sum integer tuples with sum(|s_i|) == level, s_i divisible by
-    steps[i], in ascending lexicographic order."""
-    n = len(steps)
-
-    def rec(idx: int, remaining: int, total: int, prefix: List[int]) -> Iterator[Tuple[int, ...]]:
-        if idx == n - 1:
-            last = -total
-            if abs(last) == remaining and last % steps[idx] == 0:
-                yield tuple(prefix + [last])
-            return
-        step = steps[idx]
-        lo = -(remaining // step) * step
-        for s in range(lo, remaining + 1, step):
-            rest = remaining - abs(s)
-            if abs(total + s) > rest:
-                continue
-            yield from rec(idx + 1, rest, total + s, prefix + [s])
-
-    if n == 0:
-        if level == 0:
-            yield ()
-        return
-    yield from rec(0, level, 0, [])
-
-
-def _tuple_stream(steps: Sequence[int], limit: int) -> Iterator[Tuple[int, ...]]:
-    for level in range(0, limit + 1, 2):
-        yield from _level_tuples(steps, level)
-
-
-def _conjugator_steps(a: HoughtonElement) -> List[int]:
-    return [abs(v) if v != 0 else 1 for v in a.t]
-
-
-# -- coset reduction -----------------------------------------------------------
-
-
-def coset_reduce(solver, reps: Iterable[HoughtonElement], a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
-    """Decide conjugacy over a union of cosets C_i = C_0 * z_i^-1.
-
-    Runs the base solver on each pair (a, b^z) and translates a witness x
-    back as x * z^-1.
-    """
-    for z in reps:
-        out = solver(a, conjugate_element(b, z))
-        if out.is_conjugate:
-            x = compose(out.conjugator, inverse(z))
-            return _yes(x, verified=verify(a, b, x))
-    return _no(EXHAUSTED_SEARCH)
-
-
-# -- divisible-translation conjugators ----------------------------------------
-
-
-def conjugate_mod_zero(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
-    """Decide conjugacy by some x with t_i(x) divisible by |t_i(a)| on every
-    moving ray; requires t(a) = t(b)."""
-    if a.n != b.n:
-        raise ValueError("elements live in different H_n")
-    if a.t != b.t:
-        return _no(TRANSLATION_MISMATCH)
-    dec_a = cycle_decomposition(a)
-    dec_b = cycle_decomposition(b)
-    if dec_a.cycle_type() != dec_b.cycle_type() or fixed_point_count(a) != fixed_point_count(b):
-        return _no(CYCLE_TYPE_MISMATCH)
-    try:
-        bounds = compute_bounds(a, b, dec_a=dec_a, dec_b=dec_b)
-    except StructuralMismatch:
-        return _no(ORBIT_PAIRING_MISMATCH)
-    steps = _conjugator_steps(a)
-
-    def reps() -> Iterator[HoughtonElement]:
-        for s in _tuple_stream(steps, bounds.N):
-            yield inverse(construct_translation_element(a.n, s))
-
-    out = coset_reduce(partial(fsym_conjugate, dec_a=dec_a), reps(), a, b)
-    return replace(out, bounds=bounds)
+    return BoundData(K=big_k, M=max((abs(v) for v in a.t), default=0))
 
 
 # -- the full decision ----------------------------------------------------------
@@ -501,14 +405,88 @@ def _realize_residues(
     return w
 
 
+def _orbit_shift_translation(
+    t: Sequence[int], pairs: Sequence[Tuple[InfiniteOrbit, InfiniteOrbit]]
+) -> Optional[List[int]]:
+    """The zero-sum translation solved from the orbit-shift equations of
+    `conjugate`, with d = 0 on the first orbit of each ends class, or None
+    when the equations contradict each other."""
+    s: Dict[int, int] = {}
+    rest = list(pairs)
+    while rest:
+        # an orbit on a ray whose s_i is known continues its ends class;
+        # when there is none, the next orbit starts a new class with d = 0
+        k = next((k for k, (o, _) in enumerate(rest) if o.pos_ray in s or o.neg_ray in s), 0)
+        oa, ob = rest.pop(k)
+        down = t[oa.neg_ray - 1]
+        sides = (
+            (oa.pos_ray, t[oa.pos_ray - 1], ob.pos_cutoff - oa.pos_cutoff),
+            (oa.neg_ray, down, ob.neg_cutoff - oa.neg_cutoff - down * (len(oa.spine) - len(ob.spine))),
+        )
+        d = 0
+        for ray, step, c in sides:
+            if ray in s:
+                d, r = divmod(s[ray] - c, step)
+                if r:
+                    return None
+                break
+        for ray, step, c in sides:
+            if s.setdefault(ray, step * d + c) != step * d + c:
+                return None
+    w = [s.get(i, 0) for i in range(1, len(t) + 1)]
+    if 0 in t:
+        w[t.index(0)] -= sum(w)
+    return w
+
+
 def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     """The full conjugacy decision in H_n, with certificate.
 
-    Candidate conjugator translations are split into residue classes
-    modulo the |t_i(a)|; each realizable class is reduced to the
-    divisible case and all classes are searched level by level (total
-    candidate translation ascending, class order then lexicographic), so
-    the first verified certificate is deterministic.
+    Residue classes.  On a moving ray, a conjugator's translation is fixed
+    modulo |t_i(a)| by which infinite orbits it pairs.  For each residue
+    class that a zero-sum vector w realises, let u have translation -w and
+    b_r = u^-1 b u.  A conjugator of a to b is then x' u^-1 for some x'
+    conjugating a to b_r whose translation s is divisible by the moduli.
+    Such an x' keeps the residue class of every tail, so it maps each
+    infinite orbit O of a onto the orbit O' of b_r with the same two tails;
+    compute_bounds refuses the class when that pairing fails.
+
+    Orbit shifts.  Number the points of O as o_k with o_{k+1} = (o_k)a
+    and o_0 = (pos_ray, pos_cutoff).  The spine is o_{-L} .. o_{-1} with
+    L = len(spine), and o_{-L-1} = (neg_ray, neg_cutoff).  x' maps o_k to
+    o'_{k+d_O} for one integer d_O, and far out it translates ray i by
+    s_i.  Comparing the tails gives, with primes for O',
+
+        s_pos = t_pos * d_O + (pos_cutoff' - pos_cutoff)
+        s_neg = t_neg * d_O + (neg_cutoff' - neg_cutoff) + |t_neg| * (L - L')
+
+    Orbits that share a ray share its s_i, so within an ends class one d_O
+    fixes every other: each further orbit reads its d off a ray whose s_i
+    is known.  The class is refused when some d_O is not an integer or a
+    ray gets two values.
+
+    d = 0 on the first orbit of each ends class E loses nothing:
+    centralizer_element(a, E) commutes with a and moves every orbit of E
+    one step along itself, so multiplying x' by it on the left gives
+    another conjugator whose d_O are all one larger on E.
+
+    On the rays with t_i = 0, a and b_r fix every far point, so an element
+    that only moves such points commutes with both; any values there with
+    the right sum serve alike, and -sum(s) goes on the first such ray.
+    When every ray moves, sum(s) is 0 already.  x' then maps the union of
+    the infinite orbits of a onto that of b_r, as translation by s_i far
+    out on each ray i, so sum(s) is the number of points outside its range
+    minus the number outside its domain.  Both are the points on finite
+    cycles plus the fixed points, which agree by the cycle-type and
+    fixed-point checks (the index argument).
+
+    With v of translation -s, x' v has zero translation, so one call
+    fsym_conjugate(a, v^-1 b_r v) decides the class, and its witness y
+    gives the certificate x = y (u v)^-1, verified exactly.  Classes are
+    tried in order, and the first whose candidate is conjugate answers.
+    A refusal names the furthest stage any class reached:
+    orbit-pairing-mismatch, orbit-shift-mismatch, or the reason of
+    fsym_conjugate.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
@@ -524,32 +502,27 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     n = a.n
     moving = [i for i in range(1, n + 1) if a.t[i - 1] != 0]
     moduli = [abs(a.t[i - 1]) for i in moving]
-    steps = _conjugator_steps(a)
-
-    classes = []  # (x_r, b_r, bounds)
+    reason = ORBIT_PAIRING_MISMATCH
     for residues in itertools.product(*(range(m) for m in moduli)):
         w = _realize_residues(n, moving, moduli, residues)
         if w is None:
             continue
-        x_r = construct_translation_element(n, w)
-        b_r = conjugate_element(b, inverse(x_r))  # x_r * b * x_r^-1
+        u = construct_translation_element(n, [-wi for wi in w])
+        b_r = conjugate_element(b, u)
+        dec_r = cycle_decomposition(b_r)
         try:
-            bounds = compute_bounds(a, b_r, dec_a=dec_a)
+            bounds = compute_bounds(a, b_r, dec_a=dec_a, dec_b=dec_r)
         except StructuralMismatch:
             continue
-        classes.append((x_r, b_r, bounds))
-    if not classes:
-        return _no(ORBIT_PAIRING_MISMATCH)
-
-    top = max(c[2].N for c in classes)
-    for level in range(0, top + 1, 2):
-        for x_r, b_r, bounds in classes:
-            if level > bounds.N:
-                continue
-            for s in _level_tuples(steps, level):
-                z = construct_translation_element(n, s)
-                out = fsym_conjugate(a, conjugate_element(b_r, inverse(z)), dec_a=dec_a)
-                if out.is_conjugate:
-                    x = compose(compose(out.conjugator, z), x_r)
-                    return _yes(x, verified=verify(a, b, x), bounds=bounds)
-    return _no(EXHAUSTED_SEARCH, bounds=classes[0][2])
+        s = _orbit_shift_translation(a.t, _match_orbits(dec_a, dec_r))
+        if s is None:
+            if reason == ORBIT_PAIRING_MISMATCH:
+                reason = ORBIT_SHIFT_MISMATCH
+            continue
+        v = construct_translation_element(n, [-si for si in s])
+        out = fsym_conjugate(a, conjugate_element(b_r, v), dec_a=dec_a)
+        if out.is_conjugate:
+            x = compose(out.conjugator, inverse(compose(u, v)))
+            return _yes(x, verified=verify(a, b, x), bounds=bounds)
+        reason = out.reason
+    return _no(reason)

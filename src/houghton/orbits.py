@@ -113,7 +113,9 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     dom = g.exceptions
 
     # finite cycles: every nontrivial finite cycle passes through the
-    # exception domain, so seeding traces there finds them all
+    # exception domain, so seeding traces there finds them all.  A trail
+    # that reaches a point of an earlier escaped trail is on that same
+    # infinite orbit, because a finite cycle cannot be entered from outside
     max_dom = [-1] * (g.n + 1)
     for (i, m) in dom:
         max_dom[i] = max(max_dom[i], m)
@@ -127,16 +129,16 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
         escaped = False
         while cur != start:
             i, m = cur
-            if g.t[i - 1] > 0 and m > max_dom[i]:
-                escaped = True  # climbs a positive ray forever
+            if cur in seen or (g.t[i - 1] > 0 and m > max_dom[i]):
+                escaped = True  # on an infinite orbit
                 break
             trail.append(cur)
             cur = apply(g, cur)
             if len(trail) > _TRACE_LIMIT:
                 raise RuntimeError("orbit trace did not terminate")
+        seen.update(trail)
         if escaped:
             continue
-        seen.update(trail)
         if len(trail) >= 2:
             k = trail.index(min(trail))
             finite.append(tuple(trail[k:] + trail[:k]))

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -12,12 +13,12 @@ from houghton import (
     compute_bounds,
     conjugate,
     conjugate_element,
-    conjugate_mod_zero,
     construct_translation_element,
     cycle_decomposition,
     cycle_type,
     ends_partition,
     evaluate,
+    fixed_point_count,
     fsym_conjugate,
     generator,
     identity,
@@ -27,12 +28,12 @@ from houghton import (
 from houghton import conjugacy
 from houghton.conjugacy import (
     CYCLE_TYPE_MISMATCH,
-    EXHAUSTED_SEARCH,
     FORCED_MAP_INCONSISTENT,
     ORBIT_PAIRING_MISMATCH,
+    ORBIT_SHIFT_MISMATCH,
     SUPPORT_COUNT_MISMATCH,
     TRANSLATION_MISMATCH,
-    coset_reduce,
+    StructuralMismatch,
 )
 from houghton.oracle import SearchBudget, brute_force_conjugator, random_element, random_word
 
@@ -166,36 +167,27 @@ def test_centralizer_element_rejects_non_class():
         centralizer_element(element(3, "g2 g3"), {1, 2})
 
 
-# -- bounds and coset reduction -----------------------------------------------------
+# -- bounds -------------------------------------------------------------------------
 
 
 def test_bounds_for_generator_pair():
     g = generator(3, "g2")
     bounds = compute_bounds(g, g)
-    assert (bounds.K, bounds.M, bounds.N) == (4, 1, 52)
+    assert (bounds.K, bounds.M) == (4, 1)
 
 
 def test_bounds_zero_when_no_moving_rays():
     a = fsym(2, ((1, 0), (1, 1)), ((1, 1), (1, 0)))
     bounds = compute_bounds(a, a)
-    assert bounds.N == 0 and bounds.M == 0
-
-
-def test_coset_reduce_translates_witness():
-    a = generator(3, "g2")
-    z = generator(3, "g3")
-    b = conjugate_element(a, inverse(z))
-    out = coset_reduce(fsym_conjugate, [z], a, b)
-    assert out.is_conjugate and out.verified
-    assert verify(a, b, out.conjugator)
+    assert (bounds.K, bounds.M) == (0, 0)
 
 
 def test_conjugate_mod_zero_roundtrip():
+    # a conjugator whose translation is divisible by |t_i(a)| on every ray
     a = element(3, "g2 g3")
-    # conjugator with divisible translation: t = (2, -1, -1) doubled... use a^2-style shift
     z = construct_translation_element(3, (2, -1, -1))
     b = conjugate_element(a, z)
-    out = conjugate_mod_zero(a, b)
+    out = conjugate(a, b)
     assert out.is_conjugate and out.verified
     assert out.bounds is not None
 
@@ -223,14 +215,13 @@ def test_conjugate_cycle_type_mismatch():
 
 
 def test_conjugate_exhausts_on_shifted_orbit_structure():
-    # same translation and cycle type, but no conjugator exists: a acts on
-    # ray 3 with an extra 2-cycle glued into the infinite orbit, c with a
-    # separate finite 2-cycle -- handled by the bounded search refusing
+    # no conjugator exists: c is a with a separate finite 2-cycle on ray 3,
+    # which the cycle types tell apart
     a = generator(3, "g2")
     c = compose(a, fsym(3, ((3, 0), (3, 1)), ((3, 1), (3, 0))))
     out = conjugate(a, c)
     assert not out.is_conjugate
-    assert out.reason in (EXHAUSTED_SEARCH, CYCLE_TYPE_MISMATCH)
+    assert out.reason == CYCLE_TYPE_MISMATCH
 
 
 def test_conjugate_roundtrip_words():
@@ -282,9 +273,25 @@ def test_conjugate_orbit_pairing_mismatch(monkeypatch):
     out = conjugate(a, b)
     assert not out.is_conjugate
     assert out.reason == ORBIT_PAIRING_MISMATCH
-    assert conjugate_mod_zero(a, b).reason == ORBIT_PAIRING_MISMATCH
     assert calls == []
     assert brute_force_conjugator(a, b, SearchBudget(6)) is None
+
+
+def test_conjugate_refuses_on_orbit_shift_mismatch(monkeypatch):
+    # n3-g26-01 of the benchmark's same-invariant family, which the bounded
+    # level search could not decide: the orbits pair up, but both run from
+    # ray 1 to ray 3, and once ray 3 is lined up they need different shifts
+    # of ray 1
+    a = HoughtonElement(3, (-2, 0, 2), {(1, 0): (3, 0), (1, 1): (3, 1)})
+    b = HoughtonElement(3, (-2, 0, 2), {(1, 0): (1, 0), (1, 1): (3, 1), (1, 2): (3, 0)})
+    assert cycle_type(a) == cycle_type(b)
+    calls = count_fsym_calls(monkeypatch)
+    started = time.perf_counter()
+    out = conjugate(a, b)
+    assert time.perf_counter() - started < 0.05
+    assert out.reason == ORBIT_SHIFT_MISMATCH
+    assert calls == []
+    assert brute_force_conjugator(a, b, SearchBudget(5)) is None
 
 
 def test_conjugate_refuses_on_fixed_point_count(monkeypatch):
@@ -294,7 +301,6 @@ def test_conjugate_refuses_on_fixed_point_count(monkeypatch):
     assert cycle_type(a) == cycle_type(b)
     calls = count_fsym_calls(monkeypatch)
     assert conjugate(a, b).reason == CYCLE_TYPE_MISMATCH
-    assert conjugate_mod_zero(a, b).reason == CYCLE_TYPE_MISMATCH
     assert calls == []
 
 
@@ -353,16 +359,17 @@ def dense_fsym_conjugate(a, b):
     return ConjugacyOutcome(x, verified=verify(a, b, x))
 
 
-def same_invariant_pairs():
-    """Random words of length <= 10 in H_2..H_4 grouped by translation and
-    cycle type; all pairs among the first 4 distinct elements of a group."""
+def same_invariant_pairs(families=((2, 100, 4), (3, 100, 4), (4, 100, 4))):
+    """For each (n, count, size) of `families`: `count` random words of
+    length <= 10 in H_n grouped by translation and cycle type; all pairs
+    among the first `size` distinct elements of a group."""
     pairs = []
-    for n in (2, 3, 4):
+    for n, count, size in families:
         groups = {}
-        for k in range(100):
+        for k in range(count):
             g = evaluate(random_word(n, 7000 + k, 1 + k % 10))
             group = groups.setdefault((g.t, cycle_type(g)), [])
-            if g not in group and len(group) < 4:
+            if g not in group and len(group) < size:
                 group.append(g)
         for group in groups.values():
             pairs.extend(itertools.combinations(group, 2))
@@ -401,3 +408,86 @@ def test_fsym_accepts_precomputed_decomposition():
     a = element(3, "g2 g3' g2")
     b = conjugate_element(a, random_element(3, 5, profile="fsym"))
     assert fsym_conjugate(a, b, dec_a=cycle_decomposition(a)) == fsym_conjugate(a, b)
+
+
+# -- the orbit-shift solver against the bounded level search it replaced -------------
+
+
+def level_tuples(steps, level):
+    """Zero-sum integer tuples with sum(|s_i|) == level, s_i divisible by
+    steps[i], in ascending lexicographic order."""
+    n = len(steps)
+
+    def rec(idx, remaining, total, prefix):
+        if idx == n - 1:
+            last = -total
+            if abs(last) == remaining and last % steps[idx] == 0:
+                yield tuple(prefix + [last])
+            return
+        step = steps[idx]
+        for s in range(-(remaining // step) * step, remaining + 1, step):
+            rest = remaining - abs(s)
+            if abs(total + s) <= rest:
+                yield from rec(idx + 1, rest, total + s, prefix + [s])
+
+    yield from rec(0, level, 0, [])
+
+
+def level_search_conjugator(a, b, max_level):
+    """Reference: the search `conjugate` ran before it solved the orbit-shift
+    equations.  After the same invariant checks, each residue class whose
+    orbits pair up is reduced to conjugators with translation divisible by
+    the |t_i(a)|; their translations are tried level by level (total
+    translation ascending) up to max_level, each by one finite-support
+    test.  A conjugator, or None when none was found up to max_level."""
+    dec_a = cycle_decomposition(a)
+    if (
+        a.t != b.t
+        or dec_a.cycle_type() != cycle_type(b)
+        or fixed_point_count(a) != fixed_point_count(b)
+    ):
+        return None
+    n = a.n
+    moving = [i for i in range(1, n + 1) if a.t[i - 1] != 0]
+    moduli = [abs(a.t[i - 1]) for i in moving]
+    steps = [abs(v) if v != 0 else 1 for v in a.t]
+    classes = []
+    for residues in itertools.product(*(range(m) for m in moduli)):
+        w = conjugacy._realize_residues(n, moving, moduli, residues)
+        if w is None:
+            continue
+        x_r = construct_translation_element(n, w)
+        b_r = conjugate_element(b, inverse(x_r))
+        try:
+            compute_bounds(a, b_r, dec_a=dec_a)
+        except StructuralMismatch:
+            continue
+        classes.append((x_r, b_r))
+    for level in range(0, max_level + 1, 2):
+        for x_r, b_r in classes:
+            for s in level_tuples(steps, level):
+                z = construct_translation_element(n, s)
+                out = fsym_conjugate(a, conjugate_element(b_r, inverse(z)), dec_a=dec_a)
+                if out.is_conjugate:
+                    return compose(compose(out.conjugator, z), x_r)
+    return None
+
+
+def test_conjugate_matches_level_search():
+    # every yes of the solver is found by the level search (it stops at its
+    # first witness, so a high cap costs little); every no is confirmed by
+    # the level search up to level 8 and by the word search at radius 4
+    pairs = same_invariant_pairs(((2, 3000, 8), (3, 3000, 4), (4, 300, 4), (5, 200, 4)))
+    assert len(pairs) >= 1000 and {a.n for a, _ in pairs} == {2, 3, 4, 5}
+    reasons = set()
+    for a, b in pairs:
+        out = conjugate(a, b)
+        if out.is_conjugate:
+            assert out.verified and verify(a, b, out.conjugator)
+            x = level_search_conjugator(a, b, 128)
+            assert x is not None and verify(a, b, x)
+        else:
+            reasons.add(out.reason)
+            assert level_search_conjugator(a, b, 8) is None
+            assert brute_force_conjugator(a, b, SearchBudget(4)) is None
+    assert reasons == {CYCLE_TYPE_MISMATCH, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}

@@ -5,6 +5,7 @@ from houghton import (
     Word,
     apply,
     compose,
+    conjugate_element,
     cycle_decomposition,
     cycle_type,
     ends_partition,
@@ -16,6 +17,7 @@ from houghton import (
     inverse,
     sym_conjugate,
 )
+from houghton import orbits
 from houghton.oracle import random_element, random_word
 
 
@@ -94,6 +96,25 @@ def test_infinite_tails_are_stable():
                 assert apply(g, (o.pos_ray, m)) == (o.pos_ray, m + up)
                 m = o.neg_cutoff + (k + 1) * -down
                 assert apply(g, (o.neg_ray, m)) == (o.neg_ray, m + down)
+
+
+def test_decomposition_walks_each_orbit_once(monkeypatch):
+    # the round trip of g2^2 s g2^-1 s moved up to offset 1000 by a swap of
+    # the low and high points: a spine of about 2,000 points with 9
+    # exceptions on it, each of which used to re-walk the spine
+    g = evaluate(Word.parse(2, "g2 g2 s g2' s"))
+    lift = {}
+    for i in (1, 2):
+        for m in range(4):
+            lift[(i, m)], lift[(i, 1000 + m)] = (i, 1000 + m), (i, m)
+    g = conjugate_element(g, HoughtonElement(2, (0, 0), lift))
+    calls = []
+    real = orbits.apply
+    monkeypatch.setattr(orbits, "apply", lambda h, p: calls.append(p) or real(h, p))
+    d = cycle_decomposition(g)
+    (orbit,) = d.infinite_orbits
+    assert len(orbit.spine) > 2000 and len(g.exceptions) == 9
+    assert len(calls) <= 3 * (len(orbit.spine) + len(g.exceptions))
 
 
 def test_cycle_type_examples():
