@@ -3,11 +3,11 @@
 The solver layers:
 
   fsym_conjugate        conjugator with zero translation (finite support)
-  conjugate             the full decision: for each residue class of
-                        conjugator translations modulo the |t_i(a)|, solve
-                        the orbit-shift equations for the one translation a
-                        conjugator in that class can be normalised to, and
-                        reduce to the finite-support case
+  conjugate             the full decision: pair the infinite orbits of a
+                        with those of b, solve the orbit-shift equations
+                        for the one translation a conjugator with that
+                        pairing can be normalised to, and reduce to the
+                        finite-support case
 
 Every positive answer carries an element x with x^-1 * a * x = b, checked
 exactly before it is returned.
@@ -350,141 +350,119 @@ def compute_bounds(
 # -- the full decision ----------------------------------------------------------
 
 
-def _bezout_combination(values: Sequence[int], target: int) -> Optional[List[int]]:
-    """Integers k with sum(k_i * values_i) == target, or None."""
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    if g == 0:
-        return [0] * len(values) if target == 0 else None
-    if target % g:
-        return None
-    coeffs = [0] * len(values)
-    run = 0  # gcd of the prefix, with known combination in coeffs[:i]
-    for i, v in enumerate(values):
-        if run == 0:
-            coeffs[i] = 1
-            run = v
-            continue
-        new, x, y = _egcd(run, v)
-        for j in range(i):
-            coeffs[j] *= x
-        coeffs[i] = y
-        run = new
-    scale = target // run
-    return [c * scale for c in coeffs]
-
-
-def _egcd(p: int, q: int) -> Tuple[int, int, int]:
-    if q == 0:
-        return (p, 1, 0) if p >= 0 else (-p, -1, 0)
-    g, x, y = _egcd(q, p % q)
-    return g, y, x - (p // q) * y
-
-
-def _realize_residues(
-    n: int, moving: Sequence[int], moduli: Sequence[int], residues: Sequence[int]
-) -> Optional[List[int]]:
-    """A zero-sum integer tuple congruent to the given residues on the
-    moving rays, or None when no such tuple exists."""
-    w = [0] * n
-    for ray, r in zip(moving, residues):
-        w[ray - 1] = r
-    deficit = -sum(w)
-    if deficit == 0:
-        return w
-    free = [i for i in range(1, n + 1) if i not in moving]
-    if free:
-        w[free[0] - 1] = deficit
-        return w
-    ks = _bezout_combination(list(moduli), deficit)
-    if ks is None:
-        return None
-    for ray, m, k in zip(moving, moduli, ks):
-        w[ray - 1] += k * m
-    return w
-
-
-def _orbit_shift_translation(
-    t: Sequence[int], pairs: Sequence[Tuple[InfiniteOrbit, InfiniteOrbit]]
-) -> Optional[List[int]]:
-    """The zero-sum translation solved from the orbit-shift equations of
-    `conjugate`, with d = 0 on the first orbit of each ends class, or None
-    when the equations contradict each other."""
-    s: Dict[int, int] = {}
-    rest = list(pairs)
+def _ends_classes(orbits: Sequence[InfiniteOrbit]) -> List[List[InfiniteOrbit]]:
+    """The infinite orbits grouped by ends class, each class in an order
+    where every orbit after the first shares a ray with an earlier one."""
+    rest = list(orbits)
+    classes = []
     while rest:
-        # an orbit on a ray whose s_i is known continues its ends class;
-        # when there is none, the next orbit starts a new class with d = 0
-        k = next((k for k, (o, _) in enumerate(rest) if o.pos_ray in s or o.neg_ray in s), 0)
-        oa, ob = rest.pop(k)
-        down = t[oa.neg_ray - 1]
-        sides = (
-            (oa.pos_ray, t[oa.pos_ray - 1], ob.pos_cutoff - oa.pos_cutoff),
-            (oa.neg_ray, down, ob.neg_cutoff - oa.neg_cutoff - down * (len(oa.spine) - len(ob.spine))),
-        )
-        d = 0
-        for ray, step, c in sides:
-            if ray in s:
-                d, r = divmod(s[ray] - c, step)
-                if r:
-                    return None
+        cls = [rest.pop(0)]
+        rays = {cls[0].pos_ray, cls[0].neg_ray}
+        while True:
+            k = next((k for k, o in enumerate(rest) if o.pos_ray in rays or o.neg_ray in rays), None)
+            if k is None:
                 break
-        for ray, step, c in sides:
-            if s.setdefault(ray, step * d + c) != step * d + c:
-                return None
-    w = [s.get(i, 0) for i in range(1, len(t) + 1)]
-    if 0 in t:
-        w[t.index(0)] -= sum(w)
-    return w
+            o = rest.pop(k)
+            cls.append(o)
+            rays |= {o.pos_ray, o.neg_ray}
+        classes.append(cls)
+    return classes
+
+
+def _class_shifts(
+    t: Sequence[int], orbits: Sequence[InfiniteOrbit], dec_b: CycleDecomposition
+) -> List[Tuple[Dict[int, int], bool]]:
+    """Every way to pair the orbits of one ends class of a with orbits of b
+    residue for residue, as (s, exact): s holds a conjugator's translation
+    on the class's rays, solved from the orbit-shift equations of
+    `conjugate` with d = 0 on the first orbit, and exact is False when
+    those equations give some ray two values of the same residue."""
+    by_pos = {(o.pos_ray, o.pos_residue): o for o in dec_b.infinite_orbits}
+    by_neg = {(o.neg_ray, o.neg_residue): o for o in dec_b.infinite_orbits}
+    head = orbits[0]
+    found = []
+    for first in dec_b.infinite_orbits:
+        if (first.pos_ray, first.neg_ray) != (head.pos_ray, head.neg_ray):
+            continue
+        s: Dict[int, int] = {}
+        exact = True
+        for oa in orbits:
+            up, down = t[oa.pos_ray - 1], t[oa.neg_ray - 1]
+            if oa is head:
+                ob = first
+            elif oa.pos_ray in s:
+                ob = by_pos[(oa.pos_ray, (oa.pos_residue + s[oa.pos_ray]) % up)]
+            else:
+                ob = by_neg[(oa.neg_ray, (oa.neg_residue + s[oa.neg_ray]) % -down)]
+            if (ob.pos_ray, ob.neg_ray) != (oa.pos_ray, oa.neg_ray):
+                break
+            sides = (
+                (oa.pos_ray, up, ob.pos_cutoff - oa.pos_cutoff),
+                (oa.neg_ray, down, ob.neg_cutoff - oa.neg_cutoff - down * (len(oa.spine) - len(ob.spine))),
+            )
+            d = next(((s[ray] - c) // step for ray, step, c in sides if ray in s), 0)
+            values = [(ray, step, step * d + c) for ray, step, c in sides]
+            if any(ray in s and (s[ray] - value) % step for ray, step, value in values):
+                break
+            for ray, _, value in values:
+                if s.setdefault(ray, value) != value:
+                    exact = False
+        else:
+            found.append((s, exact))
+    return found
 
 
 def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     """The full conjugacy decision in H_n, with certificate.
 
-    Residue classes.  On a moving ray, a conjugator's translation is fixed
-    modulo |t_i(a)| by which infinite orbits it pairs.  For each residue
-    class that a zero-sum vector w realises, let u have translation -w and
-    b_r = u^-1 b u.  A conjugator of a to b is then x' u^-1 for some x'
-    conjugating a to b_r whose translation s is divisible by the moduli.
-    Such an x' keeps the residue class of every tail, so it maps each
-    infinite orbit O of a onto the orbit O' of b_r with the same two tails;
-    compute_bounds refuses the class when that pairing fails.
+    Orbit pairing.  A conjugator x maps each infinite orbit O of a onto an
+    orbit O' of b with the same two end rays, and far out it translates
+    ray i by s_i, so O' has the residues of O moved by s: pos_residue' =
+    (pos_residue + s_pos) mod t_pos, and the same on the incoming ray.
+    The orbits of one ends class share rays, so once the partner of its
+    first orbit is chosen among the orbits of b with the same two end
+    rays, the residues of s it fixes look up the partner of every further
+    orbit.  A choice is refused when a looked-up partner has other end rays
+    or gives a known ray a second residue; when every choice of some class
+    is refused, or when every ray moves and no combination of choices has
+    sum(s) divisible by gcd(t), the answer is orbit-pairing-mismatch.
 
     Orbit shifts.  Number the points of O as o_k with o_{k+1} = (o_k)a
     and o_0 = (pos_ray, pos_cutoff).  The spine is o_{-L} .. o_{-1} with
-    L = len(spine), and o_{-L-1} = (neg_ray, neg_cutoff).  x' maps o_k to
-    o'_{k+d_O} for one integer d_O, and far out it translates ray i by
-    s_i.  Comparing the tails gives, with primes for O',
+    L = len(spine), and o_{-L-1} = (neg_ray, neg_cutoff).  x maps o_k to
+    o'_{k+d_O} for one integer d_O.  Comparing the tails gives, with primes
+    for O',
 
         s_pos = t_pos * d_O + (pos_cutoff' - pos_cutoff)
         s_neg = t_neg * d_O + (neg_cutoff' - neg_cutoff) + |t_neg| * (L - L')
 
     Orbits that share a ray share its s_i, so within an ends class one d_O
     fixes every other: each further orbit reads its d off a ray whose s_i
-    is known.  The class is refused when some d_O is not an integer or a
-    ray gets two values.
+    is known (an integer, as its partner was looked up by that residue).
+    A combination is refused with orbit-shift-mismatch when a ray gets two
+    values.
 
     d = 0 on the first orbit of each ends class E loses nothing:
     centralizer_element(a, E) commutes with a and moves every orbit of E
-    one step along itself, so multiplying x' by it on the left gives
-    another conjugator whose d_O are all one larger on E.
+    one step along itself, so multiplying x by it on the left gives
+    another conjugator with the same partners whose d_O are all one larger
+    on E.
 
-    On the rays with t_i = 0, a and b_r fix every far point, so an element
+    On the rays with t_i = 0, a and b fix every far point, so an element
     that only moves such points commutes with both; any values there with
     the right sum serve alike, and -sum(s) goes on the first such ray.
-    When every ray moves, sum(s) is 0 already.  x' then maps the union of
-    the infinite orbits of a onto that of b_r, as translation by s_i far
-    out on each ray i, so sum(s) is the number of points outside its range
+    When every ray moves, sum(s) is 0 already.  x then maps the union of
+    the infinite orbits of a onto that of b, as translation by s_i far out
+    on each ray i, so sum(s) is the number of points outside its range
     minus the number outside its domain.  Both are the points on finite
     cycles plus the fixed points, which agree by the cycle-type and
     fixed-point checks (the index argument).
 
-    With v of translation -s, x' v has zero translation, so one call
-    fsym_conjugate(a, v^-1 b_r v) decides the class, and its witness y
-    gives the certificate x = y (u v)^-1, verified exactly.  Classes are
+    With v of translation -s, x v has zero translation, so one call
+    fsym_conjugate(a, v^-1 b v) decides the combination, and its witness y
+    gives the certificate x = y v^-1, verified exactly.  Combinations are
     tried in order, and the first whose candidate is conjugate answers.
-    A refusal names the furthest stage any class reached:
+    A refusal names the furthest stage any combination reached:
     orbit-pairing-mismatch, orbit-shift-mismatch, or the reason of
     fsym_conjugate.
     """
@@ -493,36 +471,32 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     if a.t != b.t:
         return _no(TRANSLATION_MISMATCH)
     dec_a = cycle_decomposition(a)
-    if (
-        dec_a.cycle_type() != cycle_decomposition(b).cycle_type()
-        or fixed_point_count(a) != fixed_point_count(b)
-    ):
+    dec_b = cycle_decomposition(b)
+    if dec_a.cycle_type() != dec_b.cycle_type() or fixed_point_count(a) != fixed_point_count(b):
         return _no(CYCLE_TYPE_MISMATCH)
 
     n = a.n
-    moving = [i for i in range(1, n + 1) if a.t[i - 1] != 0]
-    moduli = [abs(a.t[i - 1]) for i in moving]
+    modulus = gcd(*a.t)
+    per_class = [_class_shifts(a.t, orbits, dec_b) for orbits in _ends_classes(dec_a.infinite_orbits)]
     reason = ORBIT_PAIRING_MISMATCH
-    for residues in itertools.product(*(range(m) for m in moduli)):
-        w = _realize_residues(n, moving, moduli, residues)
-        if w is None:
+    for combination in itertools.product(*per_class):
+        s = [0] * n
+        for part, _ in combination:
+            for ray, value in part.items():
+                s[ray - 1] = value
+        if 0 not in a.t and sum(s) % modulus:
             continue
-        u = construct_translation_element(n, [-wi for wi in w])
-        b_r = conjugate_element(b, u)
-        dec_r = cycle_decomposition(b_r)
-        try:
-            bounds = compute_bounds(a, b_r, dec_a=dec_a, dec_b=dec_r)
-        except StructuralMismatch:
-            continue
-        s = _orbit_shift_translation(a.t, _match_orbits(dec_a, dec_r))
-        if s is None:
+        if not all(exact for _, exact in combination):
             if reason == ORBIT_PAIRING_MISMATCH:
                 reason = ORBIT_SHIFT_MISMATCH
             continue
+        if 0 in a.t:
+            s[a.t.index(0)] -= sum(s)
         v = construct_translation_element(n, [-si for si in s])
-        out = fsym_conjugate(a, conjugate_element(b_r, v), dec_a=dec_a)
+        b_v = conjugate_element(b, v)
+        out = fsym_conjugate(a, b_v, dec_a=dec_a)
         if out.is_conjugate:
-            x = compose(out.conjugator, inverse(compose(u, v)))
-            return _yes(x, verified=verify(a, b, x), bounds=bounds)
+            x = compose(out.conjugator, inverse(v))
+            return _yes(x, verified=verify(a, b, x), bounds=compute_bounds(a, b_v, dec_a=dec_a))
         reason = out.reason
     return _no(reason)

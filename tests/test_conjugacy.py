@@ -1,5 +1,8 @@
+import collections
 import itertools
 import time
+from math import gcd
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -294,6 +297,28 @@ def test_conjugate_refuses_on_orbit_shift_mismatch(monkeypatch):
     assert brute_force_conjugator(a, b, SearchBudget(5)) is None
 
 
+def test_conjugate_refuses_swapped_ray_pairs_fast(monkeypatch):
+    # a sends 8 points each from ray 4 to 1, 5 to 2 and 6 to 3; b sends them
+    # from 5 to 1, 6 to 2 and 4 to 3.  Same translation, cycle type and
+    # fixed points, but no orbit of b has the end rays of an orbit of a.
+    # An enumeration of the 8^6 residue classes of conjugator translations
+    # needs seconds here; the orbit pairing refuses at once
+    k = 8
+    t = (k, k, k, -k, -k, -k)
+    a = HoughtonElement(6, t, {(src, m): (dst, m) for src, dst in ((4, 1), (5, 2), (6, 3)) for m in range(k)})
+    b = HoughtonElement(6, t, {(src, m): (dst, m) for src, dst in ((5, 1), (6, 2), (4, 3)) for m in range(k)})
+    shift = conjugacy._two_ray_shift
+    assert a == compose(compose(shift(6, 4, 1, k, 0), shift(6, 5, 2, k, 0)), shift(6, 6, 3, k, 0))
+    assert b == compose(compose(shift(6, 5, 1, k, 0), shift(6, 6, 2, k, 0)), shift(6, 4, 3, k, 0))
+    assert cycle_type(a) == cycle_type(b) and fixed_point_count(a) == fixed_point_count(b)
+    calls = count_fsym_calls(monkeypatch)
+    started = time.process_time()
+    out = conjugate(a, b)
+    assert time.process_time() - started < 1.0
+    assert out.reason == ORBIT_PAIRING_MISMATCH
+    assert calls == []
+
+
 def test_conjugate_refuses_on_fixed_point_count(monkeypatch):
     # every ray moves, so fixed points are finite: a has none, b has (2,0)
     a = HoughtonElement(3, (-1, -1, 2), {(1, 0): (3, 1), (2, 0): (3, 0)})
@@ -433,6 +458,61 @@ def level_tuples(steps, level):
     yield from rec(0, level, 0, [])
 
 
+def _bezout_combination(values: Sequence[int], target: int) -> Optional[List[int]]:
+    """Integers k with sum(k_i * values_i) == target, or None."""
+    g = 0
+    for v in values:
+        g = gcd(g, v)
+    if g == 0:
+        return [0] * len(values) if target == 0 else None
+    if target % g:
+        return None
+    coeffs = [0] * len(values)
+    run = 0  # gcd of the prefix, with known combination in coeffs[:i]
+    for i, v in enumerate(values):
+        if run == 0:
+            coeffs[i] = 1
+            run = v
+            continue
+        new, x, y = _egcd(run, v)
+        for j in range(i):
+            coeffs[j] *= x
+        coeffs[i] = y
+        run = new
+    scale = target // run
+    return [c * scale for c in coeffs]
+
+
+def _egcd(p: int, q: int) -> Tuple[int, int, int]:
+    if q == 0:
+        return (p, 1, 0) if p >= 0 else (-p, -1, 0)
+    g, x, y = _egcd(q, p % q)
+    return g, y, x - (p // q) * y
+
+
+def _realize_residues(
+    n: int, moving: Sequence[int], moduli: Sequence[int], residues: Sequence[int]
+) -> Optional[List[int]]:
+    """A zero-sum integer tuple congruent to the given residues on the
+    moving rays, or None when no such tuple exists."""
+    w = [0] * n
+    for ray, r in zip(moving, residues):
+        w[ray - 1] = r
+    deficit = -sum(w)
+    if deficit == 0:
+        return w
+    free = [i for i in range(1, n + 1) if i not in moving]
+    if free:
+        w[free[0] - 1] = deficit
+        return w
+    ks = _bezout_combination(list(moduli), deficit)
+    if ks is None:
+        return None
+    for ray, m, k in zip(moving, moduli, ks):
+        w[ray - 1] += k * m
+    return w
+
+
 def level_search_conjugator(a, b, max_level):
     """Reference: the search `conjugate` ran before it solved the orbit-shift
     equations.  After the same invariant checks, each residue class whose
@@ -453,7 +533,7 @@ def level_search_conjugator(a, b, max_level):
     steps = [abs(v) if v != 0 else 1 for v in a.t]
     classes = []
     for residues in itertools.product(*(range(m) for m in moduli)):
-        w = conjugacy._realize_residues(n, moving, moduli, residues)
+        w = _realize_residues(n, moving, moduli, residues)
         if w is None:
             continue
         x_r = construct_translation_element(n, w)
@@ -480,8 +560,10 @@ def test_conjugate_matches_level_search():
     pairs = same_invariant_pairs(((2, 3000, 8), (3, 3000, 4), (4, 300, 4), (5, 200, 4)))
     assert len(pairs) >= 1000 and {a.n for a, _ in pairs} == {2, 3, 4, 5}
     reasons = set()
+    outcomes = collections.Counter()
     for a, b in pairs:
         out = conjugate(a, b)
+        outcomes[out.reason] += 1
         if out.is_conjugate:
             assert out.verified and verify(a, b, out.conjugator)
             x = level_search_conjugator(a, b, 128)
@@ -491,3 +573,5 @@ def test_conjugate_matches_level_search():
             assert level_search_conjugator(a, b, 8) is None
             assert brute_force_conjugator(a, b, SearchBudget(4)) is None
     assert reasons == {CYCLE_TYPE_MISMATCH, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}
+    # the counts of the residue-class enumeration this solver replaced
+    assert outcomes == {None: 504, CYCLE_TYPE_MISMATCH: 114, ORBIT_PAIRING_MISMATCH: 335, ORBIT_SHIFT_MISMATCH: 108}
