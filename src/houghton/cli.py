@@ -2,7 +2,7 @@
 
 All structured output is the canonical JSON document format; --pretty adds
 a human-readable rendering.  Exit codes: 0 success/decided, 1 usage error,
-2 invalid input data.
+2 invalid input data or an input beyond the walk limits.
 """
 
 from __future__ import annotations
@@ -177,10 +177,15 @@ def _run(args) -> int:
     raise AssertionError("unhandled command")
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main call
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

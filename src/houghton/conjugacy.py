@@ -33,9 +33,11 @@ from .core import (
 from .orbits import (
     CycleDecomposition,
     InfiniteOrbit,
+    WalkLimitError,
     cycle_decomposition,
     ends_partition,
     fixed_point_count,
+    run_points,
 )
 
 TRANSLATION_MISMATCH = "translation-mismatch"
@@ -103,7 +105,10 @@ def _moved_only_by(a: HoughtonElement, b: HoughtonElement) -> List[Point]:
 
 
 def fsym_conjugate(
-    a: HoughtonElement, b: HoughtonElement, dec_a: Optional[CycleDecomposition] = None
+    a: HoughtonElement,
+    b: HoughtonElement,
+    dec_a: Optional[CycleDecomposition] = None,
+    dec_b: Optional[CycleDecomposition] = None,
 ) -> ConjugacyOutcome:
     """Decide whether some x with t(x) = 0 and finite support conjugates a to b.
 
@@ -112,7 +117,7 @@ def fsym_conjugate(
     tails; finite cycles are matched by length; the leftover supports are
     paired off.  Each stage either pins down more of x or refutes.
 
-    The work is bounded by the exception tables and the orbit spines, not
+    The work is bounded by the exception tables and the certificate, not
     by the offsets.  At or beyond the cutoffs of both elements a residue
     class meets no exception, so a and b act on it by the same
     translation.  The walk along an orbit of a therefore starts at the
@@ -120,10 +125,14 @@ def fsym_conjugate(
     itself.  It stops at the first point p at or beyond both outgoing
     cutoffs: from there on a and b agree on p, and since b is a bijection
     the next step keeps p == v or p != v as it is, so a mismatch there is
-    a mismatch at every later point of the tail.
+    a mismatch at every later point of the tail.  In between, while p == v
+    and p is off both tables, a and b translate p alike, so the walk jumps
+    to the step before the next table point of either in its class, or
+    before the outgoing cutoff.  The walk thus costs O(tables +
+    certificate), whatever the offsets.
 
-    `dec_a`, the cycle decomposition of a, may be passed in by callers
-    that test many b against one a.
+    `dec_a` and `dec_b`, the cycle decompositions of a and b, may be passed
+    in by callers that have them already.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
@@ -131,7 +140,8 @@ def fsym_conjugate(
         return _no(TRANSLATION_MISMATCH)
     if dec_a is None:
         dec_a = cycle_decomposition(a)
-    dec_b = cycle_decomposition(b)
+    if dec_b is None:
+        dec_b = cycle_decomposition(b)
     if dec_a.cycle_type() != dec_b.cycle_type():
         return _no(CYCLE_TYPE_MISMATCH)
 
@@ -150,11 +160,26 @@ def fsym_conjugate(
         pos_cut[pos] = max(pos_cut.get(pos, 0), o.pos_cutoff)
 
     mapping: Dict[Point, Point] = {}
+    steps = 0
     for orbit in dec_a.infinite_orbits:
         neg = (orbit.neg_ray, orbit.neg_residue)
         p = v = (orbit.neg_ray, neg_cut[neg])
-        guard = 0
         while True:
+            i, m = p
+            step = a.t[i - 1]
+            if p == v and step and p not in a.exceptions and p not in b.exceptions:
+                # a and b translate p alike up to the next table point of
+                # either in its class, or up to the outgoing cutoff: jump to
+                # the step before that, when it is not the next one
+                q = (i, m + step)
+                off_tables = q not in a.exceptions and q not in b.exceptions
+                if off_tables and (step < 0 or q[1] < pos_cut[(i, m % step)]):
+                    ends = [dec_a.index.next_domain(i, m, step), dec_b.index.next_domain(i, m, step)]
+                    if step > 0:
+                        end = min([e for e in ends if e is not None] + [pos_cut[(i, m % step)]])
+                    else:
+                        end = max(ends)  # every offset below |step| is in both tables
+                    p = v = (i, end - step)
             p = apply(a, p)
             v = apply(b, v)
             i, m = p
@@ -165,9 +190,9 @@ def fsym_conjugate(
                 break
             if p != v:
                 mapping[p] = v
-            guard += 1
-            if guard > _WALK_LIMIT:
-                raise RuntimeError("forced-value walk did not terminate")
+            steps += 1
+            if steps > _WALK_LIMIT:
+                raise WalkLimitError("forced-value walk took more than %d steps" % _WALK_LIMIT)
     if len(set(mapping.values())) != len(mapping):
         return _no(FORCED_MAP_INCONSISTENT)
 
@@ -250,40 +275,34 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
     if cls not in partition.classes:
         raise ValueError("%s is not an equivalence class of rays for this element" % sorted(cls))
     dec = cycle_decomposition(g)
-    included = [o for o in dec.infinite_orbits if o.pos_ray in cls]
     t_masked = tuple(v if (i + 1) in cls else 0 for i, v in enumerate(g.t))
 
-    spine_points = {p for o in included for p in o.spine}
-    tails: Dict[Tuple[int, int], int] = {}
-    for o in included:
-        tails[(o.pos_ray, o.pos_residue)] = o.pos_cutoff
-        tails[(o.neg_ray, o.neg_residue)] = o.neg_cutoff
-
-    def member(p: Point) -> bool:
-        if p in spine_points:
-            return True
-        i, m = p
-        step = abs(g.t[i - 1])
-        if step == 0:
-            return False
-        cutoff = tails.get((i, m % step))
-        return cutoff is not None and m >= cutoff
-
-    top = max(
-        [g.max_exception_offset()]
-        + [m for o in dec.infinite_orbits for _, m in o.spine]
-        + [o.pos_cutoff for o in dec.infinite_orbits]
-        + [o.neg_cutoff for o in dec.infinite_orbits]
-        + [0]
-    )
+    # the result moves the points of the class's infinite orbits as g does
+    # and fixes every other point, so its exceptions are: the points of
+    # those orbits on rays outside the class, where t_masked is 0; the
+    # table points that end their runs on the class's rays, as inside a run
+    # g translates like t_masked; and every other point on the class's
+    # rays, which lies on another orbit or a finite cycle or is fixed by g.
+    # Far out on the class's rays g translates, so nothing else differs
     exc: Dict[Point, Point] = {}
-    for i in range(1, g.n + 1):
-        for m in range(top + 1):
-            p = (i, m)
-            img = apply(g, p) if member(p) else p
-            tail = m + t_masked[i - 1]
-            if tail < 0 or img != (i, tail):
-                exc[p] = img
+    for o in dec.infinite_orbits:
+        for run in o.runs:
+            if o.pos_ray not in cls:
+                if run[0] in cls:
+                    exc.update((p, p) for p in run_points([run]))
+            elif run[0] not in cls:
+                exc.update((p, apply(g, p)) for p in run_points([run]))
+            else:
+                ray, start, step, count = run
+                last = (ray, start + (count - 1) * step)
+                if last in g.exceptions:
+                    exc[last] = g.exceptions[last]
+    for p in itertools.chain.from_iterable(dec.finite_cycles):
+        if p[0] in cls:
+            exc[p] = p
+    for p, q in g.exceptions.items():
+        if p == q and p[0] in cls:
+            exc[p] = p
     return HoughtonElement(g.n, t_masked, exc)
 
 
@@ -334,12 +353,12 @@ def compute_bounds(
         pos_cut = max(oa.pos_cutoff, ob.pos_cutoff)
         neg_cut = max(oa.neg_cutoff, ob.neg_cutoff)
         size_a = (
-            len(oa.spine)
+            oa.spine_len
             + (pos_cut - oa.pos_cutoff) // up
             + (neg_cut - oa.neg_cutoff) // down
         )
         size_b = (
-            len(ob.spine)
+            ob.spine_len
             + (pos_cut - ob.pos_cutoff) // up
             + (neg_cut - ob.neg_cutoff) // down
         )
@@ -398,7 +417,7 @@ def _class_shifts(
                 break
             sides = (
                 (oa.pos_ray, up, ob.pos_cutoff - oa.pos_cutoff),
-                (oa.neg_ray, down, ob.neg_cutoff - oa.neg_cutoff - down * (len(oa.spine) - len(ob.spine))),
+                (oa.neg_ray, down, ob.neg_cutoff - oa.neg_cutoff - down * (oa.spine_len - ob.spine_len)),
             )
             d = next(((s[ray] - c) // step for ray, step, c in sides if ray in s), 0)
             values = [(ray, step, step * d + c) for ray, step, c in sides]
@@ -429,7 +448,7 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
 
     Orbit shifts.  Number the points of O as o_k with o_{k+1} = (o_k)a
     and o_0 = (pos_ray, pos_cutoff).  The spine is o_{-L} .. o_{-1} with
-    L = len(spine), and o_{-L-1} = (neg_ray, neg_cutoff).  x maps o_k to
+    L = spine_len, and o_{-L-1} = (neg_ray, neg_cutoff).  x maps o_k to
     o'_{k+d_O} for one integer d_O.  Comparing the tails gives, with primes
     for O',
 
@@ -494,9 +513,11 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
             s[a.t.index(0)] -= sum(s)
         v = construct_translation_element(n, [-si for si in s])
         b_v = conjugate_element(b, v)
-        out = fsym_conjugate(a, b_v, dec_a=dec_a)
+        dec_bv = cycle_decomposition(b_v)
+        out = fsym_conjugate(a, b_v, dec_a=dec_a, dec_b=dec_bv)
         if out.is_conjugate:
             x = compose(out.conjugator, inverse(v))
-            return _yes(x, verified=verify(a, b, x), bounds=compute_bounds(a, b_v, dec_a=dec_a))
+            bounds = compute_bounds(a, b_v, dec_a=dec_a, dec_b=dec_bv)
+            return _yes(x, verified=verify(a, b, x), bounds=bounds)
         reason = out.reason
     return _no(reason)

@@ -5,17 +5,37 @@ arithmetic progressions: an outgoing one on a ray with positive translation
 and an incoming one on a ray with negative translation.  We represent an
 infinite orbit by those two residue classes, the minimal offsets from which
 each progression is stable (no exception of the element at or beyond the
-cutoff within the class), and the explicit finite spine in between.
+cutoff within the class), and the finite spine in between as maximal runs
+(ray, start, step, count): stretches of the orbit on one ray along which
+the element translates by step.  A run ends at a table point or at the end
+of the spine, so an orbit has at most one run more than the table has
+entries.  The walks that find the runs jump from one table point of a
+residue class to the next, so their cost follows the exception table, not
+the offsets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from .core import HoughtonElement, Point, apply, inverse
+from .core import HoughtonElement, Point, apply
 
 _TRACE_LIMIT = 10_000_000
+
+Run = Tuple[int, int, int, int]  # (ray, start offset, step, count)
+
+
+class WalkLimitError(ValueError):
+    """A walk along the orbits of an element took more steps than allowed."""
+
+
+def run_points(runs: Iterable[Run]) -> Iterator[Point]:
+    """The points of runs, in order."""
+    for ray, start, step, count in runs:
+        for k in range(count):
+            yield (ray, start + k * step)
 
 
 @dataclass(frozen=True)
@@ -26,7 +46,61 @@ class InfiniteOrbit:
     neg_ray: int
     neg_residue: int
     neg_cutoff: int
-    spine: Tuple[Point, ...]  # orbit order, excluded from both stable tails
+    runs: Tuple[Run, ...]  # the spine in orbit order, excluded from both stable tails
+    spine_len: int
+
+    @property
+    def spine(self) -> Tuple[Point, ...]:
+        """The spine point by point, up to the limit of an orbit walk."""
+        _check_limit(self.spine_len)
+        return tuple(run_points(self.runs))
+
+
+class TableIndex:
+    """The offsets of an element's table points by residue class
+    (ray, offset mod |t_ray|) of a moving ray, sorted, for jumping along a
+    class to its next table point.  The domain side and the range side are
+    each built on first use."""
+
+    __slots__ = ("_g", "_dom", "_ran")
+
+    def __init__(self, g: HoughtonElement):
+        self._g = g
+        self._dom: Optional[Dict[Tuple[int, int], List[int]]] = None
+        self._ran: Optional[Dict[Tuple[int, int], List[int]]] = None
+
+    def next_domain(self, i: int, m: int, step: int) -> Optional[int]:
+        """The first offset of a domain point met from (i, m) on, m included,
+        going by step along the class of m; None when there is none."""
+        if self._dom is None:
+            self._dom = _by_class(self._g.exceptions, self._g.t)
+        return _seek(self._dom, i, m, step)
+
+    def next_range(self, i: int, m: int, step: int) -> Optional[int]:
+        """The same for the points of the range of the table."""
+        if self._ran is None:
+            self._ran = _by_class(self._g.exceptions.values(), self._g.t)
+        return _seek(self._ran, i, m, step)
+
+
+def _by_class(points: Iterable[Point], t: Tuple[int, ...]) -> Dict[Tuple[int, int], List[int]]:
+    index: Dict[Tuple[int, int], List[int]] = {}
+    for i, m in points:
+        step = t[i - 1]
+        if step:
+            index.setdefault((i, m % abs(step)), []).append(m)
+    for offsets in index.values():
+        offsets.sort()
+    return index
+
+
+def _seek(index: Dict[Tuple[int, int], List[int]], i: int, m: int, step: int) -> Optional[int]:
+    offsets = index.get((i, m % abs(step)), ())
+    if step > 0:
+        k = bisect_left(offsets, m)
+        return offsets[k] if k < len(offsets) else None
+    k = bisect_right(offsets, m)
+    return offsets[k - 1] if k else None
 
 
 @dataclass(frozen=True)
@@ -35,6 +109,7 @@ class CycleDecomposition:
     t: Tuple[int, ...]
     finite_cycles: Tuple[Tuple[Point, ...], ...]
     infinite_orbits: Tuple[InfiniteOrbit, ...]
+    index: TableIndex = field(compare=False, repr=False)  # g's table by residue class
 
     def cycle_type(self) -> Tuple[Tuple[int, ...], int]:
         """Sorted finite cycle lengths plus the infinite orbit count."""
@@ -108,68 +183,106 @@ def _per_class_cutoffs(g: HoughtonElement) -> Dict[Tuple[int, int], int]:
     return cutoffs
 
 
+def _check_limit(steps: int) -> None:
+    if steps > _TRACE_LIMIT:
+        raise WalkLimitError("an orbit walk would take more than %d steps" % _TRACE_LIMIT)
+
+
+def _finite_cycle(trail: List[Run]) -> Tuple[Point, ...]:
+    """The points of a closed trail, rotated to start at the smallest."""
+    _check_limit(sum(run[3] for run in trail))
+    points = list(run_points(trail))
+    k = points.index(min(points))
+    return tuple(points[k:] + points[:k])
+
+
 def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
-    ginv = inverse(g)
+    t = g.t
     dom = g.exceptions
+    index = TableIndex(g)
+    cutoffs = _per_class_cutoffs(g)
 
     # finite cycles: every nontrivial finite cycle passes through the
-    # exception domain, so seeding traces there finds them all.  A trail
-    # that reaches a point of an earlier escaped trail is on that same
-    # infinite orbit, because a finite cycle cannot be entered from outside
-    max_dom = [-1] * (g.n + 1)
-    for (i, m) in dom:
-        max_dom[i] = max(max_dom[i], m)
+    # exception domain, so seeding trails there finds them all.  Off the
+    # table a trail translates, so it jumps to the next domain point of its
+    # residue class; with none ahead, as when its next step reaches the
+    # cutoff of the class, it escapes up its ray.  As g is a bijection, a
+    # trail can first meet an earlier one only at that trail's start, so
+    # seen needs only table points: a trail that reaches one of an earlier
+    # trail is on that same infinite orbit
     finite: List[Tuple[Point, ...]] = []
     seen = set()
     for start in sorted(dom):
         if start in seen:
             continue
-        trail = [start]
-        cur = apply(g, start)
-        escaped = False
-        while cur != start:
+        trail: List[Run] = []
+        cur = start
+        while True:
             i, m = cur
-            if cur in seen or (g.t[i - 1] > 0 and m > max_dom[i]):
-                escaped = True  # on an infinite orbit
+            if cur in dom:
+                seen.add(cur)
+                trail.append((i, m, 0, 1))
+                cur = apply(g, cur)
+            else:
+                step = t[i - 1]
+                if step > 0 and m + step >= cutoffs[(i, m % step)]:
+                    break
+                end = index.next_domain(i, m, step)
+                if end is None:
+                    break
+                trail.append((i, m, step, (end - m) // step))
+                cur = (i, end)
+            if cur == start:
+                if len(trail) >= 2:
+                    finite.append(_finite_cycle(trail))
                 break
-            trail.append(cur)
-            cur = apply(g, cur)
-            if len(trail) > _TRACE_LIMIT:
-                raise RuntimeError("orbit trace did not terminate")
-        seen.update(trail)
-        if escaped:
-            continue
-        if len(trail) >= 2:
-            k = trail.index(min(trail))
-            finite.append(tuple(trail[k:] + trail[:k]))
+            if cur in seen:
+                break
+            _check_limit(len(trail))
     finite.sort(key=lambda c: c[0])
 
-    cutoffs = _per_class_cutoffs(g)
+    # infinite orbits: walk back from the first point of each outgoing
+    # tail, a run at a time.  Off the range table a point's preimage is its
+    # translate, so a run reaches back to the nearest range point of its
+    # class, whose preimage is an exception, or on an incoming ray to the
+    # stable tail
+    ran = {q: p for p, q in dom.items()}
     orbits: List[InfiniteOrbit] = []
     used_neg = set()
     for i in range(1, g.n + 1):
-        step = g.t[i - 1]
-        if step <= 0:
+        up = t[i - 1]
+        if up <= 0:
             continue
-        for r in range(step):
-            start = (i, cutoffs[(i, r)])
-            spine_rev: List[Point] = []
-            cur = apply(ginv, start)
+        for r in range(up):
+            runs: List[Run] = []
+            cur = (i, cutoffs[(i, r)] - up)
             while True:
                 j, m = cur
-                drop = g.t[j - 1]
-                if drop < 0 and m >= cutoffs[(j, m % -drop)]:
-                    break
-                spine_rev.append(cur)
-                cur = apply(ginv, cur)
-                if len(spine_rev) > _TRACE_LIMIT:
-                    raise RuntimeError("orbit trace did not terminate")
+                step = t[j - 1]
+                if step < 0:
+                    cut = cutoffs[(j, m % -step)]
+                    if m >= cut:
+                        break
+                if cur in ran or not step:
+                    first = m  # the preimage is an exception
+                elif step < 0 and m - step >= cut:
+                    first = None  # the preimage is in the stable tail
+                else:
+                    first = index.next_range(j, m, -step)
+                if first is None:
+                    runs.append((j, cut + step, step, (cut - m) // -step))
+                    cur = (j, cut)
+                else:
+                    runs.append((j, first, step, (m - first) // step + 1 if first != m else 1))
+                    cur = ran[(j, first)]
+                _check_limit(len(runs))
             j, m = cur
-            s = m % -g.t[j - 1]
+            s = m % -t[j - 1]
             neg_key = (j, s)
             if neg_key in used_neg:
                 raise RuntimeError("incoming residue class claimed twice")
             used_neg.add(neg_key)
+            runs.reverse()
             orbits.append(
                 InfiniteOrbit(
                     pos_ray=i,
@@ -178,10 +291,11 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
                     neg_ray=j,
                     neg_residue=s,
                     neg_cutoff=cutoffs[neg_key],
-                    spine=tuple(reversed(spine_rev)),
+                    runs=tuple(runs),
+                    spine_len=sum(run[3] for run in runs),
                 )
             )
-    return CycleDecomposition(g.n, g.t, tuple(finite), tuple(orbits))
+    return CycleDecomposition(g.n, g.t, tuple(finite), tuple(orbits), index)
 
 
 def infinite_orbit_count(g: HoughtonElement) -> int:

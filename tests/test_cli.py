@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from houghton import HoughtonElement, generator, serialize
+from houghton import HoughtonElement, compose, generator, serialize
 from houghton.cli import main
 
 
@@ -161,3 +161,79 @@ def test_conj_far_offsets(capsys, tmp_path, offset):
     moved = [[[i, m - shift], [j, k - shift]] for (i, m), (j, k) in far["certificate"]["exceptions"]]
     assert far["certificate"]["t"] == near["certificate"]["t"]
     assert moved == near["certificate"]["exceptions"]
+
+
+# g2 g3 times a finite-support permutation: a finite cycle that runs down
+# ray 3, and an orbit whose spine has runs on rays 2, 3 and 1
+MULTI_RUN = (
+    '{"n":3,"t":[2,-1,-1],"exceptions":[[[1,1],[3,4]],[[2,0],[1,1]],[[2,2],[3,0]],[[2,8],[2,8]],'
+    '[[2,9],[2,7]],[[3,0],[1,0]],[[3,1],[2,1]],[[3,5],[1,3]]]}'
+)
+
+
+def test_orbits_multi_run_spine(capsys, tmp_path):
+    path = tmp_path / "h.json"
+    path.write_text(MULTI_RUN, encoding="utf-8")
+    code, out, _ = run(capsys, "orbits", str(path))
+    assert code == 0
+    assert out == (
+        "((1,1) (3,4) (3,3) (3,2) (3,1) (2,1) (2,0))\n"
+        "[(2,0)<-tail | (2,9) (2,7) (2,6) (2,5) (2,4) (2,3) (2,2) (3,0) (1,0) | tail->(1,0)]\n"
+        "[(3,0)<-tail | (3,5) (1,3) | tail->(1,1)]\n"
+    )
+
+
+def test_orbits_walk_limit_exits_2(capsys, tmp_path, monkeypatch):
+    # a walk that reaches its limit is refused like bad input, not with a traceback
+    from houghton import orbits
+
+    path = tmp_path / "h.json"
+    path.write_text(MULTI_RUN, encoding="utf-8")
+    monkeypatch.setattr(orbits, "_TRACE_LIMIT", 1)
+    code, out, err = run(capsys, "orbits", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_orbits_spine_beyond_limit_exits_2(capsys, tmp_path, monkeypatch):
+    # the decomposition takes 3 runs, but listing the spine would take 102 points
+    from houghton import orbits
+
+    swap = HoughtonElement(2, (0, 0), {(1, 100): (1, 101), (1, 101): (1, 100)})
+    path = write_element(tmp_path, "g.json", compose(generator(2, "g2"), swap))
+    monkeypatch.setattr(orbits, "_TRACE_LIMIT", 50)
+    code, out, err = run(capsys, "orbits", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_conj_moving_ray_far_offset(capsys, tmp_path):
+    # g2 times a transposition far up the outgoing ray: 3 table entries, but
+    # an orbit spine of D + 2 points, which the decision must not walk
+    def moved(d):
+        swap = HoughtonElement(2, (0, 0), {(1, d): (1, d + 1), (1, d + 1): (1, d)})
+        return write_element(tmp_path, "g%d.json" % d, compose(generator(2, "g2"), swap))
+
+    d = 10**9
+    paths = [moved(d), moved(d + 5)]
+    started = time.process_time()
+    code, out, _ = run(capsys, "conj", *paths)
+    assert time.process_time() - started < 0.1
+    doc = json.loads(out)
+    assert code == 0 and doc["decision"] == "yes" and doc["verified"] is True
+
+
+def test_repeated_calls_match_first_calls(capsys, tmp_path, monkeypatch):
+    # the parser is built once per process; later calls must not see state
+    # left by earlier ones
+    from houghton import cli
+
+    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
+    calls = [["conj", "--pretty", g2, g2], ["conj", g2, g2], ["eval", "-n", "3", "g2"], ["--help"]]
+    first = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        first.append(run(capsys, *argv))
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert [code for code, _, _ in first] == [0, 0, 0, 0]

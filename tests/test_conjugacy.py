@@ -5,6 +5,8 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from houghton import (
     ConjugacyOutcome,
@@ -170,6 +172,88 @@ def test_centralizer_element_rejects_non_class():
         centralizer_element(element(3, "g2 g3"), {1, 2})
 
 
+def lift(n, shift, width):
+    """The finite-support swap (i, m) <-> (i, shift + m), m < width, on every ray."""
+    exc = {}
+    for i in range(1, n + 1):
+        for m in range(width):
+            exc[(i, m)], exc[(i, shift + m)] = (i, shift + m), (i, m)
+    return HoughtonElement(n, (0,) * n, exc)
+
+
+def dense_centralizer_element(g, ray_class):
+    """Reference: the centralizer element that tests every point up to the
+    largest offset of g's table and orbits.  Its cost grows with the
+    offsets; centralizer_element must agree with it exactly."""
+    cls = frozenset(ray_class)
+    dec = cycle_decomposition(g)
+    included = [o for o in dec.infinite_orbits if o.pos_ray in cls]
+    t_masked = tuple(v if (i + 1) in cls else 0 for i, v in enumerate(g.t))
+
+    spine_points = {p for o in included for p in o.spine}
+    tails = {}
+    for o in included:
+        tails[(o.pos_ray, o.pos_residue)] = o.pos_cutoff
+        tails[(o.neg_ray, o.neg_residue)] = o.neg_cutoff
+
+    def member(p):
+        if p in spine_points:
+            return True
+        i, m = p
+        step = abs(g.t[i - 1])
+        if step == 0:
+            return False
+        cutoff = tails.get((i, m % step))
+        return cutoff is not None and m >= cutoff
+
+    top = max(
+        [g.max_exception_offset()]
+        + [m for o in dec.infinite_orbits for _, m in o.spine]
+        + [o.pos_cutoff for o in dec.infinite_orbits]
+        + [o.neg_cutoff for o in dec.infinite_orbits]
+        + [0]
+    )
+    exc = {}
+    for i in range(1, g.n + 1):
+        for m in range(top + 1):
+            p = (i, m)
+            img = apply(g, p) if member(p) else p
+            tail = m + t_masked[i - 1]
+            if tail < 0 or img != (i, tail):
+                exc[p] = img
+    return HoughtonElement(g.n, t_masked, exc)
+
+
+def test_centralizer_element_matches_dense_reference():
+    # words, words times a finite permutation (finite cycles and fixed points
+    # on the class's rays) and words lifted so that orbits of other classes
+    # cross the class's rays
+    checked = 0
+    for seed in range(150):
+        n = 2 + seed % 3
+        g = random_element(n, seed)
+        for h in (
+            g,
+            compose(g, random_element(n, seed, profile="fsym")),
+            conjugate_element(g, lift(n, 10 + seed % 7, 1 + g.max_exception_offset())),
+        ):
+            for cls in ends_partition(h).classes:
+                assert centralizer_element(h, cls) == dense_centralizer_element(h, cls)
+                checked += 1
+    assert checked >= 400
+
+
+def test_centralizer_element_far_offset():
+    # g2 times a transposition on the fixed ray 3, far out: the class {1, 2}
+    # gives back g2 without a scan up to the transposition
+    d = 10**6
+    g = compose(generator(3, "g2"), fsym(3, ((3, d), (3, d + 1)), ((3, d + 1), (3, d))))
+    started = time.process_time()
+    c = centralizer_element(g, {1, 2})
+    assert time.process_time() - started < 0.1
+    assert c == generator(3, "g2")
+
+
 # -- bounds -------------------------------------------------------------------------
 
 
@@ -317,6 +401,19 @@ def test_conjugate_refuses_swapped_ray_pairs_fast(monkeypatch):
     assert time.process_time() - started < 1.0
     assert out.reason == ORBIT_PAIRING_MISMATCH
     assert calls == []
+
+
+def test_conjugate_decomposes_each_element_once(monkeypatch):
+    # a yes decomposes a, b and the conjugate of b that the finite-support
+    # test decides, which that test and the bounds share
+    a = element(3, "g2 g3")
+    b = conjugate_element(a, element(3, "g3 g2'"))
+    calls = []
+    real = conjugacy.cycle_decomposition
+    monkeypatch.setattr(conjugacy, "cycle_decomposition", lambda g: calls.append(g) or real(g))
+    out = conjugate(a, b)
+    assert out.is_conjugate and out.verified
+    assert calls[:2] == [a, b] and len(calls) == 3
 
 
 def test_conjugate_refuses_on_fixed_point_count(monkeypatch):
@@ -575,3 +672,30 @@ def test_conjugate_matches_level_search():
     assert reasons == {CYCLE_TYPE_MISMATCH, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}
     # the counts of the residue-class enumeration this solver replaced
     assert outcomes == {None: 504, CYCLE_TYPE_MISMATCH: 114, ORBIT_PAIRING_MISMATCH: 335, ORBIT_SHIFT_MISMATCH: 108}
+
+
+# -- offsets do not matter --------------------------------------------------------------
+
+FAR_PAIRS = same_invariant_pairs()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(k=st.integers(0, 10**6), roundtrip=st.booleans(), shift=st.integers(0, 10**6))
+def test_far_lift_keeps_decision(k, roundtrip, shift):
+    # conjugating both elements by one finite-support swap keeps the answer
+    # and its tag.  The swap moves every table point up to offsets near
+    # 10^9, so the orbits get runs of 10^9 points on moving rays
+    if roundtrip:
+        n = 2 + k % 3
+        a = evaluate(random_word(n, k, 1 + k % 10))
+        b = conjugate_element(a, evaluate(random_word(n, k + 1, 1 + k % 8)))
+    else:
+        a, b = FAR_PAIRS[k % len(FAR_PAIRS)]
+    near = conjugate(a, b)
+    y = lift(a.n, 10**9 + shift, 1 + max(a.max_exception_offset(), b.max_exception_offset()))
+    a_far, b_far = conjugate_element(a, y), conjugate_element(b, y)
+    started = time.process_time()
+    far = conjugate(a_far, b_far)
+    assert time.process_time() - started < 0.1
+    assert (far.is_conjugate, far.reason) == (near.is_conjugate, near.reason)
+    assert far.verified == near.verified
