@@ -153,9 +153,11 @@ class HoughtonElement:
         return (self.n, self.t, tuple(sorted(self.exceptions.items())))
 
     def __eq__(self, other) -> bool:
+        # dict equality ignores insertion order, so this agrees with
+        # comparing the sorted keys without sorting
         if not isinstance(other, HoughtonElement):
             return NotImplemented
-        return self._key() == other._key()
+        return self.n == other.n and self.t == other.t and self.exceptions == other.exceptions
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -186,10 +188,22 @@ class HoughtonElement:
 # -- constructors -----------------------------------------------------------
 
 
+def _make(n: int, t: Tuple[int, ...], exceptions: Dict[Point, Point]) -> HoughtonElement:
+    """An element from data this module has just computed in normal form: an
+    int n, a tuple of ints t and a dict of int-pair points, taken as they are
+    (no coercion, no copy, no validation)."""
+    g = HoughtonElement.__new__(HoughtonElement)
+    g.n = n
+    g.t = t
+    g.exceptions = exceptions
+    g._hash = None
+    return g
+
+
 def identity(n: int) -> HoughtonElement:
     if n < 2:
         raise InvalidElementError("n must be at least 2")
-    return HoughtonElement(n, (0,) * n, {}, validate=False)
+    return _make(int(n), (0,) * n, {})
 
 
 def generator(n: int, gid: str) -> HoughtonElement:
@@ -197,12 +211,12 @@ def generator(n: int, gid: str) -> HoughtonElement:
     if gid not in generator_ids(n):
         raise WordError("generator %r is not valid for n=%d" % (gid, n))
     if gid == "s":
-        return HoughtonElement(2, (0, 0), {(1, 0): (2, 0), (2, 0): (1, 0)}, validate=False)
+        return _make(2, (0, 0), {(1, 0): (2, 0), (2, 0): (1, 0)})
     i = int(gid[1:])
     t = [0] * n
     t[0] = 1
     t[i - 1] = -1
-    return HoughtonElement(n, t, {(i, 0): (1, 0)}, validate=False)
+    return _make(int(n), tuple(t), {(i, 0): (1, 0)})
 
 
 # -- point action -----------------------------------------------------------
@@ -269,7 +283,7 @@ class _Accumulator:
             actual = (j, k + self.shift[j])
             if actual != (i, m + t[i - 1]):
                 exc[(i, m)] = actual
-        return HoughtonElement(self.n, t, exc, validate=False)
+        return _make(self.n, t, exc)
 
 
 def compose(g: HoughtonElement, h: HoughtonElement) -> HoughtonElement:
@@ -291,7 +305,7 @@ def inverse(g: HoughtonElement) -> HoughtonElement:
         if tail >= 0 and p == (j, tail):
             continue
         exc[q] = p
-    return HoughtonElement(g.n, t, exc, validate=False)
+    return _make(g.n, t, exc)
 
 
 def evaluate(w: Word) -> HoughtonElement:

@@ -3,7 +3,14 @@ simulation and reproducible random instances.
 
 Everything here deliberately avoids the element arithmetic it is used to
 cross-check: simulate_word acts with the raw generator rules, and the
-conjugator search enumerates words rather than translation tuples.
+conjugator search enumerates words rather than translation tuples.  The
+search tests every word of the ball in breadth-first order, with no
+pruning by invariants (no translation or cycle-type check).  It
+conjugates along the search tree with its own one-letter products, so a
+candidate costs at most two passes over one exception table (its element,
+and the conjugate its children are tested with), and it checks every hit
+again with `conjugacy.verify` before returning it.  It keeps no state
+between calls.
 """
 
 from __future__ import annotations
@@ -12,7 +19,17 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .core import HoughtonElement, Point, Word, evaluate, generator_ids, identity, inverse, generator
+from .core import (
+    HoughtonElement,
+    Point,
+    Word,
+    _make,
+    evaluate,
+    generator,
+    generator_ids,
+    identity,
+    inverse,
+)
 from .conjugacy import verify
 
 
@@ -73,6 +90,11 @@ def _signed_alphabet(n: int) -> List[Tuple[str, int]]:
     return letters
 
 
+# a word, its element x, the conjugate of a by x without its last letter,
+# and the element that conjugate equals iff the word is a hit
+_Entry = Tuple[Tuple[Tuple[str, int], ...], HoughtonElement, HoughtonElement, HoughtonElement]
+
+
 def brute_force_conjugator(
     a: HoughtonElement, b: HoughtonElement, budget: SearchBudget
 ) -> Optional[Word]:
@@ -80,6 +102,12 @@ def brute_force_conjugator(
 
     Free cancellations are pruned.  Finding nothing proves nothing: the
     search is bounded.
+
+    Conjugates are carried along the search tree: a word y = x l is a hit
+    iff x^-1 a x = l b l^-1, so y is tested against one of a few fixed
+    conjugates of b, and x^-1 a x is built from its parent's conjugate
+    when the children of x are made.  A hit is checked again by `verify`
+    before it is returned.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
@@ -89,33 +117,95 @@ def brute_force_conjugator(
     for gid, sign in alphabet:
         if sign < 0:
             elements[(gid, sign)] = inverse(elements[(gid, 1)])
+    # the element of each letter's inverse (s is its own)
+    undo = {letter: elements.get((letter[0], -letter[1]), elements[letter]) for letter in alphabet}
+    # x l is a hit iff x^-1 a x = l b l^-1
+    targets = {letter: _conjugate_by(b, undo[letter], elements[letter]) for letter in alphabet}
 
+    one = identity(n)
     tried = 0
-    seen = {identity(n)}
-    frontier: List[Tuple[Tuple[Tuple[str, int], ...], HoughtonElement]] = [((), identity(n))]
+    seen = {one}
+    frontier: List[_Entry] = [((), one, a, b)]
     for length in range(budget.max_word_length + 1):
-        for letters, x in frontier:
+        for letters, x, c, target in frontier:
             tried += 1
             if tried > budget.max_candidates:
                 return None
-            if verify(a, b, x):
+            if c == target:
+                if not verify(a, b, x):
+                    raise RuntimeError("word %s passes the incremental test but not verify" % Word(n, letters))
                 return Word(n, letters)
         if length == budget.max_word_length:
             break  # the next level would never be tested
         nxt = []
-        for letters, x in frontier:
+        for letters, x, c, _ in frontier:
+            if letters:  # x^-1 a x from the conjugate of x's parent
+                c = _conjugate_by(c, elements[letters[-1]], undo[letters[-1]])
             for letter in alphabet:
                 if letters and letters[-1][0] == letter[0] and letters[-1][1] == -letter[1]:
                     continue
                 if letters and letter[0] == "s" and letters[-1] == ("s", 1):
                     continue  # s is self-inverse
-                y = x * elements[letter]
+                y = _times(x, elements[letter])
                 if y in seen:
                     continue  # a word no longer than this one already reaches y
                 seen.add(y)
-                nxt.append((letters + (letter,), y))
+                nxt.append((letters + (letter,), y, c, targets[letter]))
         frontier = nxt
     return None
+
+
+# Products with one letter, computed here rather than by the accumulator of
+# `core`.  Off its table an element translates every ray, so a product can
+# differ from its tail formula only at points that some factor's table
+# reaches; only those are evaluated, at a cost that follows the table of
+# the long factor.
+
+
+def _times(x: HoughtonElement, g: HoughtonElement) -> HoughtonElement:
+    """x * g for a letter g.  Off the table of x the first step is a
+    translation, so besides x's table only the preimages (j, k - t_j) of
+    g's table points (j, k) can be exceptions."""
+    xe, xt, ge, gt = x.exceptions, x.t, g.exceptions, g.t
+    t = tuple(u + v for u, v in zip(xt, gt))
+    candidates = list(xe)
+    for j, k in ge:
+        p = (j, k - xt[j - 1])
+        if p[1] >= 0 and p not in xe:
+            candidates.append(p)
+    exc = {}
+    for r in candidates:
+        i, m = r
+        q = xe.get(r) or (i, m + xt[i - 1])
+        v = ge.get(q) or (q[0], q[1] + gt[q[0] - 1])
+        if v != (i, m + t[i - 1]):
+            exc[r] = v
+    return _make(x.n, t, exc)
+
+
+def _conjugate_by(c: HoughtonElement, g: HoughtonElement, g_inv: HoughtonElement) -> HoughtonElement:
+    """g^-1 * c * g for a letter g with inverse g_inv.  A point r can be an
+    exception only if it is on g_inv's table, or (r)g_inv is on c's table
+    or is a preimage (j, k - t_j) under c of a point (j, k) of g's table;
+    the last two are reached from those points by g."""
+    ce, ct, ge, gt, ue, ut = c.exceptions, c.t, g.exceptions, g.t, g_inv.exceptions, g_inv.t
+    starts = list(ce)
+    for j, k in ge:
+        p = (j, k - ct[j - 1])
+        if p[1] >= 0 and p not in ce:
+            starts.append(p)
+    candidates = list(ue)
+    for p in starts:
+        candidates.append(ge.get(p) or (p[0], p[1] + gt[p[0] - 1]))
+    exc = {}
+    for r in candidates:
+        i, m = r
+        p = ue.get(r) or (i, m + ut[i - 1])
+        q = ce.get(p) or (p[0], p[1] + ct[p[0] - 1])
+        v = ge.get(q) or (q[0], q[1] + gt[q[0] - 1])
+        if v != (i, m + ct[i - 1]):
+            exc[r] = v
+    return _make(c.n, ct, exc)
 
 
 def random_word(n: int, seed: int, length: int) -> Word:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from houghton import (
     inverse,
     serialize,
 )
-from houghton.oracle import random_word, simulate_word
+from houghton.oracle import random_element, random_word, simulate_word
 
 
 def word(n, text):
@@ -239,3 +240,67 @@ def test_element_rejects_missing_negative_redirect():
     # t_2 = -1 forces (2,0) into the exception table
     with pytest.raises(InvalidElementError):
         HoughtonElement(2, (1, -1), {})
+
+
+# -- equality and hashing -------------------------------------------------------
+
+
+def _reordered(g, seed):
+    """The same element with its exception table in another insertion order."""
+    items = list(g.exceptions.items())
+    random.Random(seed).shuffle(items)
+    return HoughtonElement(g.n, g.t, dict(items))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 4),
+    seeds=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    profiles=st.tuples(*[st.sampled_from(["word-3", "word-6", "fsym"])] * 2),
+    shuffle=st.integers(0, 10**6),
+)
+def test_equality_matches_sorted_key_and_hash(n, seeds, profiles, shuffle):
+    g = random_element(n, seeds[0], profiles[0])
+    h = random_element(n, seeds[1], profiles[1])
+    variants = [
+        g,
+        h,
+        _reordered(g, shuffle),
+        _reordered(h, shuffle + 1),
+        inverse(inverse(g)),
+        compose(h, identity(n)),
+    ]
+    if len(g.exceptions) >= 2:
+        # conjugating by a swap of two table points often keeps the table's
+        # domain and changes its images
+        p, q = sorted(g.exceptions)[:2]
+        variants.append(conjugate_element(g, HoughtonElement(n, (0,) * n, {p: q, q: p})))
+    for x in variants:
+        for y in variants:
+            assert (x == y) == (x._key() == y._key())
+            if x == y:
+                assert hash(x) == hash(y)
+    assert variants[2] == g and variants[3] == h and variants[4] == g and variants[5] == h
+
+
+def test_public_constructor_still_coerces_and_validates():
+    g = HoughtonElement(3.0, [1.0, -1, 0], [((2.0, 0), ("1", 0))])
+    assert g == generator(3, "g2")
+    assert type(g.n) is int and type(g.t) is tuple
+    assert all(type(v) is int for p, q in g.exceptions.items() for v in p + q)
+    assert hash(g) == hash(generator(3, "g2"))
+    with pytest.raises(InvalidElementError):
+        HoughtonElement(3, (1, -1, 0), {(2, 0): (1, 0), (3, 0): (3, 0)})
+    with pytest.raises(InvalidElementError):
+        HoughtonElement(3, (1, 0, 0), {})
+
+
+def test_deserialize_still_coerces_and_validates():
+    g = deserialize('{"n":3,"t":[1.0,-1,0],"exceptions":[[["2",0],[1,0.0]]]}')
+    assert g == generator(3, "g2")
+    assert all(type(v) is int for v in g.t)
+    assert all(type(v) is int for p, q in g.exceptions.items() for v in p + q)
+    with pytest.raises(InvalidElementError):
+        deserialize('{"n":3,"t":[1,-1,0],"exceptions":[[[2,0],[1,1]]]}')
+    with pytest.raises(InvalidElementError):
+        deserialize('{"n":3,"t":[1,-1,0],"exceptions":[[["x",0],[1,0]]]}')

@@ -1,8 +1,22 @@
+from typing import List, Optional, Tuple
+
 import pytest
 
-from houghton import Word, apply, conjugate_element, evaluate, generator, identity, verify
+from houghton import (
+    HoughtonElement,
+    Word,
+    apply,
+    conjugate_element,
+    evaluate,
+    generator,
+    identity,
+    inverse,
+    verify,
+)
+from houghton import oracle
 from houghton.oracle import (
     SearchBudget,
+    _signed_alphabet,
     brute_force_conjugator,
     random_element,
     random_word,
@@ -83,3 +97,135 @@ def test_random_element_fsym_valid_permutation():
         g = random_element(2, seed, profile="fsym")
         dom = set(g.exceptions)
         assert dom == set(g.exceptions.values())
+
+
+def test_brute_force_confirms_hits_with_verify(monkeypatch):
+    calls = []
+
+    def counting_verify(a, b, x):
+        calls.append(x)
+        return verify(a, b, x)
+
+    monkeypatch.setattr(oracle, "verify", counting_verify)
+    a = evaluate(Word.parse(3, "g2 g3"))
+    b = evaluate(Word.parse(3, "g3 g2"))
+    found = brute_force_conjugator(a, b, SearchBudget(3))
+    assert found is not None and calls == [evaluate(found)]
+    calls.clear()
+    assert brute_force_conjugator(generator(3, "g2"), generator(3, "g3"), SearchBudget(3)) is None
+    assert calls == []
+
+
+def test_brute_force_raises_when_verify_disagrees(monkeypatch):
+    monkeypatch.setattr(oracle, "verify", lambda a, b, x: False)
+    g = evaluate(Word.parse(3, "g2 g3"))
+    with pytest.raises(RuntimeError):
+        brute_force_conjugator(g, g, SearchBudget(2))
+
+
+# -- the search against the one that verified every candidate ----------------------
+
+
+def reference_brute_force_conjugator(
+    a: HoughtonElement, b: HoughtonElement, budget: SearchBudget
+) -> Optional[Word]:
+    """Breadth-first search for a word w with evaluate(w)^-1 * a * evaluate(w) = b.
+
+    Free cancellations are pruned.  Finding nothing proves nothing: the
+    search is bounded.
+    """
+    if a.n != b.n:
+        raise ValueError("elements live in different H_n")
+    n = a.n
+    alphabet = _signed_alphabet(n)
+    elements = {letter: generator(n, letter[0]) for letter in alphabet if letter[1] > 0}
+    for gid, sign in alphabet:
+        if sign < 0:
+            elements[(gid, sign)] = inverse(elements[(gid, 1)])
+
+    tried = 0
+    seen = {identity(n)}
+    frontier: List[Tuple[Tuple[Tuple[str, int], ...], HoughtonElement]] = [((), identity(n))]
+    for length in range(budget.max_word_length + 1):
+        for letters, x in frontier:
+            tried += 1
+            if tried > budget.max_candidates:
+                return None
+            if verify(a, b, x):
+                return Word(n, letters)
+        if length == budget.max_word_length:
+            break  # the next level would never be tested
+        nxt = []
+        for letters, x in frontier:
+            for letter in alphabet:
+                if letters and letters[-1][0] == letter[0] and letters[-1][1] == -letter[1]:
+                    continue
+                if letters and letter[0] == "s" and letters[-1] == ("s", 1):
+                    continue  # s is self-inverse
+                y = x * elements[letter]
+                if y in seen:
+                    continue  # a word no longer than this one already reaches y
+                seen.add(y)
+                nxt.append((letters + (letter,), y))
+        frontier = nxt
+    return None
+
+
+def level_ends(n, radius):
+    """The number of candidates a search tests up to and including each
+    word length: one per element of the ball, shortest word first."""
+    letters = [evaluate(Word(n, (letter,))) for letter in _signed_alphabet(n)]
+    seen = {identity(n)}
+    frontier, ends = [identity(n)], [1]
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for g in letters:
+                y = x * g
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+        ends.append(ends[-1] + len(nxt))
+    return ends
+
+
+def oracle_pairs():
+    """Seeded (a, b) pairs in H_2..H_4: conjugates by short words (hits),
+    independent elements (mostly misses) and a = b."""
+    pairs = []
+    for n in (2, 3, 4):
+        for seed in range(20):
+            a = evaluate(random_word(n, seed, 1 + seed % 6))
+            x = evaluate(random_word(n, seed + 500, seed % 5))
+            pairs.append((a, conjugate_element(a, x)))
+            pairs.append((a, evaluate(random_word(n, seed + 1000, 1 + (seed * 5) % 7))))
+            if seed % 4 == 0:
+                pairs.append((a, a))
+    return pairs
+
+
+def test_brute_force_matches_reference():
+    ends = {n: level_ends(n, 5) for n in (2, 3, 4)}
+    # found; nothing in the ball; nothing because the cap stopped a search
+    # that finds a word without it
+    kinds = {"found": 0, "none": 0, "cut": 0}
+    for k, (a, b) in enumerate(oracle_pairs()):
+        radius = k % 6
+        uncapped = reference_brute_force_conjugator(a, b, SearchBudget(radius))
+        caps = [SearchBudget(radius).max_candidates, 1 + k % 3]
+        for r in range(1, radius + 1):
+            # a cap in the middle of level r: the search stops inside it
+            lo, hi = ends[a.n][r - 1], ends[a.n][r]
+            assert hi - lo >= 2
+            caps.append((lo + hi) // 2)
+        for cap in caps:
+            budget = SearchBudget(radius, max_candidates=cap)
+            expected = reference_brute_force_conjugator(a, b, budget)
+            got = brute_force_conjugator(a, b, budget)
+            assert got == expected, (a, b, radius, cap)
+            if got is not None:
+                kinds["found"] += 1
+            else:
+                kinds["cut" if uncapped is not None else "none"] += 1
+    assert all(kinds.values()), kinds
