@@ -220,42 +220,30 @@ def fsym_conjugate(
 # -- building blocks for the reduction ---------------------------------------
 
 
-def _two_ray_shift(n: int, src: int, dst: int, amount: int, floor: int) -> HoughtonElement:
-    """Move `amount` points from ray src to ray dst, fixing offsets below floor."""
+def _two_ray_shift(n: int, src: int, dst: int, amount: int) -> HoughtonElement:
+    """Move `amount` points from ray src to ray dst."""
     t = [0] * n
     t[dst - 1] = amount
     t[src - 1] = -amount
-    exc: Dict[Point, Point] = {}
-    for m in range(floor):
-        exc[(dst, m)] = (dst, m)
-        exc[(src, m)] = (src, m)
-    for k in range(amount):
-        exc[(src, floor + k)] = (dst, floor + k)
+    exc = {(src, k): (dst, k) for k in range(amount)}
     return HoughtonElement(n, t, exc, validate=False)
 
 
-def construct_translation_element(
-    n: int, w: Sequence[int], forbidden: Iterable[Point] = ()
-) -> HoughtonElement:
-    """An element with translation vector w whose support avoids `forbidden`.
-
-    Built as a product of two-ray shifts operating above a floor that
-    clears every forbidden offset.
-    """
+def construct_translation_element(n: int, w: Sequence[int]) -> HoughtonElement:
+    """An element with translation vector w, built as a product of two-ray
+    shifts."""
     w = [int(v) for v in w]
     if len(w) != n:
         raise ValueError("translation tuple must have length n")
     if sum(w) != 0:
         raise ValueError("translation tuple must sum to zero")
-    forbidden = list(forbidden)
-    floor = 1 + max((m for _, m in forbidden), default=-1)
     result = identity(n)
     sources = [[j + 1, -v] for j, v in enumerate(w) if v < 0]
     for i, need in ((i + 1, v) for i, v in enumerate(w) if v > 0):
         while need:
             j, avail = sources[0]
             take = min(need, avail)
-            result = compose(result, _two_ray_shift(n, j, i, take, floor))
+            result = compose(result, _two_ray_shift(n, j, i, take))
             need -= take
             if avail == take:
                 sources.pop(0)
@@ -467,23 +455,31 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     another conjugator with the same partners whose d_O are all one larger
     on E.
 
-    On the rays with t_i = 0, a and b fix every far point, so an element
-    that only moves such points commutes with both; any values there with
-    the right sum serve alike, and -sum(s) goes on the first such ray.
-    When every ray moves, sum(s) is 0 already.  x then maps the union of
-    the infinite orbits of a onto that of b, as translation by s_i far out
-    on each ray i, so sum(s) is the number of points outside its range
-    minus the number outside its domain.  Both are the points on finite
-    cycles plus the fixed points, which agree by the cycle-type and
-    fixed-point checks (the index argument).
+    Existence.  Take a combination that gives every ray one value s_i (an
+    exact one).  Mapping o_k to o'_{k+d_O} on every orbit is a bijection
+    of the unions of the infinite orbits of a and of b (partners are
+    looked up by residues moved by s) that carries a to b and is
+    translation by s_i far out on each moving ray.  The finite cycles
+    match by the cycle-type check.  When every ray moves, the fixed points
+    match by the fixed-point check, and sum(s) = 0 by the index
+    argument: a bijection between cofinite sets that translates by s far
+    out has sum(s) equal to the points outside its range minus those
+    outside its domain.  On the rays with t_i = 0, a and b fix every far
+    point, and by the same count the fixed points match for any values
+    there that make sum(s) 0; -sum(s) goes on the first such ray.  So
+    every exact combination has a conjugator of translation s.
 
-    With v of translation -s, x v has zero translation, so one call
-    fsym_conjugate(a, v^-1 b v) decides the combination, and its witness y
-    gives the certificate x = y v^-1, verified exactly.  Combinations are
-    tried in order, and the first whose candidate is conjugate answers.
-    A refusal names the furthest stage any combination reached:
-    orbit-pairing-mismatch, orbit-shift-mismatch, or the reason of
-    fsym_conjugate.
+    Decision.  By the existence argument an exact combination is a yes,
+    and the first in the order of the choices takes the first exact
+    choice of every class.  When some class has no exact choice, the tag
+    needs only the sums of s mod g, with g = gcd(t) when every ray moves
+    and 1 otherwise: one pass over the classes collects the sums they
+    reach together, in classes x choices x g steps, and the answer is
+    orbit-shift-mismatch when 0 is among them, else orbit-pairing-mismatch.
+    With v of translation -s, x v has zero translation, so
+    fsym_conjugate(a, v^-1 b v) finds a witness y, and x = y v^-1 is
+    verified exactly.  A refusal there, or a nonzero sum(s) when every ray
+    moves, would contradict the existence argument and raises RuntimeError.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
@@ -494,30 +490,28 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     if dec_a.cycle_type() != dec_b.cycle_type() or fixed_point_count(a) != fixed_point_count(b):
         return _no(CYCLE_TYPE_MISMATCH)
 
-    n = a.n
-    modulus = gcd(*a.t)
+    modulus = gcd(*a.t) if 0 not in a.t else 1
     per_class = [_class_shifts(a.t, orbits, dec_b) for orbits in _ends_classes(dec_a.infinite_orbits)]
-    reason = ORBIT_PAIRING_MISMATCH
-    for combination in itertools.product(*per_class):
-        s = [0] * n
-        for part, _ in combination:
-            for ray, value in part.items():
-                s[ray - 1] = value
-        if 0 not in a.t and sum(s) % modulus:
-            continue
-        if not all(exact for _, exact in combination):
-            if reason == ORBIT_PAIRING_MISMATCH:
-                reason = ORBIT_SHIFT_MISMATCH
-            continue
-        if 0 in a.t:
-            s[a.t.index(0)] -= sum(s)
-        v = construct_translation_element(n, [-si for si in s])
-        b_v = conjugate_element(b, v)
-        dec_bv = cycle_decomposition(b_v)
-        out = fsym_conjugate(a, b_v, dec_a=dec_a, dec_b=dec_bv)
-        if out.is_conjugate:
-            x = compose(out.conjugator, inverse(v))
-            bounds = compute_bounds(a, b_v, dec_a=dec_a, dec_b=dec_bv)
-            return _yes(x, verified=verify(a, b, x), bounds=bounds)
-        reason = out.reason
-    return _no(reason)
+    firsts = [next((part for part, exact in options if exact), None) for options in per_class]
+    if None in firsts:
+        sums = {0}  # the sums of s mod g that the classes reach together
+        for options in per_class:
+            totals = {sum(part.values()) for part, _ in options}
+            sums = {(q + r) % modulus for q in sums for r in totals}
+        return _no(ORBIT_SHIFT_MISMATCH if 0 in sums else ORBIT_PAIRING_MISMATCH)
+    s = [0] * a.n
+    for part in firsts:
+        for ray, value in part.items():
+            s[ray - 1] = value
+    if 0 in a.t:
+        s[a.t.index(0)] -= sum(s)
+    elif sum(s):
+        raise RuntimeError("exact orbit shifts with sum %d while every ray moves" % sum(s))
+    v = construct_translation_element(a.n, [-si for si in s])
+    b_v = conjugate_element(b, v)
+    dec_bv = cycle_decomposition(b_v)
+    out = fsym_conjugate(a, b_v, dec_a=dec_a, dec_b=dec_bv)
+    if not out.is_conjugate:
+        raise RuntimeError("consistent orbit shifts refused by fsym_conjugate: %s" % out.reason)
+    x = compose(out.conjugator, inverse(v))
+    return _yes(x, verified=verify(a, b, x), bounds=compute_bounds(a, b_v, dec_a=dec_a, dec_b=dec_bv))

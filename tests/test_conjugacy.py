@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import time
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
@@ -28,9 +29,11 @@ from houghton import (
     generator,
     identity,
     inverse,
+    serialize,
     verify,
 )
 from houghton import conjugacy
+from houghton.cli import main
 from houghton.conjugacy import (
     CYCLE_TYPE_MISMATCH,
     FORCED_MAP_INCONSISTENT,
@@ -138,13 +141,6 @@ def test_construct_translation_random_vectors():
     for w in vectors:
         g = construct_translation_element(3, w)
         assert g.t == w
-
-
-def test_construct_translation_avoids_forbidden():
-    forbidden = [(1, 0), (2, 1)]
-    g = construct_translation_element(3, (1, -1, 0), forbidden)
-    for p in forbidden:
-        assert apply(g, p) == p
 
 
 def test_construct_translation_rejects_bad_sum():
@@ -392,8 +388,8 @@ def test_conjugate_refuses_swapped_ray_pairs_fast(monkeypatch):
     a = HoughtonElement(6, t, {(src, m): (dst, m) for src, dst in ((4, 1), (5, 2), (6, 3)) for m in range(k)})
     b = HoughtonElement(6, t, {(src, m): (dst, m) for src, dst in ((5, 1), (6, 2), (4, 3)) for m in range(k)})
     shift = conjugacy._two_ray_shift
-    assert a == compose(compose(shift(6, 4, 1, k, 0), shift(6, 5, 2, k, 0)), shift(6, 6, 3, k, 0))
-    assert b == compose(compose(shift(6, 5, 1, k, 0), shift(6, 6, 2, k, 0)), shift(6, 4, 3, k, 0))
+    assert a == compose(compose(shift(6, 4, 1, k), shift(6, 5, 2, k)), shift(6, 6, 3, k))
+    assert b == compose(compose(shift(6, 5, 1, k), shift(6, 6, 2, k)), shift(6, 4, 3, k))
     assert cycle_type(a) == cycle_type(b) and fixed_point_count(a) == fixed_point_count(b)
     calls = count_fsym_calls(monkeypatch)
     started = time.process_time()
@@ -424,6 +420,85 @@ def test_conjugate_refuses_on_fixed_point_count(monkeypatch):
     calls = count_fsym_calls(monkeypatch)
     assert conjugate(a, b).reason == CYCLE_TYPE_MISMATCH
     assert calls == []
+
+
+def test_conjugate_raises_where_a_conjugator_must_exist(monkeypatch):
+    # every exact combination of orbit shifts has a conjugator (the existence
+    # argument of `conjugate`), so a refusal of the finite-support test there,
+    # or shifts that do not sum to 0 while every ray moves, is a fault, never
+    # a silent "no"
+    a = element(3, "g2 g3")
+    b = conjugate_element(a, element(3, "g3 g2'"))
+    refuse = lambda *args, **kwargs: ConjugacyOutcome(None, reason=FORCED_MAP_INCONSISTENT)
+    with monkeypatch.context() as patch:
+        patch.setattr(conjugacy, "fsym_conjugate", refuse)
+        with pytest.raises(RuntimeError):
+            conjugate(a, b)
+    g = generator(2, "g2")
+    shifts = conjugacy._class_shifts
+    off_by_one = lambda *args: [({ray: v + (ray == 1) for ray, v in part.items()}, exact) for part, exact in shifts(*args)]
+    monkeypatch.setattr(conjugacy, "_class_shifts", off_by_one)
+    with pytest.raises(RuntimeError):
+        conjugate(g, g)
+
+
+# the pair tables of F_k: t = (2, -2) on rays (1, 2); A1 swaps the two points
+# that cross, B1 keeps them in order
+A1 = {(2, 0): (1, 1), (2, 1): (1, 0)}
+B1 = {(2, 0): (1, 0), (2, 1): (1, 1)}
+
+
+def f_family(k, b_blocks=1, zero_ray=False):
+    """F_k: n = 2k rays with t = (2, -2)^k, a with A1 on every ray pair
+    (2j+1, 2j+2) and b the same but with B1 on the first `b_blocks` pairs;
+    `zero_ray` appends a ray with t = 0.  Each ends class has two partner
+    choices, so there are 2^k combinations of them."""
+    t = (2, -2) * k + (0,) * zero_ray
+
+    def build(b_count):
+        exc = {}
+        for j in range(k):
+            table = B1 if j < b_count else A1
+            exc.update({(i + 2 * j, m): (i2 + 2 * j, m2) for (i, m), (i2, m2) in table.items()})
+        return HoughtonElement(len(t), t, exc)
+
+    return build(0), build(b_blocks)
+
+
+F_VARIANTS = {
+    "one-block": (1, False, ORBIT_PAIRING_MISMATCH),
+    "two-block": (2, False, ORBIT_SHIFT_MISMATCH),
+    "zero-ray": (1, True, ORBIT_SHIFT_MISMATCH),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(F_VARIANTS))
+def test_conjugate_decides_f_family_fast(monkeypatch, capsys, tmp_path, variant):
+    # F_30 has 2^30 combinations of partner choices; the decision walks the
+    # 30 ends classes once, and the CLI gives the same tag
+    b_blocks, zero_ray, reason = F_VARIANTS[variant]
+    a, b = f_family(30, b_blocks, zero_ray)
+    calls = count_fsym_calls(monkeypatch)
+    started = time.process_time()
+    out = conjugate(a, b)
+    assert time.process_time() - started < 1.0
+    assert not out.is_conjugate and out.reason == reason
+    assert calls == []
+    paths = []
+    for name, g in (("a.json", a), ("b.json", b)):
+        (tmp_path / name).write_text(serialize(g), encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    assert main(["conj"] + paths) == 0
+    assert json.loads(capsys.readouterr().out) == {"decision": "no", "reason": reason}
+
+
+@pytest.mark.parametrize(
+    "k, b_blocks, zero_ray, radius", [(1, 1, False, 12), (2, 1, False, 6), (2, 2, False, 6), (1, 1, True, 7)]
+)
+def test_f_family_has_no_short_conjugator(k, b_blocks, zero_ray, radius):
+    a, b = f_family(k, b_blocks, zero_ray)
+    assert not conjugate(a, b).is_conjugate
+    assert brute_force_conjugator(a, b, SearchBudget(radius)) is None
 
 
 # -- the sparse FSym test against the dense-window reference -------------------------
@@ -650,16 +725,61 @@ def level_search_conjugator(a, b, max_level):
     return None
 
 
+def product_conjugate(a, b):
+    """Reference: the decision `conjugate` made before it walked the ends
+    classes once.  After the same invariant checks it tries every
+    combination of the classes' partner choices, in order, and the first
+    whose candidate is conjugate answers.  A refusal names the furthest
+    stage any combination reached.  Its cost is the product of the
+    numbers of choices."""
+    if a.t != b.t:
+        return ConjugacyOutcome(None, reason=TRANSLATION_MISMATCH)
+    dec_a = cycle_decomposition(a)
+    dec_b = cycle_decomposition(b)
+    if dec_a.cycle_type() != dec_b.cycle_type() or fixed_point_count(a) != fixed_point_count(b):
+        return ConjugacyOutcome(None, reason=CYCLE_TYPE_MISMATCH)
+    n = a.n
+    modulus = gcd(*a.t)
+    classes = conjugacy._ends_classes(dec_a.infinite_orbits)
+    per_class = [conjugacy._class_shifts(a.t, orbits, dec_b) for orbits in classes]
+    reason = ORBIT_PAIRING_MISMATCH
+    for combination in itertools.product(*per_class):
+        s = [0] * n
+        for part, _ in combination:
+            for ray, value in part.items():
+                s[ray - 1] = value
+        if 0 not in a.t and sum(s) % modulus:
+            continue
+        if not all(exact for _, exact in combination):
+            if reason == ORBIT_PAIRING_MISMATCH:
+                reason = ORBIT_SHIFT_MISMATCH
+            continue
+        if 0 in a.t:
+            s[a.t.index(0)] -= sum(s)
+        v = construct_translation_element(n, [-si for si in s])
+        b_v = conjugate_element(b, v)
+        dec_bv = cycle_decomposition(b_v)
+        out = fsym_conjugate(a, b_v, dec_a=dec_a, dec_b=dec_bv)
+        if out.is_conjugate:
+            x = compose(out.conjugator, inverse(v))
+            bounds = compute_bounds(a, b_v, dec_a=dec_a, dec_b=dec_bv)
+            return ConjugacyOutcome(x, verified=verify(a, b, x), bounds=bounds)
+        reason = out.reason
+    return ConjugacyOutcome(None, reason=reason)
+
+
 def test_conjugate_matches_level_search():
     # every yes of the solver is found by the level search (it stops at its
     # first witness, so a high cap costs little); every no is confirmed by
-    # the level search up to level 8 and by the word search at radius 4
+    # the level search up to level 8 and by the word search at radius 4; the
+    # decision, certificate and bounds equal those of the product enumeration
     pairs = same_invariant_pairs(((2, 3000, 8), (3, 3000, 4), (4, 300, 4), (5, 200, 4)))
     assert len(pairs) >= 1000 and {a.n for a, _ in pairs} == {2, 3, 4, 5}
     reasons = set()
     outcomes = collections.Counter()
     for a, b in pairs:
         out = conjugate(a, b)
+        assert out == product_conjugate(a, b)
         outcomes[out.reason] += 1
         if out.is_conjugate:
             assert out.verified and verify(a, b, out.conjugator)
