@@ -34,8 +34,9 @@ from .orbits import (
     CycleDecomposition,
     InfiniteOrbit,
     WalkLimitError,
+    _class_rays,
+    _ends_classes,
     cycle_decomposition,
-    ends_partition,
     fixed_point_count,
     run_points,
 )
@@ -259,10 +260,9 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
     fixes the other rays almost everywhere.
     """
     cls = frozenset(ray_class)
-    partition = ends_partition(g)
-    if cls not in partition.classes:
-        raise ValueError("%s is not an equivalence class of rays for this element" % sorted(cls))
     dec = cycle_decomposition(g)
+    if cls not in map(_class_rays, _ends_classes(dec.infinite_orbits)):
+        raise ValueError("%s is not an equivalence class of rays for this element" % sorted(cls))
     t_masked = tuple(v if (i + 1) in cls else 0 for i, v in enumerate(g.t))
 
     # the result moves the points of the class's infinite orbits as g does
@@ -357,40 +357,31 @@ def compute_bounds(
 # -- the full decision ----------------------------------------------------------
 
 
-def _ends_classes(orbits: Sequence[InfiniteOrbit]) -> List[List[InfiniteOrbit]]:
-    """The infinite orbits grouped by ends class, each class in an order
-    where every orbit after the first shares a ray with an earlier one."""
-    rest = list(orbits)
-    classes = []
-    while rest:
-        cls = [rest.pop(0)]
-        rays = {cls[0].pos_ray, cls[0].neg_ray}
-        while True:
-            k = next((k for k, o in enumerate(rest) if o.pos_ray in rays or o.neg_ray in rays), None)
-            if k is None:
-                break
-            o = rest.pop(k)
-            cls.append(o)
-            rays |= {o.pos_ray, o.neg_ray}
-        classes.append(cls)
-    return classes
+def _orbit_index(dec_b: CycleDecomposition):
+    """b's infinite orbits by outgoing class, by incoming class and, in
+    order, by their two end rays: built once per decision, for the lookups
+    of `_class_shifts`."""
+    by_pos = {(o.pos_ray, o.pos_residue): o for o in dec_b.infinite_orbits}
+    by_neg = {(o.neg_ray, o.neg_residue): o for o in dec_b.infinite_orbits}
+    by_ends: Dict[Tuple[int, int], List[InfiniteOrbit]] = {}
+    for o in dec_b.infinite_orbits:
+        by_ends.setdefault((o.pos_ray, o.neg_ray), []).append(o)
+    return by_pos, by_neg, by_ends
 
 
 def _class_shifts(
-    t: Sequence[int], orbits: Sequence[InfiniteOrbit], dec_b: CycleDecomposition
+    t: Sequence[int], orbits: Sequence[InfiniteOrbit], index_b
 ) -> List[Tuple[Dict[int, int], bool]]:
     """Every way to pair the orbits of one ends class of a with orbits of b
     residue for residue, as (s, exact): s holds a conjugator's translation
     on the class's rays, solved from the orbit-shift equations of
     `conjugate` with d = 0 on the first orbit, and exact is False when
-    those equations give some ray two values of the same residue."""
-    by_pos = {(o.pos_ray, o.pos_residue): o for o in dec_b.infinite_orbits}
-    by_neg = {(o.neg_ray, o.neg_residue): o for o in dec_b.infinite_orbits}
+    those equations give some ray two values of the same residue.
+    `index_b` is `_orbit_index` of b's decomposition."""
+    by_pos, by_neg, by_ends = index_b
     head = orbits[0]
     found = []
-    for first in dec_b.infinite_orbits:
-        if (first.pos_ray, first.neg_ray) != (head.pos_ray, head.neg_ray):
-            continue
+    for first in by_ends.get((head.pos_ray, head.neg_ray), ()):
         s: Dict[int, int] = {}
         exact = True
         for oa in orbits:
@@ -491,7 +482,8 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
         return _no(CYCLE_TYPE_MISMATCH)
 
     modulus = gcd(*a.t) if 0 not in a.t else 1
-    per_class = [_class_shifts(a.t, orbits, dec_b) for orbits in _ends_classes(dec_a.infinite_orbits)]
+    index_b = _orbit_index(dec_b)
+    per_class = [_class_shifts(a.t, orbits, index_b) for orbits in _ends_classes(dec_a.infinite_orbits)]
     firsts = [next((part for part, exact in options if exact), None) for options in per_class]
     if None in firsts:
         sums = {0}  # the sums of s mod g that the classes reach together

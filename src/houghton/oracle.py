@@ -1,16 +1,17 @@
 """Independent brute-force machinery: word enumeration, pointwise word
 simulation and reproducible random instances.
 
-Everything here deliberately avoids the element arithmetic it is used to
-cross-check: simulate_word acts with the raw generator rules, and the
-conjugator search enumerates words rather than translation tuples.  The
-search tests every word of the ball in breadth-first order, with no
-pruning by invariants (no translation or cycle-type check).  It
-conjugates along the search tree with its own one-letter products, so a
-candidate costs at most two passes over one exception table (its element,
-and the conjugate its children are tested with), and it checks every hit
-again with `conjugacy.verify` before returning it.  It keeps no state
-between calls.
+The products come from `core`: the one-pass `compose` and `_conjugate_by`
+that `conjugate` uses too.  The cross-check stays independent in what it
+searches and how it confirms: simulate_word acts with the raw generator
+rules; the conjugator search enumerates words rather than translation
+tuples, tests every word of the ball in breadth-first order with no
+pruning by invariants (no translation or cycle-type check), and checks
+every hit again with `conjugacy.verify`; and the benchmark's checker
+confirms answers without the package.  The search carries conjugates
+along the search tree, so a candidate costs at most two passes over one
+exception table (its element, and the conjugate its children are tested
+with).  It keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .core import (
     HoughtonElement,
     Point,
     Word,
-    _make,
+    _conjugate_by,
+    compose,
     evaluate,
     generator,
     generator_ids,
@@ -146,66 +148,13 @@ def brute_force_conjugator(
                     continue
                 if letters and letter[0] == "s" and letters[-1] == ("s", 1):
                     continue  # s is self-inverse
-                y = _times(x, elements[letter])
+                y = compose(x, elements[letter])
                 if y in seen:
                     continue  # a word no longer than this one already reaches y
                 seen.add(y)
                 nxt.append((letters + (letter,), y, c, targets[letter]))
         frontier = nxt
     return None
-
-
-# Products with one letter, computed here rather than by the accumulator of
-# `core`.  Off its table an element translates every ray, so a product can
-# differ from its tail formula only at points that some factor's table
-# reaches; only those are evaluated, at a cost that follows the table of
-# the long factor.
-
-
-def _times(x: HoughtonElement, g: HoughtonElement) -> HoughtonElement:
-    """x * g for a letter g.  Off the table of x the first step is a
-    translation, so besides x's table only the preimages (j, k - t_j) of
-    g's table points (j, k) can be exceptions."""
-    xe, xt, ge, gt = x.exceptions, x.t, g.exceptions, g.t
-    t = tuple(u + v for u, v in zip(xt, gt))
-    candidates = list(xe)
-    for j, k in ge:
-        p = (j, k - xt[j - 1])
-        if p[1] >= 0 and p not in xe:
-            candidates.append(p)
-    exc = {}
-    for r in candidates:
-        i, m = r
-        q = xe.get(r) or (i, m + xt[i - 1])
-        v = ge.get(q) or (q[0], q[1] + gt[q[0] - 1])
-        if v != (i, m + t[i - 1]):
-            exc[r] = v
-    return _make(x.n, t, exc)
-
-
-def _conjugate_by(c: HoughtonElement, g: HoughtonElement, g_inv: HoughtonElement) -> HoughtonElement:
-    """g^-1 * c * g for a letter g with inverse g_inv.  A point r can be an
-    exception only if it is on g_inv's table, or (r)g_inv is on c's table
-    or is a preimage (j, k - t_j) under c of a point (j, k) of g's table;
-    the last two are reached from those points by g."""
-    ce, ct, ge, gt, ue, ut = c.exceptions, c.t, g.exceptions, g.t, g_inv.exceptions, g_inv.t
-    starts = list(ce)
-    for j, k in ge:
-        p = (j, k - ct[j - 1])
-        if p[1] >= 0 and p not in ce:
-            starts.append(p)
-    candidates = list(ue)
-    for p in starts:
-        candidates.append(ge.get(p) or (p[0], p[1] + gt[p[0] - 1]))
-    exc = {}
-    for r in candidates:
-        i, m = r
-        p = ue.get(r) or (i, m + ut[i - 1])
-        q = ce.get(p) or (p[0], p[1] + ct[p[0] - 1])
-        v = ge.get(q) or (q[0], q[1] + gt[q[0] - 1])
-        if v != (i, m + ct[i - 1]):
-            exc[r] = v
-    return _make(c.n, ct, exc)
 
 
 def random_word(n: int, seed: int, length: int) -> Word:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import HoughtonElement, Point, apply
 
@@ -335,22 +336,38 @@ def sym_conjugate(a: HoughtonElement, b: HoughtonElement) -> bool:
     return cycle_type(a) == cycle_type(b) and fixed_point_count(a) == fixed_point_count(b)
 
 
+def _ends_classes(orbits: Sequence[InfiniteOrbit]) -> List[List[InfiniteOrbit]]:
+    """The infinite orbits grouped by ends class, each class in an order
+    where every orbit after the first shares a ray with an earlier one: a
+    class starts at the first orbit left and grows by the first orbit
+    that shares one of its rays, popped from a heap of orbit indices."""
+    on_ray: Dict[int, List[int]] = {}
+    for k, o in enumerate(orbits):
+        for ray in (o.pos_ray, o.neg_ray):
+            on_ray.setdefault(ray, []).append(k)
+    left = [True] * len(orbits)
+    classes = []
+    for first in range(len(orbits)):
+        heap = [first] if left[first] else []
+        cls: List[InfiniteOrbit] = []
+        while heap:
+            k = heappop(heap)
+            if left[k]:
+                left[k] = False
+                cls.append(orbits[k])
+                for ray in (orbits[k].pos_ray, orbits[k].neg_ray):
+                    for j in on_ray.pop(ray, ()):
+                        heappush(heap, j)
+        if cls:
+            classes.append(cls)
+    return classes
+
+
+def _class_rays(orbits: Iterable[InfiniteOrbit]) -> FrozenSet[int]:
+    return frozenset(ray for o in orbits for ray in (o.pos_ray, o.neg_ray))
+
+
 def ends_partition(g: HoughtonElement) -> EndsPartition:
-    moving = [i for i in range(1, g.n + 1) if g.t[i - 1] != 0]
-    parent = {i: i for i in moving}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for orbit in cycle_decomposition(g).infinite_orbits:
-        ra, rb = find(orbit.pos_ray), find(orbit.neg_ray)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: Dict[int, List[int]] = {}
-    for i in moving:
-        groups.setdefault(find(i), []).append(i)
-    classes = tuple(frozenset(v) for _, v in sorted(groups.items()))
-    return EndsPartition(classes)
+    """The moving rays grouped by ends class, in order of smallest ray."""
+    classes = map(_class_rays, _ends_classes(cycle_decomposition(g).infinite_orbits))
+    return EndsPartition(tuple(sorted(classes, key=min)))

@@ -492,6 +492,19 @@ def test_conjugate_decides_f_family_fast(monkeypatch, capsys, tmp_path, variant)
     assert json.loads(capsys.readouterr().out) == {"decision": "no", "reason": reason}
 
 
+def test_conjugate_decides_many_ends_classes_fast():
+    # 4,000 ends classes of one orbit each (n = 8,000, t = (1, -1)^4000):
+    # b's orbits are indexed once per decision, not once per class
+    k = 4000
+    g = HoughtonElement(2 * k, (1, -1) * k, {(2 * j + 2, 0): (2 * j + 1, 0) for j in range(k)})
+    swap = HoughtonElement(2 * k, (0,) * (2 * k), {(1, 0): (3, 0), (3, 0): (1, 0), (2, 1): (4, 2), (4, 2): (2, 1)})
+    for b in (g, conjugate_element(g, swap)):
+        started = time.process_time()
+        out = conjugate(g, b)
+        assert time.process_time() - started < 1.0
+        assert out.is_conjugate and out.verified
+
+
 @pytest.mark.parametrize(
     "k, b_blocks, zero_ray, radius", [(1, 1, False, 12), (2, 1, False, 6), (2, 2, False, 6), (1, 1, True, 7)]
 )
@@ -741,7 +754,8 @@ def product_conjugate(a, b):
     n = a.n
     modulus = gcd(*a.t)
     classes = conjugacy._ends_classes(dec_a.infinite_orbits)
-    per_class = [conjugacy._class_shifts(a.t, orbits, dec_b) for orbits in classes]
+    index_b = conjugacy._orbit_index(dec_b)
+    per_class = [conjugacy._class_shifts(a.t, orbits, index_b) for orbits in classes]
     reason = ORBIT_PAIRING_MISMATCH
     for combination in itertools.product(*per_class):
         s = [0] * n

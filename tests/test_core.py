@@ -22,6 +22,8 @@ from houghton import (
     inverse,
     serialize,
 )
+from houghton.conjugacy import construct_translation_element
+from houghton.core import _Accumulator
 from houghton.oracle import random_element, random_word, simulate_word
 
 
@@ -193,6 +195,81 @@ def test_conjugate_element_basics():
         for m in range(8):
             p = (i, m)
             assert apply(conj, p) == apply(g3, apply(g2, apply(g3i, p)))
+
+
+# -- one-pass products against the action and the accumulator -----------------------
+
+FAR = 10**6
+
+
+def _through_accumulator(*factors):
+    acc = _Accumulator(factors[0].n)
+    for h in factors:
+        acc.push(h)
+    return acc.element()
+
+
+def _far_swap(g):
+    """g conjugated, through the accumulator, by the swap of its smallest
+    table point with the point FAR further out on the same ray."""
+    i, m = min(g.exceptions)
+    swap = HoughtonElement(g.n, (0,) * g.n, {(i, m): (i, m + FAR), (i, m + FAR): (i, m)})
+    return _through_accumulator(swap, g, swap)
+
+
+def _product_inputs(n):
+    """Seeded elements of H_n: words, their inverses (ray 1 translated
+    inward), finite-support permutations, translation elements, and
+    some of these moved near offset FAR by a swap."""
+    rng = random.Random(("products", n).__repr__())
+    out = []
+    for seed in range(6):
+        g = random_element(n, seed, "word-%d" % (3 + 2 * seed))
+        out += [g, inverse(g), random_element(n, seed, "fsym")]
+        w = [rng.randint(-3, 3) for _ in range(n - 1)]
+        out.append(construct_translation_element(n, w + [-sum(w)]))
+    out += [_far_swap(g) for g in out[:12] if g.exceptions]
+    return out
+
+
+def _probe_points(n, *elements):
+    """Every table point and image of the elements, the preimages of
+    those under each element, their neighbours, and a window of small
+    offsets."""
+    marks = set()
+    for g in elements:
+        for p, q in g.exceptions.items():
+            marks.update((p, q))
+    for g in elements:
+        for j, k in list(marks):
+            marks.add((j, k - g.t[j - 1]))
+    points = {(i, m) for i in range(1, n + 1) for m in range(8)}
+    for j, k in marks:
+        points.update((j, k + d) for d in range(-2, 3) if k + d >= 0)
+    return sorted(points)
+
+
+def _assert_valid_and_equal(result, reference):
+    assert result == reference
+    assert HoughtonElement(result.n, result.t, result.exceptions) == result
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_pass_products_match_action_and_accumulator(n):
+    inputs = _product_inputs(n)
+    rng = random.Random(n)
+    pairs = [(g, h) for g in inputs for h in inputs if rng.random() < 0.15]
+    assert len(pairs) >= 50
+    for g, h in pairs:
+        gh = compose(g, h)
+        for p in _probe_points(n, g, h):
+            assert apply(gh, p) == apply(h, apply(g, p))
+        _assert_valid_and_equal(gh, _through_accumulator(g, h))
+        x_inv = inverse(h)
+        c = conjugate_element(g, h)
+        for p in _probe_points(n, x_inv, g, h):
+            assert apply(c, p) == apply(h, apply(g, apply(x_inv, p)))
+        _assert_valid_and_equal(c, _through_accumulator(x_inv, g, h))
 
 
 def test_bijective_on_window():
