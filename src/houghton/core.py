@@ -397,14 +397,29 @@ def deserialize(text: str) -> HoughtonElement:
     n, t, pairs = doc["n"], doc["t"], doc["exceptions"]
     if not isinstance(n, int) or not isinstance(t, list) or not isinstance(pairs, list):
         raise InvalidElementError("bad field types in element document")
+    t = [_integer(v) for v in t]
     exc = {}
     for entry in pairs:
         try:
             (i, m), (j, k) = entry
-            p, q = (int(i), int(m)), (int(j), int(k))
         except (TypeError, ValueError) as err:
             raise InvalidElementError("bad exception entry %r" % (entry,)) from err
+        p, q = (_integer(i), _integer(m)), (_integer(j), _integer(k))
         if p in exc:
             raise InvalidElementError("duplicate exception domain point %r" % (p,))
         exc[p] = q
     return HoughtonElement(n, t, exc)
+
+
+def _integer(v) -> int:
+    """A document value as an int.  Integral numbers and digit strings are
+    taken; NaN, infinities and fractions are refused, not truncated."""
+    if type(v) is int:
+        return v
+    try:
+        k = int(v)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise InvalidElementError("not an integer: %r" % (v,)) from err
+    if k != v and not isinstance(v, str):
+        raise InvalidElementError("not an integer: %r" % (v,))
+    return k

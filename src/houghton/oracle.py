@@ -11,7 +11,13 @@ every hit again with `conjugacy.verify`; and the benchmark's checker
 confirms answers without the package.  The search carries conjugates
 along the search tree, so a candidate costs at most two passes over one
 exception table (its element, and the conjugate its children are tested
-with).  It keeps no state between calls.
+with).  The last level is never extended, which makes most of its cost
+avoidable: when the cap cannot stop it, its words get no element and no
+deduplication (a repeated word has the element of an earlier word, which
+was tested first, so the first hit is the same word), and once the level
+before it has at least as many words as there are allowed letter pairs,
+its words are tested against two-letter conjugates of b, so that level
+needs no conjugates of its own.  It keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -92,8 +98,9 @@ def _signed_alphabet(n: int) -> List[Tuple[str, int]]:
     return letters
 
 
-# a word, its element x, the conjugate of a by x without its last letter,
-# and the element that conjugate equals iff the word is a hit
+# a word, its element x, the conjugate of a by a prefix of x (x without its
+# last letter, or without its last two on the last level), and the element
+# that conjugate equals iff the word is a hit
 _Entry = Tuple[Tuple[Tuple[str, int], ...], HoughtonElement, HoughtonElement, HoughtonElement]
 
 
@@ -108,8 +115,16 @@ def brute_force_conjugator(
     Conjugates are carried along the search tree: a word y = x l is a hit
     iff x^-1 a x = l b l^-1, so y is tested against one of a few fixed
     conjugates of b, and x^-1 a x is built from its parent's conjugate
-    when the children of x are made.  A hit is checked again by `verify`
-    before it is returned.
+    when the children of x are made.  On the last level, once there are
+    at least as many frontier words x = x'm as allowed letter pairs (m, l),
+    x l is tested as x'^-1 a x' = (m l) b (m l)^-1 against two-letter
+    targets, so x needs no conjugate of its own.  The last level is never
+    extended, so when the cap cannot stop it (the candidates tested so
+    far plus one per letter of each frontier word stay within it) its
+    words get no element and are not deduplicated: the test depends only
+    on the element, and an earlier word with the same element was tested
+    first, so the first hit is the same word.  A hit is checked again by
+    `verify` before it is returned.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
@@ -121,6 +136,11 @@ def brute_force_conjugator(
             elements[(gid, sign)] = inverse(elements[(gid, 1)])
     # the element of each letter's inverse (s is its own)
     undo = {letter: elements.get((letter[0], -letter[1]), elements[letter]) for letter in alphabet}
+    # the letters that may follow each letter: no free cancellation
+    follows = {
+        m: [k for k in alphabet if k != (m[0], -m[1]) and not (m == k == ("s", 1))] for m in alphabet
+    }
+    follows[None] = alphabet
     # x l is a hit iff x^-1 a x = l b l^-1
     targets = {letter: _conjugate_by(b, undo[letter], elements[letter]) for letter in alphabet}
 
@@ -134,27 +154,48 @@ def brute_force_conjugator(
             if tried > budget.max_candidates:
                 return None
             if c == target:
-                if not verify(a, b, x):
-                    raise RuntimeError("word %s passes the incremental test but not verify" % Word(n, letters))
-                return Word(n, letters)
+                return _confirmed(a, b, x, Word(n, letters))
         if length == budget.max_word_length:
             break  # the next level would never be tested
+        last = length + 1 == budget.max_word_length
+        pairs = None
+        if last and len(frontier) >= sum(len(follows[m]) for m in alphabet):
+            # x' m l is a hit iff x'^-1 a x' = (m l) b (m l)^-1
+            pairs = {
+                m: {k: _conjugate_by(targets[k], undo[m], elements[m]) for k in follows[m]} for m in alphabet
+            }
+        uncapped = last and tried + len(frontier) * len(alphabet) <= budget.max_candidates
         nxt = []
         for letters, x, c, _ in frontier:
-            if letters:  # x^-1 a x from the conjugate of x's parent
-                c = _conjugate_by(c, elements[letters[-1]], undo[letters[-1]])
-            for letter in alphabet:
-                if letters and letters[-1][0] == letter[0] and letters[-1][1] == -letter[1]:
-                    continue
-                if letters and letter[0] == "s" and letters[-1] == ("s", 1):
-                    continue  # s is self-inverse
+            m = letters[-1] if letters else None
+            if pairs is not None:
+                wanted = pairs[m]
+            else:
+                wanted = targets
+                if letters:  # x^-1 a x from the conjugate of x's parent
+                    c = _conjugate_by(c, elements[m], undo[m])
+            if uncapped:
+                for letter in follows[m]:
+                    if c == wanted[letter]:
+                        return _confirmed(a, b, compose(x, elements[letter]), Word(n, letters + (letter,)))
+                continue
+            for letter in follows[m]:
                 y = compose(x, elements[letter])
                 if y in seen:
                     continue  # a word no longer than this one already reaches y
                 seen.add(y)
-                nxt.append((letters + (letter,), y, c, targets[letter]))
+                nxt.append((letters + (letter,), y, c, wanted[letter]))
+        if uncapped:
+            return None
         frontier = nxt
     return None
+
+
+def _confirmed(a: HoughtonElement, b: HoughtonElement, x: HoughtonElement, w: Word) -> Word:
+    """w, once `verify` agrees that its element x conjugates a to b."""
+    if not verify(a, b, x):
+        raise RuntimeError("word %s passes the incremental test but not verify" % w)
+    return w
 
 
 def random_word(n: int, seed: int, length: int) -> Word:

@@ -207,6 +207,23 @@ def test_orbits_spine_beyond_limit_exits_2(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["Infinity", "NaN", "1.5"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n":2,"t":[%s,-1],"exceptions":[[[2,0],[1,0]]]}',
+        '{"n":2,"t":[0,0],"exceptions":[[[1,%s],[2,0]],[[2,0],[1,1]]]}',
+    ],
+    ids=["t", "point"],
+)
+def test_non_integer_values_exit_2(capsys, tmp_path, doc, value):
+    path = tmp_path / "bad.json"
+    path.write_text(doc % value, encoding="utf-8")
+    code, out, err = run(capsys, "orbits", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_conj_moving_ray_far_offset(capsys, tmp_path):
     # g2 times a transposition far up the outgoing ray: 3 table entries, but
     # an orbit spine of D + 2 points, which the decision must not walk

@@ -381,3 +381,21 @@ def test_deserialize_still_coerces_and_validates():
         deserialize('{"n":3,"t":[1,-1,0],"exceptions":[[[2,0],[1,1]]]}')
     with pytest.raises(InvalidElementError):
         deserialize('{"n":3,"t":[1,-1,0],"exceptions":[[["x",0],[1,0]]]}')
+
+
+# a value that is NaN, infinite or a fraction, in t or in a point of the
+# table; truncating 1.5 to 1 would make each document a valid element
+NOT_INTEGERS = ["Infinity", "-Infinity", "NaN", "1.5"]
+NOT_INTEGER_DOCS = [
+    '{"n":2,"t":[%s,-1],"exceptions":[[[2,0],[1,0]]]}',
+    '{"n":2,"t":[0,0],"exceptions":[[[1,%s],[2,0]],[[2,0],[1,1]]]}',
+    '{"n":2,"t":[0,0],"exceptions":[[[1,1],[2,0]],[[2,0],[1,%s]]]}',
+]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+@pytest.mark.parametrize("doc", NOT_INTEGER_DOCS, ids=["t", "domain", "image"])
+def test_deserialize_refuses_non_integers(doc, value):
+    # refused, not truncated and not an OverflowError
+    with pytest.raises(InvalidElementError):
+        deserialize(doc % value)

@@ -6,6 +6,7 @@ from houghton import (
     HoughtonElement,
     Word,
     apply,
+    compose,
     conjugate_element,
     evaluate,
     generator,
@@ -117,10 +118,36 @@ def test_brute_force_confirms_hits_with_verify(monkeypatch):
 
 
 def test_brute_force_raises_when_verify_disagrees(monkeypatch):
+    # a first hit on the last level, reached with and without building the
+    # elements of that level
+    a = evaluate(Word.parse(3, "g2 g2 g3"))
+    b = conjugate_element(a, evaluate(Word.parse(3, "g3 g2 g2")))
+    assert brute_force_conjugator(a, b, SearchBudget(3)) == Word.parse(3, "g3 g2 g2")
+    ends = level_ends(3, 3)
+    raw = ends[2] + (ends[2] - ends[1]) * len(_signed_alphabet(3))
     monkeypatch.setattr(oracle, "verify", lambda a, b, x: False)
     g = evaluate(Word.parse(3, "g2 g3"))
     with pytest.raises(RuntimeError):
         brute_force_conjugator(g, g, SearchBudget(2))
+    for cap in (raw, raw - 1):
+        with pytest.raises(RuntimeError):
+            brute_force_conjugator(a, b, SearchBudget(3, max_candidates=cap))
+
+
+def test_brute_force_builds_no_element_on_last_level(monkeypatch):
+    # a miss of g2 against g3 in H_3 builds the elements of every level but
+    # the last one: 4 + 12 + 36 at radius 4, and 108 more at radius 5
+    calls = []
+
+    def counting_compose(x, y):
+        calls.append(x)
+        return compose(x, y)
+
+    monkeypatch.setattr(oracle, "compose", counting_compose)
+    for radius, expected in ((4, 52), (5, 160)):
+        calls.clear()
+        assert brute_force_conjugator(generator(3, "g2"), generator(3, "g3"), SearchBudget(radius)) is None
+        assert len(calls) == expected
 
 
 # -- the search against the one that verified every candidate ----------------------
@@ -215,10 +242,18 @@ def test_brute_force_matches_reference():
         uncapped = reference_brute_force_conjugator(a, b, SearchBudget(radius))
         caps = [SearchBudget(radius).max_candidates, 1 + k % 3]
         for r in range(1, radius + 1):
-            # a cap in the middle of level r: the search stops inside it
+            # a cap in the middle of level r: the search stops inside it;
+            # and caps around the end of level r
             lo, hi = ends[a.n][r - 1], ends[a.n][r]
             assert hi - lo >= 2
-            caps.append((lo + hi) // 2)
+            caps += [(lo + hi) // 2, hi - 1, hi, hi + 1]
+        if radius:
+            # the smallest cap under which the last level is tested without
+            # building its elements: one candidate per letter for each word
+            # of the level before it
+            before = ends[a.n][radius - 1] - (ends[a.n][radius - 2] if radius > 1 else 0)
+            raw = ends[a.n][radius - 1] + before * len(_signed_alphabet(a.n))
+            caps += [raw - 1, raw]
         for cap in caps:
             budget = SearchBudget(radius, max_candidates=cap)
             expected = reference_brute_force_conjugator(a, b, budget)
