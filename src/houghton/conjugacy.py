@@ -2,12 +2,15 @@
 
 The solver layers:
 
-  fsym_conjugate        conjugator with zero translation (finite support)
+  _forced_conjugator    the conjugator of a given translation s, or the
+                        stage that refutes it: a forced-value walk along
+                        the infinite orbits, finite cycles paired by
+                        length, fixed points paired by position
+  fsym_conjugate        that builder at s = 0 (conjugators of finite support)
   conjugate             the full decision: pair the infinite orbits of a
                         with those of b, solve the orbit-shift equations
-                        for the one translation a conjugator with that
-                        pairing can be normalised to, and reduce to the
-                        finite-support case
+                        for a translation s that a conjugator with that
+                        pairing has, and build it at s
 
 Every positive answer carries an element x with x^-1 * a * x = b, checked
 exactly before it is returned.
@@ -28,7 +31,6 @@ from .core import (
     conjugate_element,
     equals,
     identity,
-    inverse,
 )
 from .orbits import (
     CycleDecomposition,
@@ -57,7 +59,10 @@ class StructuralMismatch(ValueError):
 
 @dataclass(frozen=True)
 class BoundData:
-    K: int  # max |S|+|T| over matched orbit pairs
+    # the largest |S| + |T| over matched orbit pairs (O, O'): S and T are the
+    # points of O and of O' moved back by the conjugator's translation s
+    # that lie outside the common stable tails of the pair
+    K: int
     M: int  # max |t_i(a)| over moving rays
 
 
@@ -86,23 +91,160 @@ def verify(a: HoughtonElement, b: HoughtonElement, x: HoughtonElement) -> bool:
     return equals(conjugate_element(a, x), b)
 
 
-# -- conjugation by finite-support elements ----------------------------------
+# -- the conjugator of a given translation -----------------------------------
 
 
-def _moved_only_by(a: HoughtonElement, b: HoughtonElement) -> List[Point]:
-    """The sorted points that a moves and b fixes, for a.t == b.t.
+def _unmatched_fixed(a: HoughtonElement, b: HoughtonElement, s: Sequence[int]) -> List[Point]:
+    """The sorted fixed points p of a whose translate p + s is not a fixed
+    point of b, for a.t == b.t.
 
-    Off its exception table an element translates every ray, so b fixes
-    a point only through an entry p -> p or on a ray with t_i = 0; there a
-    moves only the points of its own table.
+    Off its exception table an element translates every ray, so it fixes a
+    point only through an entry p -> p or off its table on a ray with
+    t_i = 0.  On such a ray the fixed points p of a off its table are
+    unmatched when p + s_i is no point (offset below -s_i) or is a table
+    point that b moves: O(|tables| + |s_i|) points in all.
     """
-    only = [p for p, q in b.exceptions.items() if p == q and apply(a, p) != p]
-    only += [
-        p
-        for p, q in a.exceptions.items()
-        if p != q and a.t[p[0] - 1] == 0 and p not in b.exceptions
-    ]
-    return sorted(only)
+    ae, be, t = a.exceptions, b.exceptions, a.t
+
+    def fixed_by_b(i: int, m: int) -> bool:
+        q = be.get((i, m))
+        if q is not None:
+            return q == (i, m)
+        return m >= 0 and t[i - 1] == 0
+
+    out = [p for p, q in ae.items() if p == q and not fixed_by_b(p[0], p[1] + s[p[0] - 1])]
+    for (i, k), q in be.items():
+        if t[i - 1] == 0 and q != (i, k):
+            p = (i, k - s[i - 1])
+            if p[1] >= 0 and p not in ae:
+                out.append(p)
+    for i, step in enumerate(t, 1):
+        if step == 0:
+            out.extend((i, m) for m in range(-s[i - 1]) if (i, m) not in ae)
+    return sorted(out)
+
+
+def _forced_conjugator(
+    a: HoughtonElement,
+    b: HoughtonElement,
+    s: Sequence[int],
+    dec_a: CycleDecomposition,
+    dec_b: CycleDecomposition,
+) -> ConjugacyOutcome:
+    """The conjugator x of translation s from a to b, for a.t == b.t and
+    equal cycle types, or the stage that refutes every such x.
+
+    Infinite orbits.  x is translation by s_i far out on every ray i, and
+    a x = x b, so (pa)x = (px)b: once v = px is known at a point p of an
+    orbit of a, stepping p <- pa and v <- vb pins down x on the rest of it.
+    At or beyond the cutoffs of a residue class c of a, and of its class
+    c + s_i in b, a and b act on both by the same translation, so on an
+    incoming ray x(p) = p + s_i already at the first point p where both
+    hold: the walk of each orbit starts there.  It stops at the first
+    point p at or beyond both outgoing cutoffs, measured the same way
+    (b's moved back by s_i): from there on a translates p as b translates
+    p + s_i, and since b is a bijection the next step keeps v == p + s_i
+    or v != p + s_i as it is, so v != p + s_i there is a mismatch at
+    every later point of the tail, where x must be p + s_i.  In between,
+    while v == p + s_i and both points are off the tables, a and b
+    translate them alike, so the walk jumps to the step before the next
+    table point of either in its class (b's moved back by s_i), or before
+    the outgoing cutoff.  The walk thus costs O(tables + certificate),
+    whatever the offsets.  Points where v != p + s_i go into x's table.
+
+    Finite cycles are paired by length, aligned at their minimal points.
+
+    Fixed points.  x maps a fixed point p of a to p + s wherever that is a
+    fixed point of b; the others (`_unmatched_fixed`) of a and of b are
+    paired in sorted order, and their counts must agree.  That check
+    comes first.
+
+    x is built by the validating constructor and checked once by verify.
+    """
+    unmatched_a = _unmatched_fixed(a, b, s)
+    unmatched_b = _unmatched_fixed(b, a, [-v for v in s])
+    if len(unmatched_a) != len(unmatched_b):
+        return _no(SUPPORT_COUNT_MISMATCH)
+
+    t, ae, be = a.t, a.exceptions, b.exceptions
+    index_a, index_b = dec_a.index, dec_b.index
+    # per residue class c of a: the first offset at or beyond a's cutoff of
+    # c whose translate by s_i is at or beyond b's cutoff of c + s_i
+    cut_b: Dict[Tuple[int, int], int] = {}
+    for o in dec_b.infinite_orbits:
+        cut_b[(o.neg_ray, o.neg_residue)] = o.neg_cutoff
+        cut_b[(o.pos_ray, o.pos_residue)] = o.pos_cutoff
+    cut: Dict[Tuple[int, int], int] = {}
+    for o in dec_a.infinite_orbits:
+        for ray, residue, cutoff in (
+            (o.neg_ray, o.neg_residue, o.neg_cutoff),
+            (o.pos_ray, o.pos_residue, o.pos_cutoff),
+        ):
+            shift = s[ray - 1]
+            cut[(ray, residue)] = max(cutoff, cut_b[(ray, (residue + shift) % abs(t[ray - 1]))] - shift)
+
+    mapping: Dict[Point, Point] = {}
+    steps = 0
+    for orbit in dec_a.infinite_orbits:
+        i = orbit.neg_ray
+        m = cut[(i, orbit.neg_residue)]
+        p, v = (i, m), (i, m + s[i - 1])
+        while True:
+            i, m = p
+            step, shift = t[i - 1], s[i - 1]
+            if step and v == (i, m + shift) and p not in ae and v not in be:
+                # a and b translate p and v alike up to the next table point
+                # of either in its class, or up to the outgoing cutoff: jump
+                # to the step before that, when it is not the next one
+                q = m + step
+                off_tables = (i, q) not in ae and (i, q + shift) not in be
+                if off_tables and (step < 0 or q < cut[(i, m % step)]):
+                    end_a = index_a.next_domain(i, m, step)
+                    end_b = index_b.next_domain(i, m + shift, step)
+                    if step > 0:
+                        ends = [cut[(i, m % step)]]
+                        if end_a is not None:
+                            ends.append(end_a)
+                        if end_b is not None:
+                            ends.append(end_b - shift)
+                        end = min(ends)
+                    else:
+                        end = max(end_a, end_b - shift)  # every offset below |step| is in both tables
+                    p, v = (i, end - step), (i, end - step + shift)
+            p = ae.get(p) or (p[0], p[1] + t[p[0] - 1])
+            v = be.get(v) or (v[0], v[1] + t[v[0] - 1])
+            i, m = p
+            up = t[i - 1]
+            home = (i, m + s[i - 1])
+            if up > 0 and m >= cut[(i, m % up)]:
+                if v != home:
+                    return _no(FORCED_MAP_INCONSISTENT)
+                break
+            if v != home:
+                mapping[p] = v
+            steps += 1
+            if steps > _WALK_LIMIT:
+                raise WalkLimitError("forced-value walk took more than %d steps" % _WALK_LIMIT)
+    if len(set(mapping.values())) != len(mapping):
+        return _no(FORCED_MAP_INCONSISTENT)
+
+    by_len_a: Dict[int, List[Tuple[Point, ...]]] = {}
+    by_len_b: Dict[int, List[Tuple[Point, ...]]] = {}
+    for c in dec_a.finite_cycles:
+        by_len_a.setdefault(len(c), []).append(c)
+    for c in dec_b.finite_cycles:
+        by_len_b.setdefault(len(c), []).append(c)
+    for length, cycles_a in by_len_a.items():
+        for ca, cb in zip(cycles_a, by_len_b[length]):
+            for pa, pb in zip(ca, cb):
+                if pb != (pa[0], pa[1] + s[pa[0] - 1]):
+                    mapping[pa] = pb
+
+    for pa, pb in zip(unmatched_a, unmatched_b):
+        mapping[pa] = pb
+
+    x = HoughtonElement(a.n, s, mapping)
+    return _yes(x, verified=verify(a, b, x))
 
 
 def fsym_conjugate(
@@ -113,24 +255,10 @@ def fsym_conjugate(
 ) -> ConjugacyOutcome:
     """Decide whether some x with t(x) = 0 and finite support conjugates a to b.
 
-    Such an x is forced to be the identity far out on every moving ray, so
-    its values on every infinite orbit propagate inward from the stable
-    tails; finite cycles are matched by length; the leftover supports are
-    paired off.  Each stage either pins down more of x or refutes.
-
-    The work is bounded by the exception tables and the certificate, not
-    by the offsets.  At or beyond the cutoffs of both elements a residue
-    class meets no exception, so a and b act on it by the same
-    translation.  The walk along an orbit of a therefore starts at the
-    larger incoming cutoff: every point above it is forced to map to
-    itself.  It stops at the first point p at or beyond both outgoing
-    cutoffs: from there on a and b agree on p, and since b is a bijection
-    the next step keeps p == v or p != v as it is, so a mismatch there is
-    a mismatch at every later point of the tail.  In between, while p == v
-    and p is off both tables, a and b translate p alike, so the walk jumps
-    to the step before the next table point of either in its class, or
-    before the outgoing cutoff.  The walk thus costs O(tables +
-    certificate), whatever the offsets.
+    Such an x is the identity far out on every ray, so after the
+    translation and cycle-type checks `_forced_conjugator` at s = 0 either
+    builds it or names the stage that refutes it.  The work is bounded by
+    the exception tables and the certificate, not by the offsets.
 
     `dec_a` and `dec_b`, the cycle decompositions of a and b, may be passed
     in by callers that have them already.
@@ -145,80 +273,10 @@ def fsym_conjugate(
         dec_b = cycle_decomposition(b)
     if dec_a.cycle_type() != dec_b.cycle_type():
         return _no(CYCLE_TYPE_MISMATCH)
-
-    only_a = _moved_only_by(a, b)
-    only_b = _moved_only_by(b, a)
-    if len(only_a) != len(only_b):
-        return _no(SUPPORT_COUNT_MISMATCH)
-
-    # the common stable tails: max of the two cutoffs of each residue class
-    neg_cut: Dict[Tuple[int, int], int] = {}
-    pos_cut: Dict[Tuple[int, int], int] = {}
-    for o in dec_a.infinite_orbits + dec_b.infinite_orbits:
-        neg = (o.neg_ray, o.neg_residue)
-        pos = (o.pos_ray, o.pos_residue)
-        neg_cut[neg] = max(neg_cut.get(neg, 0), o.neg_cutoff)
-        pos_cut[pos] = max(pos_cut.get(pos, 0), o.pos_cutoff)
-
-    mapping: Dict[Point, Point] = {}
-    steps = 0
-    for orbit in dec_a.infinite_orbits:
-        neg = (orbit.neg_ray, orbit.neg_residue)
-        p = v = (orbit.neg_ray, neg_cut[neg])
-        while True:
-            i, m = p
-            step = a.t[i - 1]
-            if p == v and step and p not in a.exceptions and p not in b.exceptions:
-                # a and b translate p alike up to the next table point of
-                # either in its class, or up to the outgoing cutoff: jump to
-                # the step before that, when it is not the next one
-                q = (i, m + step)
-                off_tables = q not in a.exceptions and q not in b.exceptions
-                if off_tables and (step < 0 or q[1] < pos_cut[(i, m % step)]):
-                    ends = [dec_a.index.next_domain(i, m, step), dec_b.index.next_domain(i, m, step)]
-                    if step > 0:
-                        end = min([e for e in ends if e is not None] + [pos_cut[(i, m % step)]])
-                    else:
-                        end = max(ends)  # every offset below |step| is in both tables
-                    p = v = (i, end - step)
-            p = apply(a, p)
-            v = apply(b, v)
-            i, m = p
-            up = a.t[i - 1]
-            if up > 0 and m >= pos_cut[(i, m % up)]:
-                if p != v:
-                    return _no(FORCED_MAP_INCONSISTENT)
-                break
-            if p != v:
-                mapping[p] = v
-            steps += 1
-            if steps > _WALK_LIMIT:
-                raise WalkLimitError("forced-value walk took more than %d steps" % _WALK_LIMIT)
-    if len(set(mapping.values())) != len(mapping):
-        return _no(FORCED_MAP_INCONSISTENT)
-
-    # finite cycles: equal length multisets (implied by the cycle-type check);
-    # pair them lexicographically, aligned at their minimal points
-    by_len_a: Dict[int, List[Tuple[Point, ...]]] = {}
-    by_len_b: Dict[int, List[Tuple[Point, ...]]] = {}
-    for c in dec_a.finite_cycles:
-        by_len_a.setdefault(len(c), []).append(c)
-    for c in dec_b.finite_cycles:
-        by_len_b.setdefault(len(c), []).append(c)
-    for length, cycles_a in by_len_a.items():
-        for ca, cb in zip(cycles_a, by_len_b[length]):
-            for pa, pb in zip(ca, cb):
-                if pa != pb:
-                    mapping[pa] = pb
-
-    for pb, pa in zip(only_b, only_a):
-        mapping[pb] = pa
-
-    x = HoughtonElement(a.n, (0,) * a.n, {p: q for p, q in mapping.items() if p != q})
-    return _yes(x, verified=verify(a, b, x))
+    return _forced_conjugator(a, b, (0,) * a.n, dec_a, dec_b)
 
 
-# -- building blocks for the reduction ---------------------------------------
+# -- translation elements and centralizers ------------------------------------
 
 
 def _two_ray_shift(n: int, src: int, dst: int, amount: int) -> HoughtonElement:
@@ -232,7 +290,8 @@ def _two_ray_shift(n: int, src: int, dst: int, amount: int) -> HoughtonElement:
 
 def construct_translation_element(n: int, w: Sequence[int]) -> HoughtonElement:
     """An element with translation vector w, built as a product of two-ray
-    shifts."""
+    shifts.  `conjugate` does not use it: it builds its certificate at the
+    translation it solves for."""
     w = [int(v) for v in w]
     if len(w) != n:
         raise ValueError("translation tuple must have length n")
@@ -313,6 +372,26 @@ def _match_orbits(
     return pairs
 
 
+def _pair_bounds(
+    t: Sequence[int], pairs: Iterable[Tuple[InfiniteOrbit, InfiniteOrbit]], s: Sequence[int]
+) -> BoundData:
+    """`BoundData` of matched orbit pairs (O of a, O' of b) under a
+    conjugator of translation s: O' is measured moved back by s, so its
+    cutoffs on ray i are taken minus s_i."""
+    big_k = 0
+    for oa, ob in pairs:
+        up = t[oa.pos_ray - 1]
+        down = -t[oa.neg_ray - 1]
+        ob_pos = ob.pos_cutoff - s[oa.pos_ray - 1]
+        ob_neg = ob.neg_cutoff - s[oa.neg_ray - 1]
+        pos_cut = max(oa.pos_cutoff, ob_pos)
+        neg_cut = max(oa.neg_cutoff, ob_neg)
+        size_a = oa.spine_len + (pos_cut - oa.pos_cutoff) // up + (neg_cut - oa.neg_cutoff) // down
+        size_b = ob.spine_len + (pos_cut - ob_pos) // up + (neg_cut - ob_neg) // down
+        big_k = max(big_k, size_a + size_b)
+    return BoundData(K=big_k, M=max((abs(v) for v in t), default=0))
+
+
 def compute_bounds(
     a: HoughtonElement,
     b: HoughtonElement,
@@ -325,7 +404,7 @@ def compute_bounds(
     counterpart in b with the same outgoing and incoming residue classes.
     K is the largest |S| + |T| over matched orbit pairs, where S and T are
     the finite parts of the two orbits outside their common stable tails;
-    M is the largest |t_i(a)|.
+    M is the largest |t_i(a)|.  This is `_pair_bounds` at s = 0.
     """
     if a.t != b.t:
         raise ValueError("bounds require equal translation vectors")
@@ -333,25 +412,7 @@ def compute_bounds(
         dec_a = cycle_decomposition(a)
     if dec_b is None:
         dec_b = cycle_decomposition(b)
-    pairs = _match_orbits(dec_a, dec_b)
-    big_k = 0
-    for oa, ob in pairs:
-        up = a.t[oa.pos_ray - 1]
-        down = -a.t[oa.neg_ray - 1]
-        pos_cut = max(oa.pos_cutoff, ob.pos_cutoff)
-        neg_cut = max(oa.neg_cutoff, ob.neg_cutoff)
-        size_a = (
-            oa.spine_len
-            + (pos_cut - oa.pos_cutoff) // up
-            + (neg_cut - oa.neg_cutoff) // down
-        )
-        size_b = (
-            ob.spine_len
-            + (pos_cut - ob.pos_cutoff) // up
-            + (neg_cut - ob.neg_cutoff) // down
-        )
-        big_k = max(big_k, size_a + size_b)
-    return BoundData(K=big_k, M=max((abs(v) for v in a.t), default=0))
+    return _pair_bounds(a.t, _match_orbits(dec_a, dec_b), (0,) * a.n)
 
 
 # -- the full decision ----------------------------------------------------------
@@ -410,6 +471,49 @@ def _class_shifts(
     return found
 
 
+def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]:
+    """The translation `part` of one ends class (ray -> s_i) moved by the
+    k * t that minimises f(k) = sum |s_i + k * t_i| over the class's rays;
+    among the minimisers, the k nearest 0.  f is convex, so its step
+    f(k + 1) - f(k) grows with k, and it is found by bisection: it is
+    positive from k = max |s_i| on and negative below -max |s_i|."""
+
+    def slope(k: int) -> int:
+        return sum(abs(v + (k + 1) * t[ray - 1]) - abs(v + k * t[ray - 1]) for ray, v in part.items())
+
+    if slope(0) < 0:  # the least k > 0 with slope(k) >= 0
+        lo, hi = 1, max(abs(v) for v in part.values())
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if slope(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+    elif slope(-1) > 0:  # the greatest k < 0 with slope(k - 1) <= 0
+        lo, hi = -max(abs(v) for v in part.values()), -1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if slope(mid - 1) <= 0:
+                lo = mid
+            else:
+                hi = mid - 1
+    else:
+        return part
+    return {ray: v + lo * t[ray - 1] for ray, v in part.items()}
+
+
+def _partners(
+    t: Sequence[int], dec_a: CycleDecomposition, index_b, s: Sequence[int]
+) -> List[Tuple[InfiniteOrbit, InfiniteOrbit]]:
+    """Each infinite orbit of a with its partner in b under translation s:
+    the orbit of b whose incoming class is a's moved by s."""
+    by_neg = index_b[1]
+    return [
+        (o, by_neg[(o.neg_ray, (o.neg_residue + s[o.neg_ray - 1]) % -t[o.neg_ray - 1])])
+        for o in dec_a.infinite_orbits
+    ]
+
+
 def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     """The full conjugacy decision in H_n, with certificate.
 
@@ -444,7 +548,14 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     centralizer_element(a, E) commutes with a and moves every orbit of E
     one step along itself, so multiplying x by it on the left gives
     another conjugator with the same partners whose d_O are all one larger
-    on E.
+    on E.  So the d_O of E may all move by any k, which moves s by k * t_i
+    on the rays of E and keeps sum(s): each orbit of E leaves E on one ray
+    and enters it on one, so the t_i of E sum to 0.  `_least_translation`
+    takes the k that minimises the sum of |s_i + k * t_i| over E.  A
+    conjugator of translation s has at least the sum of the positive s_i
+    table entries (the points (i, m) with m < s_i are hit by no tail), so
+    when that sum is over the walk limit, WalkLimitError is raised before
+    any walk.
 
     Existence.  Take a combination that gives every ray one value s_i (an
     exact one).  Mapping o_k to o'_{k+d_O} on every orbit is a bijection
@@ -467,10 +578,11 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     and 1 otherwise: one pass over the classes collects the sums they
     reach together, in classes x choices x g steps, and the answer is
     orbit-shift-mismatch when 0 is among them, else orbit-pairing-mismatch.
-    With v of translation -s, x v has zero translation, so
-    fsym_conjugate(a, v^-1 b v) finds a witness y, and x = y v^-1 is
-    verified exactly.  A refusal there, or a nonzero sum(s) when every ray
-    moves, would contradict the existence argument and raises RuntimeError.
+    For a yes, `_forced_conjugator` walks the orbits of a and b with
+    translation s and builds x, which is verified exactly once.  A refusal
+    there, or a nonzero sum(s) when every ray moves, would contradict the
+    existence argument and raises RuntimeError.  The bounds are those of
+    the orbit pairs found, with b's orbits moved back by s.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
@@ -493,17 +605,16 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
         return _no(ORBIT_SHIFT_MISMATCH if 0 in sums else ORBIT_PAIRING_MISMATCH)
     s = [0] * a.n
     for part in firsts:
-        for ray, value in part.items():
+        for ray, value in _least_translation(a.t, part).items():
             s[ray - 1] = value
     if 0 in a.t:
         s[a.t.index(0)] -= sum(s)
     elif sum(s):
         raise RuntimeError("exact orbit shifts with sum %d while every ray moves" % sum(s))
-    v = construct_translation_element(a.n, [-si for si in s])
-    b_v = conjugate_element(b, v)
-    dec_bv = cycle_decomposition(b_v)
-    out = fsym_conjugate(a, b_v, dec_a=dec_a, dec_b=dec_bv)
+    need = sum(v for v in s if v > 0)
+    if need > _WALK_LIMIT:
+        raise WalkLimitError("a conjugator needs at least %d table entries, over the limit of %d" % (need, _WALK_LIMIT))
+    out = _forced_conjugator(a, b, tuple(s), dec_a, dec_b)
     if not out.is_conjugate:
-        raise RuntimeError("consistent orbit shifts refused by fsym_conjugate: %s" % out.reason)
-    x = compose(out.conjugator, inverse(v))
-    return _yes(x, verified=verify(a, b, x), bounds=compute_bounds(a, b_v, dec_a=dec_a, dec_b=dec_bv))
+        raise RuntimeError("consistent orbit shifts refused by the forced-value walk: %s" % out.reason)
+    return _yes(out.conjugator, out.verified, bounds=_pair_bounds(a.t, _partners(a.t, dec_a, index_b, s), s))

@@ -83,11 +83,11 @@ class HoughtonElement:
         exceptions: Union[Mapping[Point, Point], Iterable[Tuple[Point, Point]]],
         validate: bool = True,
     ):
-        self.n = int(n)
-        self.t = tuple(int(v) for v in t)
+        self.n = _integer(n)
+        self.t = tuple(_integer(v) for v in t)
         items = exceptions.items() if isinstance(exceptions, Mapping) else exceptions
         self.exceptions: Dict[Point, Point] = {
-            (int(p[0]), int(p[1])): (int(q[0]), int(q[1])) for p, q in items
+            (_integer(p[0]), _integer(p[1])): (_integer(q[0]), _integer(q[1])) for p, q in items
         }
         self._hash: Optional[int] = None
         if validate:
@@ -397,7 +397,6 @@ def deserialize(text: str) -> HoughtonElement:
     n, t, pairs = doc["n"], doc["t"], doc["exceptions"]
     if not isinstance(n, int) or not isinstance(t, list) or not isinstance(pairs, list):
         raise InvalidElementError("bad field types in element document")
-    t = [_integer(v) for v in t]
     exc = {}
     for entry in pairs:
         try:
@@ -412,8 +411,9 @@ def deserialize(text: str) -> HoughtonElement:
 
 
 def _integer(v) -> int:
-    """A document value as an int.  Integral numbers and digit strings are
-    taken; NaN, infinities and fractions are refused, not truncated."""
+    """A given value as an int, for the constructor and documents.  Integral
+    numbers and digit strings are taken; NaN, infinities and fractions are
+    refused, not truncated."""
     if type(v) is int:
         return v
     try:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from houghton import HoughtonElement, compose, generator, serialize
+from houghton import HoughtonElement, compose, conjugate_element, generator, serialize
 from houghton.cli import main
 
 
@@ -238,6 +238,22 @@ def test_conj_moving_ray_far_offset(capsys, tmp_path):
     assert time.process_time() - started < 0.1
     doc = json.loads(out)
     assert code == 0 and doc["decision"] == "yes" and doc["verified"] is True
+
+
+def test_conj_far_swap_of_g2_has_a_short_certificate(capsys, tmp_path):
+    # g2 against its conjugate by the swap of (1, D) and (1, D + 7): that
+    # swap conjugates them, so neither the certificate nor the work may
+    # follow D
+    d = 10**9
+    g2 = generator(2, "g2")
+    swap = HoughtonElement(2, (0, 0), {(1, d): (1, d + 7), (1, d + 7): (1, d)})
+    paths = [write_element(tmp_path, "a.json", g2), write_element(tmp_path, "b.json", conjugate_element(g2, swap))]
+    started = time.process_time()
+    code, out, _ = run(capsys, "conj", *paths)
+    assert time.process_time() - started < 0.1
+    doc = json.loads(out)
+    assert code == 0 and doc["decision"] == "yes" and doc["verified"] is True
+    assert len(doc["certificate"]["exceptions"]) <= 2
 
 
 def test_repeated_calls_match_first_calls(capsys, tmp_path, monkeypatch):

@@ -334,15 +334,17 @@ def test_conjugate_deterministic():
     assert first.conjugator == second.conjugator
 
 
-def count_fsym_calls(monkeypatch):
+def count_builder_calls(monkeypatch):
+    """The calls of the conjugator builder that both `fsym_conjugate` and
+    `conjugate` end in: an empty list means refused before any candidate."""
     calls = []
-    real = conjugacy.fsym_conjugate
+    real = conjugacy._forced_conjugator
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(conjugacy, "fsym_conjugate", counting)
+    monkeypatch.setattr(conjugacy, "_forced_conjugator", counting)
     return calls
 
 
@@ -352,7 +354,7 @@ def test_conjugate_orbit_pairing_mismatch(monkeypatch):
     a = element(2, "g2' g2' g2' g2 g2'")
     b = element(2, "g2' s g2' s g2'")
     assert a.t == b.t == (-3, 3) and cycle_type(a) == cycle_type(b)
-    calls = count_fsym_calls(monkeypatch)
+    calls = count_builder_calls(monkeypatch)
     out = conjugate(a, b)
     assert not out.is_conjugate
     assert out.reason == ORBIT_PAIRING_MISMATCH
@@ -368,7 +370,7 @@ def test_conjugate_refuses_on_orbit_shift_mismatch(monkeypatch):
     a = HoughtonElement(3, (-2, 0, 2), {(1, 0): (3, 0), (1, 1): (3, 1)})
     b = HoughtonElement(3, (-2, 0, 2), {(1, 0): (1, 0), (1, 1): (3, 1), (1, 2): (3, 0)})
     assert cycle_type(a) == cycle_type(b)
-    calls = count_fsym_calls(monkeypatch)
+    calls = count_builder_calls(monkeypatch)
     started = time.perf_counter()
     out = conjugate(a, b)
     assert time.perf_counter() - started < 0.05
@@ -391,7 +393,7 @@ def test_conjugate_refuses_swapped_ray_pairs_fast(monkeypatch):
     assert a == compose(compose(shift(6, 4, 1, k), shift(6, 5, 2, k)), shift(6, 6, 3, k))
     assert b == compose(compose(shift(6, 5, 1, k), shift(6, 6, 2, k)), shift(6, 4, 3, k))
     assert cycle_type(a) == cycle_type(b) and fixed_point_count(a) == fixed_point_count(b)
-    calls = count_fsym_calls(monkeypatch)
+    calls = count_builder_calls(monkeypatch)
     started = time.process_time()
     out = conjugate(a, b)
     assert time.process_time() - started < 1.0
@@ -400,16 +402,20 @@ def test_conjugate_refuses_swapped_ray_pairs_fast(monkeypatch):
 
 
 def test_conjugate_decomposes_each_element_once(monkeypatch):
-    # a yes decomposes a, b and the conjugate of b that the finite-support
-    # test decides, which that test and the bounds share
+    # a yes decomposes a and b, builds the conjugator straight from their
+    # orbits at the solved translation and verifies it once: no translation
+    # element and no conjugate of b
     a = element(3, "g2 g3")
     b = conjugate_element(a, element(3, "g3 g2'"))
-    calls = []
-    real = conjugacy.cycle_decomposition
+    calls, built, verified = [], [], []
+    real, real_verify = conjugacy.cycle_decomposition, conjugacy.verify
     monkeypatch.setattr(conjugacy, "cycle_decomposition", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(conjugacy, "construct_translation_element", lambda *args: built.append(args))
+    monkeypatch.setattr(conjugacy, "verify", lambda *args: verified.append(args) or real_verify(*args))
     out = conjugate(a, b)
     assert out.is_conjugate and out.verified
-    assert calls[:2] == [a, b] and len(calls) == 3
+    assert calls == [a, b] and built == []
+    assert verified == [(a, b, out.conjugator)]
 
 
 def test_conjugate_refuses_on_fixed_point_count(monkeypatch):
@@ -417,21 +423,21 @@ def test_conjugate_refuses_on_fixed_point_count(monkeypatch):
     a = HoughtonElement(3, (-1, -1, 2), {(1, 0): (3, 1), (2, 0): (3, 0)})
     b = HoughtonElement(3, (-1, -1, 2), {(1, 0): (3, 0), (2, 0): (2, 0), (2, 1): (3, 1)})
     assert cycle_type(a) == cycle_type(b)
-    calls = count_fsym_calls(monkeypatch)
+    calls = count_builder_calls(monkeypatch)
     assert conjugate(a, b).reason == CYCLE_TYPE_MISMATCH
     assert calls == []
 
 
 def test_conjugate_raises_where_a_conjugator_must_exist(monkeypatch):
     # every exact combination of orbit shifts has a conjugator (the existence
-    # argument of `conjugate`), so a refusal of the finite-support test there,
+    # argument of `conjugate`), so a refusal of the forced-value walk there,
     # or shifts that do not sum to 0 while every ray moves, is a fault, never
     # a silent "no"
     a = element(3, "g2 g3")
     b = conjugate_element(a, element(3, "g3 g2'"))
     refuse = lambda *args, **kwargs: ConjugacyOutcome(None, reason=FORCED_MAP_INCONSISTENT)
     with monkeypatch.context() as patch:
-        patch.setattr(conjugacy, "fsym_conjugate", refuse)
+        patch.setattr(conjugacy, "_forced_conjugator", refuse)
         with pytest.raises(RuntimeError):
             conjugate(a, b)
     g = generator(2, "g2")
@@ -440,6 +446,59 @@ def test_conjugate_raises_where_a_conjugator_must_exist(monkeypatch):
     monkeypatch.setattr(conjugacy, "_class_shifts", off_by_one)
     with pytest.raises(RuntimeError):
         conjugate(g, g)
+
+
+def test_conjugate_short_certificate_at_far_offset():
+    # an H_4 round trip conjugated by the swap of (2, 0) and (2, S): that
+    # 2-entry swap conjugates the pair, and so does the certificate, at
+    # every S (with d = 0 on each class's first orbit it had S + 2 entries)
+    a = HoughtonElement(4, (-1, 2, -1, 0), {(1, 0): (2, 1), (3, 0): (2, 0)})
+    for far in (10**3, 10**9):
+        b = conjugate_element(a, fsym(4, ((2, 0), (2, far)), ((2, far), (2, 0))))
+        started = time.process_time()
+        out = conjugate(a, b)
+        assert time.process_time() - started < 0.1
+        assert out.is_conjugate and out.verified
+        assert len(out.conjugator.exceptions) <= 2
+
+
+def test_least_translation_per_class():
+    # the k * t that minimises sum |s_i + k t_i|, the k nearest 0 among ties
+    least = conjugacy._least_translation
+    assert least((1, -1), {1: 7, 2: -7}) == {1: 0, 2: 0}
+    assert least((1, -1), {1: 3, 2: 0}) == {1: 3, 2: 0}
+    assert least((2, -1, -1), {1: -6, 2: 1, 3: 5}) == {1: 0, 2: -2, 3: 2}
+    assert least((3, -3), {1: 2, 2: -2}) == {1: -1, 2: 1}
+    for t, part in (((2, -1, -1), {1: 9, 2: -4, 3: -5}), ((1, 2, -3), {1: -11, 2: 4, 3: 7})):
+        cost = lambda k: sum(abs(v + k * t[ray - 1]) for ray, v in part.items())
+        best = min(range(-30, 31), key=lambda k: (cost(k), abs(k)))
+        assert least(t, part) == {ray: v + best * t[ray - 1] for ray, v in part.items()}
+
+
+def test_conjugate_translation_over_walk_limit_exits_2(monkeypatch, capsys, tmp_path):
+    # g2 in H_3 against its conjugate by a translation element of t =
+    # (D, 0, -D): ray 3 holds the fixed points of both, and g2's centralizer
+    # translates only along its orbit, so every conjugator has translation
+    # (D + k, -k, -D) for some k and at least D table entries.  Over the walk
+    # limit that is refused before any walk, and the CLI exits 2
+    d = 50
+    a = generator(3, "g2")
+    b = conjugate_element(a, construct_translation_element(3, (d, 0, -d)))
+    paths = []
+    for name, g in (("a.json", a), ("b.json", b)):
+        (tmp_path / name).write_text(serialize(g), encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    calls = count_builder_calls(monkeypatch)
+    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d - 1)
+    assert main(["conj"] + paths) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert calls == []
+    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d)
+    assert main(["conj"] + paths) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["decision"] == "yes" and doc["certificate"]["t"] == [d, 0, -d]
+    assert len(calls) == 1
 
 
 # the pair tables of F_k: t = (2, -2) on rays (1, 2); A1 swaps the two points
@@ -478,7 +537,7 @@ def test_conjugate_decides_f_family_fast(monkeypatch, capsys, tmp_path, variant)
     # 30 ends classes once, and the CLI gives the same tag
     b_blocks, zero_ray, reason = F_VARIANTS[variant]
     a, b = f_family(30, b_blocks, zero_ray)
-    calls = count_fsym_calls(monkeypatch)
+    calls = count_builder_calls(monkeypatch)
     started = time.process_time()
     out = conjugate(a, b)
     assert time.process_time() - started < 1.0
@@ -614,6 +673,16 @@ def test_fsym_matches_dense_reference():
     }
 
 
+def test_fsym_is_the_builder_at_zero_translation(monkeypatch):
+    # fsym_conjugate ends in the builder that `conjugate` uses, at s = 0, so
+    # the dense reference above checks that builder at s = 0 too
+    a = element(3, "g2 g3' g2")
+    b = conjugate_element(a, random_element(3, 5, profile="fsym"))
+    calls = count_builder_calls(monkeypatch)
+    assert fsym_conjugate(a, b).is_conjugate
+    assert [args[:3] for args in calls] == [(a, b, (0, 0, 0))]
+
+
 def test_fsym_accepts_precomputed_decomposition():
     a = element(3, "g2 g3' g2")
     b = conjugate_element(a, random_element(3, 5, profile="fsym"))
@@ -742,9 +811,10 @@ def product_conjugate(a, b):
     """Reference: the decision `conjugate` made before it walked the ends
     classes once.  After the same invariant checks it tries every
     combination of the classes' partner choices, in order, and the first
-    whose candidate is conjugate answers.  A refusal names the furthest
-    stage any combination reached.  Its cost is the product of the
-    numbers of choices."""
+    whose candidate is conjugate answers; each candidate gets the least
+    translation per class and is built by the same forced-value walk.  A
+    refusal names the furthest stage any combination reached.  Its cost is
+    the product of the numbers of choices."""
     if a.t != b.t:
         return ConjugacyOutcome(None, reason=TRANSLATION_MISMATCH)
     dec_a = cycle_decomposition(a)
@@ -760,7 +830,7 @@ def product_conjugate(a, b):
     for combination in itertools.product(*per_class):
         s = [0] * n
         for part, _ in combination:
-            for ray, value in part.items():
+            for ray, value in conjugacy._least_translation(a.t, part).items():
                 s[ray - 1] = value
         if 0 not in a.t and sum(s) % modulus:
             continue
@@ -770,14 +840,10 @@ def product_conjugate(a, b):
             continue
         if 0 in a.t:
             s[a.t.index(0)] -= sum(s)
-        v = construct_translation_element(n, [-si for si in s])
-        b_v = conjugate_element(b, v)
-        dec_bv = cycle_decomposition(b_v)
-        out = fsym_conjugate(a, b_v, dec_a=dec_a, dec_b=dec_bv)
+        out = conjugacy._forced_conjugator(a, b, tuple(s), dec_a, dec_b)
         if out.is_conjugate:
-            x = compose(out.conjugator, inverse(v))
-            bounds = compute_bounds(a, b_v, dec_a=dec_a, dec_b=dec_bv)
-            return ConjugacyOutcome(x, verified=verify(a, b, x), bounds=bounds)
+            bounds = conjugacy._pair_bounds(a.t, conjugacy._partners(a.t, dec_a, index_b, s), s)
+            return ConjugacyOutcome(out.conjugator, verified=out.verified, bounds=bounds)
         reason = out.reason
     return ConjugacyOutcome(None, reason=reason)
 
@@ -831,6 +897,29 @@ def test_far_lift_keeps_decision(k, roundtrip, shift):
     a_far, b_far = conjugate_element(a, y), conjugate_element(b, y)
     started = time.process_time()
     far = conjugate(a_far, b_far)
+    assert time.process_time() - started < 0.1
+    assert (far.is_conjugate, far.reason) == (near.is_conjugate, near.reason)
+    assert far.verified == near.verified
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(k=st.integers(0, 10**6), roundtrip=st.booleans(), shift=st.integers(0, 10**6))
+def test_far_lift_of_b_keeps_decision(k, roundtrip, shift):
+    # conjugating only b by a far finite-support swap keeps the answer and
+    # its tag.  A conjugator of a to the lifted b moves every table point of
+    # b near 10^9, so the walk must jump from table point to table point and
+    # the translation must not follow the offsets
+    if roundtrip:
+        n = 2 + k % 3
+        a = evaluate(random_word(n, k, 1 + k % 10))
+        b = conjugate_element(a, evaluate(random_word(n, k + 1, 1 + k % 8)))
+    else:
+        a, b = FAR_PAIRS[k % len(FAR_PAIRS)]
+    near = conjugate(a, b)
+    y = lift(a.n, 10**9 + shift, 1 + max(a.max_exception_offset(), b.max_exception_offset()))
+    b_far = conjugate_element(b, y)
+    started = time.process_time()
+    far = conjugate(a, b_far)
     assert time.process_time() - started < 0.1
     assert (far.is_conjugate, far.reason) == (near.is_conjugate, near.reason)
     assert far.verified == near.verified

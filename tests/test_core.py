@@ -372,6 +372,25 @@ def test_public_constructor_still_coerces_and_validates():
         HoughtonElement(3, (1, 0, 0), {})
 
 
+@pytest.mark.parametrize(
+    "n, t, exceptions",
+    [
+        (2, [1.5, -1.5], {(2, 0): (1, 0)}),
+        (2, [float("inf"), 0], {}),
+        (2, [float("nan"), 0], {}),
+        (2.5, [0, 0], {}),
+        (2, [0, 0], {(1, 0.5): (2, 0), (2, 0): (1, 0.5)}),
+        (2, [0, 0], {(1, 0): (2, float("inf")), (2, float("inf")): (1, 0)}),
+    ],
+    ids=["fraction-t", "infinite-t", "nan-t", "fraction-n", "fraction-point", "infinite-point"],
+)
+def test_public_constructor_refuses_non_integers(n, t, exceptions):
+    # refused like a document with such values, not truncated to a valid
+    # element and not an OverflowError
+    with pytest.raises(InvalidElementError):
+        HoughtonElement(n, t, exceptions)
+
+
 def test_deserialize_still_coerces_and_validates():
     g = deserialize('{"n":3,"t":[1.0,-1,0],"exceptions":[[["2",0],[1,0.0]]]}')
     assert g == generator(3, "g2")
