@@ -5,26 +5,30 @@ The products come from `core`: the one-pass `compose` and `_conjugate_by`
 that `conjugate` uses too.  The cross-check stays independent in what it
 searches and how it confirms: simulate_word acts with the raw generator
 rules; the conjugator search enumerates words rather than translation
-tuples, tests every word of the ball in breadth-first order with no
-pruning by invariants (no translation or cycle-type check), and checks
-every hit again with `conjugacy.verify`; and the benchmark's checker
-confirms answers without the package.  The search carries conjugates
-along the search tree, so a candidate costs at most two passes over one
-exception table (its element, and the conjugate its children are tested
-with).  The last level is never extended, which makes most of its cost
-avoidable: when the cap cannot stop it, its words get no element and no
-deduplication (a repeated word has the element of an earlier word, which
-was tested first, so the first hit is the same word), and once the level
-before it has at least as many words as there are allowed letter pairs,
-its words are tested against two-letter conjugates of b, so that level
-needs no conjugates of its own.  It keeps no state between calls.
+tuples, answers with the first word of the ball in breadth-first order
+with no pruning by invariants (no translation or cycle-type check), and
+checks every hit again with `conjugacy.verify` on the element `evaluate`
+gives the word; and the benchmark's checker confirms answers without the
+package.
+
+A word w = x u is a hit iff x^-1 a x = u b u^-1, so the search meets in
+the middle: for each word length it carries x^-1 a x along the reduced
+prefixes x of half that length (rounded up) and looks each one up in a
+hash index of u b u^-1 over the reduced suffixes u of the other half,
+built by prepending letters.  A miss at radius L then costs one
+conjugation by a letter per reduced word of length at most L/2 on each
+side and builds no element, instead of a product per element of the
+ball.  This is exact whenever the ball has no more reduced words than the
+candidate cap allows; for a cap that can stop the search, the
+breadth-first loop that deduplicates elements and counts candidates runs
+instead.  It keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     HoughtonElement,
@@ -47,6 +51,9 @@ class SearchBudget:
     max_candidates: int = 10_000_000
 
     def __post_init__(self):
+        for value in (self.max_word_length, self.max_candidates):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError("budget fields must be integers, not %r" % (value,))
         if self.max_word_length < 0 or self.max_candidates < 0:
             raise ValueError("budget fields must be nonnegative")
 
@@ -98,10 +105,8 @@ def _signed_alphabet(n: int) -> List[Tuple[str, int]]:
     return letters
 
 
-# a word, its element x, the conjugate of a by a prefix of x (x without its
-# last letter, or without its last two on the last level), and the element
-# that conjugate equals iff the word is a hit
-_Entry = Tuple[Tuple[Tuple[str, int], ...], HoughtonElement, HoughtonElement, HoughtonElement]
+_Letter = Tuple[str, int]
+_Letters = Tuple[_Letter, ...]
 
 
 def brute_force_conjugator(
@@ -110,21 +115,35 @@ def brute_force_conjugator(
     """Breadth-first search for a word w with evaluate(w)^-1 * a * evaluate(w) = b.
 
     Free cancellations are pruned.  Finding nothing proves nothing: the
-    search is bounded.
+    search is bounded.  The candidates are the reduced words of length at
+    most budget.max_word_length, shortest first and in letter order
+    within a length, with a later word skipped when an earlier one has the
+    same element; the search gives up after budget.max_candidates of them.
 
-    Conjugates are carried along the search tree: a word y = x l is a hit
-    iff x^-1 a x = l b l^-1, so y is tested against one of a few fixed
-    conjugates of b, and x^-1 a x is built from its parent's conjugate
-    when the children of x are made.  On the last level, once there are
-    at least as many frontier words x = x'm as allowed letter pairs (m, l),
-    x l is tested as x'^-1 a x' = (m l) b (m l)^-1 against two-letter
-    targets, so x needs no conjugate of its own.  The last level is never
-    extended, so when the cap cannot stop it (the candidates tested so
-    far plus one per letter of each frontier word stay within it) its
-    words get no element and are not deduplicated: the test depends only
-    on the element, and an earlier word with the same element was tested
-    first, so the first hit is the same word.  A hit is checked again by
-    `verify` before it is returned.
+    Which word comes back.  Without the cap, the answer is the first
+    reduced word of least length, in letter order, that is a hit.  Let w
+    be that word and suppose a prefix p of w, or w itself, is skipped for
+    a word p' seen earlier with the same element.  Then p' is shorter
+    than p, or as long and earlier in letter order, and w with p replaced
+    by p' is a hit as well; freely reduced, it is shorter than w, or as
+    long and earlier, against the choice of w.  So w and all its prefixes
+    are candidates, and every candidate before w is shorter or earlier,
+    so not a hit.
+
+    How it is found.  A word x u is a hit iff x^-1 a x = u b u^-1.  For
+    each length l, the reduced prefixes x of length ceil(l/2) carry
+    x^-1 a x along the prefix tree, and the reduced suffixes u of length
+    floor(l/2), built by prepending letters, are indexed by u b u^-1.  The
+    answer is x u for the first x, in letter order, whose conjugate is
+    indexed under some u that may follow x's last letter, and the first
+    such u: the first reduced hit of length l in letter order.  No element
+    is deduplicated and no word is counted, so this gives the word above
+    only when the cap cannot bite, which holds whenever the ball has at
+    most budget.max_candidates reduced words (a candidate is a reduced
+    word whose element was not seen before).  Otherwise the deduplicating
+    breadth-first loop runs and counts its candidates.  Either way the
+    hit's element is evaluated from its word and checked again by
+    `verify` before the word is returned.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
@@ -136,66 +155,120 @@ def brute_force_conjugator(
             elements[(gid, sign)] = inverse(elements[(gid, 1)])
     # the element of each letter's inverse (s is its own)
     undo = {letter: elements.get((letter[0], -letter[1]), elements[letter]) for letter in alphabet}
-    # the letters that may follow each letter: no free cancellation
-    follows = {
+    # the letters that may follow each letter (all but the one that cancels
+    # it), and under None every letter
+    follows: Dict[Optional[_Letter], List[_Letter]] = {
         m: [k for k in alphabet if k != (m[0], -m[1]) and not (m == k == ("s", 1))] for m in alphabet
     }
     follows[None] = alphabet
-    # x l is a hit iff x^-1 a x = l b l^-1
-    targets = {letter: _conjugate_by(b, undo[letter], elements[letter]) for letter in alphabet}
+    if _ball_words(len(alphabet), budget.max_word_length, budget.max_candidates) <= budget.max_candidates:
+        letters = _joined_search(a, b, budget.max_word_length, elements, undo, follows)
+    else:
+        letters = _capped_search(a, b, budget, elements, undo, follows)
+    if letters is None:
+        return None
+    w = Word(n, letters)
+    if not verify(a, b, evaluate(w)):
+        raise RuntimeError("word %s is a hit of the search but fails verify" % w)
+    return w
 
-    one = identity(n)
+
+def _ball_words(size: int, radius: int, cap: int) -> int:
+    """The number of reduced words of length at most radius over `size`
+    letters, each of which may be followed by all letters but one; the
+    count stops once it passes cap."""
+    words = level = 1
+    for length in range(1, radius + 1):
+        level *= size if length == 1 else size - 1
+        words += level
+        if words > cap:
+            break
+    return words
+
+
+def _joined_search(
+    a: HoughtonElement,
+    b: HoughtonElement,
+    radius: int,
+    elements: Dict[_Letter, HoughtonElement],
+    undo: Dict[_Letter, HoughtonElement],
+    follows: Dict[Optional[_Letter], List[_Letter]],
+) -> Optional[_Letters]:
+    """The first reduced hit of least length in letter order, from the
+    half-balls of `brute_force_conjugator`'s docstring."""
+    # (x, x^-1 a x) and (u, u b u^-1) over the reduced words of one length,
+    # in letter order
+    prefixes: List[Tuple[_Letters, HoughtonElement]] = [((), a)]
+    suffixes: List[Tuple[_Letters, HoughtonElement]] = [((), b)]
+    # u b u^-1 -> the first u with each first letter, in letter order
+    index: Dict[HoughtonElement, Dict[Optional[_Letter], _Letters]] = {b: {None: ()}}
+    for length in range(radius + 1):
+        if length % 2:
+            prefixes = [
+                (x + (m,), _conjugate_by(c, elements[m], undo[m]))
+                for x, c in prefixes
+                for m in follows[x[-1] if x else None]
+            ]
+        elif length:
+            suffixes = [
+                ((m,) + u, _conjugate_by(c, undo[m], elements[m]))
+                for m in follows[None]
+                for u, c in suffixes
+                if not u or u[0] in follows[m]
+            ]
+            index = {}
+            for u, c in suffixes:
+                index.setdefault(c, {}).setdefault(u[0], u)
+        for x, c in prefixes:
+            hits = index.get(c)
+            if hits is not None:
+                after = follows[x[-1] if x else None]
+                for u in hits.values():
+                    if not u or u[0] in after:
+                        return x + u
+    return None
+
+
+def _capped_search(
+    a: HoughtonElement,
+    b: HoughtonElement,
+    budget: SearchBudget,
+    elements: Dict[_Letter, HoughtonElement],
+    undo: Dict[_Letter, HoughtonElement],
+    follows: Dict[Optional[_Letter], List[_Letter]],
+) -> Optional[_Letters]:
+    """The breadth-first loop that deduplicates elements and stops after
+    budget.max_candidates candidates.  Each entry holds a word, its element
+    x, the conjugate of a by x's parent and the conjugate l b l^-1 of b by
+    x's last letter l, which is a hit iff the two are equal; x^-1 a x is
+    built only when the children of x are made."""
+    # x l is a hit iff x^-1 a x = l b l^-1
+    targets = {letter: _conjugate_by(b, undo[letter], elements[letter]) for letter in follows[None]}
+    one = identity(a.n)
     tried = 0
     seen = {one}
-    frontier: List[_Entry] = [((), one, a, b)]
+    frontier = [((), one, a, b)]
     for length in range(budget.max_word_length + 1):
-        for letters, x, c, target in frontier:
+        for letters, _, c, target in frontier:
             tried += 1
             if tried > budget.max_candidates:
                 return None
             if c == target:
-                return _confirmed(a, b, x, Word(n, letters))
+                return letters
         if length == budget.max_word_length:
             break  # the next level would never be tested
-        last = length + 1 == budget.max_word_length
-        pairs = None
-        if last and len(frontier) >= sum(len(follows[m]) for m in alphabet):
-            # x' m l is a hit iff x'^-1 a x' = (m l) b (m l)^-1
-            pairs = {
-                m: {k: _conjugate_by(targets[k], undo[m], elements[m]) for k in follows[m]} for m in alphabet
-            }
-        uncapped = last and tried + len(frontier) * len(alphabet) <= budget.max_candidates
         nxt = []
         for letters, x, c, _ in frontier:
             m = letters[-1] if letters else None
-            if pairs is not None:
-                wanted = pairs[m]
-            else:
-                wanted = targets
-                if letters:  # x^-1 a x from the conjugate of x's parent
-                    c = _conjugate_by(c, elements[m], undo[m])
-            if uncapped:
-                for letter in follows[m]:
-                    if c == wanted[letter]:
-                        return _confirmed(a, b, compose(x, elements[letter]), Word(n, letters + (letter,)))
-                continue
+            if letters:  # x^-1 a x from the conjugate of x's parent
+                c = _conjugate_by(c, elements[m], undo[m])
             for letter in follows[m]:
                 y = compose(x, elements[letter])
-                if y in seen:
-                    continue  # a word no longer than this one already reaches y
-                seen.add(y)
-                nxt.append((letters + (letter,), y, c, wanted[letter]))
-        if uncapped:
-            return None
+                if y not in seen:  # else a word no longer than this one reaches y
+                    seen.add(y)
+                    nxt.append((letters + (letter,), y, c, targets[letter]))
         frontier = nxt
     return None
-
-
-def _confirmed(a: HoughtonElement, b: HoughtonElement, x: HoughtonElement, w: Word) -> Word:
-    """w, once `verify` agrees that its element x conjugates a to b."""
-    if not verify(a, b, x):
-        raise RuntimeError("word %s passes the incremental test but not verify" % w)
-    return w
 
 
 def random_word(n: int, seed: int, length: int) -> Word:

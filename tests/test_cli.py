@@ -104,6 +104,17 @@ def test_oracle_command(capsys, tmp_path):
     assert doc["found"] is True and doc["word"] == ""
 
 
+def test_oracle_command_searches_radius_14_quickly(capsys, tmp_path):
+    # the ball of radius 14 in H_3 has 9,565,937 reduced words, within the
+    # default cap, so it is searched from two half-balls of radius 7
+    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
+    g3 = write_element(tmp_path, "g3.json", generator(3, "g3"))
+    started = time.process_time()
+    code, out, _ = run(capsys, "oracle", g2, g3, "--budget", "14")
+    assert time.process_time() - started < 2.0
+    assert code == 0 and json.loads(out) == {"found": False}
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

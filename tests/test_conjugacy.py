@@ -851,9 +851,9 @@ def product_conjugate(a, b):
 def test_conjugate_matches_level_search():
     # every yes of the solver is found by the level search (it stops at its
     # first witness, so a high cap costs little); every no is confirmed by
-    # the level search up to level 8 and by the word search at radius 6
-    # (radius 7 took about 2.6 times as long); the decision,
-    # certificate and bounds equal those of the product enumeration
+    # the level search up to level 8 and by the word search at radius 8;
+    # the decision, certificate and bounds equal those of the product
+    # enumeration
     pairs = same_invariant_pairs(((2, 3000, 8), (3, 3000, 4), (4, 300, 4), (5, 200, 4)))
     assert len(pairs) >= 1000 and {a.n for a, _ in pairs} == {2, 3, 4, 5}
     reasons = set()
@@ -869,7 +869,7 @@ def test_conjugate_matches_level_search():
         else:
             reasons.add(out.reason)
             assert level_search_conjugator(a, b, 8) is None
-            assert brute_force_conjugator(a, b, SearchBudget(6)) is None
+            assert brute_force_conjugator(a, b, SearchBudget(8)) is None
     assert reasons == {CYCLE_TYPE_MISMATCH, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}
     # the counts of the residue-class enumeration this solver replaced
     assert outcomes == {None: 504, CYCLE_TYPE_MISMATCH: 114, ORBIT_PAIRING_MISMATCH: 335, ORBIT_SHIFT_MISMATCH: 108}

@@ -15,6 +15,7 @@ from houghton import (
     verify,
 )
 from houghton import oracle
+from houghton.core import _conjugate_by
 from houghton.oracle import (
     SearchBudget,
     _signed_alphabet,
@@ -77,6 +78,10 @@ def test_brute_force_respects_candidate_cap():
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(-1)
+    # a non-integer field is refused here, not deep in the search
+    for bad in ((2.5,), ("3",), (True,), (3, 10.0), (3, "10")):
+        with pytest.raises(ValueError):
+            SearchBudget(*bad)
 
 
 def test_random_word_deterministic():
@@ -118,36 +123,43 @@ def test_brute_force_confirms_hits_with_verify(monkeypatch):
 
 
 def test_brute_force_raises_when_verify_disagrees(monkeypatch):
-    # a first hit on the last level, reached with and without building the
-    # elements of that level
+    # a first hit on the last level, reached by the half-ball join (the cap
+    # is the ball's reduced-word count) and by the capped loop (one less)
     a = evaluate(Word.parse(3, "g2 g2 g3"))
     b = conjugate_element(a, evaluate(Word.parse(3, "g3 g2 g2")))
-    assert brute_force_conjugator(a, b, SearchBudget(3)) == Word.parse(3, "g3 g2 g2")
-    ends = level_ends(3, 3)
-    raw = ends[2] + (ends[2] - ends[1]) * len(_signed_alphabet(3))
+    words = reduced_words(3, 3)
+    for cap in (words, words - 1):
+        assert brute_force_conjugator(a, b, SearchBudget(3, max_candidates=cap)) == Word.parse(3, "g3 g2 g2")
     monkeypatch.setattr(oracle, "verify", lambda a, b, x: False)
     g = evaluate(Word.parse(3, "g2 g3"))
     with pytest.raises(RuntimeError):
         brute_force_conjugator(g, g, SearchBudget(2))
-    for cap in (raw, raw - 1):
+    for cap in (words, words - 1):
         with pytest.raises(RuntimeError):
             brute_force_conjugator(a, b, SearchBudget(3, max_candidates=cap))
 
 
-def test_brute_force_builds_no_element_on_last_level(monkeypatch):
-    # a miss of g2 against g3 in H_3 builds the elements of every level but
-    # the last one: 4 + 12 + 36 at radius 4, and 108 more at radius 5
-    calls = []
+def test_brute_force_miss_builds_only_half_balls(monkeypatch):
+    # a miss of g2 against g3 in H_3 builds no element, and one conjugate
+    # per reduced word of length 1..ceil(L/2) for the prefixes and of length
+    # 1..floor(L/2) for the suffixes: 16 + 16 at radius 4, 52 + 16 at 5 and
+    # 160 + 160 at 8 (the ball of radius 8 has 13,121 reduced words)
+    composed, conjugated = [], []
 
     def counting_compose(x, y):
-        calls.append(x)
+        composed.append(x)
         return compose(x, y)
 
+    def counting_conjugate_by(c, g, g_inv):
+        conjugated.append(c)
+        return _conjugate_by(c, g, g_inv)
+
     monkeypatch.setattr(oracle, "compose", counting_compose)
-    for radius, expected in ((4, 52), (5, 160)):
-        calls.clear()
+    monkeypatch.setattr(oracle, "_conjugate_by", counting_conjugate_by)
+    for radius, expected in ((4, 32), (5, 68), (8, 320)):
+        conjugated.clear()
         assert brute_force_conjugator(generator(3, "g2"), generator(3, "g3"), SearchBudget(radius)) is None
-        assert len(calls) == expected
+        assert composed == [] and len(conjugated) == expected
 
 
 # -- the search against the one that verified every candidate ----------------------
@@ -196,6 +208,13 @@ def reference_brute_force_conjugator(
                 nxt.append((letters + (letter,), y))
         frontier = nxt
     return None
+
+
+def reduced_words(n, radius):
+    """The number of freely reduced words of length at most radius: every
+    letter may be followed by all letters but one."""
+    size = len(_signed_alphabet(n))
+    return 1 + sum(size * (size - 1) ** (length - 1) for length in range(1, radius + 1))
 
 
 def level_ends(n, radius):
@@ -248,12 +267,15 @@ def test_brute_force_matches_reference():
             assert hi - lo >= 2
             caps += [(lo + hi) // 2, hi - 1, hi, hi + 1]
         if radius:
-            # the smallest cap under which the last level is tested without
-            # building its elements: one candidate per letter for each word
-            # of the level before it
+            # caps on the last level at one candidate per letter for each
+            # word of the level before it
             before = ends[a.n][radius - 1] - (ends[a.n][radius - 2] if radius > 1 else 0)
             raw = ends[a.n][radius - 1] + before * len(_signed_alphabet(a.n))
             caps += [raw - 1, raw]
+        # the smallest cap under which the half-ball join runs, and the
+        # largest under which the capped loop runs
+        words = reduced_words(a.n, radius)
+        caps += [words, words - 1]
         for cap in caps:
             budget = SearchBudget(radius, max_candidates=cap)
             expected = reference_brute_force_conjugator(a, b, budget)
