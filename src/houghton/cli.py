@@ -2,7 +2,8 @@
 
 All structured output is the canonical JSON document format; --pretty adds
 a human-readable rendering.  Exit codes: 0 success/decided, 1 usage error,
-2 invalid input data or an input beyond the walk limits.
+2 invalid input data, an input beyond the walk limits or an oracle budget
+whose ball has more reduced words than the candidate cap.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _read_element(path: str, n: Optional[int]) -> core.HoughtonElement:
 def _outcome_doc(out: conjugacy.ConjugacyOutcome) -> str:
     doc = {"decision": "yes" if out.is_conjugate else "no"}
     if out.is_conjugate:
-        doc["certificate"] = json.loads(core.serialize(out.conjugator))
+        doc["certificate"] = core._document(out.conjugator)
         doc["verified"] = out.verified
     else:
         doc["reason"] = out.reason
@@ -168,7 +169,16 @@ def _run(args) -> int:
     if args.command == "oracle":
         a = _read_element(args.a, n)
         b = _read_element(args.b, a.n)
-        word = oracle.brute_force_conjugator(a, b, oracle.SearchBudget(args.budget))
+        budget = oracle.SearchBudget(args.budget)
+        if not oracle.searches_exactly(a.n, budget):
+            limit = 0
+            while oracle.searches_exactly(a.n, oracle.SearchBudget(limit + 1)):
+                limit += 1
+            raise ValueError(
+                "budget %d is over the limit of %d in H_%d: its ball has more reduced words "
+                "than the candidate cap of %d" % (args.budget, limit, a.n, budget.max_candidates)
+            )
+        word = oracle.brute_force_conjugator(a, b, budget)
         if word is None:
             print(json.dumps({"found": False}, separators=(",", ":")))
         else:

@@ -21,11 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     HoughtonElement,
     Point,
+    _make,
     apply,
     compose,
     conjugate_element,
@@ -159,7 +160,8 @@ def _forced_conjugator(
     paired in sorted order, and their counts must agree.  That check
     comes first.
 
-    x is built by the validating constructor and checked once by verify.
+    x is checked by the constructor's bijectivity and minimality checks
+    and then once by verify.
     """
     unmatched_a = _unmatched_fixed(a, b, s)
     unmatched_b = _unmatched_fixed(b, a, [-v for v in s])
@@ -243,7 +245,8 @@ def _forced_conjugator(
     for pa, pb in zip(unmatched_a, unmatched_b):
         mapping[pa] = pb
 
-    x = HoughtonElement(a.n, s, mapping)
+    x = _make(a.n, tuple(s), mapping)
+    x._validate()
     return _yes(x, verified=verify(a, b, x))
 
 
@@ -432,16 +435,17 @@ def _orbit_index(dec_b: CycleDecomposition):
 
 def _class_shifts(
     t: Sequence[int], orbits: Sequence[InfiniteOrbit], index_b
-) -> List[Tuple[Dict[int, int], bool]]:
+) -> Iterator[Tuple[Dict[int, int], bool]]:
     """Every way to pair the orbits of one ends class of a with orbits of b
     residue for residue, as (s, exact): s holds a conjugator's translation
     on the class's rays, solved from the orbit-shift equations of
     `conjugate` with d = 0 on the first orbit, and exact is False when
-    those equations give some ray two values of the same residue.
-    `index_b` is `_orbit_index` of b's decomposition."""
+    those equations give some ray two values of the same residue.  The
+    choices are generated lazily, one walk of the class each, in the order
+    of b's orbits with the first orbit's end rays.  `index_b` is
+    `_orbit_index` of b's decomposition."""
     by_pos, by_neg, by_ends = index_b
     head = orbits[0]
-    found = []
     for first in by_ends.get((head.pos_ray, head.neg_ray), ()):
         s: Dict[int, int] = {}
         exact = True
@@ -467,8 +471,7 @@ def _class_shifts(
                 if s.setdefault(ray, value) != value:
                     exact = False
         else:
-            found.append((s, exact))
-    return found
+            yield s, exact
 
 
 def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]:
@@ -573,11 +576,15 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
 
     Decision.  By the existence argument an exact combination is a yes,
     and the first in the order of the choices takes the first exact
-    choice of every class.  When some class has no exact choice, the tag
-    needs only the sums of s mod g, with g = gcd(t) when every ray moves
-    and 1 otherwise: one pass over the classes collects the sums they
-    reach together, in classes x choices x g steps, and the answer is
-    orbit-shift-mismatch when 0 is among them, else orbit-pairing-mismatch.
+    choice of every class.  The choices of a class are generated lazily,
+    and each class stops at its first exact one.  When some class has no
+    exact choice, the tag needs only the sums of s mod g, with g = gcd(t)
+    when every ray moves and 1 otherwise.  Each class keeps the sums of
+    the choices it generated and goes on generating only until its sums
+    cover every residue mod g; one pass over the classes then collects
+    the sums they reach together, in classes x choices x g steps, and the
+    answer is orbit-shift-mismatch when 0 is among them, else
+    orbit-pairing-mismatch.  No choice is generated twice.
     For a yes, `_forced_conjugator` walks the orbits of a and b with
     translation s and builds x, which is verified exactly once.  A refusal
     there, or a nonzero sum(s) when every ray moves, would contradict the
@@ -596,12 +603,25 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     modulus = gcd(*a.t) if 0 not in a.t else 1
     index_b = _orbit_index(dec_b)
     per_class = [_class_shifts(a.t, orbits, index_b) for orbits in _ends_classes(dec_a.infinite_orbits)]
-    firsts = [next((part for part, exact in options if exact), None) for options in per_class]
-    if None in firsts:
+    totals = [set() for _ in per_class]  # per class, the sums mod g of the choices generated
+    firsts = []
+    for choices, reached in zip(per_class, totals):
+        for part, exact in choices:
+            reached.add(sum(part.values()) % modulus)
+            if exact:
+                firsts.append(part)
+                break
+        else:
+            break
+    if len(firsts) < len(per_class):
         sums = {0}  # the sums of s mod g that the classes reach together
-        for options in per_class:
-            totals = {sum(part.values()) for part, _ in options}
-            sums = {(q + r) % modulus for q in sums for r in totals}
+        for choices, reached in zip(per_class, totals):
+            if len(reached) < modulus:
+                for part, _ in choices:
+                    reached.add(sum(part.values()) % modulus)
+                    if len(reached) == modulus:
+                        break
+            sums = {(q + r) % modulus for q in sums for r in reached}
         return _no(ORBIT_SHIFT_MISMATCH if 0 in sums else ORBIT_PAIRING_MISMATCH)
     s = [0] * a.n
     for part in firsts:

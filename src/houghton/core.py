@@ -375,13 +375,17 @@ def _conjugate_by(c: HoughtonElement, g: HoughtonElement, g_inv: HoughtonElement
 # -- canonical text format ---------------------------------------------------
 
 
-def serialize(g: HoughtonElement) -> str:
-    doc = {
+def _document(g: HoughtonElement) -> dict:
+    """The canonical document of g, before it is written as JSON text."""
+    return {
         "n": g.n,
         "t": list(g.t),
         "exceptions": [[list(p), list(q)] for p, q in sorted(g.exceptions.items())],
     }
-    return json.dumps(doc, separators=(",", ":"))
+
+
+def serialize(g: HoughtonElement) -> str:
+    return json.dumps(_document(g), separators=(",", ":"))
 
 
 def deserialize(text: str) -> HoughtonElement:

@@ -161,7 +161,7 @@ def brute_force_conjugator(
         m: [k for k in alphabet if k != (m[0], -m[1]) and not (m == k == ("s", 1))] for m in alphabet
     }
     follows[None] = alphabet
-    if _ball_words(len(alphabet), budget.max_word_length, budget.max_candidates) <= budget.max_candidates:
+    if searches_exactly(n, budget):
         letters = _joined_search(a, b, budget.max_word_length, elements, undo, follows)
     else:
         letters = _capped_search(a, b, budget, elements, undo, follows)
@@ -173,17 +173,19 @@ def brute_force_conjugator(
     return w
 
 
-def _ball_words(size: int, radius: int, cap: int) -> int:
-    """The number of reduced words of length at most radius over `size`
-    letters, each of which may be followed by all letters but one; the
-    count stops once it passes cap."""
+def searches_exactly(n: int, budget: SearchBudget) -> bool:
+    """Whether `brute_force_conjugator` searches the ball of `budget` in H_n
+    from two half-balls: the ball has at most budget.max_candidates reduced
+    words, so the cap cannot stop the search.  After the first letter,
+    each letter may be followed by all letters but one."""
+    size = len(_signed_alphabet(n))
     words = level = 1
-    for length in range(1, radius + 1):
+    for length in range(1, budget.max_word_length + 1):
         level *= size if length == 1 else size - 1
         words += level
-        if words > cap:
+        if words > budget.max_candidates:
             break
-    return words
+    return words <= budget.max_candidates
 
 
 def _joined_search(

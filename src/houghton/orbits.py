@@ -12,6 +12,11 @@ of the spine, so an orbit has at most one run more than the table has
 entries.  The walks that find the runs jump from one table point of a
 residue class to the next, so their cost follows the exception table, not
 the offsets.
+
+`cycle_decomposition` walks each infinite orbit once, back from its
+outgoing tail, and collects the domain points it passes.  The finite
+cycles are then traced only from the domain points left over, so no
+finite-cycle trail enters an infinite orbit.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import HoughtonElement, Point, apply
+from .core import HoughtonElement, Point
 
 _TRACE_LIMIT = 10_000_000
 
@@ -162,26 +167,27 @@ class EndsPartition:
         raise KeyError("ray %d is almost fixed (not in I)" % ray)
 
 
-def _per_class_cutoffs(g: HoughtonElement) -> Dict[Tuple[int, int], int]:
-    """Minimal stable offset for each residue class of a moving ray.
+def _last_offsets(g: HoughtonElement) -> Dict[Tuple[int, int], int]:
+    """The last table offset, domain or range, of each residue class
+    (ray, offset mod |t_ray|) of a moving ray.
 
-    Beyond the cutoff no exception of g (domain or range) meets the class,
-    so g acts there by pure translation and orbit tails are undisturbed.
+    The table meets every such class: on a ray with t_i > 0 the lowest
+    point of the class is hit by no tail, so it is in the range, and with
+    t_i < 0 it has no tail image, so it is in the domain.  Beyond the last
+    offset no exception of g meets the class, so g acts there by pure
+    translation and orbit tails are undisturbed: the cutoff of the class,
+    its first stable offset, is last + |t_ray|.
     """
+    t = g.t
     last: Dict[Tuple[int, int], int] = {}
     for p, q in g.exceptions.items():
         for i, m in (p, q):
-            if g.t[i - 1] != 0:
-                step = abs(g.t[i - 1])
-                key = (i, m % step)
-                last[key] = max(last.get(key, -1), m)
-    cutoffs = {}
-    for i in range(1, g.n + 1):
-        step = abs(g.t[i - 1])
-        for r in range(step):
-            top = last.get((i, r), -1)
-            cutoffs[(i, r)] = r if top < 0 else top + step
-    return cutoffs
+            step = t[i - 1]
+            if step:
+                key = (i, m % abs(step))
+                if last.get(key, -1) < m:
+                    last[key] = m
+    return last
 
 
 def _check_limit(steps: int) -> None:
@@ -200,86 +206,50 @@ def _finite_cycle(trail: List[Run]) -> Tuple[Point, ...]:
 def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     t = g.t
     dom = g.exceptions
+    ran = {q: p for p, q in dom.items()}
     index = TableIndex(g)
-    cutoffs = _per_class_cutoffs(g)
-
-    # finite cycles: every nontrivial finite cycle passes through the
-    # exception domain, so seeding trails there finds them all.  Off the
-    # table a trail translates, so it jumps to the next domain point of its
-    # residue class; with none ahead, as when its next step reaches the
-    # cutoff of the class, it escapes up its ray.  As g is a bijection, a
-    # trail can first meet an earlier one only at that trail's start, so
-    # seen needs only table points: a trail that reaches one of an earlier
-    # trail is on that same infinite orbit
-    finite: List[Tuple[Point, ...]] = []
-    seen = set()
-    for start in sorted(dom):
-        if start in seen:
-            continue
-        trail: List[Run] = []
-        cur = start
-        while True:
-            i, m = cur
-            if cur in dom:
-                seen.add(cur)
-                trail.append((i, m, 0, 1))
-                cur = apply(g, cur)
-            else:
-                step = t[i - 1]
-                if step > 0 and m + step >= cutoffs[(i, m % step)]:
-                    break
-                end = index.next_domain(i, m, step)
-                if end is None:
-                    break
-                trail.append((i, m, step, (end - m) // step))
-                cur = (i, end)
-            if cur == start:
-                if len(trail) >= 2:
-                    finite.append(_finite_cycle(trail))
-                break
-            if cur in seen:
-                break
-            _check_limit(len(trail))
-    finite.sort(key=lambda c: c[0])
+    last = _last_offsets(g)
 
     # infinite orbits: walk back from the first point of each outgoing
     # tail, a run at a time.  Off the range table a point's preimage is its
     # translate, so a run reaches back to the nearest range point of its
     # class, whose preimage is an exception, or on an incoming ray to the
-    # stable tail
-    ran = {q: p for p, q in dom.items()}
+    # stable tail.  Every domain point p of an infinite orbit lies on its
+    # spine, and the walk reaches it through ran: p and its image are table
+    # points, whose offsets lie below the cutoffs of their classes, so
+    # neither is in a stable tail, and the walk stops at the image, a range
+    # point, and steps to p.  So seen collects them all
     orbits: List[InfiniteOrbit] = []
+    seen = set()
     used_neg = set()
     for i in range(1, g.n + 1):
         up = t[i - 1]
         if up <= 0:
             continue
         for r in range(up):
+            pos_cut = last[(i, r)] + up
             runs: List[Run] = []
-            cur = (i, cutoffs[(i, r)] - up)
+            j, m = i, pos_cut - up
             while True:
-                j, m = cur
                 step = t[j - 1]
-                if step < 0:
-                    cut = cutoffs[(j, m % -step)]
-                    if m >= cut:
-                        break
-                if cur in ran or not step:
+                if (j, m) in ran or not step:
                     first = m  # the preimage is an exception
-                elif step < 0 and m - step >= cut:
-                    first = None  # the preimage is in the stable tail
-                else:
+                elif step > 0:
                     first = index.next_range(j, m, -step)
-                if first is None:
-                    runs.append((j, cut + step, step, (cut - m) // -step))
-                    cur = (j, cut)
                 else:
-                    runs.append((j, first, step, (m - first) // step + 1 if first != m else 1))
-                    cur = ran[(j, first)]
+                    cut = last[(j, m % -step)] - step
+                    # the run reaches the stable tail when the preimage is in
+                    # it or no range point of the class lies in between
+                    first = None if m - step >= cut else index.next_range(j, m, -step)
+                    if first is None:
+                        runs.append((j, cut + step, step, (cut - m) // -step))
+                        m = cut
+                        break
+                runs.append((j, first, step, (m - first) // step + 1 if first != m else 1))
+                j, m = p = ran[(j, first)]
+                seen.add(p)
                 _check_limit(len(runs))
-            j, m = cur
-            s = m % -t[j - 1]
-            neg_key = (j, s)
+            neg_key = (j, m % -t[j - 1])
             if neg_key in used_neg:
                 raise RuntimeError("incoming residue class claimed twice")
             used_neg.add(neg_key)
@@ -288,14 +258,47 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
                 InfiniteOrbit(
                     pos_ray=i,
                     pos_residue=r,
-                    pos_cutoff=cutoffs[(i, r)],
+                    pos_cutoff=pos_cut,
                     neg_ray=j,
-                    neg_residue=s,
-                    neg_cutoff=cutoffs[neg_key],
+                    neg_residue=neg_key[1],
+                    neg_cutoff=m,
                     runs=tuple(runs),
                     spine_len=sum(run[3] for run in runs),
                 )
             )
+
+    # finite cycles: every nontrivial finite cycle passes through the
+    # exception domain, so a trail from each domain point off the infinite
+    # orbits finds them all.  Off the table a trail translates, so it jumps
+    # to the next domain point of its residue class.  Such a trail is a
+    # finite cycle and closes on itself; one that leaves the table would be
+    # on an infinite orbit, which the walk above would have collected
+    finite: List[Tuple[Point, ...]] = []
+    for start in dom:
+        if start in seen:
+            continue
+        trail: List[Run] = []
+        cur = start
+        while True:
+            q = dom.get(cur)
+            if q is not None:
+                seen.add(cur)
+                trail.append((cur[0], cur[1], 0, 1))
+                cur = q
+            else:
+                i, m = cur
+                step = t[i - 1]
+                end = index.next_domain(i, m, step) if step else None
+                if end is None:
+                    raise RuntimeError("a finite-cycle trail left the table at %r" % (cur,))
+                trail.append((i, m, step, (end - m) // step))
+                cur = (i, end)
+            if cur == start:
+                break
+            _check_limit(len(trail))
+        if len(trail) >= 2:
+            finite.append(_finite_cycle(trail))
+    finite.sort(key=lambda c: c[0])
     return CycleDecomposition(g.n, g.t, tuple(finite), tuple(orbits), index)
 
 

@@ -115,6 +115,21 @@ def test_oracle_command_searches_radius_14_quickly(capsys, tmp_path):
     assert code == 0 and json.loads(out) == {"found": False}
 
 
+def test_oracle_command_refuses_a_budget_over_the_cap(capsys, tmp_path):
+    # the ball of radius 15 in H_3 has 28,697,813 reduced words, more than
+    # the default cap, so no exact search is possible: exit 2 at once,
+    # naming the limit, where radius 14 is still searched
+    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
+    g3 = write_element(tmp_path, "g3.json", generator(3, "g3"))
+    started = time.process_time()
+    code, out, err = run(capsys, "oracle", g2, g3, "--budget", "15")
+    assert time.process_time() - started < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "limit of 14" in err and "10000000" in err
+    code, out, _ = run(capsys, "oracle", g2, g3, "--budget", "14")
+    assert code == 0 and json.loads(out) == {"found": False}
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -564,6 +564,48 @@ def test_conjugate_decides_many_ends_classes_fast():
         assert out.is_conjugate and out.verified
 
 
+def rotation_family(m, rotate):
+    """t = (m, -m) with table {(2, j) -> (1, (j + rotate) mod m)}: one ends
+    class of m orbits, each with a spine of two points."""
+    return HoughtonElement(2, (m, -m), {(2, j): (1, (j + rotate) % m) for j in range(m)})
+
+
+def test_conjugate_stops_at_the_first_exact_choice():
+    # every partner choice of the class is exact, so the decision walks the
+    # class once, not once per choice
+    g = rotation_family(2000, 1)
+    started = time.process_time()
+    out = conjugate(g, g)
+    assert time.process_time() - started < 0.5
+    assert out.is_conjugate and out.verified
+
+
+def test_conjugate_generates_each_choice_once(monkeypatch):
+    # small members of the family against each other, yes and no: the same
+    # outcome as the product enumeration, and a refusal generates each
+    # partner choice of the class at most once
+    generated = []
+    shifts = conjugacy._class_shifts
+
+    def counted(*args):
+        for choice in shifts(*args):
+            generated.append(choice)
+            yield choice
+
+    reasons = set()
+    for m in range(1, 7):
+        a = rotation_family(m, 1)
+        for b in (a, rotation_family(m, 0)):
+            del generated[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(conjugacy, "_class_shifts", counted)
+                out = conjugate(a, b)
+            assert out == product_conjugate(a, b)
+            assert len(generated) <= m
+            reasons.add(out.reason)
+    assert reasons == {None, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}
+
+
 @pytest.mark.parametrize(
     "k, b_blocks, zero_ray, radius", [(1, 1, False, 12), (2, 1, False, 6), (2, 2, False, 6), (1, 1, True, 7)]
 )

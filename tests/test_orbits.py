@@ -100,21 +100,48 @@ def test_infinite_tails_are_stable():
 
 def test_decomposition_walks_each_orbit_once(monkeypatch):
     # the round trip of g2^2 s g2^-1 s moved up to offset 1000 by a swap of
-    # the low and high points: a spine of about 2,000 points with 9
-    # exceptions on it, each of which used to re-walk the spine
+    # the low and high points: a spine of about 2,000 points in 8 runs with
+    # 9 exceptions on it.  A walk that visits each orbit once seeks the
+    # next table point of a class at most once per run
     g = evaluate(Word.parse(2, "g2 g2 s g2' s"))
     lift = {}
     for i in (1, 2):
         for m in range(4):
             lift[(i, m)], lift[(i, 1000 + m)] = (i, 1000 + m), (i, m)
     g = conjugate_element(g, HoughtonElement(2, (0, 0), lift))
-    calls = []
-    real = orbits.apply
-    monkeypatch.setattr(orbits, "apply", lambda h, p: calls.append(p) or real(h, p))
+    seeks = []
+    real = orbits._seek
+    monkeypatch.setattr(orbits, "_seek", lambda *args: seeks.append(args) or real(*args))
     d = cycle_decomposition(g)
     (orbit,) = d.infinite_orbits
-    assert len(orbit.spine) > 2000 and len(g.exceptions) == 9
-    assert len(calls) <= 3 * (len(orbit.spine) + len(g.exceptions))
+    assert len(orbit.spine) > 2000 and len(g.exceptions) == 9 and d.finite_cycles == ()
+    assert len(seeks) <= len(orbit.runs)
+
+
+def test_decomposition_matches_action_with_cycles_on_orbit_rays():
+    # finite cycles interleaved with infinite orbits on the same moving
+    # rays: each cycle and each orbit, from its incoming tail through its
+    # spine to its outgoing tail, follows the element, and successor
+    # reproduces the action on a window past the table
+    checked = 0
+    for n in (2, 3):
+        for seed in range(40):
+            g = compose(evaluate(random_word(n, seed, 8)), random_element(n, seed, profile="fsym"))
+            d = cycle_decomposition(g)
+            rays = {ray for o in d.infinite_orbits for ray in (o.pos_ray, o.neg_ray)}
+            if not any(p[0] in rays for cycle in d.finite_cycles for p in cycle):
+                continue
+            checked += 1
+            for cycle in d.finite_cycles:
+                assert [apply(g, p) for p in cycle] == list(cycle[1:] + cycle[:1])
+            for o in d.infinite_orbits:
+                path = [(o.neg_ray, o.neg_cutoff), *o.spine, (o.pos_ray, o.pos_cutoff)]
+                assert [apply(g, p) for p in path[:-1]] == path[1:]
+            top = g.max_exception_offset() + 6
+            for i in range(1, n + 1):
+                for m in range(top + 1):
+                    assert d.successor((i, m)) == apply(g, (i, m))
+    assert checked >= 10
 
 
 def test_cycle_type_examples():
