@@ -149,19 +149,17 @@ class HoughtonElement:
 
     # -- structural identity ----------------------------------------------
 
-    def _key(self):
-        return (self.n, self.t, tuple(sorted(self.exceptions.items())))
-
     def __eq__(self, other) -> bool:
         # dict equality ignores insertion order, so this agrees with
-        # comparing the sorted keys without sorting
+        # comparing the sorted tables without sorting
         if not isinstance(other, HoughtonElement):
             return NotImplemented
         return self.n == other.n and self.t == other.t and self.exceptions == other.exceptions
 
     def __hash__(self) -> int:
+        # a frozenset ignores insertion order as __eq__ does, with no sort
         if self._hash is None:
-            self._hash = hash(self._key())
+            self._hash = hash((self.n, self.t, frozenset(self.exceptions.items())))
         return self._hash
 
     def __mul__(self, other: "HoughtonElement") -> "HoughtonElement":
@@ -341,34 +339,41 @@ def equals(g: HoughtonElement, h: HoughtonElement) -> bool:
 
 
 def conjugate_element(g: HoughtonElement, x: HoughtonElement) -> HoughtonElement:
-    """g^x = x^{-1} * g * x."""
+    """g^x = x^{-1} * g * x, carried through x by `_conjugate_by` without
+    building x^{-1}."""
     if g.n != x.n:
         raise InvalidElementError("cannot conjugate elements with different n")
-    return _conjugate_by(g, x, inverse(x))
+    return _conjugate_by(g, x)
 
 
-def _conjugate_by(c: HoughtonElement, g: HoughtonElement, g_inv: HoughtonElement) -> HoughtonElement:
-    """g^-1 * c * g, given the inverse g_inv of g, in one pass.  A point r
-    can be an exception only if it is on g_inv's table, or (r)g_inv is on
-    c's table or is a preimage (j, k - t_j) under c of a point (j, k) of
-    g's table; the last two are reached from those points by g."""
-    ce, ct, ge, gt, ue, ut = c.exceptions, c.t, g.exceptions, g.t, g_inv.exceptions, g_inv.t
-    starts = list(ce)
-    for j, k in ge:
-        p = (j, k - ct[j - 1])
-        if p[1] >= 0 and p not in ce:
-            starts.append(p)
-    candidates = list(ue)
-    for p in starts:
-        candidates.append(ge.get(p) or (p[0], p[1] + gt[p[0] - 1]))
+def _conjugate_by(c: HoughtonElement, g: HoughtonElement) -> HoughtonElement:
+    """g^-1 * c * g, with no inverse, by carrying c's table through g.
+
+    g^-1 * c * g maps (p)g to ((p)c)g, and its translation is t(c).  So
+    each point p gives the entry r -> v with r = (p)g and v = ((p)c)g,
+    which is an exception iff v is not r + t(c).  Off c's table and off
+    g's table, with p + t(c) off g's table too, both steps through g are
+    translations: r = p + t(g) and v = p + t(c) + t(g) = r + t(c).  So one
+    pass over c's table, and a short one over the points p off it with p
+    or p + t(c) on g's table, find every exception."""
+    ce, ct, ge, gt = c.exceptions, c.t, g.exceptions, g.t
     exc = {}
-    for r in candidates:
-        i, m = r
-        p = ue.get(r) or (i, m + ut[i - 1])
-        q = ce.get(p) or (p[0], p[1] + ct[p[0] - 1])
+    for p, q in ce.items():
+        r = ge.get(p) or (p[0], p[1] + gt[p[0] - 1])
         v = ge.get(q) or (q[0], q[1] + gt[q[0] - 1])
-        if v != (i, m + ct[i - 1]):
+        if v != (r[0], r[1] + ct[r[0] - 1]):
             exc[r] = v
+    for j, k in ge:
+        step = ct[j - 1]
+        for m in (k, k - step) if step else (k,):
+            p = (j, m)
+            if m < 0 or p in ce:
+                continue
+            q = (j, m + step)
+            r = ge.get(p) or (j, m + gt[j - 1])
+            v = ge.get(q) or (j, m + step + gt[j - 1])
+            if v != (r[0], r[1] + ct[r[0] - 1]):
+                exc[r] = v
     return _make(c.n, ct, exc)
 
 
@@ -411,7 +416,11 @@ def deserialize(text: str) -> HoughtonElement:
         if p in exc:
             raise InvalidElementError("duplicate exception domain point %r" % (p,))
         exc[p] = q
-    return HoughtonElement(n, t, exc)
+    # every value is coerced once, here, so the constructor's second
+    # coercion and copy are skipped
+    g = _make(_integer(n), tuple(_integer(v) for v in t), exc)
+    g._validate()
+    return g
 
 
 def _integer(v) -> int:

@@ -1,15 +1,16 @@
 """Independent brute-force machinery: word enumeration, pointwise word
 simulation and reproducible random instances.
 
-The products come from `core`: the one-pass `compose` and `_conjugate_by`
-that `conjugate` uses too.  The cross-check stays independent in what it
-searches and how it confirms: simulate_word acts with the raw generator
-rules; the conjugator search enumerates words rather than translation
-tuples, answers with the first word of the ball in breadth-first order
-with no pruning by invariants (no translation or cycle-type check), and
-checks every hit again with `conjugacy.verify` on the element `evaluate`
-gives the word; and the benchmark's checker confirms answers without the
-package.
+The products come from `core`: the one-pass `compose`, and
+`_conjugate_by`, which carries an element's table through one letter's
+element with no inverse; `conjugate` uses both too.  The cross-check
+stays independent in what it searches and how it confirms: simulate_word
+acts with the raw generator rules; the conjugator search enumerates words
+rather than translation tuples, answers with the first word of the ball
+in breadth-first order with no pruning by invariants (no translation or
+cycle-type check), and checks every hit again with `conjugacy.verify` on
+the element `evaluate` gives the word; and the benchmark's checker
+confirms answers without the package.
 
 A word w = x u is a hit iff x^-1 a x = u b u^-1, so the search meets in
 the middle: for each word length it carries x^-1 a x along the reduced
@@ -207,13 +208,13 @@ def _joined_search(
     for length in range(radius + 1):
         if length % 2:
             prefixes = [
-                (x + (m,), _conjugate_by(c, elements[m], undo[m]))
+                (x + (m,), _conjugate_by(c, elements[m]))
                 for x, c in prefixes
                 for m in follows[x[-1] if x else None]
             ]
         elif length:
             suffixes = [
-                ((m,) + u, _conjugate_by(c, undo[m], elements[m]))
+                ((m,) + u, _conjugate_by(c, undo[m]))
                 for m in follows[None]
                 for u, c in suffixes
                 if not u or u[0] in follows[m]
@@ -245,7 +246,7 @@ def _capped_search(
     x's last letter l, which is a hit iff the two are equal; x^-1 a x is
     built only when the children of x are made."""
     # x l is a hit iff x^-1 a x = l b l^-1
-    targets = {letter: _conjugate_by(b, undo[letter], elements[letter]) for letter in follows[None]}
+    targets = {letter: _conjugate_by(b, undo[letter]) for letter in follows[None]}
     one = identity(a.n)
     tried = 0
     seen = {one}
@@ -263,7 +264,7 @@ def _capped_search(
         for letters, x, c, _ in frontier:
             m = letters[-1] if letters else None
             if letters:  # x^-1 a x from the conjugate of x's parent
-                c = _conjugate_by(c, elements[m], undo[m])
+                c = _conjugate_by(c, elements[m])
             for letter in follows[m]:
                 y = compose(x, elements[letter])
                 if y not in seen:  # else a word no longer than this one reaches y

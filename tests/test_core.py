@@ -23,7 +23,7 @@ from houghton import (
     serialize,
 )
 from houghton.conjugacy import construct_translation_element
-from houghton.core import _Accumulator
+from houghton.core import _Accumulator, _conjugate_by
 from houghton.oracle import random_element, random_word, simulate_word
 
 
@@ -272,6 +272,23 @@ def test_one_pass_products_match_action_and_accumulator(n):
         _assert_valid_and_equal(c, _through_accumulator(x_inv, g, h))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_conjugate_by_letter_matches_action_and_accumulator(n):
+    # a letter's table sits at offset 0, where the points off c's table
+    # with p or p + t(c) on the letter's table give the exceptions
+    letters = []
+    for gid in generator_ids(n):
+        g = generator(n, gid)
+        letters += [g] if gid == "s" else [g, inverse(g)]
+    for c in _product_inputs(n):
+        for g in letters:
+            result = _conjugate_by(c, g)
+            g_inv = inverse(g)
+            for p in _probe_points(n, g_inv, c, g):
+                assert apply(result, p) == apply(g, apply(c, apply(g_inv, p)))
+            _assert_valid_and_equal(result, _through_accumulator(g_inv, c, g))
+
+
 def test_bijective_on_window():
     for seed in range(20):
         g = evaluate(random_word(3, seed, 8))
@@ -329,6 +346,10 @@ def _reordered(g, seed):
     return HoughtonElement(g.n, g.t, dict(items))
 
 
+def _sorted_key(g):
+    return (g.n, g.t, sorted(g.exceptions.items()))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     n=st.integers(2, 4),
@@ -354,7 +375,7 @@ def test_equality_matches_sorted_key_and_hash(n, seeds, profiles, shuffle):
         variants.append(conjugate_element(g, HoughtonElement(n, (0,) * n, {p: q, q: p})))
     for x in variants:
         for y in variants:
-            assert (x == y) == (x._key() == y._key())
+            assert (x == y) == (_sorted_key(x) == _sorted_key(y))
             if x == y:
                 assert hash(x) == hash(y)
     assert variants[2] == g and variants[3] == h and variants[4] == g and variants[5] == h

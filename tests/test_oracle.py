@@ -150,9 +150,9 @@ def test_brute_force_miss_builds_only_half_balls(monkeypatch):
         composed.append(x)
         return compose(x, y)
 
-    def counting_conjugate_by(c, g, g_inv):
+    def counting_conjugate_by(c, g):
         conjugated.append(c)
-        return _conjugate_by(c, g, g_inv)
+        return _conjugate_by(c, g)
 
     monkeypatch.setattr(oracle, "compose", counting_compose)
     monkeypatch.setattr(oracle, "_conjugate_by", counting_conjugate_by)
