@@ -595,9 +595,13 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
         raise ValueError("elements live in different H_n")
     if a.t != b.t:
         return _no(TRANSLATION_MISMATCH)
+    # the fixed points are counted off the tables, before either element
+    # is decomposed
+    if fixed_point_count(a) != fixed_point_count(b):
+        return _no(CYCLE_TYPE_MISMATCH)
     dec_a = cycle_decomposition(a)
     dec_b = cycle_decomposition(b)
-    if dec_a.cycle_type() != dec_b.cycle_type() or fixed_point_count(a) != fixed_point_count(b):
+    if dec_a.cycle_type() != dec_b.cycle_type():
         return _no(CYCLE_TYPE_MISMATCH)
 
     modulus = gcd(*a.t) if 0 not in a.t else 1

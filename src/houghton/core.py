@@ -12,6 +12,7 @@ means apply g first, then h.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -31,6 +32,13 @@ class WordError(ValueError):
 _TOKEN_RE = re.compile(r"^(g[0-9]+|s)('?)$")
 
 
+# the per-n tables (here and in the oracle) are kept for this many n at a
+# time; H_n's letter table holds 2(n - 1) elements of n rays each, so the
+# bound also bounds their memory
+_TABLES_KEPT = 8
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
 def generator_ids(n: int) -> Tuple[str, ...]:
     """The fixed generating set: g2..gn for n >= 3, {g2, s} for n = 2."""
     if n < 2:
@@ -49,7 +57,7 @@ class Word:
 
     @classmethod
     def parse(cls, n: int, text: str) -> "Word":
-        valid = set(generator_ids(n))
+        valid = generator_ids(n)
         letters = []
         for token in text.split():
             match = _TOKEN_RE.match(token)
@@ -319,16 +327,32 @@ def inverse(g: HoughtonElement) -> HoughtonElement:
     return _make(g.n, t, exc)
 
 
+@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
+def _letters(n: int) -> Dict[Tuple[str, int], HoughtonElement]:
+    """H_n's signed letters: each (gid, 1) and (gid, -1) with its element,
+    ("s", -1) included, built once per n for `evaluate` and the oracle.
+    The elements are shared constants: they are only read, and none of
+    them is handed to a caller."""
+    table = {}
+    for gid in generator_ids(n):
+        gen = generator(n, gid)
+        table[(gid, 1)] = gen
+        table[(gid, -1)] = inverse(gen)
+    return table
+
+
 def evaluate(w: Word) -> HoughtonElement:
-    """The element represented by a word, in normal form."""
-    letters = {}
-    for gid in generator_ids(w.n):
-        gen = generator(w.n, gid)
-        letters[(gid, 1)] = gen
-        letters[(gid, -1)] = inverse(gen)
+    """The element represented by a word, in normal form: a new element,
+    built by the accumulator from H_n's shared letter table.  A letter that
+    is not a signed generator of H_n, which only a Word built directly and
+    not by `Word.parse` can hold, raises WordError."""
+    letters = _letters(w.n)
     acc = _Accumulator(w.n)
     for letter in w.letters:
-        acc.push(letters[letter])
+        h = letters.get(letter)
+        if h is None:
+            raise WordError("letter %r is not valid for n=%d" % (letter, w.n))
+        acc.push(h)
     return acc.element()
 
 

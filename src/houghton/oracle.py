@@ -22,11 +22,14 @@ side and builds no element, instead of a product per element of the
 ball.  This is exact whenever the ball has no more reduced words than the
 candidate cap allows; for a cap that can stop the search, the
 breadth-first loop that deduplicates elements and counts candidates runs
-instead.  It keeps no state between calls.
+instead.  No search state is kept between calls: only H_n's letters,
+their inverses and which letter may follow which are built once per n
+and shared.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -35,13 +38,13 @@ from .core import (
     HoughtonElement,
     Point,
     Word,
+    _TABLES_KEPT,
     _conjugate_by,
+    _letters,
     compose,
     evaluate,
-    generator,
     generator_ids,
     identity,
-    inverse,
 )
 from .conjugacy import verify
 
@@ -97,17 +100,30 @@ def simulate_word(w: Word, window: int) -> Dict[Point, Point]:
     return out
 
 
-def _signed_alphabet(n: int) -> List[Tuple[str, int]]:
-    letters = []
-    for gid in generator_ids(n):
-        letters.append((gid, 1))
-        if gid != "s":  # the transposition is its own inverse
-            letters.append((gid, -1))
-    return letters
-
-
 _Letter = Tuple[str, int]
 _Letters = Tuple[_Letter, ...]
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
+def _signed_alphabet(n: int) -> _Letters:
+    """The letters the search and `random_word` draw from, in letter order:
+    each generator and its inverse, but s alone, as it is its own inverse."""
+    return tuple((gid, sign) for gid in generator_ids(n) for sign in ((1,) if gid == "s" else (1, -1)))
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
+def _search_tables(n: int) -> Tuple[Dict[_Letter, HoughtonElement], Dict[Optional[_Letter], _Letters]]:
+    """The element of each letter's inverse, and the letters that may follow
+    each letter (all but the one that cancels it) with every letter under
+    None, for the searches in H_n.  Built once per n and only read."""
+    alphabet = _signed_alphabet(n)
+    letters = _letters(n)
+    undo = {(gid, sign): letters[(gid, -sign)] for gid, sign in alphabet}
+    follows: Dict[Optional[_Letter], _Letters] = {
+        m: tuple(k for k in alphabet if k != (m[0], -m[1]) and not (m == k == ("s", 1))) for m in alphabet
+    }
+    follows[None] = alphabet
+    return undo, follows
 
 
 def brute_force_conjugator(
@@ -149,19 +165,8 @@ def brute_force_conjugator(
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
     n = a.n
-    alphabet = _signed_alphabet(n)
-    elements = {letter: generator(n, letter[0]) for letter in alphabet if letter[1] > 0}
-    for gid, sign in alphabet:
-        if sign < 0:
-            elements[(gid, sign)] = inverse(elements[(gid, 1)])
-    # the element of each letter's inverse (s is its own)
-    undo = {letter: elements.get((letter[0], -letter[1]), elements[letter]) for letter in alphabet}
-    # the letters that may follow each letter (all but the one that cancels
-    # it), and under None every letter
-    follows: Dict[Optional[_Letter], List[_Letter]] = {
-        m: [k for k in alphabet if k != (m[0], -m[1]) and not (m == k == ("s", 1))] for m in alphabet
-    }
-    follows[None] = alphabet
+    elements = _letters(n)
+    undo, follows = _search_tables(n)
     if searches_exactly(n, budget):
         letters = _joined_search(a, b, budget.max_word_length, elements, undo, follows)
     else:
@@ -195,7 +200,7 @@ def _joined_search(
     radius: int,
     elements: Dict[_Letter, HoughtonElement],
     undo: Dict[_Letter, HoughtonElement],
-    follows: Dict[Optional[_Letter], List[_Letter]],
+    follows: Dict[Optional[_Letter], _Letters],
 ) -> Optional[_Letters]:
     """The first reduced hit of least length in letter order, from the
     half-balls of `brute_force_conjugator`'s docstring."""
@@ -238,7 +243,7 @@ def _capped_search(
     budget: SearchBudget,
     elements: Dict[_Letter, HoughtonElement],
     undo: Dict[_Letter, HoughtonElement],
-    follows: Dict[Optional[_Letter], List[_Letter]],
+    follows: Dict[Optional[_Letter], _Letters],
 ) -> Optional[_Letters]:
     """The breadth-first loop that deduplicates elements and stops after
     budget.max_candidates candidates.  Each entry holds a word, its element

@@ -120,6 +120,28 @@ def test_evaluate_order_matters():
     assert evaluate(word(3, "g2 g3")) != evaluate(word(3, "g3 g2"))
 
 
+def test_generator_returns_a_new_element_each_call():
+    g, h = generator(3, "g2"), generator(3, "g2")
+    assert g == h and g is not h and g.exceptions is not h.exceptions
+
+
+def test_evaluate_of_one_letter_is_a_new_element():
+    # evaluate reads the shared letter table but never hands out its elements
+    for n in (2, 3):
+        for gid in generator_ids(n):
+            for sign in (1, -1):
+                one, two = evaluate(Word(n, ((gid, sign),))), evaluate(Word(n, ((gid, sign),)))
+                letter = generator(n, gid) if sign > 0 else inverse(generator(n, gid))
+                assert one == two == letter
+                assert one is not two and one.exceptions is not two.exceptions
+
+
+def test_evaluate_refuses_letters_not_in_h_n():
+    for letter, n in ((("g9", 1), 3), (("g2", 2), 3), (("s", 1), 3), (("g3", 1), 2)):
+        with pytest.raises(WordError, match="%r.*n=%d" % (letter[0], n)):
+            evaluate(Word(n, (("g2", 1), letter)))
+
+
 def test_apply_chained():
     e = evaluate(word(3, "g2 g3"))
     assert apply(e, (1, 0)) == (1, 2)

@@ -12,9 +12,10 @@ from houghton import (
     generator,
     identity,
     inverse,
+    serialize,
     verify,
 )
-from houghton import oracle
+from houghton import core, oracle
 from houghton.core import _conjugate_by
 from houghton.oracle import (
     SearchBudget,
@@ -89,6 +90,19 @@ def test_random_word_deterministic():
     assert random_word(3, 7, 10) != random_word(3, 8, 10)
 
 
+def test_random_values_are_frozen():
+    assert str(random_word(3, 7, 10)) == "g3 g2 g2 g2' g3' g2 g3' g2 g3' g3'"
+    assert str(random_word(2, 4, 9)) == "g2 s g2' s g2 g2 g2' g2 g2'"
+    assert str(random_word(4, 1, 6)) == "g3' g3' g2' g4' g2' g2"
+    assert serialize(random_element(3, 5, "word-6")) == (
+        '{"n":3,"t":[-2,1,1],"exceptions":[[[1,0],[3,0]],[[1,1],[2,0]],[[1,2],[1,1]],[[1,3],[1,0]]]}'
+    )
+    assert serialize(random_element(2, 3, "word-8")) == (
+        '{"n":2,"t":[4,-4],"exceptions":'
+        '[[[2,0],[1,2]],[[2,1],[1,3]],[[2,2],[1,1]],[[2,3],[2,0]],[[2,4],[1,0]]]}'
+    )
+
+
 def test_random_element_profiles():
     g = random_element(3, 5, profile="fsym")
     assert g.t == (0, 0, 0)
@@ -160,6 +174,32 @@ def test_brute_force_miss_builds_only_half_balls(monkeypatch):
         conjugated.clear()
         assert brute_force_conjugator(generator(3, "g2"), generator(3, "g3"), SearchBudget(radius)) is None
         assert composed == [] and len(conjugated) == expected
+
+
+def test_letters_are_built_once_per_n(monkeypatch):
+    # after the caches are cleared, two searches and two evaluations in H_3
+    # build each generator and its inverse once, for the one letter table
+    a, b = generator(3, "g2"), generator(3, "g3")
+    x = conjugate_element(a, evaluate(Word.parse(3, "g3 g2'")))
+    built, inverted = [], []
+
+    def counting_generator(n, gid):
+        built.append(gid)
+        return generator(n, gid)
+
+    def counting_inverse(g):
+        inverted.append(g)
+        return inverse(g)
+
+    monkeypatch.setattr(core, "generator", counting_generator)
+    monkeypatch.setattr(core, "inverse", counting_inverse)
+    core._letters.cache_clear()
+    oracle._search_tables.cache_clear()
+    assert str(brute_force_conjugator(a, x, SearchBudget(3))) == "g3 g2'"
+    assert brute_force_conjugator(a, b, SearchBudget(3)) is None
+    assert evaluate(Word.parse(3, "g2 g3'")) == compose(a, inverse(b))
+    assert evaluate(Word.parse(3, "g3")) == b
+    assert sorted(built) == ["g2", "g3"] and len(inverted) == 2
 
 
 # -- the search against the one that verified every candidate ----------------------
