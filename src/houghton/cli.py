@@ -2,8 +2,9 @@
 
 All structured output is the canonical JSON document format; --pretty adds
 a human-readable rendering.  Exit codes: 0 success/decided, 1 usage error,
-2 invalid input data, an input beyond the walk limits or an oracle budget
-whose ball has more reduced words than the candidate cap.
+2 invalid input data, an input beyond the walk limits or an oracle search
+that `oracle.brute_force_conjugator` refuses as too large (a ball with more
+reduced words than its cap, or an H_n whose letter elements are too big).
 """
 
 from __future__ import annotations
@@ -169,16 +170,7 @@ def _run(args) -> int:
     if args.command == "oracle":
         a = _read_element(args.a, n)
         b = _read_element(args.b, a.n)
-        budget = oracle.SearchBudget(args.budget)
-        if not oracle.searches_exactly(a.n, budget):
-            limit = 0
-            while oracle.searches_exactly(a.n, oracle.SearchBudget(limit + 1)):
-                limit += 1
-            raise ValueError(
-                "budget %d is over the limit of %d in H_%d: its ball has more reduced words "
-                "than the candidate cap of %d" % (args.budget, limit, a.n, budget.max_candidates)
-            )
-        word = oracle.brute_force_conjugator(a, b, budget)
+        word = oracle.brute_force_conjugator(a, b, oracle.SearchBudget(args.budget))
         if word is None:
             print(json.dumps({"found": False}, separators=(",", ":")))
         else:

@@ -435,12 +435,13 @@ def _orbit_index(dec_b: CycleDecomposition):
 
 def _class_shifts(
     t: Sequence[int], orbits: Sequence[InfiniteOrbit], index_b
-) -> Iterator[Tuple[Dict[int, int], bool]]:
+) -> Iterator[Tuple[Dict[int, int], bool, List[Tuple[InfiniteOrbit, InfiniteOrbit]]]]:
     """Every way to pair the orbits of one ends class of a with orbits of b
-    residue for residue, as (s, exact): s holds a conjugator's translation
-    on the class's rays, solved from the orbit-shift equations of
-    `conjugate` with d = 0 on the first orbit, and exact is False when
-    those equations give some ray two values of the same residue.  The
+    residue for residue, as (s, exact, pairs): s holds a conjugator's
+    translation on the class's rays, solved from the orbit-shift equations
+    of `conjugate` with d = 0 on the first orbit, exact is False when
+    those equations give some ray two values of the same residue, and
+    pairs lists each orbit of the class with its partner in b.  The
     choices are generated lazily, one walk of the class each, in the order
     of b's orbits with the first orbit's end rays.  `index_b` is
     `_orbit_index` of b's decomposition."""
@@ -449,6 +450,7 @@ def _class_shifts(
     for first in by_ends.get((head.pos_ray, head.neg_ray), ()):
         s: Dict[int, int] = {}
         exact = True
+        pairs = []
         for oa in orbits:
             up, down = t[oa.pos_ray - 1], t[oa.neg_ray - 1]
             if oa is head:
@@ -470,8 +472,9 @@ def _class_shifts(
             for ray, _, value in values:
                 if s.setdefault(ray, value) != value:
                     exact = False
+            pairs.append((oa, ob))
         else:
-            yield s, exact
+            yield s, exact, pairs
 
 
 def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]:
@@ -503,18 +506,6 @@ def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]
     else:
         return part
     return {ray: v + lo * t[ray - 1] for ray, v in part.items()}
-
-
-def _partners(
-    t: Sequence[int], dec_a: CycleDecomposition, index_b, s: Sequence[int]
-) -> List[Tuple[InfiniteOrbit, InfiniteOrbit]]:
-    """Each infinite orbit of a with its partner in b under translation s:
-    the orbit of b whose incoming class is a's moved by s."""
-    by_neg = index_b[1]
-    return [
-        (o, by_neg[(o.neg_ray, (o.neg_residue + s[o.neg_ray - 1]) % -t[o.neg_ray - 1])])
-        for o in dec_a.infinite_orbits
-    ]
 
 
 def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
@@ -589,7 +580,9 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     translation s and builds x, which is verified exactly once.  A refusal
     there, or a nonzero sum(s) when every ray moves, would contradict the
     existence argument and raises RuntimeError.  The bounds are those of
-    the orbit pairs found, with b's orbits moved back by s.
+    the orbit pairs of each class's first exact choice, with b's orbits
+    moved back by s: `_least_translation` moves s by a multiple of t_i on
+    each ray, which keeps every residue mod t_i, so no partner changes.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
@@ -610,10 +603,10 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     totals = [set() for _ in per_class]  # per class, the sums mod g of the choices generated
     firsts = []
     for choices, reached in zip(per_class, totals):
-        for part, exact in choices:
+        for part, exact, pairs in choices:
             reached.add(sum(part.values()) % modulus)
             if exact:
-                firsts.append(part)
+                firsts.append((part, pairs))
                 break
         else:
             break
@@ -621,14 +614,14 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
         sums = {0}  # the sums of s mod g that the classes reach together
         for choices, reached in zip(per_class, totals):
             if len(reached) < modulus:
-                for part, _ in choices:
+                for part, _, _ in choices:
                     reached.add(sum(part.values()) % modulus)
                     if len(reached) == modulus:
                         break
             sums = {(q + r) % modulus for q in sums for r in reached}
         return _no(ORBIT_SHIFT_MISMATCH if 0 in sums else ORBIT_PAIRING_MISMATCH)
     s = [0] * a.n
-    for part in firsts:
+    for part, _ in firsts:
         for ray, value in _least_translation(a.t, part).items():
             s[ray - 1] = value
     if 0 in a.t:
@@ -641,4 +634,5 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     out = _forced_conjugator(a, b, tuple(s), dec_a, dec_b)
     if not out.is_conjugate:
         raise RuntimeError("consistent orbit shifts refused by the forced-value walk: %s" % out.reason)
-    return _yes(out.conjugator, out.verified, bounds=_pair_bounds(a.t, _partners(a.t, dec_a, index_b, s), s))
+    pairs = [pair for _, class_pairs in firsts for pair in class_pairs]
+    return _yes(out.conjugator, out.verified, bounds=_pair_bounds(a.t, pairs, s))

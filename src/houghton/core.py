@@ -33,8 +33,8 @@ _TOKEN_RE = re.compile(r"^(g[0-9]+|s)('?)$")
 
 
 # the per-n tables (here and in the oracle) are kept for this many n at a
-# time; H_n's letter table holds 2(n - 1) elements of n rays each, so the
-# bound also bounds their memory
+# time; the oracle's letter table for H_n holds 2(n - 1) elements of n rays
+# each, so the bound also bounds their memory
 _TABLES_KEPT = 8
 
 
@@ -240,14 +240,14 @@ def apply(g: HoughtonElement, p: Point) -> Point:
 
 
 class _Accumulator:
-    """Right-multiplies elements onto a running product, for `evaluate`.
+    """Right-multiplies letters onto a running product, for `evaluate`.
 
-    Image offsets are kept relative to per-ray shift counters, so absorbing
-    an element only touches that element's own exception entries.  This is
-    what keeps evaluation of long words fast: each generator letter costs
-    O(1) amortised.  Folding a word with `compose` instead re-reads the
-    running product's table at every letter; on random words of 3 to 1,000
-    letters in H_3 it was 1.2 to 5.8 times slower.
+    Image offsets are kept relative to per-ray shift counters, so a letter
+    touches only the two rays it moves and its one or two table points,
+    and costs O(1) amortised whatever n is.  Folding a word with `compose`
+    instead re-reads the running product's table at every letter; on
+    random words of 3 to 1,000 letters in H_3 it was 1.2 to 5.8 times
+    slower.
     """
 
     def __init__(self, n: int):
@@ -256,10 +256,13 @@ class _Accumulator:
         self.table: Dict[Point, Point] = {}  # domain point -> stored image
         self.inv: Dict[Point, Point] = {}  # stored image -> domain point
 
-    def push(self, h: HoughtonElement) -> None:
+    def push(self, entries: Iterable[Tuple[Point, Point]], moves: Iterable[Tuple[int, int]]) -> None:
+        """Right-multiply by the element with table `entries` (q -> v) whose
+        translation steps ray i by `step` for each (i, step) of `moves`: a
+        letter's `_letter_rule`, or any element's table and translation."""
         # find the current-product preimage of each exceptional point of h
         fixes = []
-        for q, v in h.exceptions.items():
+        for q, v in entries:
             j, k = q
             stored = (j, k - self.shift[j])
             p = self.inv.get(stored)
@@ -268,8 +271,8 @@ class _Accumulator:
                     raise InvalidElementError("running product is not a bijection")
                 p = stored
             fixes.append((p, v))
-        for i in range(1, self.n + 1):
-            self.shift[i] += h.t[i - 1]
+        for i, step in moves:
+            self.shift[i] += step
         # drop all stale inverse entries before writing: a new image may
         # coincide with another entry's old image
         for p, _ in fixes:
@@ -327,33 +330,43 @@ def inverse(g: HoughtonElement) -> HoughtonElement:
     return _make(g.n, t, exc)
 
 
-@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
-def _letters(n: int) -> Dict[Tuple[str, int], HoughtonElement]:
-    """H_n's signed letters: each (gid, 1) and (gid, -1) with its element,
-    ("s", -1) included, built once per n for `evaluate` and the oracle.
-    The elements are shared constants: they are only read, and none of
-    them is handed to a caller."""
-    table = {}
-    for gid in generator_ids(n):
-        gen = generator(n, gid)
-        table[(gid, 1)] = gen
-        table[(gid, -1)] = inverse(gen)
-    return table
-
-
 def evaluate(w: Word) -> HoughtonElement:
     """The element represented by a word, in normal form: a new element,
-    built by the accumulator from H_n's shared letter table.  A letter that
-    is not a signed generator of H_n, which only a Word built directly and
-    not by `Word.parse` can hold, raises WordError."""
-    letters = _letters(w.n)
+    built by the accumulator from each letter's rule, with no letter
+    element.  A letter that is not a signed generator of H_n, which only a
+    Word built directly and not by `Word.parse` can hold, raises
+    WordError."""
+    if w.n < 2:
+        raise WordError("n must be at least 2")
     acc = _Accumulator(w.n)
     for letter in w.letters:
-        h = letters.get(letter)
-        if h is None:
+        rule = _letter_rule(w.n, letter)
+        if rule is None:
             raise WordError("letter %r is not valid for n=%d" % (letter, w.n))
-        acc.push(h)
+        acc.push(*rule)
     return acc.element()
+
+
+@functools.lru_cache(maxsize=1024)
+def _letter_rule(n: int, letter):
+    """The table points and ray steps of a signed generator (gid, +-1) of
+    H_n, for `_Accumulator.push`, or None when `letter` is not one: g_j
+    moves ray 1 out and ray j in by one step and sends (j, 0) to (1, 0),
+    g_j^-1 undoes that, and s swaps (1, 0) and (2, 0).  Decided by the
+    rule of `generator_ids`, without listing H_n's generators."""
+    if not (isinstance(letter, tuple) and len(letter) == 2 and letter[1] in (1, -1)):
+        return None
+    gid, sign = letter
+    if gid == "s":
+        return ((((1, 0), (2, 0)), ((2, 0), (1, 0))), ()) if n == 2 else None
+    if not (isinstance(gid, str) and gid[:1] == "g" and gid[1:].isdecimal()):
+        return None
+    j = int(gid[1:])
+    if gid != "g%d" % j or not 2 <= j <= n:
+        return None
+    if sign > 0:
+        return (((j, 0), (1, 0)),), ((1, 1), (j, -1))
+    return (((1, 0), (j, 0)),), ((1, -1), (j, 1))
 
 
 def equals(g: HoughtonElement, h: HoughtonElement) -> bool:

@@ -1,16 +1,16 @@
 """Independent brute-force machinery: word enumeration, pointwise word
 simulation and reproducible random instances.
 
-The products come from `core`: the one-pass `compose`, and
-`_conjugate_by`, which carries an element's table through one letter's
-element with no inverse; `conjugate` uses both too.  The cross-check
-stays independent in what it searches and how it confirms: simulate_word
-acts with the raw generator rules; the conjugator search enumerates words
-rather than translation tuples, answers with the first word of the ball
-in breadth-first order with no pruning by invariants (no translation or
-cycle-type check), and checks every hit again with `conjugacy.verify` on
-the element `evaluate` gives the word; and the benchmark's checker
-confirms answers without the package.
+The search's one product comes from `core`: `_conjugate_by`, which
+carries an element's table through one letter's element with no inverse,
+as `conjugate` does too.  The cross-check stays independent in what it
+searches and how it confirms: simulate_word acts with the raw generator
+rules; the conjugator search enumerates words rather than translation
+tuples, answers with the first word of the ball in breadth-first order
+with no pruning by invariants (no translation or cycle-type check), and
+checks every hit again with `conjugacy.verify` on the element `evaluate`
+gives the word; and the benchmark's checker confirms answers without the
+package.
 
 A word w = x u is a hit iff x^-1 a x = u b u^-1, so the search meets in
 the middle: for each word length it carries x^-1 a x along the reduced
@@ -19,12 +19,12 @@ hash index of u b u^-1 over the reduced suffixes u of the other half,
 built by prepending letters.  A miss at radius L then costs one
 conjugation by a letter per reduced word of length at most L/2 on each
 side and builds no element, instead of a product per element of the
-ball.  This is exact whenever the ball has no more reduced words than the
-candidate cap allows; for a cap that can stop the search, the
-breadth-first loop that deduplicates elements and counts candidates runs
-instead.  No search state is kept between calls: only H_n's letters,
-their inverses and which letter may follow which are built once per n
-and shared.
+ball.  This is the only search, and it is exact: a ball with more than
+MAX_WORDS reduced words, or an H_n whose letter elements would hold more
+than MAX_LETTER_INTS ints, is refused with ValueError before any letter
+element is built.  No search state is kept between calls: only H_n's
+letters, their inverses and which letter may follow which are built once
+per n and shared.
 """
 
 from __future__ import annotations
@@ -40,26 +40,30 @@ from .core import (
     Word,
     _TABLES_KEPT,
     _conjugate_by,
-    _letters,
-    compose,
     evaluate,
+    generator,
     generator_ids,
-    identity,
+    inverse,
 )
 from .conjugacy import verify
+
+
+# the most reduced words a searched ball may have, and the most ints that
+# H_n's letter elements may hold; `brute_force_conjugator` says why
+MAX_WORDS = 10_000_000
+MAX_LETTER_INTS = 10_000_000
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     max_word_length: int
-    max_candidates: int = 10_000_000
 
     def __post_init__(self):
-        for value in (self.max_word_length, self.max_candidates):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError("budget fields must be integers, not %r" % (value,))
-        if self.max_word_length < 0 or self.max_candidates < 0:
-            raise ValueError("budget fields must be nonnegative")
+        value = self.max_word_length
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError("the word length must be an integer, not %r" % (value,))
+        if value < 0:
+            raise ValueError("the word length must be nonnegative")
 
 
 def _letter_image(n: int, gid: str, sign: int, p: Point) -> Point:
@@ -112,40 +116,37 @@ def _signed_alphabet(n: int) -> _Letters:
 
 
 @functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
-def _search_tables(n: int) -> Tuple[Dict[_Letter, HoughtonElement], Dict[Optional[_Letter], _Letters]]:
-    """The element of each letter's inverse, and the letters that may follow
-    each letter (all but the one that cancels it) with every letter under
-    None, for the searches in H_n.  Built once per n and only read."""
+def _search_tables(
+    n: int,
+) -> Tuple[Dict[_Letter, HoughtonElement], Dict[_Letter, HoughtonElement], Dict[Optional[_Letter], _Letters]]:
+    """The element of each signed letter of H_n, ("s", -1) included, the
+    element of each letter's inverse, and the letters that may follow each
+    letter (all but the one that cancels it) with every letter under None,
+    for the searches in H_n.  Built once per n, only for a search that
+    passed the size check, and only read: no element is handed out."""
     alphabet = _signed_alphabet(n)
-    letters = _letters(n)
-    undo = {(gid, sign): letters[(gid, -sign)] for gid, sign in alphabet}
-    follows: Dict[Optional[_Letter], _Letters] = {
-        m: tuple(k for k in alphabet if k != (m[0], -m[1]) and not (m == k == ("s", 1))) for m in alphabet
-    }
-    follows[None] = alphabet
-    return undo, follows
+    elements = {}
+    for gid in generator_ids(n):
+        elements[(gid, 1)] = generator(n, gid)
+        elements[(gid, -1)] = inverse(elements[(gid, 1)])
+    undo = {(gid, sign): elements[(gid, -sign)] for gid, sign in alphabet}
+    place = {letter: i for i, letter in enumerate(alphabet)}
+    follows: Dict[Optional[_Letter], _Letters] = {None: alphabet}
+    for m in alphabet:
+        cancels = place.get((m[0], -m[1]), place[m])  # s cancels itself
+        follows[m] = alphabet[:cancels] + alphabet[cancels + 1 :]
+    return elements, undo, follows
 
 
 def brute_force_conjugator(
     a: HoughtonElement, b: HoughtonElement, budget: SearchBudget
 ) -> Optional[Word]:
-    """Breadth-first search for a word w with evaluate(w)^-1 * a * evaluate(w) = b.
+    """The first reduced word w of least length, in letter order, with
+    evaluate(w)^-1 * a * evaluate(w) = b, among the words of length at most
+    budget.max_word_length; None when there is none.
 
     Free cancellations are pruned.  Finding nothing proves nothing: the
-    search is bounded.  The candidates are the reduced words of length at
-    most budget.max_word_length, shortest first and in letter order
-    within a length, with a later word skipped when an earlier one has the
-    same element; the search gives up after budget.max_candidates of them.
-
-    Which word comes back.  Without the cap, the answer is the first
-    reduced word of least length, in letter order, that is a hit.  Let w
-    be that word and suppose a prefix p of w, or w itself, is skipped for
-    a word p' seen earlier with the same element.  Then p' is shorter
-    than p, or as long and earlier in letter order, and w with p replaced
-    by p' is a hit as well; freely reduced, it is shorter than w, or as
-    long and earlier, against the choice of w.  So w and all its prefixes
-    are candidates, and every candidate before w is shorter or earlier,
-    so not a hit.
+    search is bounded.  No pruning by invariants is done.
 
     How it is found.  A word x u is a hit iff x^-1 a x = u b u^-1.  For
     each length l, the reduced prefixes x of length ceil(l/2) carry
@@ -153,24 +154,37 @@ def brute_force_conjugator(
     floor(l/2), built by prepending letters, are indexed by u b u^-1.  The
     answer is x u for the first x, in letter order, whose conjugate is
     indexed under some u that may follow x's last letter, and the first
-    such u: the first reduced hit of length l in letter order.  No element
-    is deduplicated and no word is counted, so this gives the word above
-    only when the cap cannot bite, which holds whenever the ball has at
-    most budget.max_candidates reduced words (a candidate is a reduced
-    word whose element was not seen before).  Otherwise the deduplicating
-    breadth-first loop runs and counts its candidates.  Either way the
-    hit's element is evaluated from its word and checked again by
-    `verify` before the word is returned.
+    such u: the first reduced hit of length l in letter order.  The hit's
+    element is evaluated from its word and checked again by `verify`
+    before the word is returned.
+
+    Size.  Before any letter element is built, ValueError refuses a
+    search whose ball has more than MAX_WORDS reduced words (more than
+    radius 14 in H_3), and one in an H_n whose 2(n - 1) letter elements,
+    of n ints each, would hold more than MAX_LETTER_INTS ints (n > 2,236).
+    The table of which letter may follow which holds about twice as many
+    entries, so the tables grow as n^2: the bound was chosen so that a
+    one-letter search in H_2,000 (8.0 million ints) still runs, and at
+    the bound such a search peaked at about 250 MB of resident memory.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
     n = a.n
-    elements = _letters(n)
-    undo, follows = _search_tables(n)
-    if searches_exactly(n, budget):
-        letters = _joined_search(a, b, budget.max_word_length, elements, undo, follows)
-    else:
-        letters = _capped_search(a, b, budget, elements, undo, follows)
+    radius = budget.max_word_length
+    if _ball_words(n, radius) > MAX_WORDS:
+        limit = 0
+        while _ball_words(n, limit + 1) <= MAX_WORDS:
+            limit += 1
+        raise ValueError(
+            "budget %d is over the limit of %d in H_%d: its ball has more reduced words "
+            "than the cap of %d" % (radius, limit, n, MAX_WORDS)
+        )
+    if 2 * (n - 1) * n > MAX_LETTER_INTS:
+        raise ValueError(
+            "H_%d is too large to search: its letter elements would hold %d ints, "
+            "over the limit of %d" % (n, 2 * (n - 1) * n, MAX_LETTER_INTS)
+        )
+    letters = _joined_search(a, b, radius, *_search_tables(n))
     if letters is None:
         return None
     w = Word(n, letters)
@@ -179,19 +193,19 @@ def brute_force_conjugator(
     return w
 
 
-def searches_exactly(n: int, budget: SearchBudget) -> bool:
-    """Whether `brute_force_conjugator` searches the ball of `budget` in H_n
-    from two half-balls: the ball has at most budget.max_candidates reduced
-    words, so the cap cannot stop the search.  After the first letter,
-    each letter may be followed by all letters but one."""
-    size = len(_signed_alphabet(n))
+def _ball_words(n: int, radius: int) -> int:
+    """The number of reduced words of length at most `radius` in H_n, or
+    the first partial count over MAX_WORDS.  There are 2(n - 1) letters (3
+    in H_2, where s is its own inverse), and after the first letter each
+    letter may be followed by all letters but one."""
+    size = 3 if n == 2 else 2 * (n - 1)
     words = level = 1
-    for length in range(1, budget.max_word_length + 1):
+    for length in range(1, radius + 1):
         level *= size if length == 1 else size - 1
         words += level
-        if words > budget.max_candidates:
+        if words > MAX_WORDS:
             break
-    return words <= budget.max_candidates
+    return words
 
 
 def _joined_search(
@@ -234,48 +248,6 @@ def _joined_search(
                 for u in hits.values():
                     if not u or u[0] in after:
                         return x + u
-    return None
-
-
-def _capped_search(
-    a: HoughtonElement,
-    b: HoughtonElement,
-    budget: SearchBudget,
-    elements: Dict[_Letter, HoughtonElement],
-    undo: Dict[_Letter, HoughtonElement],
-    follows: Dict[Optional[_Letter], _Letters],
-) -> Optional[_Letters]:
-    """The breadth-first loop that deduplicates elements and stops after
-    budget.max_candidates candidates.  Each entry holds a word, its element
-    x, the conjugate of a by x's parent and the conjugate l b l^-1 of b by
-    x's last letter l, which is a hit iff the two are equal; x^-1 a x is
-    built only when the children of x are made."""
-    # x l is a hit iff x^-1 a x = l b l^-1
-    targets = {letter: _conjugate_by(b, undo[letter]) for letter in follows[None]}
-    one = identity(a.n)
-    tried = 0
-    seen = {one}
-    frontier = [((), one, a, b)]
-    for length in range(budget.max_word_length + 1):
-        for letters, _, c, target in frontier:
-            tried += 1
-            if tried > budget.max_candidates:
-                return None
-            if c == target:
-                return letters
-        if length == budget.max_word_length:
-            break  # the next level would never be tested
-        nxt = []
-        for letters, x, c, _ in frontier:
-            m = letters[-1] if letters else None
-            if letters:  # x^-1 a x from the conjugate of x's parent
-                c = _conjugate_by(c, elements[m])
-            for letter in follows[m]:
-                y = compose(x, elements[letter])
-                if y not in seen:  # else a word no longer than this one reaches y
-                    seen.add(y)
-                    nxt.append((letters + (letter,), y, c, targets[letter]))
-        frontier = nxt
     return None
 
 

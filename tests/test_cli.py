@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import houghton
 from houghton import HoughtonElement, compose, conjugate_element, generator, serialize
 from houghton.cli import main
 
@@ -128,6 +132,42 @@ def test_oracle_command_refuses_a_budget_over_the_cap(capsys, tmp_path):
     assert err.startswith("error: ") and "limit of 14" in err and "10000000" in err
     code, out, _ = run(capsys, "oracle", g2, g3, "--budget", "14")
     assert code == 0 and json.loads(out) == {"found": False}
+
+
+def run_limited(cwd, *argv):
+    """`houghton` in a process of its own under a 512 MB address-space
+    limit: (exit code, stdout, stderr)."""
+    resource = pytest.importorskip("resource")
+    limit = 512 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(houghton.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "houghton.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, preexec_fn=cap_memory, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("n, oracle_code", [(2000, 0), (200000, 2)])
+def test_large_n_runs_in_bounded_memory(tmp_path, n, oracle_code):
+    # a one-letter word costs O(1) per letter whatever n is, and the oracle
+    # answers in H_2,000 and refuses H_200,000 before building any letter;
+    # no run may end in a traceback
+    for gid in ("g2", "g3"):
+        code, out, err = run_limited(tmp_path, "eval", "-n", str(n), gid)
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["t"][:3] == ([1, -1, 0] if gid == "g2" else [1, 0, -1])
+        (tmp_path / (gid + ".json")).write_text(out, encoding="utf-8")
+    code, out, err = run_limited(tmp_path, "oracle", "g2.json", "g3.json", "--budget", "1")
+    assert code == oracle_code and "Traceback" not in err
+    if oracle_code == 0:
+        assert json.loads(out) == {"found": False}
+    else:
+        assert out == "" and err.startswith("error: H_%d is too large to search" % n)
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -442,7 +442,9 @@ def test_conjugate_raises_where_a_conjugator_must_exist(monkeypatch):
             conjugate(a, b)
     g = generator(2, "g2")
     shifts = conjugacy._class_shifts
-    off_by_one = lambda *args: [({ray: v + (ray == 1) for ray, v in part.items()}, exact) for part, exact in shifts(*args)]
+    off_by_one = lambda *args: [
+        ({ray: v + (ray == 1) for ray, v in part.items()}, exact, pairs) for part, exact, pairs in shifts(*args)
+    ]
     monkeypatch.setattr(conjugacy, "_class_shifts", off_by_one)
     with pytest.raises(RuntimeError):
         conjugate(g, g)
@@ -871,12 +873,12 @@ def product_conjugate(a, b):
     reason = ORBIT_PAIRING_MISMATCH
     for combination in itertools.product(*per_class):
         s = [0] * n
-        for part, _ in combination:
+        for part, _, _ in combination:
             for ray, value in conjugacy._least_translation(a.t, part).items():
                 s[ray - 1] = value
         if 0 not in a.t and sum(s) % modulus:
             continue
-        if not all(exact for _, exact in combination):
+        if not all(exact for _, exact, _ in combination):
             if reason == ORBIT_PAIRING_MISMATCH:
                 reason = ORBIT_SHIFT_MISMATCH
             continue
@@ -884,7 +886,8 @@ def product_conjugate(a, b):
             s[a.t.index(0)] -= sum(s)
         out = conjugacy._forced_conjugator(a, b, tuple(s), dec_a, dec_b)
         if out.is_conjugate:
-            bounds = conjugacy._pair_bounds(a.t, conjugacy._partners(a.t, dec_a, index_b, s), s)
+            pairs = [pair for _, _, class_pairs in combination for pair in class_pairs]
+            bounds = conjugacy._pair_bounds(a.t, pairs, s)
             return ConjugacyOutcome(out.conjugator, verified=out.verified, bounds=bounds)
         reason = out.reason
     return ConjugacyOutcome(None, reason=reason)

@@ -126,7 +126,7 @@ def test_generator_returns_a_new_element_each_call():
 
 
 def test_evaluate_of_one_letter_is_a_new_element():
-    # evaluate reads the shared letter table but never hands out its elements
+    # evaluate builds a new element on every call
     for n in (2, 3):
         for gid in generator_ids(n):
             for sign in (1, -1):
@@ -140,6 +140,23 @@ def test_evaluate_refuses_letters_not_in_h_n():
     for letter, n in ((("g9", 1), 3), (("g2", 2), 3), (("s", 1), 3), (("g3", 1), 2)):
         with pytest.raises(WordError, match="%r.*n=%d" % (letter[0], n)):
             evaluate(Word(n, (("g2", 1), letter)))
+
+
+def test_evaluate_matches_a_fold_of_letter_elements():
+    # the accumulator applies each letter by its rule; a compose fold of the
+    # letters' elements from `generator` and `inverse` gives the same
+    # element on seeded random words in H_2..H_50
+    rng = random.Random("evaluate-fold")
+    for n in range(2, 51):
+        letters = [(gid, sign) for gid in generator_ids(n) for sign in (1, -1)]
+        elements = {(gid, 1): generator(n, gid) for gid in generator_ids(n)}
+        elements.update({(gid, -1): inverse(g) for (gid, _), g in list(elements.items())})
+        for length in (0, 1, 2, 5, 12, 40):
+            w = Word(n, tuple(rng.choice(letters) for _ in range(length)))
+            folded = identity(n)
+            for letter in w.letters:
+                folded = compose(folded, elements[letter])
+            assert evaluate(w) == folded, (n, str(w))
 
 
 def test_apply_chained():
@@ -227,7 +244,7 @@ FAR = 10**6
 def _through_accumulator(*factors):
     acc = _Accumulator(factors[0].n)
     for h in factors:
-        acc.push(h)
+        acc.push(h.exceptions.items(), enumerate(h.t, 1))
     return acc.element()
 
 

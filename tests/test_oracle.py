@@ -1,3 +1,4 @@
+import time
 from typing import List, Optional, Tuple
 
 import pytest
@@ -15,10 +16,13 @@ from houghton import (
     serialize,
     verify,
 )
-from houghton import core, oracle
+from houghton import oracle
 from houghton.core import _conjugate_by
 from houghton.oracle import (
+    MAX_LETTER_INTS,
+    MAX_WORDS,
     SearchBudget,
+    _ball_words,
     _signed_alphabet,
     brute_force_conjugator,
     random_element,
@@ -70,19 +74,67 @@ def test_brute_force_negative_within_budget():
     assert brute_force_conjugator(a, b, SearchBudget(3)) is None
 
 
-def test_brute_force_respects_candidate_cap():
-    a = generator(3, "g2")
-    b = generator(3, "g3")
-    assert brute_force_conjugator(a, b, SearchBudget(6, max_candidates=10)) is None
+def count_letter_builds(monkeypatch):
+    """Clears the oracle's per-n tables and records every generator and
+    inverse the oracle builds from then on."""
+    built = []
+
+    def counting_generator(n, gid):
+        built.append(("generator", gid))
+        return generator(n, gid)
+
+    def counting_inverse(g):
+        built.append(("inverse", g))
+        return inverse(g)
+
+    monkeypatch.setattr(oracle, "generator", counting_generator)
+    monkeypatch.setattr(oracle, "inverse", counting_inverse)
+    oracle._search_tables.cache_clear()
+    return built
+
+
+def test_brute_force_refuses_a_ball_over_the_cap(monkeypatch):
+    # the ball of radius 15 in H_3 has more reduced words than the cap, so
+    # the search is refused at once, before any letter element is built,
+    # naming the largest radius searched (14)
+    built = count_letter_builds(monkeypatch)
+    a, b = generator(3, "g2"), generator(3, "g3")
+    started = time.process_time()
+    with pytest.raises(ValueError, match="limit of 14 in H_3.*cap of %d" % MAX_WORDS):
+        brute_force_conjugator(a, b, SearchBudget(15))
+    assert time.process_time() - started < 1.0
+    assert built == []
+    assert reduced_words(3, 14) <= MAX_WORDS < reduced_words(3, 15)
+
+
+def test_brute_force_refuses_an_h_n_whose_letters_are_too_large(monkeypatch):
+    # H_n's 2(n - 1) letter elements hold n ints each: the largest n under
+    # the bound is 2,236, and a one-letter search in H_2,237 is refused
+    # before any letter is built
+    built = count_letter_builds(monkeypatch)
+    n = 2237
+    assert 2 * (n - 2) * (n - 1) <= MAX_LETTER_INTS < 2 * (n - 1) * n
+    a, b = generator(n, "g2"), generator(n, "g3")
+    with pytest.raises(ValueError, match="H_2237 is too large to search"):
+        brute_force_conjugator(a, b, SearchBudget(1))
+    assert built == []
+
+
+def test_ball_words_counts_reduced_words():
+    for n in (2, 3, 4, 7):
+        for radius in range(6):
+            assert _ball_words(n, radius) == reduced_words(n, radius)
+    # a huge radius stops counting past the cap
+    assert MAX_WORDS < _ball_words(3, 10**9) < 4 * MAX_WORDS
 
 
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(-1)
     # a non-integer field is refused here, not deep in the search
-    for bad in ((2.5,), ("3",), (True,), (3, 10.0), (3, "10")):
+    for bad in (2.5, "3", True):
         with pytest.raises(ValueError):
-            SearchBudget(*bad)
+            SearchBudget(bad)
 
 
 def test_random_word_deterministic():
@@ -137,69 +189,51 @@ def test_brute_force_confirms_hits_with_verify(monkeypatch):
 
 
 def test_brute_force_raises_when_verify_disagrees(monkeypatch):
-    # a first hit on the last level, reached by the half-ball join (the cap
-    # is the ball's reduced-word count) and by the capped loop (one less)
+    # a hit at length 0 and a first hit on the last level
     a = evaluate(Word.parse(3, "g2 g2 g3"))
     b = conjugate_element(a, evaluate(Word.parse(3, "g3 g2 g2")))
-    words = reduced_words(3, 3)
-    for cap in (words, words - 1):
-        assert brute_force_conjugator(a, b, SearchBudget(3, max_candidates=cap)) == Word.parse(3, "g3 g2 g2")
+    assert brute_force_conjugator(a, b, SearchBudget(3)) == Word.parse(3, "g3 g2 g2")
     monkeypatch.setattr(oracle, "verify", lambda a, b, x: False)
     g = evaluate(Word.parse(3, "g2 g3"))
     with pytest.raises(RuntimeError):
         brute_force_conjugator(g, g, SearchBudget(2))
-    for cap in (words, words - 1):
-        with pytest.raises(RuntimeError):
-            brute_force_conjugator(a, b, SearchBudget(3, max_candidates=cap))
+    with pytest.raises(RuntimeError):
+        brute_force_conjugator(a, b, SearchBudget(3))
 
 
 def test_brute_force_miss_builds_only_half_balls(monkeypatch):
-    # a miss of g2 against g3 in H_3 builds no element, and one conjugate
-    # per reduced word of length 1..ceil(L/2) for the prefixes and of length
-    # 1..floor(L/2) for the suffixes: 16 + 16 at radius 4, 52 + 16 at 5 and
-    # 160 + 160 at 8 (the ball of radius 8 has 13,121 reduced words)
-    composed, conjugated = [], []
-
-    def counting_compose(x, y):
-        composed.append(x)
-        return compose(x, y)
+    # a miss of g2 against g3 in H_3 builds one conjugate per reduced word
+    # of length 1..ceil(L/2) for the prefixes and of length 1..floor(L/2)
+    # for the suffixes: 16 + 16 at radius 4, 52 + 16 at 5 and 160 + 160 at
+    # 8 (the ball of radius 8 has 13,121 reduced words)
+    conjugated = []
 
     def counting_conjugate_by(c, g):
         conjugated.append(c)
         return _conjugate_by(c, g)
 
-    monkeypatch.setattr(oracle, "compose", counting_compose)
     monkeypatch.setattr(oracle, "_conjugate_by", counting_conjugate_by)
     for radius, expected in ((4, 32), (5, 68), (8, 320)):
         conjugated.clear()
         assert brute_force_conjugator(generator(3, "g2"), generator(3, "g3"), SearchBudget(radius)) is None
-        assert composed == [] and len(conjugated) == expected
+        assert len(conjugated) == expected
 
 
 def test_letters_are_built_once_per_n(monkeypatch):
-    # after the caches are cleared, two searches and two evaluations in H_3
-    # build each generator and its inverse once, for the one letter table
+    # after the oracle's tables are cleared, two searches in H_3 build each
+    # generator and its inverse once, for the one letter table; evaluate
+    # builds no letter element at all
     a, b = generator(3, "g2"), generator(3, "g3")
     x = conjugate_element(a, evaluate(Word.parse(3, "g3 g2'")))
-    built, inverted = [], []
-
-    def counting_generator(n, gid):
-        built.append(gid)
-        return generator(n, gid)
-
-    def counting_inverse(g):
-        inverted.append(g)
-        return inverse(g)
-
-    monkeypatch.setattr(core, "generator", counting_generator)
-    monkeypatch.setattr(core, "inverse", counting_inverse)
-    core._letters.cache_clear()
-    oracle._search_tables.cache_clear()
+    built = count_letter_builds(monkeypatch)
     assert str(brute_force_conjugator(a, x, SearchBudget(3))) == "g3 g2'"
     assert brute_force_conjugator(a, b, SearchBudget(3)) is None
+    assert sorted(gid for kind, gid in built if kind == "generator") == ["g2", "g3"]
+    assert sum(kind == "inverse" for kind, _ in built) == 2
+    del built[:]
     assert evaluate(Word.parse(3, "g2 g3'")) == compose(a, inverse(b))
     assert evaluate(Word.parse(3, "g3")) == b
-    assert sorted(built) == ["g2", "g3"] and len(inverted) == 2
+    assert built == []
 
 
 # -- the search against the one that verified every candidate ----------------------
@@ -222,14 +256,10 @@ def reference_brute_force_conjugator(
         if sign < 0:
             elements[(gid, sign)] = inverse(elements[(gid, 1)])
 
-    tried = 0
     seen = {identity(n)}
     frontier: List[Tuple[Tuple[Tuple[str, int], ...], HoughtonElement]] = [((), identity(n))]
     for length in range(budget.max_word_length + 1):
         for letters, x in frontier:
-            tried += 1
-            if tried > budget.max_candidates:
-                return None
             if verify(a, b, x):
                 return Word(n, letters)
         if length == budget.max_word_length:
@@ -257,25 +287,6 @@ def reduced_words(n, radius):
     return 1 + sum(size * (size - 1) ** (length - 1) for length in range(1, radius + 1))
 
 
-def level_ends(n, radius):
-    """The number of candidates a search tests up to and including each
-    word length: one per element of the ball, shortest word first."""
-    letters = [evaluate(Word(n, (letter,))) for letter in _signed_alphabet(n)]
-    seen = {identity(n)}
-    frontier, ends = [identity(n)], [1]
-    for _ in range(radius):
-        nxt = []
-        for x in frontier:
-            for g in letters:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-        ends.append(ends[-1] + len(nxt))
-    return ends
-
-
 def oracle_pairs():
     """Seeded (a, b) pairs in H_2..H_4: conjugates by short words (hits),
     independent elements (mostly misses) and a = b."""
@@ -292,37 +303,11 @@ def oracle_pairs():
 
 
 def test_brute_force_matches_reference():
-    ends = {n: level_ends(n, 5) for n in (2, 3, 4)}
-    # found; nothing in the ball; nothing because the cap stopped a search
-    # that finds a word without it
-    kinds = {"found": 0, "none": 0, "cut": 0}
+    # found, or nothing in the ball
+    kinds = {"found": 0, "none": 0}
     for k, (a, b) in enumerate(oracle_pairs()):
-        radius = k % 6
-        uncapped = reference_brute_force_conjugator(a, b, SearchBudget(radius))
-        caps = [SearchBudget(radius).max_candidates, 1 + k % 3]
-        for r in range(1, radius + 1):
-            # a cap in the middle of level r: the search stops inside it;
-            # and caps around the end of level r
-            lo, hi = ends[a.n][r - 1], ends[a.n][r]
-            assert hi - lo >= 2
-            caps += [(lo + hi) // 2, hi - 1, hi, hi + 1]
-        if radius:
-            # caps on the last level at one candidate per letter for each
-            # word of the level before it
-            before = ends[a.n][radius - 1] - (ends[a.n][radius - 2] if radius > 1 else 0)
-            raw = ends[a.n][radius - 1] + before * len(_signed_alphabet(a.n))
-            caps += [raw - 1, raw]
-        # the smallest cap under which the half-ball join runs, and the
-        # largest under which the capped loop runs
-        words = reduced_words(a.n, radius)
-        caps += [words, words - 1]
-        for cap in caps:
-            budget = SearchBudget(radius, max_candidates=cap)
-            expected = reference_brute_force_conjugator(a, b, budget)
-            got = brute_force_conjugator(a, b, budget)
-            assert got == expected, (a, b, radius, cap)
-            if got is not None:
-                kinds["found"] += 1
-            else:
-                kinds["cut" if uncapped is not None else "none"] += 1
+        budget = SearchBudget(k % 6)
+        got = brute_force_conjugator(a, b, budget)
+        assert got == reference_brute_force_conjugator(a, b, budget), (a, b, budget)
+        kinds["found" if got is not None else "none"] += 1
     assert all(kinds.values()), kinds
