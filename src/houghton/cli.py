@@ -2,9 +2,11 @@
 
 All structured output is the canonical JSON document format; --pretty adds
 a human-readable rendering.  Exit codes: 0 success/decided, 1 usage error,
-2 invalid input data, an input beyond the walk limits or an oracle search
+2 invalid input data, an input beyond the walk limits, an oracle search
 that `oracle.brute_force_conjugator` refuses as too large (a ball with more
-reduced words than its cap, or an H_n whose letter elements are too big).
+reduced words than its cap, or an H_n whose letter elements are too big),
+or a command that runs out of memory (say, `eval` in an H_n too large for
+its translation vector).
 """
 
 from __future__ import annotations
@@ -192,11 +194,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _run(args)
-    except (core.InvalidElementError, core.WordError, ValueError) as exc:
+    except (core.InvalidElementError, core.WordError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -32,13 +32,6 @@ class WordError(ValueError):
 _TOKEN_RE = re.compile(r"^(g[0-9]+|s)('?)$")
 
 
-# the per-n tables (here and in the oracle) are kept for this many n at a
-# time; the oracle's letter table for H_n holds 2(n - 1) elements of n rays
-# each, so the bound also bounds their memory
-_TABLES_KEPT = 8
-
-
-@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
 def generator_ids(n: int) -> Tuple[str, ...]:
     """The fixed generating set: g2..gn for n >= 3, {g2, s} for n = 2."""
     if n < 2:
@@ -57,16 +50,18 @@ class Word:
 
     @classmethod
     def parse(cls, n: int, text: str) -> "Word":
-        valid = generator_ids(n)
+        if n < 2:
+            raise WordError("n must be at least 2")
         letters = []
         for token in text.split():
             match = _TOKEN_RE.match(token)
             if match is None:
                 raise WordError("bad token %r" % token)
             gid, prime = match.groups()
-            if gid not in valid:
+            letter = (gid, -1 if prime else 1)
+            if _letter_rule(n, letter) is None:
                 raise WordError("generator %r is not valid for n=%d" % (gid, n))
-            letters.append((gid, -1 if prime else 1))
+            letters.append(letter)
         return cls(n, tuple(letters))
 
     def inverse(self) -> "Word":
@@ -211,15 +206,25 @@ def identity(n: int) -> HoughtonElement:
 
 def generator(n: int, gid: str) -> HoughtonElement:
     """The generator g_i (push ray i one step in, ray 1 one step out) or s."""
-    if gid not in generator_ids(n):
-        raise WordError("generator %r is not valid for n=%d" % (gid, n))
-    if gid == "s":
-        return _make(2, (0, 0), {(1, 0): (2, 0), (2, 0): (1, 0)})
-    i = int(gid[1:])
+    if n < 2:
+        raise WordError("n must be at least 2")
+    return _letter_element(n, (gid, 1))
+
+
+def _letter_element(n: int, letter) -> HoughtonElement:
+    """A new element of the signed generator `letter` of H_n, from its
+    `_letter_rule`: the rule's ray steps give the translation, and its
+    table points are all exceptions, as the tail formula would send each
+    to a negative offset (g_j, g_j^-1) or fix it (s)."""
+    # a gid that is not a string is refused before the rule's cache hashes it
+    rule = _letter_rule(n, letter) if isinstance(letter[0], str) else None
+    if rule is None:
+        raise WordError("generator %r is not valid for n=%d" % (letter[0], n))
+    entries, moves = rule
     t = [0] * n
-    t[0] = 1
-    t[i - 1] = -1
-    return _make(int(n), tuple(t), {(i, 0): (1, 0)})
+    for i, step in moves:
+        t[i - 1] += step
+    return _make(int(n), tuple(t), dict(entries))
 
 
 # -- point action -----------------------------------------------------------
@@ -352,8 +357,10 @@ def _letter_rule(n: int, letter):
     """The table points and ray steps of a signed generator (gid, +-1) of
     H_n, for `_Accumulator.push`, or None when `letter` is not one: g_j
     moves ray 1 out and ray j in by one step and sends (j, 0) to (1, 0),
-    g_j^-1 undoes that, and s swaps (1, 0) and (2, 0).  Decided by the
-    rule of `generator_ids`, without listing H_n's generators."""
+    g_j^-1 undoes that, and s swaps (1, 0) and (2, 0).  This is the one
+    definition of H_n's letters: `Word.parse` checks a gid by it, and
+    `generator` and the oracle build letter elements from it, in O(1) per
+    gid without listing H_n's generators as `generator_ids` does."""
     if not (isinstance(letter, tuple) and len(letter) == 2 and letter[1] in (1, -1)):
         return None
     gid, sign = letter

@@ -22,9 +22,9 @@ side and builds no element, instead of a product per element of the
 ball.  This is the only search, and it is exact: a ball with more than
 MAX_WORDS reduced words, or an H_n whose letter elements would hold more
 than MAX_LETTER_INTS ints, is refused with ValueError before any letter
-element is built.  No search state is kept between calls: only H_n's
-letters, their inverses and which letter may follow which are built once
-per n and shared.
+element is built.  No search state is kept between calls: only the
+elements of H_n's signed letters, built from `core`'s letter rule, and
+the letter that cancels each are kept once per n and shared.
 """
 
 from __future__ import annotations
@@ -34,17 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core import (
-    HoughtonElement,
-    Point,
-    Word,
-    _TABLES_KEPT,
-    _conjugate_by,
-    evaluate,
-    generator,
-    generator_ids,
-    inverse,
-)
+from .core import HoughtonElement, Point, Word, _conjugate_by, _letter_element, evaluate, generator_ids
 from .conjugacy import verify
 
 
@@ -108,34 +98,24 @@ _Letter = Tuple[str, int]
 _Letters = Tuple[_Letter, ...]
 
 
-@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
 def _signed_alphabet(n: int) -> _Letters:
     """The letters the search and `random_word` draw from, in letter order:
     each generator and its inverse, but s alone, as it is its own inverse."""
     return tuple((gid, sign) for gid in generator_ids(n) for sign in ((1,) if gid == "s" else (1, -1)))
 
 
-@functools.lru_cache(maxsize=_TABLES_KEPT, typed=True)
-def _search_tables(
-    n: int,
-) -> Tuple[Dict[_Letter, HoughtonElement], Dict[_Letter, HoughtonElement], Dict[Optional[_Letter], _Letters]]:
-    """The element of each signed letter of H_n, ("s", -1) included, the
-    element of each letter's inverse, and the letters that may follow each
-    letter (all but the one that cancels it) with every letter under None,
-    for the searches in H_n.  Built once per n, only for a search that
-    passed the size check, and only read: no element is handed out."""
+# kept for 8 n at a time: each n's letter elements hold at most
+# MAX_LETTER_INTS ints, so this also bounds their memory
+@functools.lru_cache(maxsize=8, typed=True)
+def _search_tables(n: int) -> Tuple[Dict[_Letter, HoughtonElement], Dict[_Letter, _Letter]]:
+    """The element of each signed letter of H_n, in letter order, and the
+    letter that cancels each one (s cancels itself), for the searches in
+    H_n: a letter may follow every letter but the one that cancels it.
+    Built once per n, only for a search that passed the size check, and
+    only read: no element is handed out."""
     alphabet = _signed_alphabet(n)
-    elements = {}
-    for gid in generator_ids(n):
-        elements[(gid, 1)] = generator(n, gid)
-        elements[(gid, -1)] = inverse(elements[(gid, 1)])
-    undo = {(gid, sign): elements[(gid, -sign)] for gid, sign in alphabet}
-    place = {letter: i for i, letter in enumerate(alphabet)}
-    follows: Dict[Optional[_Letter], _Letters] = {None: alphabet}
-    for m in alphabet:
-        cancels = place.get((m[0], -m[1]), place[m])  # s cancels itself
-        follows[m] = alphabet[:cancels] + alphabet[cancels + 1 :]
-    return elements, undo, follows
+    cancels = {(gid, sign): (gid, sign if gid == "s" else -sign) for gid, sign in alphabet}
+    return {m: _letter_element(n, m) for m in alphabet}, cancels
 
 
 def brute_force_conjugator(
@@ -162,10 +142,11 @@ def brute_force_conjugator(
     search whose ball has more than MAX_WORDS reduced words (more than
     radius 14 in H_3), and one in an H_n whose 2(n - 1) letter elements,
     of n ints each, would hold more than MAX_LETTER_INTS ints (n > 2,236).
-    The table of which letter may follow which holds about twice as many
-    entries, so the tables grow as n^2: the bound was chosen so that a
-    one-letter search in H_2,000 (8.0 million ints) still runs, and at
-    the bound such a search peaked at about 250 MB of resident memory.
+    Which letter may follow which is a rule (all but the one that cancels
+    it), not a table, so the letter elements are the only per-n cost that
+    grows as n^2: the bound was chosen so that a one-letter search in
+    H_2,000 (8.0 million ints) still runs, and such a search peaked at
+    81 MB of resident memory.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
@@ -213,40 +194,42 @@ def _joined_search(
     b: HoughtonElement,
     radius: int,
     elements: Dict[_Letter, HoughtonElement],
-    undo: Dict[_Letter, HoughtonElement],
-    follows: Dict[Optional[_Letter], _Letters],
+    cancels: Dict[_Letter, _Letter],
 ) -> Optional[_Letters]:
     """The first reduced hit of least length in letter order, from the
     half-balls of `brute_force_conjugator`'s docstring."""
-    # (x, x^-1 a x) and (u, u b u^-1) over the reduced words of one length,
-    # in letter order
-    prefixes: List[Tuple[_Letters, HoughtonElement]] = [((), a)]
-    suffixes: List[Tuple[_Letters, HoughtonElement]] = [((), b)]
+    # each letter with the letter that cancels it and the latter's element
+    letters = [(m, g, cancels[m], elements[cancels[m]]) for m, g in elements.items()]
+    # (x, x^-1 a x, the letter that may not follow x) and (u, u b u^-1, the
+    # letter that may not come before u) over the reduced words of one
+    # length, in letter order
+    prefixes: List[Tuple[_Letters, HoughtonElement, Optional[_Letter]]] = [((), a, None)]
+    suffixes: List[Tuple[_Letters, HoughtonElement, Optional[_Letter]]] = [((), b, None)]
     # u b u^-1 -> the first u with each first letter, in letter order
     index: Dict[HoughtonElement, Dict[Optional[_Letter], _Letters]] = {b: {None: ()}}
     for length in range(radius + 1):
         if length % 2:
             prefixes = [
-                (x + (m,), _conjugate_by(c, elements[m]))
-                for x, c in prefixes
-                for m in follows[x[-1] if x else None]
+                (x + (m,), _conjugate_by(c, g), stop)
+                for x, c, after in prefixes
+                for m, g, stop, _ in letters
+                if m != after
             ]
         elif length:
             suffixes = [
-                ((m,) + u, _conjugate_by(c, undo[m]))
-                for m in follows[None]
-                for u, c in suffixes
-                if not u or u[0] in follows[m]
+                ((m,) + u, _conjugate_by(c, m_inv), stop)
+                for m, _, stop, m_inv in letters
+                for u, c, before in suffixes
+                if m != before
             ]
             index = {}
-            for u, c in suffixes:
+            for u, c, _ in suffixes:
                 index.setdefault(c, {}).setdefault(u[0], u)
-        for x, c in prefixes:
+        for x, c, after in prefixes:
             hits = index.get(c)
             if hits is not None:
-                after = follows[x[-1] if x else None]
                 for u in hits.values():
-                    if not u or u[0] in after:
+                    if not u or u[0] != after:
                         return x + u
     return None
 

@@ -134,11 +134,11 @@ def test_oracle_command_refuses_a_budget_over_the_cap(capsys, tmp_path):
     assert code == 0 and json.loads(out) == {"found": False}
 
 
-def run_limited(cwd, *argv):
-    """`houghton` in a process of its own under a 512 MB address-space
-    limit: (exit code, stdout, stderr)."""
+def run_limited(cwd, *argv, limit_mb=512):
+    """`houghton` in a process of its own under an address-space limit of
+    `limit_mb` MB: (exit code, stdout, stderr)."""
     resource = pytest.importorskip("resource")
-    limit = 512 << 20
+    limit = limit_mb << 20
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -166,8 +166,20 @@ def test_large_n_runs_in_bounded_memory(tmp_path, n, oracle_code):
     assert code == oracle_code and "Traceback" not in err
     if oracle_code == 0:
         assert json.loads(out) == {"found": False}
+        # H_2,000's letter elements and their cancel map fit in 128 MB
+        code, out, err = run_limited(
+            tmp_path, "oracle", "g2.json", "g3.json", "--budget", "1", limit_mb=128
+        )
+        assert (code, json.loads(out)) == (0, {"found": False}) and "Traceback" not in err
     else:
         assert out == "" and err.startswith("error: H_%d is too large to search" % n)
+
+
+def test_running_out_of_memory_is_data_error(tmp_path):
+    # the translation vector of H_1,000,000,000 does not fit in 512 MB:
+    # the command exits 2 with one error line, not a traceback
+    code, out, err = run_limited(tmp_path, "eval", "-n", "1000000000", "g2")
+    assert (code, out) == (2, "") and err == "error: out of memory\n"
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -76,10 +77,15 @@ def test_transposition_generator():
 
 
 def test_generator_invalid_id():
-    with pytest.raises(WordError):
+    # WordError names the gid and n, or the bound on n, for a word too
+    with pytest.raises(WordError, match=r"^generator 's' is not valid for n=3$"):
         generator(3, "s")
-    with pytest.raises(WordError):
-        generator(3, "g4")
+    for make in (lambda: generator(3, "g4"), lambda: Word.parse(3, "g2 g4")):
+        with pytest.raises(WordError, match=r"^generator 'g4' is not valid for n=3$"):
+            make()
+    for make in (lambda: generator(1, "g2"), lambda: Word.parse(1, "")):
+        with pytest.raises(WordError, match=r"^n must be at least 2$"):
+            make()
 
 
 # -- words and evaluation ------------------------------------------------------
@@ -94,6 +100,17 @@ def test_word_parse_roundtrip():
 def test_word_bad_token():
     with pytest.raises(WordError):
         word(3, "h2")
+
+
+def test_a_gid_is_checked_in_constant_time():
+    # a gid is checked by the letter rule, not against a list of H_n's
+    # generators, so in H_200,000 a thousand tokens parse at once
+    started = time.process_time()
+    w = word(200_000, "g199999 " * 1000)
+    assert time.process_time() - started < 0.1 and len(w) == 1000
+    started = time.process_time()
+    g = generator(200_000, "g199999")
+    assert time.process_time() - started < 0.1 and g.exceptions == {(199999, 0): (1, 0)}
 
 
 def test_evaluate_cancellation():

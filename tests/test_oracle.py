@@ -11,13 +11,14 @@ from houghton import (
     conjugate_element,
     evaluate,
     generator,
+    generator_ids,
     identity,
     inverse,
     serialize,
     verify,
 )
-from houghton import oracle
-from houghton.core import _conjugate_by
+from houghton import core, oracle
+from houghton.core import _conjugate_by, _letter_element
 from houghton.oracle import (
     MAX_LETTER_INTS,
     MAX_WORDS,
@@ -46,12 +47,16 @@ def test_simulate_window_guard():
 
 
 def test_simulate_agrees_with_evaluate():
-    for n in (2, 3):
-        for seed in range(20):
-            w = random_word(n, seed, 6)
-            e = evaluate(w)
+    # the simulator acts by the cycle rules of `_letter_image`, written
+    # apart from core's `_letter_rule`: it checks `evaluate` on random words
+    # and on every single-letter word, and `generator` on every gid
+    for n in range(2, 7):
+        singles = [Word.parse(n, gid + prime) for gid in generator_ids(n) for prime in ("", "'")]
+        cases = [(w, evaluate(w)) for w in [random_word(n, seed, 6) for seed in range(20)] + singles]
+        cases += [(Word.parse(n, gid), generator(n, gid)) for gid in generator_ids(n)]
+        for w, e in cases:
             for p, q in simulate_word(w, 6).items():
-                assert apply(e, p) == q
+                assert apply(e, p) == q, (n, str(w))
 
 
 def test_brute_force_finds_identity():
@@ -75,20 +80,17 @@ def test_brute_force_negative_within_budget():
 
 
 def count_letter_builds(monkeypatch):
-    """Clears the oracle's per-n tables and records every generator and
-    inverse the oracle builds from then on."""
+    """Clears the oracle's per-n tables and records every signed letter
+    whose element is built from then on, by the oracle or in `core`
+    (where `generator` builds one too)."""
     built = []
 
-    def counting_generator(n, gid):
-        built.append(("generator", gid))
-        return generator(n, gid)
+    def counting_letter_element(n, letter):
+        built.append(letter)
+        return _letter_element(n, letter)
 
-    def counting_inverse(g):
-        built.append(("inverse", g))
-        return inverse(g)
-
-    monkeypatch.setattr(oracle, "generator", counting_generator)
-    monkeypatch.setattr(oracle, "inverse", counting_inverse)
+    monkeypatch.setattr(oracle, "_letter_element", counting_letter_element)
+    monkeypatch.setattr(core, "_letter_element", counting_letter_element)
     oracle._search_tables.cache_clear()
     return built
 
@@ -97,8 +99,8 @@ def test_brute_force_refuses_a_ball_over_the_cap(monkeypatch):
     # the ball of radius 15 in H_3 has more reduced words than the cap, so
     # the search is refused at once, before any letter element is built,
     # naming the largest radius searched (14)
-    built = count_letter_builds(monkeypatch)
     a, b = generator(3, "g2"), generator(3, "g3")
+    built = count_letter_builds(monkeypatch)
     started = time.process_time()
     with pytest.raises(ValueError, match="limit of 14 in H_3.*cap of %d" % MAX_WORDS):
         brute_force_conjugator(a, b, SearchBudget(15))
@@ -111,10 +113,10 @@ def test_brute_force_refuses_an_h_n_whose_letters_are_too_large(monkeypatch):
     # H_n's 2(n - 1) letter elements hold n ints each: the largest n under
     # the bound is 2,236, and a one-letter search in H_2,237 is refused
     # before any letter is built
-    built = count_letter_builds(monkeypatch)
     n = 2237
     assert 2 * (n - 2) * (n - 1) <= MAX_LETTER_INTS < 2 * (n - 1) * n
     a, b = generator(n, "g2"), generator(n, "g3")
+    built = count_letter_builds(monkeypatch)
     with pytest.raises(ValueError, match="H_2237 is too large to search"):
         brute_force_conjugator(a, b, SearchBudget(1))
     assert built == []
@@ -220,16 +222,15 @@ def test_brute_force_miss_builds_only_half_balls(monkeypatch):
 
 
 def test_letters_are_built_once_per_n(monkeypatch):
-    # after the oracle's tables are cleared, two searches in H_3 build each
-    # generator and its inverse once, for the one letter table; evaluate
-    # builds no letter element at all
+    # after the oracle's tables are cleared, two searches in H_3 build the
+    # element of each of its four signed letters once, for the one letter
+    # table; evaluate builds no letter element at all
     a, b = generator(3, "g2"), generator(3, "g3")
     x = conjugate_element(a, evaluate(Word.parse(3, "g3 g2'")))
     built = count_letter_builds(monkeypatch)
     assert str(brute_force_conjugator(a, x, SearchBudget(3))) == "g3 g2'"
     assert brute_force_conjugator(a, b, SearchBudget(3)) is None
-    assert sorted(gid for kind, gid in built if kind == "generator") == ["g2", "g3"]
-    assert sum(kind == "inverse" for kind, _ in built) == 2
+    assert built == [("g2", 1), ("g2", -1), ("g3", 1), ("g3", -1)]
     del built[:]
     assert evaluate(Word.parse(3, "g2 g3'")) == compose(a, inverse(b))
     assert evaluate(Word.parse(3, "g3")) == b
