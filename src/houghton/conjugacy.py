@@ -19,9 +19,8 @@ exactly before it is returned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     HoughtonElement,
@@ -58,8 +57,7 @@ class StructuralMismatch(ValueError):
     """Infinite orbits of the two elements do not pair up residue-for-residue."""
 
 
-@dataclass(frozen=True)
-class BoundData:
+class BoundData(NamedTuple):
     # the largest |S| + |T| over matched orbit pairs (O, O'): S and T are the
     # points of O and of O' moved back by the conjugator's translation s
     # that lie outside the common stable tails of the pair
@@ -67,8 +65,7 @@ class BoundData:
     M: int  # max |t_i(a)| over moving rays
 
 
-@dataclass(frozen=True)
-class ConjugacyOutcome:
+class ConjugacyOutcome(NamedTuple):
     conjugator: Optional[HoughtonElement]
     verified: bool = False
     reason: Optional[str] = None
@@ -79,12 +76,8 @@ class ConjugacyOutcome:
         return self.conjugator is not None
 
 
-def _yes(x: HoughtonElement, verified: bool, bounds: Optional[BoundData] = None) -> ConjugacyOutcome:
-    return ConjugacyOutcome(conjugator=x, verified=verified, bounds=bounds)
-
-
 def _no(reason: str) -> ConjugacyOutcome:
-    return ConjugacyOutcome(conjugator=None, reason=reason)
+    return ConjugacyOutcome(None, False, reason)
 
 
 def verify(a: HoughtonElement, b: HoughtonElement, x: HoughtonElement) -> bool:
@@ -103,9 +96,19 @@ def _unmatched_fixed(a: HoughtonElement, b: HoughtonElement, s: Sequence[int]) -
     point only through an entry p -> p or off its table on a ray with
     t_i = 0.  On such a ray the fixed points p of a off its table are
     unmatched when p + s_i is no point (offset below -s_i) or is a table
-    point that b moves: O(|tables| + |s_i|) points in all.
+    point that b moves: O(|tables| + |s_i|) points in all.  When every ray
+    moves, only the entries p -> p of a are fixed, and only those of b
+    can match them.
     """
     ae, be, t = a.exceptions, b.exceptions, a.t
+    if 0 not in t:
+        out = []
+        for p, q in ae.items():
+            if p == q:
+                v = (p[0], p[1] + s[p[0] - 1])
+                if be.get(v) != v:
+                    out.append(p)
+        return sorted(out)
 
     def fixed_by_b(i: int, m: int) -> bool:
         q = be.get((i, m))
@@ -131,6 +134,7 @@ def _forced_conjugator(
     s: Sequence[int],
     dec_a: CycleDecomposition,
     dec_b: CycleDecomposition,
+    bounds: Optional[BoundData] = None,
 ) -> ConjugacyOutcome:
     """The conjugator x of translation s from a to b, for a.t == b.t and
     equal cycle types, or the stage that refutes every such x.
@@ -161,7 +165,8 @@ def _forced_conjugator(
     comes first.
 
     x is checked by the constructor's bijectivity and minimality checks
-    and then once by verify.
+    and then once by verify.  `bounds` goes into the outcome of a yes as
+    it is.
     """
     unmatched_a = _unmatched_fixed(a, b, s)
     unmatched_b = _unmatched_fixed(b, a, [-v for v in s])
@@ -173,28 +178,28 @@ def _forced_conjugator(
     # per residue class c of a: the first offset at or beyond a's cutoff of
     # c whose translate by s_i is at or beyond b's cutoff of c + s_i
     cut_b: Dict[Tuple[int, int], int] = {}
-    for o in dec_b.infinite_orbits:
-        cut_b[(o.neg_ray, o.neg_residue)] = o.neg_cutoff
-        cut_b[(o.pos_ray, o.pos_residue)] = o.pos_cutoff
+    for pos, pos_residue, pos_cutoff, neg, neg_residue, neg_cutoff, _, _ in dec_b.infinite_orbits:
+        cut_b[(neg, neg_residue)] = neg_cutoff
+        cut_b[(pos, pos_residue)] = pos_cutoff
     cut: Dict[Tuple[int, int], int] = {}
-    for o in dec_a.infinite_orbits:
-        for ray, residue, cutoff in (
-            (o.neg_ray, o.neg_residue, o.neg_cutoff),
-            (o.pos_ray, o.pos_residue, o.pos_cutoff),
-        ):
-            shift = s[ray - 1]
-            cut[(ray, residue)] = max(cutoff, cut_b[(ray, (residue + shift) % abs(t[ray - 1]))] - shift)
+    for pos, pos_residue, pos_cutoff, neg, neg_residue, neg_cutoff, _, _ in dec_a.infinite_orbits:
+        shift = s[neg - 1]
+        cut[(neg, neg_residue)] = max(neg_cutoff, cut_b[(neg, (neg_residue + shift) % -t[neg - 1])] - shift)
+        shift = s[pos - 1]
+        cut[(pos, pos_residue)] = max(pos_cutoff, cut_b[(pos, (pos_residue + shift) % t[pos - 1])] - shift)
 
     mapping: Dict[Point, Point] = {}
     steps = 0
     for orbit in dec_a.infinite_orbits:
         i = orbit.neg_ray
         m = cut[(i, orbit.neg_residue)]
-        p, v = (i, m), (i, m + s[i - 1])
+        step, shift = t[i - 1], s[i - 1]
+        p = (i, m)
+        v = home = (i, m + shift)
         while True:
-            i, m = p
-            step, shift = t[i - 1], s[i - 1]
-            if step and v == (i, m + shift) and p not in ae and v not in be:
+            # (i, m) = p, step and shift are t and s on its ray, and home is
+            # p + s_i
+            if step and v == home and p not in ae and v not in be:
                 # a and b translate p and v alike up to the next table point
                 # of either in its class, or up to the outgoing cutoff: jump
                 # to the step before that, when it is not the next one
@@ -212,13 +217,14 @@ def _forced_conjugator(
                         end = min(ends)
                     else:
                         end = max(end_a, end_b - shift)  # every offset below |step| is in both tables
-                    p, v = (i, end - step), (i, end - step + shift)
-            p = ae.get(p) or (p[0], p[1] + t[p[0] - 1])
+                    m = end - step
+                    p, v = (i, m), (i, m + shift)
+            p = ae.get(p) or (i, m + step)
             v = be.get(v) or (v[0], v[1] + t[v[0] - 1])
             i, m = p
-            up = t[i - 1]
-            home = (i, m + s[i - 1])
-            if up > 0 and m >= cut[(i, m % up)]:
+            step, shift = t[i - 1], s[i - 1]
+            home = (i, m + shift)
+            if step > 0 and m >= cut[(i, m % step)]:
                 if v != home:
                     return _no(FORCED_MAP_INCONSISTENT)
                 break
@@ -230,24 +236,25 @@ def _forced_conjugator(
     if len(set(mapping.values())) != len(mapping):
         return _no(FORCED_MAP_INCONSISTENT)
 
-    by_len_a: Dict[int, List[Tuple[Point, ...]]] = {}
-    by_len_b: Dict[int, List[Tuple[Point, ...]]] = {}
-    for c in dec_a.finite_cycles:
-        by_len_a.setdefault(len(c), []).append(c)
-    for c in dec_b.finite_cycles:
-        by_len_b.setdefault(len(c), []).append(c)
-    for length, cycles_a in by_len_a.items():
-        for ca, cb in zip(cycles_a, by_len_b[length]):
-            for pa, pb in zip(ca, cb):
-                if pb != (pa[0], pa[1] + s[pa[0] - 1]):
-                    mapping[pa] = pb
+    if dec_a.finite_cycles:
+        by_len_a: Dict[int, List[Tuple[Point, ...]]] = {}
+        by_len_b: Dict[int, List[Tuple[Point, ...]]] = {}
+        for c in dec_a.finite_cycles:
+            by_len_a.setdefault(len(c), []).append(c)
+        for c in dec_b.finite_cycles:
+            by_len_b.setdefault(len(c), []).append(c)
+        for length, cycles_a in by_len_a.items():
+            for ca, cb in zip(cycles_a, by_len_b[length]):
+                for pa, pb in zip(ca, cb):
+                    if pb != (pa[0], pa[1] + s[pa[0] - 1]):
+                        mapping[pa] = pb
 
     for pa, pb in zip(unmatched_a, unmatched_b):
         mapping[pa] = pb
 
     x = _make(a.n, tuple(s), mapping)
     x._validate()
-    return _yes(x, verified=verify(a, b, x))
+    return ConjugacyOutcome(x, verify(a, b, x), None, bounds)
 
 
 def fsym_conjugate(
@@ -382,17 +389,17 @@ def _pair_bounds(
     conjugator of translation s: O' is measured moved back by s, so its
     cutoffs on ray i are taken minus s_i."""
     big_k = 0
-    for oa, ob in pairs:
-        up = t[oa.pos_ray - 1]
-        down = -t[oa.neg_ray - 1]
-        ob_pos = ob.pos_cutoff - s[oa.pos_ray - 1]
-        ob_neg = ob.neg_cutoff - s[oa.neg_ray - 1]
-        pos_cut = max(oa.pos_cutoff, ob_pos)
-        neg_cut = max(oa.neg_cutoff, ob_neg)
-        size_a = oa.spine_len + (pos_cut - oa.pos_cutoff) // up + (neg_cut - oa.neg_cutoff) // down
-        size_b = ob.spine_len + (pos_cut - ob_pos) // up + (neg_cut - ob_neg) // down
-        big_k = max(big_k, size_a + size_b)
-    return BoundData(K=big_k, M=max((abs(v) for v in t), default=0))
+    for (pos, _, pos_a, neg, _, neg_a, _, len_a), ob in pairs:
+        up, down = t[pos - 1], -t[neg - 1]
+        pos_b = ob.pos_cutoff - s[pos - 1]
+        neg_b = ob.neg_cutoff - s[neg - 1]
+        pos_cut = max(pos_a, pos_b)
+        neg_cut = max(neg_a, neg_b)
+        size_a = len_a + (pos_cut - pos_a) // up + (neg_cut - neg_a) // down
+        size_b = ob.spine_len + (pos_cut - pos_b) // up + (neg_cut - neg_b) // down
+        if size_a + size_b > big_k:
+            big_k = size_a + size_b
+    return BoundData(big_k, max(map(abs, t), default=0))
 
 
 def compute_bounds(
@@ -452,26 +459,37 @@ def _class_shifts(
         exact = True
         pairs = []
         for oa in orbits:
-            up, down = t[oa.pos_ray - 1], t[oa.neg_ray - 1]
+            pos, neg = oa.pos_ray, oa.neg_ray
+            up, down = t[pos - 1], t[neg - 1]
+            s_pos, s_neg = s.get(pos), s.get(neg)
             if oa is head:
                 ob = first
-            elif oa.pos_ray in s:
-                ob = by_pos[(oa.pos_ray, (oa.pos_residue + s[oa.pos_ray]) % up)]
+            elif s_pos is not None:
+                ob = by_pos[(pos, (oa.pos_residue + s_pos) % up)]
             else:
-                ob = by_neg[(oa.neg_ray, (oa.neg_residue + s[oa.neg_ray]) % -down)]
-            if (ob.pos_ray, ob.neg_ray) != (oa.pos_ray, oa.neg_ray):
+                ob = by_neg[(neg, (oa.neg_residue + s_neg) % -down)]
+            if ob.pos_ray != pos or ob.neg_ray != neg:
                 break
-            sides = (
-                (oa.pos_ray, up, ob.pos_cutoff - oa.pos_cutoff),
-                (oa.neg_ray, down, ob.neg_cutoff - oa.neg_cutoff - down * (oa.spine_len - ob.spine_len)),
-            )
-            d = next(((s[ray] - c) // step for ray, step, c in sides if ray in s), 0)
-            values = [(ray, step, step * d + c) for ray, step, c in sides]
-            if any(ray in s and (s[ray] - value) % step for ray, step, value in values):
+            c_pos = ob.pos_cutoff - oa.pos_cutoff
+            c_neg = ob.neg_cutoff - oa.neg_cutoff - down * (oa.spine_len - ob.spine_len)
+            # d is read off the first of the two rays whose s_i is known
+            if s_pos is not None:
+                d = (s_pos - c_pos) // up
+            elif s_neg is not None:
+                d = (s_neg - c_neg) // down
+            else:
+                d = 0
+            v_pos, v_neg = up * d + c_pos, down * d + c_neg
+            if s_pos is not None and (s_pos - v_pos) % up or s_neg is not None and (s_neg - v_neg) % down:
                 break
-            for ray, _, value in values:
-                if s.setdefault(ray, value) != value:
-                    exact = False
+            if s_pos is None:
+                s[pos] = v_pos
+            elif s_pos != v_pos:
+                exact = False
+            if s_neg is None:
+                s[neg] = v_neg
+            elif s_neg != v_neg:
+                exact = False
             pairs.append((oa, ob))
         else:
             yield s, exact, pairs
@@ -487,7 +505,15 @@ def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]
     def slope(k: int) -> int:
         return sum(abs(v + (k + 1) * t[ray - 1]) - abs(v + k * t[ray - 1]) for ray, v in part.items())
 
-    if slope(0) < 0:  # the least k > 0 with slope(k) >= 0
+    # f(-1), f(0) and f(1) in one pass: slope(0) = f(1) - f(0) and
+    # slope(-1) = f(0) - f(-1), and most classes stop at k = 0
+    before = here = after = 0
+    for ray, v in part.items():
+        step = t[ray - 1]
+        before += abs(v - step)
+        here += abs(v)
+        after += abs(v + step)
+    if after < here:  # the least k > 0 with slope(k) >= 0
         lo, hi = 1, max(abs(v) for v in part.values())
         while lo < hi:
             mid = (lo + hi) // 2
@@ -495,7 +521,7 @@ def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]
                 hi = mid
             else:
                 lo = mid + 1
-    elif slope(-1) > 0:  # the greatest k < 0 with slope(k - 1) <= 0
+    elif here > before:  # the greatest k < 0 with slope(k - 1) <= 0
         lo, hi = -max(abs(v) for v in part.values()), -1
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -631,8 +657,8 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     need = sum(v for v in s if v > 0)
     if need > _WALK_LIMIT:
         raise WalkLimitError("a conjugator needs at least %d table entries, over the limit of %d" % (need, _WALK_LIMIT))
-    out = _forced_conjugator(a, b, tuple(s), dec_a, dec_b)
+    pairs = [pair for _, class_pairs in firsts for pair in class_pairs]
+    out = _forced_conjugator(a, b, tuple(s), dec_a, dec_b, _pair_bounds(a.t, pairs, s))
     if not out.is_conjugate:
         raise RuntimeError("consistent orbit shifts refused by the forced-value walk: %s" % out.reason)
-    pairs = [pair for _, class_pairs in firsts for pair in class_pairs]
-    return _yes(out.conjugator, out.verified, bounds=_pair_bounds(a.t, pairs, s))
+    return out

@@ -32,10 +32,17 @@ class WordError(ValueError):
 _TOKEN_RE = re.compile(r"^(g[0-9]+|s)('?)$")
 
 
+def _check_n(n, error=WordError) -> None:
+    """Refuse with `error` an n that is not an int of at least 2."""
+    if not isinstance(n, int):
+        raise error("n must be an int, not %r" % (n,))
+    if n < 2:
+        raise error("n must be at least 2")
+
+
 def generator_ids(n: int) -> Tuple[str, ...]:
     """The fixed generating set: g2..gn for n >= 3, {g2, s} for n = 2."""
-    if n < 2:
-        raise WordError("n must be at least 2")
+    _check_n(n)
     if n == 2:
         return ("g2", "s")
     return tuple("g%d" % i for i in range(2, n + 1))
@@ -50,8 +57,7 @@ class Word:
 
     @classmethod
     def parse(cls, n: int, text: str) -> "Word":
-        if n < 2:
-            raise WordError("n must be at least 2")
+        _check_n(n)
         letters = []
         for token in text.split():
             match = _TOKEN_RE.match(token)
@@ -199,15 +205,13 @@ def _make(n: int, t: Tuple[int, ...], exceptions: Dict[Point, Point]) -> Houghto
 
 
 def identity(n: int) -> HoughtonElement:
-    if n < 2:
-        raise InvalidElementError("n must be at least 2")
+    _check_n(n, InvalidElementError)
     return _make(int(n), (0,) * n, {})
 
 
 def generator(n: int, gid: str) -> HoughtonElement:
     """The generator g_i (push ray i one step in, ray 1 one step out) or s."""
-    if n < 2:
-        raise WordError("n must be at least 2")
+    _check_n(n)
     return _letter_element(n, (gid, 1))
 
 
@@ -340,9 +344,8 @@ def evaluate(w: Word) -> HoughtonElement:
     built by the accumulator from each letter's rule, with no letter
     element.  A letter that is not a signed generator of H_n, which only a
     Word built directly and not by `Word.parse` can hold, raises
-    WordError."""
-    if w.n < 2:
-        raise WordError("n must be at least 2")
+    WordError, and so does an n that is not an int of at least 2."""
+    _check_n(w.n)
     acc = _Accumulator(w.n)
     for letter in w.letters:
         rule = _letter_rule(w.n, letter)

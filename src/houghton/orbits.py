@@ -22,9 +22,8 @@ finite-cycle trail enters an infinite orbit.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import HoughtonElement, Point
 
@@ -44,8 +43,7 @@ def run_points(runs: Iterable[Run]) -> Iterator[Point]:
             yield (ray, start + k * step)
 
 
-@dataclass(frozen=True)
-class InfiniteOrbit:
+class InfiniteOrbit(NamedTuple):
     pos_ray: int
     pos_residue: int
     pos_cutoff: int
@@ -66,7 +64,8 @@ class TableIndex:
     """The offsets of an element's table points by residue class
     (ray, offset mod |t_ray|) of a moving ray, sorted, for jumping along a
     class to its next table point.  The domain side and the range side are
-    each built on first use."""
+    each built on first use.  It is a cache of the element's table, so two
+    indexes are equal when their elements are."""
 
     __slots__ = ("_g", "_dom", "_ran")
 
@@ -74,6 +73,14 @@ class TableIndex:
         self._g = g
         self._dom: Optional[Dict[Tuple[int, int], List[int]]] = None
         self._ran: Optional[Dict[Tuple[int, int], List[int]]] = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TableIndex):
+            return NotImplemented
+        return self._g == other._g
+
+    def __hash__(self) -> int:
+        return hash(self._g)
 
     def next_domain(self, i: int, m: int, step: int) -> Optional[int]:
         """The first offset of a domain point met from (i, m) on, m included,
@@ -109,13 +116,15 @@ def _seek(index: Dict[Tuple[int, int], List[int]], i: int, m: int, step: int) ->
     return offsets[k - 1] if k else None
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(NamedTuple):
     n: int
     t: Tuple[int, ...]
     finite_cycles: Tuple[Tuple[Point, ...], ...]
     infinite_orbits: Tuple[InfiniteOrbit, ...]
-    index: TableIndex = field(compare=False, repr=False)  # g's table by residue class
+    index: TableIndex  # g's table by residue class, left out of the repr
+
+    def __repr__(self) -> str:
+        return "CycleDecomposition(n=%r, t=%r, finite_cycles=%r, infinite_orbits=%r)" % self[:4]
 
     def cycle_type(self) -> Tuple[Tuple[int, ...], int]:
         """Sorted finite cycle lengths plus the infinite orbit count."""
@@ -156,8 +165,7 @@ class CycleDecomposition:
         return p
 
 
-@dataclass(frozen=True)
-class EndsPartition:
+class EndsPartition(NamedTuple):
     classes: Tuple[FrozenSet[int], ...]
 
     def class_of(self, ray: int) -> FrozenSet[int]:
@@ -190,9 +198,12 @@ def _last_offsets(g: HoughtonElement) -> Dict[Tuple[int, int], int]:
     return last
 
 
+_TOO_LONG = "an orbit walk would take more than %d steps" % _TRACE_LIMIT
+
+
 def _check_limit(steps: int) -> None:
     if steps > _TRACE_LIMIT:
-        raise WalkLimitError("an orbit walk would take more than %d steps" % _TRACE_LIMIT)
+        raise WalkLimitError(_TOO_LONG)
 
 
 def _finite_cycle(trail: List[Run]) -> Tuple[Point, ...]:
@@ -229,10 +240,10 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
         for r in range(up):
             pos_cut = last[(i, r)] + up
             runs: List[Run] = []
-            j, m = i, pos_cut - up
+            spine_len = 0
+            j, m, step = i, pos_cut - up, up
             while True:
-                step = t[j - 1]
-                if (j, m) in ran or not step:
+                if not step or (j, m) in ran:
                     first = m  # the preimage is an exception
                 elif step > 0:
                     first = index.next_range(j, m, -step)
@@ -242,30 +253,26 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
                     # it or no range point of the class lies in between
                     first = None if m - step >= cut else index.next_range(j, m, -step)
                     if first is None:
-                        runs.append((j, cut + step, step, (cut - m) // -step))
+                        count = (cut - m) // -step
+                        runs.append((j, cut + step, step, count))
+                        spine_len += count
                         m = cut
                         break
-                runs.append((j, first, step, (m - first) // step + 1 if first != m else 1))
+                count = (m - first) // step + 1 if first != m else 1
+                runs.append((j, first, step, count))
+                spine_len += count
                 j, m = p = ran[(j, first)]
+                step = t[j - 1]
                 seen.add(p)
-                _check_limit(len(runs))
-            neg_key = (j, m % -t[j - 1])
+                if len(runs) > _TRACE_LIMIT:
+                    raise WalkLimitError(_TOO_LONG)
+            neg_residue = m % -step
+            neg_key = (j, neg_residue)
             if neg_key in used_neg:
                 raise RuntimeError("incoming residue class claimed twice")
             used_neg.add(neg_key)
             runs.reverse()
-            orbits.append(
-                InfiniteOrbit(
-                    pos_ray=i,
-                    pos_residue=r,
-                    pos_cutoff=pos_cut,
-                    neg_ray=j,
-                    neg_residue=neg_key[1],
-                    neg_cutoff=m,
-                    runs=tuple(runs),
-                    spine_len=sum(run[3] for run in runs),
-                )
-            )
+            orbits.append(InfiniteOrbit(i, r, pos_cut, j, neg_residue, m, tuple(runs), spine_len))
 
     # finite cycles: every nontrivial finite cycle passes through the
     # exception domain, so a trail from each domain point off the infinite
@@ -295,7 +302,8 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
                 cur = (i, end)
             if cur == start:
                 break
-            _check_limit(len(trail))
+            if len(trail) > _TRACE_LIMIT:
+                raise WalkLimitError(_TOO_LONG)
         if len(trail) >= 2:
             finite.append(_finite_cycle(trail))
     finite.sort(key=lambda c: c[0])

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import time
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from houghton import (
+    BoundData,
     ConjugacyOutcome,
     HoughtonElement,
     Word,
@@ -295,6 +297,27 @@ def test_conjugate_cycle_type_mismatch():
     three = fsym(2, ((1, 0), (1, 1)), ((1, 1), (1, 2)), ((1, 2), (1, 0)))
     out = conjugate(two, three)
     assert out.reason == CYCLE_TYPE_MISMATCH
+
+
+def test_outcome_records():
+    # outcomes and bounds are named tuples, built positionally or by keyword
+    # as the reference solvers below build them; equal outcomes compare
+    # equal, and no field can be assigned
+    x = element(3, "g3 g2'")
+    no = ConjugacyOutcome(None, reason=CYCLE_TYPE_MISMATCH)
+    yes = ConjugacyOutcome(x, verified=True)
+    assert (no.conjugator, no.verified, no.reason, no.bounds) == (None, False, CYCLE_TYPE_MISMATCH, None)
+    assert (yes.conjugator, yes.verified, yes.reason, yes.bounds) == (x, True, None, None)
+    assert not no.is_conjugate and yes.is_conjugate
+    assert yes == ConjugacyOutcome(element(3, "g3 g2'"), True) and yes != no
+    bounds = BoundData(K=3, M=2)
+    assert (bounds.K, bounds.M) == (3, 2) and repr(bounds) == "BoundData(K=3, M=2)"
+    for record, field in ((yes, "verified"), (no, "reason"), (bounds, "K")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    a = element(3, "g2 g3")
+    out = conjugate(a, conjugate_element(a, x))
+    assert out.is_conjugate and out.verified and out.reason is None and isinstance(out.bounds, BoundData)
 
 
 def test_conjugate_exhausts_on_shifted_orbit_structure():
@@ -968,3 +991,32 @@ def test_far_lift_of_b_keeps_decision(k, roundtrip, shift):
     assert time.process_time() - started < 0.1
     assert (far.is_conjugate, far.reason) == (near.is_conjugate, near.reason)
     assert far.verified == near.verified
+
+
+# -- pinned outputs -----------------------------------------------------------------------
+
+
+def pinned_pool():
+    """360 seeded pairs (a, a^x) in H_2..H_4, with a and x the elements of
+    random words of length 1 to 10."""
+    pairs = []
+    for k in range(360):
+        n = 2 + k % 3
+        a = evaluate(random_word(n, k, 1 + k % 10))
+        x = evaluate(random_word(n, 1000 + k, 1 + (7 * k) % 10))
+        pairs.append((a, conjugate_element(a, x)))
+    return pairs
+
+
+def test_positive_path_is_pinned():
+    # the reason, verified flag, serialized certificate and bounds of every
+    # decision on the pool, byte for byte: a digest recorded before the
+    # records became named tuples and the decision's loops were trimmed
+    digest = hashlib.sha256()
+    for a, b in pinned_pool():
+        out = conjugate(a, b)
+        assert out.is_conjugate
+        cert = serialize(out.conjugator)
+        bounds = (out.bounds.K, out.bounds.M)
+        digest.update(("%s|%s|%s|%s\n" % (out.reason, out.verified, cert, bounds)).encode())
+    assert digest.hexdigest() == "5e527480dfbdfff0cd2f162c71eec7987bbd05a4c8edeba93cbac5169d5ce229"

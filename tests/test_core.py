@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -86,6 +87,23 @@ def test_generator_invalid_id():
     for make in (lambda: generator(1, "g2"), lambda: Word.parse(1, "")):
         with pytest.raises(WordError, match=r"^n must be at least 2$"):
             make()
+
+
+@pytest.mark.parametrize("n", [3.0, 2.5, "3", None])
+def test_an_n_that_is_not_an_int_is_refused(n):
+    # refused with the word or element error naming n, not a bare TypeError
+    # and not a Word that fails later
+    message = r"^n must be an int, not %s$" % re.escape(repr(n))
+    for make in (
+        lambda: generator_ids(n),
+        lambda: Word.parse(n, "g2"),
+        lambda: generator(n, "g2"),
+        lambda: evaluate(Word(n, (("g2", 1),))),
+    ):
+        with pytest.raises(WordError, match=message):
+            make()
+    with pytest.raises(InvalidElementError, match=message):
+        identity(n)
 
 
 # -- words and evaluation ------------------------------------------------------

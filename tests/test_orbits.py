@@ -50,6 +50,30 @@ def test_g2_single_infinite_orbit():
     assert o.neg_cutoff == 1
 
 
+def test_decompositions_of_equal_elements_are_equal_records():
+    # the records are named tuples; the table index of a decomposition is a
+    # cache of the element, so it does not split equal decompositions, and
+    # it is left out of the repr
+    a, b = element(3, "g2 g3' g2"), element(3, "g2 g3' g2")
+    da, db = cycle_decomposition(a), cycle_decomposition(b)
+    assert a is not b and da is not db and da.index is not db.index
+    assert da == db and not da != db and hash(da) == hash(db)
+    other = cycle_decomposition(element(3, "g2 g3 g2"))
+    assert da != other and da[:4] != other[:4]
+    assert "TableIndex" not in repr(da) and "index" not in repr(da)
+    assert repr(da).startswith("CycleDecomposition(n=3, t=(1, -2, 1), finite_cycles=")
+    assert repr(da.infinite_orbits[0]).startswith("InfiniteOrbit(pos_ray=")
+
+
+def test_records_are_immutable():
+    g = element(3, "g2 g3' g2")
+    d = cycle_decomposition(g)
+    records = [(d, "n"), (d, "index"), (d.infinite_orbits[0], "spine_len"), (ends_partition(g), "classes")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_orbit_count_matches_translation_mass():
     for n in (2, 3, 4):
         for seed in range(40):
