@@ -24,13 +24,14 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .core import (
     HoughtonElement,
+    InvalidElementError,
     Point,
+    _check_n,
+    _integer,
     _make,
     apply,
-    compose,
     conjugate_element,
     equals,
-    identity,
 )
 from .orbits import (
     CycleDecomposition,
@@ -51,10 +52,6 @@ ORBIT_PAIRING_MISMATCH = "orbit-pairing-mismatch"
 ORBIT_SHIFT_MISMATCH = "orbit-shift-mismatch"
 
 _WALK_LIMIT = 10_000_000
-
-
-class StructuralMismatch(ValueError):
-    """Infinite orbits of the two elements do not pair up residue-for-residue."""
 
 
 class BoundData(NamedTuple):
@@ -257,30 +254,20 @@ def _forced_conjugator(
     return ConjugacyOutcome(x, verify(a, b, x), None, bounds)
 
 
-def fsym_conjugate(
-    a: HoughtonElement,
-    b: HoughtonElement,
-    dec_a: Optional[CycleDecomposition] = None,
-    dec_b: Optional[CycleDecomposition] = None,
-) -> ConjugacyOutcome:
+def fsym_conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     """Decide whether some x with t(x) = 0 and finite support conjugates a to b.
 
     Such an x is the identity far out on every ray, so after the
     translation and cycle-type checks `_forced_conjugator` at s = 0 either
     builds it or names the stage that refutes it.  The work is bounded by
     the exception tables and the certificate, not by the offsets.
-
-    `dec_a` and `dec_b`, the cycle decompositions of a and b, may be passed
-    in by callers that have them already.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
     if a.t != b.t:
         return _no(TRANSLATION_MISMATCH)
-    if dec_a is None:
-        dec_a = cycle_decomposition(a)
-    if dec_b is None:
-        dec_b = cycle_decomposition(b)
+    dec_a = cycle_decomposition(a)
+    dec_b = cycle_decomposition(b)
     if dec_a.cycle_type() != dec_b.cycle_type():
         return _no(CYCLE_TYPE_MISMATCH)
     return _forced_conjugator(a, b, (0,) * a.n, dec_a, dec_b)
@@ -289,37 +276,17 @@ def fsym_conjugate(
 # -- translation elements and centralizers ------------------------------------
 
 
-def _two_ray_shift(n: int, src: int, dst: int, amount: int) -> HoughtonElement:
-    """Move `amount` points from ray src to ray dst."""
-    t = [0] * n
-    t[dst - 1] = amount
-    t[src - 1] = -amount
-    exc = {(src, k): (dst, k) for k in range(amount)}
-    return HoughtonElement(n, t, exc, validate=False)
-
-
+# bench/spans.py wraps this function by name
 def construct_translation_element(n: int, w: Sequence[int]) -> HoughtonElement:
-    """An element with translation vector w, built as a product of two-ray
-    shifts.  `conjugate` does not use it: it builds its certificate at the
+    """An element with translation vector w: the points (j, m) with
+    m < -w_j go, in ray order, onto the points (i, m) with m < w_i, in ray
+    order.  `conjugate` does not use it: it builds its certificate at the
     translation it solves for."""
-    w = [int(v) for v in w]
-    if len(w) != n:
-        raise ValueError("translation tuple must have length n")
-    if sum(w) != 0:
-        raise ValueError("translation tuple must sum to zero")
-    result = identity(n)
-    sources = [[j + 1, -v] for j, v in enumerate(w) if v < 0]
-    for i, need in ((i + 1, v) for i, v in enumerate(w) if v > 0):
-        while need:
-            j, avail = sources[0]
-            take = min(need, avail)
-            result = compose(result, _two_ray_shift(n, j, i, take))
-            need -= take
-            if avail == take:
-                sources.pop(0)
-            else:
-                sources[0][1] = avail - take
-    return result
+    _check_n(n, InvalidElementError)
+    w = [_integer(v) for v in w]
+    sources = [(j, m) for j, v in enumerate(w, 1) for m in range(-v)]
+    targets = [(i, m) for i, v in enumerate(w, 1) for m in range(v)]
+    return HoughtonElement(n, w, zip(sources, targets))
 
 
 def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> HoughtonElement:
@@ -366,22 +333,6 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
 # -- orbit pairing ------------------------------------------------------------
 
 
-def _match_orbits(
-    dec_a: CycleDecomposition, dec_b: CycleDecomposition
-) -> List[Tuple[InfiniteOrbit, InfiniteOrbit]]:
-    by_pos = {(o.pos_ray, o.pos_residue): o for o in dec_b.infinite_orbits}
-    pairs = []
-    for oa in dec_a.infinite_orbits:
-        ob = by_pos.get((oa.pos_ray, oa.pos_residue))
-        if ob is None or (oa.neg_ray, oa.neg_residue) != (ob.neg_ray, ob.neg_residue):
-            raise StructuralMismatch(
-                "orbit ending at ray %d residue %d has no counterpart"
-                % (oa.pos_ray, oa.pos_residue)
-            )
-        pairs.append((oa, ob))
-    return pairs
-
-
 def _pair_bounds(
     t: Sequence[int], pairs: Iterable[Tuple[InfiniteOrbit, InfiniteOrbit]], s: Sequence[int]
 ) -> BoundData:
@@ -402,27 +353,29 @@ def _pair_bounds(
     return BoundData(big_k, max(map(abs, t), default=0))
 
 
-def compute_bounds(
-    a: HoughtonElement,
-    b: HoughtonElement,
-    dec_a: Optional[CycleDecomposition] = None,
-    dec_b: Optional[CycleDecomposition] = None,
-) -> BoundData:
+# bench/spans.py wraps this function by name
+def compute_bounds(a: HoughtonElement, b: HoughtonElement) -> BoundData:
     """Size data of the orbit pairing of a and b, which must share t.
 
-    Raises StructuralMismatch unless every infinite orbit of a has a
-    counterpart in b with the same outgoing and incoming residue classes.
+    Raises ValueError unless every infinite orbit of a has a counterpart
+    in b with the same outgoing and incoming residue classes.
     K is the largest |S| + |T| over matched orbit pairs, where S and T are
     the finite parts of the two orbits outside their common stable tails;
     M is the largest |t_i(a)|.  This is `_pair_bounds` at s = 0.
     """
     if a.t != b.t:
         raise ValueError("bounds require equal translation vectors")
-    if dec_a is None:
-        dec_a = cycle_decomposition(a)
-    if dec_b is None:
-        dec_b = cycle_decomposition(b)
-    return _pair_bounds(a.t, _match_orbits(dec_a, dec_b), (0,) * a.n)
+    dec_a = cycle_decomposition(a)
+    by_pos = _orbit_index(cycle_decomposition(b))[0]
+    pairs = []
+    for oa in dec_a.infinite_orbits:
+        ob = by_pos.get((oa.pos_ray, oa.pos_residue))
+        if ob is None or (oa.neg_ray, oa.neg_residue) != (ob.neg_ray, ob.neg_residue):
+            raise ValueError(
+                "orbit ending at ray %d residue %d has no counterpart" % (oa.pos_ray, oa.pos_residue)
+            )
+        pairs.append((oa, ob))
+    return _pair_bounds(a.t, pairs, (0,) * a.n)
 
 
 # -- the full decision ----------------------------------------------------------

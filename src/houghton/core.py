@@ -90,7 +90,6 @@ class HoughtonElement:
         n: int,
         t: Iterable[int],
         exceptions: Union[Mapping[Point, Point], Iterable[Tuple[Point, Point]]],
-        validate: bool = True,
     ):
         self.n = _integer(n)
         self.t = tuple(_integer(v) for v in t)
@@ -99,8 +98,7 @@ class HoughtonElement:
             (_integer(p[0]), _integer(p[1])): (_integer(q[0]), _integer(q[1])) for p, q in items
         }
         self._hash: Optional[int] = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- normal form / bijectivity checks ---------------------------------
 
@@ -472,10 +470,12 @@ def deserialize(text: str) -> HoughtonElement:
 
 def _integer(v) -> int:
     """A given value as an int, for the constructor and documents.  Integral
-    numbers and digit strings are taken; NaN, infinities and fractions are
-    refused, not truncated."""
+    numbers and digit strings are taken; booleans, NaN, infinities and
+    fractions are refused, not truncated."""
     if type(v) is int:
         return v
+    if isinstance(v, bool):
+        raise InvalidElementError("not an integer: %r" % (v,))
     try:
         k = int(v)
     except (TypeError, ValueError, OverflowError) as err:

@@ -154,14 +154,17 @@ def run_limited(cwd, *argv, limit_mb=512):
 
 @pytest.mark.parametrize("n, oracle_code", [(2000, 0), (200000, 2)])
 def test_large_n_runs_in_bounded_memory(tmp_path, n, oracle_code):
-    # a one-letter word costs O(1) per letter whatever n is, and the oracle
-    # answers in H_2,000 and refuses H_200,000 before building any letter;
-    # no run may end in a traceback
+    # a one-letter word costs O(1) per letter whatever n is, conj decides
+    # g2 against itself, and the oracle answers in H_2,000 and refuses
+    # H_200,000 before building any letter; no run may end in a traceback
     for gid in ("g2", "g3"):
         code, out, err = run_limited(tmp_path, "eval", "-n", str(n), gid)
         assert code == 0 and "Traceback" not in err
         assert json.loads(out)["t"][:3] == ([1, -1, 0] if gid == "g2" else [1, 0, -1])
         (tmp_path / (gid + ".json")).write_text(out, encoding="utf-8")
+    code, out, err = run_limited(tmp_path, "conj", "g2.json", "g2.json")
+    doc = json.loads(out)
+    assert (code, doc["decision"], doc["verified"]) == (0, "yes", True) and "Traceback" not in err
     code, out, err = run_limited(tmp_path, "oracle", "g2.json", "g3.json", "--budget", "1")
     assert code == oracle_code and "Traceback" not in err
     if oracle_code == 0:
@@ -285,7 +288,7 @@ def test_orbits_spine_beyond_limit_exits_2(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["Infinity", "NaN", "1.5"])
+@pytest.mark.parametrize("value", ["Infinity", "NaN", "1.5", "true"])
 @pytest.mark.parametrize(
     "doc",
     [

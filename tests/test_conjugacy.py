@@ -14,14 +14,13 @@ from houghton import (
     BoundData,
     ConjugacyOutcome,
     HoughtonElement,
+    InvalidElementError,
     Word,
     apply,
     centralizer_element,
     compose,
-    compute_bounds,
     conjugate,
     conjugate_element,
-    construct_translation_element,
     cycle_decomposition,
     cycle_type,
     ends_partition,
@@ -43,7 +42,8 @@ from houghton.conjugacy import (
     ORBIT_SHIFT_MISMATCH,
     SUPPORT_COUNT_MISMATCH,
     TRANSLATION_MISMATCH,
-    StructuralMismatch,
+    compute_bounds,
+    construct_translation_element,
 )
 from houghton.oracle import SearchBudget, brute_force_conjugator, random_element, random_word
 
@@ -145,9 +145,26 @@ def test_construct_translation_random_vectors():
         assert g.t == w
 
 
+def test_construct_translation_maps_in_ray_order():
+    # the points below -w_j go, in ray order, onto the points below w_i
+    g = construct_translation_element(3, (2, -1, -1))
+    assert g.exceptions == {(2, 0): (1, 0), (3, 0): (1, 1)}
+    g = construct_translation_element(4, (-2, 1, -1, 2))
+    assert g.exceptions == {(1, 0): (2, 0), (1, 1): (4, 0), (3, 0): (4, 1)}
+
+
 def test_construct_translation_rejects_bad_sum():
     with pytest.raises(ValueError):
         construct_translation_element(3, (1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "n, w", [(3, (1.5, -1.5, 0)), (3, ("x", -1, 1)), (3.0, (1, -1, 0))], ids=["fraction", "text", "float-n"]
+)
+def test_construct_translation_refuses_non_integers(n, w):
+    # refused, not truncated: int(1.5) would give t = (1, -1, 0)
+    with pytest.raises(InvalidElementError):
+        construct_translation_element(n, w)
 
 
 def test_centralizer_element_of_g2():
@@ -259,6 +276,16 @@ def test_bounds_for_generator_pair():
     g = generator(3, "g2")
     bounds = compute_bounds(g, g)
     assert (bounds.K, bounds.M) == (4, 1)
+
+
+def test_bounds_refuse_orbits_without_counterpart():
+    # a's orbits run from ray 3 to 1 and from 4 to 2, b's from 4 to 1 and
+    # from 3 to 2
+    t = (1, 1, -1, -1)
+    a = HoughtonElement(4, t, {(3, 0): (1, 0), (4, 0): (2, 0)})
+    b = HoughtonElement(4, t, {(4, 0): (1, 0), (3, 0): (2, 0)})
+    with pytest.raises(ValueError, match="no counterpart"):
+        compute_bounds(a, b)
 
 
 def test_bounds_zero_when_no_moving_rays():
@@ -412,9 +439,6 @@ def test_conjugate_refuses_swapped_ray_pairs_fast(monkeypatch):
     t = (k, k, k, -k, -k, -k)
     a = HoughtonElement(6, t, {(src, m): (dst, m) for src, dst in ((4, 1), (5, 2), (6, 3)) for m in range(k)})
     b = HoughtonElement(6, t, {(src, m): (dst, m) for src, dst in ((5, 1), (6, 2), (4, 3)) for m in range(k)})
-    shift = conjugacy._two_ray_shift
-    assert a == compose(compose(shift(6, 4, 1, k), shift(6, 5, 2, k)), shift(6, 6, 3, k))
-    assert b == compose(compose(shift(6, 5, 1, k), shift(6, 6, 2, k)), shift(6, 4, 3, k))
     assert cycle_type(a) == cycle_type(b) and fixed_point_count(a) == fixed_point_count(b)
     calls = count_builder_calls(monkeypatch)
     started = time.process_time()
@@ -750,12 +774,6 @@ def test_fsym_is_the_builder_at_zero_translation(monkeypatch):
     assert [args[:3] for args in calls] == [(a, b, (0, 0, 0))]
 
 
-def test_fsym_accepts_precomputed_decomposition():
-    a = element(3, "g2 g3' g2")
-    b = conjugate_element(a, random_element(3, 5, profile="fsym"))
-    assert fsym_conjugate(a, b, dec_a=cycle_decomposition(a)) == fsym_conjugate(a, b)
-
-
 # -- the orbit-shift solver against the bounded level search it replaced -------------
 
 
@@ -860,15 +878,18 @@ def level_search_conjugator(a, b, max_level):
         x_r = construct_translation_element(n, w)
         b_r = conjugate_element(b, inverse(x_r))
         try:
-            compute_bounds(a, b_r, dec_a=dec_a)
-        except StructuralMismatch:
+            compute_bounds(a, b_r)
+        except ValueError:
             continue
         classes.append((x_r, b_r))
+    zero = (0,) * n
     for level in range(0, max_level + 1, 2):
         for x_r, b_r in classes:
             for s in level_tuples(steps, level):
                 z = construct_translation_element(n, s)
-                out = fsym_conjugate(a, conjugate_element(b_r, inverse(z)), dec_a=dec_a)
+                c = conjugate_element(b_r, inverse(z))
+                # c is a conjugate of b, so the checks above hold for it too
+                out = conjugacy._forced_conjugator(a, c, zero, dec_a, cycle_decomposition(c))
                 if out.is_conjugate:
                     return compose(compose(out.conjugator, z), x_r)
     return None

@@ -476,8 +476,9 @@ def test_public_constructor_still_coerces_and_validates():
         (2.5, [0, 0], {}),
         (2, [0, 0], {(1, 0.5): (2, 0), (2, 0): (1, 0.5)}),
         (2, [0, 0], {(1, 0): (2, float("inf")), (2, float("inf")): (1, 0)}),
+        (2, [True, -1], {(2, 0): (1, 0)}),
     ],
-    ids=["fraction-t", "infinite-t", "nan-t", "fraction-n", "fraction-point", "infinite-point"],
+    ids=["fraction-t", "infinite-t", "nan-t", "fraction-n", "fraction-point", "infinite-point", "bool-t"],
 )
 def test_public_constructor_refuses_non_integers(n, t, exceptions):
     # refused like a document with such values, not truncated to a valid
@@ -497,9 +498,10 @@ def test_deserialize_still_coerces_and_validates():
         deserialize('{"n":3,"t":[1,-1,0],"exceptions":[[["x",0],[1,0]]]}')
 
 
-# a value that is NaN, infinite or a fraction, in t or in a point of the
-# table; truncating 1.5 to 1 would make each document a valid element
-NOT_INTEGERS = ["Infinity", "-Infinity", "NaN", "1.5"]
+# a value that is NaN, infinite, a fraction or a boolean, in t or in a
+# point of the table; truncating 1.5 to 1, or reading true as 1, would make
+# each document a valid element
+NOT_INTEGERS = ["Infinity", "-Infinity", "NaN", "1.5", "true"]
 NOT_INTEGER_DOCS = [
     '{"n":2,"t":[%s,-1],"exceptions":[[[2,0],[1,0]]]}',
     '{"n":2,"t":[0,0],"exceptions":[[[1,%s],[2,0]],[[2,0],[1,1]]]}',
@@ -513,3 +515,9 @@ def test_deserialize_refuses_non_integers(doc, value):
     # refused, not truncated and not an OverflowError
     with pytest.raises(InvalidElementError):
         deserialize(doc % value)
+
+
+def test_deserialize_refuses_booleans_by_name():
+    # read as 1 and 0, this document would be g2
+    with pytest.raises(InvalidElementError, match="^not an integer: True$"):
+        deserialize('{"n":3,"t":[true,-1,0],"exceptions":[[[2,0],[true,0]]]}')
