@@ -12,7 +12,6 @@ its translation vector).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
@@ -23,8 +22,10 @@ def _read_element(path: str, n: Optional[int]) -> core.HoughtonElement:
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        # read as bytes in one call and decoded at once, with no buffer or
+        # text layer in between
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
     element = core.deserialize(text)
     if n is not None and element.n != n:
         raise core.InvalidElementError(
@@ -42,7 +43,7 @@ def _outcome_doc(out: conjugacy.ConjugacyOutcome) -> str:
         doc["reason"] = out.reason
     if out.bounds is not None:
         doc["bounds"] = {"K": out.bounds.K, "M": out.bounds.M}
-    return json.dumps(doc, separators=(",", ":"))
+    return core._JSON.encode(doc)
 
 
 def _pretty_element(g: core.HoughtonElement) -> str:
@@ -167,16 +168,16 @@ def _run(args) -> int:
         b = _read_element(args.b, a.n)
         x = _read_element(args.x, a.n)
         ok = conjugacy.verify(a, b, x)
-        print(json.dumps({"decision": "yes" if ok else "no"}, separators=(",", ":")))
+        print(core._JSON.encode({"decision": "yes" if ok else "no"}))
         return 0
     if args.command == "oracle":
         a = _read_element(args.a, n)
         b = _read_element(args.b, a.n)
         word = oracle.brute_force_conjugator(a, b, oracle.SearchBudget(args.budget))
         if word is None:
-            print(json.dumps({"found": False}, separators=(",", ":")))
+            print(core._JSON.encode({"found": False}))
         else:
-            print(json.dumps({"found": True, "word": str(word)}, separators=(",", ":")))
+            print(core._JSON.encode({"found": True, "word": str(word)}))
         return 0
     raise AssertionError("unhandled command")
 

@@ -98,30 +98,26 @@ def _unmatched_fixed(a: HoughtonElement, b: HoughtonElement, s: Sequence[int]) -
     can match them.
     """
     ae, be, t = a.exceptions, b.exceptions, a.t
-    if 0 not in t:
-        out = []
-        for p, q in ae.items():
-            if p == q:
-                v = (p[0], p[1] + s[p[0] - 1])
-                if be.get(v) != v:
+    out = []
+    for p, q in ae.items():
+        if p == q:
+            i, m = p
+            m += s[i - 1]
+            v = be.get((i, m))
+            if v is None:
+                if m < 0 or t[i - 1]:
                     out.append(p)
-        return sorted(out)
-
-    def fixed_by_b(i: int, m: int) -> bool:
-        q = be.get((i, m))
-        if q is not None:
-            return q == (i, m)
-        return m >= 0 and t[i - 1] == 0
-
-    out = [p for p, q in ae.items() if p == q and not fixed_by_b(p[0], p[1] + s[p[0] - 1])]
-    for (i, k), q in be.items():
-        if t[i - 1] == 0 and q != (i, k):
-            p = (i, k - s[i - 1])
-            if p[1] >= 0 and p not in ae:
+            elif v != (i, m):
                 out.append(p)
-    for i, step in enumerate(t, 1):
-        if step == 0:
-            out.extend((i, m) for m in range(-s[i - 1]) if (i, m) not in ae)
+    if 0 in t:
+        for (i, k), q in be.items():
+            if t[i - 1] == 0 and q != (i, k):
+                m = k - s[i - 1]
+                if m >= 0 and (i, m) not in ae:
+                    out.append((i, m))
+        for i, step in enumerate(t, 1):
+            if step == 0 and s[i - 1] < 0:
+                out.extend((i, m) for m in range(-s[i - 1]) if (i, m) not in ae)
     return sorted(out)
 
 

@@ -103,56 +103,80 @@ class HoughtonElement:
     # -- normal form / bijectivity checks ---------------------------------
 
     def _validate(self) -> None:
-        if self.n < 2:
+        """Refuse data that is not the normal form of a bijection.  The
+        checks, in the order in which they win when several fail:
+
+          1. n is at least 2, and t has length n and sums to zero;
+          2. every point of the table, domain then image, entry by entry,
+             has a ray in 1..n and a nonnegative offset;
+          3. no entry p -> q matches the tail formula (minimality);
+          4. every point (i, m) with m < -t_i, whose tail image would have
+             a negative offset, is in the domain;
+          5. no two entries have the same image;
+          6. no image (j, k) is also the tail image of (j, k - t_j), a
+             point off the domain;
+          7. every point (j, k) with k < t_j, which no tail reaches, and
+             the tail image of every domain point are images.
+
+        One pass over the table makes checks 2, 3, 5 and 6: it raises at
+        the first fault of check 2, and keeps the first fault of each other
+        kind in table order, raised once the checks before it have passed.
+        The per-ray loops of checks 4 and 7 and one pass over the tail
+        images follow."""
+        n, t, dom = self.n, self.t, self.exceptions
+        if n < 2:
             raise InvalidElementError("n must be at least 2")
-        if len(self.t) != self.n:
+        if len(t) != n:
             raise InvalidElementError("translation vector must have length n")
-        if sum(self.t) != 0:
+        if sum(t) != 0:
             raise InvalidElementError("translation vector must sum to zero")
-        dom = self.exceptions
+        ran = set()
+        non_minimal = repeated = collision = None
         for p, q in dom.items():
-            for i, m in (p, q):
-                if not (1 <= i <= self.n):
-                    raise InvalidElementError("ray %d out of range" % i)
-                if m < 0:
-                    raise InvalidElementError("negative offset at %r" % ((i, m),))
-        # minimality: never store a tail-consistent entry
-        for (i, m), q in dom.items():
-            tail = m + self.t[i - 1]
-            if tail >= 0 and q == (i, tail):
-                raise InvalidElementError(
-                    "non-minimal entry %r -> %r matches the tail formula" % ((i, m), q)
-                )
-        # points whose tail image would be negative must be redirected
-        for i in range(1, self.n + 1):
-            ti = self.t[i - 1]
-            for m in range(max(0, -ti)):
+            i, m = p
+            j, k = q
+            if not 0 < i <= n:
+                raise InvalidElementError("ray %d out of range" % i)
+            if m < 0:
+                raise InvalidElementError("negative offset at %r" % (p,))
+            if not 0 < j <= n:
+                raise InvalidElementError("ray %d out of range" % j)
+            if k < 0:
+                raise InvalidElementError("negative offset at %r" % (q,))
+            if i == j and k == m + t[i - 1] and non_minimal is None:
+                non_minimal = p
+            if q in ran:
+                if repeated is None:
+                    repeated = q
+            else:
+                ran.add(q)
+            k -= t[j - 1]
+            if k >= 0 and collision is None and (j, k) not in dom:
+                collision = q
+        if non_minimal is not None:
+            raise InvalidElementError(
+                "non-minimal entry %r -> %r matches the tail formula" % (non_minimal, dom[non_minimal])
+            )
+        for i, step in enumerate(t, 1):
+            for m in range(-step):
                 if (i, m) not in dom:
                     raise InvalidElementError(
                         "point %r has no image: tail offset would be negative" % ((i, m),)
                     )
-        ran = {}
-        for p, q in dom.items():
-            if q in ran:
-                raise InvalidElementError("two points map to %r" % (q,))
-            ran[q] = p
-        # injectivity against the tail part
-        for q in ran:
-            j, k = q
-            src = k - self.t[j - 1]
-            if src >= 0 and (j, src) not in dom:
-                raise InvalidElementError(
-                    "%r is hit both by an exception and by the tail formula" % (q,)
-                )
-        # surjectivity: points missed by the tail part must be in the range
-        for j in range(1, self.n + 1):
-            for k in range(max(0, self.t[j - 1])):
+        if repeated is not None:
+            raise InvalidElementError("two points map to %r" % (repeated,))
+        if collision is not None:
+            raise InvalidElementError(
+                "%r is hit both by an exception and by the tail formula" % (collision,)
+            )
+        for j, step in enumerate(t, 1):
+            for k in range(step):
                 if (j, k) not in ran:
                     raise InvalidElementError("point %r is never hit" % ((j, k),))
-        for (i, m) in dom:
-            tail = m + self.t[i - 1]
-            if tail >= 0 and (i, tail) not in ran:
-                raise InvalidElementError("point %r is never hit" % ((i, tail),))
+        for i, m in dom:
+            m += t[i - 1]
+            if m >= 0 and (i, m) not in ran:
+                raise InvalidElementError("point %r is never hit" % ((i, m),))
 
     # -- structural identity ----------------------------------------------
 
@@ -425,20 +449,27 @@ def _conjugate_by(c: HoughtonElement, g: HoughtonElement) -> HoughtonElement:
 # -- canonical text format ---------------------------------------------------
 
 
+# the compact encoder of every JSON text the package writes: element
+# documents and the command line's outcome lines.  They are trees of
+# dicts, tuples and lists that the package has just built, so the check
+# for a container that holds itself is skipped
+_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def _document(g: HoughtonElement) -> dict:
-    """The canonical document of g, before it is written as JSON text."""
-    return {
-        "n": g.n,
-        "t": list(g.t),
-        "exceptions": [[list(p), list(q)] for p, q in sorted(g.exceptions.items())],
-    }
+    """The canonical document of g, before it is written as JSON text: the
+    encoder writes its tuples as arrays."""
+    return {"n": g.n, "t": g.t, "exceptions": sorted(g.exceptions.items())}
 
 
 def serialize(g: HoughtonElement) -> str:
-    return json.dumps(_document(g), separators=(",", ":"))
+    return _JSON.encode(_document(g))
 
 
 def deserialize(text: str) -> HoughtonElement:
+    """The element of a JSON element document.  A point of the table is a
+    [ray, offset] array; anything else in its place is a bad exception
+    entry."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -453,17 +484,24 @@ def deserialize(text: str) -> HoughtonElement:
         raise InvalidElementError("bad field types in element document")
     exc = {}
     for entry in pairs:
+        # each value is coerced once, here, and only when it is not a JSON
+        # int already, so the constructor's coercion and copy are skipped
         try:
-            (i, m), (j, k) = entry
+            p, q = entry
+            i, m = p
+            j, k = q
         except (TypeError, ValueError) as err:
             raise InvalidElementError("bad exception entry %r" % (entry,)) from err
-        p, q = (_integer(i), _integer(m)), (_integer(j), _integer(k))
+        if not type(entry) is type(p) is type(q) is list:
+            raise InvalidElementError("bad exception entry %r" % (entry,))
+        if not type(i) is type(m) is type(j) is type(k) is int:
+            i, m, j, k = _integer(i), _integer(m), _integer(j), _integer(k)
+        p = (i, m)
         if p in exc:
             raise InvalidElementError("duplicate exception domain point %r" % (p,))
-        exc[p] = q
-    # every value is coerced once, here, so the constructor's second
-    # coercion and copy are skipped
-    g = _make(_integer(n), tuple(_integer(v) for v in t), exc)
+        exc[p] = (j, k)
+    n = n if type(n) is int else _integer(n)
+    g = _make(n, tuple(v if type(v) is int else _integer(v) for v in t), exc)
     g._validate()
     return g
 

@@ -62,17 +62,20 @@ class InfiniteOrbit(NamedTuple):
 
 class TableIndex:
     """The offsets of an element's table points by residue class
-    (ray, offset mod |t_ray|) of a moving ray, sorted, for jumping along a
-    class to its next table point.  The domain side and the range side are
-    each built on first use.  It is a cache of the element's table, so two
-    indexes are equal when their elements are."""
+    (ray, offset mod |t_ray|) of a moving ray, for jumping along a class to
+    its next table point: the domain side and the range side, as the pass
+    of `cycle_decomposition` classifies them.  Their lists are sorted on
+    the first jump, which tiny tables, walked one step at a time, seldom
+    make.  It is a view of the element's table, so two indexes are equal
+    when their elements are."""
 
-    __slots__ = ("_g", "_dom", "_ran")
+    __slots__ = ("_g", "_dom", "_ran", "_sorted")
 
-    def __init__(self, g: HoughtonElement):
+    def __init__(self, g: HoughtonElement, dom: Dict[Tuple[int, int], List[int]], ran: Dict[Tuple[int, int], List[int]]):
         self._g = g
-        self._dom: Optional[Dict[Tuple[int, int], List[int]]] = None
-        self._ran: Optional[Dict[Tuple[int, int], List[int]]] = None
+        self._dom = dom
+        self._ran = ran
+        self._sorted = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TableIndex):
@@ -82,29 +85,24 @@ class TableIndex:
     def __hash__(self) -> int:
         return hash(self._g)
 
+    def _sort(self) -> None:
+        for side in (self._dom, self._ran):
+            for offsets in side.values():
+                offsets.sort()
+        self._sorted = True
+
     def next_domain(self, i: int, m: int, step: int) -> Optional[int]:
         """The first offset of a domain point met from (i, m) on, m included,
         going by step along the class of m; None when there is none."""
-        if self._dom is None:
-            self._dom = _by_class(self._g.exceptions, self._g.t)
+        if not self._sorted:
+            self._sort()
         return _seek(self._dom, i, m, step)
 
     def next_range(self, i: int, m: int, step: int) -> Optional[int]:
         """The same for the points of the range of the table."""
-        if self._ran is None:
-            self._ran = _by_class(self._g.exceptions.values(), self._g.t)
+        if not self._sorted:
+            self._sort()
         return _seek(self._ran, i, m, step)
-
-
-def _by_class(points: Iterable[Point], t: Tuple[int, ...]) -> Dict[Tuple[int, int], List[int]]:
-    index: Dict[Tuple[int, int], List[int]] = {}
-    for i, m in points:
-        step = t[i - 1]
-        if step:
-            index.setdefault((i, m % abs(step)), []).append(m)
-    for offsets in index.values():
-        offsets.sort()
-    return index
 
 
 def _seek(index: Dict[Tuple[int, int], List[int]], i: int, m: int, step: int) -> Optional[int]:
@@ -175,29 +173,6 @@ class EndsPartition(NamedTuple):
         raise KeyError("ray %d is almost fixed (not in I)" % ray)
 
 
-def _last_offsets(g: HoughtonElement) -> Dict[Tuple[int, int], int]:
-    """The last table offset, domain or range, of each residue class
-    (ray, offset mod |t_ray|) of a moving ray.
-
-    The table meets every such class: on a ray with t_i > 0 the lowest
-    point of the class is hit by no tail, so it is in the range, and with
-    t_i < 0 it has no tail image, so it is in the domain.  Beyond the last
-    offset no exception of g meets the class, so g acts there by pure
-    translation and orbit tails are undisturbed: the cutoff of the class,
-    its first stable offset, is last + |t_ray|.
-    """
-    t = g.t
-    last: Dict[Tuple[int, int], int] = {}
-    for p, q in g.exceptions.items():
-        for i, m in (p, q):
-            step = t[i - 1]
-            if step:
-                key = (i, m % abs(step))
-                if last.get(key, -1) < m:
-                    last[key] = m
-    return last
-
-
 _TOO_LONG = "an orbit walk would take more than %d steps" % _TRACE_LIMIT
 
 
@@ -206,20 +181,49 @@ def _check_limit(steps: int) -> None:
         raise WalkLimitError(_TOO_LONG)
 
 
-def _finite_cycle(trail: List[Run]) -> Tuple[Point, ...]:
-    """The points of a closed trail, rotated to start at the smallest."""
-    _check_limit(sum(run[3] for run in trail))
-    points = list(run_points(trail))
-    k = points.index(min(points))
-    return tuple(points[k:] + points[:k])
-
-
 def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     t = g.t
     dom = g.exceptions
-    ran = {q: p for p, q in dom.items()}
-    index = TableIndex(g)
-    last = _last_offsets(g)
+
+    # one pass over the table classifies each point by its residue class
+    # (ray, offset mod |t_ray|) of a moving ray: it builds the inverse
+    # table, the offsets of each class's domain and range points for the
+    # index, and the last table offset of each class.  The table meets
+    # every such class: on a ray with t_i > 0 the lowest point of the class
+    # is hit by no tail, so it is in the range, and with t_i < 0 it has no
+    # tail image, so it is in the domain.  Beyond the last offset no
+    # exception of g meets the class, so g acts there by pure translation
+    # and orbit tails are undisturbed: the cutoff of the class, its first
+    # stable offset, is that last offset + |t_i|
+    ran = {}
+    dom_by_class: Dict[Tuple[int, int], List[int]] = {}
+    ran_by_class: Dict[Tuple[int, int], List[int]] = {}
+    last: Dict[Tuple[int, int], int] = {}
+    for p, q in dom.items():
+        ran[q] = p
+        i, m = p
+        step = t[i - 1]
+        if step:
+            key = (i, m % abs(step))
+            offsets = dom_by_class.get(key)
+            if offsets is None:
+                dom_by_class[key] = [m]
+            else:
+                offsets.append(m)
+            if last.get(key, -1) < m:
+                last[key] = m
+        i, m = q
+        step = t[i - 1]
+        if step:
+            key = (i, m % abs(step))
+            offsets = ran_by_class.get(key)
+            if offsets is None:
+                ran_by_class[key] = [m]
+            else:
+                offsets.append(m)
+            if last.get(key, -1) < m:
+                last[key] = m
+    index = TableIndex(g, dom_by_class, ran_by_class)
 
     # infinite orbits: walk back from the first point of each outgoing
     # tail, a run at a time.  Off the range table a point's preimage is its
@@ -233,8 +237,7 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     orbits: List[InfiniteOrbit] = []
     seen = set()
     used_neg = set()
-    for i in range(1, g.n + 1):
-        up = t[i - 1]
+    for i, up in enumerate(t, 1):
         if up <= 0:
             continue
         for r in range(up):
@@ -277,20 +280,21 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     # finite cycles: every nontrivial finite cycle passes through the
     # exception domain, so a trail from each domain point off the infinite
     # orbits finds them all.  Off the table a trail translates, so it jumps
-    # to the next domain point of its residue class.  Such a trail is a
+    # to the next domain point of its residue class, taking the points in
+    # between once the walk limit allows them.  Such a trail is a
     # finite cycle and closes on itself; one that leaves the table would be
     # on an infinite orbit, which the walk above would have collected
     finite: List[Tuple[Point, ...]] = []
     for start in dom:
         if start in seen:
             continue
-        trail: List[Run] = []
+        cycle: List[Point] = []
         cur = start
         while True:
             q = dom.get(cur)
             if q is not None:
                 seen.add(cur)
-                trail.append((cur[0], cur[1], 0, 1))
+                cycle.append(cur)
                 cur = q
             else:
                 i, m = cur
@@ -298,14 +302,16 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
                 end = index.next_domain(i, m, step) if step else None
                 if end is None:
                     raise RuntimeError("a finite-cycle trail left the table at %r" % (cur,))
-                trail.append((i, m, step, (end - m) // step))
+                _check_limit(len(cycle) + (end - m) // step)
+                cycle.extend((i, k) for k in range(m, end, step))
                 cur = (i, end)
             if cur == start:
                 break
-            if len(trail) > _TRACE_LIMIT:
+            if len(cycle) > _TRACE_LIMIT:
                 raise WalkLimitError(_TOO_LONG)
-        if len(trail) >= 2:
-            finite.append(_finite_cycle(trail))
+        if len(cycle) >= 2:
+            k = cycle.index(min(cycle))
+            finite.append(tuple(cycle[k:] + cycle[:k]))
     finite.sort(key=lambda c: c[0])
     return CycleDecomposition(g.n, g.t, tuple(finite), tuple(orbits), index)
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,8 +9,9 @@ import time
 import pytest
 
 import houghton
-from houghton import HoughtonElement, compose, conjugate_element, generator, serialize
+from houghton import HoughtonElement, compose, conjugate_element, evaluate, generator, serialize
 from houghton.cli import main
+from houghton.oracle import random_word
 
 
 def run(capsys, *argv):
@@ -351,3 +354,62 @@ def test_repeated_calls_match_first_calls(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_parser", None)
     assert [run(capsys, *argv) for argv in calls] == first
     assert [code for code, _, _ in first] == [0, 0, 0, 0]
+
+
+def test_conj_refuses_a_point_that_is_not_an_array(capsys, tmp_path):
+    # read as a pair, the string "21" would be the point (2, 1)
+    path = tmp_path / "str.json"
+    path.write_text('{"n":2,"t":[0,0],"exceptions":[[[1,0],"21"],[[2,1],[1,0]]]}', encoding="utf-8")
+    code, out, err = run(capsys, "conj", str(path), str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad exception entry ") and "Traceback" not in err
+
+
+def stdout_pairs():
+    """Pairs for `houghton conj`: transpositions at offsets 10^3..10^6 in
+    H_2..H_4, H_2 round trips moved near offset 1,000 by a swap, and pairs
+    that are not conjugate."""
+    rng = random.Random("conj-stdout")
+    pairs = []
+
+    def transposition(n, offset):
+        i, j = rng.sample(range(1, n + 1), 2)
+        base = offset + rng.randrange(offset // 100)
+        p, q = (i, base + rng.randrange(8)), (j, base + rng.randrange(8))
+        return HoughtonElement(n, (0,) * n, {p: q, q: p})
+
+    for offset in (10**3, 10**4, 10**5, 10**6):
+        for n in (2, 3, 4):
+            pairs.append((transposition(n, offset), transposition(n, offset)))
+    for k in range(12):
+        a = evaluate(random_word(2, k, 1 + k % 10))
+        b = conjugate_element(a, evaluate(random_word(2, 100 + k, 1 + (3 * k) % 10)))
+        width = 1 + max(a.max_exception_offset(), b.max_exception_offset())
+        shift = 1000 + rng.randrange(10)
+        swap = {}
+        for i in (1, 2):
+            for m in range(width):
+                swap[(i, m)], swap[(i, shift + m)] = (i, shift + m), (i, m)
+        y = HoughtonElement(2, (0, 0), swap)
+        pairs.append((conjugate_element(a, y), conjugate_element(b, y)))
+    for k in range(24):
+        n = 2 + k % 3
+        a = evaluate(random_word(n, 200 + k, 2 + k % 6))
+        b = evaluate(random_word(n, 300 + k, 2 + k % 6)) if k % 2 else compose(a, transposition(n, 1000))
+        pairs.append((a, b))
+    return pairs
+
+
+def test_conj_stdout_is_pinned(capsys, tmp_path):
+    # every byte `houghton conj` prints on these pairs, recorded before the
+    # documents were read as bytes and the outcome encoder was shared
+    digest = hashlib.sha256()
+    decisions = set()
+    for k, (a, b) in enumerate(stdout_pairs()):
+        paths = [write_element(tmp_path, "%d%s.json" % (k, name), g) for name, g in (("a", a), ("b", b))]
+        code, out, err = run(capsys, "conj", *paths)
+        assert code == 0 and err == ""
+        decisions.add(json.loads(out)["decision"])
+        digest.update(out.encode())
+    assert decisions == {"yes", "no"}
+    assert digest.hexdigest() == "cbd2ee985e56e4e5e9817be887a2fcd4bb5130b9a9e2160f8d74646a4c5fc4f6"

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import json
+import random
 import time
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
@@ -129,6 +130,51 @@ def test_fsym_support_count_mismatch():
     out = fsym_conjugate(a, b)
     assert not out.is_conjugate
     assert out.reason == SUPPORT_COUNT_MISMATCH
+
+
+def reference_unmatched_fixed(a, b, s):
+    """The fixed points p of a whose translate p + s is not fixed by b,
+    read point by point: the form `_unmatched_fixed` had before it became
+    one loop per table."""
+    ae, be, t = a.exceptions, b.exceptions, a.t
+
+    def fixed_by_b(i, m):
+        q = be.get((i, m))
+        if q is not None:
+            return q == (i, m)
+        return m >= 0 and t[i - 1] == 0
+
+    out = [p for p, q in ae.items() if p == q and not fixed_by_b(p[0], p[1] + s[p[0] - 1])]
+    for (i, k), q in be.items():
+        if t[i - 1] == 0 and q != (i, k):
+            p = (i, k - s[i - 1])
+            if p[1] >= 0 and p not in ae:
+                out.append(p)
+    for i, step in enumerate(t, 1):
+        if step == 0:
+            out.extend((i, m) for m in range(-s[i - 1]) if (i, m) not in ae)
+    return sorted(out)
+
+
+def test_unmatched_fixed_matches_reference():
+    # seeded pairs with equal t in H_2..H_4 (conjugates, and products with
+    # a finite permutation) against small translations s, both ways round;
+    # each kind of unmatched point occurs, with and without a fixed ray
+    rng = random.Random("unmatched-fixed")
+    kinds = collections.Counter()
+    for k in range(1500):
+        n = 2 + k % 3
+        a = random_element(n, k, rng.choice(["word-3", "word-6", "fsym"]))
+        x = random_element(n, k + 1, rng.choice(["word-3", "fsym"]))
+        b = conjugate_element(a, x) if k % 2 else compose(a, random_element(n, k + 2, "fsym"))
+        s = [rng.randint(-4, 4) for _ in range(n)]
+        s[-1] -= sum(s)
+        for g, h, v in ((a, b, s), (b, a, [-w for w in s])):
+            out = conjugacy._unmatched_fixed(g, h, v)
+            assert out == reference_unmatched_fixed(g, h, v), (g, h, v)
+            for i, m in out:
+                kinds["fixed ray" if 0 in g.t else "all move", "entry" if (i, m) in g.exceptions else "tail"] += 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 20, kinds
 
 
 # -- translation scaffolding ---------------------------------------------------------

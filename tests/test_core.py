@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -408,6 +409,103 @@ def test_element_rejects_missing_negative_redirect():
     # t_2 = -1 forces (2,0) into the exception table
     with pytest.raises(InvalidElementError):
         HoughtonElement(2, (1, -1), {})
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ['[[1,0],"21"]', '["10",[2,1]]', '[[1,0],{"2":0,"1":0}]', '{"a":[1,0],"b":[2,1]}', '[[1,0],[2,1,0]]', '[[1,0]]'],
+    ids=["string-image", "string-point", "object-point", "object-entry", "long-point", "short-entry"],
+)
+def test_deserialize_takes_only_arrays_as_points(entry):
+    # unpacked as a pair, "21" would read as the point (2, 1) and an object
+    # as its two keys, so each document below would be the swap of (1, 0)
+    # and (2, 1)
+    doc = '{"n":2,"t":[0,0],"exceptions":[%s,[[2,1],[1,0]]]}' % entry
+    with pytest.raises(InvalidElementError, match="^bad exception entry "):
+        deserialize(doc)
+    assert deserialize('{"n":2,"t":[0,0],"exceptions":[[[1,0],[2,1]],[[2,1],[1,0]]]}').exceptions == {
+        (1, 0): (2, 1),
+        (2, 1): (1, 0),
+    }
+
+
+# documents with two faults each, and the message the validation gives:
+# recorded before the validation became one pass over the table, so the
+# check that wins is pinned, not only that some check refuses
+TWO_FAULTS = [
+    # a ray out of range in a later entry, a non-minimal entry before it
+    ('{"n":2,"t":[0,0],"exceptions":[[[1,0],[1,0]],[[3,0],[1,1]]]}', "ray 3 out of range"),
+    ('{"n":2,"t":[0,0],"exceptions":[[[1,0],[1,0]],[[2,1],[2,-1]]]}', "negative offset at (2, -1)"),
+    ('{"n":2,"t":[0,0],"exceptions":[[[1,0],[2,0]],[[1,1],[2,0]],[[1,2],[0,1]]]}', "ray 0 out of range"),
+    # a non-minimal entry, and (2, 0) with no image
+    (
+        '{"n":2,"t":[1,-1],"exceptions":[[[1,5],[1,6]]]}',
+        "non-minimal entry (1, 5) -> (1, 6) matches the tail formula",
+    ),
+    # (3, 0) with no image, and a repeated image
+    (
+        '{"n":3,"t":[1,0,-1],"exceptions":[[[1,0],[2,5]],[[2,1],[2,5]]]}',
+        "point (3, 0) has no image: tail offset would be negative",
+    ),
+    # a repeated image, and a non-minimal entry after it
+    (
+        '{"n":2,"t":[0,0],"exceptions":[[[1,0],[2,0]],[[1,1],[2,0]],[[2,3],[2,3]]]}',
+        "non-minimal entry (2, 3) -> (2, 3) matches the tail formula",
+    ),
+    # a tail collision at (2, 5), then a repeated image
+    ('{"n":2,"t":[0,0],"exceptions":[[[1,0],[2,5]],[[1,1],[1,2]],[[2,0],[1,2]]]}', "two points map to (1, 2)"),
+    # two repeated images: the first in table order is named
+    ('{"n":2,"t":[0,0],"exceptions":[[[1,0],[1,4]],[[1,1],[1,4]],[[1,2],[1,3]],[[1,5],[1,3]]]}', "two points map to (1, 4)"),
+    # two tail collisions: the first in table order is named
+    (
+        '{"n":2,"t":[0,0],"exceptions":[[[1,0],[2,8]],[[2,0],[2,9]]]}',
+        "(2, 8) is hit both by an exception and by the tail formula",
+    ),
+    # a tail collision, and (1, 0), which no point hits
+    ('{"n":2,"t":[1,-1],"exceptions":[[[2,0],[2,7]]]}', "(2, 7) is hit both by an exception and by the tail formula"),
+    # a tail collision, and the tail image (1, 3) of (1, 3), which no point hits
+    (
+        '{"n":2,"t":[0,0],"exceptions":[[[1,0],[1,1]],[[1,1],[1,0]],[[1,3],[1,2]],[[2,0],[2,9]]]}',
+        "(1, 2) is hit both by an exception and by the tail formula",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, message", TWO_FAULTS)
+def test_validation_names_the_fault_that_wins(doc, message):
+    with pytest.raises(InvalidElementError) as raised:
+        deserialize(doc)
+    assert str(raised.value) == message
+    data = json.loads(doc)
+    with pytest.raises(InvalidElementError) as raised:
+        HoughtonElement(data["n"], data["t"], [(tuple(p), tuple(q)) for p, q in data["exceptions"]])
+    assert str(raised.value) == message
+
+
+def roundtrip_pool():
+    """The (a, a^x) pairs of the benchmark's `roundtrip` workload: words of
+    1 to 10 letters in H_2..H_4, drawn as `bench/workloads.py` draws them."""
+    pairs = []
+    for k in range(400):
+        n = (2, 3, 4)[k % 3]
+        rng = random.Random("roundtrip:%d" % k)
+        letters = [("g%d" % i, e) for i in range(2, n + 1) for e in (1, -1)] + ([("s", 1)] if n == 2 else [])
+        a, x = (Word(n, tuple(rng.choice(letters) for _ in range(rng.randint(1, 10)))) for _ in "ax")
+        a = evaluate(a)
+        pairs.append((a, conjugate_element(a, evaluate(x))))
+    return pairs
+
+
+def test_serialize_is_pinned():
+    # the documents of the roundtrip pool, of their conjugates and of the
+    # products, byte for byte, recorded before the encoder was shared
+    digest = hashlib.sha256()
+    for a, b in roundtrip_pool():
+        for g in (a, b, compose(a, b), inverse(b)):
+            text = serialize(g)
+            assert deserialize(text) == g
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == "43229fa14996260272276e862227c05992450c8bd3425ef1877b9b71661ed2f5"
 
 
 # -- equality and hashing -------------------------------------------------------
