@@ -4,9 +4,8 @@ All structured output is the canonical JSON document format; --pretty adds
 a human-readable rendering.  Exit codes: 0 success/decided, 1 usage error,
 2 invalid input data, an input beyond the walk limits, an oracle search
 that `oracle.brute_force_conjugator` refuses as too large (a ball with more
-reduced words than its cap, or an H_n whose letter elements are too big),
-or a command that runs out of memory (say, `eval` in an H_n too large for
-its translation vector).
+reduced words than its cap), or a command that runs out of memory (say,
+`eval` in an H_n too large for its translation vector).
 """
 
 from __future__ import annotations

@@ -232,20 +232,15 @@ def identity(n: int) -> HoughtonElement:
 
 
 def generator(n: int, gid: str) -> HoughtonElement:
-    """The generator g_i (push ray i one step in, ray 1 one step out) or s."""
+    """The generator g_i (push ray i one step in, ray 1 one step out) or s,
+    from its `_letter_rule`: the rule's ray steps give the translation, and
+    its table points are all exceptions, as the tail formula would send
+    each to a negative offset (g_j) or fix it (s)."""
     _check_n(n)
-    return _letter_element(n, (gid, 1))
-
-
-def _letter_element(n: int, letter) -> HoughtonElement:
-    """A new element of the signed generator `letter` of H_n, from its
-    `_letter_rule`: the rule's ray steps give the translation, and its
-    table points are all exceptions, as the tail formula would send each
-    to a negative offset (g_j, g_j^-1) or fix it (s)."""
     # a gid that is not a string is refused before the rule's cache hashes it
-    rule = _letter_rule(n, letter) if isinstance(letter[0], str) else None
+    rule = _letter_rule(n, (gid, 1)) if isinstance(gid, str) else None
     if rule is None:
-        raise WordError("generator %r is not valid for n=%d" % (letter[0], n))
+        raise WordError("generator %r is not valid for n=%d" % (gid, n))
     entries, moves = rule
     t = [0] * n
     for i, step in moves:
@@ -384,8 +379,8 @@ def _letter_rule(n: int, letter):
     moves ray 1 out and ray j in by one step and sends (j, 0) to (1, 0),
     g_j^-1 undoes that, and s swaps (1, 0) and (2, 0).  This is the one
     definition of H_n's letters: `Word.parse` checks a gid by it, and
-    `generator` and the oracle build letter elements from it, in O(1) per
-    gid without listing H_n's generators as `generator_ids` does."""
+    `generator` builds an element and the oracle a view from it, in O(1)
+    per gid without listing H_n's generators as `generator_ids` does."""
     if not (isinstance(letter, tuple) and len(letter) == 2 and letter[1] in (1, -1)):
         return None
     gid, sign = letter
@@ -424,14 +419,23 @@ def _conjugate_by(c: HoughtonElement, g: HoughtonElement) -> HoughtonElement:
     g's table, with p + t(c) off g's table too, both steps through g are
     translations: r = p + t(g) and v = p + t(c) + t(g) = r + t(c).  So one
     pass over c's table, and a short one over the points p off it with p
-    or p + t(c) on g's table, find every exception."""
+    or p + t(c) on g's table, find every exception.  Of g, only its table
+    and g.t[i - 1] on the rays i of c's and g's table points are read."""
     ce, ct, ge, gt = c.exceptions, c.t, g.exceptions, g.t
     exc = {}
     for p, q in ce.items():
-        r = ge.get(p) or (p[0], p[1] + gt[p[0] - 1])
-        v = ge.get(q) or (q[0], q[1] + gt[q[0] - 1])
-        if v != (r[0], r[1] + ct[r[0] - 1]):
-            exc[r] = v
+        if p in ge:
+            i, m = ge[p]
+        else:
+            i, m = p
+            m += gt[i - 1]
+        if q in ge:
+            j, k = ge[q]
+        else:
+            j, k = q
+            k += gt[j - 1]
+        if j != i or k != m + ct[i - 1]:
+            exc[(i, m)] = (j, k)
     for j, k in ge:
         step = ct[j - 1]
         for m in (k, k - step) if step else (k,):
@@ -472,7 +476,7 @@ def deserialize(text: str) -> HoughtonElement:
     entry."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidElementError("not valid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise InvalidElementError("element document must be an object")

@@ -1,30 +1,17 @@
 """Independent brute-force machinery: word enumeration, pointwise word
 simulation and reproducible random instances.
 
-The search's one product comes from `core`: `_conjugate_by`, which
-carries an element's table through one letter's element with no inverse,
-as `conjugate` does too.  The cross-check stays independent in what it
-searches and how it confirms: simulate_word acts with the raw generator
-rules; the conjugator search enumerates words rather than translation
-tuples, answers with the first word of the ball in breadth-first order
-with no pruning by invariants (no translation or cycle-type check), and
-checks every hit again with `conjugacy.verify` on the element `evaluate`
-gives the word; and the benchmark's checker confirms answers without the
-package.
-
-A word w = x u is a hit iff x^-1 a x = u b u^-1, so the search meets in
-the middle: for each word length it carries x^-1 a x along the reduced
-prefixes x of half that length (rounded up) and looks each one up in a
-hash index of u b u^-1 over the reduced suffixes u of the other half,
-built by prepending letters.  A miss at radius L then costs one
-conjugation by a letter per reduced word of length at most L/2 on each
-side and builds no element, instead of a product per element of the
-ball.  This is the only search, and it is exact: a ball with more than
-MAX_WORDS reduced words, or an H_n whose letter elements would hold more
-than MAX_LETTER_INTS ints, is refused with ValueError before any letter
-element is built.  No search state is kept between calls: only the
-elements of H_n's signed letters, built from `core`'s letter rule, and
-the letter that cancels each are kept once per n and shared.
+The conjugator search's one product is `core._conjugate_by`, which
+`conjugate` uses too; the search hands it O(1)-size views of H_n's
+letters, built from `core`'s letter rule and kept once per n.  The
+cross-check stays independent in what it searches and how it confirms:
+simulate_word acts with the raw generator rules; the search enumerates
+words rather than translation tuples, answers with the first word of the
+ball in breadth-first order with no pruning by invariants (no
+translation or cycle-type check), and checks every hit again with
+`conjugacy.verify` on the element `evaluate` gives the word; and the
+benchmark's checker confirms answers without the package.  No search
+state is kept between calls.
 """
 
 from __future__ import annotations
@@ -32,16 +19,14 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .core import HoughtonElement, Point, Word, _conjugate_by, _letter_element, evaluate, generator_ids
+from .core import HoughtonElement, Point, Word, _conjugate_by, _letter_rule, evaluate, generator_ids
 from .conjugacy import verify
 
 
-# the most reduced words a searched ball may have, and the most ints that
-# H_n's letter elements may hold; `brute_force_conjugator` says why
+# the most reduced words a searched ball may have
 MAX_WORDS = 10_000_000
-MAX_LETTER_INTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -104,18 +89,32 @@ def _signed_alphabet(n: int) -> _Letters:
     return tuple((gid, sign) for gid in generator_ids(n) for sign in ((1,) if gid == "s" else (1, -1)))
 
 
-# kept for 8 n at a time: each n's letter elements hold at most
-# MAX_LETTER_INTS ints, so this also bounds their memory
+class _Steps(dict):
+    """A letter's step on each ray i, at i - 1 as in a translation vector:
+    stored on the rays it moves, and 0 on every other ray."""
+
+    __slots__ = ()
+
+    def __missing__(self, ray: int) -> int:
+        return 0
+
+
+# what `_conjugate_by` reads of a letter, O(1) in size for any n
+_LetterView = NamedTuple("_LetterView", [("exceptions", Dict[Point, Point]), ("t", _Steps)])
+
+
 @functools.lru_cache(maxsize=8, typed=True)
-def _search_tables(n: int) -> Tuple[Dict[_Letter, HoughtonElement], Dict[_Letter, _Letter]]:
-    """The element of each signed letter of H_n, in letter order, and the
-    letter that cancels each one (s cancels itself), for the searches in
-    H_n: a letter may follow every letter but the one that cancels it.
-    Built once per n, only for a search that passed the size check, and
-    only read: no element is handed out."""
-    alphabet = _signed_alphabet(n)
-    cancels = {(gid, sign): (gid, sign if gid == "s" else -sign) for gid, sign in alphabet}
-    return {m: _letter_element(n, m) for m in alphabet}, cancels
+def _search_tables(n: int) -> Tuple[Tuple[_Letter, _LetterView, _Letter, _LetterView], ...]:
+    """Each signed letter of H_n, in letter order, with its view and the
+    letter that cancels it (s cancels itself) with that letter's view: a
+    letter may follow every letter but the one that cancels it.  Built
+    once per n, for a search that passed the size check, and only read."""
+    views = {}
+    for m in _signed_alphabet(n):
+        entries, moves = _letter_rule(n, m)
+        views[m] = _LetterView(dict(entries), _Steps((i - 1, step) for i, step in moves))
+    cancels = {(gid, sign): (gid, sign if gid == "s" else -sign) for gid, sign in views}
+    return tuple((m, g, cancels[m], views[cancels[m]]) for m, g in views.items())
 
 
 def brute_force_conjugator(
@@ -131,22 +130,22 @@ def brute_force_conjugator(
     How it is found.  A word x u is a hit iff x^-1 a x = u b u^-1.  For
     each length l, the reduced prefixes x of length ceil(l/2) carry
     x^-1 a x along the prefix tree, and the reduced suffixes u of length
-    floor(l/2), built by prepending letters, are indexed by u b u^-1.  The
-    answer is x u for the first x, in letter order, whose conjugate is
-    indexed under some u that may follow x's last letter, and the first
-    such u: the first reduced hit of length l in letter order.  The hit's
-    element is evaluated from its word and checked again by `verify`
-    before the word is returned.
+    floor(l/2), built by prepending letters, are indexed by the table of
+    u b u^-1.  The answer is x u for the first x, in letter order, whose
+    conjugate's table is indexed under some u that may follow x's last
+    letter, and the first such u: the first reduced hit of length l in
+    letter order.  The hit's element is evaluated from its word and
+    checked again by `verify` before the word is returned.  A miss at
+    radius L costs one conjugation by a letter per reduced word of length
+    at most L/2 on each side, and builds no element of the ball.
 
-    Size.  Before any letter element is built, ValueError refuses a
-    search whose ball has more than MAX_WORDS reduced words (more than
-    radius 14 in H_3), and one in an H_n whose 2(n - 1) letter elements,
-    of n ints each, would hold more than MAX_LETTER_INTS ints (n > 2,236).
-    Which letter may follow which is a rule (all but the one that cancels
-    it), not a table, so the letter elements are the only per-n cost that
-    grows as n^2: the bound was chosen so that a one-letter search in
-    H_2,000 (8.0 million ints) still runs, and such a search peaked at
-    81 MB of resident memory.
+    The index is keyed on tables alone, so a lookup reads no n-int
+    translation: a valid table fixes t, as t_i is the number of its
+    images on ray i less the number of its points there.
+
+    Size.  Before any letter view is built, ValueError refuses a search
+    whose ball has more than MAX_WORDS reduced words (more than radius 14
+    in H_3).  That is the only bound: a one-letter search in H_20,000 runs.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
@@ -160,12 +159,7 @@ def brute_force_conjugator(
             "budget %d is over the limit of %d in H_%d: its ball has more reduced words "
             "than the cap of %d" % (radius, limit, n, MAX_WORDS)
         )
-    if 2 * (n - 1) * n > MAX_LETTER_INTS:
-        raise ValueError(
-            "H_%d is too large to search: its letter elements would hold %d ints, "
-            "over the limit of %d" % (n, 2 * (n - 1) * n, MAX_LETTER_INTS)
-        )
-    letters = _joined_search(a, b, radius, *_search_tables(n))
+    letters = _joined_search(a, b, radius, _search_tables(n))
     if letters is None:
         return None
     w = Word(n, letters)
@@ -193,20 +187,17 @@ def _joined_search(
     a: HoughtonElement,
     b: HoughtonElement,
     radius: int,
-    elements: Dict[_Letter, HoughtonElement],
-    cancels: Dict[_Letter, _Letter],
+    letters: Tuple[Tuple[_Letter, _LetterView, _Letter, _LetterView], ...],
 ) -> Optional[_Letters]:
     """The first reduced hit of least length in letter order, from the
     half-balls of `brute_force_conjugator`'s docstring."""
-    # each letter with the letter that cancels it and the latter's element
-    letters = [(m, g, cancels[m], elements[cancels[m]]) for m, g in elements.items()]
     # (x, x^-1 a x, the letter that may not follow x) and (u, u b u^-1, the
     # letter that may not come before u) over the reduced words of one
     # length, in letter order
     prefixes: List[Tuple[_Letters, HoughtonElement, Optional[_Letter]]] = [((), a, None)]
     suffixes: List[Tuple[_Letters, HoughtonElement, Optional[_Letter]]] = [((), b, None)]
-    # u b u^-1 -> the first u with each first letter, in letter order
-    index: Dict[HoughtonElement, Dict[Optional[_Letter], _Letters]] = {b: {None: ()}}
+    # the table of u b u^-1 -> the first u with each first letter, in order
+    index: Dict[frozenset, Dict[Optional[_Letter], _Letters]] = {frozenset(b.exceptions.items()): {None: ()}}
     for length in range(radius + 1):
         if length % 2:
             prefixes = [
@@ -224,9 +215,9 @@ def _joined_search(
             ]
             index = {}
             for u, c, _ in suffixes:
-                index.setdefault(c, {}).setdefault(u[0], u)
+                index.setdefault(frozenset(c.exceptions.items()), {}).setdefault(u[0], u)
         for x, c, after in prefixes:
-            hits = index.get(c)
+            hits = index.get(frozenset(c.exceptions.items()))
             if hits is not None:
                 for u in hits.values():
                     if not u or u[0] != after:

@@ -155,11 +155,17 @@ def run_limited(cwd, *argv, limit_mb=512):
     return done.returncode, done.stdout, done.stderr
 
 
-@pytest.mark.parametrize("n, oracle_code", [(2000, 0), (200000, 2)])
-def test_large_n_runs_in_bounded_memory(tmp_path, n, oracle_code):
+@pytest.mark.parametrize(
+    "n, budget, oracle_code",
+    [pytest.param(2000, 1, 0, id="2000-0"), pytest.param(20000, 1, 0, id="20000-0"),
+     pytest.param(200000, 2, 2, id="200000-2")],
+)
+def test_large_n_runs_in_bounded_memory(tmp_path, n, budget, oracle_code):
     # a one-letter word costs O(1) per letter whatever n is, conj decides
-    # g2 against itself, and the oracle answers in H_2,000 and refuses
-    # H_200,000 before building any letter; no run may end in a traceback
+    # g2 against itself, and the oracle's letters are O(1) views: it
+    # searches the radius-1 ball in H_2,000 and H_20,000, and refuses the
+    # radius-2 ball of H_200,000 (about 1.6 * 10^11 reduced words) at once;
+    # no run may end in a traceback
     for gid in ("g2", "g3"):
         code, out, err = run_limited(tmp_path, "eval", "-n", str(n), gid)
         assert code == 0 and "Traceback" not in err
@@ -168,17 +174,18 @@ def test_large_n_runs_in_bounded_memory(tmp_path, n, oracle_code):
     code, out, err = run_limited(tmp_path, "conj", "g2.json", "g2.json")
     doc = json.loads(out)
     assert (code, doc["decision"], doc["verified"]) == (0, "yes", True) and "Traceback" not in err
-    code, out, err = run_limited(tmp_path, "oracle", "g2.json", "g3.json", "--budget", "1")
+    code, out, err = run_limited(tmp_path, "oracle", "g2.json", "g3.json", "--budget", str(budget))
     assert code == oracle_code and "Traceback" not in err
     if oracle_code == 0:
         assert json.loads(out) == {"found": False}
-        # H_2,000's letter elements and their cancel map fit in 128 MB
+    else:
+        assert out == "" and err.startswith("error: budget 2 is over the limit of 1 in H_%d" % n)
+    if n == 2000:
+        # H_2,000's letter views and the search fit in 128 MB
         code, out, err = run_limited(
             tmp_path, "oracle", "g2.json", "g3.json", "--budget", "1", limit_mb=128
         )
         assert (code, json.loads(out)) == (0, {"found": False}) and "Traceback" not in err
-    else:
-        assert out == "" and err.startswith("error: H_%d is too large to search" % n)
 
 
 def test_running_out_of_memory_is_data_error(tmp_path):
@@ -363,6 +370,15 @@ def test_conj_refuses_a_point_that_is_not_an_array(capsys, tmp_path):
     code, out, err = run(capsys, "conj", str(path), str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: bad exception entry ") and "Traceback" not in err
+
+
+def test_deep_nesting_is_data_error(tmp_path):
+    # json.loads gives up on 100,000 nested arrays with a RecursionError;
+    # the command exits 2 with one error line, not a traceback
+    (tmp_path / "deep.json").write_text("[" * 100000, encoding="utf-8")
+    code, out, err = run_limited(tmp_path, "inv", "deep.json")
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
 
 
 def stdout_pairs():

@@ -1010,6 +1010,25 @@ def test_conjugate_matches_level_search():
     assert outcomes == {None: 504, CYCLE_TYPE_MISMATCH: 114, ORBIT_PAIRING_MISMATCH: 335, ORBIT_SHIFT_MISMATCH: 108}
 
 
+def test_conjugate_keeps_its_symmetries():
+    # two relations that hold for any correct decider, checked on the
+    # cross-check pairs of test_conjugate_matches_level_search with no
+    # search: conjugate(a, b) and conjugate(b, a) agree, and so does
+    # conjugate(a^u, b^v) for seeded words u and v.  The tag agrees too,
+    # as each stage tests an invariant of conjugacy
+    pairs = same_invariant_pairs(((2, 3000, 8), (3, 3000, 4), (4, 300, 4), (5, 200, 4)))
+    assert len(pairs) == 1061
+    for k, (a, b) in enumerate(pairs):
+        out = conjugate(a, b)
+        decided = (out.is_conjugate, out.reason, out.verified)
+        back = conjugate(b, a)
+        assert (back.is_conjugate, back.reason, back.verified) == decided, (a, b)
+        u = evaluate(random_word(a.n, 9000 + k, 1 + k % 6))
+        v = evaluate(random_word(a.n, 11000 + k, 1 + k % 7))
+        moved = conjugate(conjugate_element(a, u), conjugate_element(b, v))
+        assert (moved.is_conjugate, moved.reason, moved.verified) == decided, (a, b, u, v)
+
+
 # -- offsets do not matter --------------------------------------------------------------
 
 FAR_PAIRS = same_invariant_pairs()

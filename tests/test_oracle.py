@@ -7,7 +7,6 @@ from houghton import (
     HoughtonElement,
     Word,
     apply,
-    compose,
     conjugate_element,
     evaluate,
     generator,
@@ -17,10 +16,9 @@ from houghton import (
     serialize,
     verify,
 )
-from houghton import core, oracle
-from houghton.core import _conjugate_by, _letter_element
+from houghton import oracle
+from houghton.core import _conjugate_by
 from houghton.oracle import (
-    MAX_LETTER_INTS,
     MAX_WORDS,
     SearchBudget,
     _ball_words,
@@ -79,47 +77,42 @@ def test_brute_force_negative_within_budget():
     assert brute_force_conjugator(a, b, SearchBudget(3)) is None
 
 
-def count_letter_builds(monkeypatch):
-    """Clears the oracle's per-n tables and records every signed letter
-    whose element is built from then on, by the oracle or in `core`
-    (where `generator` builds one too)."""
-    built = []
+def count_conjugations(monkeypatch):
+    """Records the element of every conjugation by a letter that the
+    oracle makes from then on."""
+    conjugated = []
 
-    def counting_letter_element(n, letter):
-        built.append(letter)
-        return _letter_element(n, letter)
+    def counting_conjugate_by(c, g):
+        conjugated.append(c)
+        return _conjugate_by(c, g)
 
-    monkeypatch.setattr(oracle, "_letter_element", counting_letter_element)
-    monkeypatch.setattr(core, "_letter_element", counting_letter_element)
-    oracle._search_tables.cache_clear()
-    return built
+    monkeypatch.setattr(oracle, "_conjugate_by", counting_conjugate_by)
+    return conjugated
 
 
 def test_brute_force_refuses_a_ball_over_the_cap(monkeypatch):
     # the ball of radius 15 in H_3 has more reduced words than the cap, so
-    # the search is refused at once, before any letter element is built,
-    # naming the largest radius searched (14)
+    # the search is refused at once, before any conjugation, naming the
+    # largest radius searched (14)
     a, b = generator(3, "g2"), generator(3, "g3")
-    built = count_letter_builds(monkeypatch)
+    conjugated = count_conjugations(monkeypatch)
     started = time.process_time()
     with pytest.raises(ValueError, match="limit of 14 in H_3.*cap of %d" % MAX_WORDS):
         brute_force_conjugator(a, b, SearchBudget(15))
     assert time.process_time() - started < 1.0
-    assert built == []
+    assert conjugated == []
     assert reduced_words(3, 14) <= MAX_WORDS < reduced_words(3, 15)
 
 
-def test_brute_force_refuses_an_h_n_whose_letters_are_too_large(monkeypatch):
-    # H_n's 2(n - 1) letter elements hold n ints each: the largest n under
-    # the bound is 2,236, and a one-letter search in H_2,237 is refused
-    # before any letter is built
-    n = 2237
-    assert 2 * (n - 2) * (n - 1) <= MAX_LETTER_INTS < 2 * (n - 1) * n
-    a, b = generator(n, "g2"), generator(n, "g3")
-    built = count_letter_builds(monkeypatch)
-    with pytest.raises(ValueError, match="H_2237 is too large to search"):
-        brute_force_conjugator(a, b, SearchBudget(1))
-    assert built == []
+def test_brute_force_searches_a_large_h_n():
+    # the letters are O(1) views whatever n is, so MAX_WORDS is the only
+    # bound: a one-letter search in H_20,000 (39,999 reduced words) finds
+    # the last generator, and misses g2 against g3
+    n = 20000
+    a = evaluate(Word.parse(n, "g2 g20000"))
+    b = conjugate_element(a, generator(n, "g20000"))
+    assert str(brute_force_conjugator(a, b, SearchBudget(1))) == "g20000"
+    assert brute_force_conjugator(generator(n, "g2"), generator(n, "g3"), SearchBudget(1)) is None
 
 
 def test_ball_words_counts_reduced_words():
@@ -208,33 +201,39 @@ def test_brute_force_miss_builds_only_half_balls(monkeypatch):
     # of length 1..ceil(L/2) for the prefixes and of length 1..floor(L/2)
     # for the suffixes: 16 + 16 at radius 4, 52 + 16 at 5 and 160 + 160 at
     # 8 (the ball of radius 8 has 13,121 reduced words)
-    conjugated = []
-
-    def counting_conjugate_by(c, g):
-        conjugated.append(c)
-        return _conjugate_by(c, g)
-
-    monkeypatch.setattr(oracle, "_conjugate_by", counting_conjugate_by)
+    conjugated = count_conjugations(monkeypatch)
     for radius, expected in ((4, 32), (5, 68), (8, 320)):
         conjugated.clear()
         assert brute_force_conjugator(generator(3, "g2"), generator(3, "g3"), SearchBudget(radius)) is None
         assert len(conjugated) == expected
 
 
-def test_letters_are_built_once_per_n(monkeypatch):
-    # after the oracle's tables are cleared, two searches in H_3 build the
-    # element of each of its four signed letters once, for the one letter
-    # table; evaluate builds no letter element at all
-    a, b = generator(3, "g2"), generator(3, "g3")
-    x = conjugate_element(a, evaluate(Word.parse(3, "g3 g2'")))
-    built = count_letter_builds(monkeypatch)
-    assert str(brute_force_conjugator(a, x, SearchBudget(3))) == "g3 g2'"
-    assert brute_force_conjugator(a, b, SearchBudget(3)) is None
-    assert built == [("g2", 1), ("g2", -1), ("g3", 1), ("g3", -1)]
-    del built[:]
-    assert evaluate(Word.parse(3, "g2 g3'")) == compose(a, inverse(b))
-    assert evaluate(Word.parse(3, "g3")) == b
-    assert built == []
+def table_translation(g):
+    """t from g's table alone: on each ray, its images less its points."""
+    t = [0] * g.n
+    for (i, _), (j, _) in g.exceptions.items():
+        t[i - 1] -= 1
+        t[j - 1] += 1
+    return tuple(t)
+
+
+def test_a_table_fixes_the_translation():
+    # the search indexes conjugates by their tables alone; that is exact
+    # because t_i is the table's images on ray i less its points there:
+    # in a long window, ray i holds its images and the tail images
+    elements = []
+    for n in range(2, 7):
+        for seed in range(40):
+            g = evaluate(random_word(n, seed, 1 + seed % 12))
+            far = {}
+            for i in range(1, n + 1):
+                for m in range(1 + g.max_exception_offset()):
+                    far[(i, m)], far[(i, 10**9 + seed + m)] = (i, 10**9 + seed + m), (i, m)
+            far_lift = conjugate_element(g, HoughtonElement(n, (0,) * n, far))
+            elements += [g, random_element(n, seed, "fsym"), far_lift]
+    assert len({g.t for g in elements}) > 100
+    for g in elements:
+        assert table_translation(g) == g.t, g
 
 
 # -- the search against the one that verified every candidate ----------------------
