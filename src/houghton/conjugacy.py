@@ -3,9 +3,10 @@
 The solver layers:
 
   _forced_conjugator    the conjugator of a given translation s, or the
-                        stage that refutes it: a forced-value walk along
-                        the infinite orbits, finite cycles paired by
-                        length, fixed points paired by position
+                        stage that refutes it: each infinite orbit paired
+                        with its partner under s and read off their runs,
+                        finite cycles paired by length, fixed points
+                        paired by position
   fsym_conjugate        that builder at s = 0 (conjugators of finite support)
   conjugate             the full decision: pair the infinite orbits of a
                         with those of b, solve the orbit-shift equations
@@ -51,7 +52,7 @@ FORCED_MAP_INCONSISTENT = "forced-map-inconsistent"
 ORBIT_PAIRING_MISMATCH = "orbit-pairing-mismatch"
 ORBIT_SHIFT_MISMATCH = "orbit-shift-mismatch"
 
-_WALK_LIMIT = 10_000_000
+_WALK_LIMIT = 10_000_000  # the most table entries a certificate may have
 
 
 class BoundData(NamedTuple):
@@ -132,102 +133,40 @@ def _forced_conjugator(
     """The conjugator x of translation s from a to b, for a.t == b.t and
     equal cycle types, or the stage that refutes every such x.
 
-    Infinite orbits.  x is translation by s_i far out on every ray i, and
-    a x = x b, so (pa)x = (px)b: once v = px is known at a point p of an
-    orbit of a, stepping p <- pa and v <- vb pins down x on the rest of it.
-    At or beyond the cutoffs of a residue class c of a, and of its class
-    c + s_i in b, a and b act on both by the same translation, so on an
-    incoming ray x(p) = p + s_i already at the first point p where both
-    hold: the walk of each orbit starts there.  It stops at the first
-    point p at or beyond both outgoing cutoffs, measured the same way
-    (b's moved back by s_i): from there on a translates p as b translates
-    p + s_i, and since b is a bijection the next step keeps v == p + s_i
-    or v != p + s_i as it is, so v != p + s_i there is a mismatch at
-    every later point of the tail, where x must be p + s_i.  In between,
-    while v == p + s_i and both points are off the tables, a and b
-    translate them alike, so the walk jumps to the step before the next
-    table point of either in its class (b's moved back by s_i), or before
-    the outgoing cutoff.  The walk thus costs O(tables + certificate),
-    whatever the offsets.  Points where v != p + s_i go into x's table.
-
-    Finite cycles are paired by length, aligned at their minimal points.
-
     Fixed points.  x maps a fixed point p of a to p + s wherever that is a
     fixed point of b; the others (`_unmatched_fixed`) of a and of b are
     paired in sorted order, and their counts must agree.  That check
     comes first.
 
-    x is checked by the constructor's bijectivity and minimality checks
-    and then once by verify.  `bounds` goes into the outcome of a yes as
-    it is.
+    Finite cycles are paired by length, aligned at their minimal points.
+
+    Infinite orbits.  With the numbering o_k of `conjugate`, x is
+    translation by s_i far out on every ray i, so it maps an orbit O of a
+    onto the orbit O' of b whose incoming class is O's moved by s, o_k to
+    o'_{k+d}, and the incoming orbit-shift equation gives d.  When O' ends
+    on another ray than O, or the outgoing equation fails, no x of
+    translation s exists: forced-map-inconsistent.  Otherwise x(o_k) =
+    o_k + s_i both where o_k and o'_{k+d} lie in their incoming tails,
+    k < min(-L, -L' - d), and where both lie in their outgoing tails,
+    k >= max(0, -d).  So x's entries on O lie in the window in between,
+    which holds both spines and a piece of each tail.  x is read off by
+    merging O's runs over the window with those of O' shifted by d: on a
+    stretch where both runs go on, a and b translate alike, so its points
+    are all entries of x or none.  That costs the runs plus the
+    certificate, whatever the offsets.
+
+    Reading an orbit raises WalkLimitError where x's table would pass
+    _WALK_LIMIT entries.  The finite cycles and fixed points are read
+    first, as their entries are already in hand, and count towards the
+    limit.  x is checked by the constructor's bijectivity and minimality
+    checks and then once by verify.  `bounds` goes into the outcome of a
+    yes as it is.
     """
     unmatched_a = _unmatched_fixed(a, b, s)
     unmatched_b = _unmatched_fixed(b, a, [-v for v in s])
     if len(unmatched_a) != len(unmatched_b):
         return _no(SUPPORT_COUNT_MISMATCH)
-
-    t, ae, be = a.t, a.exceptions, b.exceptions
-    index_a, index_b = dec_a.index, dec_b.index
-    # per residue class c of a: the first offset at or beyond a's cutoff of
-    # c whose translate by s_i is at or beyond b's cutoff of c + s_i
-    cut_b: Dict[Tuple[int, int], int] = {}
-    for pos, pos_residue, pos_cutoff, neg, neg_residue, neg_cutoff, _, _ in dec_b.infinite_orbits:
-        cut_b[(neg, neg_residue)] = neg_cutoff
-        cut_b[(pos, pos_residue)] = pos_cutoff
-    cut: Dict[Tuple[int, int], int] = {}
-    for pos, pos_residue, pos_cutoff, neg, neg_residue, neg_cutoff, _, _ in dec_a.infinite_orbits:
-        shift = s[neg - 1]
-        cut[(neg, neg_residue)] = max(neg_cutoff, cut_b[(neg, (neg_residue + shift) % -t[neg - 1])] - shift)
-        shift = s[pos - 1]
-        cut[(pos, pos_residue)] = max(pos_cutoff, cut_b[(pos, (pos_residue + shift) % t[pos - 1])] - shift)
-
-    mapping: Dict[Point, Point] = {}
-    steps = 0
-    for orbit in dec_a.infinite_orbits:
-        i = orbit.neg_ray
-        m = cut[(i, orbit.neg_residue)]
-        step, shift = t[i - 1], s[i - 1]
-        p = (i, m)
-        v = home = (i, m + shift)
-        while True:
-            # (i, m) = p, step and shift are t and s on its ray, and home is
-            # p + s_i
-            if step and v == home and p not in ae and v not in be:
-                # a and b translate p and v alike up to the next table point
-                # of either in its class, or up to the outgoing cutoff: jump
-                # to the step before that, when it is not the next one
-                q = m + step
-                off_tables = (i, q) not in ae and (i, q + shift) not in be
-                if off_tables and (step < 0 or q < cut[(i, m % step)]):
-                    end_a = index_a.next_domain(i, m, step)
-                    end_b = index_b.next_domain(i, m + shift, step)
-                    if step > 0:
-                        ends = [cut[(i, m % step)]]
-                        if end_a is not None:
-                            ends.append(end_a)
-                        if end_b is not None:
-                            ends.append(end_b - shift)
-                        end = min(ends)
-                    else:
-                        end = max(end_a, end_b - shift)  # every offset below |step| is in both tables
-                    m = end - step
-                    p, v = (i, m), (i, m + shift)
-            p = ae.get(p) or (i, m + step)
-            v = be.get(v) or (v[0], v[1] + t[v[0] - 1])
-            i, m = p
-            step, shift = t[i - 1], s[i - 1]
-            home = (i, m + shift)
-            if step > 0 and m >= cut[(i, m % step)]:
-                if v != home:
-                    return _no(FORCED_MAP_INCONSISTENT)
-                break
-            if v != home:
-                mapping[p] = v
-            steps += 1
-            if steps > _WALK_LIMIT:
-                raise WalkLimitError("forced-value walk took more than %d steps" % _WALK_LIMIT)
-    if len(set(mapping.values())) != len(mapping):
-        return _no(FORCED_MAP_INCONSISTENT)
+    mapping: Dict[Point, Point] = dict(zip(unmatched_a, unmatched_b))
 
     if dec_a.finite_cycles:
         by_len_a: Dict[int, List[Tuple[Point, ...]]] = {}
@@ -242,8 +181,37 @@ def _forced_conjugator(
                     if pb != (pa[0], pa[1] + s[pa[0] - 1]):
                         mapping[pa] = pb
 
-    for pa, pb in zip(unmatched_a, unmatched_b):
-        mapping[pa] = pb
+    t = a.t
+    by_neg = {(o.neg_ray, o.neg_residue): o for o in dec_b.infinite_orbits}
+    for pos, _, pos_cut, neg, neg_residue, neg_cut, runs, spine_len in dec_a.infinite_orbits:
+        up, down, shift = t[pos - 1], -t[neg - 1], s[neg - 1]
+        pos_b, _, pos_cut_b, _, _, neg_cut_b, runs_b, len_b = by_neg[(neg, (neg_residue + shift) % down)]
+        d = (neg_cut_b - neg_cut - shift) // down + spine_len - len_b
+        if pos_b != pos or pos_cut_b + up * d != pos_cut + s[pos - 1]:
+            return _no(FORCED_MAP_INCONSISTENT)
+        # the window k in [lo, hi) as runs: a piece of the incoming tail,
+        # the spine and a piece of the outgoing tail, of O and of O'
+        lo, hi = min(-spine_len, -len_b - d), max(0, -d)
+        count = -spine_len - lo
+        runs_a = ((neg, neg_cut + (count - 1) * down, -down, count),) + runs + ((pos, pos_cut, up, hi),)
+        count = -len_b - d - lo
+        runs_b = ((neg, neg_cut_b + (count - 1) * down, -down, count),) + runs_b + ((pos, pos_cut_b, up, hi + d),)
+        rest_b = iter(runs_b)
+        ray_b, m_b, step_b, left_b = next(rest_b)
+        for ray, m, step, left in runs_a:
+            while left:
+                while not left_b:
+                    ray_b, m_b, step_b, left_b = next(rest_b)
+                count = min(left, left_b)
+                if ray != ray_b or m_b != m + s[ray - 1]:
+                    if len(mapping) + count > _WALK_LIMIT:
+                        raise WalkLimitError("a conjugator needs more than %d table entries" % _WALK_LIMIT)
+                    for k in range(count):
+                        mapping[(ray, m + k * step)] = (ray_b, m_b + k * step_b)
+                m += count * step
+                m_b += count * step_b
+                left -= count
+                left_b -= count
 
     x = _make(a.n, tuple(s), mapping)
     x._validate()
@@ -523,8 +491,8 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     takes the k that minimises the sum of |s_i + k * t_i| over E.  A
     conjugator of translation s has at least the sum of the positive s_i
     table entries (the points (i, m) with m < s_i are hit by no tail), so
-    when that sum is over the walk limit, WalkLimitError is raised before
-    any walk.
+    when that sum is over the limit of certificate entries, WalkLimitError
+    is raised before the conjugator is built.
 
     Existence.  Take a combination that gives every ray one value s_i (an
     exact one).  Mapping o_k to o'_{k+d_O} on every orbit is a bijection
@@ -551,10 +519,12 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     the sums they reach together, in classes x choices x g steps, and the
     answer is orbit-shift-mismatch when 0 is among them, else
     orbit-pairing-mismatch.  No choice is generated twice.
-    For a yes, `_forced_conjugator` walks the orbits of a and b with
-    translation s and builds x, which is verified exactly once.  A refusal
-    there, or a nonzero sum(s) when every ray moves, would contradict the
-    existence argument and raises RuntimeError.  The bounds are those of
+    For a yes, `_forced_conjugator` builds x of translation s as in the
+    existence argument: it pairs each orbit of a with its partner in b,
+    solves for d_O and reads x off the two orbits' runs.  x is verified
+    exactly once.  A refusal there, or a nonzero sum(s) when every ray
+    moves, would contradict the existence argument and raises
+    RuntimeError.  The bounds are those of
     the orbit pairs of each class's first exact choice, with b's orbits
     moved back by s: `_least_translation` moves s by a multiple of t_i on
     each ray, which keeps every residue mod t_i, so no partner changes.
@@ -609,5 +579,5 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     pairs = [pair for _, class_pairs in firsts for pair in class_pairs]
     out = _forced_conjugator(a, b, tuple(s), dec_a, dec_b, _pair_bounds(a.t, pairs, s))
     if not out.is_conjugate:
-        raise RuntimeError("consistent orbit shifts refused by the forced-value walk: %s" % out.reason)
+        raise RuntimeError("consistent orbit shifts refused by the conjugator builder: %s" % out.reason)
     return out

@@ -33,7 +33,8 @@ Run = Tuple[int, int, int, int]  # (ray, start offset, step, count)
 
 
 class WalkLimitError(ValueError):
-    """A walk along the orbits of an element took more steps than allowed."""
+    """A walk along the orbits of an element, or a conjugator's table, went
+    over its limit."""
 
 
 def run_points(runs: Iterable[Run]) -> Iterator[Point]:
@@ -66,24 +67,14 @@ class TableIndex:
     its next table point: the domain side and the range side, as the pass
     of `cycle_decomposition` classifies them.  Their lists are sorted on
     the first jump, which tiny tables, walked one step at a time, seldom
-    make.  It is a view of the element's table, so two indexes are equal
-    when their elements are."""
+    make."""
 
-    __slots__ = ("_g", "_dom", "_ran", "_sorted")
+    __slots__ = ("_dom", "_ran", "_sorted")
 
-    def __init__(self, g: HoughtonElement, dom: Dict[Tuple[int, int], List[int]], ran: Dict[Tuple[int, int], List[int]]):
-        self._g = g
+    def __init__(self, dom: Dict[Tuple[int, int], List[int]], ran: Dict[Tuple[int, int], List[int]]):
         self._dom = dom
         self._ran = ran
         self._sorted = False
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TableIndex):
-            return NotImplemented
-        return self._g == other._g
-
-    def __hash__(self) -> int:
-        return hash(self._g)
 
     def _sort(self) -> None:
         for side in (self._dom, self._ran):
@@ -119,10 +110,6 @@ class CycleDecomposition(NamedTuple):
     t: Tuple[int, ...]
     finite_cycles: Tuple[Tuple[Point, ...], ...]
     infinite_orbits: Tuple[InfiniteOrbit, ...]
-    index: TableIndex  # g's table by residue class, left out of the repr
-
-    def __repr__(self) -> str:
-        return "CycleDecomposition(n=%r, t=%r, finite_cycles=%r, infinite_orbits=%r)" % self[:4]
 
     def cycle_type(self) -> Tuple[Tuple[int, ...], int]:
         """Sorted finite cycle lengths plus the infinite orbit count."""
@@ -223,7 +210,7 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
                 offsets.append(m)
             if last.get(key, -1) < m:
                 last[key] = m
-    index = TableIndex(g, dom_by_class, ran_by_class)
+    index = TableIndex(dom_by_class, ran_by_class)
 
     # infinite orbits: walk back from the first point of each outgoing
     # tail, a run at a time.  Off the range table a point's preimage is its
@@ -313,7 +300,7 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
             k = cycle.index(min(cycle))
             finite.append(tuple(cycle[k:] + cycle[:k]))
     finite.sort(key=lambda c: c[0])
-    return CycleDecomposition(g.n, g.t, tuple(finite), tuple(orbits), index)
+    return CycleDecomposition(g.n, g.t, tuple(finite), tuple(orbits))
 
 
 def infinite_orbit_count(g: HoughtonElement) -> int:

@@ -47,6 +47,7 @@ from houghton.conjugacy import (
     construct_translation_element,
 )
 from houghton.oracle import SearchBudget, brute_force_conjugator, random_element, random_word
+from houghton.orbits import WalkLimitError
 
 
 def element(n, text):
@@ -721,15 +722,26 @@ def dense_fsym_conjugate(a, b):
         return ConjugacyOutcome(None, reason=TRANSLATION_MISMATCH)
     if cycle_type(a) != cycle_type(b):
         return ConjugacyOutcome(None, reason=CYCLE_TYPE_MISMATCH)
+    return dense_forced_conjugator(a, b, (0,) * a.n)
+
+
+def dense_forced_conjugator(a, b, s):
+    """Reference for the conjugator builder at translation s, for a.t ==
+    b.t and equal cycle types: it scans every point of a window past the
+    largest offset and |s|, and walks each infinite orbit of a with
+    `apply`, point by point, from a far incoming point p with v = p + s_i.
+    Its cost grows with the offsets."""
     n = a.n
+    shifted = lambda p: (p[0], p[1] + s[p[0] - 1])
     big = max(a.max_exception_offset(), b.max_exception_offset())
     mass = max((abs(v) for v in a.t), default=0)
-    stop = big + 2 * mass + 2
+    stop = big + max(map(abs, s)) + 2 * mass + 2
     window = [(i, m) for i in range(1, n + 1) for m in range(stop + 1)]
-    moved_a = {p for p in window if apply(a, p) != p}
-    moved_b = {p for p in window if apply(b, p) != p}
-    only_a = sorted(moved_a - moved_b)
-    only_b = sorted(moved_b - moved_a)
+    fixes = lambda g, p: p[1] >= 0 and apply(g, p) == p
+    # the fixed points of each element that x, or x^-1, does not carry to
+    # a fixed point of the other by translation
+    only_a = [p for p in window if fixes(a, p) and not fixes(b, shifted(p))]
+    only_b = [q for q in window if fixes(b, q) and not fixes(a, (q[0], q[1] - s[q[0] - 1]))]
     if len(only_a) != len(only_b):
         return ConjugacyOutcome(None, reason=SUPPORT_COUNT_MISMATCH)
     dec_a = cycle_decomposition(a)
@@ -737,16 +749,16 @@ def dense_fsym_conjugate(a, b):
     mapping = {}
     for orbit in dec_a.infinite_orbits:
         step = -a.t[orbit.neg_ray - 1]
-        p = v = (orbit.neg_ray, stop + ((orbit.neg_residue - stop) % step))
+        p = (orbit.neg_ray, stop + ((orbit.neg_residue - stop) % step))
+        v = shifted(p)
         while True:
             p = apply(a, p)
             v = apply(b, v)
             if a.t[p[0] - 1] > 0 and p[1] >= stop:
-                if p != v:
+                if v != shifted(p):
                     return ConjugacyOutcome(None, reason=FORCED_MAP_INCONSISTENT)
                 break
-            if p != v:
-                mapping[p] = v
+            mapping[p] = v
     if len(set(mapping.values())) != len(mapping):
         return ConjugacyOutcome(None, reason=FORCED_MAP_INCONSISTENT)
     by_len_a, by_len_b = {}, {}
@@ -756,12 +768,9 @@ def dense_fsym_conjugate(a, b):
         by_len_b.setdefault(len(c), []).append(c)
     for length, cycles_a in by_len_a.items():
         for ca, cb in zip(cycles_a, by_len_b[length]):
-            for pa, pb in zip(ca, cb):
-                if pa != pb:
-                    mapping[pa] = pb
-    for pb, pa in zip(only_b, only_a):
-        mapping[pb] = pa
-    x = HoughtonElement(n, (0,) * n, {p: q for p, q in mapping.items() if p != q})
+            mapping.update(zip(ca, cb))
+    mapping.update(zip(only_a, only_b))
+    x = HoughtonElement(n, s, {p: q for p, q in mapping.items() if q != shifted(p)})
     return ConjugacyOutcome(x, verified=verify(a, b, x))
 
 
@@ -780,6 +789,10 @@ def same_invariant_pairs(families=((2, 100, 4), (3, 100, 4), (4, 100, 4))):
         for group in groups.values():
             pairs.extend(itertools.combinations(group, 2))
     return pairs
+
+
+# the families of the 1,061 cross-check pairs
+CROSS_CHECK_FAMILIES = ((2, 3000, 8), (3, 3000, 4), (4, 300, 4), (5, 200, 4))
 
 
 def test_fsym_matches_dense_reference():
@@ -818,6 +831,45 @@ def test_fsym_is_the_builder_at_zero_translation(monkeypatch):
     calls = count_builder_calls(monkeypatch)
     assert fsym_conjugate(a, b).is_conjugate
     assert [args[:3] for args in calls] == [(a, b, (0, 0, 0))]
+
+
+def test_builder_matches_dense_reference_at_any_translation():
+    # the builder at seeded zero-sum translations s against the reference
+    # that walks each orbit point by point: the same answer, tag and
+    # certificate table, refusals included
+    rng = random.Random(22)
+    reasons = collections.Counter()
+    for a, b in same_invariant_pairs(CROSS_CHECK_FAMILIES):
+        dec_a, dec_b = cycle_decomposition(a), cycle_decomposition(b)
+        for _ in range(3):
+            s = [rng.randint(-5, 5) for _ in range(a.n - 1)]
+            s = tuple(s + [-sum(s)])
+            got = conjugacy._forced_conjugator(a, b, s, dec_a, dec_b)
+            want = dense_forced_conjugator(a, b, s)
+            assert (got.is_conjugate, got.reason, got.verified) == (want.is_conjugate, want.reason, want.verified)
+            if want.is_conjugate:
+                assert sorted(got.conjugator.exceptions.items()) == sorted(want.conjugator.exceptions.items())
+            reasons[want.reason] += 1
+    assert reasons == {None: 493, SUPPORT_COUNT_MISMATCH: 1061, FORCED_MAP_INCONSISTENT: 1629}
+
+
+def test_builder_limits_the_certificate(monkeypatch):
+    # g2 times a transposition on ray 3, against its conjugate by y: at the
+    # translation (d, -d, 0) of y, the certificate sends (2, m) to (1, m)
+    # for m < d and moves 3 points of ray 3.  The builder raises
+    # WalkLimitError once the table would go over _WALK_LIMIT, and not before
+    d = 50
+    a = compose(generator(3, "g2"), fsym(3, ((3, 0), (3, 1)), ((3, 1), (3, 0))))
+    y = compose(construct_translation_element(3, (d, -d, 0)), fsym(3, ((3, 0), (3, 2)), ((3, 2), (3, 0))))
+    b = conjugate_element(a, y)
+    args = (a, b, (d, -d, 0), cycle_decomposition(a), cycle_decomposition(b))
+    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d + 3)
+    out = conjugacy._forced_conjugator(*args)
+    assert out.is_conjugate and out.verified
+    assert len(out.conjugator.exceptions) == d + 3
+    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d + 2)
+    with pytest.raises(WalkLimitError):
+        conjugacy._forced_conjugator(*args)
 
 
 # -- the orbit-shift solver against the bounded level search it replaced -------------
@@ -989,7 +1041,7 @@ def test_conjugate_matches_level_search():
     # the level search up to level 8 and by the word search at radius 8;
     # the decision, certificate and bounds equal those of the product
     # enumeration
-    pairs = same_invariant_pairs(((2, 3000, 8), (3, 3000, 4), (4, 300, 4), (5, 200, 4)))
+    pairs = same_invariant_pairs(CROSS_CHECK_FAMILIES)
     assert len(pairs) >= 1000 and {a.n for a, _ in pairs} == {2, 3, 4, 5}
     reasons = set()
     outcomes = collections.Counter()
@@ -1016,7 +1068,7 @@ def test_conjugate_keeps_its_symmetries():
     # search: conjugate(a, b) and conjugate(b, a) agree, and so does
     # conjugate(a^u, b^v) for seeded words u and v.  The tag agrees too,
     # as each stage tests an invariant of conjugacy
-    pairs = same_invariant_pairs(((2, 3000, 8), (3, 3000, 4), (4, 300, 4), (5, 200, 4)))
+    pairs = same_invariant_pairs(CROSS_CHECK_FAMILIES)
     assert len(pairs) == 1061
     for k, (a, b) in enumerate(pairs):
         out = conjugate(a, b)
@@ -1027,6 +1079,53 @@ def test_conjugate_keeps_its_symmetries():
         v = evaluate(random_word(a.n, 11000 + k, 1 + k % 7))
         moved = conjugate(conjugate_element(a, u), conjugate_element(b, v))
         assert (moved.is_conjugate, moved.reason, moved.verified) == decided, (a, b, u, v)
+
+
+def relabel_rays(g, sigma):
+    """g with ray i renamed sigma[i - 1]: an automorphism of H_n, so it
+    keeps conjugacy."""
+    t = [0] * g.n
+    for i, v in enumerate(g.t, 1):
+        t[sigma[i - 1] - 1] = v
+    exc = {(sigma[i - 1], m): (sigma[j - 1], k) for (i, m), (j, k) in g.exceptions.items()}
+    return HoughtonElement(g.n, t, exc)
+
+
+def test_conjugate_commutes_with_ray_relabelling():
+    # one seeded permutation of the rays, applied to both elements of each
+    # cross-check pair, keeps the answer and its tag
+    rng = random.Random(24)
+    for a, b in same_invariant_pairs(CROSS_CHECK_FAMILIES):
+        out = conjugate(a, b)
+        sigma = list(range(1, a.n + 1))
+        rng.shuffle(sigma)
+        moved = conjugate(relabel_rays(a, sigma), relabel_rays(b, sigma))
+        assert (moved.is_conjugate, moved.reason, moved.verified) == (out.is_conjugate, out.reason, out.verified), (
+            a,
+            b,
+            sigma,
+        )
+
+
+def test_conjugate_is_transitive():
+    # for cross-check pairs (a, b) and (b, c) that are both conjugate, a and
+    # c are conjugate and the product of the two certificates conjugates a
+    # to c
+    pairs = same_invariant_pairs(CROSS_CHECK_FAMILIES)
+    yes = {}
+    for a, b in pairs:
+        out = conjugate(a, b)
+        if out.is_conjugate:
+            yes.setdefault(a, []).append((b, out.conjugator))
+    triples = 0
+    for a, partners in yes.items():
+        for b, x in partners:
+            for c, y in yes.get(b, ()):
+                out = conjugate(a, c)
+                assert out.is_conjugate and out.verified, (a, b, c)
+                assert verify(a, c, compose(x, y)), (a, b, c)
+                triples += 1
+    assert triples == 324
 
 
 # -- offsets do not matter --------------------------------------------------------------

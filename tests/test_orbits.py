@@ -51,24 +51,24 @@ def test_g2_single_infinite_orbit():
 
 
 def test_decompositions_of_equal_elements_are_equal_records():
-    # the records are named tuples; the table index of a decomposition is a
-    # cache of the element, so it does not split equal decompositions, and
-    # it is left out of the repr
+    # the records are named tuples of plain data, compared, hashed and
+    # printed field by field
     a, b = element(3, "g2 g3' g2"), element(3, "g2 g3' g2")
     da, db = cycle_decomposition(a), cycle_decomposition(b)
-    assert a is not b and da is not db and da.index is not db.index
+    assert a is not b and da is not db
+    assert da._fields == ("n", "t", "finite_cycles", "infinite_orbits")
     assert da == db and not da != db and hash(da) == hash(db)
-    other = cycle_decomposition(element(3, "g2 g3 g2"))
-    assert da != other and da[:4] != other[:4]
-    assert "TableIndex" not in repr(da) and "index" not in repr(da)
-    assert repr(da).startswith("CycleDecomposition(n=3, t=(1, -2, 1), finite_cycles=")
+    assert da != cycle_decomposition(element(3, "g2 g3 g2"))
+    assert repr(da) == "CycleDecomposition(n=3, t=(1, -2, 1), finite_cycles=%r, infinite_orbits=%r)" % da[2:]
     assert repr(da.infinite_orbits[0]).startswith("InfiniteOrbit(pos_ray=")
 
 
 def test_records_are_immutable():
     g = element(3, "g2 g3' g2")
     d = cycle_decomposition(g)
-    records = [(d, "n"), (d, "index"), (d.infinite_orbits[0], "spine_len"), (ends_partition(g), "classes")]
+    orbit, ends = d.infinite_orbits[0], ends_partition(g)
+    records = [(record, field) for record in (d, orbit, ends) for field in record._fields]
+    assert len(records) == 4 + 8 + 1
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
