@@ -94,9 +94,24 @@ class HoughtonElement:
         self.n = _integer(n)
         self.t = tuple(_integer(v) for v in t)
         items = exceptions.items() if isinstance(exceptions, Mapping) else exceptions
-        self.exceptions: Dict[Point, Point] = {
-            (_integer(p[0]), _integer(p[1])): (_integer(q[0]), _integer(q[1])) for p, q in items
-        }
+        exc: Dict[Point, Point] = {}
+        for entry in items:
+            # a point is two values that _integer takes: a third coordinate
+            # is not dropped, and a string is not read as its characters,
+            # "10" as (1, 0).  Tuples, the usual points, skip that test
+            try:
+                p, q = entry
+                i, m = p
+                j, k = q
+            except (TypeError, ValueError) as err:
+                raise InvalidElementError("bad exception entry %r" % (entry,)) from err
+            if not type(p) is type(q) is tuple and (isinstance(p, (str, bytes)) or isinstance(q, (str, bytes))):
+                raise InvalidElementError("bad exception entry %r" % (entry,))
+            p = (_integer(i), _integer(m))
+            if p in exc:
+                raise InvalidElementError("duplicate exception domain point %r" % (p,))
+            exc[p] = (_integer(j), _integer(k))
+        self.exceptions = exc
         self._hash: Optional[int] = None
         self._validate()
 

@@ -13,9 +13,13 @@ entries.  The walks that find the runs jump from one table point of a
 residue class to the next, so their cost follows the exception table, not
 the offsets.
 
-`cycle_decomposition` walks each infinite orbit once, back from its
-outgoing tail, and collects the domain points it passes.  The finite
-cycles are then traced only from the domain points left over, so no
+`cycle_decomposition` walks every orbit forward by one step rule: a run
+starts at a point of the table's range, or at the top spine point of an
+incoming class, and ends at the first domain point of its class in the
+direction of translation, whose image starts the next run.  It walks each
+infinite orbit once, from its incoming tail to its outgoing one, and
+collects the domain points it passes.  The finite cycles are then traced
+by the same rule only from the domain points left over, so no
 finite-cycle trail enters an infinite orbit.
 """
 
@@ -59,50 +63,6 @@ class InfiniteOrbit(NamedTuple):
         """The spine point by point, up to the limit of an orbit walk."""
         _check_limit(self.spine_len)
         return tuple(run_points(self.runs))
-
-
-class TableIndex:
-    """The offsets of an element's table points by residue class
-    (ray, offset mod |t_ray|) of a moving ray, for jumping along a class to
-    its next table point: the domain side and the range side, as the pass
-    of `cycle_decomposition` classifies them.  Their lists are sorted on
-    the first jump, which tiny tables, walked one step at a time, seldom
-    make."""
-
-    __slots__ = ("_dom", "_ran", "_sorted")
-
-    def __init__(self, dom: Dict[Tuple[int, int], List[int]], ran: Dict[Tuple[int, int], List[int]]):
-        self._dom = dom
-        self._ran = ran
-        self._sorted = False
-
-    def _sort(self) -> None:
-        for side in (self._dom, self._ran):
-            for offsets in side.values():
-                offsets.sort()
-        self._sorted = True
-
-    def next_domain(self, i: int, m: int, step: int) -> Optional[int]:
-        """The first offset of a domain point met from (i, m) on, m included,
-        going by step along the class of m; None when there is none."""
-        if not self._sorted:
-            self._sort()
-        return _seek(self._dom, i, m, step)
-
-    def next_range(self, i: int, m: int, step: int) -> Optional[int]:
-        """The same for the points of the range of the table."""
-        if not self._sorted:
-            self._sort()
-        return _seek(self._ran, i, m, step)
-
-
-def _seek(index: Dict[Tuple[int, int], List[int]], i: int, m: int, step: int) -> Optional[int]:
-    offsets = index.get((i, m % abs(step)), ())
-    if step > 0:
-        k = bisect_left(offsets, m)
-        return offsets[k] if k < len(offsets) else None
-    k = bisect_right(offsets, m)
-    return offsets[k - 1] if k else None
 
 
 class CycleDecomposition(NamedTuple):
@@ -168,33 +128,52 @@ def _check_limit(steps: int) -> None:
         raise WalkLimitError(_TOO_LONG)
 
 
+def _next_domain(index: Dict[Tuple[int, int], List[int]], i: int, m: int, step: int) -> Optional[int]:
+    """The first offset of a domain point met from (i, m) on, m included,
+    going by step along the class of m; None when there is none.  `index`
+    holds the sorted domain offsets of each class."""
+    offsets = index.get((i, m % abs(step)), ())
+    if step > 0:
+        k = bisect_left(offsets, m)
+        return offsets[k] if k < len(offsets) else None
+    k = bisect_right(offsets, m)
+    return offsets[k - 1] if k else None
+
+
 def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
+    """The finite cycles of g, each from its least point, in order of that
+    point, and its infinite orbits, in order of outgoing ray and residue.
+
+    Every orbit is walked forward by one step rule.  A run starts at a
+    point of the table's range, or at the top spine point of an incoming
+    class; g translates it until it meets the first domain point of its
+    class in the direction of t_i, and that point's image starts the next
+    run.  On an outgoing ray, a run that meets no domain point ends just
+    below the cutoff of its class.  Each infinite orbit is walked once,
+    forward from its incoming class; the finite cycles are traced from the
+    domain points those walks did not reach."""
     t = g.t
     dom = g.exceptions
 
-    # one pass over the table classifies each point by its residue class
-    # (ray, offset mod |t_ray|) of a moving ray: it builds the inverse
-    # table, the offsets of each class's domain and range points for the
-    # index, and the last table offset of each class.  The table meets
-    # every such class: on a ray with t_i > 0 the lowest point of the class
-    # is hit by no tail, so it is in the range, and with t_i < 0 it has no
-    # tail image, so it is in the domain.  Beyond the last offset no
+    # one pass over the table groups the domain offsets by residue class
+    # (ray, offset mod |t_ray|) of a moving ray, sorted after it for the
+    # lookup, and finds the last table offset of each class.  The table
+    # meets every such class: on a ray with t_i > 0 the lowest point of the
+    # class is hit by no tail, so it is in the range, and with t_i < 0 it
+    # has no tail image, so it is in the domain.  Beyond the last offset no
     # exception of g meets the class, so g acts there by pure translation
     # and orbit tails are undisturbed: the cutoff of the class, its first
     # stable offset, is that last offset + |t_i|
-    ran = {}
-    dom_by_class: Dict[Tuple[int, int], List[int]] = {}
-    ran_by_class: Dict[Tuple[int, int], List[int]] = {}
+    index: Dict[Tuple[int, int], List[int]] = {}
     last: Dict[Tuple[int, int], int] = {}
     for p, q in dom.items():
-        ran[q] = p
         i, m = p
         step = t[i - 1]
         if step:
             key = (i, m % abs(step))
-            offsets = dom_by_class.get(key)
+            offsets = index.get(key)
             if offsets is None:
-                dom_by_class[key] = [m]
+                index[key] = [m]
             else:
                 offsets.append(m)
             if last.get(key, -1) < m:
@@ -203,97 +182,88 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
         step = t[i - 1]
         if step:
             key = (i, m % abs(step))
-            offsets = ran_by_class.get(key)
-            if offsets is None:
-                ran_by_class[key] = [m]
-            else:
-                offsets.append(m)
             if last.get(key, -1) < m:
                 last[key] = m
-    index = TableIndex(dom_by_class, ran_by_class)
+    for offsets in index.values():
+        offsets.sort()
 
-    # infinite orbits: walk back from the first point of each outgoing
-    # tail, a run at a time.  Off the range table a point's preimage is its
-    # translate, so a run reaches back to the nearest range point of its
-    # class, whose preimage is an exception, or on an incoming ray to the
-    # stable tail.  Every domain point p of an infinite orbit lies on its
-    # spine, and the walk reaches it through ran: p and its image are table
-    # points, whose offsets lie below the cutoffs of their classes, so
-    # neither is in a stable tail, and the walk stops at the image, a range
-    # point, and steps to p.  So seen collects them all
+    # infinite orbits: walk forward from the top spine point of each
+    # incoming class, (i, last offset).  It is the tail image of the
+    # cutoff, so by check 6 of `HoughtonElement._validate` it is not in the
+    # range, and as a table point it is in the domain.  The runs are the
+    # maximal stretches on which g translates: a range point strictly
+    # inside a run would be hit both by an exception and by the tail
+    # formula, which check 6 refuses, and a domain point strictly inside a
+    # run would leave the next point of the run with no preimage, which
+    # check 7 refuses.  So the runs are the same whichever end of the orbit
+    # a walk starts from.  Every domain point of an infinite orbit ends a
+    # run of its spine, so seen collects them all
     orbits: List[InfiniteOrbit] = []
+    claimed = set()
     seen = set()
-    used_neg = set()
-    for i, up in enumerate(t, 1):
-        if up <= 0:
-            continue
-        for r in range(up):
-            pos_cut = last[(i, r)] + up
+    for i, down in enumerate(t, 1):
+        for r in range(-down):
+            neg_cut = last[(i, r)] - down
             runs: List[Run] = []
             spine_len = 0
-            j, m, step = i, pos_cut - up, up
+            j, m, step = i, neg_cut + down, down
             while True:
-                if not step or (j, m) in ran:
-                    first = m  # the preimage is an exception
-                elif step > 0:
-                    first = index.next_range(j, m, -step)
+                if (j, m) in dom:
+                    end = m
+                elif step > 0 and m == last[(j, m % step)]:
+                    break  # no domain point ahead, and no seek for it
                 else:
-                    cut = last[(j, m % -step)] - step
-                    # the run reaches the stable tail when the preimage is in
-                    # it or no range point of the class lies in between
-                    first = None if m - step >= cut else index.next_range(j, m, -step)
-                    if first is None:
-                        count = (cut - m) // -step
-                        runs.append((j, cut + step, step, count))
-                        spine_len += count
-                        m = cut
+                    end = _next_domain(index, j, m, step)
+                    if end is None:
                         break
-                count = (m - first) // step + 1 if first != m else 1
-                runs.append((j, first, step, count))
+                count = (end - m) // step + 1 if step else 1
+                runs.append((j, m, step, count))
                 spine_len += count
-                j, m = p = ran[(j, first)]
-                step = t[j - 1]
+                p = (j, end)
                 seen.add(p)
+                j, m = dom[p]
+                step = t[j - 1]
                 if len(runs) > _TRACE_LIMIT:
                     raise WalkLimitError(_TOO_LONG)
-            neg_residue = m % -step
-            neg_key = (j, neg_residue)
-            if neg_key in used_neg:
-                raise RuntimeError("incoming residue class claimed twice")
-            used_neg.add(neg_key)
-            runs.reverse()
-            orbits.append(InfiniteOrbit(i, r, pos_cut, j, neg_residue, m, tuple(runs), spine_len))
+            # the last run, on the outgoing ray, up to its class's cutoff
+            pos_key = (j, m % step)
+            if pos_key in claimed:
+                raise RuntimeError("outgoing residue class claimed twice")
+            claimed.add(pos_key)
+            pos_cut = last[pos_key] + step
+            count = (pos_cut - m) // step
+            runs.append((j, m, step, count))
+            orbits.append(InfiniteOrbit(j, pos_key[1], pos_cut, i, r, neg_cut, tuple(runs), spine_len + count))
+    # by outgoing ray, then residue: no two orbits share both
+    orbits.sort()
 
     # finite cycles: every nontrivial finite cycle passes through the
     # exception domain, so a trail from each domain point off the infinite
-    # orbits finds them all.  Off the table a trail translates, so it jumps
-    # to the next domain point of its residue class, taking the points in
-    # between once the walk limit allows them.  Such a trail is a
-    # finite cycle and closes on itself; one that leaves the table would be
-    # on an infinite orbit, which the walk above would have collected
+    # orbits finds them all.  It follows the same runs, taking the points
+    # of each once the walk limit allows them.  Such a trail is a finite
+    # cycle and closes on itself; one that leaves the table would be on an
+    # infinite orbit, which the walks above would have collected
     finite: List[Tuple[Point, ...]] = []
     for start in dom:
         if start in seen:
             continue
         cycle: List[Point] = []
-        cur = start
+        p = dom[start]
         while True:
-            q = dom.get(cur)
-            if q is not None:
-                seen.add(cur)
-                cycle.append(cur)
-                cur = q
-            else:
-                i, m = cur
+            if p not in dom:
+                i, m = p
                 step = t[i - 1]
-                end = index.next_domain(i, m, step) if step else None
+                end = _next_domain(index, i, m, step) if step else None
                 if end is None:
-                    raise RuntimeError("a finite-cycle trail left the table at %r" % (cur,))
+                    raise RuntimeError("a finite-cycle trail left the table at %r" % (p,))
                 _check_limit(len(cycle) + (end - m) // step)
                 cycle.extend((i, k) for k in range(m, end, step))
-                cur = (i, end)
-            if cur == start:
+                p = (i, end)
+            cycle.append(p)
+            seen.add(p)
+            if p == start:
                 break
+            p = dom[p]
             if len(cycle) > _TRACE_LIMIT:
                 raise WalkLimitError(_TOO_LONG)
         if len(cycle) >= 2:

@@ -1128,6 +1128,92 @@ def test_conjugate_is_transitive():
     assert triples == 324
 
 
+def decided(out):
+    return (out.is_conjugate, out.reason, out.verified)
+
+
+def assert_relations(a, b, seed):
+    """The four relations of a correct decider on the pair (a, b), with
+    seeded words u, v and ray permutation sigma: conjugate(b, a),
+    conjugate(a^u, b^v) and conjugate(a^sigma, b^sigma) decide as
+    conjugate(a, b) does, with the same tag; and when a and b are
+    conjugate, with c = b^v, the product of the certificates for (a, b)
+    and (b, c) conjugates a to c."""
+    out = conjugate(a, b)
+    assert decided(conjugate(b, a)) == decided(out), (a, b)
+    u = evaluate(random_word(a.n, seed, 1 + seed % 6))
+    v = evaluate(random_word(a.n, seed + 1, 1 + seed % 7))
+    assert decided(conjugate(conjugate_element(a, u), conjugate_element(b, v))) == decided(out), (a, b, u, v)
+    sigma = list(range(1, a.n + 1))
+    random.Random(seed).shuffle(sigma)
+    assert decided(conjugate(relabel_rays(a, sigma), relabel_rays(b, sigma))) == decided(out), (a, b, sigma)
+    if out.is_conjugate:
+        c = conjugate_element(b, v)
+        onward = conjugate(b, c)
+        assert onward.is_conjugate and onward.verified, (b, v)
+        assert verify(a, c, compose(out.conjugator, onward.conjugator)), (a, b, v)
+
+
+def far_lift_pairs():
+    """Twelve cross-check pairs, six conjugate and six not, each conjugated
+    by the swap of its low points with points near 10^9."""
+    yes, no = [], []
+    for a, b in same_invariant_pairs():
+        side = yes if conjugate(a, b).is_conjugate else no
+        if len(side) < 6:
+            y = lift(a.n, 10**9, 1 + max(a.max_exception_offset(), b.max_exception_offset()))
+            side.append((conjugate_element(a, y), conjugate_element(b, y)))
+        if len(yes) == len(no) == 6:
+            return yes + no
+
+
+@pytest.mark.parametrize("variant", sorted(F_VARIANTS))
+@pytest.mark.parametrize("k", [4, 10, 30])
+def test_relations_hold_on_f_family(k, variant):
+    # 2^k partner choices, far past any brute-force search: the refused
+    # pair (a, b), and (a, a) for a yes
+    b_blocks, zero_ray, _ = F_VARIANTS[variant]
+    a, b = f_family(k, b_blocks, zero_ray)
+    assert_relations(a, b, seed=k)
+    assert_relations(a, a, seed=k)
+
+
+@pytest.mark.parametrize("m", [50, 500])
+def test_relations_hold_on_rotation_family(m):
+    # m orbits in one ends class, against itself and against the rotation
+    # by one step less: a yes and a no
+    a = rotation_family(m, 1)
+    for b in (a, rotation_family(m, 0)):
+        assert_relations(a, b, seed=m)
+
+
+def test_relations_hold_on_far_lifts():
+    pairs = far_lift_pairs()
+    assert [conjugate(a, b).is_conjugate for a, b in pairs] == [True] * 6 + [False] * 6
+    for k, (a, b) in enumerate(pairs):
+        assert_relations(a, b, seed=k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 4),
+    seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
+    profiles=st.tuples(*[st.sampled_from(["word-4", "word-8", "fsym"])] * 2),
+    conjugated=st.booleans(),
+)
+def test_random_pairs_keep_symmetry_and_invariance(n, seeds, profiles, conjugated):
+    # b is a random element, or a's conjugate by one
+    a = random_element(n, seeds[0], profiles[0])
+    b = random_element(n, seeds[1], profiles[1])
+    if conjugated:
+        b = conjugate_element(a, b)
+    out = conjugate(a, b)
+    assert decided(conjugate(b, a)) == decided(out)
+    u = evaluate(random_word(n, seeds[2], 1 + seeds[2] % 6))
+    v = evaluate(random_word(n, seeds[2] + 1, 1 + seeds[2] % 7))
+    assert decided(conjugate(conjugate_element(a, u), conjugate_element(b, v))) == decided(out)
+
+
 # -- offsets do not matter --------------------------------------------------------------
 
 FAR_PAIRS = same_invariant_pairs()

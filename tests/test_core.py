@@ -585,6 +585,25 @@ def test_public_constructor_refuses_non_integers(n, t, exceptions):
         HoughtonElement(n, t, exceptions)
 
 
+@pytest.mark.parametrize(
+    "exceptions",
+    [
+        {"10": "11", "11": "10"},
+        {(1, 0, 5): (2, 0), (2, 0): (1, 0)},
+        {(1, 0): (2, 0, 7), (2, 0): (1, 0)},
+        [((1, 0), (1, 1)), ((1, 0), (2, 0)), ((2, 0), (1, 0))],
+        {(1, 0): (2, 0), ("1", 0): (2, 0), (2, 0): (1, 0)},
+    ],
+    ids=["string-point", "three-coordinates", "three-coordinate-image", "repeated-point", "repeated-after-coercion"],
+)
+def test_public_constructor_refuses_malformed_points(exceptions):
+    # refused like a document with such points: not read as (1, 0) from
+    # "10", not cut to two coordinates, and not the last image of a
+    # repeated point, each of which would make a valid transposition
+    with pytest.raises(InvalidElementError):
+        HoughtonElement(2, (0, 0), exceptions)
+
+
 def test_deserialize_still_coerces_and_validates():
     g = deserialize('{"n":3,"t":[1.0,-1,0],"exceptions":[[["2",0],[1,0.0]]]}')
     assert g == generator(3, "g2")

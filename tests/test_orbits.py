@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from houghton import (
@@ -134,12 +136,47 @@ def test_decomposition_walks_each_orbit_once(monkeypatch):
             lift[(i, m)], lift[(i, 1000 + m)] = (i, 1000 + m), (i, m)
     g = conjugate_element(g, HoughtonElement(2, (0, 0), lift))
     seeks = []
-    real = orbits._seek
-    monkeypatch.setattr(orbits, "_seek", lambda *args: seeks.append(args) or real(*args))
+    real = orbits._next_domain
+    monkeypatch.setattr(orbits, "_next_domain", lambda *args: seeks.append(args) or real(*args))
     d = cycle_decomposition(g)
     (orbit,) = d.infinite_orbits
     assert len(orbit.spine) > 2000 and len(g.exceptions) == 9 and d.finite_cycles == ()
     assert len(seeks) <= len(orbit.runs)
+
+
+def decomposition_pool():
+    """3,518 elements: the elements of random words in H_2..H_5, alone and
+    times a random finite permutation; random words in H_2..H_4 conjugated
+    by a swap of their low points with points at offsets 10^3..10^8; and
+    the rotation family t = (m, -m), {(2, j) -> (1, (j + r) mod m)}."""
+    pool = []
+    for n in range(2, 6):
+        for seed in range(400):
+            g = evaluate(random_word(n, seed, 1 + seed % 14))
+            pool += [g, compose(g, random_element(n, seed, "fsym"))]
+    for n in range(2, 5):
+        for seed in range(100):
+            far = 10 ** (3 + seed % 6)
+            swap = {}
+            for i in range(1, n + 1):
+                for m in range(5):
+                    swap[(i, m)], swap[(i, far + m)] = (i, far + m), (i, m)
+            pool.append(conjugate_element(evaluate(random_word(n, seed, 8)), HoughtonElement(n, (0,) * n, swap)))
+    for m in (1, 2, 3, 7, 50, 500):
+        for r in (0, 1, 3):
+            pool.append(HoughtonElement(2, (m, -m), {(2, j): (1, (j + r) % m) for j in range(m)}))
+    return pool
+
+
+def test_decomposition_is_pinned():
+    # the repr of every decomposition of the pool, byte for byte: cycles,
+    # orbit order, cutoffs and runs.  The digest was recorded with the
+    # decomposition that walked each infinite orbit back from its outgoing
+    # tail
+    pool = decomposition_pool()
+    assert len(pool) == 3518
+    digest = hashlib.sha256("".join(repr(cycle_decomposition(g)) for g in pool).encode())
+    assert digest.hexdigest() == "202085b6499755acd1d3f4de00cfdd139beee0e985187b81c5792669c456d613"
 
 
 def test_decomposition_matches_action_with_cycles_on_orbit_rays():
