@@ -6,7 +6,8 @@ The solver layers:
                         stage that refutes it: each infinite orbit paired
                         with its partner under s and read off their runs,
                         finite cycles paired by length, fixed points
-                        paired by position
+                        paired by position; a yes carries the bounds of
+                        its orbit pairs
   fsym_conjugate        that builder at s = 0 (conjugators of finite support)
   conjugate             the full decision: pair the infinite orbits of a
                         with those of b, solve the orbit-shift equations
@@ -128,7 +129,6 @@ def _forced_conjugator(
     s: Sequence[int],
     dec_a: CycleDecomposition,
     dec_b: CycleDecomposition,
-    bounds: Optional[BoundData] = None,
 ) -> ConjugacyOutcome:
     """The conjugator x of translation s from a to b, for a.t == b.t and
     equal cycle types, or the stage that refutes every such x.
@@ -155,12 +155,20 @@ def _forced_conjugator(
     are all entries of x or none.  That costs the runs plus the
     certificate, whatever the offsets.
 
+    Bounds.  O and O' each have hi - lo points in the window, and these
+    are the points outside the pair's common stable tails once O' is moved
+    back by s.  By the outgoing shift equation the outgoing tail of O'
+    moved back starts at the offset of o_{-d}, so the common one starts at
+    k = max(0, -d) = hi; by the incoming equation the incoming tail of O'
+    moved back ends at the offset of o_{-L'-d-1}, so the common one ends
+    below k = lo.  So K, the largest |S| + |T| over the pairs, is twice
+    the widest window, and M is max |t_i|.
+
     Reading an orbit raises WalkLimitError where x's table would pass
     _WALK_LIMIT entries.  The finite cycles and fixed points are read
     first, as their entries are already in hand, and count towards the
     limit.  x is checked by the constructor's bijectivity and minimality
-    checks and then once by verify.  `bounds` goes into the outcome of a
-    yes as it is.
+    checks and then once by verify.
     """
     unmatched_a = _unmatched_fixed(a, b, s)
     unmatched_b = _unmatched_fixed(b, a, [-v for v in s])
@@ -182,6 +190,7 @@ def _forced_conjugator(
                         mapping[pa] = pb
 
     t = a.t
+    width = 0  # the widest window
     by_neg = {(o.neg_ray, o.neg_residue): o for o in dec_b.infinite_orbits}
     for pos, _, pos_cut, neg, neg_residue, neg_cut, runs, spine_len in dec_a.infinite_orbits:
         up, down, shift = t[pos - 1], -t[neg - 1], s[neg - 1]
@@ -192,6 +201,8 @@ def _forced_conjugator(
         # the window k in [lo, hi) as runs: a piece of the incoming tail,
         # the spine and a piece of the outgoing tail, of O and of O'
         lo, hi = min(-spine_len, -len_b - d), max(0, -d)
+        if hi - lo > width:
+            width = hi - lo
         count = -spine_len - lo
         runs_a = ((neg, neg_cut + (count - 1) * down, -down, count),) + runs + ((pos, pos_cut, up, hi),)
         count = -len_b - d - lo
@@ -215,7 +226,7 @@ def _forced_conjugator(
 
     x = _make(a.n, tuple(s), mapping)
     x._validate()
-    return ConjugacyOutcome(x, verify(a, b, x), None, bounds)
+    return ConjugacyOutcome(x, verify(a, b, x), None, BoundData(2 * width, max(map(abs, t))))
 
 
 def fsym_conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
@@ -297,26 +308,6 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
 # -- orbit pairing ------------------------------------------------------------
 
 
-def _pair_bounds(
-    t: Sequence[int], pairs: Iterable[Tuple[InfiniteOrbit, InfiniteOrbit]], s: Sequence[int]
-) -> BoundData:
-    """`BoundData` of matched orbit pairs (O of a, O' of b) under a
-    conjugator of translation s: O' is measured moved back by s, so its
-    cutoffs on ray i are taken minus s_i."""
-    big_k = 0
-    for (pos, _, pos_a, neg, _, neg_a, _, len_a), ob in pairs:
-        up, down = t[pos - 1], -t[neg - 1]
-        pos_b = ob.pos_cutoff - s[pos - 1]
-        neg_b = ob.neg_cutoff - s[neg - 1]
-        pos_cut = max(pos_a, pos_b)
-        neg_cut = max(neg_a, neg_b)
-        size_a = len_a + (pos_cut - pos_a) // up + (neg_cut - neg_a) // down
-        size_b = ob.spine_len + (pos_cut - pos_b) // up + (neg_cut - neg_b) // down
-        if size_a + size_b > big_k:
-            big_k = size_a + size_b
-    return BoundData(big_k, max(map(abs, t), default=0))
-
-
 # bench/spans.py wraps this function by name
 def compute_bounds(a: HoughtonElement, b: HoughtonElement) -> BoundData:
     """Size data of the orbit pairing of a and b, which must share t.
@@ -325,21 +316,28 @@ def compute_bounds(a: HoughtonElement, b: HoughtonElement) -> BoundData:
     in b with the same outgoing and incoming residue classes.
     K is the largest |S| + |T| over matched orbit pairs, where S and T are
     the finite parts of the two orbits outside their common stable tails;
-    M is the largest |t_i(a)|.  This is `_pair_bounds` at s = 0.
+    M is the largest |t_i(a)|.  The pairs are measured from their cutoffs,
+    not by building a conjugator, as their shift equations need not hold.
     """
     if a.t != b.t:
         raise ValueError("bounds require equal translation vectors")
-    dec_a = cycle_decomposition(a)
+    t = a.t
     by_pos = _orbit_index(cycle_decomposition(b))[0]
-    pairs = []
-    for oa in dec_a.infinite_orbits:
+    big_k = 0
+    for oa in cycle_decomposition(a).infinite_orbits:
         ob = by_pos.get((oa.pos_ray, oa.pos_residue))
         if ob is None or (oa.neg_ray, oa.neg_residue) != (ob.neg_ray, ob.neg_residue):
             raise ValueError(
                 "orbit ending at ray %d residue %d has no counterpart" % (oa.pos_ray, oa.pos_residue)
             )
-        pairs.append((oa, ob))
-    return _pair_bounds(a.t, pairs, (0,) * a.n)
+        up, down = t[oa.pos_ray - 1], -t[oa.neg_ray - 1]
+        pos_cut = max(oa.pos_cutoff, ob.pos_cutoff)
+        neg_cut = max(oa.neg_cutoff, ob.neg_cutoff)
+        size = oa.spine_len + ob.spine_len
+        for o in (oa, ob):
+            size += (pos_cut - o.pos_cutoff) // up + (neg_cut - o.neg_cutoff) // down
+        big_k = max(big_k, size)
+    return BoundData(big_k, max(map(abs, t)))
 
 
 # -- the full decision ----------------------------------------------------------
@@ -359,13 +357,12 @@ def _orbit_index(dec_b: CycleDecomposition):
 
 def _class_shifts(
     t: Sequence[int], orbits: Sequence[InfiniteOrbit], index_b
-) -> Iterator[Tuple[Dict[int, int], bool, List[Tuple[InfiniteOrbit, InfiniteOrbit]]]]:
+) -> Iterator[Tuple[Dict[int, int], bool]]:
     """Every way to pair the orbits of one ends class of a with orbits of b
-    residue for residue, as (s, exact, pairs): s holds a conjugator's
-    translation on the class's rays, solved from the orbit-shift equations
-    of `conjugate` with d = 0 on the first orbit, exact is False when
-    those equations give some ray two values of the same residue, and
-    pairs lists each orbit of the class with its partner in b.  The
+    residue for residue, as (s, exact): s holds a conjugator's translation
+    on the class's rays, solved from the orbit-shift equations of
+    `conjugate` with d = 0 on the first orbit, and exact is False when
+    those equations give some ray two values of the same residue.  The
     choices are generated lazily, one walk of the class each, in the order
     of b's orbits with the first orbit's end rays.  `index_b` is
     `_orbit_index` of b's decomposition."""
@@ -374,7 +371,6 @@ def _class_shifts(
     for first in by_ends.get((head.pos_ray, head.neg_ray), ()):
         s: Dict[int, int] = {}
         exact = True
-        pairs = []
         for oa in orbits:
             pos, neg = oa.pos_ray, oa.neg_ray
             up, down = t[pos - 1], t[neg - 1]
@@ -407,9 +403,8 @@ def _class_shifts(
                 s[neg] = v_neg
             elif s_neg != v_neg:
                 exact = False
-            pairs.append((oa, ob))
         else:
-            yield s, exact, pairs
+            yield s, exact
 
 
 def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]:
@@ -522,12 +517,9 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     For a yes, `_forced_conjugator` builds x of translation s as in the
     existence argument: it pairs each orbit of a with its partner in b,
     solves for d_O and reads x off the two orbits' runs.  x is verified
-    exactly once.  A refusal there, or a nonzero sum(s) when every ray
-    moves, would contradict the existence argument and raises
-    RuntimeError.  The bounds are those of
-    the orbit pairs of each class's first exact choice, with b's orbits
-    moved back by s: `_least_translation` moves s by a multiple of t_i on
-    each ray, which keeps every residue mod t_i, so no partner changes.
+    exactly once, and the builder reports the bounds of the pairs it
+    built.  A refusal there, or a nonzero sum(s) when every ray moves,
+    would contradict the existence argument and raises RuntimeError.
     """
     if a.n != b.n:
         raise ValueError("elements live in different H_n")
@@ -548,10 +540,10 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     totals = [set() for _ in per_class]  # per class, the sums mod g of the choices generated
     firsts = []
     for choices, reached in zip(per_class, totals):
-        for part, exact, pairs in choices:
+        for part, exact in choices:
             reached.add(sum(part.values()) % modulus)
             if exact:
-                firsts.append((part, pairs))
+                firsts.append(part)
                 break
         else:
             break
@@ -559,14 +551,14 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
         sums = {0}  # the sums of s mod g that the classes reach together
         for choices, reached in zip(per_class, totals):
             if len(reached) < modulus:
-                for part, _, _ in choices:
+                for part, _ in choices:
                     reached.add(sum(part.values()) % modulus)
                     if len(reached) == modulus:
                         break
             sums = {(q + r) % modulus for q in sums for r in reached}
         return _no(ORBIT_SHIFT_MISMATCH if 0 in sums else ORBIT_PAIRING_MISMATCH)
     s = [0] * a.n
-    for part, _ in firsts:
+    for part in firsts:
         for ray, value in _least_translation(a.t, part).items():
             s[ray - 1] = value
     if 0 in a.t:
@@ -576,8 +568,7 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     need = sum(v for v in s if v > 0)
     if need > _WALK_LIMIT:
         raise WalkLimitError("a conjugator needs at least %d table entries, over the limit of %d" % (need, _WALK_LIMIT))
-    pairs = [pair for _, class_pairs in firsts for pair in class_pairs]
-    out = _forced_conjugator(a, b, tuple(s), dec_a, dec_b, _pair_bounds(a.t, pairs, s))
+    out = _forced_conjugator(a, b, tuple(s), dec_a, dec_b)
     if not out.is_conjugate:
         raise RuntimeError("consistent orbit shifts refused by the conjugator builder: %s" % out.reason)
     return out

@@ -16,7 +16,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 Point = Tuple[int, int]
 
@@ -93,25 +93,7 @@ class HoughtonElement:
     ):
         self.n = _integer(n)
         self.t = tuple(_integer(v) for v in t)
-        items = exceptions.items() if isinstance(exceptions, Mapping) else exceptions
-        exc: Dict[Point, Point] = {}
-        for entry in items:
-            # a point is two values that _integer takes: a third coordinate
-            # is not dropped, and a string is not read as its characters,
-            # "10" as (1, 0).  Tuples, the usual points, skip that test
-            try:
-                p, q = entry
-                i, m = p
-                j, k = q
-            except (TypeError, ValueError) as err:
-                raise InvalidElementError("bad exception entry %r" % (entry,)) from err
-            if not type(p) is type(q) is tuple and (isinstance(p, (str, bytes)) or isinstance(q, (str, bytes))):
-                raise InvalidElementError("bad exception entry %r" % (entry,))
-            p = (_integer(i), _integer(m))
-            if p in exc:
-                raise InvalidElementError("duplicate exception domain point %r" % (p,))
-            exc[p] = (_integer(j), _integer(k))
-        self.exceptions = exc
+        self.exceptions = _read_table(exceptions.items() if isinstance(exceptions, Mapping) else exceptions)
         self._hash: Optional[int] = None
         self._validate()
 
@@ -501,17 +483,28 @@ def deserialize(text: str) -> HoughtonElement:
     n, t, pairs = doc["n"], doc["t"], doc["exceptions"]
     if not isinstance(n, int) or not isinstance(t, list) or not isinstance(pairs, list):
         raise InvalidElementError("bad field types in element document")
-    exc = {}
-    for entry in pairs:
-        # each value is coerced once, here, and only when it is not a JSON
-        # int already, so the constructor's coercion and copy are skipped
+    exc = _read_table(pairs)
+    n = n if type(n) is int else _integer(n)
+    g = _make(n, tuple(v if type(v) is int else _integer(v) for v in t), exc)
+    g._validate()
+    return g
+
+
+def _read_table(entries: Iterable) -> Dict[Point, Point]:
+    """The exception table of entries (p, q), for the constructor and
+    documents.  An entry and each of its points is a tuple or a list of
+    two: a third coordinate is not dropped, and a string, a dict or a
+    range is not read as its items, "10" as (1, 0).  Each value is coerced
+    once, here, and only when it is not an int already."""
+    exc: Dict[Point, Point] = {}
+    for entry in entries:
         try:
             p, q = entry
             i, m = p
             j, k = q
         except (TypeError, ValueError) as err:
             raise InvalidElementError("bad exception entry %r" % (entry,)) from err
-        if not type(entry) is type(p) is type(q) is list:
+        if not (isinstance(entry, (tuple, list)) and isinstance(p, (tuple, list)) and isinstance(q, (tuple, list))):
             raise InvalidElementError("bad exception entry %r" % (entry,))
         if not type(i) is type(m) is type(j) is type(k) is int:
             i, m, j, k = _integer(i), _integer(m), _integer(j), _integer(k)
@@ -519,10 +512,7 @@ def deserialize(text: str) -> HoughtonElement:
         if p in exc:
             raise InvalidElementError("duplicate exception domain point %r" % (p,))
         exc[p] = (j, k)
-    n = n if type(n) is int else _integer(n)
-    g = _make(n, tuple(v if type(v) is int else _integer(v) for v in t), exc)
-    g._validate()
-    return g
+    return exc
 
 
 def _integer(v) -> int:

@@ -76,38 +76,37 @@ class CycleDecomposition(NamedTuple):
         return (tuple(sorted(len(c) for c in self.finite_cycles)), len(self.infinite_orbits))
 
     def successor(self, p: Point) -> Point:
-        """Re-apply the decomposition: the image of p under the element."""
+        """Re-apply the decomposition: the image of p under the element.
+        A spine point is found in its run by arithmetic, so the cost
+        follows the runs, not the spine's length."""
         for cycle in self.finite_cycles:
             if p in cycle:
                 return cycle[(cycle.index(p) + 1) % len(cycle)]
+        i, m = p
         for orbit in self.infinite_orbits:
             step = self.t[orbit.pos_ray - 1]
-            if (
-                p[0] == orbit.pos_ray
-                and p[1] >= orbit.pos_cutoff
-                and p[1] % step == orbit.pos_residue
-            ):
-                return (p[0], p[1] + step)
+            if i == orbit.pos_ray and m >= orbit.pos_cutoff and m % step == orbit.pos_residue:
+                return (i, m + step)
             drop = self.t[orbit.neg_ray - 1]
-            if (
-                p[0] == orbit.neg_ray
-                and p[1] >= orbit.neg_cutoff
-                and p[1] % -drop == orbit.neg_residue
-            ):
-                nxt = (p[0], p[1] + drop)
-                if nxt[1] >= orbit.neg_cutoff:
-                    return nxt
-                # leaving the incoming tail: first spine point, or the
-                # outgoing tail directly when the spine is empty
-                if orbit.spine:
-                    return orbit.spine[0]
-                return (orbit.pos_ray, orbit.pos_cutoff)
-            if p in orbit.spine:
-                k = orbit.spine.index(p)
-                if k + 1 < len(orbit.spine):
-                    return orbit.spine[k + 1]
-                return (orbit.pos_ray, orbit.pos_cutoff)
+            if i == orbit.neg_ray and m >= orbit.neg_cutoff and m % -drop == orbit.neg_residue:
+                if m + drop >= orbit.neg_cutoff:
+                    return (i, m + drop)
+                # leaving the incoming tail: the first spine point
+                return _point_after(orbit, 0)
+            for r, (ray, start, step, count) in enumerate(orbit.runs):
+                k, off = divmod(m - start, step) if step else (0, m - start)
+                if i == ray and not off and 0 <= k < count:
+                    return (ray, start + (k + 1) * step) if k + 1 < count else _point_after(orbit, r + 1)
         return p
+
+
+def _point_after(orbit: InfiniteOrbit, r: int) -> Point:
+    """The first point of the orbit's runs from run r on, or its outgoing
+    cutoff when they hold none."""
+    for ray, start, _, count in orbit.runs[r:]:
+        if count:
+            return (ray, start)
+    return (orbit.pos_ray, orbit.pos_cutoff)
 
 
 class EndsPartition(NamedTuple):
@@ -120,12 +119,15 @@ class EndsPartition(NamedTuple):
         raise KeyError("ray %d is almost fixed (not in I)" % ray)
 
 
-_TOO_LONG = "an orbit walk would take more than %d steps" % _TRACE_LIMIT
+def _too_long() -> WalkLimitError:
+    """The error of an orbit walk over the limit, which it names as it is
+    when the error is raised."""
+    return WalkLimitError("an orbit walk would take more than %d steps" % _TRACE_LIMIT)
 
 
 def _check_limit(steps: int) -> None:
     if steps > _TRACE_LIMIT:
-        raise WalkLimitError(_TOO_LONG)
+        raise _too_long()
 
 
 def _next_domain(index: Dict[Tuple[int, int], List[int]], i: int, m: int, step: int) -> Optional[int]:
@@ -224,7 +226,7 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
                 j, m = dom[p]
                 step = t[j - 1]
                 if len(runs) > _TRACE_LIMIT:
-                    raise WalkLimitError(_TOO_LONG)
+                    raise _too_long()
             # the last run, on the outgoing ray, up to its class's cutoff
             pos_key = (j, m % step)
             if pos_key in claimed:
@@ -265,7 +267,7 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
                 break
             p = dom[p]
             if len(cycle) > _TRACE_LIMIT:
-                raise WalkLimitError(_TOO_LONG)
+                raise _too_long()
         if len(cycle) >= 2:
             k = cycle.index(min(cycle))
             finite.append(tuple(cycle[k:] + cycle[:k]))

@@ -296,6 +296,7 @@ def test_orbits_spine_beyond_limit_exits_2(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "orbits", path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert "more than 50 steps" in err
 
 
 @pytest.mark.parametrize("value", ["Infinity", "NaN", "1.5", "true"])

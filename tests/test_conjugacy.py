@@ -537,7 +537,7 @@ def test_conjugate_raises_where_a_conjugator_must_exist(monkeypatch):
     g = generator(2, "g2")
     shifts = conjugacy._class_shifts
     off_by_one = lambda *args: [
-        ({ray: v + (ray == 1) for ray, v in part.items()}, exact, pairs) for part, exact, pairs in shifts(*args)
+        ({ray: v + (ray == 1) for ray, v in part.items()}, exact) for part, exact in shifts(*args)
     ]
     monkeypatch.setattr(conjugacy, "_class_shifts", off_by_one)
     with pytest.raises(RuntimeError):
@@ -813,6 +813,7 @@ def test_fsym_matches_dense_reference():
         if want.is_conjugate:
             assert got.conjugator.t == want.conjugator.t
             assert sorted(got.conjugator.exceptions.items()) == sorted(want.conjugator.exceptions.items())
+            assert got.bounds == compute_bounds(a, b)
         reasons.add(want.reason)
     assert reasons == {
         None,
@@ -836,7 +837,8 @@ def test_fsym_is_the_builder_at_zero_translation(monkeypatch):
 def test_builder_matches_dense_reference_at_any_translation():
     # the builder at seeded zero-sum translations s against the reference
     # that walks each orbit point by point: the same answer, tag and
-    # certificate table, refusals included
+    # certificate table, refusals included, and on a yes the bounds of the
+    # reference pairing by outgoing class
     rng = random.Random(22)
     reasons = collections.Counter()
     for a, b in same_invariant_pairs(CROSS_CHECK_FAMILIES):
@@ -849,6 +851,7 @@ def test_builder_matches_dense_reference_at_any_translation():
             assert (got.is_conjugate, got.reason, got.verified) == (want.is_conjugate, want.reason, want.verified)
             if want.is_conjugate:
                 assert sorted(got.conjugator.exceptions.items()) == sorted(want.conjugator.exceptions.items())
+                assert got.bounds == reference_bounds(a.t, dec_a, dec_b, s)
             reasons[want.reason] += 1
     assert reasons == {None: 493, SUPPORT_COUNT_MISMATCH: 1061, FORCED_MAP_INCONSISTENT: 1629}
 
@@ -993,6 +996,26 @@ def level_search_conjugator(a, b, max_level):
     return None
 
 
+def reference_bounds(t, dec_a, dec_b, s):
+    """Reference for the bounds of a conjugator of translation s: each
+    orbit O of a is paired with the orbit O' of b whose outgoing class is
+    O's moved by s (the builder pairs by incoming class), and both are
+    measured from their cutoffs, those of O' on ray i taken minus s_i."""
+    by_pos = {(o.pos_ray, o.pos_residue): o for o in dec_b.infinite_orbits}
+    big_k = 0
+    for (pos, pos_residue, pos_a, neg, _, neg_a, _, len_a) in dec_a.infinite_orbits:
+        up, down = t[pos - 1], -t[neg - 1]
+        ob = by_pos[(pos, (pos_residue + s[pos - 1]) % up)]
+        pos_b = ob.pos_cutoff - s[pos - 1]
+        neg_b = ob.neg_cutoff - s[neg - 1]
+        pos_cut = max(pos_a, pos_b)
+        neg_cut = max(neg_a, neg_b)
+        size_a = len_a + (pos_cut - pos_a) // up + (neg_cut - neg_a) // down
+        size_b = ob.spine_len + (pos_cut - pos_b) // up + (neg_cut - neg_b) // down
+        big_k = max(big_k, size_a + size_b)
+    return BoundData(big_k, max(map(abs, t)))
+
+
 def product_conjugate(a, b):
     """Reference: the decision `conjugate` made before it walked the ends
     classes once.  After the same invariant checks it tries every
@@ -1015,12 +1038,12 @@ def product_conjugate(a, b):
     reason = ORBIT_PAIRING_MISMATCH
     for combination in itertools.product(*per_class):
         s = [0] * n
-        for part, _, _ in combination:
+        for part, _ in combination:
             for ray, value in conjugacy._least_translation(a.t, part).items():
                 s[ray - 1] = value
         if 0 not in a.t and sum(s) % modulus:
             continue
-        if not all(exact for _, exact, _ in combination):
+        if not all(exact for _, exact in combination):
             if reason == ORBIT_PAIRING_MISMATCH:
                 reason = ORBIT_SHIFT_MISMATCH
             continue
@@ -1028,8 +1051,7 @@ def product_conjugate(a, b):
             s[a.t.index(0)] -= sum(s)
         out = conjugacy._forced_conjugator(a, b, tuple(s), dec_a, dec_b)
         if out.is_conjugate:
-            pairs = [pair for _, _, class_pairs in combination for pair in class_pairs]
-            bounds = conjugacy._pair_bounds(a.t, pairs, s)
+            bounds = reference_bounds(a.t, dec_a, dec_b, s)
             return ConjugacyOutcome(out.conjugator, verified=out.verified, bounds=bounds)
         reason = out.reason
     return ConjugacyOutcome(None, reason=reason)

@@ -593,13 +593,24 @@ def test_public_constructor_refuses_non_integers(n, t, exceptions):
         {(1, 0): (2, 0, 7), (2, 0): (1, 0)},
         [((1, 0), (1, 1)), ((1, 0), (2, 0)), ((2, 0), (1, 0))],
         {(1, 0): (2, 0), ("1", 0): (2, 0), (2, 0): (1, 0)},
+        [((1, 0), {2: 0, 1: 0}), ((2, 1), (1, 0))],
+        [((1, 0), range(2, 4)), ((2, 3), (1, 0))],
     ],
-    ids=["string-point", "three-coordinates", "three-coordinate-image", "repeated-point", "repeated-after-coercion"],
+    ids=[
+        "string-point",
+        "three-coordinates",
+        "three-coordinate-image",
+        "repeated-point",
+        "repeated-after-coercion",
+        "dict-point",
+        "range-point",
+    ],
 )
 def test_public_constructor_refuses_malformed_points(exceptions):
     # refused like a document with such points: not read as (1, 0) from
-    # "10", not cut to two coordinates, and not the last image of a
-    # repeated point, each of which would make a valid transposition
+    # "10", as (2, 1) from a dict's keys or as (2, 3) from a range, not cut
+    # to two coordinates, and not the last image of a repeated point, each
+    # of which would make a valid transposition
     with pytest.raises(InvalidElementError):
         HoughtonElement(2, (0, 0), exceptions)
 

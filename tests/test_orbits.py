@@ -95,6 +95,25 @@ def test_successor_reproduces_action():
                 assert d.successor((i, m)) == apply(g, (i, m))
 
 
+def test_successor_reads_runs_of_a_far_spine():
+    # g2 in H_2 conjugated by the swap of its low points with points at
+    # 10^8: a spine of 200,000,006 points in 8 runs, past the walk limit.
+    # successor finds a point in its run, not in the spine point by point
+    far = 10**8
+    swap = {}
+    for i in (1, 2):
+        for m in range(2):
+            swap[(i, m)], swap[(i, far + m)] = (i, far + m), (i, m)
+    g = conjugate_element(generator(2, "g2"), HoughtonElement(2, (0, 0), swap))
+    d = cycle_decomposition(g)
+    (orbit,) = d.infinite_orbits
+    assert (orbit.spine_len, len(orbit.runs)) == (2 * far + 6, 8)
+    assert d.successor((1, 5)) == apply(g, (1, 5)) == (1, 6)
+    for i in (1, 2):
+        for m in [*range(6), *range(far - 3, far + 6)]:
+            assert d.successor((i, m)) == apply(g, (i, m))
+
+
 def test_finite_cycles_are_disjoint_and_minimal_rotated():
     for seed in range(30):
         g = random_element(3, seed, profile="fsym")
