@@ -177,17 +177,12 @@ def _forced_conjugator(
     mapping: Dict[Point, Point] = dict(zip(unmatched_a, unmatched_b))
 
     if dec_a.finite_cycles:
-        by_len_a: Dict[int, List[Tuple[Point, ...]]] = {}
-        by_len_b: Dict[int, List[Tuple[Point, ...]]] = {}
-        for c in dec_a.finite_cycles:
-            by_len_a.setdefault(len(c), []).append(c)
-        for c in dec_b.finite_cycles:
-            by_len_b.setdefault(len(c), []).append(c)
-        for length, cycles_a in by_len_a.items():
-            for ca, cb in zip(cycles_a, by_len_b[length]):
-                for pa, pb in zip(ca, cb):
-                    if pb != (pa[0], pa[1] + s[pa[0] - 1]):
-                        mapping[pa] = pb
+        # equal cycle types, so a stable sort pairs the cycles of each length
+        # in the order of their least points
+        for ca, cb in zip(sorted(dec_a.finite_cycles, key=len), sorted(dec_b.finite_cycles, key=len)):
+            for pa, pb in zip(ca, cb):
+                if pb != (pa[0], pa[1] + s[pa[0] - 1]):
+                    mapping[pa] = pb
 
     t = a.t
     width = 0  # the widest window

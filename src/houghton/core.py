@@ -16,7 +16,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 Point = Tuple[int, int]
 
@@ -88,10 +88,13 @@ class HoughtonElement:
     def __init__(
         self,
         n: int,
-        t: Iterable[int],
+        t: Union[Tuple[int, ...], List[int]],
         exceptions: Union[Mapping[Point, Point], Iterable[Tuple[Point, Point]]],
     ):
         self.n = _integer(n)
+        # as for points, a string, a dict or a set is not read as its items
+        if not isinstance(t, (tuple, list)):
+            raise InvalidElementError("translation vector must be a tuple or a list, not %r" % (t,))
         self.t = tuple(_integer(v) for v in t)
         self.exceptions = _read_table(exceptions.items() if isinstance(exceptions, Mapping) else exceptions)
         self._hash: Optional[int] = None

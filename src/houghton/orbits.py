@@ -18,15 +18,16 @@ starts at a point of the table's range, or at the top spine point of an
 incoming class, and ends at the first domain point of its class in the
 direction of translation, whose image starts the next run.  It walks each
 infinite orbit once, from its incoming tail to its outgoing one, and
-collects the domain points it passes.  The finite cycles are then traced
-by the same rule only from the domain points left over, so no
-finite-cycle trail enters an infinite orbit.
+collects the domain points it passes.  It reads the orbit's cutoffs off
+its two ends: the top domain point of the incoming class, where the walk
+starts, and the point where the walk leaves the table.  The finite cycles
+are then traced by the same rule only from the domain points left over,
+so no finite-cycle trail enters an infinite orbit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import HoughtonElement, Point
@@ -150,26 +151,29 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     point of the table's range, or at the top spine point of an incoming
     class; g translates it until it meets the first domain point of its
     class in the direction of t_i, and that point's image starts the next
-    run.  On an outgoing ray, a run that meets no domain point ends just
-    below the cutoff of its class.  Each infinite orbit is walked once,
-    forward from its incoming class; the finite cycles are traced from the
-    domain points those walks did not reach."""
+    run.  On an outgoing ray, a run that meets no domain point is the one
+    point where the walk leaves the table, and the cutoff of its class is
+    one step above it.  Each infinite orbit is walked once, forward from
+    its incoming class; the finite cycles are traced from the domain points
+    those walks did not reach."""
     t = g.t
     dom = g.exceptions
 
-    # one pass over the table groups the domain offsets by residue class
-    # (ray, offset mod |t_ray|) of a moving ray, sorted after it for the
-    # lookup, and finds the last table offset of each class.  The table
-    # meets every such class: on a ray with t_i > 0 the lowest point of the
-    # class is hit by no tail, so it is in the range, and with t_i < 0 it
-    # has no tail image, so it is in the domain.  Beyond the last offset no
-    # exception of g meets the class, so g acts there by pure translation
-    # and orbit tails are undisturbed: the cutoff of the class, its first
-    # stable offset, is that last offset + |t_i|
+    # one pass over the domain groups its offsets by residue class (ray,
+    # offset mod |t_ray|) of a moving ray, sorted after it for the lookup.
+    # Beyond the top table point of a class g translates it, so the class's
+    # cutoff, its first stable offset, is that point's offset + |t_i|.  The
+    # walk finds the top point at each end of an orbit:
+    #   - incoming (t_i < 0): check 4 of `HoughtonElement._validate` puts a
+    #     domain point in the class, and its top table point is one, as a
+    #     range point alone there would be the tail image of the point |t_i|
+    #     above it, off the domain, which check 6 refuses;
+    #   - outgoing (t_j > 0): the walk leaves the table at a range point m
+    #     with no domain point at or above it in its class.  A range point r
+    #     above m would be the tail image of r - t_j, off the domain, which
+    #     check 6 refuses.  So m is the top, and the last run is m alone
     index: Dict[Tuple[int, int], List[int]] = {}
-    last: Dict[Tuple[int, int], int] = {}
-    for p, q in dom.items():
-        i, m = p
+    for i, m in dom:
         step = t[i - 1]
         if step:
             key = (i, m % abs(step))
@@ -178,46 +182,32 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
                 index[key] = [m]
             else:
                 offsets.append(m)
-            if last.get(key, -1) < m:
-                last[key] = m
-        i, m = q
-        step = t[i - 1]
-        if step:
-            key = (i, m % abs(step))
-            if last.get(key, -1) < m:
-                last[key] = m
     for offsets in index.values():
         offsets.sort()
 
     # infinite orbits: walk forward from the top spine point of each
-    # incoming class, (i, last offset).  It is the tail image of the
-    # cutoff, so by check 6 of `HoughtonElement._validate` it is not in the
-    # range, and as a table point it is in the domain.  The runs are the
-    # maximal stretches on which g translates: a range point strictly
-    # inside a run would be hit both by an exception and by the tail
-    # formula, which check 6 refuses, and a domain point strictly inside a
-    # run would leave the next point of the run with no preimage, which
-    # check 7 refuses.  So the runs are the same whichever end of the orbit
-    # a walk starts from.  Every domain point of an infinite orbit ends a
-    # run of its spine, so seen collects them all
+    # incoming class, its top domain point.  The runs are the maximal
+    # stretches on which g translates: a range point strictly inside a run
+    # would be hit both by an exception and by the tail formula, which
+    # check 6 refuses, and a domain point strictly inside a run would leave
+    # the next point of the run with no preimage, which check 7 refuses.
+    # So the runs are the same whichever end of the orbit a walk starts
+    # from.  Every domain point of an infinite orbit ends a run of its
+    # spine, so seen collects them all
     orbits: List[InfiniteOrbit] = []
     claimed = set()
     seen = set()
     for i, down in enumerate(t, 1):
         for r in range(-down):
-            neg_cut = last[(i, r)] - down
+            m = index[(i, r)][-1]
+            neg_cut = m - down
             runs: List[Run] = []
             spine_len = 0
-            j, m, step = i, neg_cut + down, down
+            j, step = i, down
             while True:
-                if (j, m) in dom:
-                    end = m
-                elif step > 0 and m == last[(j, m % step)]:
-                    break  # no domain point ahead, and no seek for it
-                else:
-                    end = _next_domain(index, j, m, step)
-                    if end is None:
-                        break
+                end = m if (j, m) in dom else _next_domain(index, j, m, step)
+                if end is None:
+                    break
                 count = (end - m) // step + 1 if step else 1
                 runs.append((j, m, step, count))
                 spine_len += count
@@ -227,15 +217,13 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
                 step = t[j - 1]
                 if len(runs) > _TRACE_LIMIT:
                     raise _too_long()
-            # the last run, on the outgoing ray, up to its class's cutoff
+            # the last run, the single point m on the outgoing ray
             pos_key = (j, m % step)
             if pos_key in claimed:
                 raise RuntimeError("outgoing residue class claimed twice")
             claimed.add(pos_key)
-            pos_cut = last[pos_key] + step
-            count = (pos_cut - m) // step
-            runs.append((j, m, step, count))
-            orbits.append(InfiniteOrbit(j, pos_key[1], pos_cut, i, r, neg_cut, tuple(runs), spine_len + count))
+            runs.append((j, m, step, 1))
+            orbits.append(InfiniteOrbit(j, pos_key[1], m + step, i, r, neg_cut, tuple(runs), spine_len + 1))
     # by outgoing ray, then residue: no two orbits share both
     orbits.sort()
 
@@ -313,28 +301,38 @@ def sym_conjugate(a: HoughtonElement, b: HoughtonElement) -> bool:
 
 
 def _ends_classes(orbits: Sequence[InfiniteOrbit]) -> List[List[InfiniteOrbit]]:
-    """The infinite orbits grouped by ends class, each class in an order
-    where every orbit after the first shares a ray with an earlier one: a
-    class starts at the first orbit left and grows by the first orbit
-    that shares one of its rays, popped from a heap of orbit indices."""
+    """The infinite orbits grouped by ends class, the classes in order of
+    their heads, their lowest-index orbits.  A class starts at the first
+    orbit left and grows breadth first, by every orbit left that shares a
+    ray with one already in it, so each orbit after the head shares a ray
+    with an earlier one.
+
+    Of the order within a class, `_class_shifts` needs only that.  For a
+    given partner of the head, what it reports does not depend on which
+    such order it walks.  An orbit's shift equations fix s_pos mod t_pos
+    and s_neg mod |t_neg| whatever its d is, and a cutoff is congruent to
+    its residue, so these residues say that the partner's classes are the
+    orbit's moved by s.  So the residues spread from the head along the
+    shared rays, and every order reaches the same ones or refuses alike.
+    An exact choice gives the one s that solves every orbit's equations
+    with d = 0 on the head, and sum(s) mod g follows from the residues, as
+    g divides every t_i."""
     on_ray: Dict[int, List[int]] = {}
     for k, o in enumerate(orbits):
         for ray in (o.pos_ray, o.neg_ray):
             on_ray.setdefault(ray, []).append(k)
     left = [True] * len(orbits)
     classes = []
-    for first in range(len(orbits)):
-        heap = [first] if left[first] else []
-        cls: List[InfiniteOrbit] = []
-        while heap:
-            k = heappop(heap)
-            if left[k]:
-                left[k] = False
-                cls.append(orbits[k])
-                for ray in (orbits[k].pos_ray, orbits[k].neg_ray):
-                    for j in on_ray.pop(ray, ()):
-                        heappush(heap, j)
-        if cls:
+    for head, orbit in enumerate(orbits):
+        if left[head]:
+            left[head] = False
+            cls = [orbit]
+            for o in cls:  # cls grows while it is read
+                for ray in (o.pos_ray, o.neg_ray):
+                    for k in on_ray.pop(ray, ()):
+                        if left[k]:
+                            left[k] = False
+                            cls.append(orbits[k])
             classes.append(cls)
     return classes
 

@@ -586,15 +586,18 @@ def test_public_constructor_refuses_non_integers(n, t, exceptions):
 
 
 @pytest.mark.parametrize(
-    "exceptions",
+    "t, exceptions",
     [
-        {"10": "11", "11": "10"},
-        {(1, 0, 5): (2, 0), (2, 0): (1, 0)},
-        {(1, 0): (2, 0, 7), (2, 0): (1, 0)},
-        [((1, 0), (1, 1)), ((1, 0), (2, 0)), ((2, 0), (1, 0))],
-        {(1, 0): (2, 0), ("1", 0): (2, 0), (2, 0): (1, 0)},
-        [((1, 0), {2: 0, 1: 0}), ((2, 1), (1, 0))],
-        [((1, 0), range(2, 4)), ((2, 3), (1, 0))],
+        ((0, 0), {"10": "11", "11": "10"}),
+        ((0, 0), {(1, 0, 5): (2, 0), (2, 0): (1, 0)}),
+        ((0, 0), {(1, 0): (2, 0, 7), (2, 0): (1, 0)}),
+        ((0, 0), [((1, 0), (1, 1)), ((1, 0), (2, 0)), ((2, 0), (1, 0))]),
+        ((0, 0), {(1, 0): (2, 0), ("1", 0): (2, 0), (2, 0): (1, 0)}),
+        ((0, 0), [((1, 0), {2: 0, 1: 0}), ((2, 1), (1, 0))]),
+        ((0, 0), [((1, 0), range(2, 4)), ((2, 3), (1, 0))]),
+        ("00", {}),
+        ({1: 0, -1: 0}, {(2, 0): (1, 0)}),
+        ({1, -1}, {(2, 0): (1, 0)}),
     ],
     ids=[
         "string-point",
@@ -604,15 +607,21 @@ def test_public_constructor_refuses_non_integers(n, t, exceptions):
         "repeated-after-coercion",
         "dict-point",
         "range-point",
+        "string-t",
+        "dict-t",
+        "set-t",
     ],
 )
-def test_public_constructor_refuses_malformed_points(exceptions):
+def test_public_constructor_refuses_malformed_points(t, exceptions):
     # refused like a document with such points: not read as (1, 0) from
     # "10", as (2, 1) from a dict's keys or as (2, 3) from a range, not cut
     # to two coordinates, and not the last image of a repeated point, each
-    # of which would make a valid transposition
+    # of which would make a valid transposition.  A translation vector is
+    # refused alike: not read as (0, 0) from "00" or as (1, -1) from a
+    # dict's keys, which would make the identity and g2, nor from a set,
+    # which has no order
     with pytest.raises(InvalidElementError):
-        HoughtonElement(2, (0, 0), exceptions)
+        HoughtonElement(2, t, exceptions)
 
 
 def test_deserialize_still_coerces_and_validates():

@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from houghton import (
     HoughtonElement,
@@ -163,6 +165,15 @@ def test_decomposition_walks_each_orbit_once(monkeypatch):
     assert len(seeks) <= len(orbit.runs)
 
 
+def lift(n, far, width):
+    """The finite-support swap (i, m) <-> (i, far + m), m < width, on every ray."""
+    swap = {}
+    for i in range(1, n + 1):
+        for m in range(width):
+            swap[(i, m)], swap[(i, far + m)] = (i, far + m), (i, m)
+    return HoughtonElement(n, (0,) * n, swap)
+
+
 def decomposition_pool():
     """3,518 elements: the elements of random words in H_2..H_5, alone and
     times a random finite permutation; random words in H_2..H_4 conjugated
@@ -175,12 +186,7 @@ def decomposition_pool():
             pool += [g, compose(g, random_element(n, seed, "fsym"))]
     for n in range(2, 5):
         for seed in range(100):
-            far = 10 ** (3 + seed % 6)
-            swap = {}
-            for i in range(1, n + 1):
-                for m in range(5):
-                    swap[(i, m)], swap[(i, far + m)] = (i, far + m), (i, m)
-            pool.append(conjugate_element(evaluate(random_word(n, seed, 8)), HoughtonElement(n, (0,) * n, swap)))
+            pool.append(conjugate_element(evaluate(random_word(n, seed, 8)), lift(n, 10 ** (3 + seed % 6), 5)))
     for m in (1, 2, 3, 7, 50, 500):
         for r in (0, 1, 3):
             pool.append(HoughtonElement(2, (m, -m), {(2, j): (1, (j + r) % m) for j in range(m)}))
@@ -196,6 +202,56 @@ def test_decomposition_is_pinned():
     assert len(pool) == 3518
     digest = hashlib.sha256("".join(repr(cycle_decomposition(g)) for g in pool).encode())
     assert digest.hexdigest() == "202085b6499755acd1d3f4de00cfdd139beee0e985187b81c5792669c456d613"
+
+
+def reference_cutoffs(g):
+    """The cutoff of every moving residue class: the top table offset of
+    the class over the domain and the range, plus |t_i|.  The table meets
+    every such class: the lowest point of a class is hit by no tail when
+    t_i > 0, so it is in the range, and has no tail image when t_i < 0, so
+    it is in the domain."""
+    top = {}
+    for p, q in g.exceptions.items():
+        for i, m in (p, q):
+            step = abs(g.t[i - 1])
+            if step:
+                key = (i, m % step)
+                top[key] = max(top.get(key, m), m)
+    return {(i, r): m + abs(g.t[i - 1]) for (i, r), m in top.items()}
+
+
+def assert_cutoffs_match_reference(g):
+    # both cutoffs of every orbit are its classes' tops plus |t_i|, and its
+    # last run is the one point where the walk leaves the table
+    cutoffs = reference_cutoffs(g)
+    for o in cycle_decomposition(g).infinite_orbits:
+        up = g.t[o.pos_ray - 1]
+        assert o.pos_cutoff == cutoffs[(o.pos_ray, o.pos_residue)]
+        assert o.neg_cutoff == cutoffs[(o.neg_ray, o.neg_residue)]
+        assert o.runs[-1] == (o.pos_ray, o.pos_cutoff - up, up, 1)
+
+
+def test_cutoffs_match_class_tops():
+    for g in decomposition_pool():
+        assert_cutoffs_match_reference(g)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 10**6),
+    length=st.integers(1, 14),
+    far=st.sampled_from([0, 10**2, 10**6, 10**12]),
+)
+def test_cutoffs_match_class_tops_on_random_elements(n, seed, length, far):
+    # random words times a random finite permutation, some of them moved
+    # to far offsets by a swap of their low points
+    g = compose(evaluate(random_word(n, seed, length)), random_element(n, seed, "fsym"))
+    if far:
+        width = 1 + g.max_exception_offset()
+        assert width < far
+        g = conjugate_element(g, lift(n, far, width))
+    assert_cutoffs_match_reference(g)
 
 
 def test_decomposition_matches_action_with_cycles_on_orbit_rays():
@@ -291,3 +347,22 @@ def test_ends_classes_cover_moving_rays():
         parts = ends_partition(g)
         covered = set().union(*parts.classes) if parts.classes else set()
         assert covered == {i for i in range(1, 5) if g.t[i - 1] != 0}
+
+
+def test_ends_classes_contract():
+    # the classes partition the orbits into sets with disjoint rays, each
+    # class starts at its lowest-index orbit, the heads come in increasing
+    # index, and every later orbit of a class shares a ray with an earlier
+    # one
+    for g in decomposition_pool():
+        found = cycle_decomposition(g).infinite_orbits
+        classes = orbits._ends_classes(found)
+        assert sorted(o for cls in classes for o in cls) == sorted(found)
+        rays = [orbits._class_rays(cls) for cls in classes]
+        assert sum(map(len, rays)) == len(set().union(*rays))
+        heads = [found.index(cls[0]) for cls in classes]
+        assert heads == sorted(set(heads))
+        for cls, head in zip(classes, heads):
+            assert head == min(found.index(o) for o in cls)
+            for k in range(1, len(cls)):
+                assert {cls[k].pos_ray, cls[k].neg_ray} & orbits._class_rays(cls[:k])
