@@ -59,7 +59,7 @@ def _point(p) -> str:
 def _render_orbits(decomp: orbits.CycleDecomposition) -> str:
     lines = []
     for cycle in decomp.finite_cycles:
-        lines.append("(" + " ".join(_point(p) for p in cycle) + ")")
+        lines.append("(" + " ".join(_point(p) for p in cycle.points) + ")")
     for o in decomp.infinite_orbits:
         spine = " ".join(_point(p) for p in o.spine)
         lines.append(

@@ -20,8 +20,8 @@ exactly before it is returned.
 
 from __future__ import annotations
 
-import itertools
 from math import gcd
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -38,6 +38,7 @@ from .core import (
 from .orbits import (
     CycleDecomposition,
     InfiniteOrbit,
+    Run,
     WalkLimitError,
     _class_rays,
     _ends_classes,
@@ -54,6 +55,7 @@ ORBIT_PAIRING_MISMATCH = "orbit-pairing-mismatch"
 ORBIT_SHIFT_MISMATCH = "orbit-shift-mismatch"
 
 _WALK_LIMIT = 10_000_000  # the most table entries a certificate may have
+_LENGTH = attrgetter("length")  # of a finite cycle
 
 
 class BoundData(NamedTuple):
@@ -138,7 +140,8 @@ def _forced_conjugator(
     paired in sorted order, and their counts must agree.  That check
     comes first.
 
-    Finite cycles are paired by length, aligned at their minimal points.
+    Finite cycles.  x maps each cycle of a onto one of b of equal length,
+    aligned at their least points, and paired in the order of those points.
 
     Infinite orbits.  With the numbering o_k of `conjugate`, x is
     translation by s_i far out on every ray i, so it maps an orbit O of a
@@ -152,8 +155,10 @@ def _forced_conjugator(
     which holds both spines and a piece of each tail.  x is read off by
     merging O's runs over the window with those of O' shifted by d: on a
     stretch where both runs go on, a and b translate alike, so its points
-    are all entries of x or none.  That costs the runs plus the
-    certificate, whatever the offsets.
+    are all entries of x or none.  The paired cycles and windows are
+    merged in one pass: each pair holds as many points on either side, so
+    a's pieces laid end to end meet b's pair by pair.  That costs the runs
+    plus the certificate, whatever the offsets.
 
     Bounds.  O and O' each have hi - lo points in the window, and these
     are the points outside the pair's common stable tails once O' is moved
@@ -164,10 +169,9 @@ def _forced_conjugator(
     below k = lo.  So K, the largest |S| + |T| over the pairs, is twice
     the widest window, and M is max |t_i|.
 
-    Reading an orbit raises WalkLimitError where x's table would pass
-    _WALK_LIMIT entries.  The finite cycles and fixed points are read
-    first, as their entries are already in hand, and count towards the
-    limit.  x is checked by the constructor's bijectivity and minimality
+    The merge raises WalkLimitError where x's table would pass _WALK_LIMIT
+    entries, counting the fixed points' entries, which are in hand before
+    it.  x is checked by the constructor's bijectivity and minimality
     checks and then once by verify.
     """
     unmatched_a = _unmatched_fixed(a, b, s)
@@ -176,14 +180,15 @@ def _forced_conjugator(
         return _no(SUPPORT_COUNT_MISMATCH)
     mapping: Dict[Point, Point] = dict(zip(unmatched_a, unmatched_b))
 
+    # the runs to merge, pair by pair, each run not empty: the finite cycles
+    # (equal cycle types, so a stable sort pairs the cycles of each length
+    # in the order of their least points), then the windows
+    seq_a: List[Run] = []
+    seq_b: List[Run] = []
     if dec_a.finite_cycles:
-        # equal cycle types, so a stable sort pairs the cycles of each length
-        # in the order of their least points
-        for ca, cb in zip(sorted(dec_a.finite_cycles, key=len), sorted(dec_b.finite_cycles, key=len)):
-            for pa, pb in zip(ca, cb):
-                if pb != (pa[0], pa[1] + s[pa[0] - 1]):
-                    mapping[pa] = pb
-
+        for ca, cb in zip(sorted(dec_a.finite_cycles, key=_LENGTH), sorted(dec_b.finite_cycles, key=_LENGTH)):
+            seq_a += ca.runs
+            seq_b += cb.runs
     t = a.t
     width = 0  # the widest window
     by_neg = {(o.neg_ray, o.neg_residue): o for o in dec_b.infinite_orbits}
@@ -199,25 +204,34 @@ def _forced_conjugator(
         if hi - lo > width:
             width = hi - lo
         count = -spine_len - lo
-        runs_a = ((neg, neg_cut + (count - 1) * down, -down, count),) + runs + ((pos, pos_cut, up, hi),)
+        if count:
+            seq_a.append((neg, neg_cut + (count - 1) * down, -down, count))
+        seq_a += runs
+        if hi:
+            seq_a.append((pos, pos_cut, up, hi))
         count = -len_b - d - lo
-        runs_b = ((neg, neg_cut_b + (count - 1) * down, -down, count),) + runs_b + ((pos, pos_cut_b, up, hi + d),)
-        rest_b = iter(runs_b)
-        ray_b, m_b, step_b, left_b = next(rest_b)
-        for ray, m, step, left in runs_a:
-            while left:
-                while not left_b:
-                    ray_b, m_b, step_b, left_b = next(rest_b)
-                count = min(left, left_b)
-                if ray != ray_b or m_b != m + s[ray - 1]:
-                    if len(mapping) + count > _WALK_LIMIT:
-                        raise WalkLimitError("a conjugator needs more than %d table entries" % _WALK_LIMIT)
-                    for k in range(count):
-                        mapping[(ray, m + k * step)] = (ray_b, m_b + k * step_b)
-                m += count * step
-                m_b += count * step_b
-                left -= count
-                left_b -= count
+        if count:
+            seq_b.append((neg, neg_cut_b + (count - 1) * down, -down, count))
+        seq_b += runs_b
+        if hi + d:
+            seq_b.append((pos, pos_cut_b, up, hi + d))
+
+    rest_b = iter(seq_b)
+    left_b = 0
+    for ray, m, step, left in seq_a:
+        while left:
+            if not left_b:
+                ray_b, m_b, step_b, left_b = next(rest_b)
+            count = min(left, left_b)
+            if ray != ray_b or m_b != m + s[ray - 1]:
+                if len(mapping) + count > _WALK_LIMIT:
+                    raise WalkLimitError("a conjugator needs more than %d table entries" % _WALK_LIMIT)
+                for k in range(count):
+                    mapping[(ray, m + k * step)] = (ray_b, m_b + k * step_b)
+            m += count * step
+            m_b += count * step_b
+            left -= count
+            left_b -= count
 
     x = _make(a.n, tuple(s), mapping)
     x._validate()
@@ -291,9 +305,8 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
                 last = (ray, start + (count - 1) * step)
                 if last in g.exceptions:
                     exc[last] = g.exceptions[last]
-    for p in itertools.chain.from_iterable(dec.finite_cycles):
-        if p[0] in cls:
-            exc[p] = p
+    for c in dec.finite_cycles:
+        exc.update((p, p) for p in run_points(run for run in c.runs if run[0] in cls))
     for p, q in g.exceptions.items():
         if p == q and p[0] in cls:
             exc[p] = p

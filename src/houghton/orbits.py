@@ -1,28 +1,28 @@
 """Cycle and orbit analysis for elements of H_n.
 
-Every infinite orbit is, up to finitely many points, the union of two
-arithmetic progressions: an outgoing one on a ray with positive translation
-and an incoming one on a ray with negative translation.  We represent an
-infinite orbit by those two residue classes, the minimal offsets from which
-each progression is stable (no exception of the element at or beyond the
-cutoff within the class), and the finite spine in between as maximal runs
-(ray, start, step, count): stretches of the orbit on one ray along which
-the element translates by step.  A run ends at a table point or at the end
-of the spine, so an orbit has at most one run more than the table has
-entries.  The walks that find the runs jump from one table point of a
-residue class to the next, so their cost follows the exception table, not
-the offsets.
+Every orbit is stored as maximal runs (ray, start, step, count):
+stretches of the orbit on one ray along which the element translates by
+step.  A run ends at a table point, so an orbit has at most one run more
+than the table has entries, whatever its number of points.  A finite cycle
+is its runs from its least point, and its length.  An infinite orbit is,
+up to finitely many points, the union of two arithmetic progressions: an
+outgoing one on a ray with positive translation and an incoming one on a
+ray with negative translation.  It is stored as those two residue classes,
+the minimal offsets from which each is stable (no exception of the element
+at or beyond the cutoff within the class), and its spine in between.
 
-`cycle_decomposition` walks every orbit forward by one step rule: a run
-starts at a point of the table's range, or at the top spine point of an
-incoming class, and ends at the first domain point of its class in the
-direction of translation, whose image starts the next run.  It walks each
-infinite orbit once, from its incoming tail to its outgoing one, and
-collects the domain points it passes.  It reads the orbit's cutoffs off
-its two ends: the top domain point of the incoming class, where the walk
-starts, and the point where the walk leaves the table.  The finite cycles
-are then traced by the same rule only from the domain points left over,
-so no finite-cycle trail enters an infinite orbit.
+`cycle_decomposition` walks every orbit forward by one step rule, in one
+loop: a run starts at a point of the table's range, or at the top spine
+point of an incoming class, and ends at the first domain point of its
+class in the direction of translation, whose image starts the next run.
+The walks jump from one table point of a residue class to the next, so
+their cost follows the exception table, not the offsets.  Each infinite
+orbit is walked once, from its incoming tail to its outgoing one, and its
+cutoffs are read off its two ends: the top domain point of the incoming
+class, where the walk starts, and the point where the walk leaves the
+table.  The finite cycles are then walked from the range points left
+over, each until it is back at its start, so no finite-cycle walk enters
+an infinite orbit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import HoughtonElement, Point
+from .core import HoughtonElement, InvalidElementError, Point
 
 _TRACE_LIMIT = 10_000_000
 
@@ -66,48 +66,53 @@ class InfiniteOrbit(NamedTuple):
         return tuple(run_points(self.runs))
 
 
+class FiniteCycle(NamedTuple):
+    runs: Tuple[Run, ...]  # the cycle in order, from its least point
+    length: int
+
+    @property
+    def points(self) -> Tuple[Point, ...]:
+        """The cycle point by point, up to the limit of an orbit walk."""
+        _check_limit(self.length)
+        return tuple(run_points(self.runs))
+
+
 class CycleDecomposition(NamedTuple):
     n: int
     t: Tuple[int, ...]
-    finite_cycles: Tuple[Tuple[Point, ...], ...]
+    finite_cycles: Tuple[FiniteCycle, ...]
     infinite_orbits: Tuple[InfiniteOrbit, ...]
 
     def cycle_type(self) -> Tuple[Tuple[int, ...], int]:
         """Sorted finite cycle lengths plus the infinite orbit count."""
-        return (tuple(sorted(len(c) for c in self.finite_cycles)), len(self.infinite_orbits))
+        return (tuple(sorted(c.length for c in self.finite_cycles)), len(self.infinite_orbits))
 
     def successor(self, p: Point) -> Point:
         """Re-apply the decomposition: the image of p under the element.
-        A spine point is found in its run by arithmetic, so the cost
-        follows the runs, not the spine's length."""
-        for cycle in self.finite_cycles:
-            if p in cycle:
-                return cycle[(cycle.index(p) + 1) % len(cycle)]
+        A point of a cycle or a spine is found in its run by arithmetic, so
+        the cost follows the runs, not the points."""
         i, m = p
+        if not (1 <= i <= self.n) or m < 0:
+            raise InvalidElementError("point %r is not in the ray set" % (p,))
+        # each record's runs, and the point after its last run
+        records = [(c.runs, c.runs[0][:2]) for c in self.finite_cycles]
         for orbit in self.infinite_orbits:
             step = self.t[orbit.pos_ray - 1]
             if i == orbit.pos_ray and m >= orbit.pos_cutoff and m % step == orbit.pos_residue:
                 return (i, m + step)
             drop = self.t[orbit.neg_ray - 1]
             if i == orbit.neg_ray and m >= orbit.neg_cutoff and m % -drop == orbit.neg_residue:
-                if m + drop >= orbit.neg_cutoff:
-                    return (i, m + drop)
-                # leaving the incoming tail: the first spine point
-                return _point_after(orbit, 0)
-            for r, (ray, start, step, count) in enumerate(orbit.runs):
+                # leaving the incoming tail, the orbit enters its spine
+                return (i, m + drop) if m + drop >= orbit.neg_cutoff else orbit.runs[0][:2]
+            records.append((orbit.runs, (orbit.pos_ray, orbit.pos_cutoff)))
+        for runs, after in records:
+            for r, (ray, start, step, count) in enumerate(runs, 1):
                 k, off = divmod(m - start, step) if step else (0, m - start)
                 if i == ray and not off and 0 <= k < count:
-                    return (ray, start + (k + 1) * step) if k + 1 < count else _point_after(orbit, r + 1)
+                    if k + 1 < count:
+                        return (ray, start + (k + 1) * step)
+                    return runs[r][:2] if r < len(runs) else after
         return p
-
-
-def _point_after(orbit: InfiniteOrbit, r: int) -> Point:
-    """The first point of the orbit's runs from run r on, or its outgoing
-    cutoff when they hold none."""
-    for ray, start, _, count in orbit.runs[r:]:
-        if count:
-            return (ray, start)
-    return (orbit.pos_ray, orbit.pos_cutoff)
 
 
 class EndsPartition(NamedTuple):
@@ -143,20 +148,33 @@ def _next_domain(index: Dict[Tuple[int, int], List[int]], i: int, m: int, step: 
     return offsets[k - 1] if k else None
 
 
+def _from_least(runs: List[Run], length: int) -> FiniteCycle:
+    """A finite cycle from the runs of its walk, in order from its least
+    point.  In a run that point is the first, or the last when the step is
+    negative; such a run is split before its last point."""
+    lows = [(ray, m + (count - 1) * step if step < 0 else m) for ray, m, step, count in runs]
+    k = lows.index(min(lows))
+    ray, m, step, count = runs[k]
+    if step < 0 and count > 1:
+        runs[k : k + 1] = [(ray, m, step, count - 1), (ray, lows[k][1], step, 1)]
+        k += 1
+    return FiniteCycle(tuple(runs[k:] + runs[:k]), length)
+
+
 def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     """The finite cycles of g, each from its least point, in order of that
     point, and its infinite orbits, in order of outgoing ray and residue.
 
-    Every orbit is walked forward by one step rule.  A run starts at a
-    point of the table's range, or at the top spine point of an incoming
-    class; g translates it until it meets the first domain point of its
-    class in the direction of t_i, and that point's image starts the next
-    run.  On an outgoing ray, a run that meets no domain point is the one
-    point where the walk leaves the table, and the cutoff of its class is
-    one step above it.  Each infinite orbit is walked once, forward from
-    its incoming class; the finite cycles are traced from the domain points
-    those walks did not reach."""
-    t = g.t
+    Every orbit is walked forward by one step rule, in one loop.  A run
+    starts at a point of the table's range, or at the top spine point of an
+    incoming class; g translates it until it meets the first domain point
+    of its class in the direction of t_i, and that point's image starts the
+    next run.  On an outgoing ray, a run that meets no domain point is the
+    one point where the walk leaves the table, and the cutoff of its class
+    is one step above it.  The infinite orbits are walked first, each from
+    its incoming class, then the finite cycles, each from a range point
+    those walks did not reach until it is back there."""
+    steps = (0,) + g.t  # steps[i] = t_i
     dom = g.exceptions
 
     # one pass over the domain groups its offsets by residue class (ray,
@@ -174,92 +192,65 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     #     check 6 refuses.  So m is the top, and the last run is m alone
     index: Dict[Tuple[int, int], List[int]] = {}
     for i, m in dom:
-        step = t[i - 1]
+        step = steps[i]
         if step:
-            key = (i, m % abs(step))
-            offsets = index.get(key)
-            if offsets is None:
-                index[key] = [m]
-            else:
-                offsets.append(m)
-    for offsets in index.values():
+            index.setdefault((i, m % abs(step)), []).append(m)
+    starts = []
+    for (i, _), offsets in index.items():
         offsets.sort()
+        if steps[i] < 0:
+            starts.append((i, offsets[-1]))
 
-    # infinite orbits: walk forward from the top spine point of each
-    # incoming class, its top domain point.  The runs are the maximal
-    # stretches on which g translates: a range point strictly inside a run
-    # would be hit both by an exception and by the tail formula, which
-    # check 6 refuses, and a domain point strictly inside a run would leave
-    # the next point of the run with no preimage, which check 7 refuses.
-    # So the runs are the same whichever end of the orbit a walk starts
-    # from.  Every domain point of an infinite orbit ends a run of its
-    # spine, so seen collects them all
+    # the walks start at the top spine point of each incoming class, its
+    # top domain point, and then at each point of the table's range that
+    # they left unseen.  The runs are the maximal stretches on which g
+    # translates: a range point strictly inside a run would be hit both by
+    # an exception and by the tail formula, which check 6 refuses, and a
+    # domain point strictly inside a run would leave the next point of the
+    # run with no preimage, which check 7 refuses.  So the runs are the
+    # same whichever point of the orbit a walk starts from, and every range
+    # point of an orbit starts one.  seen collects those, so no finite-cycle
+    # walk enters an infinite orbit or a cycle walked before
+    starts += dom.values()
     orbits: List[InfiniteOrbit] = []
+    finite: List[FiniteCycle] = []
     claimed = set()
     seen = set()
-    for i, down in enumerate(t, 1):
-        for r in range(-down):
-            m = index[(i, r)][-1]
-            neg_cut = m - down
-            runs: List[Run] = []
-            spine_len = 0
-            j, step = i, down
-            while True:
-                end = m if (j, m) in dom else _next_domain(index, j, m, step)
-                if end is None:
-                    break
-                count = (end - m) // step + 1 if step else 1
-                runs.append((j, m, step, count))
-                spine_len += count
-                p = (j, end)
-                seen.add(p)
-                j, m = dom[p]
-                step = t[j - 1]
-                if len(runs) > _TRACE_LIMIT:
-                    raise _too_long()
+    for start in starts:
+        if start in seen:
+            continue
+        j, m = start
+        runs: List[Run] = []
+        length = 0
+        while True:
+            step = steps[j]
+            end = m if (j, m) in dom else _next_domain(index, j, m, step)
+            if end is None:
+                break
+            count = (end - m) // step + 1 if step else 1
+            runs.append((j, m, step, count))
+            length += count
+            j, m = q = dom[j, end]
+            seen.add(q)
+            if q == start:
+                break
+            if len(runs) > _TRACE_LIMIT:
+                raise _too_long()
+        if end is None:
             # the last run, the single point m on the outgoing ray
             pos_key = (j, m % step)
             if pos_key in claimed:
                 raise RuntimeError("outgoing residue class claimed twice")
             claimed.add(pos_key)
             runs.append((j, m, step, 1))
-            orbits.append(InfiniteOrbit(j, pos_key[1], m + step, i, r, neg_cut, tuple(runs), spine_len + 1))
-    # by outgoing ray, then residue: no two orbits share both
+            i, top, down, _ = runs[0]
+            orbits.append(InfiniteOrbit(j, pos_key[1], m + step, i, top % -down, top - down, tuple(runs), length + 1))
+        elif length > 1:
+            finite.append(_from_least(runs, length))
+    # by outgoing ray, then residue: no two orbits share both; by least
+    # point, which starts the cycle's first run
     orbits.sort()
-
-    # finite cycles: every nontrivial finite cycle passes through the
-    # exception domain, so a trail from each domain point off the infinite
-    # orbits finds them all.  It follows the same runs, taking the points
-    # of each once the walk limit allows them.  Such a trail is a finite
-    # cycle and closes on itself; one that leaves the table would be on an
-    # infinite orbit, which the walks above would have collected
-    finite: List[Tuple[Point, ...]] = []
-    for start in dom:
-        if start in seen:
-            continue
-        cycle: List[Point] = []
-        p = dom[start]
-        while True:
-            if p not in dom:
-                i, m = p
-                step = t[i - 1]
-                end = _next_domain(index, i, m, step) if step else None
-                if end is None:
-                    raise RuntimeError("a finite-cycle trail left the table at %r" % (p,))
-                _check_limit(len(cycle) + (end - m) // step)
-                cycle.extend((i, k) for k in range(m, end, step))
-                p = (i, end)
-            cycle.append(p)
-            seen.add(p)
-            if p == start:
-                break
-            p = dom[p]
-            if len(cycle) > _TRACE_LIMIT:
-                raise _too_long()
-        if len(cycle) >= 2:
-            k = cycle.index(min(cycle))
-            finite.append(tuple(cycle[k:] + cycle[:k]))
-    finite.sort(key=lambda c: c[0])
+    finite.sort()
     return CycleDecomposition(g.n, g.t, tuple(finite), tuple(orbits))
 
 

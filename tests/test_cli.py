@@ -299,6 +299,25 @@ def test_orbits_spine_beyond_limit_exits_2(capsys, tmp_path, monkeypatch):
     assert "more than 50 steps" in err
 
 
+def test_orbits_cycle_beyond_limit_exits_2(capsys, tmp_path, monkeypatch):
+    # the decomposition holds the one finite cycle in 2 runs, but listing it
+    # would take 103 points; conj and ends never list it
+    from houghton import orbits
+
+    swap = HoughtonElement(2, (0, 0), {(1, 51): (2, 51), (2, 51): (1, 51)})
+    path = write_element(tmp_path, "g.json", compose(generator(2, "g2"), swap))
+    monkeypatch.setattr(orbits, "_TRACE_LIMIT", 50)
+    code, out, err = run(capsys, "orbits", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "more than 50 steps" in err
+    code, out, err = run(capsys, "conj", path, path)
+    assert code == 0 and err == ""
+    assert json.loads(out)["verified"] is True
+    code, out, err = run(capsys, "ends", path)
+    assert (code, out, err) == (0, "{1,2}\n", "")
+
+
 @pytest.mark.parametrize("value", ["Infinity", "NaN", "1.5", "true"])
 @pytest.mark.parametrize(
     "doc",

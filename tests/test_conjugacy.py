@@ -558,6 +558,32 @@ def test_conjugate_short_certificate_at_far_offset():
         assert len(out.conjugator.exceptions) <= 2
 
 
+def test_finite_cycle_costs_its_runs():
+    # g2 times the swap of (1, N) and (2, N) in H_2: 3 table entries and one
+    # finite cycle of 2N + 1 points.  The decomposition, the ends and the
+    # decision cost the table, not the cycle's points
+    far = 10**6
+    g = compose(generator(2, "g2"), fsym(2, ((1, far), (2, far)), ((2, far), (1, far))))
+    assert len(g.exceptions) == 3
+    for f, args in ((cycle_decomposition, (g,)), (ends_partition, (g,)), (conjugate, (g, g))):
+        started = time.process_time()
+        f(*args)
+        assert time.process_time() - started < 0.1, f.__name__
+    d = cycle_decomposition(g)
+    (cycle,) = d.finite_cycles
+    assert cycle.length == 2 * far + 1 and len(cycle.runs) <= 4
+    assert cycle.runs[0][:2] == (1, 0)
+    for i in (1, 2):
+        for m in [*range(4), *range(far - 3, far + 4)]:
+            assert d.successor((i, m)) == apply(g, (i, m))
+    # conjugated by a swap near 10^9, it is still decided at the cost of its table
+    h = conjugate_element(g, fsym(2, ((1, 10**9), (2, 10**9 + 5)), ((2, 10**9 + 5), (1, 10**9))))
+    started = time.process_time()
+    out = conjugate(g, h)
+    assert time.process_time() - started < 0.1
+    assert out.is_conjugate and out.verified
+
+
 def test_least_translation_per_class():
     # the k * t that minimises sum |s_i + k t_i|, the k nearest 0 among ties
     least = conjugacy._least_translation
@@ -763,9 +789,9 @@ def dense_forced_conjugator(a, b, s):
         return ConjugacyOutcome(None, reason=FORCED_MAP_INCONSISTENT)
     by_len_a, by_len_b = {}, {}
     for c in dec_a.finite_cycles:
-        by_len_a.setdefault(len(c), []).append(c)
+        by_len_a.setdefault(c.length, []).append(c.points)
     for c in dec_b.finite_cycles:
-        by_len_b.setdefault(len(c), []).append(c)
+        by_len_b.setdefault(c.length, []).append(c.points)
     for length, cycles_a in by_len_a.items():
         for ca, cb in zip(cycles_a, by_len_b[length]):
             mapping.update(zip(ca, cb))

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from houghton import (
+    FiniteCycle,
     HoughtonElement,
+    InvalidElementError,
     Word,
     apply,
     compose,
@@ -38,7 +40,7 @@ def test_identity_has_no_orbits():
 def test_transposition_single_cycle():
     g = HoughtonElement(2, (0, 0), {(1, 0): (2, 0), (2, 0): (1, 0)})
     d = cycle_decomposition(g)
-    assert d.finite_cycles == (((1, 0), (2, 0)),)
+    assert tuple(c.points for c in d.finite_cycles) == (((1, 0), (2, 0)),)
     assert d.infinite_orbits == ()
 
 
@@ -116,12 +118,52 @@ def test_successor_reads_runs_of_a_far_spine():
             assert d.successor((i, m)) == apply(g, (i, m))
 
 
+def test_successor_refuses_points_off_the_ray_set():
+    # as apply does, whatever orbit the point would be looked up in
+    g = generator(2, "g2")
+    d = cycle_decomposition(g)
+    for p in [(3, 0), (0, 0), (1, -1), (2, -5)]:
+        with pytest.raises(InvalidElementError):
+            apply(g, p)
+        with pytest.raises(InvalidElementError):
+            d.successor(p)
+
+
+def test_finite_cycles_are_runs_from_their_least_point():
+    # each cycle's runs list it from its least point, as the element moves
+    # it, and its length counts them; a run that ends at the least point
+    # with a negative step is split before that point
+    split = cycles = 0
+    for g in decomposition_pool():
+        for c in cycle_decomposition(g).finite_cycles:
+            cycles += 1
+            points = c.points
+            assert isinstance(c, FiniteCycle) and c.length == len(points) >= 2
+            assert points[0] == min(points) == c.runs[0][:2]
+            assert [apply(g, p) for p in points] == list(points[1:] + points[:1])
+            assert all(count >= 1 and step == g.t[ray - 1] for ray, _, step, count in c.runs)
+            last = c.runs[-1]
+            split += last[0] == points[0][0] and last[2] < 0 and last[1] + last[3] * last[2] == points[0][1]
+    assert (split, cycles) == (210, 935)
+
+
+def test_finite_cycle_points_obey_the_walk_limit(monkeypatch):
+    # the record holds 2 runs, but listing its 2N + 1 points is refused
+    far = 60
+    swap = HoughtonElement(2, (0, 0), {(1, far): (2, far), (2, far): (1, far)})
+    (cycle,) = cycle_decomposition(compose(generator(2, "g2"), swap)).finite_cycles
+    assert cycle == FiniteCycle(((1, 0, 1, far), (2, far, -1, far + 1)), 2 * far + 1)
+    monkeypatch.setattr(orbits, "_TRACE_LIMIT", 2 * far)
+    with pytest.raises(orbits.WalkLimitError):
+        cycle.points
+
+
 def test_finite_cycles_are_disjoint_and_minimal_rotated():
     for seed in range(30):
         g = random_element(3, seed, profile="fsym")
         d = cycle_decomposition(g)
         seen = set()
-        for cycle in d.finite_cycles:
+        for cycle in (c.points for c in d.finite_cycles):
             assert len(cycle) >= 2
             assert cycle[0] == min(cycle)
             for p in cycle:
@@ -193,14 +235,20 @@ def decomposition_pool():
     return pool
 
 
+def old_form(d):
+    """The decomposition with each finite cycle as the tuple of its points,
+    the form in which the pinned digest was recorded."""
+    return d._replace(finite_cycles=tuple(c.points for c in d.finite_cycles))
+
+
 def test_decomposition_is_pinned():
     # the repr of every decomposition of the pool, byte for byte: cycles,
     # orbit order, cutoffs and runs.  The digest was recorded with the
     # decomposition that walked each infinite orbit back from its outgoing
-    # tail
+    # tail and listed each finite cycle point by point
     pool = decomposition_pool()
     assert len(pool) == 3518
-    digest = hashlib.sha256("".join(repr(cycle_decomposition(g)) for g in pool).encode())
+    digest = hashlib.sha256("".join(repr(old_form(cycle_decomposition(g))) for g in pool).encode())
     assert digest.hexdigest() == "202085b6499755acd1d3f4de00cfdd139beee0e985187b81c5792669c456d613"
 
 
@@ -265,10 +313,10 @@ def test_decomposition_matches_action_with_cycles_on_orbit_rays():
             g = compose(evaluate(random_word(n, seed, 8)), random_element(n, seed, profile="fsym"))
             d = cycle_decomposition(g)
             rays = {ray for o in d.infinite_orbits for ray in (o.pos_ray, o.neg_ray)}
-            if not any(p[0] in rays for cycle in d.finite_cycles for p in cycle):
+            if not any(p[0] in rays for c in d.finite_cycles for p in c.points):
                 continue
             checked += 1
-            for cycle in d.finite_cycles:
+            for cycle in (c.points for c in d.finite_cycles):
                 assert [apply(g, p) for p in cycle] == list(cycle[1:] + cycle[:1])
             for o in d.infinite_orbits:
                 path = [(o.neg_ray, o.neg_cutoff), *o.spine, (o.pos_ray, o.pos_cutoff)]

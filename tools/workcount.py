@@ -1,0 +1,90 @@
+"""Exact work counts of the decision on the benchmark's pools.
+
+    python3 tools/workcount.py
+
+Counts the bytecodes that `conjugate(a, b)` executes, and those that
+`cycle_decomposition` executes on a and on b, summed over each of three
+pools of pairs taken from `bench/workloads.py`, which it only imports:
+
+  roundtrip       the 400 (a, a^x) pairs of the `roundtrip` workload
+  same_invariant  the pairs of `same_invariant_family`
+  far_offsets     the 20 shifted pairs of the `far_offsets` workload, built
+                  as it builds them at seed 1
+
+A count is the number of `opcode` trace events (`sys.settrace` with
+`f_trace_opcodes`) in every Python frame entered during the call.  It
+does not depend on the machine's speed or load, so two versions of the
+package compare exactly, and the same version gives the same counts on
+every run of one Python version.  A decomposition is counted through the
+one-line call `decompose`, whose own 6 bytecodes per element are in the
+figure, so that it compares with the figures quoted for earlier versions.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]  # this checkout's package and pools
+
+import houghton  # noqa: E402
+import workloads  # noqa: E402
+
+
+def far_offsets_pairs(seed=1):
+    """The shifted pairs that `workloads.far_offsets` builds first: the H_2
+    pairs of the roundtrip pool, each conjugated by a swap of its low
+    points with points near FAR_SHIFT, drawn from one generator of `seed`."""
+    rng = random.Random(seed)
+    pairs = []
+    for k in range(workloads.FAR_SHIFTED):
+        a, b = workloads._roundtrip_pair(houghton, 3 * k)
+        width = 1 + max(a.max_exception_offset(), b.max_exception_offset())
+        y = workloads._lift(houghton, 2, workloads.FAR_SHIFT + rng.randrange(workloads.FAR_SHIFT // 100), width)
+        pairs.append((houghton.conjugate_element(a, y), houghton.conjugate_element(b, y)))
+    return pairs
+
+
+def pools():
+    roundtrip = [workloads._roundtrip_pair(houghton, k) for k in range(workloads.ROUNDTRIP_POOL)]
+    same = [(a, b) for _, a, b in workloads.same_invariant_family(houghton)]
+    return {"roundtrip": roundtrip, "same_invariant": same, "far_offsets": far_offsets_pairs()}
+
+
+def bytecodes(call, *args) -> int:
+    """The opcode events of call(*args) and of every frame it enters."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def enter(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(enter)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+decompose = lambda g: houghton.cycle_decomposition(g)  # noqa: E731
+
+
+def main() -> None:
+    print("pool             pairs   conjugate  cycle_decomposition")
+    for name, pairs in pools().items():
+        conj = sum(bytecodes(houghton.conjugate, a, b) for a, b in pairs)
+        dec = sum(bytecodes(decompose, g) for pair in pairs for g in pair)
+        print("%-15s %6d %11s %20s" % (name, len(pairs), format(conj, ","), format(dec, ",")))
+
+
+if __name__ == "__main__":
+    main()
