@@ -373,7 +373,13 @@ def _class_shifts(
     those equations give some ray two values of the same residue.  The
     choices are generated lazily, one walk of the class each, in the order
     of b's orbits with the first orbit's end rays.  `index_b` is
-    `_orbit_index` of b's decomposition."""
+    `_orbit_index` of b's decomposition.
+
+    A further orbit's partner is looked up, and its d read off, by the
+    outgoing ray when its s_i is known, else by the incoming one.  A
+    cutoff is congruent to its residue, so that d solves the ray's
+    equation exactly, and only the other ray, when known too, is compared:
+    a residue clash refuses the choice, and a second value makes it inexact."""
     by_pos, by_neg, by_ends = index_b
     head = orbits[0]
     for first in by_ends.get((head.pos_ray, head.neg_ray), ()):
@@ -393,7 +399,6 @@ def _class_shifts(
                 break
             c_pos = ob.pos_cutoff - oa.pos_cutoff
             c_neg = ob.neg_cutoff - oa.neg_cutoff - down * (oa.spine_len - ob.spine_len)
-            # d is read off the first of the two rays whose s_i is known
             if s_pos is not None:
                 d = (s_pos - c_pos) // up
             elif s_neg is not None:
@@ -401,15 +406,13 @@ def _class_shifts(
             else:
                 d = 0
             v_pos, v_neg = up * d + c_pos, down * d + c_neg
-            if s_pos is not None and (s_pos - v_pos) % up or s_neg is not None and (s_neg - v_neg) % down:
-                break
             if s_pos is None:
                 s[pos] = v_pos
-            elif s_pos != v_pos:
-                exact = False
             if s_neg is None:
                 s[neg] = v_neg
-            elif s_neg != v_neg:
+            elif s_neg != v_neg:  # d was read off the outgoing ray
+                if (s_neg - v_neg) % down:
+                    break
                 exact = False
         else:
             yield s, exact

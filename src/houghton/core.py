@@ -114,15 +114,19 @@ class HoughtonElement:
              a negative offset, is in the domain;
           5. no two entries have the same image;
           6. no image (j, k) is also the tail image of (j, k - t_j), a
-             point off the domain;
-          7. every point (j, k) with k < t_j, which no tail reaches, and
-             the tail image of every domain point are images.
+             point off the domain.
 
         One pass over the table makes checks 2, 3, 5 and 6: it raises at
         the first fault of check 2, and keeps the first fault of each other
         kind in table order, raised once the checks before it have passed.
-        The per-ray loops of checks 4 and 7 and one pass over the tail
-        images follow."""
+        The per-ray loop of check 4 follows.
+
+        Checks 4 to 6 make the map total and injective, and then check 1
+        makes it onto, by an index count.  Off its table it translates ray
+        i by t_i, so for an offset B far enough past the table, the points
+        it maps to offsets below B number sum(B - t_i), against the n * B
+        points there, and every point from B on is the tail image of a
+        point off the table.  So it misses exactly sum(t_i) = 0 points."""
         n, t, dom = self.n, self.t, self.exceptions
         if n < 2:
             raise InvalidElementError("n must be at least 2")
@@ -169,14 +173,6 @@ class HoughtonElement:
             raise InvalidElementError(
                 "%r is hit both by an exception and by the tail formula" % (collision,)
             )
-        for j, step in enumerate(t, 1):
-            for k in range(step):
-                if (j, k) not in ran:
-                    raise InvalidElementError("point %r is never hit" % ((j, k),))
-        for i, m in dom:
-            m += t[i - 1]
-            if m >= 0 and (i, m) not in ran:
-                raise InvalidElementError("point %r is never hit" % ((i, m),))
 
     # -- structural identity ----------------------------------------------
 
@@ -345,15 +341,10 @@ def compose(g: HoughtonElement, h: HoughtonElement) -> HoughtonElement:
 
 
 def inverse(g: HoughtonElement) -> HoughtonElement:
-    exc = {}
+    """g^-1: g's table turned round, which is minimal as g's is, since an
+    entry q -> p with p = q - t would come from an entry p -> p + t of g."""
     t = tuple(-v for v in g.t)
-    for p, q in g.exceptions.items():
-        j, k = q
-        tail = k + t[j - 1]
-        if tail >= 0 and p == (j, tail):
-            continue
-        exc[q] = p
-    return _make(g.n, t, exc)
+    return _make(g.n, t, {q: p for p, q in g.exceptions.items()})
 
 
 def evaluate(w: Word) -> HoughtonElement:
@@ -520,11 +511,12 @@ def _read_table(entries: Iterable) -> Dict[Point, Point]:
 
 def _integer(v) -> int:
     """A given value as an int, for the constructor and documents.  Integral
-    numbers and digit strings are taken; booleans, NaN, infinities and
-    fractions are refused, not truncated."""
+    numbers and ASCII digit strings with an optional leading minus are
+    taken; booleans, NaN, infinities, fractions and other strings that
+    `int` reads, as "1_0", " 7 " or "+3", are refused, not truncated."""
     if type(v) is int:
         return v
-    if isinstance(v, bool):
+    if isinstance(v, bool) or (isinstance(v, str) and re.fullmatch("-?[0-9]+", v) is None):
         raise InvalidElementError("not an integer: %r" % (v,))
     try:
         k = int(v)

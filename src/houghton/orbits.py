@@ -125,15 +125,11 @@ class EndsPartition(NamedTuple):
         raise KeyError("ray %d is almost fixed (not in I)" % ray)
 
 
-def _too_long() -> WalkLimitError:
-    """The error of an orbit walk over the limit, which it names as it is
-    when the error is raised."""
-    return WalkLimitError("an orbit walk would take more than %d steps" % _TRACE_LIMIT)
-
-
 def _check_limit(steps: int) -> None:
+    """Refuse to list more points of an orbit than the limit of a walk,
+    which the error names as it is when raised."""
     if steps > _TRACE_LIMIT:
-        raise _too_long()
+        raise WalkLimitError("an orbit walk would take more than %d steps" % _TRACE_LIMIT)
 
 
 def _next_domain(index: Dict[Tuple[int, int], List[int]], i: int, m: int, step: int) -> Optional[int]:
@@ -207,10 +203,13 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     # translates: a range point strictly inside a run would be hit both by
     # an exception and by the tail formula, which check 6 refuses, and a
     # domain point strictly inside a run would leave the next point of the
-    # run with no preimage, which check 7 refuses.  So the runs are the
-    # same whichever point of the orbit a walk starts from, and every range
-    # point of an orbit starts one.  seen collects those, so no finite-cycle
-    # walk enters an infinite orbit or a cycle walked before
+    # run with no preimage, and g is onto (the index count of
+    # `HoughtonElement._validate`).  So the runs are the same whichever
+    # point of the orbit a walk starts from, and every range point of an
+    # orbit starts one.  seen collects those, so no finite-cycle walk
+    # enters an infinite orbit or a cycle walked before.  The runs of a
+    # walk end at distinct domain points, so it has at most one run more
+    # than the table has entries and needs no limit of its own
     starts += dom.values()
     orbits: List[InfiniteOrbit] = []
     finite: List[FiniteCycle] = []
@@ -234,8 +233,6 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
             seen.add(q)
             if q == start:
                 break
-            if len(runs) > _TRACE_LIMIT:
-                raise _too_long()
         if end is None:
             # the last run, the single point m on the outgoing ray
             pos_key = (j, m % step)
@@ -255,10 +252,8 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
 
 
 def infinite_orbit_count(g: HoughtonElement) -> int:
-    total = sum(abs(v) for v in g.t)
-    if total % 2:
-        raise RuntimeError("odd total translation mass: invariant violated")
-    return total // 2
+    # half of sum |t_i|, which is the sum of the positive t_i as sum(t) = 0
+    return sum(v for v in g.t if v > 0)
 
 
 def cycle_type(g: HoughtonElement) -> Tuple[Tuple[int, ...], int]:

@@ -25,6 +25,7 @@ from houghton import (
     cycle_decomposition,
     cycle_type,
     ends_partition,
+    equals,
     evaluate,
     fixed_point_count,
     fsym_conjugate,
@@ -32,6 +33,7 @@ from houghton import (
     identity,
     inverse,
     serialize,
+    sym_conjugate,
     verify,
 )
 from houghton import conjugacy
@@ -200,6 +202,24 @@ def test_construct_translation_maps_in_ray_order():
     assert g.exceptions == {(1, 0): (2, 0), (1, 1): (4, 0), (3, 0): (4, 1)}
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (compose, "cannot compose elements with n=2 and n=3"),
+        (equals, "cannot compare elements with different n"),
+        (conjugate_element, "cannot conjugate elements with different n"),
+        (fsym_conjugate, "elements live in different H_n"),
+        (conjugate, "elements live in different H_n"),
+        (sym_conjugate, "elements live in different H_n"),
+        (lambda a, b: brute_force_conjugator(a, b, SearchBudget(1)), "elements live in different H_n"),
+    ],
+    ids=["compose", "equals", "conjugate_element", "fsym_conjugate", "conjugate", "sym_conjugate", "oracle"],
+)
+def test_elements_of_different_h_n_are_refused(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call(generator(2, "g2"), generator(3, "g2"))
+
+
 def test_construct_translation_rejects_bad_sum():
     with pytest.raises(ValueError):
         construct_translation_element(3, (1, 0, 0))
@@ -333,6 +353,11 @@ def test_bounds_refuse_orbits_without_counterpart():
     b = HoughtonElement(4, t, {(4, 0): (1, 0), (3, 0): (2, 0)})
     with pytest.raises(ValueError, match="no counterpart"):
         compute_bounds(a, b)
+
+
+def test_bounds_refuse_unequal_translations():
+    with pytest.raises(ValueError, match="^bounds require equal translation vectors$"):
+        compute_bounds(generator(3, "g2"), generator(3, "g3"))
 
 
 def test_bounds_zero_when_no_moving_rays():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -173,7 +174,7 @@ def test_evaluate_of_one_letter_is_a_new_element():
 
 
 def test_evaluate_refuses_letters_not_in_h_n():
-    for letter, n in ((("g9", 1), 3), (("g2", 2), 3), (("s", 1), 3), (("g3", 1), 2)):
+    for letter, n in ((("g9", 1), 3), (("g2", 2), 3), (("s", 1), 3), (("g3", 1), 2), (("h2", 1), 3)):
         with pytest.raises(WordError, match="%r.*n=%d" % (letter[0], n)):
             evaluate(Word(n, (("g2", 1), letter)))
 
@@ -380,6 +381,10 @@ def test_serialize_identity_fixed():
     assert serialize(identity(2)) == '{"n":2,"t":[0,0],"exceptions":[]}'
 
 
+def test_repr_lists_the_sorted_table():
+    assert repr(generator(2, "s")) == "HoughtonElement(n=2, t=(0, 0), exceptions=[((1, 0), (2, 0)), ((2, 0), (1, 0))])"
+
+
 def test_roundtrip_random():
     for seed in range(25):
         g = evaluate(random_word(3, seed, 8))
@@ -403,6 +408,22 @@ def test_deserialize_rejects_garbage():
         deserialize("not json at all")
     with pytest.raises(InvalidElementError):
         deserialize('{"n": 2}')
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("[2, [0, 0], []]", "element document must be an object"),
+        ('"g2"', "element document must be an object"),
+        ('{"n":"2","t":[0,0],"exceptions":[]}', "bad field types in element document"),
+        ('{"n":2,"t":"00","exceptions":[]}', "bad field types in element document"),
+        ('{"n":2,"t":[0,0],"exceptions":{}}', "bad field types in element document"),
+    ],
+    ids=["array", "string", "string-n", "string-t", "object-table"],
+)
+def test_deserialize_refuses_malformed_documents(doc, message):
+    with pytest.raises(InvalidElementError, match="^%s$" % message):
+        deserialize(doc)
 
 
 def test_element_rejects_missing_negative_redirect():
@@ -468,6 +489,11 @@ TWO_FAULTS = [
         '{"n":2,"t":[0,0],"exceptions":[[[1,0],[1,1]],[[1,1],[1,0]],[[1,3],[1,2]],[[2,0],[2,9]]]}',
         "(1, 2) is hit both by an exception and by the tail formula",
     ),
+    # n below 2, t of the wrong length, a negative domain offset, each with
+    # a non-minimal entry before it
+    ('{"n":1,"t":[0],"exceptions":[[[1,0],[1,0]]]}', "n must be at least 2"),
+    ('{"n":2,"t":[0,0,0],"exceptions":[[[1,0],[1,0]]]}', "translation vector must have length n"),
+    ('{"n":2,"t":[0,0],"exceptions":[[[1,0],[1,0]],[[1,-2],[2,0]]]}', "negative offset at (1, -2)"),
 ]
 
 
@@ -480,6 +506,52 @@ def test_validation_names_the_fault_that_wins(doc, message):
     with pytest.raises(InvalidElementError) as raised:
         HoughtonElement(data["n"], data["t"], [(tuple(p), tuple(q)) for p, q in data["exceptions"]])
     assert str(raised.value) == message
+
+
+def dense_bijection(n, t, table):
+    """Reference for validation: the table is minimal, and the map is total,
+    injective and onto on a window past the table and every |t_i|.  Beyond
+    the window the map translates points off the table, so there it is
+    total, injective and onto as well."""
+    tail = lambda p: (p[0], p[1] + t[p[0] - 1])  # noqa: E731
+    top = 1 + max((m for entry in table.items() for _, m in entry), default=-1)
+    reach = max(map(abs, t))
+    inner = top + reach + 1  # every point from here on is a tail image
+    window = [(i, m) for i in range(1, n + 1) for m in range(inner + reach)]
+    images = [table.get(p) or tail(p) for p in window]
+    hit = set(images)
+    return (
+        all(q != tail(p) for p, q in table.items())
+        and all(k >= 0 for _, k in images)
+        and len(hit) == len(images)
+        and all((i, m) in hit for i in range(1, n + 1) for m in range(inner))
+    )
+
+
+def test_validation_accepts_exactly_the_bijections():
+    # every table of distinct images on small offsets, 61,644 in all: the
+    # constructor accepts one exactly when the dense reference does
+    sweep = [
+        (2, [(0, 0), (1, -1), (-1, 1), (2, -2), (-2, 2)], 3, 4),
+        (3, [(0, 0, 0)] + list(itertools.permutations((1, -1, 0))), 2, 3),
+    ]
+    tables = accepted = 0
+    for n, vectors, offsets, most in sweep:
+        points = [(i, m) for i in range(1, n + 1) for m in range(offsets)]
+        for t in vectors:
+            for k in range(most + 1):
+                for domain in itertools.combinations(points, k):
+                    for images in itertools.permutations(points, k):
+                        table = dict(zip(domain, images))
+                        try:
+                            HoughtonElement(n, t, table)
+                            valid = True
+                        except InvalidElementError:
+                            valid = False
+                        assert valid == dense_bijection(n, t, table), (n, t, table)
+                        tables += 1
+                        accepted += valid
+    assert (tables, accepted) == (61_644, 567)
 
 
 def roundtrip_pool():
@@ -575,8 +647,24 @@ def test_public_constructor_still_coerces_and_validates():
         (2, [0, 0], {(1, 0.5): (2, 0), (2, 0): (1, 0.5)}),
         (2, [0, 0], {(1, 0): (2, float("inf")), (2, float("inf")): (1, 0)}),
         (2, [True, -1], {(2, 0): (1, 0)}),
+        (2, ["1_0", -10], {(2, k): (1, k) for k in range(10)}),
+        (2, [" 7 ", -7], {(2, k): (1, k) for k in range(7)}),
+        (2, ["+3", -3], {(2, k): (1, k) for k in range(3)}),
+        (2, ["\u0661\u0662", -12], {(2, k): (1, k) for k in range(12)}),
     ],
-    ids=["fraction-t", "infinite-t", "nan-t", "fraction-n", "fraction-point", "infinite-point", "bool-t"],
+    ids=[
+        "fraction-t",
+        "infinite-t",
+        "nan-t",
+        "fraction-n",
+        "fraction-point",
+        "infinite-point",
+        "bool-t",
+        "underscore-t",
+        "spaced-t",
+        "plus-t",
+        "arabic-indic-t",
+    ],
 )
 def test_public_constructor_refuses_non_integers(n, t, exceptions):
     # refused like a document with such values, not truncated to a valid
@@ -635,10 +723,11 @@ def test_deserialize_still_coerces_and_validates():
         deserialize('{"n":3,"t":[1,-1,0],"exceptions":[[["x",0],[1,0]]]}')
 
 
-# a value that is NaN, infinite, a fraction or a boolean, in t or in a
-# point of the table; truncating 1.5 to 1, or reading true as 1, would make
+# a value that is NaN, infinite, a fraction, a boolean or a string that is
+# not ASCII digits, in t or in a point of the table; truncating 1.5 to 1, or
+# reading true, "0_1", " 1 ", "+1" or an Arabic-Indic one as 1, would make
 # each document a valid element
-NOT_INTEGERS = ["Infinity", "-Infinity", "NaN", "1.5", "true"]
+NOT_INTEGERS = ["Infinity", "-Infinity", "NaN", "1.5", "true", '"0_1"', '" 1 "', '"+1"', '"\u0661"']
 NOT_INTEGER_DOCS = [
     '{"n":2,"t":[%s,-1],"exceptions":[[[2,0],[1,0]]]}',
     '{"n":2,"t":[0,0],"exceptions":[[[1,%s],[2,0]],[[2,0],[1,1]]]}',
