@@ -29,6 +29,7 @@ from .core import (
     InvalidElementError,
     Point,
     _check_n,
+    _check_same_n,
     _integer,
     _make,
     apply,
@@ -246,8 +247,7 @@ def fsym_conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     builds it or names the stage that refutes it.  The work is bounded by
     the exception tables and the certificate, not by the offsets.
     """
-    if a.n != b.n:
-        raise ValueError("elements live in different H_n")
+    _check_same_n(a, b)
     if a.t != b.t:
         return _no(TRANSLATION_MISMATCH)
     dec_a = cycle_decomposition(a)
@@ -532,8 +532,7 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     built.  A refusal there, or a nonzero sum(s) when every ray moves,
     would contradict the existence argument and raises RuntimeError.
     """
-    if a.n != b.n:
-        raise ValueError("elements live in different H_n")
+    _check_same_n(a, b)
     if a.t != b.t:
         return _no(TRANSLATION_MISMATCH)
     # the fixed points are counted off the tables, before either element

@@ -83,7 +83,10 @@ class Word:
 class HoughtonElement:
     """An element of H_n: translation vector plus finite exception table."""
 
-    __slots__ = ("n", "t", "exceptions", "_hash")
+    # _hash and _dec are filled on first use: the hash, and the cycle
+    # decomposition that `orbits.cycle_decomposition` walks once and keeps.
+    # An element is never changed after it is built, so both stay valid
+    __slots__ = ("n", "t", "exceptions", "_hash", "_dec")
 
     def __init__(
         self,
@@ -98,6 +101,7 @@ class HoughtonElement:
         self.t = tuple(_integer(v) for v in t)
         self.exceptions = _read_table(exceptions.items() if isinstance(exceptions, Mapping) else exceptions)
         self._hash: Optional[int] = None
+        self._dec = None
         self._validate()
 
     # -- normal form / bijectivity checks ---------------------------------
@@ -219,6 +223,7 @@ def _make(n: int, t: Tuple[int, ...], exceptions: Dict[Point, Point]) -> Houghto
     g.t = t
     g.exceptions = exceptions
     g._hash = None
+    g._dec = None
     return g
 
 
@@ -316,10 +321,16 @@ class _Accumulator:
         return _make(self.n, t, exc)
 
 
+def _check_same_n(g: HoughtonElement, h: HoughtonElement) -> None:
+    """Refuse two elements of different H_n: the one check of every
+    operation on a pair of elements."""
+    if g.n != h.n:
+        raise InvalidElementError("elements live in different H_n: n=%d and n=%d" % (g.n, h.n))
+
+
 def compose(g: HoughtonElement, h: HoughtonElement) -> HoughtonElement:
     """The product g*h under the right action: (p)(g*h) = ((p)g)h."""
-    if g.n != h.n:
-        raise InvalidElementError("cannot compose elements with n=%d and n=%d" % (g.n, h.n))
+    _check_same_n(g, h)
     # off g's table the first step is a translation, so besides g's table
     # only the preimages (j, k - t_j) of h's table points (j, k) can be
     # exceptions; only those are evaluated, in one pass
@@ -388,16 +399,14 @@ def _letter_rule(n: int, letter):
 
 
 def equals(g: HoughtonElement, h: HoughtonElement) -> bool:
-    if g.n != h.n:
-        raise InvalidElementError("cannot compare elements with different n")
+    _check_same_n(g, h)
     return g == h
 
 
 def conjugate_element(g: HoughtonElement, x: HoughtonElement) -> HoughtonElement:
     """g^x = x^{-1} * g * x, carried through x by `_conjugate_by` without
     building x^{-1}."""
-    if g.n != x.n:
-        raise InvalidElementError("cannot conjugate elements with different n")
+    _check_same_n(g, x)
     return _conjugate_by(g, x)
 
 

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .core import HoughtonElement, Point, Word, _conjugate_by, _letter_rule, evaluate, generator_ids
+from .core import HoughtonElement, Point, Word, _check_same_n, _conjugate_by, _letter_rule, evaluate, generator_ids
 from .conjugacy import verify
 
 
@@ -147,8 +147,7 @@ def brute_force_conjugator(
     whose ball has more than MAX_WORDS reduced words (more than radius 14
     in H_3).  That is the only bound: a one-letter search in H_20,000 runs.
     """
-    if a.n != b.n:
-        raise ValueError("elements live in different H_n")
+    _check_same_n(a, b)
     n = a.n
     radius = budget.max_word_length
     if _ball_words(n, radius) > MAX_WORDS:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import HoughtonElement, InvalidElementError, Point
+from .core import HoughtonElement, InvalidElementError, Point, _check_same_n
 
 _TRACE_LIMIT = 10_000_000
 
@@ -135,8 +135,9 @@ def _check_limit(steps: int) -> None:
 def _next_domain(index: Dict[Tuple[int, int], List[int]], i: int, m: int, step: int) -> Optional[int]:
     """The first offset of a domain point met from (i, m) on, m included,
     going by step along the class of m; None when there is none.  `index`
-    holds the sorted domain offsets of each class."""
-    offsets = index.get((i, m % abs(step)), ())
+    holds the sorted domain offsets of each class, keyed as `_walk` keys
+    them."""
+    offsets = index.get((i, m % step), ())
     if step > 0:
         k = bisect_left(offsets, m)
         return offsets[k] if k < len(offsets) else None
@@ -161,6 +162,21 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     """The finite cycles of g, each from its least point, in order of that
     point, and its infinite orbits, in order of outgoing ray and residue.
 
+    g is walked once, by `_walk`, and the record is kept on g: every later
+    call returns that same record.  It is a tuple of tuples, so no caller
+    can change it, and g is never changed after it is built.  It holds
+    O(runs) ints, and every run but the last of an infinite orbit ends at
+    its own table point, so there are at most as many runs as table
+    entries and infinite orbits together.  It is freed with g."""
+    dec = g._dec
+    if dec is None:
+        dec = g._dec = _walk(g)
+    return dec
+
+
+def _walk(g: HoughtonElement) -> CycleDecomposition:
+    """The cycle decomposition of g, walked afresh.
+
     Every orbit is walked forward by one step rule, in one loop.  A run
     starts at a point of the table's range, or at the top spine point of an
     incoming class; g translates it until it meets the first domain point
@@ -173,8 +189,10 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     steps = (0,) + g.t  # steps[i] = t_i
     dom = g.exceptions
 
-    # one pass over the domain groups its offsets by residue class (ray,
-    # offset mod |t_ray|) of a moving ray, sorted after it for the lookup.
+    # one pass over the domain groups its offsets by residue class of a
+    # moving ray, sorted after it for the lookup.  A class is keyed (ray,
+    # offset % t_ray): on one ray that names the class as well as offset
+    # mod |t_ray| does, with the residue in (t_ray, 0] when t_ray < 0.
     # Beyond the top table point of a class g translates it, so the class's
     # cutoff, its first stable offset, is that point's offset + |t_i|.  The
     # walk finds the top point at each end of an orbit:
@@ -190,7 +208,7 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     for i, m in dom:
         step = steps[i]
         if step:
-            index.setdefault((i, m % abs(step)), []).append(m)
+            index.setdefault((i, m % step), []).append(m)
     starts = []
     for (i, _), offsets in index.items():
         offsets.sort()
@@ -244,11 +262,9 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
             orbits.append(InfiniteOrbit(j, pos_key[1], m + step, i, top % -down, top - down, tuple(runs), length + 1))
         elif length > 1:
             finite.append(_from_least(runs, length))
-    # by outgoing ray, then residue: no two orbits share both; by least
-    # point, which starts the cycle's first run
-    orbits.sort()
-    finite.sort()
-    return CycleDecomposition(g.n, g.t, tuple(finite), tuple(orbits))
+    # the cycles by least point, which starts each one's first run; the
+    # orbits by outgoing ray, then residue: no two orbits share both
+    return CycleDecomposition(g.n, g.t, tuple(sorted(finite)), tuple(sorted(orbits)))
 
 
 def infinite_orbit_count(g: HoughtonElement) -> int:
@@ -281,8 +297,7 @@ def fixed_point_count(g: HoughtonElement) -> Optional[int]:
 def sym_conjugate(a: HoughtonElement, b: HoughtonElement) -> bool:
     """Conjugacy in the full symmetric group: equal cycle types and equal
     numbers of fixed points."""
-    if a.n != b.n:
-        raise ValueError("elements live in different H_n")
+    _check_same_n(a, b)
     return cycle_type(a) == cycle_type(b) and fixed_point_count(a) == fixed_point_count(b)
 
 

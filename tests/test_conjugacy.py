@@ -1,10 +1,13 @@
 import collections
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
+import sys
 import time
 from math import gcd
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -36,7 +39,7 @@ from houghton import (
     sym_conjugate,
     verify,
 )
-from houghton import conjugacy
+from houghton import conjugacy, orbits
 from houghton.cli import main
 from houghton.conjugacy import (
     CYCLE_TYPE_MISMATCH,
@@ -203,20 +206,21 @@ def test_construct_translation_maps_in_ray_order():
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call",
     [
-        (compose, "cannot compose elements with n=2 and n=3"),
-        (equals, "cannot compare elements with different n"),
-        (conjugate_element, "cannot conjugate elements with different n"),
-        (fsym_conjugate, "elements live in different H_n"),
-        (conjugate, "elements live in different H_n"),
-        (sym_conjugate, "elements live in different H_n"),
-        (lambda a, b: brute_force_conjugator(a, b, SearchBudget(1)), "elements live in different H_n"),
+        compose,
+        equals,
+        conjugate_element,
+        fsym_conjugate,
+        conjugate,
+        sym_conjugate,
+        lambda a, b: brute_force_conjugator(a, b, SearchBudget(1)),
     ],
     ids=["compose", "equals", "conjugate_element", "fsym_conjugate", "conjugate", "sym_conjugate", "oracle"],
 )
-def test_elements_of_different_h_n_are_refused(call, message):
-    with pytest.raises(ValueError, match="^%s$" % message):
+def test_elements_of_different_h_n_are_refused(call):
+    # one check in core refuses every pair, with one type and one message
+    with pytest.raises(InvalidElementError, match="^elements live in different H_n: n=2 and n=3$"):
         call(generator(2, "g2"), generator(3, "g2"))
 
 
@@ -526,15 +530,21 @@ def test_conjugate_decomposes_each_element_once(monkeypatch):
     # element and no conjugate of b
     a = element(3, "g2 g3")
     b = conjugate_element(a, element(3, "g3 g2'"))
-    calls, built, verified = [], [], []
-    real, real_verify = conjugacy.cycle_decomposition, conjugacy.verify
+    calls, walked, built, verified = [], [], [], []
+    real, real_walk, real_verify = conjugacy.cycle_decomposition, orbits._walk, conjugacy.verify
     monkeypatch.setattr(conjugacy, "cycle_decomposition", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(orbits, "_walk", lambda g: walked.append(g) or real_walk(g))
     monkeypatch.setattr(conjugacy, "construct_translation_element", lambda *args: built.append(args))
     monkeypatch.setattr(conjugacy, "verify", lambda *args: verified.append(args) or real_verify(*args))
     out = conjugate(a, b)
     assert out.is_conjugate and out.verified
     assert calls == [a, b] and built == []
+    assert len(walked) == 2 and walked[0] is a and walked[1] is b
     assert verified == [(a, b, out.conjugator)]
+    # a second decision on the same objects reads the records kept on them
+    # and walks neither element again
+    assert conjugate(a, b) == out
+    assert calls == [a, b, a, b] and len(walked) == 2
 
 
 def test_conjugate_refuses_on_fixed_point_count(monkeypatch):
@@ -1133,6 +1143,79 @@ def test_conjugate_matches_level_search():
     assert reasons == {CYCLE_TYPE_MISMATCH, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}
     # the counts of the residue-class enumeration this solver replaced
     assert outcomes == {None: 504, CYCLE_TYPE_MISMATCH: 114, ORBIT_PAIRING_MISMATCH: 335, ORBIT_SHIFT_MISMATCH: 108}
+
+
+def fresh(g):
+    """A copy of g with no decomposition kept on it."""
+    return HoughtonElement(g.n, g.t, g.exceptions)
+
+
+def outcome_digest(pairs):
+    """The reason, verified flag, certificate table and bounds of
+    `conjugate` on every pair, as one digest."""
+    digest = hashlib.sha256()
+    for a, b in pairs:
+        out = conjugate(a, b)
+        cert = serialize(out.conjugator) if out.is_conjugate else None
+        digest.update(("%s|%s|%s|%s\n" % (out.reason, out.verified, cert, out.bounds)).encode())
+    return digest.hexdigest()
+
+
+WORKCOUNT = Path(__file__).resolve().parents[1] / "tools" / "workcount.py"
+
+
+def workcount_pools():
+    """The three pools of `tools/workcount.py`, built from `bench/workloads.py`
+    as that tool builds them; sys.path is put back after the tool's import."""
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("workcount_under_test", WORKCOUNT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module.pools()
+
+
+def test_kept_decompositions_give_the_same_outcomes():
+    # cold, every element walked afresh; warm, every element decomposed
+    # before the decision, which then reads the kept records, twice over
+    pools = {"cross-check": same_invariant_pairs(CROSS_CHECK_FAMILIES), **workcount_pools()}
+    assert [len(pairs) for pairs in pools.values()] == [1061, 400, 105, 20]
+    for name, pairs in pools.items():
+        cold = [(fresh(a), fresh(b)) for a, b in pairs]
+        assert all(a._dec is None and b._dec is None for a, b in cold)
+        digest = outcome_digest(cold)
+        for a, b in pairs:
+            cycle_decomposition(a)
+            cycle_decomposition(b)
+        assert outcome_digest(pairs) == digest, name
+        assert outcome_digest(pairs) == digest, name
+
+
+def test_results_do_not_depend_on_call_order():
+    # the calls that read the decomposition, in shuffled orders on one
+    # element and its conjugate, give what each gives on elements of its own
+    rng = random.Random(28)
+    calls = {
+        "cycle_type": lambda g, h, classes: cycle_type(g),
+        "ends_partition": lambda g, h, classes: ends_partition(g),
+        "centralizer_element": lambda g, h, classes: [centralizer_element(g, c) for c in classes],
+        "fsym_conjugate": lambda g, h, classes: fsym_conjugate(g, h),
+        "conjugate": lambda g, h, classes: conjugate(g, h),
+    }
+    for k in range(40):
+        n = 2 + k % 3
+        a = evaluate(random_word(n, 500 + k, 1 + k % 10))
+        b = conjugate_element(a, random_element(n, 600 + k, profile="fsym" if k % 2 else "word-6"))
+        classes = ends_partition(fresh(a)).classes
+        want = {name: call(fresh(a), fresh(b), classes) for name, call in calls.items()}
+        for _ in range(3):
+            order = list(calls)
+            rng.shuffle(order)
+            g, h = fresh(a), fresh(b)
+            for name in order:
+                assert calls[name](g, h, classes) == want[name], (k, order, name)
 
 
 def test_conjugate_keeps_its_symmetries():

@@ -14,6 +14,7 @@ from houghton import (
     conjugate_element,
     cycle_decomposition,
     cycle_type,
+    deserialize,
     ends_partition,
     evaluate,
     fixed_point_count,
@@ -21,6 +22,7 @@ from houghton import (
     identity,
     infinite_orbit_count,
     inverse,
+    serialize,
     sym_conjugate,
 )
 from houghton import orbits
@@ -78,6 +80,43 @@ def test_records_are_immutable():
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+
+def test_decomposition_is_kept_on_the_element():
+    # the walk runs once per element object: every later call returns the
+    # same record, and an equal element built apart walks its own
+    g = element(3, "g2 g3' g2")
+    assert g._dec is None
+    d = cycle_decomposition(g)
+    assert cycle_decomposition(g) is d and g._dec is d
+    h = HoughtonElement(g.n, g.t, g.exceptions)
+    assert h._dec is None and cycle_decomposition(h) == d and cycle_decomposition(h) is not d
+
+
+def decomposed(g):
+    cycle_decomposition(g)
+    return g
+
+
+# every way to get a new element, each from elements that already keep a
+# decomposition where it takes any
+NEW_ELEMENTS = {
+    "constructor": lambda: HoughtonElement(3, (1, -1, 0), {(2, 0): (1, 0), (3, 0): (3, 1), (3, 1): (3, 0)}),
+    "deserialize": lambda: deserialize(serialize(decomposed(element(3, "g2 g3'")))),
+    "compose": lambda: compose(decomposed(element(3, "g2")), decomposed(element(3, "g3'"))),
+    "inverse": lambda: inverse(decomposed(element(3, "g2 g3' g2"))),
+    "conjugate_element": lambda: conjugate_element(decomposed(element(3, "g2 g3")), decomposed(element(3, "g3"))),
+    "evaluate": lambda: element(3, "g2 g3' g2"),
+    "generator": lambda: generator(3, "g2"),
+    "identity": lambda: identity(3),
+}
+
+
+@pytest.mark.parametrize("build", NEW_ELEMENTS.values(), ids=NEW_ELEMENTS.keys())
+def test_new_elements_keep_no_decomposition(build):
+    g = build()
+    assert g._dec is None
+    assert cycle_decomposition(g) == orbits._walk(g)
 
 
 def test_orbit_count_matches_translation_mass():
