@@ -21,7 +21,6 @@ exactly before it is returned.
 from __future__ import annotations
 
 from math import gcd
-from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -37,12 +36,13 @@ from .core import (
     equals,
 )
 from .orbits import (
-    CycleDecomposition,
     InfiniteOrbit,
     Run,
     WalkLimitError,
     _class_rays,
-    _ends_classes,
+    _conjugacy_data,
+    _ConjugacyData,
+    _OrbitIndex,
     cycle_decomposition,
     fixed_point_count,
     run_points,
@@ -56,7 +56,6 @@ ORBIT_PAIRING_MISMATCH = "orbit-pairing-mismatch"
 ORBIT_SHIFT_MISMATCH = "orbit-shift-mismatch"
 
 _WALK_LIMIT = 10_000_000  # the most table entries a certificate may have
-_LENGTH = attrgetter("length")  # of a finite cycle
 
 
 class BoundData(NamedTuple):
@@ -130,11 +129,12 @@ def _forced_conjugator(
     a: HoughtonElement,
     b: HoughtonElement,
     s: Sequence[int],
-    dec_a: CycleDecomposition,
-    dec_b: CycleDecomposition,
+    data_a: _ConjugacyData,
+    data_b: _ConjugacyData,
 ) -> ConjugacyOutcome:
     """The conjugator x of translation s from a to b, for a.t == b.t and
-    equal cycle types, or the stage that refutes every such x.
+    equal cycle types, or the stage that refutes every such x.  data_a and
+    data_b are the kept conjugacy data of a and b (`_conjugacy_data`).
 
     Fixed points.  x maps a fixed point p of a to p + s wherever that is a
     fixed point of b; the others (`_unmatched_fixed`) of a and of b are
@@ -186,16 +186,16 @@ def _forced_conjugator(
     # in the order of their least points), then the windows
     seq_a: List[Run] = []
     seq_b: List[Run] = []
-    if dec_a.finite_cycles:
-        for ca, cb in zip(sorted(dec_a.finite_cycles, key=_LENGTH), sorted(dec_b.finite_cycles, key=_LENGTH)):
+    if data_a.dec.finite_cycles:
+        for ca, cb in zip(data_a.by_length(), data_b.by_length()):
             seq_a += ca.runs
             seq_b += cb.runs
     t = a.t
     width = 0  # the widest window
-    by_neg = {(o.neg_ray, o.neg_residue): o for o in dec_b.infinite_orbits}
-    for pos, _, pos_cut, neg, neg_residue, neg_cut, runs, spine_len in dec_a.infinite_orbits:
+    index_b = data_b.orbit_index()
+    for pos, _, pos_cut, neg, neg_residue, neg_cut, runs, spine_len in data_a.dec.infinite_orbits:
         up, down, shift = t[pos - 1], -t[neg - 1], s[neg - 1]
-        pos_b, _, pos_cut_b, _, _, neg_cut_b, runs_b, len_b = by_neg[(neg, (neg_residue + shift) % down)]
+        pos_b, _, pos_cut_b, _, _, neg_cut_b, runs_b, len_b = index_b[neg][(neg_residue + shift) % down]
         d = (neg_cut_b - neg_cut - shift) // down + spine_len - len_b
         if pos_b != pos or pos_cut_b + up * d != pos_cut + s[pos - 1]:
             return _no(FORCED_MAP_INCONSISTENT)
@@ -250,11 +250,13 @@ def fsym_conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     _check_same_n(a, b)
     if a.t != b.t:
         return _no(TRANSLATION_MISMATCH)
-    dec_a = cycle_decomposition(a)
-    dec_b = cycle_decomposition(b)
-    if dec_a.cycle_type() != dec_b.cycle_type():
+    data_a = _conjugacy_data(a)
+    data_b = _conjugacy_data(b)
+    # with a.t == b.t the orbit counts agree, so the cycle types agree
+    # exactly when the finite cycle lengths do
+    if data_a.cycle_lengths != data_b.cycle_lengths:
         return _no(CYCLE_TYPE_MISMATCH)
-    return _forced_conjugator(a, b, (0,) * a.n, dec_a, dec_b)
+    return _forced_conjugator(a, b, (0,) * a.n, data_a, data_b)
 
 
 # -- translation elements and centralizers ------------------------------------
@@ -280,8 +282,9 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
     fixes the other rays almost everywhere.
     """
     cls = frozenset(ray_class)
-    dec = cycle_decomposition(g)
-    if cls not in map(_class_rays, _ends_classes(dec.infinite_orbits)):
+    data = _conjugacy_data(g)
+    dec = data.dec
+    if cls not in map(_class_rays, data.ends_classes()):
         raise ValueError("%s is not an equivalence class of rays for this element" % sorted(cls))
     t_masked = tuple(v if (i + 1) in cls else 0 for i, v in enumerate(g.t))
 
@@ -330,11 +333,11 @@ def compute_bounds(a: HoughtonElement, b: HoughtonElement) -> BoundData:
     if a.t != b.t:
         raise ValueError("bounds require equal translation vectors")
     t = a.t
-    by_pos = _orbit_index(cycle_decomposition(b))[0]
+    index_b = _conjugacy_data(b).orbit_index()
     big_k = 0
     for oa in cycle_decomposition(a).infinite_orbits:
-        ob = by_pos.get((oa.pos_ray, oa.pos_residue))
-        if ob is None or (oa.neg_ray, oa.neg_residue) != (ob.neg_ray, ob.neg_residue):
+        ob = index_b[oa.pos_ray][oa.pos_residue]
+        if (oa.neg_ray, oa.neg_residue) != (ob.neg_ray, ob.neg_residue):
             raise ValueError(
                 "orbit ending at ray %d residue %d has no counterpart" % (oa.pos_ray, oa.pos_residue)
             )
@@ -351,20 +354,8 @@ def compute_bounds(a: HoughtonElement, b: HoughtonElement) -> BoundData:
 # -- the full decision ----------------------------------------------------------
 
 
-def _orbit_index(dec_b: CycleDecomposition):
-    """b's infinite orbits by outgoing class, by incoming class and, in
-    order, by their two end rays: built once per decision, for the lookups
-    of `_class_shifts`."""
-    by_pos = {(o.pos_ray, o.pos_residue): o for o in dec_b.infinite_orbits}
-    by_neg = {(o.neg_ray, o.neg_residue): o for o in dec_b.infinite_orbits}
-    by_ends: Dict[Tuple[int, int], List[InfiniteOrbit]] = {}
-    for o in dec_b.infinite_orbits:
-        by_ends.setdefault((o.pos_ray, o.neg_ray), []).append(o)
-    return by_pos, by_neg, by_ends
-
-
 def _class_shifts(
-    t: Sequence[int], orbits: Sequence[InfiniteOrbit], index_b
+    t: Sequence[int], orbits: Sequence[InfiniteOrbit], index_b: _OrbitIndex
 ) -> Iterator[Tuple[Dict[int, int], bool]]:
     """Every way to pair the orbits of one ends class of a with orbits of b
     residue for residue, as (s, exact): s holds a conjugator's translation
@@ -372,17 +363,18 @@ def _class_shifts(
     `conjugate` with d = 0 on the first orbit, and exact is False when
     those equations give some ray two values of the same residue.  The
     choices are generated lazily, one walk of the class each, in the order
-    of b's orbits with the first orbit's end rays.  `index_b` is
-    `_orbit_index` of b's decomposition.
+    of b's orbits with the first orbit's end rays: those of its outgoing
+    ray in order of residue, where one that ends on another incoming ray
+    is refused at once.  `index_b` is b's kept orbit index
+    (`_ConjugacyData.orbit_index`).
 
     A further orbit's partner is looked up, and its d read off, by the
     outgoing ray when its s_i is known, else by the incoming one.  A
     cutoff is congruent to its residue, so that d solves the ray's
     equation exactly, and only the other ray, when known too, is compared:
     a residue clash refuses the choice, and a second value makes it inexact."""
-    by_pos, by_neg, by_ends = index_b
     head = orbits[0]
-    for first in by_ends.get((head.pos_ray, head.neg_ray), ()):
+    for first in index_b[head.pos_ray]:
         s: Dict[int, int] = {}
         exact = True
         for oa in orbits:
@@ -392,9 +384,9 @@ def _class_shifts(
             if oa is head:
                 ob = first
             elif s_pos is not None:
-                ob = by_pos[(pos, (oa.pos_residue + s_pos) % up)]
+                ob = index_b[pos][(oa.pos_residue + s_pos) % up]
             else:
-                ob = by_neg[(neg, (oa.neg_residue + s_neg) % -down)]
+                ob = index_b[neg][(oa.neg_residue + s_neg) % -down]
             if ob.pos_ray != pos or ob.neg_ray != neg:
                 break
             c_pos = ob.pos_cutoff - oa.pos_cutoff
@@ -539,14 +531,16 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     # is decomposed
     if fixed_point_count(a) != fixed_point_count(b):
         return _no(CYCLE_TYPE_MISMATCH)
-    dec_a = cycle_decomposition(a)
-    dec_b = cycle_decomposition(b)
-    if dec_a.cycle_type() != dec_b.cycle_type():
+    data_a = _conjugacy_data(a)
+    data_b = _conjugacy_data(b)
+    # with a.t == b.t the orbit counts agree, so the cycle types agree
+    # exactly when the finite cycle lengths do
+    if data_a.cycle_lengths != data_b.cycle_lengths:
         return _no(CYCLE_TYPE_MISMATCH)
 
     modulus = gcd(*a.t) if 0 not in a.t else 1
-    index_b = _orbit_index(dec_b)
-    per_class = [_class_shifts(a.t, orbits, index_b) for orbits in _ends_classes(dec_a.infinite_orbits)]
+    index_b = data_b.orbit_index()
+    per_class = [_class_shifts(a.t, orbits, index_b) for orbits in data_a.ends_classes()]
     totals = [set() for _ in per_class]  # per class, the sums mod g of the choices generated
     firsts = []
     for choices, reached in zip(per_class, totals):
@@ -578,7 +572,7 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     need = sum(v for v in s if v > 0)
     if need > _WALK_LIMIT:
         raise WalkLimitError("a conjugator needs at least %d table entries, over the limit of %d" % (need, _WALK_LIMIT))
-    out = _forced_conjugator(a, b, tuple(s), dec_a, dec_b)
+    out = _forced_conjugator(a, b, tuple(s), data_a, data_b)
     if not out.is_conjugate:
         raise RuntimeError("consistent orbit shifts refused by the conjugator builder: %s" % out.reason)
     return out

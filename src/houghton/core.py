@@ -83,10 +83,13 @@ class Word:
 class HoughtonElement:
     """An element of H_n: translation vector plus finite exception table."""
 
-    # _hash and _dec are filled on first use: the hash, and the cycle
-    # decomposition that `orbits.cycle_decomposition` walks once and keeps.
-    # An element is never changed after it is built, so both stay valid
-    __slots__ = ("n", "t", "exceptions", "_hash", "_dec")
+    # _hash is filled on first use.  _dec and _conj are set only on the
+    # elements that are decomposed, and read with a default: the cycle
+    # decomposition that `orbits.cycle_decomposition` walks once and keeps,
+    # and the per-element data of the conjugacy decision that
+    # `orbits._conjugacy_data` derives from it.  An element is never
+    # changed after it is built, so all three stay valid
+    __slots__ = ("n", "t", "exceptions", "_hash", "_dec", "_conj")
 
     def __init__(
         self,
@@ -101,7 +104,6 @@ class HoughtonElement:
         self.t = tuple(_integer(v) for v in t)
         self.exceptions = _read_table(exceptions.items() if isinstance(exceptions, Mapping) else exceptions)
         self._hash: Optional[int] = None
-        self._dec = None
         self._validate()
 
     # -- normal form / bijectivity checks ---------------------------------
@@ -223,7 +225,6 @@ def _make(n: int, t: Tuple[int, ...], exceptions: Dict[Point, Point]) -> Houghto
     g.t = t
     g.exceptions = exceptions
     g._hash = None
-    g._dec = None
     return g
 
 

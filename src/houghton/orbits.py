@@ -28,6 +28,7 @@ an infinite orbit.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import attrgetter, eq
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import HoughtonElement, InvalidElementError, Point, _check_same_n
@@ -35,6 +36,7 @@ from .core import HoughtonElement, InvalidElementError, Point, _check_same_n
 _TRACE_LIMIT = 10_000_000
 
 Run = Tuple[int, int, int, int]  # (ray, start offset, step, count)
+_LENGTH = attrgetter("length")  # of a finite cycle
 
 
 class WalkLimitError(ValueError):
@@ -85,7 +87,7 @@ class CycleDecomposition(NamedTuple):
 
     def cycle_type(self) -> Tuple[Tuple[int, ...], int]:
         """Sorted finite cycle lengths plus the infinite orbit count."""
-        return (tuple(sorted(c.length for c in self.finite_cycles)), len(self.infinite_orbits))
+        return (tuple(sorted(map(_LENGTH, self.finite_cycles))), len(self.infinite_orbits))
 
     def successor(self, p: Point) -> Point:
         """Re-apply the decomposition: the image of p under the element.
@@ -167,11 +169,87 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     can change it, and g is never changed after it is built.  It holds
     O(runs) ints, and every run but the last of an infinite orbit ends at
     its own table point, so there are at most as many runs as table
-    entries and infinite orbits together.  It is freed with g."""
-    dec = g._dec
+    entries and infinite orbits together.  It is freed with g.
+
+    Beside it, `_conjugacy_data` keeps on g what the conjugacy decision
+    reads of g alone, each part built the first time it is needed: the
+    sorted lengths of its finite cycles, which with the orbit count make
+    its cycle type, when the data is first read; its infinite orbits
+    grouped by ends class, the first time g plays a; its orbit index, the
+    first time g plays b; and its finite cycles in order of length, the
+    first time a conjugator is built from g.  These cost O(infinite orbits
+    + finite cycles + n) beyond the runs, and are freed with g too.  An
+    element that is never decomposed keeps neither."""
+    dec = getattr(g, "_dec", None)
     if dec is None:
         dec = g._dec = _walk(g)
     return dec
+
+
+# index[ray][residue] is the orbit with that outgoing or incoming class
+_OrbitIndex = List[Sequence[InfiniteOrbit]]
+
+
+class _ConjugacyData:
+    """The data of one element that the conjugacy decision compares, kept
+    on it by `_conjugacy_data` beside its decomposition `dec`.  The sorted
+    finite cycle lengths are read off `dec` when the record is made: the
+    cycle type without the orbit count, which the translation fixes (it
+    is the sum of the positive t_i), so two elements of equal translation
+    have equal cycle types exactly when these agree.  Each other part is
+    built by its method the first time it is read, and kept."""
+
+    __slots__ = ("dec", "cycle_lengths", "_classes", "_index", "_by_length")
+
+    def __init__(self, dec: CycleDecomposition):
+        self.dec = dec
+        self.cycle_lengths = tuple(sorted(map(_LENGTH, dec.finite_cycles)))
+        self._classes = self._index = self._by_length = None
+
+    def ends_classes(self) -> Tuple[Tuple[InfiniteOrbit, ...], ...]:
+        """The infinite orbits grouped by `_ends_classes`: read where the
+        element plays a."""
+        classes = self._classes
+        if classes is None:
+            classes = self._classes = _ends_classes(self.dec.infinite_orbits)
+        return classes
+
+    def orbit_index(self) -> _OrbitIndex:
+        """The infinite orbits by `_index_orbits`: read where the element
+        plays b."""
+        index = self._index
+        if index is None:
+            index = self._index = _index_orbits(self.dec.t, self.dec.infinite_orbits)
+        return index
+
+    def by_length(self) -> Tuple[FiniteCycle, ...]:
+        """The finite cycles by length, those of one length in order of
+        their least points: read where a conjugator is built."""
+        cycles = self._by_length
+        if cycles is None:
+            cycles = self._by_length = tuple(sorted(self.dec.finite_cycles, key=_LENGTH))
+        return cycles
+
+
+def _conjugacy_data(g: HoughtonElement) -> _ConjugacyData:
+    """The record of g's conjugacy data, made on first use and kept on g."""
+    data = getattr(g, "_conj", None)
+    if data is None:
+        data = g._conj = _ConjugacyData(cycle_decomposition(g))
+    return data
+
+
+def _index_orbits(t: Tuple[int, ...], orbits: Sequence[InfiniteOrbit]) -> _OrbitIndex:
+    """The infinite orbits of an element of translation t by residue class:
+    index[i][r] is the orbit whose outgoing or incoming class on ray i is
+    that of r mod |t_i|.  A moving ray is outgoing or incoming, never
+    both, and each of its |t_i| classes is the tail of one orbit, so one
+    table holds both classes of every orbit and has no gaps.  An outgoing
+    ray lists its orbits in order of residue, as `orbits` does."""
+    index: _OrbitIndex = [[None] * abs(step) if step else () for step in (0,) + t]
+    for o in orbits:
+        index[o.pos_ray][o.pos_residue] = index[o.neg_ray][o.neg_residue] = o
+    return index
 
 
 def _walk(g: HoughtonElement) -> CycleDecomposition:
@@ -280,7 +358,8 @@ def cycle_type(g: HoughtonElement) -> Tuple[Tuple[int, ...], int]:
     exception entries p -> p, and two elements can agree here yet differ
     in that number; fixed_point_count gives it.
     """
-    return cycle_decomposition(g).cycle_type()
+    data = _conjugacy_data(g)
+    return (data.cycle_lengths, len(data.dec.infinite_orbits))
 
 
 def fixed_point_count(g: HoughtonElement) -> Optional[int]:
@@ -291,7 +370,8 @@ def fixed_point_count(g: HoughtonElement) -> Optional[int]:
     """
     if 0 in g.t:
         return None
-    return sum(1 for p, q in g.exceptions.items() if p == q)
+    exc = g.exceptions
+    return sum(map(eq, exc, exc.values()))  # the entries p -> p
 
 
 def sym_conjugate(a: HoughtonElement, b: HoughtonElement) -> bool:
@@ -301,7 +381,7 @@ def sym_conjugate(a: HoughtonElement, b: HoughtonElement) -> bool:
     return cycle_type(a) == cycle_type(b) and fixed_point_count(a) == fixed_point_count(b)
 
 
-def _ends_classes(orbits: Sequence[InfiniteOrbit]) -> List[List[InfiniteOrbit]]:
+def _ends_classes(orbits: Sequence[InfiniteOrbit]) -> Tuple[Tuple[InfiniteOrbit, ...], ...]:
     """The infinite orbits grouped by ends class, the classes in order of
     their heads, their lowest-index orbits.  A class starts at the first
     orbit left and grows breadth first, by every orbit left that shares a
@@ -334,8 +414,8 @@ def _ends_classes(orbits: Sequence[InfiniteOrbit]) -> List[List[InfiniteOrbit]]:
                         if left[k]:
                             left[k] = False
                             cls.append(orbits[k])
-            classes.append(cls)
-    return classes
+            classes.append(tuple(cls))
+    return tuple(classes)
 
 
 def _class_rays(orbits: Iterable[InfiniteOrbit]) -> FrozenSet[int]:
@@ -344,5 +424,5 @@ def _class_rays(orbits: Iterable[InfiniteOrbit]) -> FrozenSet[int]:
 
 def ends_partition(g: HoughtonElement) -> EndsPartition:
     """The moving rays grouped by ends class, in order of smallest ray."""
-    classes = map(_class_rays, _ends_classes(cycle_decomposition(g).infinite_orbits))
+    classes = map(_class_rays, _conjugacy_data(g).ends_classes())
     return EndsPartition(tuple(sorted(classes, key=min)))

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import operator
 import random
 import sys
 import time
@@ -524,27 +525,41 @@ def test_conjugate_refuses_swapped_ray_pairs_fast(monkeypatch):
     assert calls == []
 
 
+def kept_parts(g):
+    """The parts of g's kept conjugacy data, as the objects they are."""
+    data = g._conj
+    return [data.dec, data.cycle_lengths, data._classes, data._index, data._by_length]
+
+
 def test_conjugate_decomposes_each_element_once(monkeypatch):
-    # a yes decomposes a and b, builds the conjugator straight from their
-    # orbits at the solved translation and verifies it once: no translation
-    # element and no conjugate of b
-    a = element(3, "g2 g3")
+    # a yes walks a and b once each, derives a's ends classes and b's orbit
+    # index, builds the conjugator straight from their orbits and cycles at
+    # the solved translation and verifies it once: no translation element
+    # and no conjugate of b.  a has a finite cycle, so the builder reads
+    # both elements' cycles by length
+    a = compose(element(3, "g2"), fsym(3, ((3, 5), (3, 6)), ((3, 6), (3, 5))))
     b = conjugate_element(a, element(3, "g3 g2'"))
-    calls, walked, built, verified = [], [], [], []
-    real, real_walk, real_verify = conjugacy.cycle_decomposition, orbits._walk, conjugacy.verify
-    monkeypatch.setattr(conjugacy, "cycle_decomposition", lambda g: calls.append(g) or real(g))
+    walked, derived, built, verified = [], [], [], []
+    real_walk, real_verify = orbits._walk, conjugacy.verify
+    real_classes, real_index = orbits._ends_classes, orbits._index_orbits
     monkeypatch.setattr(orbits, "_walk", lambda g: walked.append(g) or real_walk(g))
+    monkeypatch.setattr(orbits, "_ends_classes", lambda o: derived.append(("classes", o)) or real_classes(o))
+    monkeypatch.setattr(orbits, "_index_orbits", lambda t, o: derived.append(("index", o)) or real_index(t, o))
     monkeypatch.setattr(conjugacy, "construct_translation_element", lambda *args: built.append(args))
     monkeypatch.setattr(conjugacy, "verify", lambda *args: verified.append(args) or real_verify(*args))
     out = conjugate(a, b)
     assert out.is_conjugate and out.verified
-    assert calls == [a, b] and built == []
+    assert built == []
     assert len(walked) == 2 and walked[0] is a and walked[1] is b
+    assert derived == [("index", b._dec.infinite_orbits), ("classes", a._dec.infinite_orbits)]
     assert verified == [(a, b, out.conjugator)]
-    # a second decision on the same objects reads the records kept on them
-    # and walks neither element again
+    assert a._dec.finite_cycles and a._conj._by_length and b._conj._by_length
+    # a second decision on the same objects reads what the first kept on
+    # them: it walks nothing and derives nothing, every part the same object
+    parts = kept_parts(a), kept_parts(b)
     assert conjugate(a, b) == out
-    assert calls == [a, b, a, b] and len(walked) == 2
+    assert len(walked) == 2 and len(derived) == 2
+    assert all(map(operator.is_, kept_parts(a) + kept_parts(b), parts[0] + parts[1]))
 
 
 def test_conjugate_refuses_on_fixed_point_count(monkeypatch):
@@ -904,10 +919,11 @@ def test_builder_matches_dense_reference_at_any_translation():
     reasons = collections.Counter()
     for a, b in same_invariant_pairs(CROSS_CHECK_FAMILIES):
         dec_a, dec_b = cycle_decomposition(a), cycle_decomposition(b)
+        data_a, data_b = orbits._conjugacy_data(a), orbits._conjugacy_data(b)
         for _ in range(3):
             s = [rng.randint(-5, 5) for _ in range(a.n - 1)]
             s = tuple(s + [-sum(s)])
-            got = conjugacy._forced_conjugator(a, b, s, dec_a, dec_b)
+            got = conjugacy._forced_conjugator(a, b, s, data_a, data_b)
             want = dense_forced_conjugator(a, b, s)
             assert (got.is_conjugate, got.reason, got.verified) == (want.is_conjugate, want.reason, want.verified)
             if want.is_conjugate:
@@ -926,7 +942,7 @@ def test_builder_limits_the_certificate(monkeypatch):
     a = compose(generator(3, "g2"), fsym(3, ((3, 0), (3, 1)), ((3, 1), (3, 0))))
     y = compose(construct_translation_element(3, (d, -d, 0)), fsym(3, ((3, 0), (3, 2)), ((3, 2), (3, 0))))
     b = conjugate_element(a, y)
-    args = (a, b, (d, -d, 0), cycle_decomposition(a), cycle_decomposition(b))
+    args = (a, b, (d, -d, 0), orbits._conjugacy_data(a), orbits._conjugacy_data(b))
     monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d + 3)
     out = conjugacy._forced_conjugator(*args)
     assert out.is_conjugate and out.verified
@@ -1021,10 +1037,10 @@ def level_search_conjugator(a, b, max_level):
     the |t_i(a)|; their translations are tried level by level (total
     translation ascending) up to max_level, each by one finite-support
     test.  A conjugator, or None when none was found up to max_level."""
-    dec_a = cycle_decomposition(a)
+    data_a = orbits._conjugacy_data(a)
     if (
         a.t != b.t
-        or dec_a.cycle_type() != cycle_type(b)
+        or cycle_type(a) != cycle_type(b)
         or fixed_point_count(a) != fixed_point_count(b)
     ):
         return None
@@ -1051,7 +1067,7 @@ def level_search_conjugator(a, b, max_level):
                 z = construct_translation_element(n, s)
                 c = conjugate_element(b_r, inverse(z))
                 # c is a conjugate of b, so the checks above hold for it too
-                out = conjugacy._forced_conjugator(a, c, zero, dec_a, cycle_decomposition(c))
+                out = conjugacy._forced_conjugator(a, c, zero, data_a, orbits._conjugacy_data(c))
                 if out.is_conjugate:
                     return compose(compose(out.conjugator, z), x_r)
     return None
@@ -1093,8 +1109,9 @@ def product_conjugate(a, b):
         return ConjugacyOutcome(None, reason=CYCLE_TYPE_MISMATCH)
     n = a.n
     modulus = gcd(*a.t)
-    classes = conjugacy._ends_classes(dec_a.infinite_orbits)
-    index_b = conjugacy._orbit_index(dec_b)
+    data_a, data_b = orbits._conjugacy_data(a), orbits._conjugacy_data(b)
+    classes = data_a.ends_classes()
+    index_b = data_b.orbit_index()
     per_class = [conjugacy._class_shifts(a.t, orbits, index_b) for orbits in classes]
     reason = ORBIT_PAIRING_MISMATCH
     for combination in itertools.product(*per_class):
@@ -1110,7 +1127,7 @@ def product_conjugate(a, b):
             continue
         if 0 in a.t:
             s[a.t.index(0)] -= sum(s)
-        out = conjugacy._forced_conjugator(a, b, tuple(s), dec_a, dec_b)
+        out = conjugacy._forced_conjugator(a, b, tuple(s), data_a, data_b)
         if out.is_conjugate:
             bounds = reference_bounds(a.t, dec_a, dec_b, s)
             return ConjugacyOutcome(out.conjugator, verified=out.verified, bounds=bounds)
@@ -1184,7 +1201,7 @@ def test_kept_decompositions_give_the_same_outcomes():
     assert [len(pairs) for pairs in pools.values()] == [1061, 400, 105, 20]
     for name, pairs in pools.items():
         cold = [(fresh(a), fresh(b)) for a, b in pairs]
-        assert all(a._dec is None and b._dec is None for a, b in cold)
+        assert all(getattr(g, "_dec", None) is None for pair in cold for g in pair)
         digest = outcome_digest(cold)
         for a, b in pairs:
             cycle_decomposition(a)
@@ -1193,9 +1210,20 @@ def test_kept_decompositions_give_the_same_outcomes():
         assert outcome_digest(pairs) == digest, name
 
 
+def bounds_or_refusal(a, b):
+    """compute_bounds(a, b), or the message of its refusal."""
+    try:
+        return compute_bounds(a, b)
+    except ValueError as error:
+        return str(error)
+
+
 def test_results_do_not_depend_on_call_order():
-    # the calls that read the decomposition, in shuffled orders on one
-    # element and its conjugate, give what each gives on elements of its own
+    # the calls that read the decomposition or the data kept beside it, in
+    # shuffled orders on one element and its conjugate, give what each gives
+    # on elements of its own.  Then each call that gives an element the
+    # other role, or both, runs after conjugate(a, b), which derived a's
+    # ends classes and b's orbit index only
     rng = random.Random(28)
     calls = {
         "cycle_type": lambda g, h, classes: cycle_type(g),
@@ -1203,7 +1231,12 @@ def test_results_do_not_depend_on_call_order():
         "centralizer_element": lambda g, h, classes: [centralizer_element(g, c) for c in classes],
         "fsym_conjugate": lambda g, h, classes: fsym_conjugate(g, h),
         "conjugate": lambda g, h, classes: conjugate(g, h),
+        "conjugate(b, a)": lambda g, h, classes: conjugate(h, g),
+        "conjugate(a, a)": lambda g, h, classes: conjugate(g, g),
+        "compute_bounds(a, b)": lambda g, h, classes: bounds_or_refusal(g, h),
+        "compute_bounds(b, a)": lambda g, h, classes: bounds_or_refusal(h, g),
     }
+    swapped = ["conjugate(b, a)", "conjugate(a, a)", "compute_bounds(a, b)", "compute_bounds(b, a)"]
     for k in range(40):
         n = 2 + k % 3
         a = evaluate(random_word(n, 500 + k, 1 + k % 10))
@@ -1216,6 +1249,10 @@ def test_results_do_not_depend_on_call_order():
             g, h = fresh(a), fresh(b)
             for name in order:
                 assert calls[name](g, h, classes) == want[name], (k, order, name)
+        for name in swapped:
+            g, h = fresh(a), fresh(b)
+            assert conjugate(g, h) == want["conjugate"]
+            assert calls[name](g, h, classes) == want[name], (k, name)
 
 
 def test_conjugate_keeps_its_symmetries():
