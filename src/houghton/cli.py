@@ -1,11 +1,12 @@
 """Command-line front end.
 
 All structured output is the canonical JSON document format; --pretty adds
-a human-readable rendering.  Exit codes: 0 success/decided, 1 usage error,
-2 invalid input data, an input beyond the walk limits, an oracle search
-that `oracle.brute_force_conjugator` refuses as too large (a ball with more
-reduced words than its cap), or a command that runs out of memory (say,
-`eval` in an H_n too large for its translation vector).
+a human-readable rendering to eval, mul, inv and conj.  Exit codes: 0
+success/decided, 1 usage error, 2 invalid input data, an input beyond the
+walk limits, an oracle search that `oracle.brute_force_conjugator` refuses
+as too large (a ball with more reduced words than its cap), or a command
+that runs out of memory (say, `eval` in an H_n too large for its
+translation vector).
 """
 
 from __future__ import annotations
@@ -76,20 +77,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, helptext):
+    def add(name, helptext, pretty=False):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("-n", type=int, default=None, help="number of rays")
-        p.add_argument("--pretty", action="store_true", help="human-readable output")
+        if pretty:
+            p.add_argument("--pretty", action="store_true", help="human-readable output")
         return p
 
-    p = add("eval", "evaluate a word to an element document")
+    p = add("eval", "evaluate a word to an element document", pretty=True)
     p.add_argument("word", help="whitespace-separated tokens, e.g. \"g2 g3'\"")
 
-    p = add("mul", "multiply two elements (right action order)")
+    p = add("mul", "multiply two elements (right action order)", pretty=True)
     p.add_argument("left")
     p.add_argument("right")
 
-    p = add("inv", "invert an element")
+    p = add("inv", "invert an element", pretty=True)
     p.add_argument("element")
 
     p = add("apply", "image of a point under an element")
@@ -103,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("ends", "ends equivalence classes of the moving rays")
     p.add_argument("element")
 
-    p = add("conj", "decide conjugacy and print a certificate or refutation")
+    p = add("conj", "decide conjugacy and print a certificate or refutation", pretty=True)
     p.add_argument("a")
     p.add_argument("b")
 
@@ -129,7 +131,7 @@ def _run(args) -> int:
         return 0
     if args.command == "mul":
         g = _read_element(args.left, n)
-        h = _read_element(args.right, g.n)
+        h = _read_element(args.right, n)
         out = core.compose(g, h)
         print(_pretty_element(out) if args.pretty else core.serialize(out))
         return 0
@@ -156,7 +158,7 @@ def _run(args) -> int:
         return 0
     if args.command == "conj":
         a = _read_element(args.a, n)
-        b = _read_element(args.b, a.n)
+        b = _read_element(args.b, n)
         out = conjugacy.conjugate(a, b)
         print(_outcome_doc(out))
         if args.pretty and out.is_conjugate:
@@ -164,14 +166,14 @@ def _run(args) -> int:
         return 0
     if args.command == "verify":
         a = _read_element(args.a, n)
-        b = _read_element(args.b, a.n)
-        x = _read_element(args.x, a.n)
+        b = _read_element(args.b, n)
+        x = _read_element(args.x, n)
         ok = conjugacy.verify(a, b, x)
         print(core._JSON.encode({"decision": "yes" if ok else "no"}))
         return 0
     if args.command == "oracle":
         a = _read_element(args.a, n)
-        b = _read_element(args.b, a.n)
+        b = _read_element(args.b, n)
         word = oracle.brute_force_conjugator(a, b, oracle.SearchBudget(args.budget))
         if word is None:
             print(core._JSON.encode({"found": False}))

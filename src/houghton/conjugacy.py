@@ -186,8 +186,8 @@ def _forced_conjugator(
     # in the order of their least points), then the windows
     seq_a: List[Run] = []
     seq_b: List[Run] = []
-    if data_a.dec.finite_cycles:
-        for ca, cb in zip(data_a.by_length(), data_b.by_length()):
+    if data_a.by_length:
+        for ca, cb in zip(data_a.by_length, data_b.by_length):
             seq_a += ca.runs
             seq_b += cb.runs
     t = a.t

@@ -83,13 +83,9 @@ class Word:
 class HoughtonElement:
     """An element of H_n: translation vector plus finite exception table."""
 
-    # _hash is filled on first use.  _dec and _conj are set only on the
-    # elements that are decomposed, and read with a default: the cycle
-    # decomposition that `orbits.cycle_decomposition` walks once and keeps,
-    # and the per-element data of the conjugacy decision that
-    # `orbits._conjugacy_data` derives from it.  An element is never
-    # changed after it is built, so all three stay valid
-    __slots__ = ("n", "t", "exceptions", "_hash", "_dec", "_conj")
+    # _hash is filled on first use.  _dec is set only on the elements that
+    # are decomposed, to the record `orbits._ConjugacyData`
+    __slots__ = ("n", "t", "exceptions", "_hash", "_dec")
 
     def __init__(
         self,

@@ -164,26 +164,10 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     """The finite cycles of g, each from its least point, in order of that
     point, and its infinite orbits, in order of outgoing ray and residue.
 
-    g is walked once, by `_walk`, and the record is kept on g: every later
-    call returns that same record.  It is a tuple of tuples, so no caller
-    can change it, and g is never changed after it is built.  It holds
-    O(runs) ints, and every run but the last of an infinite orbit ends at
-    its own table point, so there are at most as many runs as table
-    entries and infinite orbits together.  It is freed with g.
-
-    Beside it, `_conjugacy_data` keeps on g what the conjugacy decision
-    reads of g alone, each part built the first time it is needed: the
-    sorted lengths of its finite cycles, which with the orbit count make
-    its cycle type, when the data is first read; its infinite orbits
-    grouped by ends class, the first time g plays a; its orbit index, the
-    first time g plays b; and its finite cycles in order of length, the
-    first time a conjugator is built from g.  These cost O(infinite orbits
-    + finite cycles + n) beyond the runs, and are freed with g too.  An
-    element that is never decomposed keeps neither."""
-    dec = getattr(g, "_dec", None)
-    if dec is None:
-        dec = g._dec = _walk(g)
-    return dec
+    g is walked once, and every later call returns the same record, kept
+    on g with its conjugacy data (`_ConjugacyData`).  It is a tuple of
+    tuples, so no caller can change it."""
+    return _conjugacy_data(g).dec
 
 
 # index[ray][residue] is the orbit with that outgoing or incoming class
@@ -191,20 +175,31 @@ _OrbitIndex = List[Sequence[InfiniteOrbit]]
 
 
 class _ConjugacyData:
-    """The data of one element that the conjugacy decision compares, kept
-    on it by `_conjugacy_data` beside its decomposition `dec`.  The sorted
-    finite cycle lengths are read off `dec` when the record is made: the
-    cycle type without the orbit count, which the translation fixes (it
-    is the sum of the positive t_i), so two elements of equal translation
-    have equal cycle types exactly when these agree.  Each other part is
-    built by its method the first time it is read, and kept."""
+    """All that is kept of one element g, in its one slot `_dec`: made by
+    `_conjugacy_data` the first time any of it is read, and freed with g.
+    g never changes, so none of it goes stale; an element that is never
+    decomposed keeps nothing.
 
-    __slots__ = ("dec", "cycle_lengths", "_classes", "_index", "_by_length")
+    `dec` is g's decomposition, walked once by `_walk`: O(runs) ints, and
+    every run but the last of an infinite orbit ends at its own table
+    point, so there are at most as many runs as table entries and
+    infinite orbits together.  `by_length` holds the finite cycles stably
+    sorted by length, so those of one length stay in order of their least
+    points, and `cycle_lengths` their lengths: the cycle type but for the
+    orbit count, which the translation fixes, so two elements of equal
+    translation have equal cycle types exactly when these agree.  Most
+    decisions read an element in one role only, so the part of each role
+    is built by its method on first read and kept: the ends classes where
+    g plays a, the orbit index where it plays b.  Beyond the runs these
+    cost O(infinite orbits + finite cycles + n)."""
+
+    __slots__ = ("dec", "by_length", "cycle_lengths", "_classes", "_index")
 
     def __init__(self, dec: CycleDecomposition):
         self.dec = dec
-        self.cycle_lengths = tuple(sorted(map(_LENGTH, dec.finite_cycles)))
-        self._classes = self._index = self._by_length = None
+        self.by_length = tuple(sorted(dec.finite_cycles, key=_LENGTH))
+        self.cycle_lengths = tuple(map(_LENGTH, self.by_length))
+        self._classes = self._index = None
 
     def ends_classes(self) -> Tuple[Tuple[InfiniteOrbit, ...], ...]:
         """The infinite orbits grouped by `_ends_classes`: read where the
@@ -222,20 +217,12 @@ class _ConjugacyData:
             index = self._index = _index_orbits(self.dec.t, self.dec.infinite_orbits)
         return index
 
-    def by_length(self) -> Tuple[FiniteCycle, ...]:
-        """The finite cycles by length, those of one length in order of
-        their least points: read where a conjugator is built."""
-        cycles = self._by_length
-        if cycles is None:
-            cycles = self._by_length = tuple(sorted(self.dec.finite_cycles, key=_LENGTH))
-        return cycles
-
 
 def _conjugacy_data(g: HoughtonElement) -> _ConjugacyData:
-    """The record of g's conjugacy data, made on first use and kept on g."""
-    data = getattr(g, "_conj", None)
+    """The record kept on g, made on first use."""
+    data = getattr(g, "_dec", None)
     if data is None:
-        data = g._conj = _ConjugacyData(cycle_decomposition(g))
+        data = g._dec = _ConjugacyData(_walk(g))
     return data
 
 

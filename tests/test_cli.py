@@ -211,6 +211,35 @@ def test_n_mismatch_is_data_error(capsys, tmp_path):
     assert "n=3" in err
 
 
+@pytest.mark.parametrize("command", ["mul", "conj", "verify", "oracle"])
+def test_elements_of_different_n_are_refused_once(capsys, tmp_path, command):
+    # with no -n given, the pair check names both groups
+    a2 = write_element(tmp_path, "a2.json", generator(2, "g2"))
+    a3 = write_element(tmp_path, "a3.json", generator(3, "g2"))
+    args = [a2, a3, a2] if command == "verify" else [a2, a3]
+    code, out, err = run(capsys, command, *args)
+    assert (code, out) == (2, "")
+    assert err == "error: elements live in different H_n: n=2 and n=3\n"
+
+
+def test_pretty_is_taken_only_where_it_renders(capsys, tmp_path):
+    # elsewhere it is a usage error, on arguments that run without it
+    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
+    takes = {"eval": ["-n", "3", "g2"], "mul": [g2, g2], "inv": [g2], "conj": [g2, g2]}
+    refuses = {
+        "apply": [g2, "1", "0"],
+        "orbits": [g2],
+        "ends": [g2],
+        "verify": [g2, g2, g2],
+        "oracle": [g2, g2, "--budget", "1"],
+    }
+    for command, args in takes.items():
+        assert run(capsys, command, "--pretty", *args)[0] == 0, command
+    for command, args in refuses.items():
+        assert run(capsys, command, "--pretty", *args)[0] == 1, command
+        assert run(capsys, command, *args)[0] == 0, command
+
+
 def test_invalid_json_is_data_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")

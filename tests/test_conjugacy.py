@@ -526,16 +526,16 @@ def test_conjugate_refuses_swapped_ray_pairs_fast(monkeypatch):
 
 
 def kept_parts(g):
-    """The parts of g's kept conjugacy data, as the objects they are."""
-    data = g._conj
-    return [data.dec, data.cycle_lengths, data._classes, data._index, data._by_length]
+    """g's kept record and its parts, as the objects they are."""
+    data = g._dec
+    return [data, data.dec, data.by_length, data.cycle_lengths, data._classes, data._index]
 
 
 def test_conjugate_decomposes_each_element_once(monkeypatch):
     # a yes walks a and b once each, derives a's ends classes and b's orbit
     # index, builds the conjugator straight from their orbits and cycles at
     # the solved translation and verifies it once: no translation element
-    # and no conjugate of b.  a has a finite cycle, so the builder reads
+    # and no conjugate of b.  a has a finite cycle, so the builder merges
     # both elements' cycles by length
     a = compose(element(3, "g2"), fsym(3, ((3, 5), (3, 6)), ((3, 6), (3, 5))))
     b = conjugate_element(a, element(3, "g3 g2'"))
@@ -551,9 +551,9 @@ def test_conjugate_decomposes_each_element_once(monkeypatch):
     assert out.is_conjugate and out.verified
     assert built == []
     assert len(walked) == 2 and walked[0] is a and walked[1] is b
-    assert derived == [("index", b._dec.infinite_orbits), ("classes", a._dec.infinite_orbits)]
+    assert derived == [("index", b._dec.dec.infinite_orbits), ("classes", a._dec.dec.infinite_orbits)]
     assert verified == [(a, b, out.conjugator)]
-    assert a._dec.finite_cycles and a._conj._by_length and b._conj._by_length
+    assert a._dec.by_length and len(b._dec.by_length) == len(a._dec.by_length)
     # a second decision on the same objects reads what the first kept on
     # them: it walks nothing and derives nothing, every part the same object
     parts = kept_parts(a), kept_parts(b)

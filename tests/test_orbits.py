@@ -84,48 +84,49 @@ def test_records_are_immutable():
 
 def test_decomposition_is_kept_on_the_element():
     # the walk runs once per element object: every later call returns the
-    # same record, and an equal element built apart walks its own
+    # same record, the one the element's one kept slot holds, and an equal
+    # element built apart walks its own
+    assert HoughtonElement.__slots__ == ("n", "t", "exceptions", "_hash", "_dec")
     g = element(3, "g2 g3' g2")
     assert getattr(g, "_dec", None) is None
     d = cycle_decomposition(g)
-    assert cycle_decomposition(g) is d and g._dec is d
+    assert cycle_decomposition(g) is d is orbits._conjugacy_data(g).dec and g._dec.dec is d
     h = HoughtonElement(g.n, g.t, g.exceptions)
     assert getattr(h, "_dec", None) is None and cycle_decomposition(h) == d and cycle_decomposition(h) is not d
 
 
 def test_conjugacy_data_is_kept_part_by_part():
-    # the record beside the decomposition is made once per element, with
-    # the sorted finite cycle lengths; each other part is built the first time it is read
-    # and then kept, and none depends on which part was read first.  g has
-    # two infinite orbits in one ends class, and a 3-cycle before a 2-cycle
-    # in order of least point
-    f = HoughtonElement(3, (0, 0, 0), {(3, 0): (3, 1), (3, 1): (3, 2), (3, 2): (3, 0), (3, 5): (3, 6), (3, 6): (3, 5)})
+    # the record is made once per element, with the finite cycles by
+    # length and their lengths; each role's part is built the first time it
+    # is read and then kept, and neither depends on which was read first.
+    # g has two infinite orbits in one ends class, and a 3-cycle before two
+    # 2-cycles in order of least point
+    cycles = ((0, 1), (1, 2), (2, 0), (5, 6), (6, 5), (8, 9), (9, 8))
+    f = HoughtonElement(3, (0, 0, 0), {(3, m): (3, k) for m, k in cycles})
     g = compose(element(3, "g2 g2"), f)
-    assert getattr(g, "_conj", None) is None
+    assert getattr(g, "_dec", None) is None
     data = orbits._conjugacy_data(g)
-    assert orbits._conjugacy_data(g) is data and g._conj is data and data.dec is cycle_decomposition(g)
-    assert (data.cycle_lengths, 2) == cycle_type(g) == data.dec.cycle_type() == ((2, 3), 2)
-    assert data._classes is data._index is data._by_length is None
+    assert orbits._conjugacy_data(g) is data is g._dec and data.dec is cycle_decomposition(g)
     o1, o2 = data.dec.infinite_orbits
-    c3, c2 = data.dec.finite_cycles
-    want = (
-        ((o1, o2),),
-        [(), [o1, o2], [o2, o1], ()],
-        (c2, c3),
-    )
-    for k in range(3):
+    c3, c2, c2_later = data.dec.finite_cycles
+    assert data.by_length == (c2, c2_later, c3) and data.cycle_lengths == (2, 2, 3)
+    assert (data.cycle_lengths, 2) == cycle_type(g) == data.dec.cycle_type()
+    assert data._classes is data._index is None
+    want = (((o1, o2),), [(), [o1, o2], [o2, o1], ()])
+    for k in range(2):
         other = orbits._conjugacy_data(HoughtonElement(g.n, g.t, g.exceptions))
-        parts = [other.ends_classes, other.orbit_index, other.by_length]
+        parts = (other.ends_classes, other.orbit_index)
         built = parts[k]()
+        assert (other._classes, other._index)[1 - k] is None
         assert parts[k]() is built
         assert tuple(part() for part in parts) == want
-        assert all(part() is kept for part, kept in zip(parts, (other._classes, other._index, other._by_length)))
+        assert all(part() is kept for part, kept in zip(parts, (other._classes, other._index)))
 
 
 def decomposed(g):
-    """g, with its decomposition and every part of its conjugacy data kept."""
+    """g, with its record and both role parts kept."""
     data = orbits._conjugacy_data(g)
-    data.ends_classes(), data.orbit_index(), data.by_length()
+    data.ends_classes(), data.orbit_index()
     return g
 
 
@@ -146,7 +147,7 @@ NEW_ELEMENTS = {
 @pytest.mark.parametrize("build", NEW_ELEMENTS.values(), ids=NEW_ELEMENTS.keys())
 def test_new_elements_keep_no_decomposition(build):
     g = build()
-    assert getattr(g, "_dec", None) is None and getattr(g, "_conj", None) is None
+    assert getattr(g, "_dec", None) is None
     assert cycle_decomposition(g) == orbits._walk(g)
 
 

@@ -19,10 +19,14 @@ every run of one Python version.  A decomposition is counted through the
 one-line call `decompose`, whose own 6 bytecodes per element are in the
 figure, so that it compares with the figures quoted for earlier versions.
 
-`cycle_decomposition` keeps its record on the element, so a second call
-on one element walks nothing.  The `conjugate` and `cycle_decomposition`
-columns are cold: each call gets fresh copies of its elements, built by
-the constructor outside the count, so every decomposition is walked.
+`cycle_decomposition` returns the decomposition of the record kept on
+the element, so a second call on one element walks nothing.  A first
+call builds the whole record, with the finite cycles sorted by length,
+so the `cycle_decomposition` column counts that sort as well as the
+walk; `conjugate` builds the same record on every element it reads.
+The `conjugate` and `cycle_decomposition` columns are cold: each call
+gets fresh copies of its elements, built by the constructor outside the
+count, so every decomposition is walked.
 The `warm conjugate` column counts `conjugate` on the `same_invariant`
 pool as `same_invariant_family` leaves it: it groups the elements by
 `cycle_type`, so all but the baseline pair come decomposed, as in the
