@@ -36,6 +36,7 @@ from .core import (
     equals,
 )
 from .orbits import (
+    _LENGTH,
     InfiniteOrbit,
     Run,
     WalkLimitError,
@@ -94,28 +95,24 @@ def _unmatched_fixed(a: HoughtonElement, b: HoughtonElement, s: Sequence[int]) -
     point of b, for a.t == b.t.
 
     Off its exception table an element translates every ray, so it fixes a
-    point only through an entry p -> p or off its table on a ray with
-    t_i = 0.  On such a ray the fixed points p of a off its table are
-    unmatched when p + s_i is no point (offset below -s_i) or is a table
-    point that b moves: O(|tables| + |s_i|) points in all.  When every ray
-    moves, only the entries p -> p of a are fixed, and only those of b
-    can match them.
+    point only through an entry p -> p (`_ConjugacyData.fixed`) or off its
+    table on a ray with t_i = 0.  Minimality (check 3 of
+    `HoughtonElement._validate`) refuses an entry p -> p on such a ray, so
+    the entries p -> p lie on moving rays, where only an entry of b fixes
+    p + s, and b moves every table point of such a ray.  There the fixed
+    points p of a off its table are unmatched when p + s_i is no point
+    (offset below -s_i) or is in b's table: O(|tables| + |s_i|) in all.
     """
     ae, be, t = a.exceptions, b.exceptions, a.t
     out = []
-    for p, q in ae.items():
-        if p == q:
-            i, m = p
-            m += s[i - 1]
-            v = be.get((i, m))
-            if v is None:
-                if m < 0 or t[i - 1]:
-                    out.append(p)
-            elif v != (i, m):
-                out.append(p)
+    for p in _conjugacy_data(a).fixed:
+        i, m = p
+        q = (i, m + s[i - 1])
+        if be.get(q) != q:
+            out.append(p)
     if 0 in t:
-        for (i, k), q in be.items():
-            if t[i - 1] == 0 and q != (i, k):
+        for i, k in be:
+            if t[i - 1] == 0:
                 m = k - s[i - 1]
                 if m >= 0 and (i, m) not in ae:
                     out.append((i, m))
@@ -182,12 +179,12 @@ def _forced_conjugator(
     mapping: Dict[Point, Point] = dict(zip(unmatched_a, unmatched_b))
 
     # the runs to merge, pair by pair, each run not empty: the finite cycles
-    # (equal cycle types, so a stable sort pairs the cycles of each length
-    # in the order of their least points), then the windows
+    # (equal cycle types, so a stable sort by length pairs the cycles of
+    # each length in the order of their least points), then the windows
     seq_a: List[Run] = []
     seq_b: List[Run] = []
-    if data_a.by_length:
-        for ca, cb in zip(data_a.by_length, data_b.by_length):
+    if data_a.cycle_lengths:
+        for ca, cb in zip(sorted(data_a.dec.finite_cycles, key=_LENGTH), sorted(data_b.dec.finite_cycles, key=_LENGTH)):
             seq_a += ca.runs
             seq_b += cb.runs
     t = a.t
@@ -310,9 +307,7 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
                     exc[last] = g.exceptions[last]
     for c in dec.finite_cycles:
         exc.update((p, p) for p in run_points(run for run in c.runs if run[0] in cls))
-    for p, q in g.exceptions.items():
-        if p == q and p[0] in cls:
-            exc[p] = p
+    exc.update((p, p) for p in data.fixed if p[0] in cls)
     return HoughtonElement(g.n, t_masked, exc)
 
 

@@ -528,7 +528,7 @@ def test_conjugate_refuses_swapped_ray_pairs_fast(monkeypatch):
 def kept_parts(g):
     """g's kept record and its parts, as the objects they are."""
     data = g._dec
-    return [data, data.dec, data.by_length, data.cycle_lengths, data._classes, data._index]
+    return [data, data.dec, data.fixed, data.cycle_lengths, data._classes, data._index]
 
 
 def test_conjugate_decomposes_each_element_once(monkeypatch):
@@ -553,7 +553,7 @@ def test_conjugate_decomposes_each_element_once(monkeypatch):
     assert len(walked) == 2 and walked[0] is a and walked[1] is b
     assert derived == [("index", b._dec.dec.infinite_orbits), ("classes", a._dec.dec.infinite_orbits)]
     assert verified == [(a, b, out.conjugator)]
-    assert a._dec.by_length and len(b._dec.by_length) == len(a._dec.by_length)
+    assert a._dec.cycle_lengths and b._dec.cycle_lengths == a._dec.cycle_lengths
     # a second decision on the same objects reads what the first kept on
     # them: it walks nothing and derives nothing, every part the same object
     parts = kept_parts(a), kept_parts(b)
@@ -1105,7 +1105,7 @@ def product_conjugate(a, b):
         return ConjugacyOutcome(None, reason=TRANSLATION_MISMATCH)
     dec_a = cycle_decomposition(a)
     dec_b = cycle_decomposition(b)
-    if dec_a.cycle_type() != dec_b.cycle_type() or fixed_point_count(a) != fixed_point_count(b):
+    if cycle_type(a) != cycle_type(b) or fixed_point_count(a) != fixed_point_count(b):
         return ConjugacyOutcome(None, reason=CYCLE_TYPE_MISMATCH)
     n = a.n
     modulus = gcd(*a.t)

@@ -96,8 +96,8 @@ def test_decomposition_is_kept_on_the_element():
 
 
 def test_conjugacy_data_is_kept_part_by_part():
-    # the record is made once per element, with the finite cycles by
-    # length and their lengths; each role's part is built the first time it
+    # the record is made once per element, with its fixed entries and its
+    # sorted finite cycle lengths; each role's part is built the first time it
     # is read and then kept, and neither depends on which was read first.
     # g has two infinite orbits in one ends class, and a 3-cycle before two
     # 2-cycles in order of least point
@@ -109,8 +109,9 @@ def test_conjugacy_data_is_kept_part_by_part():
     assert orbits._conjugacy_data(g) is data is g._dec and data.dec is cycle_decomposition(g)
     o1, o2 = data.dec.infinite_orbits
     c3, c2, c2_later = data.dec.finite_cycles
-    assert data.by_length == (c2, c2_later, c3) and data.cycle_lengths == (2, 2, 3)
-    assert (data.cycle_lengths, 2) == cycle_type(g) == data.dec.cycle_type()
+    assert c3.length == 3 and c2.length == c2_later.length == 2
+    assert data.fixed == () and data.cycle_lengths == (2, 2, 3)
+    assert (data.cycle_lengths, 2) == cycle_type(g)
     assert data._classes is data._index is None
     want = (((o1, o2),), [(), [o1, o2], [o2, o1], ()])
     for k in range(2):
@@ -121,6 +122,27 @@ def test_conjugacy_data_is_kept_part_by_part():
         assert parts[k]() is built
         assert tuple(part() for part in parts) == want
         assert all(part() is kept for part, kept in zip(parts, (other._classes, other._index)))
+
+
+def test_fixed_entries_are_kept_on_the_record():
+    # the record's fixed points are g's entries p -> p in table order, none
+    # on a ray with t_i = 0, where minimality refuses them, and when every
+    # ray moves they are all of g's fixed points.  The pool, and seeded
+    # elements in H_2..H_4 alone and times a random finite permutation
+    extra = []
+    for n in (2, 3, 4):
+        for seed in range(150):
+            g, f = random_element(n, seed, "word-6"), random_element(n, seed, "fsym")
+            extra += [g, f, compose(g, f), compose(f, g)]
+    with_fixed = 0
+    for g in decomposition_pool() + extra:
+        fixed = orbits._conjugacy_data(g).fixed
+        assert fixed == tuple(p for p, q in g.exceptions.items() if p == q)
+        assert all(g.t[i - 1] for i, _ in fixed)
+        if 0 not in g.t:
+            assert len(fixed) == fixed_point_count(g)
+            with_fixed += bool(fixed)
+    assert with_fixed >= 500, with_fixed
 
 
 def decomposed(g):
@@ -148,7 +170,7 @@ NEW_ELEMENTS = {
 def test_new_elements_keep_no_decomposition(build):
     g = build()
     assert getattr(g, "_dec", None) is None
-    assert cycle_decomposition(g) == orbits._walk(g)
+    assert orbits._walk(g) == (cycle_decomposition(g), g._dec.fixed)
 
 
 def test_orbit_count_matches_translation_mass():

@@ -21,9 +21,10 @@ figure, so that it compares with the figures quoted for earlier versions.
 
 `cycle_decomposition` returns the decomposition of the record kept on
 the element, so a second call on one element walks nothing.  A first
-call builds the whole record, with the finite cycles sorted by length,
-so the `cycle_decomposition` column counts that sort as well as the
-walk; `conjugate` builds the same record on every element it reads.
+call builds the whole record, with the element's fixed entries and its
+sorted cycle lengths, so the `cycle_decomposition` column counts those
+as well as the walk; `conjugate` builds the same record on every
+element it reads.
 The `conjugate` and `cycle_decomposition` columns are cold: each call
 gets fresh copies of its elements, built by the constructor outside the
 count, so every decomposition is walked.
