@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import conjugacy, core, oracle, orbits
 
@@ -70,7 +70,8 @@ def _render_orbits(decomp: orbits.CycleDecomposition) -> str:
     return "\n".join(lines)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="houghton",
         description="Exact arithmetic and conjugacy decision for Houghton's groups.",
@@ -118,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--budget", type=int, default=6, help="maximum word length")
-    return parser
+    return parser, sub.choices
 
 
 def _run(args) -> int:
@@ -183,15 +184,25 @@ def _run(args) -> int:
     raise AssertionError("unhandled command")
 
 
-_parser: Optional[argparse.ArgumentParser] = None  # built by the first main call
+# built by the first main call, with the command parsers of its subparsers
+_parser: Optional[argparse.ArgumentParser] = None
+_commands: Dict[str, argparse.ArgumentParser] = {}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    global _parser
+    global _parser, _commands
     if _parser is None:
-        _parser = _build_parser()
+        _parser, _commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's arguments are parsed by its own parser, at one level; the
+    # top-level parser handles only help and a missing or unknown command
+    command = _commands.get(argv[0]) if argv else None
     try:
-        args = _parser.parse_args(argv)
+        if command is None:
+            args = _parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
+            args.command = argv[0]
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

@@ -16,7 +16,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Point = Tuple[int, int]
 
@@ -378,8 +378,9 @@ def _letter_rule(n: int, letter):
     moves ray 1 out and ray j in by one step and sends (j, 0) to (1, 0),
     g_j^-1 undoes that, and s swaps (1, 0) and (2, 0).  This is the one
     definition of H_n's letters: `Word.parse` checks a gid by it, and
-    `generator` builds an element and the oracle a view from it, in O(1)
-    per gid without listing H_n's generators as `generator_ids` does."""
+    `generator` builds an element and the oracle a table and steps from
+    it, in O(1) per gid without listing H_n's generators as
+    `generator_ids` does."""
     if not (isinstance(letter, tuple) and len(letter) == 2 and letter[1] in (1, -1)):
         return None
     gid, sign = letter
@@ -408,7 +409,17 @@ def conjugate_element(g: HoughtonElement, x: HoughtonElement) -> HoughtonElement
 
 
 def _conjugate_by(c: HoughtonElement, g: HoughtonElement) -> HoughtonElement:
-    """g^-1 * c * g, with no inverse, by carrying c's table through g.
+    """g^-1 * c * g, with no inverse: the element of `_conjugated_table`."""
+    return _make(c.n, c.t, _conjugated_table(c.exceptions, c.t, g.exceptions, g.t))
+
+
+def _conjugated_table(
+    ce: Dict[Point, Point], ct: Sequence[int], ge: Dict[Point, Point], gt: Sequence[int]
+) -> Dict[Point, Point]:
+    """The table of g^-1 * c * g, for c of table ce and translation ct and
+    g of table ge and translation gt, with no inverse, by carrying c's
+    table through g: the one conjugation product, which
+    `conjugate_element`, `conjugacy.verify` and the oracle's search share.
 
     g^-1 * c * g maps (p)g to ((p)c)g, and its translation is t(c).  So
     each point p gives the entry r -> v with r = (p)g and v = ((p)c)g,
@@ -417,8 +428,8 @@ def _conjugate_by(c: HoughtonElement, g: HoughtonElement) -> HoughtonElement:
     translations: r = p + t(g) and v = p + t(c) + t(g) = r + t(c).  So one
     pass over c's table, and a short one over the points p off it with p
     or p + t(c) on g's table, find every exception.  Of g, only its table
-    and g.t[i - 1] on the rays i of c's and g's table points are read."""
-    ce, ct, ge, gt = c.exceptions, c.t, g.exceptions, g.t
+    and gt[i - 1] on the rays i of c's and g's table points are read, so
+    gt may be any mapping that holds those."""
     exc = {}
     for p, q in ce.items():
         if p in ge:
@@ -433,18 +444,22 @@ def _conjugate_by(c: HoughtonElement, g: HoughtonElement) -> HoughtonElement:
             k += gt[j - 1]
         if j != i or k != m + ct[i - 1]:
             exc[(i, m)] = (j, k)
-    for j, k in ge:
+    # a point p = (j, k) of g's table gives the candidates p, whose image
+    # r is its entry, and p - t(c), whose image v is that entry, as c
+    # translates it to p
+    for p, w in ge.items():
+        j, k = p
         step = ct[j - 1]
-        for m in (k, k - step) if step else (k,):
-            p = (j, m)
-            if m < 0 or p in ce:
-                continue
-            q = (j, m + step)
-            r = ge.get(p) or (j, m + gt[j - 1])
-            v = ge.get(q) or (j, m + step + gt[j - 1])
-            if v != (r[0], r[1] + ct[r[0] - 1]):
-                exc[r] = v
-    return _make(c.n, ct, exc)
+        if p not in ce:
+            v = ge.get((j, k + step)) or (j, k + step + gt[j - 1])
+            if v != (w[0], w[1] + ct[w[0] - 1]):
+                exc[w] = v
+        m = k - step
+        if step and m >= 0 and (j, m) not in ce:
+            r = ge.get((j, m)) or (j, m + gt[j - 1])
+            if w != (r[0], r[1] + ct[r[0] - 1]):
+                exc[r] = w
+    return exc
 
 
 # -- canonical text format ---------------------------------------------------

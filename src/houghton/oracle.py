@@ -1,10 +1,13 @@
 """Independent brute-force machinery: word enumeration, pointwise word
 simulation and reproducible random instances.
 
-The conjugator search's one product is `core._conjugate_by`, which
-`conjugate` uses too; the search hands it O(1)-size views of H_n's
-letters, built from `core`'s letter rule and kept once per n.  The
-cross-check stays independent in what it searches and how it confirms:
+The conjugator search's one product is `core._conjugated_table`, which
+`conjugate` uses too, through `conjugate_element`; the search hands it
+each letter's table and steps, built from `core`'s letter rule and kept
+once per n, O(1) in size beyond H_64.  A node of the search is a word
+and the table of its conjugate, whose translation is a's or b's, with the
+table's key where it is looked up, and no element is built until a hit.
+The cross-check stays independent in what it searches and how it confirms:
 simulate_word acts with the raw generator rules; the search enumerates
 words rather than translation tuples, answers with the first word of the
 ball in breadth-first order with no pruning by invariants (no
@@ -19,9 +22,9 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
-from .core import HoughtonElement, Point, Word, _check_same_n, _conjugate_by, _letter_rule, evaluate, generator_ids
+from .core import HoughtonElement, Point, Word, _check_same_n, _conjugated_table, _letter_rule, evaluate, generator_ids
 from .conjugacy import verify
 
 
@@ -99,22 +102,36 @@ class _Steps(dict):
         return 0
 
 
-# what `_conjugate_by` reads of a letter, O(1) in size for any n
-_LetterView = NamedTuple("_LetterView", [("exceptions", Dict[Point, Point]), ("t", _Steps)])
+# the largest n whose letters keep their steps as tuples of n ints, read
+# by index with no lookup that misses: 2(n - 1) tuples of at most 64 ints.
+# Beyond it a letter keeps a `_Steps`, O(1) in size, so that no per-n cost
+# grows as n^2
+_TUPLE_STEPS = 64
+
+# a signed letter with its table and steps (a tuple, or a `_Steps`), and the
+# letter that cancels it with that letter's table and steps.  The alias
+# names no class of this module: the typing module caches it for the
+# process, and would keep the module alive after a re-import
+_LetterSteps = Union[Tuple[int, ...], Dict[int, int]]
+_SearchLetter = Tuple[_Letter, Dict[Point, Point], _LetterSteps, _Letter, Dict[Point, Point], _LetterSteps]
 
 
 @functools.lru_cache(maxsize=8, typed=True)
-def _search_tables(n: int) -> Tuple[Tuple[_Letter, _LetterView, _Letter, _LetterView], ...]:
-    """Each signed letter of H_n, in letter order, with its view and the
-    letter that cancels it (s cancels itself) with that letter's view: a
-    letter may follow every letter but the one that cancels it.  Built
-    once per n, for a search that passed the size check, and only read."""
-    views = {}
+def _search_tables(n: int) -> Tuple[_SearchLetter, ...]:
+    """Each signed letter of H_n, in letter order, with its table and
+    steps, and the letter that cancels it (s cancels itself) with that
+    letter's table and steps: a letter may follow every letter but the
+    one that cancels it.  Built once per n, for a search that passed the
+    size check, and only read."""
+    tables = {}
     for m in _signed_alphabet(n):
         entries, moves = _letter_rule(n, m)
-        views[m] = _LetterView(dict(entries), _Steps((i - 1, step) for i, step in moves))
-    cancels = {(gid, sign): (gid, sign if gid == "s" else -sign) for gid, sign in views}
-    return tuple((m, g, cancels[m], views[cancels[m]]) for m, g in views.items())
+        steps = _Steps((i - 1, step) for i, step in moves)
+        if n <= _TUPLE_STEPS:
+            steps = tuple(steps[i] for i in range(n))
+        tables[m] = (dict(entries), steps)
+    cancels = {(gid, sign): (gid, sign if gid == "s" else -sign) for gid, sign in tables}
+    return tuple((m, *tables[m], cancels[m], *tables[cancels[m]]) for m in tables)
 
 
 def brute_force_conjugator(
@@ -139,11 +156,18 @@ def brute_force_conjugator(
     radius L costs one conjugation by a letter per reduced word of length
     at most L/2 on each side, and builds no element of the ball.
 
-    The index is keyed on tables alone, so a lookup reads no n-int
-    translation: a valid table fixes t, as t_i is the number of its
-    images on ray i less the number of its points there.
+    Each node is a word and a bare table: conjugation keeps the
+    translation, so every x^-1 a x has a.t and every u b u^-1 has b.t, and
+    `core._conjugated_table` carries a table through a letter's table and
+    steps with no element built.  The index is keyed on tables alone, as
+    frozensets of their entries, so a lookup reads no n-int translation:
+    a valid table fixes t, as t_i is the number of its images on ray i
+    less the number of its points there.  A prefix is looked up at two
+    lengths, with one key built once; the prefixes of the last level are
+    never extended, so they keep their keys and not their tables.  What a
+    node saves is a fixed cost, so the gain is largest on small tables.
 
-    Size.  Before any letter view is built, ValueError refuses a search
+    Size.  Before any letter's table is built, ValueError refuses a search
     whose ball has more than MAX_WORDS reduced words (more than radius 14
     in H_3).  That is the only bound: a one-letter search in H_20,000 runs.
     """
@@ -183,40 +207,42 @@ def _ball_words(n: int, radius: int) -> int:
 
 
 def _joined_search(
-    a: HoughtonElement,
-    b: HoughtonElement,
-    radius: int,
-    letters: Tuple[Tuple[_Letter, _LetterView, _Letter, _LetterView], ...],
+    a: HoughtonElement, b: HoughtonElement, radius: int, letters: Tuple[_SearchLetter, ...]
 ) -> Optional[_Letters]:
     """The first reduced hit of least length in letter order, from the
-    half-balls of `brute_force_conjugator`'s docstring."""
-    # (x, x^-1 a x, the letter that may not follow x) and (u, u b u^-1, the
-    # letter that may not come before u) over the reduced words of one
-    # length, in letter order
-    prefixes: List[Tuple[_Letters, HoughtonElement, Optional[_Letter]]] = [((), a, None)]
-    suffixes: List[Tuple[_Letters, HoughtonElement, Optional[_Letter]]] = [((), b, None)]
-    # the table of u b u^-1 -> the first u with each first letter, in order
+    half-balls of `brute_force_conjugator`'s docstring, on bare tables."""
+    at, bt = a.t, b.t
+    # (x, the table of x^-1 a x, the letter that may not follow x, the
+    # table's key) and (u, the table of u b u^-1, the letter that may not
+    # come before u) over the reduced words of one length, in letter
+    # order.  A prefix is looked up at two lengths, so its key is built
+    # once; a prefix that is never extended keeps no table
+    prefixes = [((), a.exceptions, None, frozenset(a.exceptions.items()))]
+    suffixes = [((), b.exceptions, None)]
+    # the key of u b u^-1 -> the first u with each first letter, in order
     index: Dict[frozenset, Dict[Optional[_Letter], _Letters]] = {frozenset(b.exceptions.items()): {None: ()}}
     for length in range(radius + 1):
         if length % 2:
-            prefixes = [
-                (x + (m,), _conjugate_by(c, g), stop)
-                for x, c, after in prefixes
-                for m, g, stop, _ in letters
-                if m != after
-            ]
+            keep = length + 2 <= radius
+            level = []
+            for x, c, after, _ in prefixes:
+                for m, ge, gt, stop, _, _ in letters:
+                    if m != after:
+                        table = _conjugated_table(c, at, ge, gt)
+                        level.append((x + (m,), table if keep else None, stop, frozenset(table.items())))
+            prefixes = level
         elif length:
             suffixes = [
-                ((m,) + u, _conjugate_by(c, m_inv), stop)
-                for m, _, stop, m_inv in letters
+                ((m,) + u, _conjugated_table(c, bt, ge, gt), stop)
+                for m, _, _, stop, ge, gt in letters
                 for u, c, before in suffixes
                 if m != before
             ]
             index = {}
             for u, c, _ in suffixes:
-                index.setdefault(frozenset(c.exceptions.items()), {}).setdefault(u[0], u)
-        for x, c, after in prefixes:
-            hits = index.get(frozenset(c.exceptions.items()))
+                index.setdefault(frozenset(c.items()), {}).setdefault(u[0], u)
+        for x, _, after, key in prefixes:
+            hits = index.get(key)
             if hits is not None:
                 for u in hits.values():
                     if not u or u[0] != after:

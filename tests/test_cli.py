@@ -262,6 +262,21 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_command_usage_exit_codes(capsys, tmp_path):
+    # a command's arguments are parsed by its own parser: no command, a
+    # missing positional and an extra argument are usage errors (exit 1),
+    # and a command's --help exits 0
+    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
+    code, out, err = run(capsys)
+    assert (code, out) == (1, "") and "required: command" in err
+    code, out, err = run(capsys, "conj", g2)
+    assert (code, out) == (1, "") and "required: b" in err
+    code, out, err = run(capsys, "conj", g2, g2, "extra")
+    assert (code, out) == (1, "") and err.endswith("houghton conj: error: unrecognized arguments: extra\n")
+    code, out, err = run(capsys, "conj", "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: houghton conj ")
+
+
 @pytest.mark.parametrize("offset", [10**8, 10**9])
 def test_conj_far_offsets(capsys, tmp_path, offset):
     # two 2-point transpositions: the decision must not scan up to the offset

@@ -17,7 +17,7 @@ from houghton import (
     verify,
 )
 from houghton import oracle
-from houghton.core import _conjugate_by
+from houghton.core import _conjugated_table
 from houghton.oracle import (
     MAX_WORDS,
     SearchBudget,
@@ -78,15 +78,15 @@ def test_brute_force_negative_within_budget():
 
 
 def count_conjugations(monkeypatch):
-    """Records the element of every conjugation by a letter that the
-    oracle makes from then on."""
+    """Records the table of every conjugation by a letter that the oracle
+    makes from then on."""
     conjugated = []
 
-    def counting_conjugate_by(c, g):
-        conjugated.append(c)
-        return _conjugate_by(c, g)
+    def counting_conjugated_table(ce, ct, ge, gt):
+        conjugated.append(ce)
+        return _conjugated_table(ce, ct, ge, gt)
 
-    monkeypatch.setattr(oracle, "_conjugate_by", counting_conjugate_by)
+    monkeypatch.setattr(oracle, "_conjugated_table", counting_conjugated_table)
     return conjugated
 
 
@@ -311,3 +311,20 @@ def test_brute_force_matches_reference():
         assert got == reference_brute_force_conjugator(a, b, budget), (a, b, budget)
         kinds["found" if got is not None else "none"] += 1
     assert all(kinds.values()), kinds
+
+
+def test_letter_steps_as_a_mapping_give_the_same_answers(monkeypatch):
+    # beyond H_64 each letter keeps its steps as a `_Steps` mapping, not as
+    # a tuple of n ints; with that limit lowered, the search gives the same
+    # answers on the reference pairs, hits and misses
+    pairs = [(a, b, SearchBudget(k % 6)) for k, (a, b) in enumerate(oracle_pairs())]
+    want = [brute_force_conjugator(*pair) for pair in pairs]
+    monkeypatch.setattr(oracle, "_TUPLE_STEPS", 1)
+    oracle._search_tables.cache_clear()
+    try:
+        got = [brute_force_conjugator(*pair) for pair in pairs]
+        assert all(isinstance(letter[2], oracle._Steps) for n in (2, 3, 4) for letter in oracle._search_tables(n))
+    finally:
+        oracle._search_tables.cache_clear()
+    assert got == want
+    assert None in want and any(w is not None and len(w.letters) > 1 for w in want)

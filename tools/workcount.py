@@ -1,4 +1,5 @@
-"""Exact work counts of the decision on the benchmark's pools.
+"""Exact work counts of the decision on the benchmark's pools, and of two
+of its workloads whole.
 
     python3 tools/workcount.py
 
@@ -21,10 +22,10 @@ figure, so that it compares with the figures quoted for earlier versions.
 
 `cycle_decomposition` returns the decomposition of the record kept on
 the element, so a second call on one element walks nothing.  A first
-call builds the whole record, with the element's fixed entries and its
-sorted cycle lengths, so the `cycle_decomposition` column counts those
-as well as the walk; `conjugate` builds the same record on every
-element it reads.
+call builds the whole record, with the element's fixed entries, its
+table points on rays with t_i = 0 and its sorted cycle lengths, so the
+`cycle_decomposition` column counts those as well as the walk;
+`conjugate` builds the same record on every element it reads.
 The `conjugate` and `cycle_decomposition` columns are cold: each call
 gets fresh copies of its elements, built by the constructor outside the
 count, so every decomposition is walked.
@@ -36,18 +37,35 @@ a second `conjugate` pass over the same pair objects of each pool, after
 a first pass that is not counted (or is the warm one), as in the
 benchmark's passes after its first: every element comes with what the
 first pass kept on it.
+
+A second table counts two more of the benchmark's workloads, whole:
+
+  oracle          the 200 ops of the `oracle` workload, which it builds
+                  the same at every seed: each is a one-line call of
+                  `brute_force_conjugator` on one pair, counted with it
+  far_offsets     `cli.main(["conj", a, b])` on the 100 pairs of documents
+                  of the `far_offsets` workload at seed 1, written to a
+                  temporary directory, with stdout taken outside the count
+
+Neither keeps anything between calls but a per-process cache (H_n's
+letters for the search, the argument parser for the CLI), which one
+uncounted call builds first, so one counted pass is exact.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]  # this checkout's package and pools
 
 import houghton  # noqa: E402
+import houghton.cli  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -106,6 +124,19 @@ def cold(call, *elements) -> int:
     return bytecodes(call, *map(fresh, elements))
 
 
+def oracle_calls(work: Path):
+    """The counted calls of the `oracle` workload: its ops."""
+    return [(op.run, ()) for op in workloads.oracle(houghton, 1, work)]
+
+
+def far_offsets_calls(work: Path):
+    """The counted calls of the `far_offsets` workload, on its documents
+    written to `work`."""
+    ops = workloads.far_offsets(houghton, 1, work)
+    argvs = [["conj"] + [str(work / ("%s-%s.json" % (op.key, name))) for name in "ab"] for op in ops]
+    return [(houghton.cli.main, (argv,)) for argv in argvs]
+
+
 def main() -> None:
     print("pool             pairs   conjugate  cycle_decomposition  warm conjugate  repeat conjugate")
     for name, pairs in pools().items():
@@ -122,6 +153,18 @@ def main() -> None:
             "%-15s %6d %11s %20s %15s %17s"
             % (name, len(pairs), format(conj, ","), format(dec, ","), warm, format(repeat, ","))
         )
+    print()
+    print("workload         ops   bytecodes   per op  counted call")
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        for name, calls, counted in (
+            ("oracle", oracle_calls(work), "brute_force_conjugator"),
+            ("far_offsets", far_offsets_calls(work), "cli.main"),
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                calls[0][0](*calls[0][1])  # builds the per-process cache
+                total = sum(bytecodes(call, *args) for call, args in calls)
+            print("%-15s %5d %11s %8s  %s" % (name, len(calls), format(total, ","), format(total // len(calls), ","), counted))
 
 
 if __name__ == "__main__":
