@@ -101,9 +101,7 @@ def _unmatched_fixed(a: HoughtonElement, b: HoughtonElement, s: Sequence[int]) -
     the entries p -> p lie on moving rays, where only an entry of b fixes
     p + s, and b moves every table point of such a ray.  There the fixed
     points p of a off its table are unmatched when p + s_i is no point
-    (offset below -s_i) or is one of b's table points on such a ray
-    (`_ConjugacyData.zero_ray_points`): O(|a's fixed entries| + |those
-    points| + |s_i|) in all.
+    (offset below -s_i) or is in b's table: O(|tables| + |s_i|) in all.
     """
     ae, be, t = a.exceptions, b.exceptions, a.t
     out = []
@@ -113,10 +111,11 @@ def _unmatched_fixed(a: HoughtonElement, b: HoughtonElement, s: Sequence[int]) -
         if be.get(q) != q:
             out.append(p)
     if 0 in t:
-        for i, k in _conjugacy_data(b).zero_ray_points:
-            m = k - s[i - 1]
-            if m >= 0 and (i, m) not in ae:
-                out.append((i, m))
+        for i, k in be:
+            if t[i - 1] == 0:
+                m = k - s[i - 1]
+                if m >= 0 and (i, m) not in ae:
+                    out.append((i, m))
         for i, step in enumerate(t, 1):
             if step == 0 and s[i - 1] < 0:
                 out.extend((i, m) for m in range(-s[i - 1]) if (i, m) not in ae)

@@ -414,7 +414,7 @@ def _conjugate_by(c: HoughtonElement, g: HoughtonElement) -> HoughtonElement:
 
 
 def _conjugated_table(
-    ce: Dict[Point, Point], ct: Sequence[int], ge: Dict[Point, Point], gt: Sequence[int]
+    ce: Dict[Point, Point], ct: Sequence[int], ge: Dict[Point, Point], gt: Union[Sequence[int], Mapping[int, int]]
 ) -> Dict[Point, Point]:
     """The table of g^-1 * c * g, for c of table ce and translation ct and
     g of table ge and translation gt, with no inverse, by carrying c's
@@ -429,7 +429,8 @@ def _conjugated_table(
     pass over c's table, and a short one over the points p off it with p
     or p + t(c) on g's table, find every exception.  Of g, only its table
     and gt[i - 1] on the rays i of c's and g's table points are read, so
-    gt may be any mapping that holds those."""
+    gt may be a translation vector or any mapping that holds those, as
+    the oracle's letter steps do."""
     exc = {}
     for p, q in ce.items():
         if p in ge:

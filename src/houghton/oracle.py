@@ -4,7 +4,7 @@ simulation and reproducible random instances.
 The conjugator search's one product is `core._conjugated_table`, which
 `conjugate` uses too, through `conjugate_element`; the search hands it
 each letter's table and steps, built from `core`'s letter rule and kept
-once per n, O(1) in size beyond H_64.  A node of the search is a word
+once per n, O(1) in size whatever n is.  A node of the search is a word
 and the table of its conjugate, whose translation is a's or b's, with the
 table's key where it is looked up, and no element is built until a hit.
 The cross-check stays independent in what it searches and how it confirms:
@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from .core import HoughtonElement, Point, Word, _check_same_n, _conjugated_table, _letter_rule, evaluate, generator_ids
 from .conjugacy import verify
@@ -102,18 +102,11 @@ class _Steps(dict):
         return 0
 
 
-# the largest n whose letters keep their steps as tuples of n ints, read
-# by index with no lookup that misses: 2(n - 1) tuples of at most 64 ints.
-# Beyond it a letter keeps a `_Steps`, O(1) in size, so that no per-n cost
-# grows as n^2
-_TUPLE_STEPS = 64
-
-# a signed letter with its table and steps (a tuple, or a `_Steps`), and the
-# letter that cancels it with that letter's table and steps.  The alias
-# names no class of this module: the typing module caches it for the
-# process, and would keep the module alive after a re-import
-_LetterSteps = Union[Tuple[int, ...], Dict[int, int]]
-_SearchLetter = Tuple[_Letter, Dict[Point, Point], _LetterSteps, _Letter, Dict[Point, Point], _LetterSteps]
+# a signed letter with its table and `_Steps`, and the letter that cancels
+# it with that letter's table and `_Steps`.  The alias names no class of
+# this module: the typing module caches it for the process, and would keep
+# the module alive after a re-import
+_SearchLetter = Tuple[_Letter, Dict[Point, Point], Dict[int, int], _Letter, Dict[Point, Point], Dict[int, int]]
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -126,10 +119,7 @@ def _search_tables(n: int) -> Tuple[_SearchLetter, ...]:
     tables = {}
     for m in _signed_alphabet(n):
         entries, moves = _letter_rule(n, m)
-        steps = _Steps((i - 1, step) for i, step in moves)
-        if n <= _TUPLE_STEPS:
-            steps = tuple(steps[i] for i in range(n))
-        tables[m] = (dict(entries), steps)
+        tables[m] = (dict(entries), _Steps((i - 1, step) for i, step in moves))
     cancels = {(gid, sign): (gid, sign if gid == "s" else -sign) for gid, sign in tables}
     return tuple((m, *tables[m], cancels[m], *tables[cancels[m]]) for m in tables)
 

@@ -182,9 +182,6 @@ class _ConjugacyData:
     many runs as table entries and infinite orbits together.  `fixed`
     holds the points of g's entries p -> p in table order, the walks of
     one point that `dec` leaves out: a reference each to a table point.
-    `zero_ray_points` holds the points of g's table on rays with t_i = 0,
-    in table order, as the walk's pass over the domain meets them: a pair
-    of ints each.
     `cycle_lengths` holds the sorted finite cycle lengths, an int each:
     the cycle type but for the orbit count, which the translation fixes,
     so two elements of equal translation have equal cycle types exactly
@@ -193,10 +190,10 @@ class _ConjugacyData:
     kept: the ends classes where g plays a, the orbit index where it
     plays b, each O(infinite orbits + n)."""
 
-    __slots__ = ("dec", "fixed", "zero_ray_points", "cycle_lengths", "_classes", "_index")
+    __slots__ = ("dec", "fixed", "cycle_lengths", "_classes", "_index")
 
-    def __init__(self, dec: CycleDecomposition, fixed: Tuple[Point, ...], zero_ray_points: Tuple[Point, ...]):
-        self.dec, self.fixed, self.zero_ray_points = dec, fixed, zero_ray_points
+    def __init__(self, dec: CycleDecomposition, fixed: Tuple[Point, ...]):
+        self.dec, self.fixed = dec, fixed
         self.cycle_lengths = tuple(sorted(map(_LENGTH, dec.finite_cycles)))
         self._classes = self._index = None
 
@@ -238,9 +235,8 @@ def _index_orbits(t: Tuple[int, ...], orbits: Sequence[InfiniteOrbit]) -> _Orbit
     return index
 
 
-def _walk(g: HoughtonElement) -> Tuple[CycleDecomposition, Tuple[Point, ...], Tuple[Point, ...]]:
-    """The cycle decomposition of g, walked afresh, its fixed entries and
-    its table points on rays with t_i = 0.
+def _walk(g: HoughtonElement) -> Tuple[CycleDecomposition, Tuple[Point, ...]]:
+    """The cycle decomposition of g, walked afresh, and its fixed entries.
 
     Every orbit is walked forward by one step rule, in one loop.  A run
     starts at a point of the table's range, or at the top spine point of an
@@ -254,11 +250,10 @@ def _walk(g: HoughtonElement) -> Tuple[CycleDecomposition, Tuple[Point, ...], Tu
     steps = (0,) + g.t  # steps[i] = t_i
     dom = g.exceptions
 
-    # one pass over the domain keeps its points on rays with t_i = 0 and
-    # groups its other offsets by residue class of a moving ray, sorted
-    # after it for the lookup.  A class is keyed (ray, offset % t_ray): on
-    # one ray that names the class as well as offset mod |t_ray| does, with
-    # the residue in (t_ray, 0] when t_ray < 0.
+    # one pass over the domain groups its offsets by residue class of a
+    # moving ray, sorted after it for the lookup.  A class is keyed (ray,
+    # offset % t_ray): on one ray that names the class as well as offset
+    # mod |t_ray| does, with the residue in (t_ray, 0] when t_ray < 0.
     # Beyond the top table point of a class g translates it, so the class's
     # cutoff, its first stable offset, is that point's offset + |t_i|.  The
     # walk finds the top point at each end of an orbit:
@@ -271,13 +266,10 @@ def _walk(g: HoughtonElement) -> Tuple[CycleDecomposition, Tuple[Point, ...], Tu
     #     above m would be the tail image of r - t_j, off the domain, which
     #     check 6 refuses.  So m is the top, and the last run is m alone
     index: Dict[Tuple[int, int], List[int]] = {}
-    zero_ray_points = []
     for i, m in dom:
         step = steps[i]
         if step:
             index.setdefault((i, m % step), []).append(m)
-        else:
-            zero_ray_points.append((i, m))
     starts = []
     for (i, _), offsets in index.items():
         offsets.sort()
@@ -336,8 +328,7 @@ def _walk(g: HoughtonElement) -> Tuple[CycleDecomposition, Tuple[Point, ...], Tu
             fixed.append(start)
     # the cycles by least point, which starts each one's first run; the
     # orbits by outgoing ray, then residue: no two orbits share both
-    dec = CycleDecomposition(g.n, g.t, tuple(sorted(finite)), tuple(sorted(orbits)))
-    return dec, tuple(fixed), tuple(zero_ray_points)
+    return CycleDecomposition(g.n, g.t, tuple(sorted(finite)), tuple(sorted(orbits))), tuple(fixed)
 
 
 def infinite_orbit_count(g: HoughtonElement) -> int:

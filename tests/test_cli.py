@@ -162,10 +162,10 @@ def run_limited(cwd, *argv, limit_mb=512):
 )
 def test_large_n_runs_in_bounded_memory(tmp_path, n, budget, oracle_code):
     # a one-letter word costs O(1) per letter whatever n is, conj decides
-    # g2 against itself, and the oracle's letters are O(1) views: it
-    # searches the radius-1 ball in H_2,000 and H_20,000, and refuses the
-    # radius-2 ball of H_200,000 (about 1.6 * 10^11 reduced words) at once;
-    # no run may end in a traceback
+    # g2 against itself, and the oracle keeps each letter's table and
+    # steps in O(1) size: it searches the radius-1 ball in H_2,000 and
+    # H_20,000, and refuses the radius-2 ball of H_200,000 (about 1.6 *
+    # 10^11 reduced words) at once; no run may end in a traceback
     for gid in ("g2", "g3"):
         code, out, err = run_limited(tmp_path, "eval", "-n", str(n), gid)
         assert code == 0 and "Traceback" not in err
@@ -181,7 +181,7 @@ def test_large_n_runs_in_bounded_memory(tmp_path, n, budget, oracle_code):
     else:
         assert out == "" and err.startswith("error: budget 2 is over the limit of 1 in H_%d" % n)
     if n == 2000:
-        # H_2,000's letter views and the search fit in 128 MB
+        # H_2,000's letter tables and steps and the search fit in 128 MB
         code, out, err = run_limited(
             tmp_path, "oracle", "g2.json", "g3.json", "--budget", "1", limit_mb=128
         )

@@ -105,9 +105,9 @@ def test_brute_force_refuses_a_ball_over_the_cap(monkeypatch):
 
 
 def test_brute_force_searches_a_large_h_n():
-    # the letters are O(1) views whatever n is, so MAX_WORDS is the only
-    # bound: a one-letter search in H_20,000 (39,999 reduced words) finds
-    # the last generator, and misses g2 against g3
+    # each letter's table and steps are O(1) in size whatever n is, so
+    # MAX_WORDS is the only bound: a one-letter search in H_20,000 (39,999
+    # reduced words) finds the last generator, and misses g2 against g3
     n = 20000
     a = evaluate(Word.parse(n, "g2 g20000"))
     b = conjugate_element(a, generator(n, "g20000"))
@@ -311,20 +311,3 @@ def test_brute_force_matches_reference():
         assert got == reference_brute_force_conjugator(a, b, budget), (a, b, budget)
         kinds["found" if got is not None else "none"] += 1
     assert all(kinds.values()), kinds
-
-
-def test_letter_steps_as_a_mapping_give_the_same_answers(monkeypatch):
-    # beyond H_64 each letter keeps its steps as a `_Steps` mapping, not as
-    # a tuple of n ints; with that limit lowered, the search gives the same
-    # answers on the reference pairs, hits and misses
-    pairs = [(a, b, SearchBudget(k % 6)) for k, (a, b) in enumerate(oracle_pairs())]
-    want = [brute_force_conjugator(*pair) for pair in pairs]
-    monkeypatch.setattr(oracle, "_TUPLE_STEPS", 1)
-    oracle._search_tables.cache_clear()
-    try:
-        got = [brute_force_conjugator(*pair) for pair in pairs]
-        assert all(isinstance(letter[2], oracle._Steps) for n in (2, 3, 4) for letter in oracle._search_tables(n))
-    finally:
-        oracle._search_tables.cache_clear()
-    assert got == want
-    assert None in want and any(w is not None and len(w.letters) > 1 for w in want)

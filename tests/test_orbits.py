@@ -145,23 +145,6 @@ def test_fixed_entries_are_kept_on_the_record():
     assert with_fixed >= 500, with_fixed
 
 
-def test_zero_ray_points_are_kept_on_the_record():
-    # the record's zero-ray points are g's table points on rays with
-    # t_i = 0, in table order: the pool, and seeded elements in H_2..H_4
-    # alone and times a random finite permutation
-    extra = []
-    for n in (2, 3, 4):
-        for seed in range(50):
-            g, f = random_element(n, seed, "word-6"), random_element(n, seed, "fsym")
-            extra += [g, f, compose(g, f), compose(f, g)]
-    with_points = 0
-    for g in decomposition_pool() + extra:
-        points = orbits._conjugacy_data(g).zero_ray_points
-        assert points == tuple(p for p in g.exceptions if g.t[p[0] - 1] == 0)
-        with_points += bool(points) and len(points) < len(g.exceptions)
-    assert with_points >= 50, with_points
-
-
 def decomposed(g):
     """g, with its record and both role parts kept."""
     data = orbits._conjugacy_data(g)
@@ -187,7 +170,7 @@ NEW_ELEMENTS = {
 def test_new_elements_keep_no_decomposition(build):
     g = build()
     assert getattr(g, "_dec", None) is None
-    assert orbits._walk(g) == (cycle_decomposition(g), g._dec.fixed, g._dec.zero_ray_points)
+    assert orbits._walk(g) == (cycle_decomposition(g), g._dec.fixed)
 
 
 def test_orbit_count_matches_translation_mass():
