@@ -5,15 +5,22 @@ a human-readable rendering to eval, mul, inv and conj.  Exit codes: 0
 success/decided, 1 usage error, 2 invalid input data, an input beyond the
 walk limits, an oracle search that `oracle.brute_force_conjugator` refuses
 as too large (a ball with more reduced words than its cap), or a command
-that runs out of memory (say, `eval` in an H_n too large for its
-translation vector).
+that runs out of memory or is given a size beyond any index (say, `eval`
+in an H_n too large for its translation vector).
+
+The command line is declared once, in `_GRAMMAR`.  A plain command line
+(a command, the option strings it declares and its positionals) is read
+straight from that table by `_read_plain`; every other form, help and
+usage errors included, goes to argparse, whose parsers are built from
+the same table on first use.  argparse is imported only then, so a plain
+call never loads it.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Dict, List, Optional, Tuple
+import types
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import conjugacy, core, oracle, orbits
 
@@ -70,55 +77,109 @@ def _render_orbits(decomp: orbits.CycleDecomposition) -> str:
     return "\n".join(lines)
 
 
-def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser, by name."""
+_BUDGET = 6  # the default of --budget
+
+
+class _Command(NamedTuple):
+    """One command of the grammar: its help line, its positionals as
+    (name, converter, help text), and whether it takes --pretty and
+    --budget INT.  Every command takes -n INT."""
+
+    help: str
+    positionals: Tuple[Tuple[str, Callable[[str], object], Optional[str]], ...]
+    pretty: bool = False
+    budget: bool = False
+
+
+# the one declaration of the command line, read by `_read_plain` and
+# `_build_parser`; `houghton --help` lists the commands in this order
+_GRAMMAR: Dict[str, _Command] = {
+    "eval": _Command(
+        "evaluate a word to an element document",
+        (("word", str, "whitespace-separated tokens, e.g. \"g2 g3'\""),),
+        pretty=True,
+    ),
+    "mul": _Command(
+        "multiply two elements (right action order)", (("left", str, None), ("right", str, None)), pretty=True
+    ),
+    "inv": _Command("invert an element", (("element", str, None),), pretty=True),
+    "apply": _Command(
+        "image of a point under an element",
+        (("element", str, None), ("ray", int, None), ("offset", int, None)),
+    ),
+    "orbits": _Command("cycle decomposition of an element", (("element", str, None),)),
+    "ends": _Command("ends equivalence classes of the moving rays", (("element", str, None),)),
+    "conj": _Command(
+        "decide conjugacy and print a certificate or refutation", (("a", str, None), ("b", str, None)), pretty=True
+    ),
+    "verify": _Command("check a conjugator certificate", (("a", str, None), ("b", str, None), ("x", str, None))),
+    "oracle": _Command(
+        "bounded brute-force conjugator word search", (("a", str, None), ("b", str, None)), budget=True
+    ),
+}
+
+
+def _read_plain(argv: List[str]) -> Optional[types.SimpleNamespace]:
+    """argv read against the grammar, or None when it is not a plain
+    command line: a command, then option strings that the command declares
+    exactly, each int option with an int value that does not start with
+    "-", and as many positionals as the command has, none of which starts
+    with "-" unless it is "-" itself.  Whatever this accepts, argparse
+    reads to the same values; every other form (help, abbreviations,
+    "--budget=3", "-n3", "--", negative numbers, usage errors) is left to
+    argparse, so that it alone words help and errors."""
+    command = _GRAMMAR.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {"command": argv[0], "n": None}
+    if command.pretty:
+        values["pretty"] = False
+    if command.budget:
+        values["budget"] = _BUDGET
+    tokens = []
+    rest = iter(argv[1:])
+    try:
+        for token in rest:
+            if token[:1] != "-" or token == "-":
+                tokens.append(token)
+            elif token == "--pretty" and command.pretty:
+                values["pretty"] = True
+            elif token == "-n" or token == "--budget" and command.budget:
+                value = next(rest)
+                if value[:1] == "-":
+                    return None
+                values[token.lstrip("-")] = int(value)
+            else:
+                return None
+        if len(tokens) != len(command.positionals):
+            return None
+        for (dest, convert, _), token in zip(command.positionals, tokens):
+            values[dest] = convert(token)
+    except (StopIteration, ValueError):
+        return None
+    return types.SimpleNamespace(**values)
+
+
+def _build_parser() -> Tuple[Any, Dict[str, Any]]:
+    """argparse's top-level parser and each command's own parser, by name.
+    argparse is imported here, so that a plain command line never loads
+    it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="houghton",
         description="Exact arithmetic and conjugacy decision for Houghton's groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, helptext, pretty=False):
-        p = sub.add_parser(name, help=helptext)
+    for name, command in _GRAMMAR.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("-n", type=int, default=None, help="number of rays")
-        if pretty:
+        if command.pretty:
             p.add_argument("--pretty", action="store_true", help="human-readable output")
-        return p
-
-    p = add("eval", "evaluate a word to an element document", pretty=True)
-    p.add_argument("word", help="whitespace-separated tokens, e.g. \"g2 g3'\"")
-
-    p = add("mul", "multiply two elements (right action order)", pretty=True)
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("inv", "invert an element", pretty=True)
-    p.add_argument("element")
-
-    p = add("apply", "image of a point under an element")
-    p.add_argument("element")
-    p.add_argument("ray", type=int)
-    p.add_argument("offset", type=int)
-
-    p = add("orbits", "cycle decomposition of an element")
-    p.add_argument("element")
-
-    p = add("ends", "ends equivalence classes of the moving rays")
-    p.add_argument("element")
-
-    p = add("conj", "decide conjugacy and print a certificate or refutation", pretty=True)
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = add("verify", "check a conjugator certificate")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("x")
-
-    p = add("oracle", "bounded brute-force conjugator word search")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--budget", type=int, default=6, help="maximum word length")
+        for dest, convert, helptext in command.positionals:
+            p.add_argument(dest, type=convert, help=helptext)
+        if command.budget:
+            p.add_argument("--budget", type=int, default=_BUDGET, help="maximum word length")
     return parser, sub.choices
 
 
@@ -184,30 +245,34 @@ def _run(args) -> int:
     raise AssertionError("unhandled command")
 
 
-# built by the first main call, with the command parsers of its subparsers
-_parser: Optional[argparse.ArgumentParser] = None
-_commands: Dict[str, argparse.ArgumentParser] = {}
+# built by the first main call that argparse reads, with the command
+# parsers of its subparsers
+_parser: Optional[Any] = None
+_commands: Dict[str, Any] = {}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     global _parser, _commands
-    if _parser is None:
-        _parser, _commands = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    # a command's arguments are parsed by its own parser, at one level; the
-    # top-level parser handles only help and a missing or unknown command
-    command = _commands.get(argv[0]) if argv else None
-    try:
-        if command is None:
-            args = _parser.parse_args(argv)
-        else:
-            args = command.parse_args(argv[1:])
-            args.command = argv[0]
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
+    args = _read_plain(argv)
+    if args is None:
+        if _parser is None:
+            _parser, _commands = _build_parser()
+        # a command's arguments are parsed by its own parser, at one level;
+        # the top-level parser handles only help and a missing or unknown
+        # command
+        command = _commands.get(argv[0]) if argv else None
+        try:
+            if command is None:
+                args = _parser.parse_args(argv)
+            else:
+                args = command.parse_args(argv[1:])
+                args.command = argv[0]
+        except SystemExit as exc:
+            return 0 if exc.code == 0 else 1
     try:
         return _run(args)
-    except (core.InvalidElementError, core.WordError, ValueError, OSError) as exc:
+    except (core.InvalidElementError, core.WordError, ValueError, OSError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError:

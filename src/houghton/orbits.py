@@ -166,8 +166,11 @@ def cycle_decomposition(g: HoughtonElement) -> CycleDecomposition:
     return _conjugacy_data(g).dec
 
 
-# index[ray][residue] is the orbit with that outgoing or incoming class
-_OrbitIndex = List[Sequence[InfiniteOrbit]]
+# index[ray][residue] is the orbit (an `InfiniteOrbit`) with that outgoing
+# or incoming class.  The alias names no class of this module: the typing
+# module caches it for the process, and would keep the module alive after
+# a re-import
+_OrbitIndex = List[Sequence[tuple]]
 
 
 class _ConjugacyData:

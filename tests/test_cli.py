@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -7,9 +9,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import houghton
 from houghton import HoughtonElement, compose, conjugate_element, evaluate, generator, serialize
+from houghton import cli
 from houghton.cli import main
 from houghton.oracle import random_word
 
@@ -137,20 +142,29 @@ def test_oracle_command_refuses_a_budget_over_the_cap(capsys, tmp_path):
     assert code == 0 and json.loads(out) == {"found": False}
 
 
-def run_limited(cwd, *argv, limit_mb=512):
+def package_env():
+    """The environment, with this package first on PYTHONPATH, for a
+    process of its own."""
+    src = os.path.dirname(os.path.dirname(houghton.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def run_limited(cwd, *argv, limit_mb=512, cpu_s=None):
     """`houghton` in a process of its own under an address-space limit of
-    `limit_mb` MB: (exit code, stdout, stderr)."""
+    `limit_mb` MB, and of `cpu_s` CPU seconds if given: (exit code, stdout,
+    stderr).  A process that reaches the CPU limit is killed by a signal,
+    so its exit code is negative."""
     resource = pytest.importorskip("resource")
     limit = limit_mb << 20
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        if cpu_s is not None:
+            resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s + 1))
 
-    src = os.path.dirname(os.path.dirname(houghton.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run(
         [sys.executable, "-m", "houghton.cli", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, preexec_fn=cap_memory, timeout=120,
+        cwd=cwd, env=package_env(), capture_output=True, text=True, preexec_fn=cap_memory, timeout=120,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -493,3 +507,146 @@ def test_conj_stdout_is_pinned(capsys, tmp_path):
         digest.update(out.encode())
     assert decisions == {"yes", "no"}
     assert digest.hexdigest() == "cbd2ee985e56e4e5e9817be887a2fcd4bb5130b9a9e2160f8d74646a4c5fc4f6"
+
+
+def test_huge_n_is_data_error(capsys):
+    # an n beyond any index size ends as one error line, as an n whose
+    # translation vector does not fit in memory does
+    code, out, err = run(capsys, "eval", "-n", "99999999999999999999", "g2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_other_forms_go_through_argparse(capsys, tmp_path):
+    # forms the grammar table declines are read by argparse as before: an
+    # abbreviated option, an attached value, "--" and an option's value
+    # that starts with "-"
+    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
+    g3 = write_element(tmp_path, "g3.json", generator(3, "g3"))
+    plain = run(capsys, "conj", "--pretty", g2, g3)
+    assert run(capsys, "conj", g2, g3, "--pre") == plain
+    assert run(capsys, "conj", "-n3", "--pretty", "--", g2, g3) == plain
+    assert run(capsys, "oracle", g2, g3, "--budget=2") == run(capsys, "oracle", g2, g3, "--budget", "2")
+    code, out, err = run(capsys, "inv", "-n", "-3", g2)
+    assert (code, out) == (2, "") and err == "error: element has n=3 but -n -3 was requested\n"
+
+
+def argparse_values(parsers, argv):
+    """What `main` reads from argv through argparse: the attributes of its
+    namespace, or the exit code argparse asked for."""
+    parser, commands = parsers
+    command = commands.get(argv[0]) if argv else None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            if command is None:
+                return vars(parser.parse_args(argv))
+            return dict(vars(command.parse_args(argv[1:])), command=argv[0])
+        except SystemExit as exc:
+            return exc.code
+
+
+PARSERS = cli._build_parser()
+ARGV_TOKENS = list(cli._GRAMMAR) + [
+    "no-such-command", "-n", "--pretty", "--pre", "--budget", "--budget=2", "-n3", "-h", "--help", "--", "-",
+    "a.json", "b.json", "g2 g3", "0", "3", "12", "-1", "-7", " 7 ", "",
+]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
+        st.builds(lambda c, rest: [c] + rest, st.sampled_from(list(cli._GRAMMAR)),
+                  st.lists(st.sampled_from(ARGV_TOKENS), max_size=6)),
+    )
+)
+def test_table_parse_agrees_with_argparse(argv):
+    # whatever the grammar table reads, argparse reads to the same values;
+    # where argparse prints help or a usage error, the table declines
+    plain = cli._read_plain(argv)
+    if plain is not None:
+        assert vars(plain) == argparse_values(PARSERS, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "-n", "3", "g2 g3"],
+    ["eval", "--pretty", "g2", "-n", " 7 "],
+    ["mul", "a.json", "-", "--pretty"],
+    ["inv", "-n", "3", "-n", "4", "a.json"],
+    ["apply", "a.json", "2", "0"],
+    ["orbits", "a.json"],
+    ["ends", "-"],
+    ["conj", "a.json", "b.json"],
+    ["conj", "a.json", "--pretty", "--pretty", "b.json"],
+    ["verify", "a.json", "b.json", "x.json"],
+    ["oracle", "a.json", "b.json", "--budget", "3", "-n", "3"],
+])
+def test_table_parse_takes_plain_command_lines(argv):
+    # every command's plain forms are read by the table, as argparse reads
+    # them
+    plain = cli._read_plain(argv)
+    assert plain is not None and vars(plain) == argparse_values(PARSERS, argv)
+
+
+def test_plain_call_leaves_argparse_unimported(tmp_path):
+    # a plain command line in a fresh interpreter never imports argparse,
+    # and a command's --help in the same interpreter still prints help
+    write_element(tmp_path, "g2.json", generator(3, "g2"))
+    script = (
+        "import contextlib, io, sys\n"
+        "from houghton.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['conj', 'g2.json', 'g2.json'])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['conj', '--help'])\n"
+        "print(code, 'argparse' in sys.modules, out.getvalue().startswith('usage: houghton conj '))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=package_env(), capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["0 False", "0 True True"]
+
+
+def fuzzed_document(text, kind, k):
+    """The element document `text`, or a variant of it: entry k % size
+    dropped or duplicated, or integer k % count of the document replaced
+    by a string, a float, a negative number or 10^30."""
+    doc = json.loads(text)
+    entries = doc["exceptions"]
+    if kind == "drop" and entries:
+        del entries[k % len(entries)]
+    elif kind == "duplicate" and entries:
+        entries.insert(k % len(entries), entries[k % len(entries)])
+    elif kind in FUZZ_VALUES:
+        # every int of the document as (container, index)
+        slots = [(doc, "n")] + [(doc["t"], i) for i in range(len(doc["t"]))]
+        slots += [(point, i) for entry in entries for point in entry for i in (0, 1)]
+        container, index = slots[k % len(slots)]
+        container[index] = FUZZ_VALUES[kind]
+    return doc
+
+
+FUZZ_VALUES = {"string": "21", "float": 1.5, "negative": -1, "huge": 10**30}
+
+
+@settings(max_examples=32, deadline=None)
+@given(
+    st.integers(2, 4), st.integers(0, 10**6), st.integers(0, 400),
+    st.sampled_from(["word", "drop", "duplicate"] + list(FUZZ_VALUES)), st.integers(0, 10**6),
+)
+def test_fuzzed_documents_exit_cleanly(tmp_path_factory, n, seed, length, kind, k):
+    # a valid or malformed document of at most 2,000 entries ends conj and
+    # orbits with exit 0 or 2 and no traceback, within 10 s of CPU and
+    # 512 MB each
+    text = serialize(evaluate(random_word(n, seed, length)))
+    doc = fuzzed_document(text, kind, k)
+    assert len(doc["exceptions"]) <= 2000
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    (work / "word.json").write_text(text, encoding="utf-8")
+    for argv in (["conj", "doc.json", "word.json"], ["orbits", "doc.json"]):
+        code, out, err = run_limited(work, *argv, cpu_s=10)
+        assert code in (0, 2) and "Traceback" not in err, (argv, doc, code, err)
+        assert (code == 2) == err.startswith("error: "), (argv, doc, code, err)

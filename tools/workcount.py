@@ -48,8 +48,8 @@ A second table counts two more of the benchmark's workloads, whole:
                   temporary directory, with stdout taken outside the count
 
 Neither keeps anything between calls but a per-process cache (H_n's
-letters for the search, the argument parser for the CLI), which one
-uncounted call builds first, so one counted pass is exact.
+letters for the search; a plain command line builds no argument parser),
+which one uncounted call builds first, so one counted pass is exact.
 """
 
 from __future__ import annotations
