@@ -8,12 +8,12 @@ as too large (a ball with more reduced words than its cap), or a command
 that runs out of memory or is given a size beyond any index (say, `eval`
 in an H_n too large for its translation vector).
 
-The command line is declared once, in `_GRAMMAR`.  A plain command line
-(a command, the option strings it declares and its positionals) is read
-straight from that table by `_read_plain`; every other form, help and
-usage errors included, goes to argparse, whose parsers are built from
-the same table on first use.  argparse is imported only then, so a plain
-call never loads it.
+Each command is declared, read and run from one table, `_GRAMMAR`.  A
+plain command line (a command, the option strings it declares and its
+positionals) is read straight from that table by `_read_plain`; every
+other form, help and usage errors included, goes to argparse, whose
+parsers are built from the same table on each such call.  argparse is
+imported only then, so a plain call never loads it.
 """
 
 from __future__ import annotations
@@ -80,41 +80,101 @@ def _render_orbits(decomp: orbits.CycleDecomposition) -> str:
 _BUDGET = 6  # the default of --budget
 
 
+def _print_element(g: core.HoughtonElement, pretty: bool) -> None:
+    print(_pretty_element(g) if pretty else core.serialize(g))
+
+
+def _eval(args) -> None:
+    if args.n is None:
+        raise core.WordError("eval requires -n")
+    _print_element(core.evaluate(core.Word.parse(args.n, args.word)), args.pretty)
+
+
+def _mul(args) -> None:
+    _print_element(core.compose(_read_element(args.left, args.n), _read_element(args.right, args.n)), args.pretty)
+
+
+def _inv(args) -> None:
+    _print_element(core.inverse(_read_element(args.element, args.n)), args.pretty)
+
+
+def _apply(args) -> None:
+    print(_point(core.apply(_read_element(args.element, args.n), (args.ray, args.offset))))
+
+
+def _orbits(args) -> None:
+    text = _render_orbits(orbits.cycle_decomposition(_read_element(args.element, args.n)))
+    if text:
+        print(text)
+
+
+def _ends(args) -> None:
+    parts = orbits.ends_partition(_read_element(args.element, args.n))
+    print(" ".join("{%s}" % ",".join(map(str, sorted(c))) for c in parts.classes))
+
+
+def _conj(args) -> None:
+    out = conjugacy.conjugate(_read_element(args.a, args.n), _read_element(args.b, args.n))
+    print(_outcome_doc(out))
+    if args.pretty and out.is_conjugate:
+        print(_pretty_element(out.conjugator), file=sys.stderr)
+
+
+def _verify(args) -> None:
+    a, b, x = (_read_element(path, args.n) for path in (args.a, args.b, args.x))
+    print(core._JSON.encode({"decision": "yes" if conjugacy.verify(a, b, x) else "no"}))
+
+
+def _oracle(args) -> None:
+    a, b = _read_element(args.a, args.n), _read_element(args.b, args.n)
+    word = oracle.brute_force_conjugator(a, b, oracle.SearchBudget(args.budget))
+    print(core._JSON.encode({"found": False} if word is None else {"found": True, "word": str(word)}))
+
+
 class _Command(NamedTuple):
     """One command of the grammar: its help line, its positionals as
-    (name, converter, help text), and whether it takes --pretty and
-    --budget INT.  Every command takes -n INT."""
+    (name, converter, help text), its action, which reads the parsed
+    namespace, runs the command and prints its output, and whether it
+    takes --pretty and --budget INT.  Every command takes -n INT."""
 
     help: str
     positionals: Tuple[Tuple[str, Callable[[str], object], Optional[str]], ...]
+    run: Callable[[Any], None]
     pretty: bool = False
     budget: bool = False
 
 
 # the one declaration of the command line, read by `_read_plain` and
-# `_build_parser`; `houghton --help` lists the commands in this order
+# `_build_parser` and run by `main`; `houghton --help` follows its order
 _GRAMMAR: Dict[str, _Command] = {
     "eval": _Command(
         "evaluate a word to an element document",
         (("word", str, "whitespace-separated tokens, e.g. \"g2 g3'\""),),
+        _eval,
         pretty=True,
     ),
     "mul": _Command(
-        "multiply two elements (right action order)", (("left", str, None), ("right", str, None)), pretty=True
+        "multiply two elements (right action order)", (("left", str, None), ("right", str, None)), _mul, pretty=True
     ),
-    "inv": _Command("invert an element", (("element", str, None),), pretty=True),
+    "inv": _Command("invert an element", (("element", str, None),), _inv, pretty=True),
     "apply": _Command(
         "image of a point under an element",
         (("element", str, None), ("ray", int, None), ("offset", int, None)),
+        _apply,
     ),
-    "orbits": _Command("cycle decomposition of an element", (("element", str, None),)),
-    "ends": _Command("ends equivalence classes of the moving rays", (("element", str, None),)),
+    "orbits": _Command("cycle decomposition of an element", (("element", str, None),), _orbits),
+    "ends": _Command("ends equivalence classes of the moving rays", (("element", str, None),), _ends),
     "conj": _Command(
-        "decide conjugacy and print a certificate or refutation", (("a", str, None), ("b", str, None)), pretty=True
+        "decide conjugacy and print a certificate or refutation",
+        (("a", str, None), ("b", str, None)),
+        _conj,
+        pretty=True,
     ),
-    "verify": _Command("check a conjugator certificate", (("a", str, None), ("b", str, None), ("x", str, None))),
+    "verify": _Command(
+        "check a conjugator certificate", (("a", str, None), ("b", str, None), ("x", str, None)), _verify
+    ),
     "oracle": _Command(
-        "bounded brute-force conjugator word search", (("a", str, None), ("b", str, None)), budget=True
+        "bounded brute-force conjugator word search", (("a", str, None), ("b", str, None)), _oracle, budget=True
     ),
 }
 
@@ -183,101 +243,32 @@ def _build_parser() -> Tuple[Any, Dict[str, Any]]:
     return parser, sub.choices
 
 
-def _run(args) -> int:
-    n = args.n
-    if args.command == "eval":
-        if n is None:
-            raise core.WordError("eval requires -n")
-        element = core.evaluate(core.Word.parse(n, args.word))
-        print(_pretty_element(element) if args.pretty else core.serialize(element))
-        return 0
-    if args.command == "mul":
-        g = _read_element(args.left, n)
-        h = _read_element(args.right, n)
-        out = core.compose(g, h)
-        print(_pretty_element(out) if args.pretty else core.serialize(out))
-        return 0
-    if args.command == "inv":
-        g = _read_element(args.element, n)
-        out = core.inverse(g)
-        print(_pretty_element(out) if args.pretty else core.serialize(out))
-        return 0
-    if args.command == "apply":
-        g = _read_element(args.element, n)
-        q = core.apply(g, (args.ray, args.offset))
-        print(_point(q))
-        return 0
-    if args.command == "orbits":
-        g = _read_element(args.element, n)
-        text = _render_orbits(orbits.cycle_decomposition(g))
-        if text:
-            print(text)
-        return 0
-    if args.command == "ends":
-        g = _read_element(args.element, n)
-        parts = orbits.ends_partition(g)
-        print(" ".join("{%s}" % ",".join(map(str, sorted(c))) for c in parts.classes))
-        return 0
-    if args.command == "conj":
-        a = _read_element(args.a, n)
-        b = _read_element(args.b, n)
-        out = conjugacy.conjugate(a, b)
-        print(_outcome_doc(out))
-        if args.pretty and out.is_conjugate:
-            print(_pretty_element(out.conjugator), file=sys.stderr)
-        return 0
-    if args.command == "verify":
-        a = _read_element(args.a, n)
-        b = _read_element(args.b, n)
-        x = _read_element(args.x, n)
-        ok = conjugacy.verify(a, b, x)
-        print(core._JSON.encode({"decision": "yes" if ok else "no"}))
-        return 0
-    if args.command == "oracle":
-        a = _read_element(args.a, n)
-        b = _read_element(args.b, n)
-        word = oracle.brute_force_conjugator(a, b, oracle.SearchBudget(args.budget))
-        if word is None:
-            print(core._JSON.encode({"found": False}))
-        else:
-            print(core._JSON.encode({"found": True, "word": str(word)}))
-        return 0
-    raise AssertionError("unhandled command")
-
-
-# built by the first main call that argparse reads, with the command
-# parsers of its subparsers
-_parser: Optional[Any] = None
-_commands: Dict[str, Any] = {}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    global _parser, _commands
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain(argv)
     if args is None:
-        if _parser is None:
-            _parser, _commands = _build_parser()
+        parser, commands = _build_parser()
         # a command's arguments are parsed by its own parser, at one level;
         # the top-level parser handles only help and a missing or unknown
         # command
-        command = _commands.get(argv[0]) if argv else None
+        command = commands.get(argv[0]) if argv else None
         try:
             if command is None:
-                args = _parser.parse_args(argv)
+                args = parser.parse_args(argv)
             else:
                 args = command.parse_args(argv[1:])
                 args.command = argv[0]
         except SystemExit as exc:
             return 0 if exc.code == 0 else 1
     try:
-        return _run(args)
+        _GRAMMAR[args.command].run(args)
     except (core.InvalidElementError, core.WordError, ValueError, OSError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ The solver layers:
                         pairing has, and build it at s
 
 Every positive answer carries an element x with x^-1 * a * x = b, checked
-exactly before it is returned.
+exactly before it is returned; an x that fails the check raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def _forced_conjugator(
     The merge raises WalkLimitError where x's table would pass _WALK_LIMIT
     entries, counting the fixed points' entries, which are in hand before
     it.  x is checked by the constructor's bijectivity and minimality
-    checks and then once by verify.
+    checks and then once by verify; a failure there raises RuntimeError.
     """
     unmatched_a = _unmatched_fixed(a, b, s)
     unmatched_b = _unmatched_fixed(b, a, [-v for v in s])
@@ -233,7 +233,9 @@ def _forced_conjugator(
 
     x = _make(a.n, tuple(s), mapping)
     x._validate()
-    return ConjugacyOutcome(x, verify(a, b, x), None, BoundData(2 * width, max(map(abs, t))))
+    if not verify(a, b, x):
+        raise RuntimeError("the conjugator built at translation %s fails verify" % (tuple(s),))
+    return ConjugacyOutcome(x, True, None, BoundData(2 * width, max(map(abs, t))))
 
 
 def fsym_conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:

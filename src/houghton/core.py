@@ -402,15 +402,10 @@ def equals(g: HoughtonElement, h: HoughtonElement) -> bool:
 
 
 def conjugate_element(g: HoughtonElement, x: HoughtonElement) -> HoughtonElement:
-    """g^x = x^{-1} * g * x, carried through x by `_conjugate_by` without
-    building x^{-1}."""
+    """g^x = x^{-1} * g * x, the element of `_conjugated_table`: g's table
+    carried through x's, without building x^{-1}."""
     _check_same_n(g, x)
-    return _conjugate_by(g, x)
-
-
-def _conjugate_by(c: HoughtonElement, g: HoughtonElement) -> HoughtonElement:
-    """g^-1 * c * g, with no inverse: the element of `_conjugated_table`."""
-    return _make(c.n, c.t, _conjugated_table(c.exceptions, c.t, g.exceptions, g.t))
+    return _make(g.n, g.t, _conjugated_table(g.exceptions, g.t, x.exceptions, x.t))
 
 
 def _conjugated_table(

@@ -291,6 +291,36 @@ def test_command_usage_exit_codes(capsys, tmp_path):
     assert (code, err) == (0, "") and out.startswith("usage: houghton conj ")
 
 
+def usage_lines():
+    """77 command lines that end in help, a usage error or an error from
+    the command: help and no arguments at the top level, an unknown command,
+    an option before the command, and for each command its help, no
+    positionals, four positionals, -n with no value and with a value that
+    is not an int, an abbreviated option, an abbreviated --budget and a
+    positional after "--"."""
+    lines = [["--help"], ["-h"], [], ["no-such-command"], ["-n", "3"]]
+    for command in ("eval", "mul", "inv", "apply", "orbits", "ends", "conj", "verify", "oracle"):
+        lines += [
+            [command, "--help"], [command], [command, "a", "b", "c", "d"], [command, "-n"], [command, "-n", "x"],
+            [command, "--pre"], [command, "--bud", "3"], [command, "--", "-1"],
+        ]
+    return lines
+
+
+def test_help_and_usage_texts_are_pinned(capsys, monkeypatch, tmp_path):
+    # every exit code and every byte of stdout and stderr on these command
+    # lines at a width of 80 columns, recorded before each command's action
+    # moved into the grammar table
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    lines = usage_lines()
+    digest = hashlib.sha256()
+    for argv in lines:
+        digest.update(json.dumps(run(capsys, *argv)).encode())
+    assert len(lines) == 77
+    assert digest.hexdigest() == "ac521c124f3748f7799068fc7b90a7186267ed559bcdbc2b16071cb9a4b88824"
+
+
 @pytest.mark.parametrize("offset", [10**8, 10**9])
 def test_conj_far_offsets(capsys, tmp_path, offset):
     # two 2-point transpositions: the decision must not scan up to the offset
@@ -425,18 +455,13 @@ def test_conj_far_swap_of_g2_has_a_short_certificate(capsys, tmp_path):
     assert len(doc["certificate"]["exceptions"]) <= 2
 
 
-def test_repeated_calls_match_first_calls(capsys, tmp_path, monkeypatch):
-    # the parser is built once per process; later calls must not see state
-    # left by earlier ones
-    from houghton import cli
-
+def test_repeated_calls_match_first_calls(capsys, tmp_path):
+    # later calls must not see state left by earlier ones
     g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
     calls = [["conj", "--pretty", g2, g2], ["conj", g2, g2], ["eval", "-n", "3", "g2"], ["--help"]]
     first = []
     for argv in calls:
-        monkeypatch.setattr(cli, "_parser", None)
         first.append(run(capsys, *argv))
-    monkeypatch.setattr(cli, "_parser", None)
     assert [run(capsys, *argv) for argv in calls] == first
     assert [code for code, _, _ in first] == [0, 0, 0, 0]
 

@@ -27,7 +27,7 @@ from houghton import (
     serialize,
 )
 from houghton.conjugacy import construct_translation_element
-from houghton.core import _Accumulator, _conjugate_by
+from houghton.core import _Accumulator
 from houghton.oracle import random_element, random_word, simulate_word
 
 
@@ -358,7 +358,7 @@ def test_conjugate_by_letter_matches_action_and_accumulator(n):
         letters += [g] if gid == "s" else [g, inverse(g)]
     for c in _product_inputs(n):
         for g in letters:
-            result = _conjugate_by(c, g)
+            result = conjugate_element(c, g)
             g_inv = inverse(g)
             for p in _probe_points(n, g_inv, c, g):
                 assert apply(result, p) == apply(g, apply(c, apply(g_inv, p)))

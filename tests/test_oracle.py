@@ -7,8 +7,10 @@ from houghton import (
     HoughtonElement,
     Word,
     apply,
+    conjugate,
     conjugate_element,
     evaluate,
+    fsym_conjugate,
     generator,
     generator_ids,
     identity,
@@ -16,7 +18,7 @@ from houghton import (
     serialize,
     verify,
 )
-from houghton import oracle
+from houghton import conjugacy, oracle
 from houghton.core import _conjugated_table
 from houghton.oracle import (
     MAX_WORDS,
@@ -194,6 +196,21 @@ def test_brute_force_raises_when_verify_disagrees(monkeypatch):
         brute_force_conjugator(g, g, SearchBudget(2))
     with pytest.raises(RuntimeError):
         brute_force_conjugator(a, b, SearchBudget(3))
+
+
+def test_conjugator_builder_raises_when_verify_disagrees(monkeypatch):
+    # as the oracle does, the decision raises on a certificate that fails
+    # verify, so every yes of conjugate and fsym_conjugate is verified
+    a = evaluate(Word.parse(3, "g2 g2 g3"))
+    b = conjugate_element(a, evaluate(Word.parse(3, "g3 g2 g2")))
+    swap = HoughtonElement(3, (0, 0, 0), {(1, 0): (2, 5), (2, 5): (1, 0)})
+    c = conjugate_element(a, swap)
+    assert conjugate(a, b).verified is True and fsym_conjugate(a, c).verified is True
+    monkeypatch.setattr(conjugacy, "verify", lambda a, b, x: False)
+    with pytest.raises(RuntimeError):
+        conjugate(a, b)
+    with pytest.raises(RuntimeError):
+        fsym_conjugate(a, c)
 
 
 def test_brute_force_miss_builds_only_half_balls(monkeypatch):
