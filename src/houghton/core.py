@@ -16,7 +16,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 Point = Tuple[int, int]
 
@@ -83,9 +83,8 @@ class Word:
 class HoughtonElement:
     """An element of H_n: translation vector plus finite exception table."""
 
-    # _hash is filled on first use.  _dec is set only on the elements that
-    # are decomposed, to the record `orbits._ConjugacyData`
-    __slots__ = ("n", "t", "exceptions", "_hash", "_dec")
+    # _dec is set only on decomposed elements, to `orbits._ConjugacyData`
+    __slots__ = ("n", "t", "exceptions", "_dec")
 
     def __init__(
         self,
@@ -93,13 +92,14 @@ class HoughtonElement:
         t: Union[Tuple[int, ...], List[int]],
         exceptions: Union[Mapping[Point, Point], Iterable[Tuple[Point, Point]]],
     ):
-        self.n = _integer(n)
+        self.n = n if type(n) is int else _integer(n)
         # as for points, a string, a dict or a set is not read as its items
         if not isinstance(t, (tuple, list)):
             raise InvalidElementError("translation vector must be a tuple or a list, not %r" % (t,))
-        self.t = tuple(_integer(v) for v in t)
-        self.exceptions = _read_table(exceptions.items() if isinstance(exceptions, Mapping) else exceptions)
-        self._hash: Optional[int] = None
+        self.t = tuple(v if type(v) is int else _integer(v) for v in t)
+        if type(exceptions) is not list and isinstance(exceptions, Mapping):  # a document's list skips the ABC test
+            exceptions = exceptions.items()
+        self.exceptions = _read_table(exceptions)
         self._validate()
 
     # -- normal form / bijectivity checks ---------------------------------
@@ -187,9 +187,7 @@ class HoughtonElement:
 
     def __hash__(self) -> int:
         # a frozenset ignores insertion order as __eq__ does, with no sort
-        if self._hash is None:
-            self._hash = hash((self.n, self.t, frozenset(self.exceptions.items())))
-        return self._hash
+        return hash((self.n, self.t, frozenset(self.exceptions.items())))
 
     def __mul__(self, other: "HoughtonElement") -> "HoughtonElement":
         return compose(self, other)
@@ -220,7 +218,6 @@ def _make(n: int, t: Tuple[int, ...], exceptions: Dict[Point, Point]) -> Houghto
     g.n = n
     g.t = t
     g.exceptions = exceptions
-    g._hash = None
     return g
 
 
@@ -364,10 +361,11 @@ def evaluate(w: Word) -> HoughtonElement:
     _check_n(w.n)
     acc = _Accumulator(w.n)
     for letter in w.letters:
-        rule = _letter_rule(w.n, letter)
-        if rule is None:
-            raise WordError("letter %r is not valid for n=%d" % (letter, w.n))
-        acc.push(*rule)
+        # such a letter has no rule (None, which * refuses) or no hash: a TypeError
+        try:
+            acc.push(*_letter_rule(w.n, letter))
+        except TypeError:
+            raise WordError("letter %r is not valid for n=%d" % (letter, w.n)) from None
     return acc.element()
 
 
@@ -479,9 +477,9 @@ def serialize(g: HoughtonElement) -> str:
 
 
 def deserialize(text: str) -> HoughtonElement:
-    """The element of a JSON element document.  A point of the table is a
-    [ray, offset] array; anything else in its place is a bad exception
-    entry."""
+    """The element of a JSON element document, built by the constructor once
+    its fields have their JSON types.  A point of the table is a [ray,
+    offset] array; anything else in its place is a bad exception entry."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -494,19 +492,15 @@ def deserialize(text: str) -> HoughtonElement:
     n, t, pairs = doc["n"], doc["t"], doc["exceptions"]
     if not isinstance(n, int) or not isinstance(t, list) or not isinstance(pairs, list):
         raise InvalidElementError("bad field types in element document")
-    exc = _read_table(pairs)
-    n = n if type(n) is int else _integer(n)
-    g = _make(n, tuple(v if type(v) is int else _integer(v) for v in t), exc)
-    g._validate()
-    return g
+    return HoughtonElement(n, t, pairs)
 
 
 def _read_table(entries: Iterable) -> Dict[Point, Point]:
-    """The exception table of entries (p, q), for the constructor and
-    documents.  An entry and each of its points is a tuple or a list of
-    two: a third coordinate is not dropped, and a string, a dict or a
-    range is not read as its items, "10" as (1, 0).  Each value is coerced
-    once, here, and only when it is not an int already."""
+    """The exception table of entries (p, q), for the constructor.  An entry
+    and each of its points is a tuple or a list of two: a third coordinate
+    is not dropped, and a string, a dict or a range is not read as its
+    items, "10" as (1, 0).  Each value is coerced once, here, and only in
+    an entry whose values are not all ints already."""
     exc: Dict[Point, Point] = {}
     for entry in entries:
         try:
@@ -527,12 +521,10 @@ def _read_table(entries: Iterable) -> Dict[Point, Point]:
 
 
 def _integer(v) -> int:
-    """A given value as an int, for the constructor and documents.  Integral
-    numbers and ASCII digit strings with an optional leading minus are
-    taken; booleans, NaN, infinities, fractions and other strings that
-    `int` reads, as "1_0", " 7 " or "+3", are refused, not truncated."""
-    if type(v) is int:
-        return v
+    """A given value as an int, for the constructor.  Integral numbers and
+    ASCII digit strings with an optional leading minus are taken; booleans,
+    NaN, infinities, fractions and other strings that `int` reads, as
+    "1_0", " 7 " or "+3", are refused, not truncated."""
     if isinstance(v, bool) or (isinstance(v, str) and re.fullmatch("-?[0-9]+", v) is None):
         raise InvalidElementError("not an integer: %r" % (v,))
     try:

@@ -179,6 +179,16 @@ def test_evaluate_refuses_letters_not_in_h_n():
             evaluate(Word(n, (("g2", 1), letter)))
 
 
+@pytest.mark.parametrize(
+    "letter", [["g2", 1], (["g2"], 1), ("g2", [1]), {"g2": 1}], ids=["list", "list-gid", "list-sign", "dict"]
+)
+def test_evaluate_refuses_unhashable_letters(letter):
+    # the rule's cache hashes a letter before the rule reads its shape, so
+    # such a letter is refused by name, not with "unhashable type"
+    with pytest.raises(WordError, match="^letter %s is not valid for n=3$" % re.escape(repr(letter))):
+        evaluate(Word(3, (("g2", 1), letter)))
+
+
 def test_evaluate_matches_a_fold_of_letter_elements():
     # the accumulator applies each letter by its rule; a compose fold of the
     # letters' elements from `generator` and `inverse` gives the same
@@ -506,6 +516,54 @@ def test_validation_names_the_fault_that_wins(doc, message):
     with pytest.raises(InvalidElementError) as raised:
         HoughtonElement(data["n"], data["t"], [(tuple(p), tuple(q)) for p, q in data["exceptions"]])
     assert str(raised.value) == message
+
+
+# malformed documents and the message that refuses each, by either route:
+# one fault each, then two faults, where the fault in n or t wins over the
+# table's, as the constructor reads n, then t, then the table
+MALFORMED = [
+    ('{"n":true,"t":[0,0],"exceptions":[]}', "not an integer: True"),
+    ('{"n":2,"t":[1.5,-1.5],"exceptions":[[[2,0],[1,0]]]}', "not an integer: 1.5"),
+    ('{"n":2,"t":["x",0],"exceptions":[]}', "not an integer: 'x'"),
+    ('{"n":2,"t":[0,0],"exceptions":[[[1,0],"21"],[[2,1],[1,0]]]}', "bad exception entry [[1, 0], '21']"),
+    (
+        '{"n":2,"t":[0,0],"exceptions":[[[1,0],[2,0]],[[1,0],[1,1]],[[2,0],[1,0]]]}',
+        "duplicate exception domain point (1, 0)",
+    ),
+    ('{"n":2,"t":[0,0,0],"exceptions":[]}', "translation vector must have length n"),
+    ('{"n":2,"t":[1,0],"exceptions":[]}', "translation vector must sum to zero"),
+    ('{"n":2,"t":[0,0],"exceptions":[[[1,0],[2,1]],[[2,0],[2,1]],[[2,1],[1,0]]]}', "two points map to (2, 1)"),
+    ('{"n":2,"t":[0,0],"exceptions":[[[1,0],[1,0]]]}', "non-minimal entry (1, 0) -> (1, 0) matches the tail formula"),
+    ('{"n":2,"t":[0.5,-0.5],"exceptions":[[[1,0],"21"]]}', "not an integer: 0.5"),
+    ('{"n":true,"t":[0,0],"exceptions":[[[1,0],"21"]]}', "not an integer: True"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    MALFORMED,
+    ids=[
+        "bool-n",
+        "fraction-t",
+        "string-t",
+        "string-point",
+        "duplicate-point",
+        "t-length",
+        "t-sum",
+        "not-injective",
+        "non-minimal",
+        "fraction-t-and-string-point",
+        "bool-n-and-string-point",
+    ],
+)
+def test_constructor_and_documents_refuse_alike(doc, message):
+    # a document is built by the constructor, so both refuse with one message
+    data = json.loads(doc)
+    with pytest.raises(InvalidElementError) as by_document:
+        deserialize(doc)
+    with pytest.raises(InvalidElementError) as by_constructor:
+        HoughtonElement(data["n"], data["t"], data["exceptions"])
+    assert str(by_document.value) == str(by_constructor.value) == message
 
 
 def dense_bijection(n, t, table):

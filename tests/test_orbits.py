@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -86,7 +87,7 @@ def test_decomposition_is_kept_on_the_element():
     # the walk runs once per element object: every later call returns the
     # same record, the one the element's one kept slot holds, and an equal
     # element built apart walks its own
-    assert HoughtonElement.__slots__ == ("n", "t", "exceptions", "_hash", "_dec")
+    assert HoughtonElement.__slots__ == ("n", "t", "exceptions", "_dec")
     g = element(3, "g2 g3' g2")
     assert getattr(g, "_dec", None) is None
     d = cycle_decomposition(g)
@@ -326,6 +327,15 @@ def decomposition_pool():
         for r in (0, 1, 3):
             pool.append(HoughtonElement(2, (m, -m), {(2, j): (1, (j + r) % m) for j in range(m)}))
     return pool
+
+
+def test_documents_and_constructor_build_the_pool_alike():
+    # the document of each element, read back and given to the constructor
+    # as its JSON fields, gives an equal element both ways
+    for g in decomposition_pool():
+        text = serialize(g)
+        data = json.loads(text)
+        assert deserialize(text) == HoughtonElement(data["n"], data["t"], data["exceptions"]) == g
 
 
 def old_form(d):
