@@ -407,12 +407,14 @@ def conjugate_element(g: HoughtonElement, x: HoughtonElement) -> HoughtonElement
 
 
 def _conjugated_table(
-    ce: Dict[Point, Point], ct: Sequence[int], ge: Dict[Point, Point], gt: Union[Sequence[int], Mapping[int, int]]
+    ce: Dict[Point, Point], ct: Sequence[int], ge: Dict[Point, Point], gt: Sequence[int]
 ) -> Dict[Point, Point]:
     """The table of g^-1 * c * g, for c of table ce and translation ct and
     g of table ge and translation gt, with no inverse, by carrying c's
     table through g: the one conjugation product, which
-    `conjugate_element`, `conjugacy.verify` and the oracle's search share.
+    `conjugate_element` and so `conjugacy.verify` use.  The oracle's search
+    repeats it on coded points (`oracle._coded_conjugated_table`), so its
+    hits are confirmed by arithmetic it does not share.
 
     g^-1 * c * g maps (p)g to ((p)c)g, and its translation is t(c).  So
     each point p gives the entry r -> v with r = (p)g and v = ((p)c)g,
@@ -420,10 +422,7 @@ def _conjugated_table(
     g's table, with p + t(c) off g's table too, both steps through g are
     translations: r = p + t(g) and v = p + t(c) + t(g) = r + t(c).  So one
     pass over c's table, and a short one over the points p off it with p
-    or p + t(c) on g's table, find every exception.  Of g, only its table
-    and gt[i - 1] on the rays i of c's and g's table points are read, so
-    gt may be a translation vector or any mapping that holds those, as
-    the oracle's letter steps do."""
+    or p + t(c) on g's table, find every exception."""
     exc = {}
     for p, q in ce.items():
         if p in ge:

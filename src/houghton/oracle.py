@@ -1,20 +1,22 @@
 """Independent brute-force machinery: word enumeration, pointwise word
 simulation and reproducible random instances.
 
-The conjugator search's one product is `core._conjugated_table`, which
-`conjugate` uses too, through `conjugate_element`; the search hands it
-each letter's table and steps, built from `core`'s letter rule and kept
-once per n, O(1) in size whatever n is.  A node of the search is a word
-and the table of its conjugate, whose translation is a's or b's, with the
-table's key where it is looked up, and no element is built until a hit.
+The conjugator search has its own arithmetic on points coded as ints,
+(i, m) as m * n + i - 1: its one product, `_coded_conjugated_table`,
+repeats `core._conjugated_table` on codes, with each letter's coded table
+and steps built from `core`'s letter rule and kept once per n, O(1) in
+size whatever n is.  A node of the search is a word and the coded table
+of its conjugate, whose translation is a's or b's, with the table's key
+where it is looked up, and no element is built until a hit.
 The cross-check stays independent in what it searches and how it confirms:
 simulate_word acts with the raw generator rules; the search enumerates
 words rather than translation tuples, answers with the first word of the
 ball in breadth-first order with no pruning by invariants (no
 translation or cycle-type check), and checks every hit again with
-`conjugacy.verify` on the element `evaluate` gives the word; and the
-benchmark's checker confirms answers without the package.  No search
-state is kept between calls.
+`conjugacy.verify`, whose product on tables the search does not share, on
+the element `evaluate` gives the word; and the benchmark's checker
+confirms answers without the package.  No search state is kept between
+calls.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .core import HoughtonElement, Point, Word, _check_same_n, _conjugated_table, _letter_rule, evaluate, generator_ids
+from .core import HoughtonElement, Point, Word, _check_same_n, _letter_rule, evaluate, generator_ids
 from .conjugacy import verify
 
 
@@ -92,36 +94,76 @@ def _signed_alphabet(n: int) -> _Letters:
     return tuple((gid, sign) for gid in generator_ids(n) for sign in ((1,) if gid == "s" else (1, -1)))
 
 
-class _Steps(dict):
-    """A letter's step on each ray i, at i - 1 as in a translation vector:
-    stored on the rays it moves, and 0 on every other ray."""
-
-    __slots__ = ()
-
-    def __missing__(self, ray: int) -> int:
-        return 0
+# a signed letter with its coded table and steps, and the letter that
+# cancels it with that letter's coded table and steps.  The alias names no
+# class of this module: the typing module caches it for the process, and
+# would keep the module alive after a re-import
+_SearchLetter = Tuple[_Letter, Dict[int, int], Dict[int, int], _Letter, Dict[int, int], Dict[int, int]]
 
 
-# a signed letter with its table and `_Steps`, and the letter that cancels
-# it with that letter's table and `_Steps`.  The alias names no class of
-# this module: the typing module caches it for the process, and would keep
-# the module alive after a re-import
-_SearchLetter = Tuple[_Letter, Dict[Point, Point], Dict[int, int], _Letter, Dict[Point, Point], Dict[int, int]]
+def _coded_table(n: int, entries: Iterable[Tuple[Point, Point]]) -> Dict[int, int]:
+    """The table of H_n with these entries on coded points: (i, m) is
+    m * n + i - 1, whose ray is the code mod n, and which is below 0
+    exactly when m is."""
+    return {m * n + i - 1: k * n + j - 1 for (i, m), (j, k) in entries}
 
 
 @functools.lru_cache(maxsize=8, typed=True)
 def _search_tables(n: int) -> Tuple[_SearchLetter, ...]:
-    """Each signed letter of H_n, in letter order, with its table and
-    steps, and the letter that cancels it (s cancels itself) with that
-    letter's table and steps: a letter may follow every letter but the
-    one that cancels it.  Built once per n, for a search that passed the
-    size check, and only read."""
+    """Each signed letter of H_n, in letter order, with its coded table
+    and steps, and the letter that cancels it (s cancels itself) with
+    that letter's, the same dicts and not copies: a letter may follow
+    every letter but the one that cancels it.  The steps map ray - 1 to
+    the coded step step * n on the rays the letter moves, and are read
+    with 0 for the others, so a letter costs O(1) whatever n is.  Built
+    once per n, for a search that passed the size check, and only read."""
     tables = {}
+    # one int object for each code and coded step, whichever dicts hold it
+    share = {}.setdefault
     for m in _signed_alphabet(n):
         entries, moves = _letter_rule(n, m)
-        tables[m] = (dict(entries), _Steps((i - 1, step) for i, step in moves))
-    cancels = {(gid, sign): (gid, sign if gid == "s" else -sign) for gid, sign in tables}
+        tables[m] = (
+            {share(p, p): share(q, q) for p, q in _coded_table(n, entries).items()},
+            {share(i - 1, i - 1): share(step * n, step * n) for i, step in moves},
+        )
+    # the letter that cancels each, as the same tuple as its own entry
+    letters = {m: m for m in tables}
+    cancels = {(gid, sign): letters[gid, sign if gid == "s" else -sign] for gid, sign in tables}
     return tuple((m, *tables[m], cancels[m], *tables[cancels[m]]) for m in tables)
+
+
+def _coded_conjugated_table(
+    n: int, ce: Dict[int, int], ct: Sequence[int], ge: Dict[int, int], gt: Dict[int, int]
+) -> Dict[int, int]:
+    """`core._conjugated_table` on coded points: the coded table of
+    g^-1 * c * g, for c of coded table ce and coded translation ct (ct[r]
+    = t_(r + 1) * n), and g of coded table ge and coded steps gt, which
+    maps r to t_(r + 1) * n on the rays g moves, as `_search_tables` gives
+    a letter's.  The same two loops: one over c's table, and one over the
+    candidates p and p - t(c) of each point p of g's table.  A point's ray
+    is its code mod n, and a translation adds the coded step; a coded
+    image may be 0, the point (1, 0), so an image is never tested for
+    truth."""
+    exc = {}
+    for p, q in ce.items():
+        r = ge[p] if p in ge else p + gt.get(p % n, 0)
+        v = ge[q] if q in ge else q + gt.get(q % n, 0)
+        if v != r + ct[r % n]:
+            exc[r] = v
+    for p, w in ge.items():
+        ray = p % n
+        step = ct[ray]
+        if p not in ce:
+            q = p + step
+            v = ge[q] if q in ge else q + gt.get(ray, 0)
+            if v != w + ct[w % n]:
+                exc[w] = v
+        q = p - step
+        if step and q >= 0 and q not in ce:
+            r = ge[q] if q in ge else q + gt.get(ray, 0)
+            if w != r + ct[r % n]:
+                exc[r] = w
+    return exc
 
 
 def brute_force_conjugator(
@@ -146,16 +188,20 @@ def brute_force_conjugator(
     radius L costs one conjugation by a letter per reduced word of length
     at most L/2 on each side, and builds no element of the ball.
 
-    Each node is a word and a bare table: conjugation keeps the
-    translation, so every x^-1 a x has a.t and every u b u^-1 has b.t, and
-    `core._conjugated_table` carries a table through a letter's table and
-    steps with no element built.  The index is keyed on tables alone, as
-    frozensets of their entries, so a lookup reads no n-int translation:
-    a valid table fixes t, as t_i is the number of its images on ray i
-    less the number of its points there.  A prefix is looked up at two
-    lengths, with one key built once; the prefixes of the last level are
-    never extended, so they keep their keys and not their tables.  What a
-    node saves is a fixed cost, so the gain is largest on small tables.
+    Each node is a word and a bare table on points coded as ints, (i, m)
+    as m * n + i - 1: conjugation keeps the translation, so every
+    x^-1 a x has a.t and every u b u^-1 has b.t, and
+    `_coded_conjugated_table` carries a coded table through a letter's
+    coded table and steps with no element built and no point tuple.  a's
+    and b's tables and translations are coded once per search.  The index
+    is keyed on tables alone, as frozensets of their coded entries, so a
+    lookup reads no n-int translation: the coding is a bijection on
+    points, and a valid table fixes t, as t_i is the number of its images
+    on ray i less the number of its points there.  A prefix is looked up
+    at two lengths, with one key built once; the prefixes of the last
+    level are never extended, so they keep their keys and not their
+    tables.  What a node saves is a fixed cost, so the gain is largest on
+    small tables.
 
     Size.  Before any letter's table is built, ValueError refuses a search
     whose ball has more than MAX_WORDS reduced words (more than radius 14
@@ -200,17 +246,19 @@ def _joined_search(
     a: HoughtonElement, b: HoughtonElement, radius: int, letters: Tuple[_SearchLetter, ...]
 ) -> Optional[_Letters]:
     """The first reduced hit of least length in letter order, from the
-    half-balls of `brute_force_conjugator`'s docstring, on bare tables."""
-    at, bt = a.t, b.t
+    half-balls of `brute_force_conjugator`'s docstring, on coded tables."""
+    n = a.n
+    at, bt = tuple(v * n for v in a.t), tuple(v * n for v in b.t)
+    ae, be = _coded_table(n, a.exceptions.items()), _coded_table(n, b.exceptions.items())
     # (x, the table of x^-1 a x, the letter that may not follow x, the
     # table's key) and (u, the table of u b u^-1, the letter that may not
     # come before u) over the reduced words of one length, in letter
     # order.  A prefix is looked up at two lengths, so its key is built
     # once; a prefix that is never extended keeps no table
-    prefixes = [((), a.exceptions, None, frozenset(a.exceptions.items()))]
-    suffixes = [((), b.exceptions, None)]
+    prefixes = [((), ae, None, frozenset(ae.items()))]
+    suffixes = [((), be, None)]
     # the key of u b u^-1 -> the first u with each first letter, in order
-    index: Dict[frozenset, Dict[Optional[_Letter], _Letters]] = {frozenset(b.exceptions.items()): {None: ()}}
+    index: Dict[frozenset, Dict[Optional[_Letter], _Letters]] = {frozenset(be.items()): {None: ()}}
     for length in range(radius + 1):
         if length % 2:
             keep = length + 2 <= radius
@@ -218,12 +266,12 @@ def _joined_search(
             for x, c, after, _ in prefixes:
                 for m, ge, gt, stop, _, _ in letters:
                     if m != after:
-                        table = _conjugated_table(c, at, ge, gt)
+                        table = _coded_conjugated_table(n, c, at, ge, gt)
                         level.append((x + (m,), table if keep else None, stop, frozenset(table.items())))
             prefixes = level
         elif length:
             suffixes = [
-                ((m,) + u, _conjugated_table(c, bt, ge, gt), stop)
+                ((m,) + u, _coded_conjugated_table(n, c, bt, ge, gt), stop)
                 for m, _, _, stop, ge, gt in letters
                 for u, c, before in suffixes
                 if m != before

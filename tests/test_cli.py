@@ -4,9 +4,11 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,26 @@ def test_running_out_of_memory_is_data_error(tmp_path):
     # the command exits 2 with one error line, not a traceback
     code, out, err = run_limited(tmp_path, "eval", "-n", "1000000000", "g2")
     assert (code, out) == (2, "") and err == "error: out of memory\n"
+
+
+def test_memory_error_in_a_command_is_data_error(capsys, monkeypatch):
+    # the handler of the subprocess test above, in this process
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._GRAMMAR, "eval", cli._GRAMMAR["eval"]._replace(run=exhausted))
+    assert run(capsys, "eval", "-n", "3", "g2") == (2, "", "error: out of memory\n")
+
+
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    # `python -m houghton.cli`, in this process: the module is imported
+    # already, which runpy warns of, and runs again as __main__
+    monkeypatch.setattr(sys, "argv", ["houghton", "eval", "-n", "3", "g2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("houghton.cli", run_name="__main__")
+    assert exc.value.code == 0 and capsys.readouterr().out == serialize(generator(3, "g2")) + "\n"
 
 
 def test_stdin_input(capsys, monkeypatch):

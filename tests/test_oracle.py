@@ -19,7 +19,7 @@ from houghton import (
     verify,
 )
 from houghton import conjugacy, oracle
-from houghton.core import _conjugated_table
+from houghton.core import _conjugated_table, _letter_rule
 from houghton.oracle import (
     MAX_WORDS,
     SearchBudget,
@@ -83,13 +83,53 @@ def count_conjugations(monkeypatch):
     """Records the table of every conjugation by a letter that the oracle
     makes from then on."""
     conjugated = []
+    product = oracle._coded_conjugated_table
 
-    def counting_conjugated_table(ce, ct, ge, gt):
+    def counting_conjugated_table(n, ce, ct, ge, gt):
         conjugated.append(ce)
-        return _conjugated_table(ce, ct, ge, gt)
+        return product(n, ce, ct, ge, gt)
 
-    monkeypatch.setattr(oracle, "_conjugated_table", counting_conjugated_table)
+    monkeypatch.setattr(oracle, "_coded_conjugated_table", counting_conjugated_table)
     return conjugated
+
+
+def decoded_table(n, coded):
+    return {(p % n + 1, p // n): (q % n + 1, q // n) for p, q in coded.items()}
+
+
+def test_coded_product_matches_the_product_on_tables():
+    # the search's product on coded points against core's on tables, for
+    # every signed letter of H_n from the search's letter cache, and for
+    # elements with more than one table point on a ray, on random elements
+    # and on tables with an entry at (1, 0), whose code is 0: a coded image
+    # of 0 must count as an image, not as a miss
+    for n in range(2, 7):
+        elements = [random_element(n, seed, profile) for seed in range(25) for profile in ("word-8", "fsym")]
+        elements += [
+            HoughtonElement(n, (0,) * n, {(1, 0): (n, 2), (n, 2): (1, 0)}),
+            HoughtonElement(n, (0,) * n, {(1, 0): (2, 0), (2, 0): (1, 1), (1, 1): (1, 0)}),
+            evaluate(Word.parse(n, "g2 g%d g2" % n)),
+            evaluate(Word.parse(n, "g2' g%d'" % n)),
+        ]
+        assert any((1, 0) in c.exceptions for c in elements)
+        assert any((1, 0) in c.exceptions.values() for c in elements)
+        conjugators = []
+        for m, ge, gt, _, _, _ in oracle._search_tables(n):
+            entries, moves = _letter_rule(n, m)
+            assert decoded_table(n, ge) == dict(entries)
+            steps = [0] * n
+            for i, step in moves:
+                steps[i - 1] = step
+            conjugators.append((dict(entries), steps, ge, gt))
+        for g in elements[:10]:
+            gt = {i: step * n for i, step in enumerate(g.t) if step}
+            conjugators.append((g.exceptions, g.t, oracle._coded_table(n, g.exceptions.items()), gt))
+        for entries, steps, ge, gt in conjugators:
+            for c in elements:
+                coded = oracle._coded_conjugated_table(
+                    n, oracle._coded_table(n, c.exceptions.items()), tuple(v * n for v in c.t), ge, gt
+                )
+                assert decoded_table(n, coded) == _conjugated_table(c.exceptions, c.t, entries, steps), (n, c)
 
 
 def test_brute_force_refuses_a_ball_over_the_cap(monkeypatch):

@@ -12,9 +12,11 @@ a `call` or `line` event at it.  The package is imported only after the
 tracer is set, so its module-level lines count too.
 
 Only this process is traced.  Lines that run only in a subprocess, as the
-CLI tests start `houghton` in one, show up as unrun: the `MemoryError`
-handler of `cli.main` and the `__main__` guards, for instance.  The suite
-runs slower under the tracer than without it.
+CLI tests start `houghton` in one, show up as unrun unless a test also
+runs them in-process, as the CLI tests do for the `MemoryError` handler
+of `cli.main` (through a command that raises it) and for its `__main__`
+guard (through `runpy`).  The suite runs slower under the tracer than
+without it.
 """
 
 from __future__ import annotations
