@@ -13,6 +13,8 @@ The solver layers:
                         with those of b, solve the orbit-shift equations
                         for a translation s that a conjugator with that
                         pairing has, and build it at s
+  _orbit_refusal        the tag of conjugate's "no" once an ends class has
+                        no exact pairing: only a "no" counts sums mod gcd(t)
 
 Every positive answer carries an element x with x^-1 * a * x = b, checked
 exactly before it is returned; an x that fails the check raises RuntimeError.
@@ -136,7 +138,9 @@ def _forced_conjugator(
     Fixed points.  x maps a fixed point p of a to p + s wherever that is a
     fixed point of b; the others (`_unmatched_fixed`) of a and of b are
     paired in sorted order, and their counts must agree.  That check
-    comes first.
+    comes first.  It is skipped when neither a nor b has an entry p -> p
+    and every ray moves: then neither fixes any point (by the argument of
+    `_unmatched_fixed`), so both lists are empty.
 
     Finite cycles.  x maps each cycle of a onto one of b of equal length,
     aligned at their least points, and paired in the order of those points.
@@ -172,11 +176,13 @@ def _forced_conjugator(
     it.  x is checked by the constructor's bijectivity and minimality
     checks and then once by verify; a failure there raises RuntimeError.
     """
-    unmatched_a = _unmatched_fixed(a, b, s)
-    unmatched_b = _unmatched_fixed(b, a, [-v for v in s])
-    if len(unmatched_a) != len(unmatched_b):
-        return _no(SUPPORT_COUNT_MISMATCH)
-    mapping: Dict[Point, Point] = dict(zip(unmatched_a, unmatched_b))
+    mapping: Dict[Point, Point] = {}
+    if data_a.fixed or data_b.fixed or 0 in a.t:
+        unmatched_a = _unmatched_fixed(a, b, s)
+        unmatched_b = _unmatched_fixed(b, a, [-v for v in s])
+        if len(unmatched_a) != len(unmatched_b):
+            return _no(SUPPORT_COUNT_MISMATCH)
+        mapping.update(zip(unmatched_a, unmatched_b))
 
     # the runs to merge, pair by pair, each run not empty: the finite cycles
     # (equal cycle types, so a stable sort by length pairs the cycles of
@@ -187,14 +193,14 @@ def _forced_conjugator(
         for ca, cb in zip(sorted(data_a.dec.finite_cycles, key=_LENGTH), sorted(data_b.dec.finite_cycles, key=_LENGTH)):
             seq_a += ca.runs
             seq_b += cb.runs
-    t = a.t
+    t, shifts = a.t, (0, *s)  # shifts[i] = s_i
     width = 0  # the widest window
     index_b = data_b.orbit_index()
     for pos, _, pos_cut, neg, neg_residue, neg_cut, runs, spine_len in data_a.dec.infinite_orbits:
-        up, down, shift = t[pos - 1], -t[neg - 1], s[neg - 1]
+        up, down, shift = t[pos - 1], -t[neg - 1], shifts[neg]
         pos_b, _, pos_cut_b, _, _, neg_cut_b, runs_b, len_b = index_b[neg][(neg_residue + shift) % down]
         d = (neg_cut_b - neg_cut - shift) // down + spine_len - len_b
-        if pos_b != pos or pos_cut_b + up * d != pos_cut + s[pos - 1]:
+        if pos_b != pos or pos_cut_b + up * d != pos_cut + shifts[pos]:
             return _no(FORCED_MAP_INCONSISTENT)
         # the window k in [lo, hi) as runs: a piece of the incoming tail,
         # the spine and a piece of the outgoing tail, of O and of O'
@@ -220,8 +226,8 @@ def _forced_conjugator(
         while left:
             if not left_b:
                 ray_b, m_b, step_b, left_b = next(rest_b)
-            count = min(left, left_b)
-            if ray != ray_b or m_b != m + s[ray - 1]:
+            count = left if left < left_b else left_b
+            if ray != ray_b or m_b != m + shifts[ray]:
                 if len(mapping) + count > _WALK_LIMIT:
                     raise WalkLimitError("a conjugator needs more than %d table entries" % _WALK_LIMIT)
                 for k in range(count):
@@ -446,6 +452,36 @@ def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]
     return {ray: v + lo * t[ray - 1] for ray, v in part.items()}
 
 
+def _orbit_refusal(
+    t: Sequence[int], classes: Sequence[Sequence[InfiniteOrbit]], index_b: _OrbitIndex, drawn: List[tuple]
+) -> str:
+    """The tag of a refusal of `conjugate`, once some ends class has no
+    exact choice.  `drawn` holds, for each class that `conjugate` visited
+    in order, its `_class_shifts` generator and the parts drawn from it.
+
+    The tag needs only the sums of s mod g, with g = gcd(t) when every ray
+    moves and 1 otherwise.  Each class takes the sums of the parts already
+    drawn and goes on drawing, from its resumed generator or a new one for
+    a class not visited, only until its sums cover every residue mod g;
+    one pass over the classes then collects the sums they reach together,
+    in classes x choices x g steps.  The answer is orbit-shift-mismatch
+    when 0 is among them, else orbit-pairing-mismatch.  No choice is
+    generated twice.
+    """
+    modulus = gcd(*t) if 0 not in t else 1
+    sums = {0}  # the sums of s mod g that the classes reach together
+    for k, orbits in enumerate(classes):
+        choices, parts = drawn[k] if k < len(drawn) else (_class_shifts(t, orbits, index_b), ())
+        reached = {sum(part.values()) % modulus for part in parts}
+        if len(reached) < modulus:
+            for part, _ in choices:
+                reached.add(sum(part.values()) % modulus)
+                if len(reached) == modulus:
+                    break
+        sums = {(q + r) % modulus for q in sums for r in reached}
+    return ORBIT_SHIFT_MISMATCH if 0 in sums else ORBIT_PAIRING_MISMATCH
+
+
 def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     """The full conjugacy decision in H_n, with certificate.
 
@@ -506,14 +542,8 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     Decision.  By the existence argument an exact combination is a yes,
     and the first in the order of the choices takes the first exact
     choice of every class.  The choices of a class are generated lazily,
-    and each class stops at its first exact one.  When some class has no
-    exact choice, the tag needs only the sums of s mod g, with g = gcd(t)
-    when every ray moves and 1 otherwise.  Each class keeps the sums of
-    the choices it generated and goes on generating only until its sums
-    cover every residue mod g; one pass over the classes then collects
-    the sums they reach together, in classes x choices x g steps, and the
-    answer is orbit-shift-mismatch when 0 is among them, else
-    orbit-pairing-mismatch.  No choice is generated twice.
+    and each class stops at its first exact one; when some class has
+    none, `_orbit_refusal` names the tag from the choices drawn so far.
     For a yes, `_forced_conjugator` builds x of translation s as in the
     existence argument: it pairs each orbit of a with its partner in b,
     solves for d_O and reads x off the two orbits' runs.  x is verified
@@ -535,35 +565,25 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     if data_a.cycle_lengths != data_b.cycle_lengths:
         return _no(CYCLE_TYPE_MISMATCH)
 
-    modulus = gcd(*a.t) if 0 not in a.t else 1
+    t = a.t
     index_b = data_b.orbit_index()
-    per_class = [_class_shifts(a.t, orbits, index_b) for orbits in data_a.ends_classes()]
-    totals = [set() for _ in per_class]  # per class, the sums mod g of the choices generated
-    firsts = []
-    for choices, reached in zip(per_class, totals):
+    classes = data_a.ends_classes()
+    drawn = []  # per class visited, its choices and the parts drawn from them
+    s = [0] * a.n
+    for orbits in classes:
+        choices = _class_shifts(t, orbits, index_b)
+        parts = []
+        drawn.append((choices, parts))
         for part, exact in choices:
-            reached.add(sum(part.values()) % modulus)
+            parts.append(part)
             if exact:
-                firsts.append(part)
+                for ray, value in _least_translation(t, part).items():
+                    s[ray - 1] = value
                 break
         else:
-            break
-    if len(firsts) < len(per_class):
-        sums = {0}  # the sums of s mod g that the classes reach together
-        for choices, reached in zip(per_class, totals):
-            if len(reached) < modulus:
-                for part, _ in choices:
-                    reached.add(sum(part.values()) % modulus)
-                    if len(reached) == modulus:
-                        break
-            sums = {(q + r) % modulus for q in sums for r in reached}
-        return _no(ORBIT_SHIFT_MISMATCH if 0 in sums else ORBIT_PAIRING_MISMATCH)
-    s = [0] * a.n
-    for part in firsts:
-        for ray, value in _least_translation(a.t, part).items():
-            s[ray - 1] = value
-    if 0 in a.t:
-        s[a.t.index(0)] -= sum(s)
+            return _no(_orbit_refusal(t, classes, index_b, drawn))
+    if 0 in t:
+        s[t.index(0)] -= sum(s)
     elif sum(s):
         raise RuntimeError("exact orbit shifts with sum %d while every ray moves" % sum(s))
     need = sum(v for v in s if v > 0)

@@ -778,6 +778,44 @@ def test_conjugate_generates_each_choice_once(monkeypatch):
     assert reasons == {None, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}
 
 
+def test_yes_never_reaches_the_refusal_stage(monkeypatch):
+    # the sums mod gcd(t) are counted only once some class has no exact
+    # choice: a yes never runs the refusal stage, an orbit-tag refusal runs
+    # it once, and a refusal by translation or cycle type never does
+    pairs = list(same_invariant_pairs(CROSS_CHECK_FAMILIES))
+    for seed in range(100):
+        n = 2 + seed % 3
+        a = evaluate(random_word(n, seed, 1 + seed % 8))
+        pairs.append((a, conjugate_element(a, evaluate(random_word(n, seed + 500, 1 + seed % 6)))))
+        pairs.append((a, evaluate(random_word(n, seed + 1000, 1 + seed % 8))))
+    calls = []
+    stage = conjugacy._orbit_refusal
+
+    def counted(*args):
+        calls.append(args)
+        return stage(*args)
+
+    monkeypatch.setattr(conjugacy, "_orbit_refusal", counted)
+    yes, reasons = [], collections.Counter()
+    for a, b in pairs:
+        del calls[:]
+        out = conjugate(a, b)
+        assert len(calls) == (out.reason in (ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH)), out.reason
+        if out.is_conjugate:
+            yes.append((a, b))
+        reasons[out.reason] += 1
+    assert set(reasons) == {None, TRANSLATION_MISMATCH, CYCLE_TYPE_MISMATCH, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}
+    assert len(yes) >= 600, reasons
+
+    def refuse(*args):
+        raise AssertionError("a yes reached the refusal stage")
+
+    monkeypatch.setattr(conjugacy, "_orbit_refusal", refuse)
+    for a, b in yes:
+        for g, h in ((a, b), (fresh(a), fresh(b))):
+            assert conjugate(g, h).is_conjugate
+
+
 @pytest.mark.parametrize(
     "k, b_blocks, zero_ray, radius", [(1, 1, False, 12), (2, 1, False, 6), (2, 2, False, 6), (1, 1, True, 7)]
 )
@@ -931,6 +969,27 @@ def test_builder_matches_dense_reference_at_any_translation():
                 assert got.bounds == reference_bounds(a.t, dec_a, dec_b, s)
             reasons[want.reason] += 1
     assert reasons == {None: 493, SUPPORT_COUNT_MISMATCH: 1061, FORCED_MAP_INCONSISTENT: 1629}
+
+
+def test_nothing_is_fixed_without_fixed_entries_or_a_still_ray():
+    # the builder skips the fixed-point matching when neither element has
+    # an entry p -> p and every ray moves: then neither fixes a point, so
+    # the points read one by one leave nothing to match either way round.
+    # The pairs and translations are those of the dense-reference test
+    rng = random.Random(22)
+    skipped = 0
+    for a, b in same_invariant_pairs(CROSS_CHECK_FAMILIES):
+        fixes = [any(p == q for p, q in g.exceptions.items()) for g in (a, b)]
+        for g, has_fixed in zip((a, b), fixes):
+            assert bool(orbits._conjugacy_data(g).fixed) == has_fixed
+        for _ in range(3):
+            s = [rng.randint(-5, 5) for _ in range(a.n - 1)]
+            s = tuple(s + [-sum(s)])
+            if not any(fixes) and 0 not in a.t:
+                assert reference_unmatched_fixed(a, b, s) == []
+                assert reference_unmatched_fixed(b, a, [-v for v in s]) == []
+                skipped += 1
+    assert skipped >= 300, skipped
 
 
 def test_builder_limits_the_certificate(monkeypatch):
