@@ -417,39 +417,36 @@ def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]
     """The translation `part` of one ends class (ray -> s_i) moved by the
     k * t that minimises f(k) = sum |s_i + k * t_i| over the class's rays;
     among the minimisers, the k nearest 0.  f is convex, so its step
-    f(k + 1) - f(k) grows with k, and it is found by bisection: it is
-    positive from k = max |s_i| on and negative below -max |s_i|."""
-
-    def slope(k: int) -> int:
-        return sum(abs(v + (k + 1) * t[ray - 1]) - abs(v + k * t[ray - 1]) for ray, v in part.items())
-
-    # f(-1), f(0) and f(1) in one pass: slope(0) = f(1) - f(0) and
-    # slope(-1) = f(0) - f(-1), and most classes stop at k = 0
+    f(k + 1) - f(k) grows with k: it is positive from k = max |s_i| on and
+    negative below -max |s_i|.  So the minimisers lie at k > 0 when
+    f(1) < f(0), at k < 0 when f(-1) < f(0), and k = 0 otherwise.  The
+    mirror k -> -k makes both sides one search: with σ = ±1 (`sign`) the
+    side, g(j) = f(σj) is convex and falls from j = 0 to 1, so its
+    minimiser nearest 0 is the least j in [1, max |s_i|] with
+    g(j + 1) >= g(j), found by bisection.  For σ = -1 that is the greatest
+    k < 0 with f(k) - f(k - 1) <= 0."""
+    # f(-1), f(0) and f(1) in one pass, and most classes stop at k = 0
     before = here = after = 0
     for ray, v in part.items():
         step = t[ray - 1]
         before += abs(v - step)
         here += abs(v)
         after += abs(v + step)
-    if after < here:  # the least k > 0 with slope(k) >= 0
-        lo, hi = 1, max(abs(v) for v in part.values())
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if slope(mid) >= 0:
-                hi = mid
-            else:
-                lo = mid + 1
-    elif here > before:  # the greatest k < 0 with slope(k - 1) <= 0
-        lo, hi = -max(abs(v) for v in part.values()), -1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if slope(mid - 1) <= 0:
-                lo = mid
-            else:
-                hi = mid - 1
+    if after < here:
+        sign = 1
+    elif before < here:
+        sign = -1
     else:
         return part
-    return {ray: v + lo * t[ray - 1] for ray, v in part.items()}
+    lo, hi = 1, max(map(abs, part.values()))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        k = sign * mid
+        if sum(abs(v + (k + sign) * t[ray - 1]) - abs(v + k * t[ray - 1]) for ray, v in part.items()) >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return {ray: v + sign * lo * t[ray - 1] for ray, v in part.items()}
 
 
 def _orbit_refusal(

@@ -645,6 +645,29 @@ def test_least_translation_per_class():
         cost = lambda k: sum(abs(v + k * t[ray - 1]) for ray, v in part.items())
         best = min(range(-30, 31), key=lambda k: (cost(k), abs(k)))
         assert least(t, part) == {ray: v + best * t[ray - 1] for ray, v in part.items()}
+    # a seeded sweep of classes of 2 to 5 rays, nonzero t_i summing to 0 and
+    # |s_i| up to 10^6: the k returned is a least point of f, and the point
+    # next to it towards 0 is not
+    rng = random.Random("least translation")
+    seen = collections.Counter()
+    for _ in range(3000):
+        t = [0]
+        while not t[-1]:
+            t = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 4))]
+            t.append(-sum(t))
+        big = rng.choice((3, 40, 10**6))
+        part = {ray: rng.randint(-big, big) for ray in range(1, len(t) + 1)}
+        out = least(t, part)
+        k = (out[1] - part[1]) // t[0]
+        assert out == {ray: v + k * t[ray - 1] for ray, v in part.items()}
+        f = lambda j: sum(abs(v + j * t[ray - 1]) for ray, v in part.items())
+        sign = (k > 0) - (k < 0)
+        assert f(k) <= f(k - 1) and f(k) <= f(k + 1), (t, part, k)
+        assert not sign or f(k - sign) > f(k), (t, part, k)
+        seen[sign] += 1
+        seen["tie"] += f(k) in (f(k - 1), f(k + 1))
+        seen["long"] += abs(k) > 1000
+    assert min(seen.values()) >= 100, seen
 
 
 def test_conjugate_translation_over_walk_limit_exits_2(monkeypatch, capsys, tmp_path):

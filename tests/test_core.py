@@ -1,9 +1,11 @@
 import hashlib
-import itertools
+import importlib.util
 import json
 import random
 import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -586,30 +588,46 @@ def dense_bijection(n, t, table):
     )
 
 
+CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+
+
+def census_tool():
+    """`tools/census.py` as a module; sys.path is put back after its import."""
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("census_under_test", CENSUS)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
 def test_validation_accepts_exactly_the_bijections():
-    # every table of distinct images on small offsets, 61,644 in all: the
-    # constructor accepts one exactly when the dense reference does
-    sweep = [
-        (2, [(0, 0), (1, -1), (-1, 1), (2, -2), (-2, 2)], 3, 4),
-        (3, [(0, 0, 0)] + list(itertools.permutations((1, -1, 0))), 2, 3),
-    ]
+    # every table of distinct images on small offsets, 61,644 in all (the
+    # sweep of tools/census.py): the constructor accepts one exactly when
+    # the dense reference does
     tables = accepted = 0
-    for n, vectors, offsets, most in sweep:
-        points = [(i, m) for i in range(1, n + 1) for m in range(offsets)]
-        for t in vectors:
-            for k in range(most + 1):
-                for domain in itertools.combinations(points, k):
-                    for images in itertools.permutations(points, k):
-                        table = dict(zip(domain, images))
-                        try:
-                            HoughtonElement(n, t, table)
-                            valid = True
-                        except InvalidElementError:
-                            valid = False
-                        assert valid == dense_bijection(n, t, table), (n, t, table)
-                        tables += 1
-                        accepted += valid
+    for n, t, table in census_tool().tables():
+        try:
+            HoughtonElement(n, t, table)
+            valid = True
+        except InvalidElementError:
+            valid = False
+        assert valid == dense_bijection(n, t, table), (n, t, table)
+        tables += 1
+        accepted += valid
     assert (tables, accepted) == (61_644, 567)
+
+
+def test_census_components_stay_in_one_class():
+    # the 567 valid tables of that sweep, partitioned by `conjugate` and by
+    # conjugation with letters through elements of at most 6 entries at
+    # offsets below 4, computed without the package: a component that held
+    # two classes would show a wrong answer.  The counts are a run's
+    classes, components, visited, spans = census_tool().census(4)
+    assert spans == []
+    assert (classes, components, visited) == (64, 72, 85_130)
 
 
 def roundtrip_pool():
