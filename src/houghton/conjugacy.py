@@ -39,6 +39,7 @@ from .core import (
 )
 from .orbits import (
     _LENGTH,
+    _WALK_LIMIT,
     InfiniteOrbit,
     Run,
     WalkLimitError,
@@ -57,8 +58,6 @@ CYCLE_TYPE_MISMATCH = "cycle-type-mismatch"
 FORCED_MAP_INCONSISTENT = "forced-map-inconsistent"
 ORBIT_PAIRING_MISMATCH = "orbit-pairing-mismatch"
 ORBIT_SHIFT_MISMATCH = "orbit-shift-mismatch"
-
-_WALK_LIMIT = 10_000_000  # the most table entries a certificate may have
 
 
 class BoundData(NamedTuple):
@@ -272,9 +271,15 @@ def construct_translation_element(n: int, w: Sequence[int]) -> HoughtonElement:
     """An element with translation vector w: the points (j, m) with
     m < -w_j go, in ray order, onto the points (i, m) with m < w_i, in ray
     order.  `conjugate` does not use it: it builds its certificate at the
-    translation it solves for."""
+    translation it solves for.  WalkLimitError is raised, before any list
+    is built, when the element would have more than _WALK_LIMIT table
+    entries."""
     _check_n(n, InvalidElementError)
     w = [_integer(v) for v in w]
+    # the sum of the positive w_i when w sums to 0; when it does not, at
+    # least half the longer list, which the constructor then refuses
+    if sum(map(abs, w)) // 2 > _WALK_LIMIT:
+        raise WalkLimitError("a translation element needs more than %d table entries" % _WALK_LIMIT)
     sources = [(j, m) for j, v in enumerate(w, 1) for m in range(-v)]
     targets = [(i, m) for i, v in enumerate(w, 1) for m in range(v)]
     return HoughtonElement(n, w, zip(sources, targets))
@@ -284,7 +289,10 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
     """The product of all infinite cycles of g living on one ends class.
 
     The result commutes with g, translates like g on the class's rays and
-    fixes the other rays almost everywhere.
+    fixes the other rays almost everywhere.  Its table is counted from the
+    runs of g's orbits before any run is listed point by point, and
+    WalkLimitError is raised when it would have more than _WALK_LIMIT
+    entries.
     """
     cls = frozenset(ray_class)
     data = _conjugacy_data(g)
@@ -301,21 +309,28 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
     # rays, which lies on another orbit or a finite cycle or is fixed by g.
     # Far out on the class's rays g translates, so nothing else differs
     exc: Dict[Point, Point] = {}
+    still: List[Run] = []  # runs whose points the result fixes
+    moved: List[Run] = []  # runs whose points it moves as g does
     for o in dec.infinite_orbits:
         for run in o.runs:
             if o.pos_ray not in cls:
                 if run[0] in cls:
-                    exc.update((p, p) for p in run_points([run]))
+                    still.append(run)
             elif run[0] not in cls:
-                exc.update((p, apply(g, p)) for p in run_points([run]))
+                moved.append(run)
             else:
                 ray, start, step, count = run
                 last = (ray, start + (count - 1) * step)
                 if last in g.exceptions:
                     exc[last] = g.exceptions[last]
     for c in dec.finite_cycles:
-        exc.update((p, p) for p in run_points(run for run in c.runs if run[0] in cls))
+        still += (run for run in c.runs if run[0] in cls)
     exc.update((p, p) for p in data.fixed if p[0] in cls)
+    # the runs' points are distinct from each other and from those in exc
+    if len(exc) + sum(run[3] for run in still + moved) > _WALK_LIMIT:
+        raise WalkLimitError("a centralizer element needs more than %d table entries" % _WALK_LIMIT)
+    exc.update((p, p) for p in run_points(still))
+    exc.update((p, apply(g, p)) for p in run_points(moved))
     return HoughtonElement(g.n, t_masked, exc)
 
 
@@ -519,8 +534,8 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     takes the k that minimises the sum of |s_i + k * t_i| over E.  A
     conjugator of translation s has at least the sum of the positive s_i
     table entries (the points (i, m) with m < s_i are hit by no tail), so
-    when that sum is over the limit of certificate entries, WalkLimitError
-    is raised before the conjugator is built.
+    when that sum is over _WALK_LIMIT, WalkLimitError is raised before
+    the conjugator is built.
 
     Existence.  Take a combination that gives every ray one value s_i (an
     exact one).  Mapping o_k to o'_{k+d_O} on every orbit is a bijection

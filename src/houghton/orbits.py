@@ -33,7 +33,8 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Option
 
 from .core import HoughtonElement, InvalidElementError, Point, _check_same_n
 
-_TRACE_LIMIT = 10_000_000
+# the most points a walk may list, or a built table may hold
+_WALK_LIMIT = 10_000_000
 
 Run = Tuple[int, int, int, int]  # (ray, start offset, step, count)
 _LENGTH = attrgetter("length")  # of a finite cycle
@@ -126,8 +127,8 @@ class EndsPartition(NamedTuple):
 def _check_limit(steps: int) -> None:
     """Refuse to list more points of an orbit than the limit of a walk,
     which the error names as it is when raised."""
-    if steps > _TRACE_LIMIT:
-        raise WalkLimitError("an orbit walk would take more than %d steps" % _TRACE_LIMIT)
+    if steps > _WALK_LIMIT:
+        raise WalkLimitError("an orbit walk would take more than %d steps" % _WALK_LIMIT)
 
 
 def _next_domain(index: Dict[Tuple[int, int], List[int]], i: int, m: int, step: int) -> Optional[int]:

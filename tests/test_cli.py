@@ -390,7 +390,7 @@ def test_orbits_walk_limit_exits_2(capsys, tmp_path, monkeypatch):
 
     path = tmp_path / "h.json"
     path.write_text(MULTI_RUN, encoding="utf-8")
-    monkeypatch.setattr(orbits, "_TRACE_LIMIT", 1)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", 1)
     code, out, err = run(capsys, "orbits", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -402,7 +402,7 @@ def test_orbits_spine_beyond_limit_exits_2(capsys, tmp_path, monkeypatch):
 
     swap = HoughtonElement(2, (0, 0), {(1, 100): (1, 101), (1, 101): (1, 100)})
     path = write_element(tmp_path, "g.json", compose(generator(2, "g2"), swap))
-    monkeypatch.setattr(orbits, "_TRACE_LIMIT", 50)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", 50)
     code, out, err = run(capsys, "orbits", path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -416,7 +416,7 @@ def test_orbits_cycle_beyond_limit_exits_2(capsys, tmp_path, monkeypatch):
 
     swap = HoughtonElement(2, (0, 0), {(1, 51): (2, 51), (2, 51): (1, 51)})
     path = write_element(tmp_path, "g.json", compose(generator(2, "g2"), swap))
-    monkeypatch.setattr(orbits, "_TRACE_LIMIT", 50)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", 50)
     code, out, err = run(capsys, "orbits", path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err

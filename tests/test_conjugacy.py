@@ -341,6 +341,41 @@ def test_centralizer_element_far_offset():
     assert c == generator(3, "g2")
 
 
+def long_run(d):
+    """g in H_4 with t = (1, -1, 1, -1) whose orbit of the class {1, 2}
+    crosses ray 3, of the class {3, 4}, in a run of d + 1 points."""
+    return HoughtonElement(4, (1, -1, 1, -1), {(2, 0): (3, 0), (3, d): (1, 0), (4, 0): (3, d + 1)})
+
+
+def test_centralizer_element_far_run_hits_the_walk_limit():
+    # listing the run would take 10^9 entries; it is refused before any is listed
+    g = long_run(10**9)
+    started = time.process_time()
+    with pytest.raises(WalkLimitError):
+        centralizer_element(g, {1, 2})
+    assert time.process_time() - started < 0.1
+
+
+def test_centralizer_element_limit_counts_its_entries(monkeypatch):
+    g = long_run(50)
+    entries = len(centralizer_element(g, {1, 2}).exceptions)
+    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", entries)
+    c = centralizer_element(g, {1, 2})
+    assert compose(c, g) == compose(g, c)
+    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", entries - 1)
+    with pytest.raises(WalkLimitError):
+        centralizer_element(g, {1, 2})
+
+
+def test_construct_translation_limit_counts_its_entries(monkeypatch):
+    d = 50
+    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d)
+    assert len(construct_translation_element(3, (d, 0, -d)).exceptions) == d
+    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d - 1)
+    with pytest.raises(WalkLimitError):
+        construct_translation_element(3, (d, 0, -d))
+
+
 # -- bounds -------------------------------------------------------------------------
 
 

@@ -247,7 +247,7 @@ def test_finite_cycle_points_obey_the_walk_limit(monkeypatch):
     swap = HoughtonElement(2, (0, 0), {(1, far): (2, far), (2, far): (1, far)})
     (cycle,) = cycle_decomposition(compose(generator(2, "g2"), swap)).finite_cycles
     assert cycle == FiniteCycle(((1, 0, 1, far), (2, far, -1, far + 1)), 2 * far + 1)
-    monkeypatch.setattr(orbits, "_TRACE_LIMIT", 2 * far)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", 2 * far)
     with pytest.raises(orbits.WalkLimitError):
         cycle.points
 

@@ -14,10 +14,11 @@ It is partitioned twice:
   components  by conjugation with each signed letter, walked only
               through elements whose table points all lie at offsets
               below a width W, with at most `MOST_ENTRIES` entries.  The
-              products are computed here from the generators' definitions
-              (`_letter`, a copy of the letter rule of `bench/check.py`)
-              and the tail rule (i, m) -> (i, m + t_i), never with the
-              package, so this side shares no arithmetic with `conjugate`.
+              products are computed here from the letter rule of
+              `bench/check.py` (`_letter`) and the tail rule
+              (i, m) -> (i, m + t_i), never with the package, which
+              `bench/check.py` does not call either, so this side shares no
+              arithmetic with `conjugate`.
 
 Each move of the walk is a conjugation, so a component lies in one
 conjugacy class, and a component that holds elements of two classes shows
@@ -38,8 +39,9 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))  # this checkout's package
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]  # this checkout's package and letter rule
 
+from check import _letter, alphabet  # noqa: E402
 from houghton import HoughtonElement, InvalidElementError, conjugate  # noqa: E402
 
 Point = Tuple[int, int]
@@ -78,31 +80,13 @@ def elements() -> List[HoughtonElement]:
     return out
 
 
-def _letter(gid: str, sign: int, p: Point) -> Point:
-    """One letter acting on one point.  g_j pushes ray 1 out by one and
-    ray j in by one, carrying (j, 0) to (1, 0); s swaps (1, 0) and (2, 0)."""
-    i, m = p
-    if gid == "s":
-        return {(1, 0): (2, 0), (2, 0): (1, 0)}.get(p, p)
-    j = int(gid[1:])
-    if sign < 0:  # g_j^-1
-        if i == 1:
-            return (j, 0) if m == 0 else (1, m - 1)
-        return (j, m + 1) if i == j else p
-    if i == 1:
-        return (1, m + 1)
-    if i == j:
-        return (1, 0) if m == 0 else (j, m - 1)
-    return p
-
-
 def letters(n: int) -> List[Tuple[List[int], Dict[int, int]]]:
     """Each signed letter of H_n (g2..gn, their inverses, and s when n = 2)
     on coded points, as (steps, special): it moves the code x to
     special[x] where that is given, else to x + steps[x % n].  Read off
     `_letter`, which moves every point at offset 1 or more along its ray."""
     out = []
-    for c in [("g%d" % j, e) for j in range(2, n + 1) for e in (1, -1)] + ([("s", 1)] if n == 2 else []):
+    for c in alphabet(n):
         u = [_letter(*c, (i, 1))[1] - 1 for i in range(1, n + 1)]
         special = {}
         for i in range(1, n + 1):

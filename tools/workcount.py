@@ -9,8 +9,8 @@ pools of pairs taken from `bench/workloads.py`, which it only imports:
 
   roundtrip       the 400 (a, a^x) pairs of the `roundtrip` workload
   same_invariant  the pairs of `same_invariant_family`
-  far_offsets     the 20 shifted pairs of the `far_offsets` workload, built
-                  as it builds them at seed 1
+  far_offsets     the 20 shifted pairs of the `far_offsets` workload, read
+                  from the documents it writes at seed 1
 
 A count is the number of `opcode` trace events (`sys.settrace` with
 `f_trace_opcodes`) in every Python frame entered during the call.  It
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import random
 import sys
 import tempfile
 from pathlib import Path
@@ -69,24 +68,23 @@ import houghton.cli  # noqa: E402
 import workloads  # noqa: E402
 
 
-def far_offsets_pairs(seed=1):
-    """The shifted pairs that `workloads.far_offsets` builds first: the H_2
-    pairs of the roundtrip pool, each conjugated by a swap of its low
-    points with points near FAR_SHIFT, drawn from one generator of `seed`."""
-    rng = random.Random(seed)
-    pairs = []
-    for k in range(workloads.FAR_SHIFTED):
-        a, b = workloads._roundtrip_pair(houghton, 3 * k)
-        width = 1 + max(a.max_exception_offset(), b.max_exception_offset())
-        y = workloads._lift(houghton, 2, workloads.FAR_SHIFT + rng.randrange(workloads.FAR_SHIFT // 100), width)
-        pairs.append((houghton.conjugate_element(a, y), houghton.conjugate_element(b, y)))
-    return pairs
+def far_offsets_docs(work: Path):
+    """(key, path of a, path of b) of each pair of documents that the
+    `far_offsets` workload writes to `work` at seed 1, in its order."""
+    ops = workloads.far_offsets(houghton, 1, work)
+    return [(op.key, *(work / ("%s-%s.json" % (op.key, name)) for name in "ab")) for op in ops]
 
 
 def pools():
     roundtrip = [workloads._roundtrip_pair(houghton, k) for k in range(workloads.ROUNDTRIP_POOL)]
     same = [(a, b) for _, a, b in workloads.same_invariant_family(houghton)]
-    return {"roundtrip": roundtrip, "same_invariant": same, "far_offsets": far_offsets_pairs()}
+    with tempfile.TemporaryDirectory() as work:
+        far = [
+            tuple(houghton.deserialize(path.read_text(encoding="utf-8")) for path in paths)
+            for key, *paths in far_offsets_docs(Path(work))
+            if key.startswith("shift")
+        ]
+    return {"roundtrip": roundtrip, "same_invariant": same, "far_offsets": far}
 
 
 def bytecodes(call, *args) -> int:
@@ -132,9 +130,7 @@ def oracle_calls(work: Path):
 def far_offsets_calls(work: Path):
     """The counted calls of the `far_offsets` workload, on its documents
     written to `work`."""
-    ops = workloads.far_offsets(houghton, 1, work)
-    argvs = [["conj"] + [str(work / ("%s-%s.json" % (op.key, name))) for name in "ab"] for op in ops]
-    return [(houghton.cli.main, (argv,)) for argv in argvs]
+    return [(houghton.cli.main, (["conj", str(a), str(b)],)) for _, a, b in far_offsets_docs(work)]
 
 
 def main() -> None:
