@@ -37,9 +37,9 @@ from .core import (
     conjugate_element,
     equals,
 )
+from . import orbits as _orbits
 from .orbits import (
     _LENGTH,
-    _WALK_LIMIT,
     InfiniteOrbit,
     Run,
     WalkLimitError,
@@ -219,6 +219,7 @@ def _forced_conjugator(
         if hi + d:
             seq_b.append((pos, pos_cut_b, up, hi + d))
 
+    limit = _orbits._WALK_LIMIT
     rest_b = iter(seq_b)
     left_b = 0
     for ray, m, step, left in seq_a:
@@ -227,8 +228,8 @@ def _forced_conjugator(
                 ray_b, m_b, step_b, left_b = next(rest_b)
             count = left if left < left_b else left_b
             if ray != ray_b or m_b != m + shifts[ray]:
-                if len(mapping) + count > _WALK_LIMIT:
-                    raise WalkLimitError("a conjugator needs more than %d table entries" % _WALK_LIMIT)
+                if len(mapping) + count > limit:
+                    raise WalkLimitError("a conjugator needs more than %d table entries" % limit)
                 for k in range(count):
                     mapping[(ray, m + k * step)] = (ray_b, m_b + k * step_b)
             m += count * step
@@ -278,8 +279,8 @@ def construct_translation_element(n: int, w: Sequence[int]) -> HoughtonElement:
     w = [_integer(v) for v in w]
     # the sum of the positive w_i when w sums to 0; when it does not, at
     # least half the longer list, which the constructor then refuses
-    if sum(map(abs, w)) // 2 > _WALK_LIMIT:
-        raise WalkLimitError("a translation element needs more than %d table entries" % _WALK_LIMIT)
+    if sum(map(abs, w)) // 2 > _orbits._WALK_LIMIT:
+        raise WalkLimitError("a translation element needs more than %d table entries" % _orbits._WALK_LIMIT)
     sources = [(j, m) for j, v in enumerate(w, 1) for m in range(-v)]
     targets = [(i, m) for i, v in enumerate(w, 1) for m in range(v)]
     return HoughtonElement(n, w, zip(sources, targets))
@@ -327,8 +328,8 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
         still += (run for run in c.runs if run[0] in cls)
     exc.update((p, p) for p in data.fixed if p[0] in cls)
     # the runs' points are distinct from each other and from those in exc
-    if len(exc) + sum(run[3] for run in still + moved) > _WALK_LIMIT:
-        raise WalkLimitError("a centralizer element needs more than %d table entries" % _WALK_LIMIT)
+    if len(exc) + sum(run[3] for run in still + moved) > _orbits._WALK_LIMIT:
+        raise WalkLimitError("a centralizer element needs more than %d table entries" % _orbits._WALK_LIMIT)
     exc.update((p, p) for p in run_points(still))
     exc.update((p, apply(g, p)) for p in run_points(moved))
     return HoughtonElement(g.n, t_masked, exc)
@@ -599,8 +600,10 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     elif sum(s):
         raise RuntimeError("exact orbit shifts with sum %d while every ray moves" % sum(s))
     need = sum(v for v in s if v > 0)
-    if need > _WALK_LIMIT:
-        raise WalkLimitError("a conjugator needs at least %d table entries, over the limit of %d" % (need, _WALK_LIMIT))
+    if need > _orbits._WALK_LIMIT:
+        raise WalkLimitError(
+            "a conjugator needs at least %d table entries, over the limit of %d" % (need, _orbits._WALK_LIMIT)
+        )
     out = _forced_conjugator(a, b, tuple(s), data_a, data_b)
     if not out.is_conjugate:
         raise RuntimeError("consistent orbit shifts refused by the conjugator builder: %s" % out.reason)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from typing import NamedTuple, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,103 @@ def test_large_n_runs_in_bounded_memory(tmp_path, n, budget, oracle_code):
             tmp_path, "oracle", "g2.json", "g3.json", "--budget", "1", limit_mb=128
         )
         assert (code, json.loads(out)) == (0, {"found": False}) and "Traceback" not in err
+
+
+class Capped(NamedTuple):
+    """A `houghton` command of `test_large_inputs_in_512_mb` and what it
+    must print; `save` names a file that takes its stdout."""
+    argv: Tuple[str, ...]
+    holds: Tuple[str, ...] = ()  # strings that stdout contains
+    out: Optional[str] = None  # the whole of stdout
+    lines: Optional[int] = None  # the number of stdout lines
+    code: int = 0
+    err: str = ""  # the whole of stderr
+    save: Optional[str] = None
+
+
+def rotation(step):
+    """The element of H_2 at m = 2,000 that sends (2, j) to (1, j + step
+    mod m): one infinite orbit for step 1, m of them for step 0."""
+    m = 2000
+    return {"n": 2, "t": [m, -m], "exceptions": [[[2, j], [1, (j + step) % m]] for j in range(m)]}
+
+
+def far_swaps():
+    """The swaps of (i, m) and (i, 10^9 + m) for m in {0, 1} on each ray
+    of H_3."""
+    f = 10**9
+    return {"n": 3, "t": [0, 0, 0], "exceptions": [
+        e for i in (1, 2, 3) for m in (0, 1) for e in ([[i, m], [i, f + m]], [[i, f + m], [i, m]])
+    ]}
+
+
+def long_cycle():
+    """An element of H_2 with a finite cycle through (1, 0), (2, 0) and
+    4 * 10^6 points between them."""
+    m = 4 * 10**6
+    return {"n": 2, "t": [1, -1], "exceptions": [[[1, m - 1], [2, m]], [[2, 0], [1, 0]], [[2, m + 1], [1, m]]]}
+
+
+def crossing():
+    """An element of H_4 whose orbit of the ends class {1, 2} crosses ray 3
+    of the class {3, 4} in a run of 10^9 + 1 points."""
+    m = 10**9
+    return {"n": 4, "t": [1, -1, 1, -1], "exceptions": [[[2, 0], [3, 0]], [[3, m], [1, 0]], [[4, 0], [3, m + 1]]]}
+
+
+def many_fixed():
+    """g2 of H_2 shifted by 200,000 points, whose table holds those points
+    as 200,000 fixed entries."""
+    m = 200000
+    return {"n": 2, "t": [1, -1], "exceptions": [[[1, k], [1, k]] for k in range(m)] + [[[2, 0], [1, m]]]}
+
+
+YES = ('"decision":"yes"', '"verified":true')
+
+
+@pytest.mark.parametrize("documents, steps", [
+    pytest.param({}, [Capped(("eval", "-n", "20000000", "g2"), holds=('{"n":20000000,"t":[1,-1,0,',))],
+                 id="eval-20000000"),
+    pytest.param({"r.json": lambda: rotation(1), "r0.json": lambda: rotation(0)}, [
+        Capped(("conj", "r.json", "r.json"), holds=YES + ('"bounds":{"K":4,"M":2000}',)),
+        Capped(("conj", "r.json", "r0.json"), holds=('"reason":"orbit-pairing-mismatch"',)),
+        Capped(("orbits", "r.json"), lines=2000),
+        Capped(("ends", "r.json"), out="{1,2}\n"),
+    ], id="rotation-2000"),
+    pytest.param({"swap.json": far_swaps}, [
+        Capped(("eval", "-n", "3", "g2"), save="g2.json"),
+        Capped(("mul", "swap.json", "g2.json"), save="swap_g2.json"),
+        Capped(("mul", "swap_g2.json", "swap.json"), save="far.json"),
+        Capped(("conj", "far.json", "g2.json"), holds=YES + ('"bounds":{"K":4000000012,"M":1}',)),
+    ], id="far-swaps"),
+    pytest.param({"cycle.json": long_cycle}, [
+        Capped(("conj", "cycle.json", "cycle.json"), holds=YES),
+        Capped(("ends", "cycle.json"), out="{1,2}\n"),
+    ], id="cycle-4000000"),
+    pytest.param({"crossing.json": crossing}, [
+        Capped(("conj", "crossing.json", "crossing.json"), holds=YES + (
+            '"certificate":{"n":4,"t":[0,0,0,0],"exceptions":[]}', '"bounds":{"K":2000000006,"M":1}')),
+        Capped(("ends", "crossing.json"), out="{1,2} {3,4}\n"),
+        Capped(("orbits", "crossing.json"), out="", code=2,
+               err="error: an orbit walk would take more than 10000000 steps\n"),
+    ], id="crossing"),
+    pytest.param({"fixed.json": many_fixed}, [
+        Capped(("conj", "fixed.json", "fixed.json"), holds=YES + ('"certificate":{"n":2,"t":[0,0],"exceptions":[]}',)),
+    ], id="fixed-200000"),
+])
+def test_large_inputs_in_512_mb(tmp_path, documents, steps):
+    # inputs whose size is in the offsets, the orbit counts or the fixed
+    # entries, each command in 512 MB and 20 s of CPU: a verified yes, a
+    # tagged no, or exit 2 with one error line, never a traceback
+    for name, document in documents.items():
+        (tmp_path / name).write_text(json.dumps(document()), encoding="utf-8")
+    for step in steps:
+        code, out, err = run_limited(tmp_path, *step.argv, cpu_s=20)
+        assert (code, err) == (step.code, step.err), step.argv
+        assert all(text in out for text in step.holds), (step.argv, out[:200])
+        assert step.out in (None, out) and step.lines in (None, out.count("\n")), (step.argv, out[:200])
+        if step.save:
+            (tmp_path / step.save).write_text(out, encoding="utf-8")
 
 
 def test_running_out_of_memory_is_data_error(tmp_path):

@@ -1,14 +1,11 @@
 import collections
 import hashlib
-import importlib.util
 import itertools
 import json
 import operator
 import random
-import sys
 import time
 from math import gcd
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -359,19 +356,19 @@ def test_centralizer_element_far_run_hits_the_walk_limit():
 def test_centralizer_element_limit_counts_its_entries(monkeypatch):
     g = long_run(50)
     entries = len(centralizer_element(g, {1, 2}).exceptions)
-    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", entries)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", entries)
     c = centralizer_element(g, {1, 2})
     assert compose(c, g) == compose(g, c)
-    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", entries - 1)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", entries - 1)
     with pytest.raises(WalkLimitError):
         centralizer_element(g, {1, 2})
 
 
 def test_construct_translation_limit_counts_its_entries(monkeypatch):
     d = 50
-    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", d)
     assert len(construct_translation_element(3, (d, 0, -d)).exceptions) == d
-    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d - 1)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", d - 1)
     with pytest.raises(WalkLimitError):
         construct_translation_element(3, (d, 0, -d))
 
@@ -719,12 +716,12 @@ def test_conjugate_translation_over_walk_limit_exits_2(monkeypatch, capsys, tmp_
         (tmp_path / name).write_text(serialize(g), encoding="utf-8")
         paths.append(str(tmp_path / name))
     calls = count_builder_calls(monkeypatch)
-    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d - 1)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", d - 1)
     assert main(["conj"] + paths) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert calls == []
-    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", d)
     assert main(["conj"] + paths) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["decision"] == "yes" and doc["certificate"]["t"] == [d, 0, -d]
@@ -1060,13 +1057,41 @@ def test_builder_limits_the_certificate(monkeypatch):
     y = compose(construct_translation_element(3, (d, -d, 0)), fsym(3, ((3, 0), (3, 2)), ((3, 2), (3, 0))))
     b = conjugate_element(a, y)
     args = (a, b, (d, -d, 0), orbits._conjugacy_data(a), orbits._conjugacy_data(b))
-    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d + 3)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", d + 3)
     out = conjugacy._forced_conjugator(*args)
     assert out.is_conjugate and out.verified
     assert len(out.conjugator.exceptions) == d + 3
-    monkeypatch.setattr(conjugacy, "_WALK_LIMIT", d + 2)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", d + 2)
     with pytest.raises(WalkLimitError):
         conjugacy._forced_conjugator(*args)
+
+
+def test_one_walk_limit_moves_every_check(monkeypatch):
+    # the elements of the limit tests above, walked at the default limit;
+    # then patching orbits._WALK_LIMIT alone lowers the builder's limit,
+    # conjugate's pre-check, centralizer_element's and
+    # construct_translation_element's, which read it where they compare
+    d = 50
+    a = compose(generator(3, "g2"), fsym(3, ((3, 0), (3, 1)), ((3, 1), (3, 0))))
+    y = compose(construct_translation_element(3, (d, -d, 0)), fsym(3, ((3, 0), (3, 2)), ((3, 2), (3, 0))))
+    b = conjugate_element(a, y)
+    args = (a, b, (d, -d, 0), orbits._conjugacy_data(a), orbits._conjugacy_data(b))
+    g2 = generator(3, "g2")
+    far = conjugate_element(g2, construct_translation_element(3, (d, 0, -d)))
+    g = long_run(d)
+    for h in (g2, far, g):
+        cycle_decomposition(h)
+    calls = count_builder_calls(monkeypatch)
+    monkeypatch.setattr(orbits, "_WALK_LIMIT", d - 1)
+    with pytest.raises(WalkLimitError):
+        conjugate(g2, far)
+    assert calls == []
+    with pytest.raises(WalkLimitError):
+        conjugacy._forced_conjugator(*args)
+    with pytest.raises(WalkLimitError):
+        centralizer_element(g, {1, 2})
+    with pytest.raises(WalkLimitError):
+        construct_translation_element(3, (d, 0, -d))
 
 
 # -- the orbit-shift solver against the bounded level search it replaced -------------
@@ -1295,26 +1320,12 @@ def outcome_digest(pairs):
     return digest.hexdigest()
 
 
-WORKCOUNT = Path(__file__).resolve().parents[1] / "tools" / "workcount.py"
-
-
-def workcount_pools():
-    """The three pools of `tools/workcount.py`, built from `bench/workloads.py`
-    as that tool builds them; sys.path is put back after the tool's import."""
-    path = list(sys.path)
-    try:
-        spec = importlib.util.spec_from_file_location("workcount_under_test", WORKCOUNT)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = path
-    return module.pools()
-
-
-def test_kept_decompositions_give_the_same_outcomes():
+def test_kept_decompositions_give_the_same_outcomes(tool):
     # cold, every element walked afresh; warm, every element decomposed
-    # before the decision, which then reads the kept records, twice over
-    pools = {"cross-check": same_invariant_pairs(CROSS_CHECK_FAMILIES), **workcount_pools()}
+    # before the decision, which then reads the kept records, twice over;
+    # the pools are the cross-check pairs and the three of
+    # `tools/workcount.py`, built from `bench/workloads.py`
+    pools = {"cross-check": same_invariant_pairs(CROSS_CHECK_FAMILIES), **tool("workcount").pools()}
     assert [len(pairs) for pairs in pools.values()] == [1061, 400, 105, 20]
     for name, pairs in pools.items():
         cold = [(fresh(a), fresh(b)) for a, b in pairs]

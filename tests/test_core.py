@@ -1,16 +1,14 @@
 import hashlib
-import importlib.util
 import json
 import random
 import re
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import houghton
 from houghton import (
     HoughtonElement,
     InvalidElementError,
@@ -588,27 +586,12 @@ def dense_bijection(n, t, table):
     )
 
 
-CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
-
-
-def census_tool():
-    """`tools/census.py` as a module; sys.path is put back after its import."""
-    path = list(sys.path)
-    try:
-        spec = importlib.util.spec_from_file_location("census_under_test", CENSUS)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = path
-    return module
-
-
-def test_validation_accepts_exactly_the_bijections():
+def test_validation_accepts_exactly_the_bijections(tool):
     # every table of distinct images on small offsets, 61,644 in all (the
     # sweep of tools/census.py): the constructor accepts one exactly when
     # the dense reference does
     tables = accepted = 0
-    for n, t, table in census_tool().tables():
+    for n, t, table in tool("census").tables():
         try:
             HoughtonElement(n, t, table)
             valid = True
@@ -620,35 +603,29 @@ def test_validation_accepts_exactly_the_bijections():
     assert (tables, accepted) == (61_644, 567)
 
 
-def test_census_components_stay_in_one_class():
+def test_census_components_stay_in_one_class(tool):
     # the 567 valid tables of that sweep, partitioned by `conjugate` and by
     # conjugation with letters through elements of at most 6 entries at
     # offsets below 4, computed without the package: a component that held
     # two classes would show a wrong answer.  The counts are a run's
-    classes, components, visited, spans = census_tool().census(4)
+    classes, components, visited, spans = tool("census").census(4)
     assert spans == []
     assert (classes, components, visited) == (64, 72, 85_130)
 
 
-def roundtrip_pool():
-    """The (a, a^x) pairs of the benchmark's `roundtrip` workload: words of
-    1 to 10 letters in H_2..H_4, drawn as `bench/workloads.py` draws them."""
-    pairs = []
-    for k in range(400):
-        n = (2, 3, 4)[k % 3]
-        rng = random.Random("roundtrip:%d" % k)
-        letters = [("g%d" % i, e) for i in range(2, n + 1) for e in (1, -1)] + ([("s", 1)] if n == 2 else [])
-        a, x = (Word(n, tuple(rng.choice(letters) for _ in range(rng.randint(1, 10)))) for _ in "ax")
-        a = evaluate(a)
-        pairs.append((a, conjugate_element(a, evaluate(x))))
-    return pairs
+@pytest.fixture
+def roundtrip_pool(tool):
+    """The (a, a^x) pairs of the benchmark's `roundtrip` workload, drawn by
+    `bench/workloads.py` as `tools/workcount.py` imports it."""
+    workloads = tool("workcount").workloads
+    return [workloads._roundtrip_pair(houghton, k) for k in range(workloads.ROUNDTRIP_POOL)]
 
 
-def test_serialize_is_pinned():
+def test_serialize_is_pinned(roundtrip_pool):
     # the documents of the roundtrip pool, of their conjugates and of the
     # products, byte for byte, recorded before the encoder was shared
     digest = hashlib.sha256()
-    for a, b in roundtrip_pool():
+    for a, b in roundtrip_pool:
         for g in (a, b, compose(a, b), inverse(b)):
             text = serialize(g)
             assert deserialize(text) == g
