@@ -13,7 +13,8 @@ plain command line (a command, the option strings it declares and its
 positionals) is read straight from that table by `_read_plain`; every
 other form, help and usage errors included, goes to argparse, whose
 parsers are built from the same table on each such call.  argparse is
-imported only then, so a plain call never loads it.
+imported only then, so a plain call never loads it; `oracle` is imported
+only by the `oracle` command, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 import types
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from . import conjugacy, core, oracle, orbits
+from . import conjugacy, core, orbits
 
 
 def _read_element(path: str, n: Optional[int]) -> core.HoughtonElement:
@@ -122,10 +123,12 @@ def _conj(args) -> None:
 
 def _verify(args) -> None:
     a, b, x = (_read_element(path, args.n) for path in (args.a, args.b, args.x))
-    print(core._JSON.encode({"decision": "yes" if conjugacy.verify(a, b, x) else "no"}))
+    print(core._JSON.encode({"decision": "yes" if core.verify(a, b, x) else "no"}))
 
 
 def _oracle(args) -> None:
+    from . import oracle
+
     a, b = _read_element(args.a, args.n), _read_element(args.b, args.n)
     word = oracle.brute_force_conjugator(a, b, oracle.SearchBudget(args.budget))
     print(core._JSON.encode({"found": False} if word is None else {"found": True, "word": str(word)}))

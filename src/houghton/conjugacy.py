@@ -34,8 +34,7 @@ from .core import (
     _integer,
     _make,
     apply,
-    conjugate_element,
-    equals,
+    verify,
 )
 from . import orbits as _orbits
 from .orbits import (
@@ -81,11 +80,6 @@ class ConjugacyOutcome(NamedTuple):
 
 def _no(reason: str) -> ConjugacyOutcome:
     return ConjugacyOutcome(None, False, reason)
-
-
-def verify(a: HoughtonElement, b: HoughtonElement, x: HoughtonElement) -> bool:
-    """Exact certificate check: x^-1 * a * x equals b."""
-    return equals(conjugate_element(a, x), b)
 
 
 # -- the conjugator of a given translation -----------------------------------

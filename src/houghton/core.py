@@ -406,13 +406,18 @@ def conjugate_element(g: HoughtonElement, x: HoughtonElement) -> HoughtonElement
     return _make(g.n, g.t, _conjugated_table(g.exceptions, g.t, x.exceptions, x.t))
 
 
+def verify(a: HoughtonElement, b: HoughtonElement, x: HoughtonElement) -> bool:
+    """Exact certificate check: x^-1 * a * x equals b."""
+    return equals(conjugate_element(a, x), b)
+
+
 def _conjugated_table(
     ce: Dict[Point, Point], ct: Sequence[int], ge: Dict[Point, Point], gt: Sequence[int]
 ) -> Dict[Point, Point]:
     """The table of g^-1 * c * g, for c of table ce and translation ct and
     g of table ge and translation gt, with no inverse, by carrying c's
     table through g: the one conjugation product, which
-    `conjugate_element` and so `conjugacy.verify` use.  The oracle's search
+    `conjugate_element` and so `verify` use.  The oracle's search
     repeats it on coded points (`oracle._coded_conjugated_table`), so its
     hits are confirmed by arithmetic it does not share.
 

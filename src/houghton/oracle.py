@@ -13,10 +13,11 @@ simulate_word acts with the raw generator rules; the search enumerates
 words rather than translation tuples, answers with the first word of the
 ball in breadth-first order with no pruning by invariants (no
 translation or cycle-type check), and checks every hit again with
-`conjugacy.verify`, whose product on tables the search does not share, on
+`core.verify`, whose product on tables the search does not share, on
 the element `evaluate` gives the word; and the benchmark's checker
-confirms answers without the package.  No search state is kept between
-calls.
+confirms answers without the package.  It needs only `core`, so a search
+never loads the decision modules `conjugacy` and `orbits`.  No search
+state is kept between calls.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .core import HoughtonElement, Point, Word, _check_same_n, _letter_rule, evaluate, generator_ids
-from .conjugacy import verify
+from .core import HoughtonElement, Point, Word, _check_same_n, _letter_rule, evaluate, generator_ids, verify
 
 
 # the most reduced words a searched ball may have

@@ -754,6 +754,27 @@ def test_plain_call_leaves_argparse_unimported(tmp_path):
     assert done.stdout.splitlines() == ["0 False", "0 True True"]
 
 
+def test_plain_conj_leaves_the_oracle_unimported(tmp_path):
+    # a plain conj in a fresh interpreter never imports the oracle; the
+    # oracle command in the same interpreter does
+    write_element(tmp_path, "g2.json", generator(3, "g2"))
+    script = (
+        "import contextlib, io, sys\n"
+        "from houghton.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['conj', 'g2.json', 'g2.json'])\n"
+        "print(code, 'houghton.oracle' in sys.modules, out.getvalue().startswith('{\"decision\":\"yes\"'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['oracle', 'g2.json', 'g2.json', '--budget', '1'])\n"
+        "print(code, 'houghton.oracle' in sys.modules, out.getvalue().strip())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=package_env(), capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["0 False True", '0 True {"found":true,"word":""}']
+
+
 def fuzzed_document(text, kind, k):
     """The element document `text`, or a variant of it: entry k % size
     dropped or duplicated, or integer k % count of the document replaced

@@ -60,6 +60,13 @@ def test_identity_rejects_small_n():
         identity(1)
 
 
+def test_max_exception_offset():
+    # -1 on an empty table, else the largest offset in it
+    assert identity(3).max_exception_offset() == -1
+    assert generator(3, "g2").max_exception_offset() == 0
+    assert HoughtonElement(2, (0, 0), {(1, 2): (2, 4), (2, 4): (1, 2)}).max_exception_offset() == 4
+
+
 def test_generator_g2_translation():
     assert generator(3, "g2").t == (1, -1, 0)
 

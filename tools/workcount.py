@@ -67,6 +67,11 @@ import houghton  # noqa: E402
 import houghton.cli  # noqa: E402
 import workloads  # noqa: E402
 
+# the first read of a package name imports its module and binds it
+# (`houghton.__getattr__`); read them all here, so that no count has it
+for _name in houghton.__all__:
+    getattr(houghton, _name)
+
 
 def far_offsets_docs(work: Path):
     """(key, path of a, path of b) of each pair of documents that the
