@@ -20,10 +20,10 @@ _HOMES = {
         (
             "orbits",
             "CycleDecomposition EndsPartition FiniteCycle InfiniteOrbit cycle_decomposition cycle_type"
-            " ends_partition fixed_point_count infinite_orbit_count sym_conjugate",
+            " ends_partition fixed_point_count sym_conjugate",
         ),
         ("conjugacy", "BoundData ConjugacyOutcome centralizer_element conjugate fsym_conjugate"),
-        ("oracle", "SearchBudget brute_force_conjugator random_element random_word simulate_word"),
+        ("oracle", "SearchBudget brute_force_conjugator"),
     )
     for name in names.split()
 }

@@ -374,11 +374,13 @@ def _letter_rule(n: int, letter):
     """The table points and ray steps of a signed generator (gid, +-1) of
     H_n, for `_Accumulator.push`, or None when `letter` is not one: g_j
     moves ray 1 out and ray j in by one step and sends (j, 0) to (1, 0),
-    g_j^-1 undoes that, and s swaps (1, 0) and (2, 0).  This is the one
-    definition of H_n's letters: `Word.parse` checks a gid by it, and
-    `generator` builds an element and the oracle a table and steps from
-    it, in O(1) per gid without listing H_n's generators as
-    `generator_ids` does."""
+    g_j^-1 undoes that, and s swaps (1, 0) and (2, 0).  This is the
+    package's one definition of H_n's letters: `Word.parse` checks a gid by
+    it, and `generator` builds an element and the oracle a table and steps
+    from it, in O(1) per gid without listing H_n's generators as
+    `generator_ids` does.  The benchmark's checker, `bench/check.py`, keeps
+    a rule of its own, written apart, which the tests compare `evaluate`
+    against."""
     if not (isinstance(letter, tuple) and len(letter) == 2 and letter[1] in (1, -1)):
         return None
     gid, sign = letter

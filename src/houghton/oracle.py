@@ -1,5 +1,4 @@
-"""Independent brute-force machinery: word enumeration, pointwise word
-simulation and reproducible random instances.
+"""Independent brute-force machinery: the conjugator word search.
 
 The conjugator search has its own arithmetic on points coded as ints,
 (i, m) as m * n + i - 1: its one product, `_coded_conjugated_table`,
@@ -9,12 +8,12 @@ size whatever n is.  A node of the search is a word and the coded table
 of its conjugate, whose translation is a's or b's, with the table's key
 where it is looked up, and no element is built until a hit.
 The cross-check stays independent in what it searches and how it confirms:
-simulate_word acts with the raw generator rules; the search enumerates
-words rather than translation tuples, answers with the first word of the
-ball in breadth-first order with no pruning by invariants (no
-translation or cycle-type check), and checks every hit again with
-`core.verify`, whose product on tables the search does not share, on
-the element `evaluate` gives the word; and the benchmark's checker
+the search enumerates words rather than translation tuples, answers with
+the first word of the ball in breadth-first order with no pruning by
+invariants (no translation or cycle-type check), and checks every hit
+again with `core.verify`, whose product on tables the search does not
+share, on the element `evaluate` gives the word; and the benchmark's
+checker, whose own letter rule the tests compare `evaluate` against,
 confirms answers without the package.  It needs only `core`, so a search
 never loads the decision modules `conjugacy` and `orbits`.  No search
 state is kept between calls.
@@ -23,7 +22,6 @@ state is kept between calls.
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -46,51 +44,13 @@ class SearchBudget:
             raise ValueError("the word length must be nonnegative")
 
 
-def _letter_image(n: int, gid: str, sign: int, p: Point) -> Point:
-    """One generator letter acting on one point, straight from the cycle rules."""
-    i, m = p
-    if gid == "s":
-        if p == (1, 0):
-            return (2, 0)
-        if p == (2, 0):
-            return (1, 0)
-        return p
-    j = int(gid[1:])
-    if sign > 0:
-        if i == 1:
-            return (1, m + 1)
-        if i == j:
-            return (1, 0) if m == 0 else (j, m - 1)
-        return p
-    if i == 1:
-        return (j, 0) if m == 0 else (1, m - 1)
-    if i == j:
-        return (j, m + 1)
-    return p
-
-
-def simulate_word(w: Word, window: int) -> Dict[Point, Point]:
-    """The action of the word on all points with offset <= window, computed
-    letter by letter (images may leave the window)."""
-    if window < len(w):
-        raise ValueError("window must be at least the word length")
-    out = {}
-    for i in range(1, w.n + 1):
-        for m in range(window + 1):
-            p = (i, m)
-            for gid, sign in w.letters:
-                p = _letter_image(w.n, gid, sign, p)
-            out[(i, m)] = p
-    return out
-
-
 _Letter = Tuple[str, int]
 _Letters = Tuple[_Letter, ...]
 
 
 def _signed_alphabet(n: int) -> _Letters:
-    """The letters the search and `random_word` draw from, in letter order:
-    each generator and its inverse, but s alone, as it is its own inverse."""
+    """The letters the search draws from, in letter order: each generator
+    and its inverse, but s alone, as it is its own inverse."""
     return tuple((gid, sign) for gid in generator_ids(n) for sign in ((1,) if gid == "s" else (1, -1)))
 
 
@@ -287,30 +247,3 @@ def _joined_search(
                         return x + u
     return None
 
-
-def random_word(n: int, seed: int, length: int) -> Word:
-    rng = random.Random(("word", n, seed, length).__repr__())
-    alphabet = _signed_alphabet(n)
-    return Word(n, tuple(rng.choice(alphabet) for _ in range(length)))
-
-
-def random_element(n: int, seed: int, profile: str = "word-8") -> HoughtonElement:
-    """Deterministic random element.
-
-    Profiles (versioned; changing them invalidates frozen test values):
-      "word-<k>"  the element of a uniformly random length-k word
-      "fsym"      a random permutation of a few low points (zero translation)
-    """
-    if profile == "fsym":
-        rng = random.Random(("fsym", n, seed).__repr__())
-        pool = [(i, m) for i in range(1, n + 1) for m in range(6)]
-        count = rng.randint(2, 8)
-        chosen = rng.sample(pool, count)
-        images = list(chosen)
-        rng.shuffle(images)
-        exc = {p: q for p, q in zip(chosen, images) if p != q}
-        return HoughtonElement(n, (0,) * n, exc)
-    if profile.startswith("word-"):
-        length = int(profile[len("word-"):])
-        return evaluate(random_word(n, seed, length))
-    raise ValueError("unknown profile %r" % profile)

@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter, eq
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import HoughtonElement, InvalidElementError, Point, _check_same_n
+from .core import HoughtonElement, Point, _check_same_n
 
 # the most points a walk may list, or a built table may hold
 _WALK_LIMIT = 10_000_000
@@ -86,42 +86,9 @@ class CycleDecomposition(NamedTuple):
     finite_cycles: Tuple[FiniteCycle, ...]
     infinite_orbits: Tuple[InfiniteOrbit, ...]
 
-    def successor(self, p: Point) -> Point:
-        """Re-apply the decomposition: the image of p under the element.
-        A point of a cycle or a spine is found in its run by arithmetic, so
-        the cost follows the runs, not the points."""
-        i, m = p
-        if not (1 <= i <= self.n) or m < 0:
-            raise InvalidElementError("point %r is not in the ray set" % (p,))
-        # each record's runs, and the point after its last run
-        records = [(c.runs, c.runs[0][:2]) for c in self.finite_cycles]
-        for orbit in self.infinite_orbits:
-            step = self.t[orbit.pos_ray - 1]
-            if i == orbit.pos_ray and m >= orbit.pos_cutoff and m % step == orbit.pos_residue:
-                return (i, m + step)
-            drop = self.t[orbit.neg_ray - 1]
-            if i == orbit.neg_ray and m >= orbit.neg_cutoff and m % -drop == orbit.neg_residue:
-                # leaving the incoming tail, the orbit enters its spine
-                return (i, m + drop) if m + drop >= orbit.neg_cutoff else orbit.runs[0][:2]
-            records.append((orbit.runs, (orbit.pos_ray, orbit.pos_cutoff)))
-        for runs, after in records:
-            for r, (ray, start, step, count) in enumerate(runs, 1):
-                k, off = divmod(m - start, step) if step else (0, m - start)
-                if i == ray and not off and 0 <= k < count:
-                    if k + 1 < count:
-                        return (ray, start + (k + 1) * step)
-                    return runs[r][:2] if r < len(runs) else after
-        return p
-
 
 class EndsPartition(NamedTuple):
     classes: Tuple[FrozenSet[int], ...]
-
-    def class_of(self, ray: int) -> FrozenSet[int]:
-        for cls in self.classes:
-            if ray in cls:
-                return cls
-        raise KeyError("ray %d is almost fixed (not in I)" % ray)
 
 
 def _check_limit(steps: int) -> None:
@@ -333,11 +300,6 @@ def _walk(g: HoughtonElement) -> Tuple[CycleDecomposition, Tuple[Point, ...]]:
     # the cycles by least point, which starts each one's first run; the
     # orbits by outgoing ray, then residue: no two orbits share both
     return CycleDecomposition(g.n, g.t, tuple(sorted(finite)), tuple(sorted(orbits))), tuple(fixed)
-
-
-def infinite_orbit_count(g: HoughtonElement) -> int:
-    # half of sum |t_i|, which is the sum of the positive t_i as sum(t) = 0
-    return sum(v for v in g.t if v > 0)
 
 
 def cycle_type(g: HoughtonElement) -> Tuple[Tuple[int, ...], int]:

@@ -19,7 +19,7 @@ import houghton
 from houghton import HoughtonElement, compose, conjugate_element, evaluate, generator, serialize
 from houghton import cli
 from houghton.cli import main
-from houghton.oracle import random_word
+from instances import random_word
 
 
 def run(capsys, *argv):

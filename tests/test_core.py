@@ -28,7 +28,7 @@ from houghton import (
 )
 from houghton.conjugacy import construct_translation_element
 from houghton.core import _Accumulator
-from houghton.oracle import random_element, random_word, simulate_word
+from instances import check, random_element, random_word
 
 
 def word(n, text):
@@ -153,9 +153,7 @@ def test_evaluate_matches_simulation():
         for seed in range(30):
             w = random_word(n, seed, 8)
             e = evaluate(w)
-            sim = simulate_word(w, 8)
-            for p, q in sim.items():
-                assert apply(e, p) == q
+            assert check.word_table(n, w.letters) == check.table_of(e)
             assert all(abs(v) < 9 for v in e.t)
             assert all(m <= 8 for (_, m) in e.exceptions)
 
@@ -300,6 +298,16 @@ def _through_accumulator(*factors):
     for h in factors:
         acc.push(h.exceptions.items(), enumerate(h.t, 1))
     return acc.element()
+
+
+def test_accumulator_refuses_a_product_that_is_not_a_bijection():
+    # no word reaches this guard: after the first push (1, 0) is a table
+    # point of the running product and no image of it, so nothing maps to
+    # it, and a factor that moves (1, 0) finds it no preimage
+    acc = _Accumulator(2)
+    acc.push([((1, 0), (2, 0))], ())
+    with pytest.raises(InvalidElementError, match="not a bijection"):
+        acc.push([((1, 0), (1, 0))], ())
 
 
 def _far_swap(g):

@@ -3,8 +3,10 @@ read, and each entry point loads only the modules it needs."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,11 @@ def test_star_import_binds_every_public_name():
 
 def test_dir_lists_every_public_name():
     assert set(houghton.__all__) <= set(dir(houghton))
+
+
+def test_readme_names_every_public_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert set(houghton.__all__) - set(re.findall(r"\w+", readme)) == set()
 
 
 def test_an_unknown_name_raises_attribute_error_naming_it():

@@ -6,7 +6,6 @@ import pytest
 from houghton import (
     HoughtonElement,
     Word,
-    apply,
     conjugate,
     conjugate_element,
     evaluate,
@@ -26,37 +25,29 @@ from houghton.oracle import (
     _ball_words,
     _signed_alphabet,
     brute_force_conjugator,
-    random_element,
-    random_word,
-    simulate_word,
 )
+from instances import check, random_element, random_word
 
 
 def test_simulate_matches_generator_table():
-    w = Word.parse(3, "g2")
-    sim = simulate_word(w, 4)
-    assert sim[(2, 0)] == (1, 0)
-    assert sim[(1, 2)] == (1, 3)
-    assert sim[(2, 2)] == (2, 1)
-    assert sim[(3, 1)] == (3, 1)
-
-
-def test_simulate_window_guard():
-    with pytest.raises(ValueError):
-        simulate_word(Word.parse(3, "g2 g2 g3"), 2)
+    g2 = check.word_table(3, (("g2", 1),))
+    assert check.image(g2, (2, 0)) == (1, 0)
+    assert check.image(g2, (1, 2)) == (1, 3)
+    assert check.image(g2, (2, 2)) == (2, 1)
+    assert check.image(g2, (3, 1)) == (3, 1)
 
 
 def test_simulate_agrees_with_evaluate():
-    # the simulator acts by the cycle rules of `_letter_image`, written
-    # apart from core's `_letter_rule`: it checks `evaluate` on random words
-    # and on every single-letter word, and `generator` on every gid
+    # the benchmark's checker simulates a word by its own letter rule,
+    # written apart from core's `_letter_rule`: it checks the normal form
+    # of `evaluate` on random words and on every single-letter word, and of
+    # `generator` on every gid
     for n in range(2, 7):
         singles = [Word.parse(n, gid + prime) for gid in generator_ids(n) for prime in ("", "'")]
         cases = [(w, evaluate(w)) for w in [random_word(n, seed, 6) for seed in range(20)] + singles]
         cases += [(Word.parse(n, gid), generator(n, gid)) for gid in generator_ids(n)]
         for w, e in cases:
-            for p, q in simulate_word(w, 6).items():
-                assert apply(e, p) == q, (n, str(w))
+            assert check.word_table(n, w.letters) == check.table_of(e), (n, str(w))
 
 
 def test_brute_force_finds_identity():
