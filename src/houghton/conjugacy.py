@@ -14,7 +14,8 @@ The solver layers:
                         for a translation s that a conjugator with that
                         pairing has, and build it at s
   _orbit_refusal        the tag of conjugate's "no" once an ends class has
-                        no exact pairing: only a "no" counts sums mod gcd(t)
+                        no exact pairing: the sums of s of each class's
+                        first two choices, and one gcd with gcd(t)
 
 Every positive answer carries an element x with x^-1 * a * x = b, checked
 exactly before it is returned; an x that fails the check raises RuntimeError.
@@ -22,6 +23,7 @@ exactly before it is returned; an x that fails the check raises RuntimeError.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -467,26 +469,36 @@ def _orbit_refusal(
     in order, its `_class_shifts` generator and the parts drawn from it.
 
     The tag needs only the sums of s mod g, with g = gcd(t) when every ray
-    moves and 1 otherwise.  Each class takes the sums of the parts already
-    drawn and goes on drawing, from its resumed generator or a new one for
-    a class not visited, only until its sums cover every residue mod g;
-    one pass over the classes then collects the sums they reach together,
-    in classes x choices x g steps.  The answer is orbit-shift-mismatch
-    when 0 is among them, else orbit-pairing-mismatch.  No choice is
-    generated twice.
+    moves and 1 otherwise, and each class gives at most its first two
+    choices: the parts drawn, then its resumed generator or a new one for
+    a class not visited.  A choice survives exactly when the residues
+    s_i mod |t_i| it fixes pass every orbit's lookup, exact or not.  Two
+    survivors differ by residues that map b's orbits of the class onto
+    themselves, end for end; these form a group S, and as the class is
+    connected its residue on the first orbit's outgoing ray P fixes the
+    others, so S is a subgroup pZ/t_P and the survivors come at residues
+    f, f + p, f + 2p, ... of P in generation order.  g divides every t_i,
+    so sum(s) mod g is additive in the residues: with q the sum of the
+    first choice and δ the second's minus it, the class reaches exactly
+    q + <δ> mod g.  Cosets add, so 0 is reached together exactly when the
+    sum of the q is 0 mod the gcd of g and the δ, and a second choice is
+    drawn only while that gcd is above 1.  The answer is
+    orbit-shift-mismatch then, and orbit-pairing-mismatch otherwise or at
+    the first class with no choice.
     """
     modulus = gcd(*t) if 0 not in t else 1
-    sums = {0}  # the sums of s mod g that the classes reach together
+    total = 0  # the sum of s over each class's first choice
     for k, orbits in enumerate(classes):
         choices, parts = drawn[k] if k < len(drawn) else (_class_shifts(t, orbits, index_b), ())
-        reached = {sum(part.values()) % modulus for part in parts}
-        if len(reached) < modulus:
-            for part, _ in choices:
-                reached.add(sum(part.values()) % modulus)
-                if len(reached) == modulus:
-                    break
-        sums = {(q + r) % modulus for q in sums for r in reached}
-    return ORBIT_SHIFT_MISMATCH if 0 in sums else ORBIT_PAIRING_MISMATCH
+        want = 2 if modulus > 1 else 1
+        sums = [sum(part.values()) for part in parts[:want]]
+        sums += (sum(part.values()) for part, _ in islice(choices, want - len(sums)))
+        if not sums:
+            return ORBIT_PAIRING_MISMATCH
+        total += sums[0]
+        if len(sums) == 2:
+            modulus = gcd(modulus, sums[1] - sums[0])
+    return ORBIT_SHIFT_MISMATCH if total % modulus == 0 else ORBIT_PAIRING_MISMATCH
 
 
 def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
@@ -550,7 +562,8 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     and the first in the order of the choices takes the first exact
     choice of every class.  The choices of a class are generated lazily,
     and each class stops at its first exact one; when some class has
-    none, `_orbit_refusal` names the tag from the choices drawn so far.
+    none, `_orbit_refusal` names the tag from the first one or two choices
+    of every class, the ones drawn so far first, and one gcd of their sums.
     For a yes, `_forced_conjugator` builds x of translation s as in the
     existence argument: it pairs each orbit of a with its partner in b,
     solves for d_O and reads x off the two orbits' runs.  x is verified

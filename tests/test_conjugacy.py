@@ -808,30 +808,99 @@ def test_conjugate_stops_at_the_first_exact_choice():
     assert out.is_conjugate and out.verified
 
 
-def test_conjugate_generates_each_choice_once(monkeypatch):
-    # small members of the family against each other, yes and no: the same
-    # outcome as the product enumeration, and a refusal generates each
-    # partner choice of the class at most once
-    generated = []
-    shifts = conjugacy._class_shifts
+def two_class_family(m, rotate, k, turn):
+    """t = (m, -m, k, -k) in H_4 with table {(2, j) -> (1, (j + rotate)
+    mod m)} and {(4, j) -> (3, (j + turn) mod k)}: the rotation family's
+    class of m orbits on rays 1 and 2 beside one of k orbits on rays 3
+    and 4, so a refusal combines the sums of two classes mod gcd(m, k)."""
+    table = {(2, j): (1, (j + rotate) % m) for j in range(m)}
+    table.update({(4, j): (3, (j + turn) % k) for j in range(k)})
+    return HoughtonElement(4, (m, -m, k, -k), table)
+
+
+def count_draws(monkeypatch):
+    """A list that gets an entry for each `_class_shifts` choice generated
+    from now on: True when `_orbit_refusal` draws it, else False."""
+    draws = []
+    refusing = False
+    shifts, stage = conjugacy._class_shifts, conjugacy._orbit_refusal
 
     def counted(*args):
         for choice in shifts(*args):
-            generated.append(choice)
+            draws.append(refusing)
             yield choice
 
-    reasons = set()
+    def refusal(*args):
+        nonlocal refusing
+        refusing = True
+        try:
+            return stage(*args)
+        finally:
+            refusing = False
+
+    monkeypatch.setattr(conjugacy, "_class_shifts", counted)
+    monkeypatch.setattr(conjugacy, "_orbit_refusal", refusal)
+    return draws
+
+
+def test_conjugate_generates_each_choice_once(monkeypatch):
+    # small members of both families against each other, yes and no: the
+    # same outcome as the product enumeration; a decision generates each
+    # partner choice at most once (a class has at most one per orbit), and
+    # the refusal stage draws at most two per class, as the first two
+    # choices of a class give the sums of s it reaches
+    rotations = []
     for m in range(1, 7):
         a = rotation_family(m, 1)
-        for b in (a, rotation_family(m, 0)):
-            del generated[:]
-            with monkeypatch.context() as patch:
-                patch.setattr(conjugacy, "_class_shifts", counted)
-                out = conjugate(a, b)
+        rotations += [(a, a), (a, rotation_family(m, 0))]
+    two_classes = []
+    for m, k in itertools.product(range(1, 9), (2, 3, 4)):
+        b = two_class_family(m, 0, k, 0)
+        two_classes += [(two_class_family(m, r, k, q), b) for r in range(m) for q in range(k)]
+    draws = count_draws(monkeypatch)
+    for pairs in (rotations, two_classes):
+        reasons = set()
+        for a, b in pairs:
+            del draws[:]
+            out = conjugate(a, b)
+            assert len(draws) <= sum(map(abs, a.t)) // 2
+            assert sum(draws) <= 2 * len(ends_partition(a).classes)
             assert out == product_conjugate(a, b)
-            assert len(generated) <= m
             reasons.add(out.reason)
-    assert reasons == {None, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}
+        assert reasons == {None, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}
+
+
+def test_two_class_refusal_draws_two_choices_per_class(monkeypatch):
+    # the first class matches itself at each of its 4,000 choices and the
+    # second, its two orbits swapped, at none, with gcd(t) = 2: the tag
+    # needs only the first two choices of each class, so the refusal
+    # stage resumes the first class for one more choice, one class walk
+    a, b = two_class_family(4000, 0, 2, 1), two_class_family(4000, 0, 2, 0)
+    draws = count_draws(monkeypatch)
+    started = time.process_time()
+    out = conjugate(a, b)
+    assert time.process_time() - started < 0.5
+    assert out.reason == ORBIT_PAIRING_MISMATCH
+    assert sum(draws) <= 2 * 2
+
+
+def test_two_class_refusal_work_grows_linearly(tool):
+    """The exact bytecodes of `conjugate` on the two-class refusal of the
+    test above, counted by `tools/workcount.py`, at m = 250, 500 and
+    1,000: each doubling of m multiplies them by at most 2.3.
+
+    The expected order is linear in m.  Decomposing the two elements
+    walks their m + 2 orbits once each; the class loop walks the first
+    class once for its first choice, which is exact, and the second class
+    for both of its choices; the refusal stage draws one more choice of
+    the first class, one more walk of m orbits, and adds two sums.  So
+    the count about doubles with m, and x2.3 leaves room for lower-order
+    terms but not for redrawing every choice of the first class, which
+    multiplies it by 4."""
+    bytecodes = tool("workcount").bytecodes
+    counts = [bytecodes(conjugate, two_class_family(m, 0, 2, 1), two_class_family(m, 0, 2, 0)) for m in (250, 500, 1000)]
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 2.3 * small, counts
 
 
 def test_yes_never_reaches_the_refusal_stage(monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -18,6 +19,7 @@ from houghton import (
     compose,
     conjugate_element,
     deserialize,
+    ends_partition,
     equals,
     evaluate,
     generator,
@@ -604,9 +606,12 @@ def dense_bijection(n, t, table):
 def test_validation_accepts_exactly_the_bijections(tool):
     # every table of distinct images on small offsets, 61,644 in all (the
     # sweep of tools/census.py): the constructor accepts one exactly when
-    # the dense reference does
-    tables = accepted = 0
-    for n, t, table in tool("census").tables():
+    # the dense reference does, and the census's direct enumeration of
+    # the valid tables lists exactly those, in the same order
+    census = tool("census")
+    tables = 0
+    accepted = []
+    for n, t, table in census.tables():
         try:
             HoughtonElement(n, t, table)
             valid = True
@@ -614,8 +619,10 @@ def test_validation_accepts_exactly_the_bijections(tool):
             valid = False
         assert valid == dense_bijection(n, t, table), (n, t, table)
         tables += 1
-        accepted += valid
-    assert (tables, accepted) == (61_644, 567)
+        if valid:
+            accepted.append((n, t, list(table.items())))
+    assert (tables, len(accepted)) == (61_644, 567)
+    assert [(n, t, list(table.items())) for n, t, table in census.valid_tables(census.SWEEP)] == accepted
 
 
 def test_census_components_stay_in_one_class(tool):
@@ -626,6 +633,29 @@ def test_census_components_stay_in_one_class(tool):
     classes, components, visited, spans = tool("census").census(4)
     assert spans == []
     assert (classes, components, visited) == (64, 72, 85_130)
+
+
+def test_census_of_h4_stays_in_one_class(tool):
+    # the 330 valid tables of the H_4 sweep, built directly: 212 with two
+    # ends classes (gcd 2 across them at t = (2, -2, 2, -2)) and 118 with
+    # one class over three or four rays.  Against the class
+    # representatives of equal t, every orbit tag occurs, and at W = 3 the
+    # components are the 31 classes.  The counts are a run's
+    census = tool("census")
+    members = census.elements(census.SWEEP_H4)
+    shapes = collections.Counter(tuple(sorted(map(len, ends_partition(g).classes))) for g in members)
+    assert shapes == {(2, 2): 212, (3,): 102, (4,): 16}
+    heads = [members[h] for h in set(census.classes(members))]
+    tags = collections.Counter(houghton.conjugate(h, g).reason for g in members for h in heads if h.t == g.t)
+    assert tags == {
+        None: 330,
+        "cycle-type-mismatch": 1326,
+        "orbit-pairing-mismatch": 460,
+        "orbit-shift-mismatch": 32,
+    }
+    classes, components, visited, spans = census.census(3, census.SWEEP_H4)
+    assert spans == []
+    assert (classes, components, visited) == (31, 31, 47_810)
 
 
 @pytest.fixture

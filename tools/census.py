@@ -1,12 +1,22 @@
-"""A bounded-exhaustive census of small elements of H_2 and H_3, which
-checks every "no" of `conjugate` on it.
+"""A bounded-exhaustive census of small elements of H_2, H_3 and H_4,
+which checks every "no" of `conjugate` on it.
 
     python3 tools/census.py
 
-The census is the 567 valid elements among the 61,644 tables of `tables`:
-every table of distinct images on small offsets, for a few translation
-vectors in H_2 and H_3 (the sweep of the constructor's validation test).
-It is partitioned twice:
+A census is the valid elements among the tables of a sweep: every table
+of distinct images on small offsets, for a few translation vectors.
+There are two sweeps:
+
+  SWEEP      H_2 and H_3 (the sweep of the constructor's validation
+             test): 567 valid elements among its 61,644 tables, each
+             with at most one ends class, over at most two rays
+  SWEEP_H4   H_4 with t in (1,-1,1,-1), (1,1,-1,-1), (2,-1,-1,0) and
+             (2,-2,2,-2): 330 valid elements, with two ends classes
+             (whose sums of s combine mod gcd(t) = 2 on the last) or one
+             class over three or four rays
+
+`valid_tables` builds a sweep's valid tables directly, in the order of
+`tables`.  Each census is partitioned twice:
 
   classes     by `conjugate`, against one representative per class found
               so far, so every element joins the first class whose
@@ -27,8 +37,9 @@ a wrong "no" of `conjugate`, or a wrong "yes".  The closure proves no
 between the two elements.  When the components number as many as the
 classes, the two partitions are equal.
 
-The main run takes W = 6 and exits 1 unless no component spans two
-classes and the counts agree; it prints the pairs that contradict.
+The main run takes W = 6 on SWEEP and W = 3 on SWEEP_H4, and exits 1
+unless, on each, no component spans two classes and the counts agree; it
+prints the pairs that contradict.
 """
 
 from __future__ import annotations
@@ -42,12 +53,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]  # this checkout's package and letter rule
 
 from check import _letter, alphabet  # noqa: E402
-from houghton import HoughtonElement, InvalidElementError, conjugate  # noqa: E402
+from houghton import HoughtonElement, conjugate  # noqa: E402
 
 Point = Tuple[int, int]
 Table = Dict[Point, Point]
 
-WIDTH = 6  # the main run's bound on the walk's offsets
+WIDTH = 6  # the main run's bound on the walk's offsets for SWEEP
+WIDTH_H4 = 3  # and for SWEEP_H4
 MOST_ENTRIES = 6  # the most table entries of an element on the walk
 
 # (n, translation vectors, offsets, most entries): each table maps at most
@@ -56,10 +68,11 @@ SWEEP = (
     (2, [(0, 0), (1, -1), (-1, 1), (2, -2), (-2, 2)], 3, 4),
     (3, [(0, 0, 0)] + list(itertools.permutations((1, -1, 0))), 2, 3),
 )
+SWEEP_H4 = ((4, [(1, -1, 1, -1), (1, 1, -1, -1), (2, -1, -1, 0), (2, -2, 2, -2)], 2, 4),)
 
 
 def tables() -> Iterator[Tuple[int, Tuple[int, ...], Table]]:
-    """Every (n, t, table) of the sweep, 61,644 in all, valid or not."""
+    """Every (n, t, table) of SWEEP, 61,644 in all, valid or not."""
     for n, vectors, offsets, most in SWEEP:
         points = [(i, m) for i in range(1, n + 1) for m in range(offsets)]
         for t in vectors:
@@ -69,15 +82,37 @@ def tables() -> Iterator[Tuple[int, Tuple[int, ...], Table]]:
                         yield n, t, dict(zip(domain, images))
 
 
-def elements() -> List[HoughtonElement]:
-    """The census: the tables of the sweep that the constructor accepts."""
-    out = []
-    for n, t, table in tables():
-        try:
-            out.append(HoughtonElement(n, t, table))
-        except InvalidElementError:
-            pass
-    return out
+def valid_tables(sweep) -> Iterator[Tuple[int, Tuple[int, ...], Table]]:
+    """The (n, t, table) of `sweep` that the constructor accepts, built
+    directly, in the order in which `tables` lists them.
+
+    Off its table an element maps (i, m) to (i, m + t_i).  So a table is
+    valid exactly when its domain D holds every (i, m) with m < -t_i, its
+    images are the points that no tail reaches: the (j, k) with
+    0 <= k < t_j and the (j, m + t_j) with (j, m) in D and m + t_j >= 0,
+    which number |D| by the index count; and no entry is its tail image.  The
+    domains come in the order of `tables`, and so do the permutations of
+    their sorted image set."""
+    for n, vectors, offsets, most in sweep:
+        points = [(i, m) for i in range(1, n + 1) for m in range(offsets)]
+        for t in vectors:
+            forced = {(i, m) for i in range(1, n + 1) for m in range(-t[i - 1])}
+            unreached = {(j, k) for j in range(1, n + 1) for k in range(t[j - 1])}
+            for k in range(most + 1):
+                for domain in itertools.combinations(points, k):
+                    if not forced.issubset(domain):
+                        continue
+                    tails = [(i, m + t[i - 1]) for i, m in domain]
+                    holes = unreached.union(p for p in tails if p[1] >= 0)
+                    if all(p[1] < offsets for p in holes):
+                        for images in itertools.permutations(sorted(holes)):
+                            if all(map(tuple.__ne__, images, tails)):
+                                yield n, t, dict(zip(domain, images))
+
+
+def elements(sweep=SWEEP) -> List[HoughtonElement]:
+    """The census of `sweep`: its valid tables as elements."""
+    return [HoughtonElement(n, t, table) for n, t, table in valid_tables(sweep)]
 
 
 def letters(n: int) -> List[Tuple[List[int], Dict[int, int]]]:
@@ -173,12 +208,12 @@ def classes(census: List[HoughtonElement]) -> List[int]:
     return out
 
 
-def census(width: int) -> Tuple[int, int, int, List[Tuple[HoughtonElement, HoughtonElement]]]:
-    """(classes, components, visited, spans) of the census at `width`:
-    the two partitions' counts, the elements the walk visited, and the
-    pairs (the first census element of a component, a census element of
+def census(width: int, sweep=SWEEP) -> Tuple[int, int, int, List[Tuple[HoughtonElement, HoughtonElement]]]:
+    """(classes, components, visited, spans) of the census of `sweep` at
+    `width`: the two partitions' counts, the elements the walk visited, and
+    the pairs (the first census element of a component, a census element of
     another class in it)."""
-    members = elements()
+    members = elements(sweep)
     cls = classes(members)
     comp, visited = components(members, width)
     spans = [(members[h], members[k]) for k, h in enumerate(comp) if cls[h] != cls[k]]
@@ -186,11 +221,18 @@ def census(width: int) -> Tuple[int, int, int, List[Tuple[HoughtonElement, Hough
 
 
 def main() -> int:
-    n_classes, n_components, visited, spans = census(WIDTH)
-    print("W = %d: %d classes, %d components, %d elements visited" % (WIDTH, n_classes, n_components, visited))
-    for g, h in spans:
-        print("one component, two classes:", g, h)
-    return 0 if not spans and n_components == n_classes else 1
+    status = 0
+    for name, sweep, width in (("SWEEP", SWEEP, WIDTH), ("SWEEP_H4", SWEEP_H4, WIDTH_H4)):
+        n_classes, n_components, visited, spans = census(width, sweep)
+        print(
+            "%s at W = %d: %d classes, %d components, %d elements visited"
+            % (name, width, n_classes, n_components, visited)
+        )
+        for g, h in spans:
+            print("one component, two classes:", g, h)
+        if spans or n_components != n_classes:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -93,7 +93,9 @@ def pools():
 
 
 def bytecodes(call, *args) -> int:
-    """The opcode events of call(*args) and of every frame it enters."""
+    """The opcode events of call(*args) and of every frame it enters.  The
+    trace function installed before, such as `tools/untested.py`'s line
+    tracer when a test counts, is put back afterwards."""
     count = 0
 
     def local(frame, event, arg):
@@ -106,11 +108,12 @@ def bytecodes(call, *args) -> int:
         frame.f_trace_opcodes = True
         return local
 
+    previous = sys.gettrace()
     sys.settrace(enter)
     try:
         call(*args)
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return count
 
 
