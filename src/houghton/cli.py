@@ -265,7 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0 if exc.code == 0 else 1
     try:
         _GRAMMAR[args.command].run(args)
-    except (core.InvalidElementError, core.WordError, ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError:

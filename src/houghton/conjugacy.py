@@ -14,8 +14,9 @@ The solver layers:
                         for a translation s that a conjugator with that
                         pairing has, and build it at s
   _orbit_refusal        the tag of conjugate's "no" once an ends class has
-                        no exact pairing: the sums of s of each class's
-                        first two choices, and one gcd with gcd(t)
+                        no exact pairing, read off a view of each class's
+                        choices: the sums of s of its first two choices,
+                        and one gcd with gcd(t)
 
 Every positive answer carries an element x with x^-1 * a * x = b, checked
 exactly before it is returned; an x that fails the check raises RuntimeError.
@@ -23,7 +24,7 @@ exactly before it is returned; an x that fails the check raises RuntimeError.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, tee
 from math import gcd
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -461,38 +462,33 @@ def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]
     return {ray: v + sign * lo * t[ray - 1] for ray, v in part.items()}
 
 
-def _orbit_refusal(
-    t: Sequence[int], classes: Sequence[Sequence[InfiniteOrbit]], index_b: _OrbitIndex, drawn: List[tuple]
-) -> str:
+def _orbit_refusal(t: Sequence[int], views: Iterable[Iterator[Tuple[Dict[int, int], bool]]]) -> str:
     """The tag of a refusal of `conjugate`, once some ends class has no
-    exact choice.  `drawn` holds, for each class that `conjugate` visited
-    in order, its `_class_shifts` generator and the parts drawn from it.
+    exact choice.  `views` holds a view of each class's `_class_shifts`
+    choices, in the order of the classes, read from its first choice: the
+    choices that `conjugate` drew come back from the view, and the rest
+    are generated as they are read.
 
     The tag needs only the sums of s mod g, with g = gcd(t) when every ray
     moves and 1 otherwise, and each class gives at most its first two
-    choices: the parts drawn, then its resumed generator or a new one for
-    a class not visited.  A choice survives exactly when the residues
-    s_i mod |t_i| it fixes pass every orbit's lookup, exact or not.  Two
-    survivors differ by residues that map b's orbits of the class onto
-    themselves, end for end; these form a group S, and as the class is
-    connected its residue on the first orbit's outgoing ray P fixes the
-    others, so S is a subgroup pZ/t_P and the survivors come at residues
-    f, f + p, f + 2p, ... of P in generation order.  g divides every t_i,
-    so sum(s) mod g is additive in the residues: with q the sum of the
-    first choice and δ the second's minus it, the class reaches exactly
-    q + <δ> mod g.  Cosets add, so 0 is reached together exactly when the
-    sum of the q is 0 mod the gcd of g and the δ, and a second choice is
-    drawn only while that gcd is above 1.  The answer is
-    orbit-shift-mismatch then, and orbit-pairing-mismatch otherwise or at
-    the first class with no choice.
+    choices.  A choice survives exactly when the residues s_i mod |t_i| it
+    fixes pass every orbit's lookup, exact or not.  Two survivors differ
+    by residues that map b's orbits of the class onto themselves, end for
+    end; these form a group S, and as the class is connected its residue
+    on the first orbit's outgoing ray P fixes the others, so S is a
+    subgroup pZ/t_P and the survivors come at residues f, f + p, f + 2p,
+    ... of P in generation order.  g divides every t_i, so sum(s) mod g is
+    additive in the residues: with q the sum of the first choice and δ the
+    second's minus it, the class reaches exactly q + <δ> mod g.  Cosets
+    add, so 0 is reached together exactly when the sum of the q is 0 mod
+    the gcd of g and the δ, and a second choice is read only while that
+    gcd is above 1.  The answer is orbit-shift-mismatch then, and
+    orbit-pairing-mismatch otherwise or at the first class with no choice.
     """
     modulus = gcd(*t) if 0 not in t else 1
     total = 0  # the sum of s over each class's first choice
-    for k, orbits in enumerate(classes):
-        choices, parts = drawn[k] if k < len(drawn) else (_class_shifts(t, orbits, index_b), ())
-        want = 2 if modulus > 1 else 1
-        sums = [sum(part.values()) for part in parts[:want]]
-        sums += (sum(part.values()) for part, _ in islice(choices, want - len(sums)))
+    for view in views:
+        sums = [sum(part.values()) for part, _ in islice(view, 2 if modulus > 1 else 1)]
         if not sums:
             return ORBIT_PAIRING_MISMATCH
         total += sums[0]
@@ -561,9 +557,12 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     Decision.  By the existence argument an exact combination is a yes,
     and the first in the order of the choices takes the first exact
     choice of every class.  The choices of a class are generated lazily,
-    and each class stops at its first exact one; when some class has
-    none, `_orbit_refusal` names the tag from the first one or two choices
-    of every class, the ones drawn so far first, and one gcd of their sums.
+    and each class stops at its first exact one.  The loop reads each
+    class's choices through one of two views (`itertools.tee`).  When
+    some class has none, `_orbit_refusal` reads the other view of every
+    class from its start, which gives back the choices the loop drew and
+    generates only those it never drew, and names the tag from the first
+    one or two choices of every class and one gcd of their sums.
     For a yes, `_forced_conjugator` builds x of translation s as in the
     existence argument: it pairs each orbit of a with its partner in b,
     solves for d_O and reads x off the two orbits' runs.  x is verified
@@ -587,21 +586,18 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
 
     t = a.t
     index_b = data_b.orbit_index()
-    classes = data_a.ends_classes()
-    drawn = []  # per class visited, its choices and the parts drawn from them
+    # two views of each class's choices: the loop reads the first, and the
+    # refusal stage the second, from its start
+    views = [tee(_class_shifts(t, orbits, index_b)) for orbits in data_a.ends_classes()]
     s = [0] * a.n
-    for orbits in classes:
-        choices = _class_shifts(t, orbits, index_b)
-        parts = []
-        drawn.append((choices, parts))
+    for choices, _ in views:
         for part, exact in choices:
-            parts.append(part)
             if exact:
                 for ray, value in _least_translation(t, part).items():
                     s[ray - 1] = value
                 break
         else:
-            return _no(_orbit_refusal(t, classes, index_b, drawn))
+            return _no(_orbit_refusal(t, [view for _, view in views]))
     if 0 in t:
         s[t.index(0)] -= sum(s)
     elif sum(s):

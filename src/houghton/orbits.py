@@ -65,8 +65,7 @@ class InfiniteOrbit(NamedTuple):
     @property
     def spine(self) -> Tuple[Point, ...]:
         """The spine point by point, up to the limit of an orbit walk."""
-        _check_limit(self.spine_len)
-        return tuple(run_points(self.runs))
+        return _listed(self.runs, self.spine_len)
 
 
 class FiniteCycle(NamedTuple):
@@ -76,8 +75,7 @@ class FiniteCycle(NamedTuple):
     @property
     def points(self) -> Tuple[Point, ...]:
         """The cycle point by point, up to the limit of an orbit walk."""
-        _check_limit(self.length)
-        return tuple(run_points(self.runs))
+        return _listed(self.runs, self.length)
 
 
 class CycleDecomposition(NamedTuple):
@@ -91,11 +89,12 @@ class EndsPartition(NamedTuple):
     classes: Tuple[FrozenSet[int], ...]
 
 
-def _check_limit(steps: int) -> None:
-    """Refuse to list more points of an orbit than the limit of a walk,
-    which the error names as it is when raised."""
-    if steps > _WALK_LIMIT:
+def _listed(runs: Iterable[Run], count: int) -> Tuple[Point, ...]:
+    """The `count` points of `runs` as a tuple, refused when they are more
+    than the limit of a walk, which the error names as it is when raised."""
+    if count > _WALK_LIMIT:
         raise WalkLimitError("an orbit walk would take more than %d steps" % _WALK_LIMIT)
+    return tuple(run_points(runs))
 
 
 def _next_domain(index: Dict[Tuple[int, int], List[int]], i: int, m: int, step: int) -> Optional[int]:

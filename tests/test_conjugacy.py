@@ -874,7 +874,8 @@ def test_two_class_refusal_draws_two_choices_per_class(monkeypatch):
     # the first class matches itself at each of its 4,000 choices and the
     # second, its two orbits swapped, at none, with gcd(t) = 2: the tag
     # needs only the first two choices of each class, so the refusal
-    # stage resumes the first class for one more choice, one class walk
+    # stage reads one more choice of the first class from its view, one
+    # class walk
     a, b = two_class_family(4000, 0, 2, 1), two_class_family(4000, 0, 2, 0)
     draws = count_draws(monkeypatch)
     started = time.process_time()

@@ -658,6 +658,28 @@ def test_census_of_h4_stays_in_one_class(tool):
     assert (classes, components, visited) == (31, 31, 47_810)
 
 
+def test_wide_census_of_h4_tags(tool):
+    # the 1,106 valid tables of the wide H_4 sweep, whose refusals draw a
+    # second choice of a class the class loop stopped in 152 times.  Each
+    # element is conjugate to exactly one of the 72 class representatives
+    # of its t, and every orbit tag occurs.  The components, at W = 4, are
+    # left to the main run of tools/census.py (about 20 s).  The counts
+    # are a run's
+    census = tool("census")
+    members = census.elements(census.SWEEP_H4_WIDE)
+    shapes = collections.Counter(tuple(sorted(map(len, ends_partition(g).classes))) for g in members)
+    assert shapes == {(2, 2): 380, (4,): 352, (2,): 272, (3,): 102}
+    heads = [members[h] for h in set(census.classes(members))]
+    assert len(heads) == 72
+    tags = collections.Counter(houghton.conjugate(h, g).reason for g in members for h in heads if h.t == g.t)
+    assert tags == {
+        None: 1106,
+        "cycle-type-mismatch": 9394,
+        "orbit-pairing-mismatch": 7580,
+        "orbit-shift-mismatch": 1060,
+    }
+
+
 @pytest.fixture
 def roundtrip_pool(tool):
     """The (a, a^x) pairs of the benchmark's `roundtrip` workload, drawn by

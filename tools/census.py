@@ -5,7 +5,7 @@ which checks every "no" of `conjugate` on it.
 
 A census is the valid elements among the tables of a sweep: every table
 of distinct images on small offsets, for a few translation vectors.
-There are two sweeps:
+There are three sweeps:
 
   SWEEP      H_2 and H_3 (the sweep of the constructor's validation
              test): 567 valid elements among its 61,644 tables, each
@@ -14,6 +14,15 @@ There are two sweeps:
              (2,-2,2,-2): 330 valid elements, with two ends classes
              (whose sums of s combine mod gcd(t) = 2 on the last) or one
              class over three or four rays
+  SWEEP_H4_WIDE
+             H_4 again: the first three vectors of SWEEP_H4 and
+             (0,0,1,-1) as there, (2,-2,1,-1) with up to 5 entries, and
+             (2,-2,2,-2) on offsets below 3 with up to 5: 1,106 valid
+             elements in 72 classes, with two ends classes of two rays
+             each, or one class over two, three or four rays.  152 of
+             its refusals read a second choice of a class that the class
+             loop stopped in (`conjugacy._orbit_refusal`); SWEEP_H4 has
+             8 such, SWEEP none
 
 `valid_tables` builds a sweep's valid tables directly, in the order of
 `tables`.  Each census is partitioned twice:
@@ -37,9 +46,9 @@ a wrong "no" of `conjugate`, or a wrong "yes".  The closure proves no
 between the two elements.  When the components number as many as the
 classes, the two partitions are equal.
 
-The main run takes W = 6 on SWEEP and W = 3 on SWEEP_H4, and exits 1
-unless, on each, no component spans two classes and the counts agree; it
-prints the pairs that contradict.
+The main run takes W = 6 on SWEEP, W = 3 on SWEEP_H4 and W = 4 on
+SWEEP_H4_WIDE, and exits 1 unless, on each, no component spans two
+classes and the counts agree; it prints the pairs that contradict.
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ Table = Dict[Point, Point]
 
 WIDTH = 6  # the main run's bound on the walk's offsets for SWEEP
 WIDTH_H4 = 3  # and for SWEEP_H4
+WIDTH_H4_WIDE = 4  # and for SWEEP_H4_WIDE
 MOST_ENTRIES = 6  # the most table entries of an element on the walk
 
 # (n, translation vectors, offsets, most entries): each table maps at most
@@ -69,6 +79,11 @@ SWEEP = (
     (3, [(0, 0, 0)] + list(itertools.permutations((1, -1, 0))), 2, 3),
 )
 SWEEP_H4 = ((4, [(1, -1, 1, -1), (1, 1, -1, -1), (2, -1, -1, 0), (2, -2, 2, -2)], 2, 4),)
+SWEEP_H4_WIDE = (
+    (4, [(1, -1, 1, -1), (1, 1, -1, -1), (2, -1, -1, 0), (0, 0, 1, -1)], 2, 4),
+    (4, [(2, -2, 1, -1)], 2, 5),
+    (4, [(2, -2, 2, -2)], 3, 5),
+)
 
 
 def tables() -> Iterator[Tuple[int, Tuple[int, ...], Table]]:
@@ -222,7 +237,11 @@ def census(width: int, sweep=SWEEP) -> Tuple[int, int, int, List[Tuple[HoughtonE
 
 def main() -> int:
     status = 0
-    for name, sweep, width in (("SWEEP", SWEEP, WIDTH), ("SWEEP_H4", SWEEP_H4, WIDTH_H4)):
+    for name, sweep, width in (
+        ("SWEEP", SWEEP, WIDTH),
+        ("SWEEP_H4", SWEEP_H4, WIDTH_H4),
+        ("SWEEP_H4_WIDE", SWEEP_H4_WIDE, WIDTH_H4_WIDE),
+    ):
         n_classes, n_components, visited, spans = census(width, sweep)
         print(
             "%s at W = %d: %d classes, %d components, %d elements visited"

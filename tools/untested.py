@@ -9,7 +9,11 @@ executable lines of a module are the line starts of every code object
 compiled from its source, module body and nested functions and classes
 included; a line counts as run when a frame of one of those files reports
 a `call` or `line` event at it.  The package is imported only after the
-tracer is set, so its module-level lines count too.
+tracer is set, so its module-level lines count too.  A test that calls
+`sys.settrace` and does not put the tracer back stops the count for every
+later test: when the tracer is not in place at the end of the suite, the
+tool prints that cause in one line instead of the list, and exits 1 even
+when pytest passed.
 
 Only this process is traced.  Lines that run only in a subprocess, as the
 CLI tests start `houghton` in one, show up as unrun unless a test also
@@ -64,8 +68,12 @@ def main() -> int:
     sys.settrace(enter)
     try:
         status = pytest.main(["-q", "tests"])
+        kept = sys.gettrace() is enter
     finally:
         sys.settrace(None)
+    if not kept:
+        print("a test replaced the line tracer (sys.settrace), so the lines run after it were not counted")
+        return 1
 
     total = 0
     for name, path in files.items():
