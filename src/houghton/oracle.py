@@ -76,7 +76,8 @@ def _search_tables(n: int) -> Tuple[_SearchLetter, ...]:
     every letter but the one that cancels it.  The steps map ray - 1 to
     the coded step step * n on the rays the letter moves, and are read
     with 0 for the others, so a letter costs O(1) whatever n is.  Built
-    once per n, for a search that passed the size check, and only read."""
+    once per n, for a search of radius 1 or more that passed the size
+    check, and only read."""
     tables = {}
     # one int object for each code and coded step, whichever dicts hold it
     share = {}.setdefault
@@ -178,7 +179,8 @@ def brute_force_conjugator(
             "budget %d is over the limit of %d in H_%d: its ball has more reduced words "
             "than the cap of %d" % (radius, limit, n, MAX_WORDS)
         )
-    letters = _joined_search(a, b, radius, _search_tables(n))
+    # a search of radius 0 compares a with b and reads no letter
+    letters = _joined_search(a, b, radius, _search_tables(n) if radius else ())
     if letters is None:
         return None
     w = Word(n, letters)
@@ -208,7 +210,8 @@ def _joined_search(
     """The first reduced hit of least length in letter order, from the
     half-balls of `brute_force_conjugator`'s docstring, on coded tables."""
     n = a.n
-    at, bt = tuple(v * n for v in a.t), tuple(v * n for v in b.t)
+    # map, not a generator: the n rays cost no bytecode each
+    at, bt = tuple(map(n.__mul__, a.t)), tuple(map(n.__mul__, b.t))
     ae, be = _coded_table(n, a.exceptions.items()), _coded_table(n, b.exceptions.items())
     # (x, the table of x^-1 a x, the letter that may not follow x, the
     # table's key) and (u, the table of u b u^-1, the letter that may not

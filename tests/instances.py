@@ -7,8 +7,10 @@ decomposition, the reference that tests compare the decomposition against.
 `check` is the benchmark's checker, `bench/check.py`, which never calls
 the package: its letter rule is the one the tests compare `evaluate`
 against, and `random_word` draws its letters from its alphabet.
+`package_env` is the environment of a test's child interpreter.
 """
 
+import os
 import random
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))  # this checkout's checker
 
 import check  # noqa: E402
+import houghton  # noqa: E402
 from houghton import CycleDecomposition, HoughtonElement, InvalidElementError, Point, Word, evaluate  # noqa: E402
 
 
@@ -73,3 +76,10 @@ def successor(dec: CycleDecomposition, p: Point) -> Point:
                     return (ray, start + (k + 1) * step)
                 return runs[r][:2] if r < len(runs) else after
     return p
+
+
+def package_env():
+    """The environment, with this package first on PYTHONPATH, for a
+    process of its own."""
+    src = os.path.dirname(os.path.dirname(houghton.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -32,11 +32,11 @@ from instances import check, random_element, random_word, successor
 
 
 def test_criterion_1_word_problem_bounds():
-    # 1000 random words per n in {2,3,4}, lengths <= 12: translation is
-    # bounded by the word length, the pure-translation tail formula holds
-    # beyond it, and evaluation gives the normal form that `bench/check.py`
-    # simulates letter by letter.  (The bound is |t_i| <= |w|, attained by
-    # powers of a single generator.)
+    # 1000 random words per n in {2,3,4}, lengths <= 12: translation and
+    # the offsets of the table's points are bounded by the word length, the
+    # pure-translation tail formula holds beyond it, and evaluation gives
+    # the normal form that `bench/check.py` simulates letter by letter.
+    # (The bound is |t_i| <= |w|, attained by powers of a single generator.)
     checked = 0
     for n in (2, 3, 4):
         for seed in range(1000):
@@ -44,6 +44,7 @@ def test_criterion_1_word_problem_bounds():
             w = random_word(n, seed, length)
             g = evaluate(w)
             assert all(abs(v) <= length for v in g.t)
+            assert all(m <= length for _, m in g.exceptions)
             for i in range(1, n + 1):
                 for m in range(length + 1, length + 4):
                     assert apply(g, (i, m)) == (i, m + g.t[i - 1])
@@ -61,7 +62,7 @@ def test_criterion_2_orbit_count():
         g = random_element(n, seed, profile="word-10")
         d = cycle_decomposition(g)
         assert len(d.infinite_orbits) == sum(abs(v) for v in g.t) // 2
-        top = g.max_exception_offset() + 4
+        top = g.max_exception_offset() + 6
         for i in range(1, n + 1):
             for m in range(top + 1):
                 assert successor(d, (i, m)) == apply(g, (i, m))
@@ -69,8 +70,8 @@ def test_criterion_2_orbit_count():
 
 
 def test_criterion_3_roundtrip_conjugacy():
-    # 200 instances per n in {2,3}: b = a^x must be decided Conjugate with
-    # a verified certificate, well inside the 5-minute budget.
+    # 200 instances per n in {2,3}: b = a^x, and a itself, must be decided
+    # Conjugate with a verified certificate, well inside the 5-minute budget.
     started = time.monotonic()
     for n in (2, 3):
         for seed in range(200):
@@ -81,6 +82,8 @@ def test_criterion_3_roundtrip_conjugacy():
             assert out.is_conjugate, "instance n=%d seed=%d refused" % (n, seed)
             assert out.verified
             assert verify(a, b, out.conjugator)
+            same = conjugate(a, a)
+            assert same.is_conjugate and same.verified
     elapsed = time.monotonic() - started
     assert elapsed < 300
     print("criterion 3 PASS: 400 round trips verified in %.1fs" % elapsed)
@@ -138,6 +141,10 @@ def test_criterion_5_negative_detection():
         (
             HoughtonElement(3, (0, 0, 0), {(1, 0): (1, 1), (1, 1): (1, 0)}),
             HoughtonElement(3, (0, 0, 0), {(1, 0): (1, 1), (1, 1): (1, 2), (1, 2): (1, 0)}),
+        ),
+        (
+            HoughtonElement(2, (0, 0), {(1, 0): (1, 1), (1, 1): (1, 0)}),
+            HoughtonElement(2, (0, 0), {(1, 0): (1, 1), (1, 1): (1, 2), (1, 2): (1, 0)}),
         ),
     ]
     for a, b in cycle_mismatch:

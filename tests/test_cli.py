@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
 import runpy
 import subprocess
@@ -15,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import houghton
 from houghton import HoughtonElement, compose, conjugate_element, evaluate, generator, serialize
 from houghton import cli
 from houghton.cli import main
-from instances import random_word
+from instances import package_env, random_word
 
 
 def run(capsys, *argv):
@@ -143,13 +141,6 @@ def test_oracle_command_refuses_a_budget_over_the_cap(capsys, tmp_path):
     assert err.startswith("error: ") and "limit of 14" in err and "10000000" in err
     code, out, _ = run(capsys, "oracle", g2, g3, "--budget", "14")
     assert code == 0 and json.loads(out) == {"found": False}
-
-
-def package_env():
-    """The environment, with this package first on PYTHONPATH, for a
-    process of its own."""
-    src = os.path.dirname(os.path.dirname(houghton.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 def run_limited(cwd, *argv, limit_mb=512, cpu_s=None):

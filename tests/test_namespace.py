@@ -2,7 +2,6 @@
 read, and each entry point loads only the modules it needs."""
 
 import importlib
-import os
 import re
 import subprocess
 import sys
@@ -12,6 +11,7 @@ import pytest
 
 import houghton
 from houghton import conjugacy, core, oracle
+from instances import package_env
 
 
 def test_every_public_name_is_its_home_modules_object():
@@ -47,10 +47,8 @@ def test_verify_is_one_function():
 def loaded_modules(script):
     """The `houghton` modules that `script` has loaded, in a fresh
     interpreter with this package first on its path."""
-    src = os.path.dirname(os.path.dirname(houghton.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     script += "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'houghton')))\n"
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script], env=package_env(), capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     return done.stdout.split()
 

@@ -173,24 +173,6 @@ def test_new_elements_keep_no_decomposition(build):
     assert orbits._walk(g) == (cycle_decomposition(g), g._dec.fixed)
 
 
-def test_orbit_count_matches_translation_mass():
-    for n in (2, 3, 4):
-        for seed in range(40):
-            g = evaluate(random_word(n, seed, 10))
-            d = cycle_decomposition(g)
-            assert len(d.infinite_orbits) == sum(abs(v) for v in g.t) // 2
-
-
-def test_successor_reproduces_action():
-    for seed in range(25):
-        g = evaluate(random_word(3, seed, 8))
-        d = cycle_decomposition(g)
-        top = g.max_exception_offset() + 6
-        for i in range(1, 4):
-            for m in range(top + 1):
-                assert successor(d, (i, m)) == apply(g, (i, m))
-
-
 def test_successor_reads_runs_of_a_far_spine():
     # g2 in H_2 conjugated by the swap of its low points with points at
     # 10^8: a spine of 200,000,006 points in 8 runs, past the walk limit.
