@@ -3,11 +3,14 @@ import hashlib
 import io
 import json
 import random
+import re
 import runpy
+import shlex
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
 import pytest
@@ -764,6 +767,62 @@ def test_plain_conj_leaves_the_oracle_unimported(tmp_path):
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == ["0 False True", '0 True {"found":true,"word":""}']
+
+
+def readme_transcript():
+    """(argv, file or None, shown stdout) for each `$ houghton` line of the
+    README's ```console block: the file is the target of a trailing
+    `> file`, and the shown stdout is the lines up to the next `$`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```console\n(.*?)```", readme, flags=re.S).group(1)
+    steps = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            tokens = shlex.split(line[2:])
+            assert tokens[0] == "houghton" and "|" not in tokens, line
+            target = None
+            if tokens[-2:-1] == [">"]:
+                tokens, target = tokens[:-2], tokens[-1]
+            steps.append((tokens[1:], target, []))
+        else:
+            steps[-1][2].append(line + "\n")
+    return [(argv, target, "".join(shown)) for argv, target, shown in steps]
+
+
+def matches_shown(shown, printed):
+    """Whether `printed` is `shown` with each `{...}` read as one JSON object."""
+    parts = shown.split("{...}")
+    at = 0
+    for k, part in enumerate(parts):
+        if not printed.startswith(part, at):
+            return False
+        at += len(part)
+        if k < len(parts) - 1:
+            try:
+                value, at = json.JSONDecoder().raw_decode(printed, at)
+            except ValueError:
+                return False
+            if not isinstance(value, dict):
+                return False
+    return at == len(printed)
+
+
+def test_readme_transcript_is_what_main_prints(capsys, monkeypatch, tmp_path):
+    # each command of the README's session, run in order in one directory,
+    # exits 0 and prints exactly what the README shows
+    monkeypatch.chdir(tmp_path)
+    steps = readme_transcript()
+    assert steps
+    for argv, target, shown in steps:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if target is None:
+            assert matches_shown(shown, out), (argv, shown, out)
+        else:
+            assert shown == "", argv
+            (tmp_path / target).write_text(out, encoding="utf-8")
+    # `{...}` stands for a whole JSON object, nested or not, and nothing else
+    assert matches_shown("{...} {...}\n", '{} {"a":{}}\n') and not matches_shown('{"K":{...}}', '{"K":6}')
 
 
 def fuzzed_document(text, kind, k):

@@ -1413,14 +1413,17 @@ def decided(out):
 
 
 def assert_relations(a, b, seed):
-    """The four relations of a correct decider on the pair (a, b), with
+    """The five relations of a correct decider on the pair (a, b), with
     seeded words u, v and ray permutation sigma: conjugate(b, a),
-    conjugate(a^u, b^v) and conjugate(a^sigma, b^sigma) decide as
-    conjugate(a, b) does, with the same tag; and when a and b are
-    conjugate, with c = b^v, the product of the certificates for (a, b)
-    and (b, c) conjugates a to c."""
+    conjugate(a^-1, b^-1), conjugate(a^u, b^v) and conjugate(a^sigma,
+    b^sigma) decide as conjugate(a, b) does, with the same tag; and when
+    a and b are conjugate, the certificate x for (a, b) also conjugates
+    a^-1 to b^-1, and with c = b^v, the product of the certificates for
+    (a, b) and (b, c) conjugates a to c."""
     out = conjugate(a, b)
     assert decided(conjugate(b, a)) == decided(out), (a, b)
+    a_inv, b_inv = inverse(a), inverse(b)
+    assert decided(conjugate(a_inv, b_inv)) == decided(out), (a, b)
     u = evaluate(random_word(a.n, seed, 1 + seed % 6))
     v = evaluate(random_word(a.n, seed + 1, 1 + seed % 7))
     assert decided(conjugate(conjugate_element(a, u), conjugate_element(b, v))) == decided(out), (a, b, u, v)
@@ -1428,6 +1431,7 @@ def assert_relations(a, b, seed):
     random.Random(seed).shuffle(sigma)
     assert decided(conjugate(relabel_rays(a, sigma), relabel_rays(b, sigma))) == decided(out), (a, b, sigma)
     if out.is_conjugate:
+        assert verify(a_inv, b_inv, out.conjugator), (a, b)
         c = conjugate_element(b, v)
         onward = conjugate(b, c)
         assert onward.is_conjugate and onward.verified, (b, v)
@@ -1436,10 +1440,11 @@ def assert_relations(a, b, seed):
 
 def test_relations_hold_on_cross_check_pairs():
     # the pairs of test_conjugate_matches_level_search, with no search: on
-    # each, conjugate(b, a), conjugate(a^u, b^v) and the relabelled pair
-    # decide as conjugate(a, b) does, tag included, as each stage tests an
-    # invariant of conjugacy; and on each yes the product of its
-    # certificate and the onward one conjugates a to b^v
+    # each, conjugate(b, a), conjugate(a^-1, b^-1), conjugate(a^u, b^v) and
+    # the relabelled pair decide as conjugate(a, b) does, tag included, as
+    # each stage tests an invariant of conjugacy; and on each yes the
+    # certificate also conjugates a^-1 to b^-1, and the product of it and
+    # the onward one conjugates a to b^v
     pairs = same_invariant_pairs(CROSS_CHECK_FAMILIES)
     assert len(pairs) == 1061
     for k, (a, b) in enumerate(pairs):

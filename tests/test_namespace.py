@@ -1,6 +1,7 @@
 """The package namespace: each public name loads its home module on first
 read, and each entry point loads only the modules it needs."""
 
+import ast
 import importlib
 import re
 import subprocess
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import houghton
-from houghton import conjugacy, core, oracle
+from houghton import cli, conjugacy, core, oracle
 from instances import package_env
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_public_name_is_its_home_modules_object():
@@ -30,9 +33,26 @@ def test_dir_lists_every_public_name():
     assert set(houghton.__all__) <= set(dir(houghton))
 
 
-def test_readme_names_every_public_name():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert set(houghton.__all__) - set(re.findall(r"\w+", readme)) == set()
+def test_readme_agrees_with_the_code():
+    # every public name starts an inline code span (not merely a word of
+    # prose), every command is named as `houghton <command>`, every test the
+    # README cites as tests/<file>.py::<name> is a test function of that
+    # file, and every Python block runs as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    spans = {re.match(r"\w*", span).group() for span in re.findall(r"`([^`]+)`", prose)}
+    assert set(houghton.__all__) - spans == set()
+    assert [c for c in cli._GRAMMAR if not re.search(r"\bhoughton %s\b" % c, readme)] == []
+    cited = set(re.findall(r"tests/(\w+\.py)::(\w+)", readme))
+    assert cited
+    for name in {file for file, _ in cited}:
+        tree = ast.parse((ROOT / "tests" / name).read_text(encoding="utf-8"))
+        tests = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert {test for file, test in cited if file == name} - tests == set(), name
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_an_unknown_name_raises_attribute_error_naming_it():

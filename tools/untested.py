@@ -5,11 +5,13 @@
 Runs the tier-1 suite (`pytest -q` over `tests/`) in this process under a
 `sys.settrace` line tracer, then prints each executable line of
 `src/houghton` that no test ran, as `path:line: text`, and a count.  The
-executable lines of a module are the line starts of every code object
-compiled from its source, module body and nested functions and classes
-included; a line counts as run when a frame of one of those files reports
-a `call` or `line` event at it.  The package is imported only after the
-tracer is set, so its module-level lines count too.  A test that calls
+exit status is the gate: 0 when pytest passed and every line ran, 1 when
+pytest failed or any package line is unrun.  The executable lines of a
+module are the line starts of every code object compiled from its
+source, module body and nested functions and classes included; a line
+counts as run when a frame of one of those files reports a `call` or
+`line` event at it.  The package is imported only after the tracer is
+set, so its module-level lines count too.  A test that calls
 `sys.settrace` and does not put the tracer back stops the count for every
 later test: when the tracer is not in place at the end of the suite, the
 tool prints that cause in one line instead of the list, and exits 1 even
@@ -82,7 +84,7 @@ def main() -> int:
             total += 1
             print("%s:%d: %s" % (path.relative_to(ROOT), line, text[line - 1].strip()))
     print("%d unrun lines; pytest exit status %d" % (total, status))
-    return 0 if status == 0 else 1
+    return 0 if status == 0 and total == 0 else 1
 
 
 if __name__ == "__main__":
