@@ -384,22 +384,23 @@ def _class_shifts(
     is refused at once.  `index_b` is b's kept orbit index
     (`_ConjugacyData.orbit_index`).
 
-    A further orbit's partner is looked up, and its d read off, by the
-    outgoing ray when its s_i is known, else by the incoming one.  A
-    cutoff is congruent to its residue, so that d solves the ray's
-    equation exactly, and only the other ray, when known too, is compared:
-    a residue clash refuses the choice, and a second value makes it inexact."""
+    A choice seeds s with the head's outgoing s_i at d = 0, the difference
+    of the two cutoffs, whose residue looks the chosen orbit up.  Then
+    every orbit's partner is looked up, and its d read off, by the
+    outgoing ray when its s_i is known, else by the incoming one, known as
+    the orbit shares a ray with an earlier one.  A cutoff is congruent to
+    its residue, so that d solves the ray's equation exactly, and only the
+    other ray, when known too, is compared: a residue clash refuses the
+    choice, and a second value makes it inexact."""
     head = orbits[0]
     for first in index_b[head.pos_ray]:
-        s: Dict[int, int] = {}
+        s: Dict[int, int] = {head.pos_ray: first.pos_cutoff - head.pos_cutoff}
         exact = True
         for oa in orbits:
             pos, neg = oa.pos_ray, oa.neg_ray
             up, down = t[pos - 1], t[neg - 1]
             s_pos, s_neg = s.get(pos), s.get(neg)
-            if oa is head:
-                ob = first
-            elif s_pos is not None:
+            if s_pos is not None:
                 ob = index_b[pos][(oa.pos_residue + s_pos) % up]
             else:
                 ob = index_b[neg][(oa.neg_residue + s_neg) % -down]
@@ -409,10 +410,8 @@ def _class_shifts(
             c_neg = ob.neg_cutoff - oa.neg_cutoff - down * (oa.spine_len - ob.spine_len)
             if s_pos is not None:
                 d = (s_pos - c_pos) // up
-            elif s_neg is not None:
-                d = (s_neg - c_neg) // down
             else:
-                d = 0
+                d = (s_neg - c_neg) // down
             v_pos, v_neg = up * d + c_pos, down * d + c_neg
             if s_pos is None:
                 s[pos] = v_pos

@@ -227,20 +227,13 @@ def identity(n: int) -> HoughtonElement:
 
 
 def generator(n: int, gid: str) -> HoughtonElement:
-    """The generator g_i (push ray i one step in, ray 1 one step out) or s,
-    from its `_letter_rule`: the rule's ray steps give the translation, and
-    its table points are all exceptions, as the tail formula would send
-    each to a negative offset (g_j) or fix it (s)."""
+    """The generator g_i (push ray i one step in, ray 1 one step out) or s:
+    the word of its one letter, evaluated."""
     _check_n(n)
     # a gid that is not a string is refused before the rule's cache hashes it
-    rule = _letter_rule(n, (gid, 1)) if isinstance(gid, str) else None
-    if rule is None:
+    if not isinstance(gid, str) or _letter_rule(n, (gid, 1)) is None:
         raise WordError("generator %r is not valid for n=%d" % (gid, n))
-    entries, moves = rule
-    t = [0] * n
-    for i, step in moves:
-        t[i - 1] += step
-    return _make(int(n), tuple(t), dict(entries))
+    return evaluate(Word(int(n), ((gid, 1),)))
 
 
 # -- point action -----------------------------------------------------------
@@ -261,14 +254,15 @@ def apply(g: HoughtonElement, p: Point) -> Point:
 
 
 class _Accumulator:
-    """Right-multiplies letters onto a running product, for `evaluate`.
+    """Right-multiplies factors onto a running product: `evaluate` pushes
+    each letter's rule, for `generator` too, and `compose` the tables and
+    translations of its two factors.
 
     Image offsets are kept relative to per-ray shift counters, so a letter
     touches only the two rays it moves and its one or two table points,
     and costs O(1) amortised whatever n is.  Folding a word with `compose`
-    instead re-reads the running product's table at every letter; on
-    random words of 3 to 1,000 letters in H_3 it was 1.2 to 5.8 times
-    slower.
+    instead would push the running product's whole table at every letter,
+    quadratic in the word's length.
     """
 
     def __init__(self, n: int):
@@ -323,26 +317,13 @@ def _check_same_n(g: HoughtonElement, h: HoughtonElement) -> None:
 
 
 def compose(g: HoughtonElement, h: HoughtonElement) -> HoughtonElement:
-    """The product g*h under the right action: (p)(g*h) = ((p)g)h."""
+    """The product g*h under the right action: (p)(g*h) = ((p)g)h, as g's
+    table and translation and then h's pushed onto an `_Accumulator`."""
     _check_same_n(g, h)
-    # off g's table the first step is a translation, so besides g's table
-    # only the preimages (j, k - t_j) of h's table points (j, k) can be
-    # exceptions; only those are evaluated, in one pass
-    ge, gt, he, ht = g.exceptions, g.t, h.exceptions, h.t
-    t = tuple(u + v for u, v in zip(gt, ht))
-    candidates = list(ge)
-    for j, k in he:
-        p = (j, k - gt[j - 1])
-        if p[1] >= 0 and p not in ge:
-            candidates.append(p)
-    exc = {}
-    for r in candidates:
-        i, m = r
-        q = ge.get(r) or (i, m + gt[i - 1])
-        v = he.get(q) or (q[0], q[1] + ht[q[0] - 1])
-        if v != (i, m + t[i - 1]):
-            exc[r] = v
-    return _make(g.n, t, exc)
+    acc = _Accumulator(g.n)
+    for f in (g, h):
+        acc.push(f.exceptions.items(), enumerate(f.t, 1))
+    return acc.element()
 
 
 def inverse(g: HoughtonElement) -> HoughtonElement:
@@ -375,12 +356,13 @@ def _letter_rule(n: int, letter):
     H_n, for `_Accumulator.push`, or None when `letter` is not one: g_j
     moves ray 1 out and ray j in by one step and sends (j, 0) to (1, 0),
     g_j^-1 undoes that, and s swaps (1, 0) and (2, 0).  This is the
-    package's one definition of H_n's letters: `Word.parse` checks a gid by
-    it, and `generator` builds an element and the oracle a table and steps
-    from it, in O(1) per gid without listing H_n's generators as
-    `generator_ids` does.  The benchmark's checker, `bench/check.py`, keeps
-    a rule of its own, written apart, which the tests compare `evaluate`
-    against."""
+    package's one definition of H_n's letters: `Word.parse` and `generator`
+    check a gid by it, `evaluate` pushes it, for `generator` too, and the
+    oracle builds a table and steps from it, in O(1) per gid without
+    listing H_n's generators as `generator_ids` does.  A gid of more digits
+    than `int` reads has no rule.  The benchmark's checker,
+    `bench/check.py`, keeps a rule of its own, written apart, which the
+    tests compare `evaluate` against."""
     if not (isinstance(letter, tuple) and len(letter) == 2 and letter[1] in (1, -1)):
         return None
     gid, sign = letter
@@ -388,7 +370,10 @@ def _letter_rule(n: int, letter):
         return ((((1, 0), (2, 0)), ((2, 0), (1, 0))), ()) if n == 2 else None
     if not (isinstance(gid, str) and gid[:1] == "g" and gid[1:].isdecimal()):
         return None
-    j = int(gid[1:])
+    try:
+        j = int(gid[1:])
+    except ValueError:  # more digits than `int` reads: no generator of any H_n
+        return None
     if gid != "g%d" % j or not 2 <= j <= n:
         return None
     if sign > 0:
@@ -486,9 +471,10 @@ def deserialize(text: str) -> HoughtonElement:
     """The element of a JSON element document, built by the constructor once
     its fields have their JSON types.  A point of the table is a [ray,
     offset] array; anything else in its place is a bad exception entry."""
+    # a ValueError: JSONDecodeError, or a number of more digits than `int` reads
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidElementError("not valid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise InvalidElementError("element document must be an object")

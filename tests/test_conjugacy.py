@@ -3,9 +3,13 @@ import hashlib
 import itertools
 import json
 import operator
+import platform
 import random
+import subprocess
+import sys
 import time
 from math import gcd
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -52,6 +56,8 @@ from houghton.conjugacy import (
 from houghton.oracle import SearchBudget, brute_force_conjugator
 from houghton.orbits import WalkLimitError
 from instances import random_element, random_word, successor
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def element(n, text):
@@ -846,6 +852,19 @@ def test_two_class_refusal_work_grows_linearly(tool):
     counts = [bytecodes(conjugate, two_class_family(m, 0, 2, 1), two_class_family(m, 0, 2, 0)) for m in (250, 500, 1000)]
     for small, large in zip(counts, counts[1:]):
         assert large <= 2.3 * small, counts
+
+
+def test_work_counts_equal_the_committed_file(tmp_path):
+    # `tools/workcount.py --json` in a process of its own, so that nothing
+    # earlier tests kept, such as the letter rule's cache, enters a count;
+    # the counts are exact for one Python version, and another skips
+    committed = json.loads((ROOT / "BENCH_counts.json").read_text(encoding="utf-8"))
+    if committed["python"] != platform.python_version():
+        pytest.skip("BENCH_counts.json holds counts of Python %s, not %s" % (committed["python"], platform.python_version()))
+    out = tmp_path / "counts.json"
+    command = [sys.executable, str(ROOT / "tools" / "workcount.py"), "--json", str(out)]
+    subprocess.run(command, check=True, capture_output=True, timeout=300)
+    assert json.loads(out.read_text(encoding="utf-8")) == committed
 
 
 def test_yes_never_reaches_the_refusal_stage(monkeypatch):

@@ -95,6 +95,11 @@ def test_generator_invalid_id():
     for make in (lambda: generator(3, "g4"), lambda: Word.parse(3, "g2 g4")):
         with pytest.raises(WordError, match=r"^generator 'g4' is not valid for n=3$"):
             make()
+    # more digits than `int` reads, not a bare ValueError from the rule
+    long_gid = "g" + "1" * 5000
+    for make in (lambda: generator(3, long_gid), lambda: Word.parse(3, long_gid)):
+        with pytest.raises(WordError, match=r"^generator '%s' is not valid for n=3$" % long_gid):
+            make()
     for make in (lambda: generator(1, "g2"), lambda: Word.parse(1, "")):
         with pytest.raises(WordError, match=r"^n must be at least 2$"):
             make()
@@ -192,7 +197,9 @@ def test_evaluate_of_one_letter_is_a_new_element():
 
 
 def test_evaluate_refuses_letters_not_in_h_n():
-    for letter, n in ((("g9", 1), 3), (("g2", 2), 3), (("s", 1), 3), (("g3", 1), 2), (("h2", 1), 3)):
+    long_gid = "g" + "1" * 5000  # more digits than `int` reads
+    letters = ((("g9", 1), 3), (("g2", 2), 3), (("s", 1), 3), (("g3", 1), 2), (("h2", 1), 3), ((long_gid, 1), 3))
+    for letter, n in letters:
         with pytest.raises(WordError, match="%r.*n=%d" % (letter[0], n)):
             evaluate(Word(n, (("g2", 1), letter)))
 
@@ -301,7 +308,7 @@ def test_conjugate_element_basics():
             assert apply(conj, p) == apply(g3, apply(g2, apply(g3i, p)))
 
 
-# -- one-pass products against the action and the accumulator -----------------------
+# -- products against the action and the accumulator --------------------------------
 
 FAR = 10**6
 
@@ -369,7 +376,7 @@ def _assert_valid_and_equal(result, reference):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_one_pass_products_match_action_and_accumulator(n):
+def test_products_match_action_and_accumulator(n):
     inputs = _product_inputs(n)
     rng = random.Random(n)
     pairs = [(g, h) for g in inputs for h in inputs if rng.random() < 0.15]
@@ -439,8 +446,13 @@ def test_roundtrip_random():
         ('{"n":2,"t":[0,0],"exceptions":{}}', "bad field types in element document"),
         ("not json at all", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
         ('{"n": 2}', "missing fields: exceptions, t"),
+        (
+            '{"n":2,"t":[1,-1],"exceptions":[[[2,0],[1,%s]]]}' % ("9" * 5000),
+            "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit",
+        ),
     ],
-    ids=["array", "string", "string-n", "string-t", "object-table", "not-json", "missing-fields"],
+    ids=["array", "string", "string-n", "string-t", "object-table", "not-json", "missing-fields", "long-number"],
 )
 def test_deserialize_refuses_malformed_documents(doc, message):
     with pytest.raises(InvalidElementError, match="^%s$" % re.escape(message)):

@@ -2,6 +2,7 @@
 of its workloads whole.
 
     python3 tools/workcount.py
+    python3 tools/workcount.py --json BENCH_counts.json
 
 Counts the bytecodes that `conjugate(a, b)` executes, and those that
 `cycle_decomposition` executes on a and on b, summed over each of three
@@ -50,14 +51,26 @@ A second table counts two more of the benchmark's workloads, whole:
 Neither keeps anything between calls but a per-process cache (H_n's
 letters for the search; a plain command line builds no argument parser),
 which one uncounted call builds first, so one counted pass is exact.
+
+With `--json PATH` the tool also writes every column of both tables to
+PATH, with the Python version that counted them, and the bytecodes per
+function behind each pool's cold `conjugate` column and behind each
+workload, keyed "module:qualified name".  `BENCH_counts.json` is that
+file as of the committed package; a tier-1 test runs the tool in a fresh
+process and checks that it writes the same, so a change that moves any
+count regenerates the file and its diff shows which functions moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import json
+import platform
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,19 +105,25 @@ def pools():
     return {"roundtrip": roundtrip, "same_invariant": same, "far_offsets": far}
 
 
-def bytecodes(call, *args) -> int:
-    """The opcode events of call(*args) and of every frame it enters.  The
-    trace function installed before, such as `tools/untested.py`'s line
-    tracer when a test counts, is put back afterwards."""
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "opcode":
-            count += 1
-        return local
+def opcodes(call, *args) -> Counter:
+    """The opcode events of call(*args) and of every frame it enters, by
+    function: keyed "module:qualified name", where the qualified name is
+    the plain name on a Python without `co_qualname` (3.10).  The trace
+    function installed before, such as `tools/untested.py`'s line tracer
+    when a test counts, is put back afterwards."""
+    cells = {}  # code object -> [its module's name, opcode events]
 
     def enter(frame, event, arg):
+        code = frame.f_code
+        cell = cells.get(code)
+        if cell is None:
+            cell = cells[code] = [frame.f_globals.get("__name__"), 0]
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                cell[1] += 1
+            return local
+
         frame.f_trace_opcodes = True
         return local
 
@@ -114,7 +133,15 @@ def bytecodes(call, *args) -> int:
         call(*args)
     finally:
         sys.settrace(previous)
-    return count
+    out = Counter()
+    for code, (module, count) in cells.items():
+        out["%s:%s" % (module, getattr(code, "co_qualname", code.co_name))] += count
+    return out
+
+
+def bytecodes(call, *args) -> int:
+    """The opcode events of call(*args) and of every frame it enters."""
+    return sum(opcodes(call, *args).values())
 
 
 decompose = lambda g: houghton.cycle_decomposition(g)  # noqa: E731
@@ -142,21 +169,34 @@ def far_offsets_calls(work: Path):
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Exact work counts on the benchmark's pools and workloads.")
+    parser.add_argument("--json", metavar="PATH", type=Path, help="also write every count, and each function's, to PATH")
+    args = parser.parse_args()
+    doc = {"python": platform.python_version(), "pools": {}, "workloads": {}}
     print("pool             pairs   conjugate  cycle_decomposition  warm conjugate  repeat conjugate")
     for name, pairs in pools().items():
-        conj = sum(cold(houghton.conjugate, a, b) for a, b in pairs)
+        by_function = Counter()
+        for a, b in pairs:
+            by_function += opcodes(houghton.conjugate, *map(fresh, (a, b)))
+        conj = sum(by_function.values())
         dec = sum(cold(decompose, g) for pair in pairs for g in pair)
-        warm = "-"
+        warm = None
         if name == "same_invariant":
-            warm = format(sum(bytecodes(houghton.conjugate, a, b) for a, b in pairs), ",")
+            warm = sum(bytecodes(houghton.conjugate, a, b) for a, b in pairs)
         else:
             for a, b in pairs:
                 houghton.conjugate(a, b)
         repeat = sum(bytecodes(houghton.conjugate, a, b) for a, b in pairs)
-        print(
-            "%-15s %6d %11s %20s %15s %17s"
-            % (name, len(pairs), format(conj, ","), format(dec, ","), warm, format(repeat, ","))
-        )
+        columns = [format(v, ",") if v is not None else "-" for v in (conj, dec, warm, repeat)]
+        print("%-15s %6d %11s %20s %15s %17s" % (name, len(pairs), *columns))
+        doc["pools"][name] = {
+            "pairs": len(pairs),
+            "conjugate": conj,
+            "cycle_decomposition": dec,
+            "warm_conjugate": warm,
+            "repeat_conjugate": repeat,
+            "conjugate_by_function": dict(sorted(by_function.items())),
+        }
     print()
     print("workload         ops   bytecodes   per op  counted call")
     with tempfile.TemporaryDirectory() as work:
@@ -165,10 +205,22 @@ def main() -> None:
             ("oracle", oracle_calls(work), "brute_force_conjugator"),
             ("far_offsets", far_offsets_calls(work), "cli.main"),
         ):
+            by_function = Counter()
             with contextlib.redirect_stdout(io.StringIO()):
                 calls[0][0](*calls[0][1])  # builds the per-process cache
-                total = sum(bytecodes(call, *args) for call, args in calls)
+                for call, call_args in calls:
+                    by_function += opcodes(call, *call_args)
+            total = sum(by_function.values())
             print("%-15s %5d %11s %8s  %s" % (name, len(calls), format(total, ","), format(total // len(calls), ","), counted))
+            doc["workloads"][name] = {
+                "ops": len(calls),
+                "bytecodes": total,
+                "per_op": total // len(calls),
+                "counted_call": counted,
+                "by_function": dict(sorted(by_function.items())),
+            }
+    if args.json is not None:
+        args.json.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
