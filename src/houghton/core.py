@@ -58,6 +58,8 @@ class Word:
     @classmethod
     def parse(cls, n: int, text: str) -> "Word":
         _check_n(n)
+        if not isinstance(text, str):
+            raise WordError("word text must be a string, not %r" % (text,))
         letters = []
         for token in text.split():
             match = _TOKEN_RE.match(token)
@@ -240,14 +242,15 @@ def generator(n: int, gid: str) -> HoughtonElement:
 
 
 def apply(g: HoughtonElement, p: Point) -> Point:
-    """(p)g under the right action."""
-    i, m = p
-    if not (1 <= i <= g.n) or m < 0:
-        raise InvalidElementError("point %r is not in the ray set" % (p,))
-    q = g.exceptions.get(p)
-    if q is not None:
-        return q
-    return (i, m + g.t[i - 1])
+    """(p)g under the right action.  A point is two ints, in a tuple or a
+    list as the constructor takes it; anything else, a bool or a float
+    included, is refused, not moved."""
+    if isinstance(p, (tuple, list)) and len(p) == 2:
+        i, m = p
+        if type(i) is type(m) is int and 1 <= i <= g.n and m >= 0:
+            q = g.exceptions.get((i, m))
+            return q if q is not None else (i, m + g.t[i - 1])
+    raise InvalidElementError("point %r is not in the ray set" % (p,))
 
 
 # -- products ----------------------------------------------------------------

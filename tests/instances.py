@@ -2,8 +2,10 @@
 
 `random_word` and `random_element` draw reproducible words and elements;
 `test_random_values_are_frozen` pins their values, so a change to either
-invalidates the seeded tests.  `successor` re-applies a cycle
-decomposition, the reference that tests compare the decomposition against.
+invalidates the seeded tests.  `element` is the element of a word's text,
+and `lift` swaps a window of low points with one far out.  `successor`
+re-applies a cycle decomposition, the reference that tests compare the
+decomposition against.
 `check` is the benchmark's checker, `bench/check.py`, which never calls
 the package: its letter rule is the one the tests compare `evaluate`
 against, and `random_word` draws its letters from its alphabet.
@@ -48,6 +50,20 @@ def random_element(n: int, seed: int, profile: str = "word-8") -> HoughtonElemen
         length = int(profile[len("word-"):])
         return evaluate(random_word(n, seed, length))
     raise ValueError("unknown profile %r" % profile)
+
+
+def element(n: int, text: str) -> HoughtonElement:
+    """The element of a word given as text, such as "g2 g3'"."""
+    return evaluate(Word.parse(n, text))
+
+
+def lift(n: int, far: int, width: int) -> HoughtonElement:
+    """The finite-support swap (i, m) <-> (i, far + m), m < width, on every ray."""
+    swap = {}
+    for i in range(1, n + 1):
+        for m in range(width):
+            swap[(i, m)], swap[(i, far + m)] = (i, far + m), (i, m)
+    return HoughtonElement(n, (0,) * n, swap)
 
 
 def successor(dec: CycleDecomposition, p: Point) -> Point:

@@ -30,11 +30,7 @@ from houghton import (
 )
 from houghton.conjugacy import construct_translation_element
 from houghton.core import _Accumulator
-from instances import check, random_element, random_word
-
-
-def word(n, text):
-    return Word.parse(n, text)
+from instances import check, element, random_element, random_word
 
 
 def words(n, max_len=8):
@@ -79,6 +75,19 @@ def test_generator_action():
     assert apply(g2, (1, 4)) == (1, 5)
     assert apply(g2, (2, 1)) == (2, 0)
     assert apply(g2, (3, 7)) == (3, 7)
+    assert apply(g2, [2, 0]) == (1, 0)  # a list, as the constructor takes a point
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(1, 0.5), (1, True), (2, -0.0), (1.5, 0), ("1", 0), (1, 0, 0), (1,), "10", None, (4, 0), (1, -1)],
+    ids=["fraction", "bool", "float-zero", "fraction-ray", "string-ray", "three", "one", "string", "none", "ray", "offset"],
+)
+def test_apply_refuses_what_is_not_a_point(point):
+    # a point is two ints in the ray set: (1, 0.5) is not moved to (1, 1.5),
+    # (1, True) not read as (1, 1), and (1, 0, 0) not cut to two
+    with pytest.raises(InvalidElementError, match="^point %s is not in the ray set$" % re.escape(repr(point))):
+        apply(generator(3, "g2"), point)
 
 
 def test_transposition_generator():
@@ -126,21 +135,27 @@ def test_an_n_that_is_not_an_int_is_refused(n):
 
 
 def test_word_parse_roundtrip():
-    w = word(3, "g2 g3' g2'")
+    w = Word.parse(3, "g2 g3' g2'")
     assert str(w) == "g2 g3' g2'"
     assert len(w) == 3
 
 
 def test_word_bad_token():
     with pytest.raises(WordError):
-        word(3, "h2")
+        Word.parse(3, "h2")
+
+
+@pytest.mark.parametrize("text", [None, 5, b"g2"])
+def test_word_text_that_is_not_a_string_is_refused(text):
+    with pytest.raises(WordError, match="^word text must be a string, not %s$" % re.escape(repr(text))):
+        Word.parse(3, text)
 
 
 def test_a_gid_is_checked_in_constant_time():
     # a gid is checked by the letter rule, not against a list of H_n's
     # generators, so in H_200,000 a thousand tokens parse at once
     started = time.process_time()
-    w = word(200_000, "g199999 " * 1000)
+    w = Word.parse(200_000, "g199999 " * 1000)
     assert time.process_time() - started < 0.1 and len(w) == 1000
     started = time.process_time()
     g = generator(200_000, "g199999")
@@ -148,11 +163,7 @@ def test_a_gid_is_checked_in_constant_time():
 
 
 def test_evaluate_cancellation():
-    assert evaluate(word(3, "g2 g2'")) == identity(3)
-
-
-def test_evaluate_single_generator():
-    assert evaluate(word(3, "g2")) == generator(3, "g2")
+    assert element(3, "g2 g2'") == identity(3)
 
 
 def test_checker_moves_g2_by_its_own_letter_rule():
@@ -165,19 +176,25 @@ def test_checker_moves_g2_by_its_own_letter_rule():
 
 def test_checker_agrees_with_evaluate_and_generator():
     # the benchmark's checker simulates a word by its own letter rule,
-    # written apart from core's `_letter_rule`: it checks the normal form
-    # of `evaluate` on random words and on every single-letter word, and of
-    # `generator` on every gid
-    for n in range(2, 7):
+    # written apart from core's `_letter_rule`, and shares no code with
+    # `_Accumulator`: it checks the normal form of `evaluate` on seeded
+    # words of lengths up to 40 in H_2..H_50 and on every single-letter
+    # word, and of `generator` on every gid
+    rng = random.Random("evaluate-fold")
+    for n in range(2, 51):
+        letters = [(gid, sign) for gid in generator_ids(n) for sign in (1, -1)]
+        seeded = [Word(n, tuple(rng.choice(letters) for _ in range(length))) for length in (0, 1, 2, 5, 12, 40)]
+        if n < 7:
+            seeded += [random_word(n, seed, 6) for seed in range(20)]
         singles = [Word.parse(n, gid + prime) for gid in generator_ids(n) for prime in ("", "'")]
-        cases = [(w, evaluate(w)) for w in [random_word(n, seed, 6) for seed in range(20)] + singles]
+        cases = [(w, evaluate(w)) for w in seeded + singles]
         cases += [(Word.parse(n, gid), generator(n, gid)) for gid in generator_ids(n)]
         for w, e in cases:
             assert check.word_table(n, w.letters) == check.table_of(e), (n, str(w))
 
 
 def test_evaluate_order_matters():
-    assert evaluate(word(3, "g2 g3")) != evaluate(word(3, "g3 g2"))
+    assert element(3, "g2 g3") != element(3, "g3 g2")
 
 
 def test_generator_returns_a_new_element_each_call():
@@ -191,14 +208,13 @@ def test_evaluate_of_one_letter_is_a_new_element():
         for gid in generator_ids(n):
             for sign in (1, -1):
                 one, two = evaluate(Word(n, ((gid, sign),))), evaluate(Word(n, ((gid, sign),)))
-                letter = generator(n, gid) if sign > 0 else inverse(generator(n, gid))
-                assert one == two == letter
-                assert one is not two and one.exceptions is not two.exceptions
+                assert one == two and one is not two and one.exceptions is not two.exceptions
 
 
 def test_evaluate_refuses_letters_not_in_h_n():
     long_gid = "g" + "1" * 5000  # more digits than `int` reads
-    letters = ((("g9", 1), 3), (("g2", 2), 3), (("s", 1), 3), (("g3", 1), 2), (("h2", 1), 3), ((long_gid, 1), 3))
+    letters = [(("g9", 1), 3), (("g2", 2), 3), (("s", 1), 3), (("g3", 1), 2), (("h2", 1), 3), ((long_gid, 1), 3)]
+    letters.append(((b"g2", 1), 3))  # a gid that is not a string has no rule
     for letter, n in letters:
         with pytest.raises(WordError, match="%r.*n=%d" % (letter[0], n)):
             evaluate(Word(n, (("g2", 1), letter)))
@@ -214,25 +230,8 @@ def test_evaluate_refuses_unhashable_letters(letter):
         evaluate(Word(3, (("g2", 1), letter)))
 
 
-def test_evaluate_matches_a_fold_of_letter_elements():
-    # the accumulator applies each letter by its rule; a compose fold of the
-    # letters' elements from `generator` and `inverse` gives the same
-    # element on seeded random words in H_2..H_50
-    rng = random.Random("evaluate-fold")
-    for n in range(2, 51):
-        letters = [(gid, sign) for gid in generator_ids(n) for sign in (1, -1)]
-        elements = {(gid, 1): generator(n, gid) for gid in generator_ids(n)}
-        elements.update({(gid, -1): inverse(g) for (gid, _), g in list(elements.items())})
-        for length in (0, 1, 2, 5, 12, 40):
-            w = Word(n, tuple(rng.choice(letters) for _ in range(length)))
-            folded = identity(n)
-            for letter in w.letters:
-                folded = compose(folded, elements[letter])
-            assert evaluate(w) == folded, (n, str(w))
-
-
 def test_apply_chained():
-    e = evaluate(word(3, "g2 g3"))
+    e = element(3, "g2 g3")
     assert apply(e, (1, 0)) == (1, 2)
 
 
@@ -284,8 +283,8 @@ def test_inverse_undoes_apply():
 
 def test_normal_form_canonical():
     # freely equal words give identical serializations
-    left = evaluate(word(3, "g2 g3 g3' g2' g2"))
-    right = evaluate(word(3, "g2"))
+    left = element(3, "g2 g3 g3' g2' g2")
+    right = element(3, "g2")
     assert serialize(left) == serialize(right)
 
 
@@ -308,12 +307,15 @@ def test_conjugate_element_basics():
             assert apply(conj, p) == apply(g3, apply(g2, apply(g3i, p)))
 
 
-# -- products against the action and the accumulator --------------------------------
+# -- products against the action, and conjugates against the accumulator -------------
 
 FAR = 10**6
 
 
 def _through_accumulator(*factors):
+    """The product of the factors pushed onto one `_Accumulator`: a second
+    side for `conjugate_element`, whose `_conjugated_table` shares no code
+    with it.  It is `compose`'s own body, so it is no check of `compose`."""
     acc = _Accumulator(factors[0].n)
     for h in factors:
         acc.push(h.exceptions.items(), enumerate(h.t, 1))
@@ -331,11 +333,11 @@ def test_accumulator_refuses_a_product_that_is_not_a_bijection():
 
 
 def _far_swap(g):
-    """g conjugated, through the accumulator, by the swap of its smallest
-    table point with the point FAR further out on the same ray."""
+    """g conjugated by the swap of its smallest table point with the point
+    FAR further out on the same ray."""
     i, m = min(g.exceptions)
     swap = HoughtonElement(g.n, (0,) * g.n, {(i, m): (i, m + FAR), (i, m + FAR): (i, m)})
-    return _through_accumulator(swap, g, swap)
+    return compose(compose(swap, g), swap)
 
 
 def _product_inputs(n):
@@ -370,11 +372,6 @@ def _probe_points(n, *elements):
     return sorted(points)
 
 
-def _assert_valid_and_equal(result, reference):
-    assert result == reference
-    assert HoughtonElement(result.n, result.t, result.exceptions) == result
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_products_match_action_and_accumulator(n):
     inputs = _product_inputs(n)
@@ -385,12 +382,13 @@ def test_products_match_action_and_accumulator(n):
         gh = compose(g, h)
         for p in _probe_points(n, g, h):
             assert apply(gh, p) == apply(h, apply(g, p))
-        _assert_valid_and_equal(gh, _through_accumulator(g, h))
+        assert HoughtonElement(gh.n, gh.t, gh.exceptions) == gh
         x_inv = inverse(h)
         c = conjugate_element(g, h)
         for p in _probe_points(n, x_inv, g, h):
             assert apply(c, p) == apply(h, apply(g, apply(x_inv, p)))
-        _assert_valid_and_equal(c, _through_accumulator(x_inv, g, h))
+        assert c == _through_accumulator(x_inv, g, h)
+        assert HoughtonElement(c.n, c.t, c.exceptions) == c
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -407,7 +405,8 @@ def test_conjugate_by_letter_matches_action_and_accumulator(n):
             g_inv = inverse(g)
             for p in _probe_points(n, g_inv, c, g):
                 assert apply(result, p) == apply(g, apply(c, apply(g_inv, p)))
-            _assert_valid_and_equal(result, _through_accumulator(g_inv, c, g))
+            assert result == _through_accumulator(g_inv, c, g)
+            assert HoughtonElement(result.n, result.t, result.exceptions) == result
 
 
 def test_bijective_on_window():

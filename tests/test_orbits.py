@@ -26,11 +26,7 @@ from houghton import (
     sym_conjugate,
 )
 from houghton import core, orbits
-from instances import random_element, random_word, successor
-
-
-def element(n, text):
-    return evaluate(Word.parse(n, text))
+from instances import element, lift, random_element, random_word, successor
 
 
 def test_identity_has_no_orbits():
@@ -289,15 +285,6 @@ def test_walk_refuses_an_outgoing_class_claimed_twice():
         HoughtonElement(2, (2, -2), exceptions)
     with pytest.raises(RuntimeError, match="claimed twice"):
         orbits._walk(core._make(2, (2, -2), exceptions))
-
-
-def lift(n, far, width):
-    """The finite-support swap (i, m) <-> (i, far + m), m < width, on every ray."""
-    swap = {}
-    for i in range(1, n + 1):
-        for m in range(width):
-            swap[(i, m)], swap[(i, far + m)] = (i, far + m), (i, m)
-    return HoughtonElement(n, (0,) * n, swap)
 
 
 def decomposition_pool():
