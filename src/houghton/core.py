@@ -29,9 +29,6 @@ class WordError(ValueError):
     """Malformed word text or a generator id that is invalid for this n."""
 
 
-_TOKEN_RE = re.compile(r"^(g[0-9]+|s)('?)$")
-
-
 def _check_n(n, error=WordError) -> None:
     """Refuse with `error` an n that is not an int of at least 2."""
     if not isinstance(n, int):
@@ -62,13 +59,10 @@ class Word:
             raise WordError("word text must be a string, not %r" % (text,))
         letters = []
         for token in text.split():
-            match = _TOKEN_RE.match(token)
-            if match is None:
-                raise WordError("bad token %r" % token)
-            gid, prime = match.groups()
-            letter = (gid, -1 if prime else 1)
+            # a trailing ' inverts; the letter rule alone decides the rest
+            letter = (token[:-1], -1) if token.endswith("'") else (token, 1)
             if _letter_rule(n, letter) is None:
-                raise WordError("generator %r is not valid for n=%d" % (gid, n))
+                raise WordError("generator %r is not valid for n=%d" % (letter[0], n))
             letters.append(letter)
         return cls(n, tuple(letters))
 
@@ -359,9 +353,9 @@ def _letter_rule(n: int, letter):
     H_n, for `_Accumulator.push`, or None when `letter` is not one: g_j
     moves ray 1 out and ray j in by one step and sends (j, 0) to (1, 0),
     g_j^-1 undoes that, and s swaps (1, 0) and (2, 0).  This is the
-    package's one definition of H_n's letters: `Word.parse` and `generator`
-    check a gid by it, `evaluate` pushes it, for `generator` too, and the
-    oracle builds a table and steps from it, in O(1) per gid without
+    package's one definition of H_n's letters: `Word.parse` reads a token
+    by it alone, `generator` checks a gid by it, `evaluate` pushes it, and
+    the oracle builds a table and steps from it, in O(1) per gid without
     listing H_n's generators as `generator_ids` does.  A gid of more digits
     than `int` reads has no rule.  The benchmark's checker,
     `bench/check.py`, keeps a rule of its own, written apart, which the

@@ -3,10 +3,11 @@
 The conjugator search has its own arithmetic on points coded as ints,
 (i, m) as m * n + i - 1: its one product, `_coded_conjugated_table`,
 repeats `core._conjugated_table` on codes, with each letter's coded table
-and steps built from `core`'s letter rule and kept once per n, O(1) in
-size whatever n is.  A node of the search is a word and the coded table
-of its conjugate, whose translation is a's or b's, with the table's key
-where it is looked up, and no element is built until a hit.
+and steps built from `core`'s letter rule and kept for the last n
+searched, O(1) in size whatever n is.  A node of the search is a word
+and the coded table of its conjugate, whose translation is a's or b's,
+with the table's key where it is looked up, and no element is built
+until a hit.
 The cross-check stays independent in what it searches and how it confirms:
 the search enumerates words rather than translation tuples, answers with
 the first word of the ball in breadth-first order with no pruning by
@@ -68,7 +69,7 @@ def _coded_table(n: int, entries: Iterable[Tuple[Point, Point]]) -> Dict[int, in
     return {m * n + i - 1: k * n + j - 1 for (i, m), (j, k) in entries}
 
 
-@functools.lru_cache(maxsize=8, typed=True)
+@functools.lru_cache(maxsize=1, typed=True)
 def _search_tables(n: int) -> Tuple[_SearchLetter, ...]:
     """Each signed letter of H_n, in letter order, with its coded table
     and steps, and the letter that cancels it (s cancels itself) with
@@ -76,8 +77,8 @@ def _search_tables(n: int) -> Tuple[_SearchLetter, ...]:
     every letter but the one that cancels it.  The steps map ray - 1 to
     the coded step step * n on the rays the letter moves, and are read
     with 0 for the others, so a letter costs O(1) whatever n is.  Built
-    once per n, for a search of radius 1 or more that passed the size
-    check, and only read."""
+    for a search of radius 1 or more that passed the size check, and only
+    read; only the last n's are kept, as a large H_n's take megabytes."""
     tables = {}
     # one int object for each code and coded step, whichever dicts hold it
     share = {}.setdefault

@@ -29,7 +29,7 @@ from houghton import (
     serialize,
 )
 from houghton.conjugacy import construct_translation_element
-from houghton.core import _Accumulator
+from houghton.core import _Accumulator, _letter_rule
 from instances import check, element, random_element, random_word
 
 
@@ -141,8 +141,41 @@ def test_word_parse_roundtrip():
 
 
 def test_word_bad_token():
-    with pytest.raises(WordError):
-        Word.parse(3, "h2")
+    # a token that is no letter is refused by the letter rule, by name
+    with pytest.raises(WordError, match=r"^generator 'h2' is not valid for n=3$"):
+        Word.parse(3, "g2 h2")
+
+
+# the grammar that `Word.parse` matched each token against before the
+# letter rule, kept as the reference of the test below
+OLD_TOKEN_RE = re.compile(r"^(g[0-9]+|s)('?)$")
+
+
+def test_parse_accepts_and_reads_tokens_as_the_old_grammar_did():
+    # `Word.parse` reads a token by the letter rule alone: it accepts the
+    # tokens that the old grammar matched and the rule then took, as the
+    # same letters, and refuses every other token
+    long_gid = "g" + "2" * 5000  # more digits than `int` reads
+    tokens = ["'", "''", "s", "s'", "s''", "'s", "S", "S'", "g", "g'", "G2", "h2", "'g2", "g2''", "g2'g3"]
+    tokens += ["g0", "g1", "g02", "g002'", "g-2", "g+2", "g2.0", "g2x", "g\u0662", "g\uff12", "g\u00b2"]
+    tokens += [long_gid, long_gid + "'", "g0" + long_gid[1:], "g" + "3" * 4000]
+    for n in range(2, 7):
+        for gid in generator_ids(n) + ("g%d" % (n + 1),):
+            tokens += [gid, gid + "'", gid + "''", "g0" + gid[1:]]
+    for n in range(2, 7):
+        for token in tokens:
+            match = OLD_TOKEN_RE.match(token)
+            expected = None
+            if match is not None:
+                gid, prime = match.groups()
+                letter = (gid, -1 if prime else 1)
+                if _letter_rule(n, letter) is not None:
+                    expected = (letter,)
+            try:
+                read = Word.parse(n, token).letters
+            except WordError:
+                read = None
+            assert read == expected, (n, token)
 
 
 @pytest.mark.parametrize("text", [None, 5, b"g2"])
@@ -330,6 +363,27 @@ def test_accumulator_refuses_a_product_that_is_not_a_bijection():
     acc.push([((1, 0), (2, 0))], ())
     with pytest.raises(InvalidElementError, match="not a bijection"):
         acc.push([((1, 0), (1, 0))], ())
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_accumulator_keeps_its_inverse_exact(n):
+    # `push` pops each rewritten entry's old image from `inv` before it
+    # writes the new ones, so `inv` stays the table turned round; without
+    # that pass the products come out the same, but `inv` keeps images
+    # that no entry holds and grows past the table.  Seeded letters, with
+    # now and then a whole element's table pushed as `compose` pushes it
+    rng = random.Random(("accumulator-inverse", n).__repr__())
+    letters = check.alphabet(n)
+    factors = [random_element(n, seed, profile) for seed in range(4) for profile in ("word-6", "fsym")]
+    acc = _Accumulator(n)
+    for k in range(1, 3001):
+        if k % 50:
+            acc.push(*_letter_rule(n, rng.choice(letters)))
+        else:
+            f = rng.choice(factors)
+            acc.push(f.exceptions.items(), enumerate(f.t, 1))
+        if k % 100 == 0:
+            assert acc.inv == {v: p for p, v in acc.table.items()}, (n, k)
 
 
 def _far_swap(g):
@@ -633,9 +687,10 @@ def test_census_components_stay_in_one_class(tool):
     # the 567 valid tables of that sweep, partitioned by `conjugate` and by
     # conjugation with letters through elements of at most 6 entries at
     # offsets below 4, computed without the package: a component that held
-    # two classes would show a wrong answer.  The counts are a run's
-    classes, components, visited, spans = tool("census").census(4)
-    assert spans == []
+    # two classes would show a wrong answer.  Every pair decided on the way
+    # decides alike inverted.  The counts are a run's
+    classes, components, visited, spans, inverted = tool("census").census(4)
+    assert spans == [] and inverted == []
     assert (classes, components, visited) == (64, 72, 85_130)
 
 
@@ -643,13 +698,16 @@ def test_census_of_h4_stays_in_one_class(tool):
     # the 330 valid tables of the H_4 sweep, built directly: 212 with two
     # ends classes (gcd 2 across them at t = (2, -2, 2, -2)) and 118 with
     # one class over three or four rays.  Against the class
-    # representatives of equal t, every orbit tag occurs, and at W = 3 the
+    # representatives of equal t, every orbit tag occurs, every pair the
+    # partition decides decides alike inverted, and at W = 3 the
     # components are the 31 classes.  The counts are a run's
     census = tool("census")
     members = census.elements(census.SWEEP_H4)
     shapes = collections.Counter(tuple(sorted(map(len, ends_partition(g).classes))) for g in members)
     assert shapes == {(2, 2): 212, (3,): 102, (4,): 16}
-    heads = [members[h] for h in set(census.classes(members))]
+    cls, inverted = census.classes(members)
+    assert inverted == []
+    heads = [members[h] for h in set(cls)]
     tags = collections.Counter(houghton.conjugate(h, g).reason for g in members for h in heads if h.t == g.t)
     assert tags == {
         None: 330,
@@ -657,8 +715,8 @@ def test_census_of_h4_stays_in_one_class(tool):
         "orbit-pairing-mismatch": 460,
         "orbit-shift-mismatch": 32,
     }
-    classes, components, visited, spans = census.census(3, census.SWEEP_H4)
-    assert spans == []
+    classes, components, visited, spans, inverted = census.census(3, census.SWEEP_H4)
+    assert spans == [] and inverted == []
     assert (classes, components, visited) == (31, 31, 47_810)
 
 
@@ -666,14 +724,16 @@ def test_wide_census_of_h4_tags(tool):
     # the 1,106 valid tables of the wide H_4 sweep, whose refusals draw a
     # second choice of a class the class loop stopped in 152 times.  Each
     # element is conjugate to exactly one of the 72 class representatives
-    # of its t, and every orbit tag occurs.  The components, at W = 4, are
-    # left to the main run of tools/census.py (about 20 s).  The counts
-    # are a run's
+    # of its t, every pair the partition decides decides alike inverted,
+    # and every orbit tag occurs.  The components, at W = 4, are left to
+    # the main run of tools/census.py (about 20 s).  The counts are a run's
     census = tool("census")
     members = census.elements(census.SWEEP_H4_WIDE)
     shapes = collections.Counter(tuple(sorted(map(len, ends_partition(g).classes))) for g in members)
     assert shapes == {(2, 2): 380, (4,): 352, (2,): 272, (3,): 102}
-    heads = [members[h] for h in set(census.classes(members))]
+    cls, inverted = census.classes(members)
+    assert inverted == []
+    heads = [members[h] for h in set(cls)]
     assert len(heads) == 72
     tags = collections.Counter(houghton.conjugate(h, g).reason for g in members for h in heads if h.t == g.t)
     assert tags == {

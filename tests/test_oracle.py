@@ -1,4 +1,6 @@
+import gc
 import time
+import tracemalloc
 from typing import List, Optional, Tuple
 
 import pytest
@@ -124,6 +126,24 @@ def test_brute_force_searches_a_large_h_n():
     b = conjugate_element(a, generator(n, "g20000"))
     assert str(brute_force_conjugator(a, b, SearchBudget(1))) == "g20000"
     assert brute_force_conjugator(generator(n, "g2"), generator(n, "g3"), SearchBudget(1)) is None
+
+
+def test_a_search_keeps_only_the_last_n_letters():
+    # the letters of the last n searched are kept for the next search,
+    # and no others: after a search of radius 1 in H_5,000, whose letters
+    # take megabytes, one in H_3 leaves little behind.  A full collection
+    # empties the interpreter's free lists first; what stays is mostly the
+    # letter rule's cache, of at most 1,024 letters
+    tracemalloc.start()
+    try:
+        assert brute_force_conjugator(generator(5000, "g2"), generator(5000, "g3"), SearchBudget(1)) is None
+        g = generator(3, "g2")
+        assert brute_force_conjugator(g, g, SearchBudget(1)) == Word(3, ())
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000
 
 
 def test_a_radius_0_search_builds_no_letter(monkeypatch):

@@ -29,7 +29,11 @@ There are three sweeps:
 
   classes     by `conjugate`, against one representative per class found
               so far, so every element joins the first class whose
-              representative it is conjugate to
+              representative it is conjugate to.  Each pair decided is
+              decided again inverted: conjugate(h^-1, g^-1) must give the
+              same answer, tag and verified flag as conjugate(h, g), as
+              inversion keeps conjugacy and every invariant a tag names,
+              and on a yes the certificate must conjugate h^-1 to g^-1
   components  by conjugation with each signed letter, walked only
               through elements whose table points all lie at offsets
               below a width W, with at most `MOST_ENTRIES` entries.  The
@@ -48,8 +52,9 @@ classes, the two partitions are equal.
 
 The main run takes W = 6 on SWEEP and W = 4 on SWEEP_H4_WIDE, the walks
 the tier-1 tests cannot afford (they pin SWEEP at W = 4 and SWEEP_H4 at
-W = 3), and exits 1 unless, on each, no component spans two classes and
-the counts agree; it prints the pairs that contradict.
+W = 3), and exits 1 unless, on each, no component spans two classes, the
+counts agree and no inverted pair decides otherwise; it prints the pairs
+that contradict.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]  # this checkout's package and letter rule
 
 from check import _letter, alphabet  # noqa: E402
-from houghton import HoughtonElement, conjugate  # noqa: E402
+from houghton import HoughtonElement, conjugate, inverse, verify  # noqa: E402
 
 Point = Tuple[int, int]
 Table = Dict[Point, Point]
@@ -211,41 +216,68 @@ def components(census: List[HoughtonElement], width: int) -> Tuple[List[int], in
     return comp, visited
 
 
-def classes(census: List[HoughtonElement]) -> List[int]:
+Pairs = List[Tuple[HoughtonElement, HoughtonElement]]
+
+
+def decided(outcome) -> tuple:
+    """What a decision says: the answer, the tag and the verified flag."""
+    return outcome.is_conjugate, outcome.reason, outcome.verified
+
+
+def classes(census: List[HoughtonElement]) -> Tuple[List[int], Pairs]:
     """The conjugacy class of each census element by `conjugate`, as the
-    index of the first census element in it."""
+    index of the first census element in it, and the pairs (h, g) decided
+    on the way whose inverted pair (h^-1, g^-1) decides otherwise, or whose
+    certificate does not conjugate h^-1 to g^-1."""
     out: List[int] = []
     heads: List[int] = []
+    inverted: Pairs = []
+    inverses = [inverse(g) for g in census]
     for k, g in enumerate(census):
-        out.append(next((h for h in heads if census[h].n == g.n and conjugate(census[h], g).is_conjugate), k))
-        if out[-1] == k:
+        out.append(k)
+        for h in heads:
+            if census[h].n != g.n:
+                continue
+            decision = conjugate(census[h], g)
+            flipped = conjugate(inverses[h], inverses[k])
+            if decided(flipped) != decided(decision) or (
+                decision.is_conjugate and not verify(inverses[h], inverses[k], decision.conjugator)
+            ):
+                inverted.append((census[h], g))
+            if decision.is_conjugate:
+                out[-1] = h
+                break
+        else:
             heads.append(k)
-    return out
+    return out, inverted
 
 
-def census(width: int, sweep=SWEEP) -> Tuple[int, int, int, List[Tuple[HoughtonElement, HoughtonElement]]]:
-    """(classes, components, visited, spans) of the census of `sweep` at
-    `width`: the two partitions' counts, the elements the walk visited, and
-    the pairs (the first census element of a component, a census element of
-    another class in it)."""
+def census(width: int, sweep=SWEEP) -> Tuple[int, int, int, Pairs, Pairs]:
+    """(classes, components, visited, spans, inverted) of the census of
+    `sweep` at `width`: the two partitions' counts, the elements the walk
+    visited, the pairs (the first census element of a component, a census
+    element of another class in it), and the pairs of `classes` that
+    inversion decides otherwise."""
     members = elements(sweep)
-    cls = classes(members)
+    cls, inverted = classes(members)
     comp, visited = components(members, width)
     spans = [(members[h], members[k]) for k, h in enumerate(comp) if cls[h] != cls[k]]
-    return len(set(cls)), len(set(comp)), visited, spans
+    return len(set(cls)), len(set(comp)), visited, spans, inverted
 
 
 def main() -> int:
     status = 0
     for name, sweep, width in (("SWEEP", SWEEP, WIDTH), ("SWEEP_H4_WIDE", SWEEP_H4_WIDE, WIDTH_H4_WIDE)):
-        n_classes, n_components, visited, spans = census(width, sweep)
+        n_classes, n_components, visited, spans, inverted = census(width, sweep)
         print(
             "%s at W = %d: %d classes, %d components, %d elements visited"
             % (name, width, n_classes, n_components, visited)
         )
         for g, h in spans:
             print("one component, two classes:", g, h)
-        if spans or n_components != n_classes:
+        for g, h in inverted:
+            print("inversion decides otherwise:", g, h)
+        if spans or inverted or n_components != n_classes:
             status = 1
     return status
 
