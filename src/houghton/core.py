@@ -356,8 +356,10 @@ def _letter_rule(n: int, letter):
     package's one definition of H_n's letters: `Word.parse` reads a token
     by it alone, `generator` checks a gid by it, `evaluate` pushes it, and
     the oracle builds a table and steps from it, in O(1) per gid without
-    listing H_n's generators as `generator_ids` does.  A gid of more digits
-    than `int` reads has no rule.  The benchmark's checker,
+    listing H_n's generators as `generator_ids` does.  The oracle reads the
+    uncached rule, `__wrapped__`, so a search in a large H_n leaves none of
+    its letters in this cache.  A gid of more digits than `int` reads has
+    no rule.  The benchmark's checker,
     `bench/check.py`, keeps a rule of its own, written apart, which the
     tests compare `evaluate` against."""
     if not (isinstance(letter, tuple) and len(letter) == 2 and letter[1] in (1, -1)):

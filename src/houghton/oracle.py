@@ -3,10 +3,10 @@
 The conjugator search has its own arithmetic on points coded as ints,
 (i, m) as m * n + i - 1: its one product, `_coded_conjugated_table`,
 repeats `core._conjugated_table` on codes, with each letter's coded table
-and steps built from `core`'s letter rule and kept for the last n
-searched, O(1) in size whatever n is.  A node of the search is a word
-and the coded table of its conjugate, whose translation is a's or b's,
-with the table's key where it is looked up, and no element is built
+and steps built from `core`'s letter rule, uncached, and kept for the last
+n searched only, O(1) in size whatever n is.  A node of the search is a
+word and the coded table of its conjugate, whose translation is a's or
+b's, with the table's key where it is looked up, and no element is built
 until a hit.
 The cross-check stays independent in what it searches and how it confirms:
 the search enumerates words rather than translation tuples, answers with
@@ -78,12 +78,14 @@ def _search_tables(n: int) -> Tuple[_SearchLetter, ...]:
     the coded step step * n on the rays the letter moves, and are read
     with 0 for the others, so a letter costs O(1) whatever n is.  Built
     for a search of radius 1 or more that passed the size check, and only
-    read; only the last n's are kept, as a large H_n's take megabytes."""
+    read; only the last n's are kept, as a large H_n's take megabytes.
+    They are built from the letter rule without its cache, which would
+    keep up to 1,024 of them after the next n's search."""
     tables = {}
     # one int object for each code and coded step, whichever dicts hold it
     share = {}.setdefault
     for m in _signed_alphabet(n):
-        entries, moves = _letter_rule(n, m)
+        entries, moves = _letter_rule.__wrapped__(n, m)
         tables[m] = (
             {share(p, p): share(q, q) for p, q in _coded_table(n, entries).items()},
             {share(i - 1, i - 1): share(step * n, step * n) for i, step in moves},

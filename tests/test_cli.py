@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from houghton import HoughtonElement, compose, conjugate_element, evaluate, generator, serialize
 from houghton import cli
 from houghton.cli import main
-from instances import package_env, random_word
+from instances import lift, package_env, random_word
 
 
 def run(capsys, *argv):
@@ -35,12 +35,6 @@ def write_element(tmp_path, name, g):
     return str(path)
 
 
-def test_eval(capsys):
-    code, out, _ = run(capsys, "eval", "-n", "3", "g2")
-    assert code == 0
-    assert json.loads(out) == {"n": 3, "t": [1, -1, 0], "exceptions": [[[2, 0], [1, 0]]]}
-
-
 def test_eval_requires_n(capsys):
     code, _, err = run(capsys, "eval", "g2")
     assert code == 2
@@ -53,71 +47,12 @@ def test_eval_pretty(capsys):
     assert "t = (1, -1, 0)" in out
 
 
-def test_mul_and_inv(capsys, tmp_path):
-    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
-    g3 = write_element(tmp_path, "g3.json", generator(3, "g3"))
-    code, out, _ = run(capsys, "mul", g2, g3)
-    assert code == 0
-    assert json.loads(out)["t"] == [2, -1, -1]
-    code, out, _ = run(capsys, "inv", g2)
-    assert code == 0
-    assert json.loads(out)["t"] == [-1, 1, 0]
-
-
-def test_apply(capsys, tmp_path):
-    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
-    code, out, _ = run(capsys, "apply", g2, "2", "0")
-    assert code == 0
-    assert out.strip() == "(1,0)"
-
-
-def test_orbits(capsys, tmp_path):
-    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
-    code, out, _ = run(capsys, "orbits", g2)
-    assert code == 0
-    assert out.strip() == "[(2,0)<-tail | (2,0) (1,0) | tail->(1,0)]"
-
-
-def test_ends(capsys, tmp_path):
-    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
-    code, out, _ = run(capsys, "ends", g2)
-    assert code == 0
-    assert out.strip() == "{1,2}"
-
-
-def test_conj_yes(capsys, tmp_path):
-    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
-    code, out, _ = run(capsys, "conj", g2, g2)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["decision"] == "yes"
-    assert doc["verified"] is True
-    assert "certificate" in doc
-
-
-def test_conj_no_with_reason(capsys, tmp_path):
-    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
-    g3 = write_element(tmp_path, "g3.json", generator(3, "g3"))
-    code, out, _ = run(capsys, "conj", g2, g3)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc == {"decision": "no", "reason": "translation-mismatch"}
-
-
 def test_verify_command(capsys, tmp_path):
     g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
     g3 = write_element(tmp_path, "g3.json", generator(3, "g3"))
     code, out, _ = run(capsys, "verify", g2, g2, g3)
     assert code == 0
     assert json.loads(out) == {"decision": "no"}
-
-
-def test_oracle_command(capsys, tmp_path):
-    g2 = write_element(tmp_path, "g2.json", generator(3, "g2"))
-    code, out, _ = run(capsys, "oracle", g2, g2, "--budget", "1")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["found"] is True and doc["word"] == ""
 
 
 def test_oracle_command_searches_radius_14_quickly(capsys, tmp_path):
@@ -380,16 +315,6 @@ def test_missing_file_is_data_error(capsys, tmp_path):
     assert code == 2
 
 
-def test_usage_error_exit_code(capsys):
-    assert main(["no-such-command"]) == 1
-    capsys.readouterr()
-
-
-def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    capsys.readouterr()
-
-
 def test_command_usage_exit_codes(capsys, tmp_path):
     # a command's arguments are parsed by its own parser: no command, a
     # missing positional and an extra argument are usage errors (exit 1),
@@ -618,12 +543,7 @@ def stdout_pairs():
         a = evaluate(random_word(2, k, 1 + k % 10))
         b = conjugate_element(a, evaluate(random_word(2, 100 + k, 1 + (3 * k) % 10)))
         width = 1 + max(a.max_exception_offset(), b.max_exception_offset())
-        shift = 1000 + rng.randrange(10)
-        swap = {}
-        for i in (1, 2):
-            for m in range(width):
-                swap[(i, m)], swap[(i, shift + m)] = (i, shift + m), (i, m)
-        y = HoughtonElement(2, (0, 0), swap)
+        y = lift(2, 1000 + rng.randrange(10), width)
         pairs.append((conjugate_element(a, y), conjugate_element(b, y)))
     for k in range(24):
         n = 2 + k % 3
@@ -691,7 +611,7 @@ ARGV_TOKENS = list(cli._GRAMMAR) + [
 ]
 
 
-@settings(max_examples=1500, deadline=None)
+@settings(max_examples=1500, deadline=None, derandomize=True)
 @given(
     st.one_of(
         st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
@@ -847,7 +767,7 @@ def fuzzed_document(text, kind, k):
 FUZZ_VALUES = {"string": "21", "float": 1.5, "negative": -1, "huge": 10**30}
 
 
-@settings(max_examples=32, deadline=None)
+@settings(max_examples=32, deadline=None, derandomize=True)
 @given(
     st.integers(2, 4), st.integers(0, 10**6), st.integers(0, 400),
     st.sampled_from(["word", "drop", "duplicate"] + list(FUZZ_VALUES)), st.integers(0, 10**6),

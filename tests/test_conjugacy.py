@@ -242,16 +242,6 @@ def test_centralizer_element_of_g2():
     assert centralizer_element(g, {1, 2}) == g
 
 
-def test_centralizer_element_commutes():
-    for text in ("g2 g3", "g2 g2 g3'", "g3 g2'"):
-        g = element(3, text)
-        for cls in ends_partition(g).classes:
-            c = centralizer_element(g, cls)
-            assert compose(c, g) == compose(g, c)
-            for i in range(1, 4):
-                assert c.t[i - 1] == (g.t[i - 1] if i in cls else 0)
-
-
 def test_centralizer_element_rejects_non_class():
     with pytest.raises(ValueError):
         centralizer_element(element(3, "g2 g3"), {1, 2})
@@ -845,7 +835,7 @@ def test_work_counts_equal_the_committed_file(tmp_path):
     # earlier tests kept, such as the letter rule's cache, enters a count.
     # On every Python it counts the committed pools and workloads; the
     # counts are exact for one Python version, on which the whole file is
-    # compared
+    # compared, and on any other the test skips, naming both versions
     out = tmp_path / "counts.json"
     command = [sys.executable, str(ROOT / "tools" / "workcount.py"), "--json", str(out)]
     subprocess.run(command, check=True, capture_output=True, timeout=300)
@@ -857,8 +847,9 @@ def test_work_counts_equal_the_committed_file(tmp_path):
         return pools, {name: (w["ops"], w["counted_call"]) for name, w in doc["workloads"].items()}
 
     assert shape(counted) == shape(committed)
-    if counted["python"] == committed["python"]:
-        assert counted == committed
+    if counted["python"] != committed["python"]:
+        pytest.skip("counts are compared on Python %s, not %s" % (committed["python"], counted["python"]))
+    assert counted == committed
 
 
 def test_yes_never_reaches_the_refusal_stage(monkeypatch):

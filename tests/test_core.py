@@ -263,11 +263,6 @@ def test_evaluate_refuses_unhashable_letters(letter):
         evaluate(Word(3, (("g2", 1), letter)))
 
 
-def test_apply_chained():
-    e = element(3, "g2 g3")
-    assert apply(e, (1, 0)) == (1, 2)
-
-
 # -- group laws ------------------------------------------------------------------
 
 
@@ -276,14 +271,14 @@ def test_compose_translation_adds():
     assert e.t == (2, -1, -1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(words(3), words(3), words(3))
 def test_associativity(u, v, w):
     a, b, c = evaluate(u), evaluate(v), evaluate(w)
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(words(2))
 def test_inverse_law(w):
     g = evaluate(w)
@@ -291,7 +286,7 @@ def test_inverse_law(w):
     assert compose(inverse(g), g) == identity(2)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(words(3), words(3))
 def test_translation_homomorphism(u, v):
     a, b = evaluate(u), evaluate(v)
@@ -689,9 +684,10 @@ def test_census_components_stay_in_one_class(tool):
     # offsets below 4, computed without the package: a component that held
     # two classes would show a wrong answer.  Every pair decided on the way
     # decides alike inverted.  The counts are a run's
-    classes, components, visited, spans, inverted = tool("census").census(4)
+    census = tool("census")
+    classes, components, visited, spans, inverted = census.census(census.elements(), 4)
     assert spans == [] and inverted == []
-    assert (classes, components, visited) == (64, 72, 85_130)
+    assert (len(set(classes)), len(set(components)), visited) == (64, 72, 85_130)
 
 
 def test_census_of_h4_stays_in_one_class(tool):
@@ -705,9 +701,9 @@ def test_census_of_h4_stays_in_one_class(tool):
     members = census.elements(census.SWEEP_H4)
     shapes = collections.Counter(tuple(sorted(map(len, ends_partition(g).classes))) for g in members)
     assert shapes == {(2, 2): 212, (3,): 102, (4,): 16}
-    cls, inverted = census.classes(members)
-    assert inverted == []
-    heads = [members[h] for h in set(cls)]
+    classes, components, visited, spans, inverted = census.census(members, 3)
+    assert spans == [] and inverted == []
+    heads = [members[h] for h in set(classes)]
     tags = collections.Counter(houghton.conjugate(h, g).reason for g in members for h in heads if h.t == g.t)
     assert tags == {
         None: 330,
@@ -715,9 +711,7 @@ def test_census_of_h4_stays_in_one_class(tool):
         "orbit-pairing-mismatch": 460,
         "orbit-shift-mismatch": 32,
     }
-    classes, components, visited, spans, inverted = census.census(3, census.SWEEP_H4)
-    assert spans == [] and inverted == []
-    assert (classes, components, visited) == (31, 31, 47_810)
+    assert (len(set(classes)), len(set(components)), visited) == (31, 31, 47_810)
 
 
 def test_wide_census_of_h4_tags(tool):

@@ -174,11 +174,7 @@ def test_successor_reads_runs_of_a_far_spine():
     # 10^8: a spine of 200,000,006 points in 8 runs, past the walk limit.
     # successor finds a point in its run, not in the spine point by point
     far = 10**8
-    swap = {}
-    for i in (1, 2):
-        for m in range(2):
-            swap[(i, m)], swap[(i, far + m)] = (i, far + m), (i, m)
-    g = conjugate_element(generator(2, "g2"), HoughtonElement(2, (0, 0), swap))
+    g = conjugate_element(generator(2, "g2"), lift(2, far, 2))
     d = cycle_decomposition(g)
     (orbit,) = d.infinite_orbits
     assert (orbit.spine_len, len(orbit.runs)) == (2 * far + 6, 8)
@@ -262,12 +258,7 @@ def test_decomposition_walks_each_orbit_once(monkeypatch):
     # the low and high points: a spine of about 2,000 points in 8 runs with
     # 9 exceptions on it.  A walk that visits each orbit once seeks the
     # next table point of a class at most once per run
-    g = evaluate(Word.parse(2, "g2 g2 s g2' s"))
-    lift = {}
-    for i in (1, 2):
-        for m in range(4):
-            lift[(i, m)], lift[(i, 1000 + m)] = (i, 1000 + m), (i, m)
-    g = conjugate_element(g, HoughtonElement(2, (0, 0), lift))
+    g = conjugate_element(evaluate(Word.parse(2, "g2 g2 s g2' s")), lift(2, 1000, 4))
     seeks = []
     real = orbits._next_domain
     monkeypatch.setattr(orbits, "_next_domain", lambda *args: seeks.append(args) or real(*args))

@@ -252,23 +252,23 @@ def classes(census: List[HoughtonElement]) -> Tuple[List[int], Pairs]:
     return out, inverted
 
 
-def census(width: int, sweep=SWEEP) -> Tuple[int, int, int, Pairs, Pairs]:
-    """(classes, components, visited, spans, inverted) of the census of
-    `sweep` at `width`: the two partitions' counts, the elements the walk
-    visited, the pairs (the first census element of a component, a census
-    element of another class in it), and the pairs of `classes` that
-    inversion decides otherwise."""
-    members = elements(sweep)
+def census(members: List[HoughtonElement], width: int) -> Tuple[List[int], List[int], int, Pairs, Pairs]:
+    """(classes, components, visited, spans, inverted) of the census
+    `members` at `width`: the two partitions, each as the index of the
+    first member in each member's part, the elements the walk visited,
+    the pairs (the first member of a component, a member of another class
+    in it), and the pairs of `classes` that inversion decides otherwise."""
     cls, inverted = classes(members)
     comp, visited = components(members, width)
     spans = [(members[h], members[k]) for k, h in enumerate(comp) if cls[h] != cls[k]]
-    return len(set(cls)), len(set(comp)), visited, spans, inverted
+    return cls, comp, visited, spans, inverted
 
 
 def main() -> int:
     status = 0
     for name, sweep, width in (("SWEEP", SWEEP, WIDTH), ("SWEEP_H4_WIDE", SWEEP_H4_WIDE, WIDTH_H4_WIDE)):
-        n_classes, n_components, visited, spans, inverted = census(width, sweep)
+        cls, comp, visited, spans, inverted = census(elements(sweep), width)
+        n_classes, n_components = len(set(cls)), len(set(comp))
         print(
             "%s at W = %d: %d classes, %d components, %d elements visited"
             % (name, width, n_classes, n_components, visited)
