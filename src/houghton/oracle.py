@@ -6,8 +6,9 @@ repeats `core._conjugated_table` on codes, with each letter's coded table
 and steps built from `core`'s letter rule, uncached, and kept for the last
 n searched only, O(1) in size whatever n is.  A node of the search is a
 word and the coded table of its conjugate, whose translation is a's or
-b's, with the table's key where it is looked up, and no element is built
-until a hit.
+b's, and no element is built until a hit.  The suffixes' tables are
+indexed by the sum of their coded domain points, and a prefix's table is
+a hit only when it equals a table of its sum's bucket.
 The cross-check stays independent in what it searches and how it confirms:
 the search enumerates words rather than translation tuples, answers with
 the first word of the ball in breadth-first order with no pruning by
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import HoughtonElement, Point, Word, _check_same_n, _letter_rule, evaluate, generator_ids, verify
 
@@ -157,15 +158,32 @@ def brute_force_conjugator(
     x^-1 a x has a.t and every u b u^-1 has b.t, and
     `_coded_conjugated_table` carries a coded table through a letter's
     coded table and steps with no element built and no point tuple.  a's
-    and b's tables and translations are coded once per search.  The index
-    is keyed on tables alone, as frozensets of their coded entries, so a
-    lookup reads no n-int translation: the coding is a bijection on
-    points, and a valid table fixes t, as t_i is the number of its images
-    on ray i less the number of its points there.  A prefix is looked up
-    at two lengths, with one key built once; the prefixes of the last
-    level are never extended, so they keep their keys and not their
-    tables.  What a node saves is a fixed cost, so the gain is largest on
-    small tables.
+    and b's tables and translations are coded once per search.
+
+    The index.  A level's suffix tables are indexed by one int each, the
+    sum of the table's coded domain points, taken by the C-level `sum`.
+    Under it are the distinct tables with that sum, in the order first
+    met, and beside each its first u per first letter, in letter order.  A
+    prefix is a hit only when its table `==` a table of the bucket its sum
+    names, which the list's `in` and `index` decide in C.  That is exact:
+    equal tables have equal sums, so an equal table is in that bucket, and
+    `==` decides the rest.  The sum only says where to look and refuses no
+    table, so it is an index key, not pruning by an invariant.  The index
+    is keyed on tables alone, and a lookup reads no n-int translation: the
+    coding is a bijection on points, and a valid table fixes t, as t_i is
+    the number of its images on ray i less the number of its points there.
+    Cost: a lookup compares its table with at most the distinct tables of
+    its bucket, a distinct suffix of the level each, and with them again on
+    a hit, so a level's lookups compare at most twice as many table pairs
+    as it has (prefix, suffix) pairs, which is within 2 times the reduced
+    words of that length, as only the pairs that cancel where they join
+    are not words.  Building a level's index compares each suffix with at
+    most the distinct tables before it in its bucket, twice when one equals
+    it, and so no more pairs than the lookups, as a level that builds an
+    index has as many prefixes as suffixes.  So MAX_WORDS still bounds the
+    work.  Sums of small tables meet often (the 2,916 suffixes of length 7
+    in the radius-14 miss of g2 against g3 in H_3 have 1,378 distinct
+    tables under 55 sums), so the scans are left to C.
 
     Size.  Before any letter's table is built, ValueError refuses a search
     whose ball has more than MAX_WORDS reduced words (more than radius 14
@@ -216,25 +234,25 @@ def _joined_search(
     # map, not a generator: the n rays cost no bytecode each
     at, bt = tuple(map(n.__mul__, a.t)), tuple(map(n.__mul__, b.t))
     ae, be = _coded_table(n, a.exceptions.items()), _coded_table(n, b.exceptions.items())
-    # (x, the table of x^-1 a x, the letter that may not follow x, the
-    # table's key) and (u, the table of u b u^-1, the letter that may not
-    # come before u) over the reduced words of one length, in letter
-    # order.  A prefix is looked up at two lengths, so its key is built
-    # once; a prefix that is never extended keeps no table
-    prefixes = [((), ae, None, frozenset(ae.items()))]
+    # (x, the table of x^-1 a x, the letter that may not follow x) and (u,
+    # the table of u b u^-1, the letter that may not come before u) over the
+    # reduced words of one length, in letter order
+    prefixes = [((), ae, None)]
     suffixes = [((), be, None)]
-    # the key of u b u^-1 -> the first u with each first letter, in order
-    index: Dict[frozenset, Dict[Optional[_Letter], _Letters]] = {frozenset(be.items()): {None: ()}}
+    # the sum of a table's coded points -> the distinct tables u b u^-1
+    # with that sum, in the order first met, and beside each the first u
+    # with each first letter, in order
+    index: Dict[int, Tuple[List[Dict[int, int]], List[Dict[Optional[_Letter], _Letters]]]] = {
+        sum(be): ([be], [{None: ()}])
+    }
     for length in range(radius + 1):
         if length % 2:
-            keep = length + 2 <= radius
-            level = []
-            for x, c, after, _ in prefixes:
-                for m, ge, gt, stop, _, _ in letters:
-                    if m != after:
-                        table = _coded_conjugated_table(n, c, at, ge, gt)
-                        level.append((x + (m,), table if keep else None, stop, frozenset(table.items())))
-            prefixes = level
+            prefixes = [
+                (x + (m,), _coded_conjugated_table(n, c, at, ge, gt), stop)
+                for x, c, after in prefixes
+                for m, ge, gt, stop, _, _ in letters
+                if m != after
+            ]
         elif length:
             suffixes = [
                 ((m,) + u, _coded_conjugated_table(n, c, bt, ge, gt), stop)
@@ -244,12 +262,16 @@ def _joined_search(
             ]
             index = {}
             for u, c, _ in suffixes:
-                index.setdefault(frozenset(c.items()), {}).setdefault(u[0], u)
-        for x, _, after, key in prefixes:
-            hits = index.get(key)
-            if hits is not None:
-                for u in hits.values():
+                tables, firsts = index.setdefault(sum(c), ([], []))
+                if c in tables:
+                    firsts[tables.index(c)].setdefault(u[0], u)
+                else:
+                    tables.append(c)
+                    firsts.append({u[0]: u})
+        for x, c, after in prefixes:
+            tables, firsts = index.get(sum(c), ((), ()))
+            if c in tables:
+                for u in firsts[tables.index(c)].values():
                     if not u or u[0] != after:
                         return x + u
     return None
-

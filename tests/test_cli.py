@@ -14,10 +14,10 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from houghton import HoughtonElement, compose, conjugate_element, evaluate, generator, serialize
+from houghton import HoughtonElement, Word, compose, conjugate_element, evaluate, generator, serialize
 from houghton import cli
 from houghton.cli import main
 from instances import lift, package_env, random_word
@@ -79,6 +79,25 @@ def test_oracle_command_refuses_a_budget_over_the_cap(capsys, tmp_path):
     assert err.startswith("error: ") and "limit of 14" in err and "10000000" in err
     code, out, _ = run(capsys, "oracle", g2, g3, "--budget", "14")
     assert code == 0 and json.loads(out) == {"found": False}
+
+
+def test_oracle_command_searches_radius_6_by_default(capsys, tmp_path):
+    # the reference search finds no conjugator of a = g2 g2 g3 to its
+    # conjugate by (g2 g3)^3 below radius 6, nor to its conjugate by
+    # (g2 g3)^3 g2 below radius 7: with no --budget, the first is found
+    # and the second is not, until --budget 7 is given
+    a = evaluate(Word.parse(3, "g2 g2 g3"))
+    path = write_element(tmp_path, "a.json", a)
+    for name, word, default in (
+        ("six.json", "g2 g3 g2 g3 g2 g3", True),
+        ("seven.json", "g2 g3 g2 g3 g2 g3 g2", False),
+    ):
+        b = write_element(tmp_path, name, conjugate_element(a, evaluate(Word.parse(3, word))))
+        hit = {"found": True, "word": word}
+        code, out, _ = run(capsys, "oracle", path, b)
+        assert code == 0 and json.loads(out) == (hit if default else {"found": False})
+        code, out, _ = run(capsys, "oracle", path, b, "--budget", "7")
+        assert code == 0 and json.loads(out) == hit
 
 
 def run_limited(cwd, *argv, limit_mb=512, cpu_s=None):
@@ -607,7 +626,7 @@ def argparse_values(parsers, argv):
 PARSERS = cli._build_parser()
 ARGV_TOKENS = list(cli._GRAMMAR) + [
     "no-such-command", "-n", "--pretty", "--pre", "--budget", "--budget=2", "-n3", "-h", "--help", "--", "-",
-    "a.json", "b.json", "g2 g3", "0", "3", "12", "-1", "-7", " 7 ", "",
+    "a.json", "b.json", "g2 g3", "0", "3", "12", "-1", "-7", " 7 ", "", "-3_0",
 ]
 
 
@@ -619,6 +638,8 @@ ARGV_TOKENS = list(cli._GRAMMAR) + [
                   st.lists(st.sampled_from(ARGV_TOKENS), max_size=6)),
     )
 )
+# int reads "-3_0" as -30, but argparse takes it for an option
+@example(["inv", "-n", "-3_0", "a.json"])
 def test_table_parse_agrees_with_argparse(argv):
     # whatever the grammar table reads, argparse reads to the same values;
     # where argparse prints help or a usage error, the table declines

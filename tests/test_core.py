@@ -509,13 +509,14 @@ def test_deserialize_refuses_malformed_documents(doc, message):
 
 @pytest.mark.parametrize(
     "entry",
-    ['[[1,0],"21"]', '["10",[2,1]]', '[[1,0],{"2":0,"1":0}]', '{"a":[1,0],"b":[2,1]}', '[[1,0],[2,1,0]]', '[[1,0]]'],
-    ids=["string-image", "string-point", "object-point", "object-entry", "long-point", "short-entry"],
+    ['["10",[2,1]]', '[[1,0],{"2":0,"1":0}]', '{"a":[1,0],"b":[2,1]}', '[[1,0],[2,1,0]]', '[[1,0]]'],
+    ids=["string-point", "object-point", "object-entry", "long-point", "short-entry"],
 )
 def test_deserialize_takes_only_arrays_as_points(entry):
-    # unpacked as a pair, "21" would read as the point (2, 1) and an object
+    # unpacked as a pair, "10" would read as the point (1, 0) and an object
     # as its two keys, so each document below would be the swap of (1, 0)
-    # and (2, 1)
+    # and (2, 1); a string image is refused, with its whole message, in
+    # `test_constructor_and_documents_refuse_alike`
     doc = '{"n":2,"t":[0,0],"exceptions":[%s,[[2,1],[1,0]]]}' % entry
     with pytest.raises(InvalidElementError, match="^bad exception entry "):
         deserialize(doc)

@@ -347,3 +347,26 @@ def test_brute_force_matches_reference():
         assert got == reference_brute_force_conjugator(a, b, budget), (a, b, budget)
         kinds["found" if got is not None else "none"] += 1
     assert all(kinds.values()), kinds
+
+
+def test_equal_sums_are_confirmed_by_the_tables():
+    # a 3-cycle of H_2 and its inverse move the same three points, so their
+    # coded tables have the same sum but are not equal; so do the 3-cycle
+    # and `other`, whose suffixes g2^-1 and s of length 1 share a bucket too,
+    # and the first hit, s g2^-1 s, is joined to the second of them.  No
+    # equal sum is taken for a hit, and the search finds what the reference
+    # finds
+    cycle = HoughtonElement(2, (0, 0), {(1, 0): (1, 1), (1, 1): (1, 2), (1, 2): (1, 0)})
+    other = HoughtonElement(2, (0, 0), {(1, 1): (2, 1), (2, 1): (2, 0), (2, 0): (1, 1)})
+    tables = [oracle._coded_table(2, e.exceptions.items()) for e in (cycle, inverse(cycle), other)]
+    assert len({sum(table) for table in tables}) == 1 and tables[0] != tables[1] != tables[2] != tables[0]
+    for b in (inverse(cycle), other):
+        assert brute_force_conjugator(cycle, b, SearchBudget(0)) is None
+        found = []
+        for radius in range(1, 7):
+            budget = SearchBudget(radius)
+            got = brute_force_conjugator(cycle, b, budget)
+            assert got == reference_brute_force_conjugator(cycle, b, budget), (b, radius)
+            found.append(got is not None)
+        assert any(found) and not all(found)
+    assert brute_force_conjugator(cycle, other, SearchBudget(3)) == Word.parse(2, "s g2' s")

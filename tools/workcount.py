@@ -17,9 +17,15 @@ A count is the number of `opcode` trace events (`sys.settrace` with
 `f_trace_opcodes`) in every Python frame entered during the call.  It
 does not depend on the machine's speed or load, so two versions of the
 package compare exactly, and the same version gives the same counts on
-every run of one Python version.  A decomposition is counted through the
-one-line call `decompose`, whose own 6 bytecodes per element are in the
-figure, so that it compares with the figures quoted for earlier versions.
+every run of one Python version.  It sees Python bytecodes only: a call
+into C counts as the few bytecodes that make it, whatever the call
+hashes, builds or scans, so a `frozenset` of a table's items, a `sum`, a
+dict `==` or a list's `in` costs a count of a few at any size.  A change
+can so lower CPU time while its count rises, or keep its count while its
+time moves; a claim about time comes from the benchmark, `bench/run.py`.
+A decomposition is counted through the one-line call `decompose`, whose
+own 6 bytecodes per element are in the figure, so that it compares with
+the figures quoted for earlier versions.
 
 `cycle_decomposition` returns the decomposition of the record kept on
 the element, so a second call on one element walks nothing.  A first
