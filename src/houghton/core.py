@@ -272,12 +272,17 @@ class _Accumulator:
         """Right-multiply by the element with table `entries` (q -> v) whose
         translation steps ray i by `step` for each (i, step) of `moves`: a
         letter's `_letter_rule`, or any element's table and translation."""
-        # find the current-product preimage of each exceptional point of h
+        # find the current-product preimage p of each exceptional point of
+        # h, popping its image from `inv`, which is `table` turned round: a
+        # p found there has table[p] == stored, the image it is about to
+        # lose, and a fresh p = stored has none, as it is not in `table`.
+        # Every pop comes before any write, so a new image that equals
+        # another entry's old image is never popped
         fixes = []
         for q, v in entries:
             j, k = q
             stored = (j, k - self.shift[j])
-            p = self.inv.get(stored)
+            p = self.inv.pop(stored, None)
             if p is None:
                 if stored[1] < 0 or stored in self.table:
                     raise InvalidElementError("running product is not a bijection")
@@ -285,12 +290,6 @@ class _Accumulator:
             fixes.append((p, v))
         for i, step in moves:
             self.shift[i] += step
-        # drop all stale inverse entries before writing: a new image may
-        # coincide with another entry's old image
-        for p, _ in fixes:
-            old = self.table.get(p)
-            if old is not None:
-                self.inv.pop(old, None)
         for p, v in fixes:
             stored = (v[0], v[1] - self.shift[v[0]])
             self.table[p] = stored
@@ -333,17 +332,22 @@ def inverse(g: HoughtonElement) -> HoughtonElement:
 def evaluate(w: Word) -> HoughtonElement:
     """The element represented by a word, in normal form: a new element,
     built by the accumulator from each letter's rule, with no letter
-    element.  A letter that is not a signed generator of H_n, which only a
-    Word built directly and not by `Word.parse` can hold, raises
-    WordError, and so does an n that is not an int of at least 2."""
+    element.  A letter that is not a signed generator (gid, 1 or -1) of
+    H_n, its sign an int and not a bool or a float, which only a Word built
+    directly and not by `Word.parse` can hold, raises WordError, and so
+    does an n that is not an int of at least 2."""
     _check_n(w.n)
     acc = _Accumulator(w.n)
     for letter in w.letters:
-        # such a letter has no rule (None, which * refuses) or no hash: a TypeError
+        # such a letter has no rule, or no hash (a TypeError); the rule's
+        # cache takes ("g2", True) for ("g2", 1), so the sign is checked here
         try:
-            acc.push(*_letter_rule(w.n, letter))
+            rule = _letter_rule(w.n, letter)
         except TypeError:
-            raise WordError("letter %r is not valid for n=%d" % (letter, w.n)) from None
+            rule = None
+        if rule is None or type(letter[1]) is not int:
+            raise WordError("letter %r is not valid for n=%d" % (letter, w.n))
+        acc.push(*rule)
     return acc.element()
 
 

@@ -849,7 +849,20 @@ def test_work_counts_equal_the_committed_file(tmp_path):
     assert shape(counted) == shape(committed)
     if counted["python"] != committed["python"]:
         pytest.skip("counts are compared on Python %s, not %s" % (committed["python"], counted["python"]))
-    assert counted == committed
+    assert counted == committed, "counts that moved, committed -> counted:\n" + "\n".join(
+        "%s: %r -> %r" % moved for moved in _moved(committed, counted)
+    )
+
+
+def _moved(old, new, path="") -> list:
+    """(path, old value, new value) of each leaf that differs between two
+    nested dicts, by its path of keys, None where one of them lacks it."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [(path, old, new)]
+    moved = []
+    for key in sorted(set(old) | set(new)):
+        moved += _moved(old.get(key), new.get(key), "%s/%s" % (path, key) if path else key)
+    return moved
 
 
 def test_yes_never_reaches_the_refusal_stage(monkeypatch):

@@ -248,9 +248,13 @@ def test_evaluate_refuses_letters_not_in_h_n():
     long_gid = "g" + "1" * 5000  # more digits than `int` reads
     letters = [(("g9", 1), 3), (("g2", 2), 3), (("s", 1), 3), (("g3", 1), 2), (("h2", 1), 3), ((long_gid, 1), 3)]
     letters.append(((b"g2", 1), 3))  # a gid that is not a string has no rule
+    # a sign that is a bool or a float: the rule's cache, which ("g2", 1)
+    # fills first, takes each for the int it equals, and g2 stays valid
+    letters += [(("g2", True), 3), (("g2", 1.0), 3), (("s", True), 2), (("g2", -1.0), 3)]
     for letter, n in letters:
         with pytest.raises(WordError, match="%r.*n=%d" % (letter[0], n)):
             evaluate(Word(n, (("g2", 1), letter)))
+    assert evaluate(Word(3, (("g2", 1),))) == HoughtonElement(3, (1, -1, 0), {(2, 0): (1, 0)})
 
 
 @pytest.mark.parametrize(
@@ -362,11 +366,12 @@ def test_accumulator_refuses_a_product_that_is_not_a_bijection():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_accumulator_keeps_its_inverse_exact(n):
-    # `push` pops each rewritten entry's old image from `inv` before it
-    # writes the new ones, so `inv` stays the table turned round; without
-    # that pass the products come out the same, but `inv` keeps images
-    # that no entry holds and grows past the table.  Seeded letters, with
-    # now and then a whole element's table pushed as `compose` pushes it
+    # `push` pops each rewritten entry's old image from `inv` as it finds
+    # the entry, before it writes the new ones, so `inv` stays the table
+    # turned round; without the pop the products come out the same, but
+    # `inv` keeps images that no entry holds and grows past the table.
+    # Seeded letters, with now and then a whole element's table pushed as
+    # `compose` pushes it
     rng = random.Random(("accumulator-inverse", n).__repr__())
     letters = check.alphabet(n)
     factors = [random_element(n, seed, profile) for seed in range(4) for profile in ("word-6", "fsym")]

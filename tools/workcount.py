@@ -45,7 +45,8 @@ a first pass that is not counted (or is the warm one), as in the
 benchmark's passes after its first: every element comes with what the
 first pass kept on it.
 
-A second table counts two more of the benchmark's workloads, whole:
+A second table counts two more of the benchmark's workloads, whole, and
+the word evaluation of a third's set-up:
 
   oracle          the 200 ops of the `oracle` workload, which it builds
                   the same at every seed: each is a one-line call of
@@ -53,10 +54,14 @@ A second table counts two more of the benchmark's workloads, whole:
   far_offsets     `cli.main(["conj", a, b])` on the 100 pairs of documents
                   of the `far_offsets` workload at seed 1, written to a
                   temporary directory, with stdout taken outside the count
+  roundtrip_words `evaluate` on each of the 800 words whose elements the
+                  `roundtrip` workload's set-up evaluates, built outside
+                  the count
 
-Neither keeps anything between calls but a per-process cache (H_n's
-letters for the search; a plain command line builds no argument parser),
-which one uncounted call builds first, so one counted pass is exact.
+None keeps anything between calls but a per-process cache (the letter
+rule's, H_n's letters for the search; a plain command line builds no
+argument parser), which one uncounted pass builds first, so one counted
+pass is exact.
 
 With `--json PATH` the tool also writes every column of both tables to
 PATH, with the Python version that counted them, and the bytecodes per
@@ -78,6 +83,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]  # this checkout's package and pools
@@ -168,6 +174,17 @@ def oracle_calls(work: Path):
     return [(op.run, ()) for op in workloads.oracle(houghton, 1, work)]
 
 
+def roundtrip_words_calls():
+    """The counted calls of the `roundtrip_words` row: `evaluate` on each
+    word that `_roundtrip_pair` evaluates, which a stand-in package
+    records instead, in its order."""
+    words = []
+    recorder = SimpleNamespace(Word=houghton.Word, evaluate=words.append, conjugate_element=lambda a, x: None)
+    for k in range(workloads.ROUNDTRIP_POOL):
+        workloads._roundtrip_pair(recorder, k)
+    return [(houghton.evaluate, (w,)) for w in words]
+
+
 def far_offsets_calls(work: Path):
     """The counted calls of the `far_offsets` workload, on its documents
     written to `work`."""
@@ -210,10 +227,12 @@ def main() -> None:
         for name, calls, counted in (
             ("oracle", oracle_calls(work), "brute_force_conjugator"),
             ("far_offsets", far_offsets_calls(work), "cli.main"),
+            ("roundtrip_words", roundtrip_words_calls(), "evaluate"),
         ):
             by_function = Counter()
             with contextlib.redirect_stdout(io.StringIO()):
-                calls[0][0](*calls[0][1])  # builds the per-process cache
+                for call, call_args in calls:  # builds the per-process caches
+                    call(*call_args)
                 for call, call_args in calls:
                     by_function += opcodes(call, *call_args)
             total = sum(by_function.values())
