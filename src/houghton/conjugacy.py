@@ -14,9 +14,9 @@ The solver layers:
                         for a translation s that a conjugator with that
                         pairing has, and build it at s
   _orbit_refusal        the tag of conjugate's "no" once an ends class has
-                        no exact pairing, read off a view of each class's
-                        choices: the sums of s of its first two choices,
-                        and one gcd with gcd(t)
+                        no exact pairing, read off each class's record:
+                        the sums of s of its first two choices, and one
+                        gcd with gcd(t)
 
 Every positive answer carries an element x with x^-1 * a * x = b, checked
 exactly before it is returned; an x that fails the check raises RuntimeError.
@@ -24,7 +24,6 @@ exactly before it is returned; an x that fails the check raises RuntimeError.
 
 from __future__ import annotations
 
-from itertools import islice, tee
 from math import gcd
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -371,32 +370,65 @@ def compute_bounds(a: HoughtonElement, b: HoughtonElement) -> BoundData:
 
 
 def _class_shifts(
-    t: Sequence[int], orbits: Sequence[InfiniteOrbit], index_b: _OrbitIndex
+    t: Sequence[int], walked: Sequence[InfiniteOrbit], rays: tuple, index_b: _OrbitIndex, data_b: _ConjugacyData
 ) -> Iterator[Tuple[Dict[int, int], bool]]:
     """Every way to pair the orbits of one ends class of a with orbits of b
     residue for residue, as (s, exact): s holds a conjugator's translation
     on the class's rays, solved from the orbit-shift equations of
     `conjugate` with d = 0 on the first orbit, and exact is False when
     those equations give some ray two values of the same residue.  The
-    choices are generated lazily, one walk of the class each, in the order
-    of b's orbits with the first orbit's end rays: those of its outgoing
-    ray in order of residue, where one that ends on another incoming ray
-    is refused at once.  `index_b` is b's kept orbit index
-    (`_ConjugacyData.orbit_index`).
+    choices are generated lazily, in the order of b's orbits with the
+    first orbit's end rays: those of its outgoing ray P in order of
+    residue, where one that ends on another incoming ray is refused.
+    walked and rays are the class as `_ConjugacyData.class_walks` keeps it
+    on a: the first orbit of each pair of end rays, in class order, and
+    the forms of its outgoing rays that have one.  `index_b` is b's kept
+    orbit index (`_ConjugacyData.orbit_index`), and data_b b's kept data,
+    whose forms are read where a's are given.
 
-    A choice seeds s with the head's outgoing s_i at d = 0, the difference
+    A choice seeds s with the head's outgoing s_P at d = 0, the difference
     of the two cutoffs, whose residue looks the chosen orbit up.  Then
-    every orbit's partner is looked up, and its d read off, by the
+    each walked orbit's partner is looked up, and its d read off, by the
     outgoing ray when its s_i is known, else by the incoming one, known as
     the orbit shares a ray with an earlier one.  A cutoff is congruent to
     its residue, so that d solves the ray's equation exactly, and only the
     other ray, when known too, is compared: a residue clash refuses the
-    choice, and a second value makes it inexact."""
-    head = orbits[0]
+    choice, and a second value makes it inexact.
+
+    The orbits that are not walked.  Every orbit of a's class that leaves
+    on a ray R has its partner at its residue moved by s_R mod t_R, so a
+    choice survives only where b's labels of R (`orbits._ray_forms`) are
+    a's moved by that residue: a fit, which the least rotations of both
+    decide in O(1), as the residue must be the difference of their
+    offsets mod the period.  A fit on R makes b's partner map of the
+    orbits of each pair (R, N) a rotation of their residues on N by one
+    constant, as the steps between them agree, and the pair's walked orbit
+    pins that constant to s_N mod |t_N|.  So every orbit of the pair
+    passes exactly when the walked one does.  An outgoing ray without a
+    form has one orbit in each of its pairs, all walked, and each one with
+    a form is checked once the walk has fixed every s_i.  For exactness,
+    with s_R fixed, every orbit o of (R, N) gives the same s_N exactly when
+    Φ(o') - Φ(o) is the same for all, o' being its partner, as it is
+    |t_N| * s_R + t_R * s_N.  The exact labels add the steps of Φ, so an
+    exact fit on R, the same test on them, makes that difference constant
+    over each pair of R, and an exact choice fits exactly on every ray.
+    So the choices and their flags are those of a walk of every orbit.
+    The forms of a and b are compared once per call, and each choice then
+    costs O(ray pairs of the class)."""
+    head = walked[0]
+    # (ray, the residue and period of its fit, those of its exact fit, the
+    # residue None when no rotation fits exactly)
+    fits: List[Tuple[int, int, int, Optional[int], int]] = []
+    for ray, fa in rays:
+        fb = data_b.forms()[ray]
+        exactly = fb is not None and fa[3] == fb[3]  # then the plain forms are equal too
+        if not exactly and (fb is None or fa[0] != fb[0]):
+            return
+        fits.append((ray, fb[1] - fa[1], fa[2], fb[4] - fa[4] if exactly else None, fa[5]))
     for first in index_b[head.pos_ray]:
         s: Dict[int, int] = {head.pos_ray: first.pos_cutoff - head.pos_cutoff}
         exact = True
-        for oa in orbits:
+        for oa in walked:
             pos, neg = oa.pos_ray, oa.neg_ray
             up, down = t[pos - 1], t[neg - 1]
             s_pos, s_neg = s.get(pos), s.get(neg)
@@ -422,7 +454,12 @@ def _class_shifts(
                     break
                 exact = False
         else:
-            yield s, exact
+            for ray, shift, period, exact_shift, exact_period in fits:
+                if (s[ray] - shift) % period:
+                    break
+                exact = exact and exact_shift is not None and (s[ray] - exact_shift) % exact_period == 0
+            else:
+                yield s, exact
 
 
 def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]:
@@ -461,12 +498,13 @@ def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]
     return {ray: v + sign * lo * t[ray - 1] for ray, v in part.items()}
 
 
-def _orbit_refusal(t: Sequence[int], views: Iterable[Iterator[Tuple[Dict[int, int], bool]]]) -> str:
+def _orbit_refusal(t: Sequence[int], records: Iterable[Tuple[Optional[Dict[int, int]], List[Dict[int, int]]]]) -> str:
     """The tag of a refusal of `conjugate`, once some ends class has no
-    exact choice.  `views` holds a view of each class's `_class_shifts`
-    choices, in the order of the classes, read from its first choice: the
-    choices that `conjugate` drew come back from the view, and the rest
-    are generated as they are read.
+    exact choice.  `records` holds the record of each class, in the order
+    of the classes: its first exact `_class_shifts` choice, or None, and
+    the choices read, which begin with its first two, or with as many as
+    it has; with its first alone where g below is 1, as a second changes
+    nothing.
 
     The tag needs only the sums of s mod g, with g = gcd(t) when every ray
     moves and 1 otherwise, and each class gives at most its first two
@@ -480,19 +518,17 @@ def _orbit_refusal(t: Sequence[int], views: Iterable[Iterator[Tuple[Dict[int, in
     additive in the residues: with q the sum of the first choice and δ the
     second's minus it, the class reaches exactly q + <δ> mod g.  Cosets
     add, so 0 is reached together exactly when the sum of the q is 0 mod
-    the gcd of g and the δ, and a second choice is read only while that
-    gcd is above 1.  The answer is orbit-shift-mismatch then, and
-    orbit-pairing-mismatch otherwise or at the first class with no choice.
+    the gcd of g and the δ.  The answer is orbit-shift-mismatch then, and
+    orbit-pairing-mismatch otherwise or when some class has no choice.
     """
     modulus = gcd(*t) if 0 not in t else 1
     total = 0  # the sum of s over each class's first choice
-    for view in views:
-        sums = [sum(part.values()) for part, _ in islice(view, 2 if modulus > 1 else 1)]
-        if not sums:
+    for _, read in records:
+        if not read:
             return ORBIT_PAIRING_MISMATCH
+        sums = [sum(part.values()) for part in read[:2]]
         total += sums[0]
-        if len(sums) == 2:
-            modulus = gcd(modulus, sums[1] - sums[0])
+        modulus = gcd(modulus, sums[-1] - sums[0])  # gcd(modulus, 0) with one sum
     return ORBIT_SHIFT_MISMATCH if total % modulus == 0 else ORBIT_PAIRING_MISMATCH
 
 
@@ -555,13 +591,13 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
 
     Decision.  By the existence argument an exact combination is a yes,
     and the first in the order of the choices takes the first exact
-    choice of every class.  The choices of a class are generated lazily,
-    and each class stops at its first exact one.  The loop reads each
-    class's choices through one of two views (`itertools.tee`).  When
-    some class has none, `_orbit_refusal` reads the other view of every
-    class from its start, which gives back the choices the loop drew and
-    generates only those it never drew, and names the tag from the first
-    one or two choices of every class and one gcd of their sums.
+    choice of every class.  One loop reads the choices of each class
+    once, into its record: its first exact choice, and the choices read,
+    so it stops at the first exact choice once it has read the first two
+    (the first alone when gcd(t) is 1 or a ray is still), or at its last.
+    When some class has no exact choice, `_orbit_refusal` names the tag
+    from the sums of s of the first two choices of every class's record
+    and one gcd of them.
     For a yes, `_forced_conjugator` builds x of translation s as in the
     existence argument: it pairs each orbit of a with its partner in b,
     solves for d_O and reads x off the two orbits' runs.  x is verified
@@ -585,18 +621,25 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
 
     t = a.t
     index_b = data_b.orbit_index()
-    # two views of each class's choices: the loop reads the first, and the
-    # refusal stage the second, from its start
-    views = [tee(_class_shifts(t, orbits, index_b)) for orbits in data_a.ends_classes()]
-    s = [0] * a.n
-    for choices, _ in views:
-        for part, exact in choices:
-            if exact:
-                for ray, value in _least_translation(t, part).items():
-                    s[ray - 1] = value
+    # a refusal reads the second choice of a class only when every ray
+    # moves and gcd(t) > 1
+    most = 1 if 0 in t or gcd(*t) == 1 else 2
+    records = []
+    for walked, rays in data_a.class_walks():
+        first, read = None, []
+        for part, exact in _class_shifts(t, walked, rays, index_b, data_b):
+            read.append(part)
+            if exact and first is None:
+                first = part
+            if first is not None and len(read) >= most:
                 break
-        else:
-            return _no(_orbit_refusal(t, [view for _, view in views]))
+        records.append((first, read))
+    s = [0] * a.n
+    for first, _ in records:
+        if first is None:
+            return _no(_orbit_refusal(t, records))
+        for ray, value in _least_translation(t, first).items():
+            s[ray - 1] = value
     if 0 in t:
         s[t.index(0)] -= sum(s)
     elif sum(s):

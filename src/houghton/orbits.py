@@ -28,6 +28,7 @@ an infinite orbit.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import groupby
 from operator import attrgetter, eq
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -157,31 +158,55 @@ class _ConjugacyData:
     so two elements of equal translation have equal cycle types exactly
     when these agree.  Most decisions read an element in one role only,
     so the part of each role is built by its method on first read and
-    kept: the ends classes where g plays a, the orbit index where it
-    plays b, each O(infinite orbits + n)."""
+    kept: the ends classes and their walks where g plays a, the orbit
+    index where it plays b, and the forms of its outgoing rays where it
+    plays either in a class with two orbits over one pair of rays, each
+    O(infinite orbits + n)."""
 
-    __slots__ = ("dec", "fixed", "cycle_lengths", "_classes", "_index")
+    __slots__ = ("dec", "fixed", "cycle_lengths", "_classes", "_walks", "_index", "_forms")
 
     def __init__(self, dec: CycleDecomposition, fixed: Tuple[Point, ...]):
         self.dec, self.fixed = dec, fixed
         self.cycle_lengths = tuple(sorted(map(_LENGTH, dec.finite_cycles)))
-        self._classes = self._index = None
+        self._classes = self._walks = self._index = self._forms = None
 
     def ends_classes(self) -> Tuple[Tuple[InfiniteOrbit, ...], ...]:
         """The infinite orbits grouped by `_ends_classes`: read where the
         element plays a."""
-        classes = self._classes
-        if classes is None:
-            classes = self._classes = _ends_classes(self.dec.infinite_orbits)
-        return classes
+        if self._classes is None:
+            self._classes = _ends_classes(self.dec.infinite_orbits)
+        return self._classes
+
+    def class_walks(self) -> Tuple[Tuple[Tuple[InfiniteOrbit, ...], Tuple[Tuple[int, tuple], ...]], ...]:
+        """For each ends class, what `conjugacy._class_shifts` walks: the
+        first orbit of each of its pairs of end rays, in class order, and
+        (ray, form) for each outgoing ray of the class that has a form
+        (`_ray_forms`).  Read where the element plays a."""
+        if self._walks is None:
+            walks = []
+            for cls in self.ends_classes():
+                pairs: Dict[Tuple[int, int], InfiniteOrbit] = {}
+                for o in cls:
+                    pairs.setdefault((o.pos_ray, o.neg_ray), o)
+                rays = {o.pos_ray for o in pairs.values()} if len(pairs) < len(cls) else ()
+                walks.append((tuple(pairs.values()), tuple((ray, form) for ray in rays if (form := self.forms()[ray]))))
+            self._walks = tuple(walks)
+        return self._walks
 
     def orbit_index(self) -> _OrbitIndex:
         """The infinite orbits by `_index_orbits`: read where the element
         plays b."""
-        index = self._index
-        if index is None:
-            index = self._index = _index_orbits(self.dec.t, self.dec.infinite_orbits)
-        return index
+        if self._index is None:
+            self._index = _index_orbits(self.dec.t, self.dec.infinite_orbits)
+        return self._index
+
+    def forms(self) -> List[Optional[tuple]]:
+        """The forms of the outgoing rays by `_ray_forms`: read where the
+        element plays a or b in a class with a pair of end rays of two or
+        more orbits."""
+        if self._forms is None:
+            self._forms = _ray_forms(self.dec.t, self.dec.infinite_orbits)
+        return self._forms
 
 
 def _conjugacy_data(g: HoughtonElement) -> _ConjugacyData:
@@ -203,6 +228,62 @@ def _index_orbits(t: Tuple[int, ...], orbits: Sequence[InfiniteOrbit]) -> _Orbit
     for o in orbits:
         index[o.pos_ray][o.pos_residue] = index[o.neg_ray][o.neg_residue] = o
     return index
+
+
+def _least_rotation(labels: List[tuple]) -> Tuple[tuple, int, int]:
+    """(c, k, p) for a cyclic sequence: c its least rotation, which starts
+    at labels[k], and p its least period, the least p > 0 by which it
+    rotates onto itself.  The two-pointer scan: i < j are two starts still
+    in the running, and every other start below j is out.  Their rotations
+    are compared label by label from k on; at the first difference the
+    start with the greater label goes with the k starts after it, as each
+    of them begins a rotation greater than the one as far after the other
+    start.  When k reaches the length, the rotations at i and j are equal,
+    and each start between them begins a greater one, so j - i is the
+    least period."""
+    n, doubled, i, j, k = len(labels), labels + labels, 0, 1, 0
+    while j < n and k < n:
+        x, y = doubled[i + k], doubled[j + k]
+        if x == y:
+            k += 1
+        elif x < y:
+            j, k = j + k + 1, 0
+        else:  # i goes, and i + k + 1 may pass j
+            i, j, k = min(i + k + 1, j), max(i + k + 1, j) + (i + k + 1 == j), 0
+    return tuple(doubled[i : i + n]), i, (j - i if k == n else n)
+
+
+def _ray_forms(t: Tuple[int, ...], orbits: Sequence[InfiniteOrbit]) -> List[Optional[tuple]]:
+    """forms[i] for each outgoing ray i from which two or more orbits end
+    on one incoming ray, else None: the `_least_rotation` of ray i's labels
+    and of its exact labels, six values in all.  `orbits` are in order of
+    outgoing ray and residue, so those of ray i are its row by residue.
+
+    List the orbits of ray i by residue x.  For the orbit o_x, its incoming
+    ray N, and the next residue y, cyclically, whose orbit also ends on N
+    (x itself when there is none), the label of x is N, the gap y - x mod
+    t_i and the step of the residue on N from o_x to o_y, mod |t_N|: the
+    step of their incoming cutoffs, as a cutoff is congruent to its
+    residue, and so of the neg_cutoff - |t_N| * spine_len of each.  The
+    exact label appends Φ(o_y) - Φ(o_x), where
+    Φ(o) = |t_N| * pos_cutoff + t_i * (neg_cutoff - |t_N| * spine_len)."""
+    forms: List[Optional[tuple]] = [None] * (len(t) + 1)
+    for ray, run in groupby(orbits, attrgetter("pos_ray")):
+        row, up, groups = tuple(run), t[ray - 1], {}  # groups: incoming ray -> residues
+        for x, o in enumerate(row):
+            groups.setdefault(o.neg_ray, []).append(x)
+        if len(groups) == len(row):
+            continue
+        plain, exact = [()] * up, [()] * up
+        for neg, xs in groups.items():
+            down = -t[neg - 1]
+            for x, y in zip(xs, xs[1:] + xs[:1]):
+                ox, oy = row[x], row[y]
+                step = oy.neg_cutoff - ox.neg_cutoff - down * (oy.spine_len - ox.spine_len)
+                plain[x] = label = (neg, (y - x) % up, step % down)
+                exact[x] = label + (down * (oy.pos_cutoff - ox.pos_cutoff) + up * step,)
+        forms[ray] = _least_rotation(plain) + _least_rotation(exact)
+    return forms
 
 
 def _walk(g: HoughtonElement) -> Tuple[CycleDecomposition, Tuple[Point, ...]]:
@@ -342,9 +423,12 @@ def _ends_classes(orbits: Sequence[InfiniteOrbit]) -> Tuple[Tuple[InfiniteOrbit,
     ray with one already in it, so each orbit after the head shares a ray
     with an earlier one.
 
-    Of the order within a class, `_class_shifts` needs only that.  For a
-    given partner of the head, what it reports does not depend on which
-    such order it walks.  An orbit's shift equations fix s_pos mod t_pos
+    Of the order within a class, `_class_shifts` needs only that, and it
+    holds for the first orbits of the class's ray pairs alone, which it
+    walks: the earlier orbit that a first orbit shares a ray with has the
+    rays of its pair's first orbit, which comes no later.  For a given
+    partner of the head, what it reports does not depend on which such
+    order it walks.  An orbit's shift equations fix s_pos mod t_pos
     and s_neg mod |t_neg| whatever its d is, and a cutoff is congruent to
     its residue, so these residues say that the partner's classes are the
     orbit's moved by s.  So the residues spread from the head along the

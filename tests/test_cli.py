@@ -165,10 +165,9 @@ class Capped(NamedTuple):
     save: Optional[str] = None
 
 
-def rotation(step):
-    """The element of H_2 at m = 2,000 that sends (2, j) to (1, j + step
-    mod m): one infinite orbit for step 1, m of them for step 0."""
-    m = 2000
+def rotation(step, m=2000):
+    """The element of H_2 that sends (2, j) to (1, j + step mod m): one
+    ends class of m infinite orbits."""
     return {"n": 2, "t": [m, -m], "exceptions": [[[2, j], [1, (j + step) % m]] for j in range(m)]}
 
 
@@ -214,6 +213,9 @@ YES = ('"decision":"yes"', '"verified":true')
         Capped(("orbits", "r.json"), lines=2000),
         Capped(("ends", "r.json"), out="{1,2}\n"),
     ], id="rotation-2000"),
+    pytest.param({"r.json": lambda: rotation(1, 20000), "r0.json": lambda: rotation(0, 20000)}, [
+        Capped(("conj", "r.json", "r0.json"), holds=('"reason":"orbit-pairing-mismatch"',)),
+    ], id="rotation-20000"),
     pytest.param({"swap.json": far_swaps}, [
         Capped(("eval", "-n", "3", "g2"), save="g2.json"),
         Capped(("mul", "swap.json", "g2.json"), save="swap_g2.json"),

@@ -9,7 +9,7 @@ import sys
 import time
 from math import gcd
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -746,7 +746,8 @@ def two_class_family(m, rotate, k, turn):
 
 def count_draws(monkeypatch):
     """A list that gets an entry for each `_class_shifts` choice generated
-    from now on: True when `_orbit_refusal` draws it, else False."""
+    from now on: True when `_orbit_refusal` draws it, else False.  The
+    class records are read before the refusal stage, which draws none."""
     draws = []
     refusing = False
     shifts, stage = conjugacy._class_shifts, conjugacy._orbit_refusal
@@ -773,8 +774,9 @@ def test_conjugate_generates_each_choice_once(monkeypatch):
     # small members of both families against each other, yes and no: the
     # same outcome as the product enumeration; a decision generates each
     # partner choice at most once (a class has at most one per orbit), and
-    # the refusal stage draws at most two per class, as the first two
-    # choices of a class give the sums of s it reaches
+    # the refusal stage draws at most two per class (it draws none: it
+    # reads the records, whose first two choices give the sums of s that
+    # each class reaches)
     rotations = []
     for m in range(1, 7):
         a = rotation_family(m, 1)
@@ -799,9 +801,8 @@ def test_conjugate_generates_each_choice_once(monkeypatch):
 def test_two_class_refusal_draws_two_choices_per_class(monkeypatch):
     # the first class matches itself at each of its 4,000 choices and the
     # second, its two orbits swapped, at none, with gcd(t) = 2: the tag
-    # needs only the first two choices of each class, so the refusal
-    # stage reads one more choice of the first class from its view, one
-    # class walk
+    # needs only the first two choices of each class, so the record of
+    # the first class reads one more choice, one walked orbit
     a, b = two_class_family(4000, 0, 2, 1), two_class_family(4000, 0, 2, 0)
     draws = count_draws(monkeypatch)
     started = time.process_time()
@@ -817,17 +818,137 @@ def test_two_class_refusal_work_grows_linearly(tool):
     1,000: each doubling of m multiplies them by at most 2.3.
 
     The expected order is linear in m.  Decomposing the two elements
-    walks their m + 2 orbits once each; the class loop walks the first
-    class once for its first choice, which is exact, and the second class
-    for both of its choices; the refusal stage draws one more choice of
-    the first class, one more walk of m orbits, and adds two sums.  So
-    the count about doubles with m, and x2.3 leaves room for lower-order
-    terms but not for redrawing every choice of the first class, which
-    multiplies it by 4."""
+    walks their m + 2 orbits once each, and the forms of the first class's
+    two rays take O(m) on each element; the class loop reads the first
+    two choices of each class, one walked orbit each, and the refusal
+    stage adds two sums.  So the count about doubles with m, and x2.3
+    leaves room for lower-order terms but not for a walk of every orbit
+    per choice of the first class, which multiplies it by 4."""
     bytecodes = tool("workcount").bytecodes
     counts = [bytecodes(conjugate, two_class_family(m, 0, 2, 1), two_class_family(m, 0, 2, 0)) for m in (250, 500, 1000)]
     for small, large in zip(counts, counts[1:]):
         assert large <= 2.3 * small, counts
+
+
+def three_ray_family(m, swap):
+    """t = (2m, -m, -m) in H_3 with table {(2, j) -> (1, 2j), (3, j) ->
+    (1, 2j + 1)}, or with the two images swapped: one ends class of 2m
+    orbits over three rays, m over each of its two ray pairs."""
+    table = {(2, j): (1, 2 * j + swap) for j in range(m)}
+    table.update({(3, j): (1, 2 * j + 1 - swap) for j in range(m)})
+    return HoughtonElement(3, (2 * m, -m, -m), table)
+
+
+def late_yes_pair(m, rotate=1, q=None):
+    """A member of the rotation family and its conjugate by the translation
+    element of t = (q, -q), q = m - 1 unless given: for m - 1 the class
+    has one exact choice, the last of its m choices."""
+    a = rotation_family(m, rotate)
+    q = m - 1 if q is None else q
+    return a, conjugate_element(a, construct_translation_element(2, (q, -q)))
+
+
+# four families of one ends class of about m orbits whose exact choice
+# comes late or never: the decision reads about m choices of the class
+CLASS_FAMILIES = {
+    "rotation-no": lambda m: (rotation_family(m, 1), rotation_family(m, 0)),
+    "late-yes": late_yes_pair,
+    "three-ray-no": lambda m: (three_ray_family(m, 0), three_ray_family(m, 1)),
+    "inverted-three-ray-no": lambda m: (inverse(three_ray_family(m, 0)), inverse(three_ray_family(m, 1))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLASS_FAMILIES))
+def test_class_work_grows_linearly(tool, family):
+    """The exact bytecodes of `conjugate` on each family, counted by
+    `tools/workcount.py`, at m = 250, 500 and 1,000: each doubling of m
+    multiplies them by at most 2.3.
+
+    The expected order is linear in m.  Decomposing the two elements
+    walks their orbits once each, and the forms of the class's outgoing
+    rays (`orbits._ray_forms`) take O(m) on each element.  The class loop
+    then tries the residues of the head's outgoing ray, m (2m for the
+    three-ray class, half of which end on the other incoming ray and are
+    refused at the first orbit), and each walks one orbit per ray pair,
+    one or two.  The yes builds and verifies a certificate of O(m)
+    entries.  So the count about doubles
+    with m, and x2.3 leaves room for lower-order terms but not for a walk
+    of every orbit per choice, which multiplies it by 4."""
+    bytecodes = tool("workcount").bytecodes
+    counts = [bytecodes(conjugate, *CLASS_FAMILIES[family](m)) for m in (250, 500, 1000)]
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 2.3 * small, counts
+    a, b = CLASS_FAMILIES[family](1000)
+    assert conjugate(a, b).is_conjugate == (family == "late-yes")
+
+
+def permutation_family(images):
+    """t = (m, -m) in H_2 with table {(2, j) -> (1, images[j])}: the
+    rotation family with any permutation of the images, whose labels
+    (`orbits._ray_forms`) may have any period."""
+    return HoughtonElement(2, (len(images), -len(images)), {(2, j): (1, image) for j, image in enumerate(images)})
+
+
+def drawn_table_element(t, rng):
+    """The element of translation t whose table sends the points (i, m)
+    with m < -t_i onto the points (j, k) with k < t_j, in an order drawn
+    by rng."""
+    domain = [(i, m) for i, v in enumerate(t, 1) for m in range(-v)]
+    images = [(j, k) for j, v in enumerate(t, 1) for k in range(v)]
+    return HoughtonElement(len(t), t, zip(domain, rng.sample(images, len(images))))
+
+
+def family_members(seed):
+    """Seeded members of the rotation, permutation, two-class, F_k and
+    three-ray families, each pair both ways round.  A permutation is
+    paired with its images turned, whose labels are its own turned.  A
+    drawn table of H_4 over four rays of 4 or 5 orbits each is paired with
+    a conjugate: a class whose ray pairs make a cycle, so the walk meets
+    orbits whose two rays it has fixed already."""
+    rng = random.Random("class-families:%d" % seed)
+    m, k = rng.randint(1, 12), rng.randint(1, 5)
+    images = rng.sample(range(m), m)
+    turn = rng.randrange(m)
+    drawn = drawn_table_element(rng.choice(((4, 4, -4, -4), (5, 5, -5, -5))), rng)
+    pairs = [
+        (drawn, conjugate_element(drawn, evaluate(random_word(4, seed, 3)))),
+        (rotation_family(m, rng.randrange(m)), rotation_family(m, rng.randrange(m))),
+        (permutation_family(images), permutation_family(images[turn:] + images[:turn])),
+        (permutation_family(images), permutation_family(rng.sample(range(m), m))),
+        late_yes_pair(m, rng.randrange(m), rng.randrange(-2 * m, 2 * m)),
+        tuple(two_class_family(m, rng.randrange(m), k, rng.randrange(k)) for _ in "ab"),
+        f_family(rng.randint(1, 3), rng.randint(0, 3), rng.random() < 0.5),
+        (three_ray_family(m, rng.randrange(2)), three_ray_family(m, rng.randrange(2))),
+    ]
+    pairs.append((inverse(pairs[-1][0]), inverse(pairs[-1][1])))
+    return pairs + [(b, a) for a, b in pairs]
+
+
+def test_class_choices_match_the_walk_of_every_orbit(tool):
+    # the choices of each ends class as the decision reads them, in order,
+    # against the reference walk of every orbit of the class: every
+    # equal-t pair of the three census sweeps, and seeded members of the
+    # families.  The counts are a run's: the classes compared, and those
+    # with a ray pair of two or more orbits, whose rays' forms are read
+    census = tool("census")
+    pairs = []
+    for sweep in (census.SWEEP, census.SWEEP_H4, census.SWEEP_H4_WIDE):
+        by_t = collections.defaultdict(list)
+        for g in census.elements(sweep):
+            by_t[g.t].append(g)
+        pairs += [(a, b) for group in by_t.values() for a in group for b in group]
+    for seed in range(60):
+        pairs += family_members(seed)
+    classes = several = 0
+    for a, b in pairs:
+        data_a, data_b = orbits._conjugacy_data(a), orbits._conjugacy_data(b)
+        index_b = data_b.orbit_index()
+        for cls, (walked, rays) in zip(data_a.ends_classes(), data_a.class_walks()):
+            got = list(conjugacy._class_shifts(a.t, walked, rays, index_b, data_b))
+            assert got == list(reference_class_shifts(a.t, cls, index_b)), (a, b)
+            classes += 1
+            several += len(walked) < len(cls)
+    assert (classes, several) == (434_560, 118_558)
 
 
 def test_work_counts_equal_the_committed_file(tmp_path):
@@ -1267,12 +1388,72 @@ def reference_bounds(t, dec_a, dec_b, s):
     return BoundData(big_k, max(map(abs, t)))
 
 
+def reference_class_shifts(t, orbits, index_b):
+    """Reference: the choices of one ends class as `conjugacy._class_shifts`
+    made them before it walked one orbit per ray pair, verbatim: every
+    orbit of the class is walked once per choice, so a class of m orbits
+    costs O(m^2).  The decision no longer runs it.
+
+    Every way to pair the orbits of one ends class of a with orbits of b
+    residue for residue, as (s, exact): s holds a conjugator's translation
+    on the class's rays, solved from the orbit-shift equations of
+    `conjugate` with d = 0 on the first orbit, and exact is False when
+    those equations give some ray two values of the same residue.  The
+    choices are generated lazily, one walk of the class each, in the order
+    of b's orbits with the first orbit's end rays: those of its outgoing
+    ray in order of residue, where one that ends on another incoming ray
+    is refused at once.  `index_b` is b's kept orbit index
+    (`_ConjugacyData.orbit_index`).
+
+    A choice seeds s with the head's outgoing s_i at d = 0, the difference
+    of the two cutoffs, whose residue looks the chosen orbit up.  Then
+    every orbit's partner is looked up, and its d read off, by the
+    outgoing ray when its s_i is known, else by the incoming one, known as
+    the orbit shares a ray with an earlier one.  A cutoff is congruent to
+    its residue, so that d solves the ray's equation exactly, and only the
+    other ray, when known too, is compared: a residue clash refuses the
+    choice, and a second value makes it inexact."""
+    head = orbits[0]
+    for first in index_b[head.pos_ray]:
+        s: Dict[int, int] = {head.pos_ray: first.pos_cutoff - head.pos_cutoff}
+        exact = True
+        for oa in orbits:
+            pos, neg = oa.pos_ray, oa.neg_ray
+            up, down = t[pos - 1], t[neg - 1]
+            s_pos, s_neg = s.get(pos), s.get(neg)
+            if s_pos is not None:
+                ob = index_b[pos][(oa.pos_residue + s_pos) % up]
+            else:
+                ob = index_b[neg][(oa.neg_residue + s_neg) % -down]
+            if ob.pos_ray != pos or ob.neg_ray != neg:
+                break
+            c_pos = ob.pos_cutoff - oa.pos_cutoff
+            c_neg = ob.neg_cutoff - oa.neg_cutoff - down * (oa.spine_len - ob.spine_len)
+            if s_pos is not None:
+                d = (s_pos - c_pos) // up
+            else:
+                d = (s_neg - c_neg) // down
+            v_pos, v_neg = up * d + c_pos, down * d + c_neg
+            if s_pos is None:
+                s[pos] = v_pos
+            if s_neg is None:
+                s[neg] = v_neg
+            elif s_neg != v_neg:  # d was read off the outgoing ray
+                if (s_neg - v_neg) % down:
+                    break
+                exact = False
+        else:
+            yield s, exact
+
+
 def product_conjugate(a, b):
     """Reference: the decision `conjugate` made before it walked the ends
     classes once.  After the same invariant checks it tries every
     combination of the classes' partner choices, in order, and the first
     whose candidate is conjugate answers; each candidate gets the least
-    translation per class and is built by the same forced-value walk.  A
+    translation per class and is built by the same forced-value walk.  The
+    choices come from `reference_class_shifts`, which walks every orbit of
+    the class, not from the package's walk of one orbit per ray pair.  A
     refusal names the furthest stage any combination reached.  Its cost is
     the product of the numbers of choices."""
     if a.t != b.t:
@@ -1286,7 +1467,7 @@ def product_conjugate(a, b):
     data_a, data_b = orbits._conjugacy_data(a), orbits._conjugacy_data(b)
     classes = data_a.ends_classes()
     index_b = data_b.orbit_index()
-    per_class = [conjugacy._class_shifts(a.t, orbits, index_b) for orbits in classes]
+    per_class = [reference_class_shifts(a.t, orbits, index_b) for orbits in classes]
     reason = ORBIT_PAIRING_MISMATCH
     for combination in itertools.product(*per_class):
         s = [0] * n

@@ -721,8 +721,9 @@ def test_census_of_h4_stays_in_one_class(tool):
 
 
 def test_wide_census_of_h4_tags(tool):
-    # the 1,106 valid tables of the wide H_4 sweep, whose refusals draw a
-    # second choice of a class the class loop stopped in 152 times.  Each
+    # the 1,106 valid tables of the wide H_4 sweep, whose refusals in the
+    # partition read the second choice of a class whose first is exact 256
+    # times (`tools/census.py`).  Each
     # element is conjugate to exactly one of the 72 class representatives
     # of its t, every pair the partition decides decides alike inverted,
     # and every orbit tag occurs.  The components, at W = 4, are left to

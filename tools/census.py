@@ -19,10 +19,11 @@ There are three sweeps:
              (0,0,1,-1) as there, (2,-2,1,-1) with up to 5 entries, and
              (2,-2,2,-2) on offsets below 3 with up to 5: 1,106 valid
              elements in 72 classes, with two ends classes of two rays
-             each, or one class over two, three or four rays.  152 of
-             its refusals read a second choice of a class that the class
-             loop stopped in (`conjugacy._orbit_refusal`); SWEEP_H4 has
-             8 such, SWEEP none
+             each, or one class over two, three or four rays.  In 256
+             of its refusals some class's record (`conjugacy.conjugate`)
+             holds a second choice, read after a first exact one for the
+             sum that `conjugacy._orbit_refusal` reads; SWEEP_H4 has 16
+             such, SWEEP none
 
 `valid_tables` builds a sweep's valid tables directly, in the order of
 `tables`.  Each census is partitioned twice:
