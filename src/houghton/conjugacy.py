@@ -13,6 +13,9 @@ The solver layers:
                         with those of b, solve the orbit-shift equations
                         for a translation s that a conjugator with that
                         pairing has, and build it at s
+  _class_record         the record of one ends class: its choices of
+                        partners in b, read in order up to the first exact
+                        one, or the second where a refusal needs it
   _orbit_refusal        the tag of conjugate's "no" once an ends class has
                         no exact pairing, read off each class's record:
                         the sums of s of its first two choices, and one
@@ -25,7 +28,7 @@ exactly before it is returned; an x that fails the check raises RuntimeError.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     HoughtonElement,
@@ -47,6 +50,7 @@ from .orbits import (
     _class_rays,
     _conjugacy_data,
     _ConjugacyData,
+    _ends_classes,
     _OrbitIndex,
     cycle_decomposition,
     fixed_point_count,
@@ -234,7 +238,10 @@ def _forced_conjugator(
             left_b -= count
 
     x = _make(a.n, tuple(s), mapping)
-    x._validate()
+    try:
+        x._validate()
+    except InvalidElementError as exc:
+        raise RuntimeError("the conjugator built at translation %s is not an element: %s" % (tuple(s), exc)) from exc
     if not verify(a, b, x):
         raise RuntimeError("the conjugator built at translation %s fails verify" % (tuple(s),))
     return ConjugacyOutcome(x, True, None, BoundData(2 * width, max(map(abs, t))))
@@ -294,7 +301,7 @@ def centralizer_element(g: HoughtonElement, ray_class: Iterable[int]) -> Houghto
     cls = frozenset(ray_class)
     data = _conjugacy_data(g)
     dec = data.dec
-    if cls not in map(_class_rays, data.ends_classes()):
+    if cls not in map(_class_rays, _ends_classes(dec.infinite_orbits)):
         raise ValueError("%s is not an equivalence class of rays for this element" % sorted(cls))
     t_masked = tuple(v if (i + 1) in cls else 0 for i, v in enumerate(g.t))
 
@@ -369,22 +376,31 @@ def compute_bounds(a: HoughtonElement, b: HoughtonElement) -> BoundData:
 # -- the full decision ----------------------------------------------------------
 
 
-def _class_shifts(
-    t: Sequence[int], walked: Sequence[InfiniteOrbit], rays: tuple, index_b: _OrbitIndex, data_b: _ConjugacyData
-) -> Iterator[Tuple[Dict[int, int], bool]]:
-    """Every way to pair the orbits of one ends class of a with orbits of b
-    residue for residue, as (s, exact): s holds a conjugator's translation
-    on the class's rays, solved from the orbit-shift equations of
-    `conjugate` with d = 0 on the first orbit, and exact is False when
-    those equations give some ray two values of the same residue.  The
-    choices are generated lazily, in the order of b's orbits with the
-    first orbit's end rays: those of its outgoing ray P in order of
-    residue, where one that ends on another incoming ray is refused.
-    walked and rays are the class as `_ConjugacyData.class_walks` keeps it
-    on a: the first orbit of each pair of end rays, in class order, and
-    the forms of its outgoing rays that have one.  `index_b` is b's kept
-    orbit index (`_ConjugacyData.orbit_index`), and data_b b's kept data,
-    whose forms are read where a's are given.
+# the record of an ends class: its first exact choice of s, or None, and
+# the choices read, as (s, exact)
+_Record = Tuple[Optional[Dict[int, int]], List[Tuple[Dict[int, int], bool]]]
+
+
+def _class_record(
+    t: Sequence[int], walked: Sequence[InfiniteOrbit], rays: tuple, index_b: _OrbitIndex, data_b: _ConjugacyData,
+    most: int,
+) -> _Record:
+    """The record of one ends class of a: its first exact choice, or None,
+    and the choices read, as (s, exact), in order.  A choice pairs the
+    orbits of the class with orbits of b residue for residue: s holds a
+    conjugator's translation on the class's rays, solved from the
+    orbit-shift equations of `conjugate` with d = 0 on the first orbit,
+    and exact is False when those equations give some ray two values of
+    the same residue.  The choices are tried in the order of b's orbits
+    with the first orbit's end rays: those of its outgoing ray P in order
+    of residue, where one that ends on another incoming ray is refused.
+    The record stops at its first exact choice once it holds `most`
+    choices, or at its last.  walked and rays are the class as
+    `_ConjugacyData.class_walks` keeps it on a: the first orbit of each
+    pair of end rays, in class order, and the forms of its outgoing rays
+    that have one.  `index_b` is b's kept orbit index
+    (`_ConjugacyData.orbit_index`), and data_b b's kept data, whose forms
+    are read where a's are given.
 
     A choice seeds s with the head's outgoing s_P at d = 0, the difference
     of the two cutoffs, whose residue looks the chosen orbit up.  Then
@@ -415,7 +431,7 @@ def _class_shifts(
     So the choices and their flags are those of a walk of every orbit.
     The forms of a and b are compared once per call, and each choice then
     costs O(ray pairs of the class)."""
-    head = walked[0]
+    head, first, read = walked[0], None, []
     # (ray, the residue and period of its fit, those of its exact fit, the
     # residue None when no rotation fits exactly)
     fits: List[Tuple[int, int, int, Optional[int], int]] = []
@@ -423,10 +439,10 @@ def _class_shifts(
         fb = data_b.forms()[ray]
         exactly = fb is not None and fa[3] == fb[3]  # then the plain forms are equal too
         if not exactly and (fb is None or fa[0] != fb[0]):
-            return
+            return first, read
         fits.append((ray, fb[1] - fa[1], fa[2], fb[4] - fa[4] if exactly else None, fa[5]))
-    for first in index_b[head.pos_ray]:
-        s: Dict[int, int] = {head.pos_ray: first.pos_cutoff - head.pos_cutoff}
+    for partner in index_b[head.pos_ray]:
+        s: Dict[int, int] = {head.pos_ray: partner.pos_cutoff - head.pos_cutoff}
         exact = True
         for oa in walked:
             pos, neg = oa.pos_ray, oa.neg_ray
@@ -459,7 +475,12 @@ def _class_shifts(
                     break
                 exact = exact and exact_shift is not None and (s[ray] - exact_shift) % exact_period == 0
             else:
-                yield s, exact
+                read.append((s, exact))
+                if exact and first is None:
+                    first = s
+                if first is not None and len(read) >= most:
+                    break
+    return first, read
 
 
 def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]:
@@ -498,12 +519,12 @@ def _least_translation(t: Sequence[int], part: Dict[int, int]) -> Dict[int, int]
     return {ray: v + sign * lo * t[ray - 1] for ray, v in part.items()}
 
 
-def _orbit_refusal(t: Sequence[int], records: Iterable[Tuple[Optional[Dict[int, int]], List[Dict[int, int]]]]) -> str:
+def _orbit_refusal(t: Sequence[int], records: Iterable[_Record]) -> str:
     """The tag of a refusal of `conjugate`, once some ends class has no
-    exact choice.  `records` holds the record of each class, in the order
-    of the classes: its first exact `_class_shifts` choice, or None, and
-    the choices read, which begin with its first two, or with as many as
-    it has; with its first alone where g below is 1, as a second changes
+    exact choice.  `records` holds the `_class_record` of each class, in
+    the order of the classes: its first exact choice, or None, and the
+    choices read, which begin with its first two, or with as many as it
+    has; with its first alone where g below is 1, as a second changes
     nothing.
 
     The tag needs only the sums of s mod g, with g = gcd(t) when every ray
@@ -526,7 +547,7 @@ def _orbit_refusal(t: Sequence[int], records: Iterable[Tuple[Optional[Dict[int, 
     for _, read in records:
         if not read:
             return ORBIT_PAIRING_MISMATCH
-        sums = [sum(part.values()) for part in read[:2]]
+        sums = [sum(part.values()) for part, _ in read[:2]]
         total += sums[0]
         modulus = gcd(modulus, sums[-1] - sums[0])  # gcd(modulus, 0) with one sum
     return ORBIT_SHIFT_MISMATCH if total % modulus == 0 else ORBIT_PAIRING_MISMATCH
@@ -591,10 +612,11 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
 
     Decision.  By the existence argument an exact combination is a yes,
     and the first in the order of the choices takes the first exact
-    choice of every class.  One loop reads the choices of each class
-    once, into its record: its first exact choice, and the choices read,
-    so it stops at the first exact choice once it has read the first two
-    (the first alone when gcd(t) is 1 or a ray is still), or at its last.
+    choice of every class.  Each class's choices are read once, into its
+    record (`_class_record`): its first exact choice, and the choices
+    read, which stop at the first exact choice once they hold the first
+    two (the first alone when gcd(t) is 1 or a ray is still), or at the
+    last.
     When some class has no exact choice, `_orbit_refusal` names the tag
     from the sums of s of the first two choices of every class's record
     and one gcd of them.
@@ -624,16 +646,7 @@ def conjugate(a: HoughtonElement, b: HoughtonElement) -> ConjugacyOutcome:
     # a refusal reads the second choice of a class only when every ray
     # moves and gcd(t) > 1
     most = 1 if 0 in t or gcd(*t) == 1 else 2
-    records = []
-    for walked, rays in data_a.class_walks():
-        first, read = None, []
-        for part, exact in _class_shifts(t, walked, rays, index_b, data_b):
-            read.append(part)
-            if exact and first is None:
-                first = part
-            if first is not None and len(read) >= most:
-                break
-        records.append((first, read))
+    records = [_class_record(t, walked, rays, index_b, data_b, most) for walked, rays in data_a.class_walks()]
     s = [0] * a.n
     for first, _ in records:
         if first is None:

@@ -158,33 +158,26 @@ class _ConjugacyData:
     so two elements of equal translation have equal cycle types exactly
     when these agree.  Most decisions read an element in one role only,
     so the part of each role is built by its method on first read and
-    kept: the ends classes and their walks where g plays a, the orbit
-    index where it plays b, and the forms of its outgoing rays where it
+    kept: the walks of its ends classes where g plays a, the orbit index
+    where it plays b, and the forms of its outgoing rays where it
     plays either in a class with two orbits over one pair of rays, each
     O(infinite orbits + n)."""
 
-    __slots__ = ("dec", "fixed", "cycle_lengths", "_classes", "_walks", "_index", "_forms")
+    __slots__ = ("dec", "fixed", "cycle_lengths", "_walks", "_index", "_forms")
 
     def __init__(self, dec: CycleDecomposition, fixed: Tuple[Point, ...]):
         self.dec, self.fixed = dec, fixed
         self.cycle_lengths = tuple(sorted(map(_LENGTH, dec.finite_cycles)))
-        self._classes = self._walks = self._index = self._forms = None
-
-    def ends_classes(self) -> Tuple[Tuple[InfiniteOrbit, ...], ...]:
-        """The infinite orbits grouped by `_ends_classes`: read where the
-        element plays a."""
-        if self._classes is None:
-            self._classes = _ends_classes(self.dec.infinite_orbits)
-        return self._classes
+        self._walks = self._index = self._forms = None
 
     def class_walks(self) -> Tuple[Tuple[Tuple[InfiniteOrbit, ...], Tuple[Tuple[int, tuple], ...]], ...]:
-        """For each ends class, what `conjugacy._class_shifts` walks: the
-        first orbit of each of its pairs of end rays, in class order, and
-        (ray, form) for each outgoing ray of the class that has a form
-        (`_ray_forms`).  Read where the element plays a."""
+        """For each ends class (`_ends_classes`), what `conjugacy._class_record`
+        walks: the first orbit of each of its pairs of end rays, in class
+        order, and (ray, form) for each outgoing ray of the class that has
+        a form (`_ray_forms`).  Read where the element plays a."""
         if self._walks is None:
             walks = []
-            for cls in self.ends_classes():
+            for cls in _ends_classes(self.dec.infinite_orbits):
                 pairs: Dict[Tuple[int, int], InfiniteOrbit] = {}
                 for o in cls:
                     pairs.setdefault((o.pos_ray, o.neg_ray), o)
@@ -423,7 +416,7 @@ def _ends_classes(orbits: Sequence[InfiniteOrbit]) -> Tuple[Tuple[InfiniteOrbit,
     ray with one already in it, so each orbit after the head shares a ray
     with an earlier one.
 
-    Of the order within a class, `_class_shifts` needs only that, and it
+    Of the order within a class, `_class_record` needs only that, and it
     holds for the first orbits of the class's ray pairs alone, which it
     walks: the earlier orbit that a first orbit shares a ray with has the
     rays of its pair's first orbit, which comes no later.  For a given
@@ -462,5 +455,5 @@ def _class_rays(orbits: Iterable[InfiniteOrbit]) -> FrozenSet[int]:
 
 def ends_partition(g: HoughtonElement) -> EndsPartition:
     """The moving rays grouped by ends class, in order of smallest ray."""
-    classes = map(_class_rays, _conjugacy_data(g).ends_classes())
+    classes = map(_class_rays, _ends_classes(_conjugacy_data(g).dec.infinite_orbits))
     return EndsPartition(tuple(sorted(classes, key=min)))

@@ -487,7 +487,7 @@ def test_conjugate_refuses_swapped_ray_pairs_fast(monkeypatch):
 def kept_parts(g):
     """g's kept record and its parts, as the objects they are."""
     data = g._dec
-    return [data, data.dec, data.fixed, data.cycle_lengths, data._classes, data._index]
+    return [data, data.dec, data.fixed, data.cycle_lengths, data._walks, data._index]
 
 
 def test_conjugate_decomposes_each_element_once(monkeypatch):
@@ -544,11 +544,14 @@ def test_conjugate_raises_where_a_conjugator_must_exist(monkeypatch):
         with pytest.raises(RuntimeError):
             conjugate(a, b)
     g = generator(2, "g2")
-    shifts = conjugacy._class_shifts
-    off_by_one = lambda *args: [
-        ({ray: v + (ray == 1) for ray, v in part.items()}, exact) for part, exact in shifts(*args)
-    ]
-    monkeypatch.setattr(conjugacy, "_class_shifts", off_by_one)
+    record = conjugacy._class_record
+    moved = lambda part: {ray: v + (ray == 1) for ray, v in part.items()}
+
+    def off_by_one(*args):
+        first, read = record(*args)
+        return moved(first), [(moved(part), exact) for part, exact in read]
+
+    monkeypatch.setattr(conjugacy, "_class_record", off_by_one)
     with pytest.raises(RuntimeError):
         conjugate(g, g)
 
@@ -744,39 +747,31 @@ def two_class_family(m, rotate, k, turn):
     return HoughtonElement(4, (m, -m, k, -k), table)
 
 
-def count_draws(monkeypatch):
-    """A list that gets an entry for each `_class_shifts` choice generated
-    from now on: True when `_orbit_refusal` draws it, else False.  The
-    class records are read before the refusal stage, which draws none."""
-    draws = []
-    refusing = False
-    shifts, stage = conjugacy._class_shifts, conjugacy._orbit_refusal
+def class_records(monkeypatch):
+    """A list that gets each ends class's record (`_class_record`), as
+    the decision builds it, from now on."""
+    records = []
+    record = conjugacy._class_record
+    monkeypatch.setattr(conjugacy, "_class_record", lambda *args: records.append(record(*args)) or records[-1])
+    return records
 
-    def counted(*args):
-        for choice in shifts(*args):
-            draws.append(refusing)
-            yield choice
 
-    def refusal(*args):
-        nonlocal refusing
-        refusing = True
-        try:
-            return stage(*args)
-        finally:
-            refusing = False
-
-    monkeypatch.setattr(conjugacy, "_class_shifts", counted)
-    monkeypatch.setattr(conjugacy, "_orbit_refusal", refusal)
-    return draws
+def read_as_needed(record, most):
+    """Whether a record's first exact choice is the first exact one it
+    read, and it read no choice past that one once it held `most`."""
+    first, read = record
+    exact = [k for k, (_, flag) in enumerate(read) if flag]
+    if not exact:
+        return first is None
+    return first is read[exact[0]][0] and len(read) <= max(most, exact[0] + 1)
 
 
 def test_conjugate_generates_each_choice_once(monkeypatch):
     # small members of both families against each other, yes and no: the
-    # same outcome as the product enumeration; a decision generates each
+    # same outcome as the product enumeration; a decision reads each
     # partner choice at most once (a class has at most one per orbit), and
-    # the refusal stage draws at most two per class (it draws none: it
-    # reads the records, whose first two choices give the sums of s that
-    # each class reaches)
+    # each class's record stops at its first exact choice once it holds
+    # the first two, whose sums of s the refusal stage reads
     rotations = []
     for m in range(1, 7):
         a = rotation_family(m, 1)
@@ -785,14 +780,15 @@ def test_conjugate_generates_each_choice_once(monkeypatch):
     for m, k in itertools.product(range(1, 9), (2, 3, 4)):
         b = two_class_family(m, 0, k, 0)
         two_classes += [(two_class_family(m, r, k, q), b) for r in range(m) for q in range(k)]
-    draws = count_draws(monkeypatch)
+    records = class_records(monkeypatch)
     for pairs in (rotations, two_classes):
         reasons = set()
         for a, b in pairs:
-            del draws[:]
+            del records[:]
             out = conjugate(a, b)
-            assert len(draws) <= sum(map(abs, a.t)) // 2
-            assert sum(draws) <= 2 * len(ends_partition(a).classes)
+            assert len(records) == len(ends_partition(a).classes)
+            assert sum(len(read) for _, read in records) <= sum(map(abs, a.t)) // 2
+            assert all(read_as_needed(record, 2) for record in records)
             assert out == product_conjugate(a, b)
             reasons.add(out.reason)
         assert reasons == {None, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}
@@ -802,14 +798,15 @@ def test_two_class_refusal_draws_two_choices_per_class(monkeypatch):
     # the first class matches itself at each of its 4,000 choices and the
     # second, its two orbits swapped, at none, with gcd(t) = 2: the tag
     # needs only the first two choices of each class, so the record of
-    # the first class reads one more choice, one walked orbit
+    # the first class reads one more choice, one walked orbit, and that of
+    # the second reads its two, neither exact
     a, b = two_class_family(4000, 0, 2, 1), two_class_family(4000, 0, 2, 0)
-    draws = count_draws(monkeypatch)
+    records = class_records(monkeypatch)
     started = time.process_time()
     out = conjugate(a, b)
     assert time.process_time() - started < 0.5
     assert out.reason == ORBIT_PAIRING_MISMATCH
-    assert sum(draws) <= 2 * 2
+    assert [(first is None, len(read)) for first, read in records] == [(False, 2), (True, 2)]
 
 
 def test_two_class_refusal_work_grows_linearly(tool):
@@ -882,6 +879,41 @@ def test_class_work_grows_linearly(tool, family):
     assert conjugate(a, b).is_conjugate == (family == "late-yes")
 
 
+def test_far_offsets_add_no_work(tool):
+    """The exact bytecodes of `conjugate` on fresh elements, counted by
+    `tools/workcount.py`, as three pairs move out to offset N = 10^3,
+    10^6, 10^9 and 10^12.
+
+    Two pairs count the same at every N: in H_3 the swap of (1, 0) and
+    (2, 0) against that of (1, N) and (3, N), and in H_2 g2 against its
+    conjugate by the swap of (1, 0) and (2, N).  The walks jump from table
+    point to table point, the certificates have as many entries at every
+    N, and no step loops over an offset.  An H_4 round trip whose b alone
+    is lifted to offset N (conjugated by `lift`) grows by at most x1.15
+    per step: the choice read at d = 0 on the head moves b's cutoffs, so
+    its s grows with N, and `_least_translation` bisects over
+    [1, max |s_i|], a few more steps for each factor of 1,000."""
+    cold = tool("workcount").cold
+    swap = lambda n, p, q: fsym(n, (p, q), (q, p))
+    g2 = generator(2, "g2")
+    a = element(4, "g2 g3' g4 g2")
+    b = conjugate_element(a, element(4, "g3 g4' g2"))
+    width = 1 + max(a.max_exception_offset(), b.max_exception_offset())
+    offsets = (10**3, 10**6, 10**9, 10**12)
+    families = {
+        "swaps": lambda far: (swap(3, (1, 0), (2, 0)), swap(3, (1, far), (3, far))),
+        "g2": lambda far: (g2, conjugate_element(g2, swap(2, (1, 0), (2, far)))),
+        "lifted": lambda far: (a, conjugate_element(b, lift(4, far, width))),
+    }
+    counts = {}
+    for name, pair in families.items():
+        counts[name] = [cold(conjugate, *pair(far)) for far in offsets]
+        assert all(conjugate(*pair(far)).is_conjugate for far in offsets), name
+    assert len(set(counts["swaps"])) == len(set(counts["g2"])) == 1, counts
+    for small, large in zip(counts["lifted"], counts["lifted"][1:]):
+        assert large <= 1.15 * small, counts
+
+
 def permutation_family(images):
     """t = (m, -m) in H_2 with table {(2, j) -> (1, images[j])}: the
     rotation family with any permutation of the images, whose labels
@@ -943,9 +975,13 @@ def test_class_choices_match_the_walk_of_every_orbit(tool):
     for a, b in pairs:
         data_a, data_b = orbits._conjugacy_data(a), orbits._conjugacy_data(b)
         index_b = data_b.orbit_index()
-        for cls, (walked, rays) in zip(data_a.ends_classes(), data_a.class_walks()):
-            got = list(conjugacy._class_shifts(a.t, walked, rays, index_b, data_b))
+        for cls, (walked, rays) in zip(orbits._ends_classes(data_a.dec.infinite_orbits), data_a.class_walks()):
+            # with `most` above the count of candidates, the record reads
+            # every choice
+            every = len(index_b[walked[0].pos_ray]) + 1
+            first, got = conjugacy._class_record(a.t, walked, rays, index_b, data_b, every)
             assert got == list(reference_class_shifts(a.t, cls, index_b)), (a, b)
+            assert first is next((part for part, exact in got if exact), None)
             classes += 1
             several += len(walked) < len(cls)
     assert (classes, several) == (434_560, 118_558)
@@ -1389,8 +1425,9 @@ def reference_bounds(t, dec_a, dec_b, s):
 
 
 def reference_class_shifts(t, orbits, index_b):
-    """Reference: the choices of one ends class as `conjugacy._class_shifts`
-    made them before it walked one orbit per ray pair, verbatim: every
+    """Reference: the choices of one ends class, in the order in which
+    `conjugacy._class_record` reads them, made by the generator that the
+    decision ran before it walked one orbit per ray pair, verbatim: every
     orbit of the class is walked once per choice, so a class of m orbits
     costs O(m^2).  The decision no longer runs it.
 
@@ -1465,7 +1502,7 @@ def product_conjugate(a, b):
     n = a.n
     modulus = gcd(*a.t)
     data_a, data_b = orbits._conjugacy_data(a), orbits._conjugacy_data(b)
-    classes = data_a.ends_classes()
+    classes = orbits._ends_classes(data_a.dec.infinite_orbits)
     index_b = data_b.orbit_index()
     per_class = [reference_class_shifts(a.t, orbits, index_b) for orbits in classes]
     reason = ORBIT_PAIRING_MISMATCH

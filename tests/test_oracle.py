@@ -18,7 +18,7 @@ from houghton import (
     serialize,
     verify,
 )
-from houghton import conjugacy, oracle
+from houghton import cli, conjugacy, oracle
 from houghton.core import _conjugated_table, _letter_rule
 from houghton.oracle import (
     MAX_WORDS,
@@ -234,6 +234,32 @@ def test_conjugator_builder_raises_when_verify_disagrees(monkeypatch):
         conjugate(a, b)
     with pytest.raises(RuntimeError):
         fsym_conjugate(a, c)
+
+
+def test_conjugator_builder_raises_when_its_table_is_not_a_bijection(monkeypatch, tmp_path):
+    # a certificate whose table maps two points to one is the builder's
+    # fault, not the input's: conjugate, fsym_conjugate and the CLI raise
+    # RuntimeError naming the translation, as on a failed verify, and the
+    # CLI does not report it as bad input with exit 2
+    a = evaluate(Word.parse(3, "g2 g2 g3"))
+    b = conjugate_element(a, evaluate(Word.parse(3, "g3 g2 g2")))
+    swap = HoughtonElement(3, (0, 0, 0), {(1, 0): (2, 5), (2, 5): (1, 0)})
+    c = conjugate_element(a, swap)
+    paths = []
+    for name, g in (("a.json", a), ("b.json", b)):
+        (tmp_path / name).write_text(serialize(g), encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    make = conjugacy._make
+
+    def repeated(n, t, mapping):
+        # the first point takes the second one's image too
+        (p, _), (_, q) = list(mapping.items())[:2]
+        return make(n, t, {**mapping, p: q})
+
+    monkeypatch.setattr(conjugacy, "_make", repeated)
+    for call in (lambda: conjugate(a, b), lambda: fsym_conjugate(a, c), lambda: cli.main(["conj"] + paths)):
+        with pytest.raises(RuntimeError, match="built at translation"):
+            call()
 
 
 def test_brute_force_miss_builds_only_half_balls(monkeypatch):

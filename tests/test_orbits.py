@@ -108,16 +108,19 @@ def test_conjugacy_data_is_kept_part_by_part():
     assert c3.length == 3 and c2.length == c2_later.length == 2
     assert data.fixed == () and data.cycle_lengths == (2, 2, 3)
     assert (data.cycle_lengths, 2) == cycle_type(g)
-    assert data._classes is data._index is None
-    want = (((o1, o2),), [(), [o1, o2], [o2, o1], ()])
+    assert data._walks is data._index is None
+    # the class's one ray pair walks its first orbit, and the form of its
+    # outgoing ray stands for the other
+    form = orbits._ray_forms(g.t, (o1, o2))[o1.pos_ray]
+    want = ((((o1,), ((o1.pos_ray, form),)),), [(), [o1, o2], [o2, o1], ()])
     for k in range(2):
         other = orbits._conjugacy_data(HoughtonElement(g.n, g.t, g.exceptions))
-        parts = (other.ends_classes, other.orbit_index)
+        parts = (other.class_walks, other.orbit_index)
         built = parts[k]()
-        assert (other._classes, other._index)[1 - k] is None
+        assert (other._walks, other._index)[1 - k] is None
         assert parts[k]() is built
         assert tuple(part() for part in parts) == want
-        assert all(part() is kept for part, kept in zip(parts, (other._classes, other._index)))
+        assert all(part() is kept for part, kept in zip(parts, (other._walks, other._index)))
 
 
 def test_fixed_entries_are_kept_on_the_record():
@@ -144,7 +147,7 @@ def test_fixed_entries_are_kept_on_the_record():
 def decomposed(g):
     """g, with its record and both role parts kept."""
     data = orbits._conjugacy_data(g)
-    data.ends_classes(), data.orbit_index()
+    data.class_walks(), data.orbit_index()
     return g
 
 

@@ -20,7 +20,7 @@ There are three sweeps:
              (2,-2,2,-2) on offsets below 3 with up to 5: 1,106 valid
              elements in 72 classes, with two ends classes of two rays
              each, or one class over two, three or four rays.  In 256
-             of its refusals some class's record (`conjugacy.conjugate`)
+             of its refusals some class's record (`conjugacy._class_record`)
              holds a second choice, read after a first exact one for the
              sum that `conjugacy._orbit_refusal` reads; SWEEP_H4 has 16
              such, SWEEP none

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import platform
@@ -122,7 +123,11 @@ def opcodes(call, *args) -> Counter:
     function: keyed "module:qualified name", where the qualified name is
     the plain name on a Python without `co_qualname` (3.10).  The trace
     function installed before, such as `tools/untested.py`'s line tracer
-    when a test counts, is put back afterwards."""
+    when a test counts, is put back afterwards.  The cyclic collector is
+    off during the call: a collection would run the Python callbacks in
+    `gc.callbacks` (hypothesis installs one) and any finalizers it frees,
+    at a point set by the process's earlier allocations, so the count
+    would depend on what ran before."""
     cells = {}  # code object -> [its module's name, opcode events]
 
     def enter(frame, event, arg):
@@ -139,12 +144,15 @@ def opcodes(call, *args) -> Counter:
         frame.f_trace_opcodes = True
         return local
 
-    previous = sys.gettrace()
+    previous, collecting = sys.gettrace(), gc.isenabled()
+    gc.disable()
     sys.settrace(enter)
     try:
         call(*args)
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     out = Counter()
     for code, (module, count) in cells.items():
         out["%s:%s" % (module, getattr(code, "co_qualname", code.co_name))] += count
