@@ -3,9 +3,10 @@
 `random_word` and `random_element` draw reproducible words and elements;
 `test_random_values_are_frozen` pins their values, so a change to either
 invalidates the seeded tests.  `element` is the element of a word's text,
-and `lift` swaps a window of low points with one far out.  `successor`
-re-applies a cycle decomposition, the reference that tests compare the
-decomposition against.
+`lift` swaps a window of low points with one far out, and
+`rotation_family` is one ends class of m orbits turned by a step.
+`successor` re-applies a cycle decomposition, the reference that tests
+compare the decomposition against.
 `check` is the benchmark's checker, `bench/check.py`, which never calls
 the package: its letter rule is the one the tests compare `evaluate`
 against, and `random_word` draws its letters from its alphabet.
@@ -64,6 +65,12 @@ def lift(n: int, far: int, width: int) -> HoughtonElement:
         for m in range(width):
             swap[(i, m)], swap[(i, far + m)] = (i, far + m), (i, m)
     return HoughtonElement(n, (0,) * n, swap)
+
+
+def rotation_family(m: int, rotate: int) -> HoughtonElement:
+    """t = (m, -m) with table {(2, j) -> (1, (j + rotate) mod m)}: one ends
+    class of m orbits, each with a spine of two points."""
+    return HoughtonElement(2, (m, -m), {(2, j): (1, (j + rotate) % m) for j in range(m)})
 
 
 def successor(dec: CycleDecomposition, p: Point) -> Point:

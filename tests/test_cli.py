@@ -18,9 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from houghton import HoughtonElement, Word, compose, conjugate_element, evaluate, generator, serialize
-from houghton import cli
+from houghton import cli, core
 from houghton.cli import main
-from instances import lift, package_env, random_word
+from instances import lift, package_env, random_word, rotation_family
 
 
 def run(capsys, *argv):
@@ -166,9 +166,8 @@ class Capped(NamedTuple):
 
 
 def rotation(step, m=2000):
-    """The element of H_2 that sends (2, j) to (1, j + step mod m): one
-    ends class of m infinite orbits."""
-    return {"n": 2, "t": [m, -m], "exceptions": [[[2, j], [1, (j + step) % m]] for j in range(m)]}
+    """The document of `rotation_family(m, step)`."""
+    return core._document(rotation_family(m, step))
 
 
 def far_swaps():

@@ -53,7 +53,7 @@ from houghton.conjugacy import (
 )
 from houghton.oracle import SearchBudget, brute_force_conjugator
 from houghton.orbits import WalkLimitError
-from instances import element, lift, random_element, random_word, successor
+from instances import element, lift, random_element, random_word, rotation_family, successor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -708,23 +708,24 @@ def test_conjugate_decides_f_family_fast(monkeypatch, capsys, tmp_path, variant)
     assert json.loads(capsys.readouterr().out) == {"decision": "no", "reason": reason}
 
 
-def test_conjugate_decides_many_ends_classes_fast():
-    # 4,000 ends classes of one orbit each (n = 8,000, t = (1, -1)^4000):
-    # b's orbits are indexed once per decision, not once per class
-    k = 4000
+def many_classes_pair(k):
+    """g with t = (1, -1)^k in H_2k, whose table {(2j + 2, 0) -> (2j + 1,
+    0)} makes k ends classes of one orbit each, and its conjugate by two
+    transpositions of points on rays 1 to 4."""
     g = HoughtonElement(2 * k, (1, -1) * k, {(2 * j + 2, 0): (2 * j + 1, 0) for j in range(k)})
     swap = HoughtonElement(2 * k, (0,) * (2 * k), {(1, 0): (3, 0), (3, 0): (1, 0), (2, 1): (4, 2), (4, 2): (2, 1)})
-    for b in (g, conjugate_element(g, swap)):
+    return g, conjugate_element(g, swap)
+
+
+def test_conjugate_decides_many_ends_classes_fast():
+    # 4,000 ends classes of one orbit each (n = 8,000): b's orbits are
+    # indexed once per decision, not once per class
+    g, h = many_classes_pair(4000)
+    for b in (g, h):
         started = time.process_time()
         out = conjugate(g, b)
         assert time.process_time() - started < 1.0
         assert out.is_conjugate and out.verified
-
-
-def rotation_family(m, rotate):
-    """t = (m, -m) with table {(2, j) -> (1, (j + rotate) mod m)}: one ends
-    class of m orbits, each with a spine of two points."""
-    return HoughtonElement(2, (m, -m), {(2, j): (1, (j + rotate) % m) for j in range(m)})
 
 
 def test_conjugate_stops_at_the_first_exact_choice():
@@ -766,7 +767,7 @@ def read_as_needed(record, most):
     return first is read[exact[0]][0] and len(read) <= max(most, exact[0] + 1)
 
 
-def test_conjugate_generates_each_choice_once(monkeypatch):
+def test_conjugate_reads_each_choice_once(monkeypatch):
     # small members of both families against each other, yes and no: the
     # same outcome as the product enumeration; a decision reads each
     # partner choice at most once (a class has at most one per orbit), and
@@ -794,7 +795,7 @@ def test_conjugate_generates_each_choice_once(monkeypatch):
         assert reasons == {None, ORBIT_PAIRING_MISMATCH, ORBIT_SHIFT_MISMATCH}
 
 
-def test_two_class_refusal_draws_two_choices_per_class(monkeypatch):
+def test_two_class_refusal_reads_two_choices_per_class(monkeypatch):
     # the first class matches itself at each of its 4,000 choices and the
     # second, its two orbits swapped, at none, with gcd(t) = 2: the tag
     # needs only the first two choices of each class, so the record of
@@ -807,24 +808,6 @@ def test_two_class_refusal_draws_two_choices_per_class(monkeypatch):
     assert time.process_time() - started < 0.5
     assert out.reason == ORBIT_PAIRING_MISMATCH
     assert [(first is None, len(read)) for first, read in records] == [(False, 2), (True, 2)]
-
-
-def test_two_class_refusal_work_grows_linearly(tool):
-    """The exact bytecodes of `conjugate` on the two-class refusal of the
-    test above, counted by `tools/workcount.py`, at m = 250, 500 and
-    1,000: each doubling of m multiplies them by at most 2.3.
-
-    The expected order is linear in m.  Decomposing the two elements
-    walks their m + 2 orbits once each, and the forms of the first class's
-    two rays take O(m) on each element; the class loop reads the first
-    two choices of each class, one walked orbit each, and the refusal
-    stage adds two sums.  So the count about doubles with m, and x2.3
-    leaves room for lower-order terms but not for a walk of every orbit
-    per choice of the first class, which multiplies it by 4."""
-    bytecodes = tool("workcount").bytecodes
-    counts = [bytecodes(conjugate, two_class_family(m, 0, 2, 1), two_class_family(m, 0, 2, 0)) for m in (250, 500, 1000)]
-    for small, large in zip(counts, counts[1:]):
-        assert large <= 2.3 * small, counts
 
 
 def three_ray_family(m, swap):
@@ -845,73 +828,79 @@ def late_yes_pair(m, rotate=1, q=None):
     return a, conjugate_element(a, construct_translation_element(2, (q, -q)))
 
 
-# four families of one ends class of about m orbits whose exact choice
-# comes late or never: the decision reads about m choices of the class
-CLASS_FAMILIES = {
-    "rotation-no": lambda m: (rotation_family(m, 1), rotation_family(m, 0)),
-    "late-yes": late_yes_pair,
-    "three-ray-no": lambda m: (three_ray_family(m, 0), three_ray_family(m, 1)),
-    "inverted-three-ray-no": lambda m: (inverse(three_ray_family(m, 0)), inverse(three_ray_family(m, 1))),
+def lifted_pair(far):
+    """An H_4 round trip, a = g2 g3' g4 g2 and b = a^(g3 g4' g2), with b
+    alone lifted to offset far by `lift`."""
+    a = element(4, "g2 g3' g4 g2")
+    b = conjugate_element(a, element(4, "g3 g4' g2"))
+    return a, conjugate_element(b, lift(4, far, 1 + max(a.max_exception_offset(), b.max_exception_offset())))
+
+
+SIZES, OFFSETS = (250, 500, 1000), (10**3, 10**6, 10**9, 10**12)
+swap = lambda n, p, q: fsym(n, (p, q), (q, p))  # noqa: E731
+
+# family: (builder of the pair (a, b) at a size or an offset, the sizes or
+# offsets, the most that one step may multiply the count by, the decision:
+# True for a yes, the tag of a no, or False for a no whose tag moves with
+# the size)
+GROWTH_FAMILIES = {
+    "rotation-no": (lambda m: (rotation_family(m, 1), rotation_family(m, 0)), SIZES, 2.3, ORBIT_PAIRING_MISMATCH),
+    "late-yes": (late_yes_pair, SIZES, 2.3, True),
+    "three-ray-no": (lambda m: (three_ray_family(m, 0), three_ray_family(m, 1)), SIZES, 2.3, False),
+    "inverted-three-ray-no": (lambda m: tuple(inverse(three_ray_family(m, q)) for q in (0, 1)), SIZES, 2.3, False),
+    "two-class-refusal": (lambda m: (two_class_family(m, 0, 2, 1), two_class_family(m, 0, 2, 0)), SIZES, 2.3,
+                          ORBIT_PAIRING_MISMATCH),
+    "many-classes": (many_classes_pair, SIZES, 2.3, True),
+    **{"f-" + name: (lambda k, v=v: f_family(k, *v[:2]), (4, 8, 16), 2.3, v[2]) for name, v in F_VARIANTS.items()},
+    "swaps": (lambda far: (swap(3, (1, 0), (2, 0)), swap(3, (1, far), (3, far))), OFFSETS, 1, True),
+    "g2": (lambda far: (generator(2, "g2"), conjugate_element(generator(2, "g2"), swap(2, (1, 0), (2, far)))),
+           OFFSETS, 1, True),
+    "lifted": (lifted_pair, OFFSETS, 1.15, True),
 }
 
 
-@pytest.mark.parametrize("family", sorted(CLASS_FAMILIES))
-def test_class_work_grows_linearly(tool, family):
-    """The exact bytecodes of `conjugate` on each family, counted by
-    `tools/workcount.py`, at m = 250, 500 and 1,000: each doubling of m
-    multiplies them by at most 2.3.
-
-    The expected order is linear in m.  Decomposing the two elements
-    walks their orbits once each, and the forms of the class's outgoing
-    rays (`orbits._ray_forms`) take O(m) on each element.  The class loop
-    then tries the residues of the head's outgoing ray, m (2m for the
-    three-ray class, half of which end on the other incoming ray and are
-    refused at the first orbit), and each walks one orbit per ray pair,
-    one or two.  The yes builds and verifies a certificate of O(m)
-    entries.  So the count about doubles
-    with m, and x2.3 leaves room for lower-order terms but not for a walk
-    of every orbit per choice, which multiplies it by 4."""
-    bytecodes = tool("workcount").bytecodes
-    counts = [bytecodes(conjugate, *CLASS_FAMILIES[family](m)) for m in (250, 500, 1000)]
-    for small, large in zip(counts, counts[1:]):
-        assert large <= 2.3 * small, counts
-    a, b = CLASS_FAMILIES[family](1000)
-    assert conjugate(a, b).is_conjugate == (family == "late-yes")
-
-
-def test_far_offsets_add_no_work(tool):
+@pytest.mark.parametrize("family", sorted(GROWTH_FAMILIES))
+def test_work_grows_as_its_family_allows(tool, family):
     """The exact bytecodes of `conjugate` on fresh elements, counted by
-    `tools/workcount.py`, as three pairs move out to offset N = 10^3,
-    10^6, 10^9 and 10^12.
+    `tools/workcount.py`'s `cold`, on each family of `GROWTH_FAMILIES` as
+    it grows: each step multiplies them by at least 1 and at most the
+    family's bound, and every pair gets the family's decision.
 
-    Two pairs count the same at every N: in H_3 the swap of (1, 0) and
-    (2, 0) against that of (1, N) and (3, N), and in H_2 g2 against its
-    conjugate by the swap of (1, 0) and (2, N).  The walks jump from table
-    point to table point, the certificates have as many entries at every
-    N, and no step loops over an offset.  An H_4 round trip whose b alone
-    is lifted to offset N (conjugated by `lift`) grows by at most x1.15
-    per step: the choice read at d = 0 on the head moves b's cutoffs, so
-    its s grows with N, and `_least_translation` bisects over
-    [1, max |s_i|], a few more steps for each factor of 1,000."""
-    cold = tool("workcount").cold
-    swap = lambda n, p, q: fsym(n, (p, q), (q, p))
-    g2 = generator(2, "g2")
-    a = element(4, "g2 g3' g4 g2")
-    b = conjugate_element(a, element(4, "g3 g4' g2"))
-    width = 1 + max(a.max_exception_offset(), b.max_exception_offset())
-    offsets = (10**3, 10**6, 10**9, 10**12)
-    families = {
-        "swaps": lambda far: (swap(3, (1, 0), (2, 0)), swap(3, (1, far), (3, far))),
-        "g2": lambda far: (g2, conjugate_element(g2, swap(2, (1, 0), (2, far)))),
-        "lifted": lambda far: (a, conjugate_element(b, lift(4, far, width))),
-    }
-    counts = {}
-    for name, pair in families.items():
-        counts[name] = [cold(conjugate, *pair(far)) for far in offsets]
-        assert all(conjugate(*pair(far)).is_conjugate for far in offsets), name
-    assert len(set(counts["swaps"])) == len(set(counts["g2"])) == 1, counts
-    for small, large in zip(counts["lifted"], counts["lifted"][1:]):
-        assert large <= 1.15 * small, counts
+    Size families take m = 250, 500 and 1,000 (k = 4, 8 and 16 for F_k)
+    and may grow x2.3 a step: the expected order is linear.  Decomposing
+    the two elements walks their orbits once each, and the forms of a
+    class's outgoing rays (`orbits._ray_forms`) take O(m) on each element.
+    The class loop then tries the residues of the head's outgoing ray, m
+    (2m for the three-ray class, half of which end on the other incoming
+    ray and are refused at the first orbit), and each walks one orbit per
+    ray pair, one or two.  The two-class refusal reads the first two
+    choices of each class, one walked orbit each, and the refusal stage
+    adds two sums.  F_k and the many-classes pair have k classes of two
+    orbits or one, each read in O(1), as b's orbits are indexed once per
+    decision.  A yes builds and verifies a certificate of O(m) entries.
+    So the count about doubles, and x2.3 leaves room for lower-order terms
+    but not for a walk of every orbit per choice, which multiplies it by
+    4, nor for an orbit index rebuilt per class, O(n k).
+
+    Offset families move out to N = 10^3, 10^6, 10^9 and 10^12.  The walks
+    jump from table point to table point, the certificates have as many
+    entries at every N, and no step loops over an offset, so the H_3 swap
+    of (1, 0) and (2, 0) against that of (1, N) and (3, N), and g2 against
+    its conjugate by the swap of (1, 0) and (2, N), count the same at
+    every N (bound 1).  The H_4 round trip whose b alone is lifted to N
+    grows by at most x1.15 a step: the choice read at d = 0 on the head
+    moves b's cutoffs, so its s grows with N, and `_least_translation`
+    bisects over [1, max |s_i|], a few more steps for each factor of
+    1,000."""
+    build, sizes, bound, decision = GROWTH_FAMILIES[family]
+    cold, counts = tool("workcount").cold, []
+    for size in sizes:
+        a, b = build(size)
+        counts.append(cold(conjugate, a, b))
+        out = conjugate(a, b)
+        assert decision in (out.is_conjugate, out.reason), (size, out)
+    for small, large in zip(counts, counts[1:]):
+        assert small <= large <= bound * small, counts
 
 
 def permutation_family(images):
