@@ -1,10 +1,11 @@
 """Seeded instances and references that the tests share.
 
-`random_word` and `random_element` draw reproducible words and elements;
-`test_random_values_are_frozen` pins their values, so a change to either
-invalidates the seeded tests.  `element` is the element of a word's text,
-`lift` swaps a window of low points with one far out, and
-`rotation_family` is one ends class of m orbits turned by a step.
+`random_word` and `random_element` draw reproducible words and elements,
+and `drawn_cases` draws a test's cases, each from a generator of its own;
+`test_random_values_are_frozen` pins their values, so a change to any of
+them invalidates the seeded tests.  `element` is the element of a word's
+text, `lift` swaps a window of low points with one far out, and
+`rotation_family` is ends classes of m orbits, each turned by a step.
 `successor` re-applies a cycle decomposition, the reference that tests
 compare the decomposition against.
 `check` is the benchmark's checker, `bench/check.py`, which never calls
@@ -17,6 +18,7 @@ import os
 import random
 import sys
 from pathlib import Path
+from typing import Any, Callable, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))  # this checkout's checker
 
@@ -29,6 +31,14 @@ def random_word(n: int, seed: int, length: int) -> Word:
     rng = random.Random(("word", n, seed, length).__repr__())
     alphabet = check.alphabet(n)
     return Word(n, tuple(rng.choice(alphabet) for _ in range(length)))
+
+
+def drawn_cases(test: str, count: int, draw: Callable[[random.Random], Any]) -> List[Any]:
+    """`count` cases of the test named `test`: case k is draw(rng) with a
+    `random.Random` of its own, seeded by the name and k.  A string seed
+    draws the same values on every run and every Python this package
+    supports, and case k keeps its values when the count changes."""
+    return [draw(random.Random(("case", test, k).__repr__())) for k in range(count)]
 
 
 def random_element(n: int, seed: int, profile: str = "word-8") -> HoughtonElement:
@@ -67,10 +77,12 @@ def lift(n: int, far: int, width: int) -> HoughtonElement:
     return HoughtonElement(n, (0,) * n, swap)
 
 
-def rotation_family(m: int, rotate: int) -> HoughtonElement:
-    """t = (m, -m) with table {(2, j) -> (1, (j + rotate) mod m)}: one ends
-    class of m orbits, each with a spine of two points."""
-    return HoughtonElement(2, (m, -m), {(2, j): (1, (j + rotate) % m) for j in range(m)})
+def rotation_family(m: int, *rotate: int) -> HoughtonElement:
+    """t = (m, -m) on each ray pair (2c - 1, 2c) of H_2k, k = len(rotate),
+    with table {(2c, j) -> (2c - 1, (j + rotate[c - 1]) mod m)}: k ends
+    classes of m orbits, each orbit with a spine of two points."""
+    table = {(2 * c, j): (2 * c - 1, (j + r) % m) for c, r in enumerate(rotate, 1) for j in range(m)}
+    return HoughtonElement(2 * len(rotate), (m, -m) * len(rotate), table)
 
 
 def successor(dec: CycleDecomposition, p: Point) -> Point:

@@ -14,13 +14,11 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from houghton import HoughtonElement, Word, compose, conjugate_element, evaluate, generator, serialize
 from houghton import cli, core
 from houghton.cli import main
-from instances import lift, package_env, random_word, rotation_family
+from instances import drawn_cases, lift, package_env, random_word, rotation_family
 
 
 def run(capsys, *argv):
@@ -387,9 +385,9 @@ def test_conj_far_offsets(capsys, tmp_path, offset):
         a = HoughtonElement(2, (0, 0), {(1, base): (2, base + 3), (2, base + 3): (1, base)})
         b = HoughtonElement(2, (0, 0), {(1, base + 5): (2, base + 1), (2, base + 1): (1, base + 5)})
         paths = [write_element(tmp_path, "%s-%d.json" % (name, base), g) for name, g in (("a", a), ("b", b))]
-        started = time.monotonic()
+        started = time.process_time()
         code, out, _ = run(capsys, "conj", *paths)
-        return code, json.loads(out), time.monotonic() - started
+        return code, json.loads(out), time.process_time() - started
 
     code, far, elapsed = conj_at(offset)
     assert code == 0 and elapsed < 2.0
@@ -631,22 +629,20 @@ ARGV_TOKENS = list(cli._GRAMMAR) + [
 ]
 
 
-@settings(max_examples=1500, deadline=None, derandomize=True)
-@given(
-    st.one_of(
-        st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
-        st.builds(lambda c, rest: [c] + rest, st.sampled_from(list(cli._GRAMMAR)),
-                  st.lists(st.sampled_from(ARGV_TOKENS), max_size=6)),
-    )
-)
-# int reads "-3_0" as -30, but argparse takes it for an option
-@example(["inv", "-n", "-3_0", "a.json"])
-def test_table_parse_agrees_with_argparse(argv):
+def test_table_parse_agrees_with_argparse():
     # whatever the grammar table reads, argparse reads to the same values;
-    # where argparse prints help or a usage error, the table declines
-    plain = cli._read_plain(argv)
-    if plain is not None:
-        assert vars(plain) == argparse_values(PARSERS, argv)
+    # where argparse prints help or a usage error, the table declines.
+    # Drawn: up to 7 tokens, or a command and up to 6 tokens
+    def draw(rng):
+        head = [rng.choice(list(cli._GRAMMAR))] if rng.random() < 0.5 else []
+        return head + [rng.choice(ARGV_TOKENS) for _ in range(rng.randint(0, 6 if head else 7))]
+
+    # int reads "-3_0" as -30, but argparse takes it for an option
+    explicit = [[], ["inv", "-n", "-3_0", "a.json"]] + [[token] * size for token in ARGV_TOKENS for size in (1, 7)]
+    for argv in explicit + drawn_cases("test_table_parse_agrees_with_argparse", 1500, draw):
+        plain = cli._read_plain(argv)
+        if plain is not None:
+            assert vars(plain) == argparse_values(PARSERS, argv), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -789,22 +785,25 @@ def fuzzed_document(text, kind, k):
 FUZZ_VALUES = {"string": "21", "float": 1.5, "negative": -1, "huge": 10**30}
 
 
-@settings(max_examples=32, deadline=None, derandomize=True)
-@given(
-    st.integers(2, 4), st.integers(0, 10**6), st.integers(0, 400),
-    st.sampled_from(["word", "drop", "duplicate"] + list(FUZZ_VALUES)), st.integers(0, 10**6),
-)
-def test_fuzzed_documents_exit_cleanly(tmp_path_factory, n, seed, length, kind, k):
+def test_fuzzed_documents_exit_cleanly(tmp_path_factory):
     # a valid or malformed document of at most 2,000 entries ends conj and
     # orbits with exit 0 or 2 and no traceback, within 10 s of CPU and
     # 512 MB each
-    text = serialize(evaluate(random_word(n, seed, length)))
-    doc = fuzzed_document(text, kind, k)
-    assert len(doc["exceptions"]) <= 2000
-    work = tmp_path_factory.mktemp("fuzz")
-    (work / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
-    (work / "word.json").write_text(text, encoding="utf-8")
-    for argv in (["conj", "doc.json", "word.json"], ["orbits", "doc.json"]):
-        code, out, err = run_limited(work, *argv, cpu_s=10)
-        assert code in (0, 2) and "Traceback" not in err, (argv, doc, code, err)
-        assert (code == 2) == err.startswith("error: "), (argv, doc, code, err)
+    kinds = ["word", "drop", "duplicate"] + list(FUZZ_VALUES)
+
+    def draw(rng):
+        return rng.randint(2, 4), rng.randint(0, 10**6), rng.randint(0, 400), rng.choice(kinds), rng.randint(0, 10**6)
+
+    explicit = [(2, 0, 0, kind, 0) for kind in kinds] + [(4, 10**6, 400, kind, 10**6) for kind in kinds]
+    for case in explicit + drawn_cases("test_fuzzed_documents_exit_cleanly", 32, draw):
+        n, seed, length, kind, k = case
+        text = serialize(evaluate(random_word(n, seed, length)))
+        doc = fuzzed_document(text, kind, k)
+        assert len(doc["exceptions"]) <= 2000, case
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+        (work / "word.json").write_text(text, encoding="utf-8")
+        for argv in (["conj", "doc.json", "word.json"], ["orbits", "doc.json"]):
+            code, out, err = run_limited(work, *argv, cpu_s=10)
+            assert code in (0, 2) and "Traceback" not in err, (case, argv, doc, code, err)
+            assert (code == 2) == err.startswith("error: "), (case, argv, doc, code, err)

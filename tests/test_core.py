@@ -6,8 +6,6 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import houghton
 from houghton import (
@@ -30,14 +28,20 @@ from houghton import (
 )
 from houghton.conjugacy import construct_translation_element
 from houghton.core import _Accumulator, _letter_rule
-from instances import check, element, random_element, random_word
+from instances import check, drawn_cases, element, random_element, random_word
 
 
-def words(n, max_len=8):
+def word_cases(test, n, arity):
+    """Cases of `arity` words of H_n: the empty word, each one-letter word
+    and each letter 8 times, as all `arity` words at once; then 60 drawn
+    tuples of words of 0 to 8 letters."""
     letters = [(gid, sign) for gid in generator_ids(n) for sign in (1, -1)]
-    return st.lists(st.sampled_from(letters), max_size=max_len).map(
-        lambda ls: Word(n, tuple(ls))
-    )
+
+    def draw(rng):
+        return tuple(Word(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))) for _ in range(arity))
+
+    words = [()] + [(x,) for x in letters] + [(x,) * 8 for x in letters]
+    return [(Word(n, word),) * arity for word in words] + drawn_cases(test, 60, draw)
 
 
 # -- identity and generators --------------------------------------------------
@@ -275,28 +279,25 @@ def test_compose_translation_adds():
     assert e.t == (2, -1, -1)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(words(3), words(3), words(3))
-def test_associativity(u, v, w):
-    a, b, c = evaluate(u), evaluate(v), evaluate(w)
-    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+def test_associativity():
+    for u, v, w in word_cases("test_associativity", 3, 3):
+        a, b, c = evaluate(u), evaluate(v), evaluate(w)
+        assert compose(compose(a, b), c) == compose(a, compose(b, c)), (u, v, w)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(words(2))
-def test_inverse_law(w):
-    g = evaluate(w)
-    assert compose(g, inverse(g)) == identity(2)
-    assert compose(inverse(g), g) == identity(2)
+def test_inverse_law():
+    for (w,) in word_cases("test_inverse_law", 2, 1):
+        g = evaluate(w)
+        assert compose(g, inverse(g)) == identity(2), w
+        assert compose(inverse(g), g) == identity(2), w
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(words(3), words(3))
-def test_translation_homomorphism(u, v):
-    a, b = evaluate(u), evaluate(v)
-    prod = compose(a, b)
-    assert prod.t == tuple(x + y for x, y in zip(a.t, b.t))
-    assert sum(prod.t) == 0
+def test_translation_homomorphism():
+    for u, v in word_cases("test_translation_homomorphism", 3, 2):
+        a, b = evaluate(u), evaluate(v)
+        prod = compose(a, b)
+        assert prod.t == tuple(x + y for x, y in zip(a.t, b.t)), (u, v)
+        assert sum(prod.t) == 0, (u, v)
 
 
 def test_inverse_examples():
@@ -779,35 +780,37 @@ def _sorted_key(g):
     return (g.n, g.t, sorted(g.exceptions.items()))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    n=st.integers(2, 4),
-    seeds=st.tuples(st.integers(0, 40), st.integers(0, 40)),
-    profiles=st.tuples(*[st.sampled_from(["word-3", "word-6", "fsym"])] * 2),
-    shuffle=st.integers(0, 10**6),
-)
-def test_equality_matches_sorted_key_and_hash(n, seeds, profiles, shuffle):
-    g = random_element(n, seeds[0], profiles[0])
-    h = random_element(n, seeds[1], profiles[1])
-    variants = [
-        g,
-        h,
-        _reordered(g, shuffle),
-        _reordered(h, shuffle + 1),
-        inverse(inverse(g)),
-        compose(h, identity(n)),
-    ]
-    if len(g.exceptions) >= 2:
-        # conjugating by a swap of two table points often keeps the table's
-        # domain and changes its images
-        p, q = sorted(g.exceptions)[:2]
-        variants.append(conjugate_element(g, HoughtonElement(n, (0,) * n, {p: q, q: p})))
-    for x in variants:
-        for y in variants:
-            assert (x == y) == (_sorted_key(x) == _sorted_key(y))
-            if x == y:
-                assert hash(x) == hash(y)
-    assert variants[2] == g and variants[3] == h and variants[4] == g and variants[5] == h
+def test_equality_matches_sorted_key_and_hash():
+    kinds = ["word-3", "word-6", "fsym"]
+
+    def draw(rng):
+        n, seeds = rng.randint(2, 4), (rng.randint(0, 40), rng.randint(0, 40))
+        return n, seeds, (rng.choice(kinds), rng.choice(kinds)), rng.randint(0, 10**6)
+
+    explicit = [(2, (0, 0), (p, p), 0) for p in kinds] + [(4, (40, 40), (p, p), 10**6) for p in kinds]
+    for case in explicit + drawn_cases("test_equality_matches_sorted_key_and_hash", 150, draw):
+        n, seeds, profiles, shuffle = case
+        g = random_element(n, seeds[0], profiles[0])
+        h = random_element(n, seeds[1], profiles[1])
+        variants = [
+            g,
+            h,
+            _reordered(g, shuffle),
+            _reordered(h, shuffle + 1),
+            inverse(inverse(g)),
+            compose(h, identity(n)),
+        ]
+        if len(g.exceptions) >= 2:
+            # conjugating by a swap of two table points often keeps the
+            # table's domain and changes its images
+            p, q = sorted(g.exceptions)[:2]
+            variants.append(conjugate_element(g, HoughtonElement(n, (0,) * n, {p: q, q: p})))
+        for x in variants:
+            for y in variants:
+                assert (x == y) == (_sorted_key(x) == _sorted_key(y)), (case, x, y)
+                if x == y:
+                    assert hash(x) == hash(y), (case, x, y)
+        assert variants[2] == g and variants[3] == h and variants[4] == g and variants[5] == h, case
 
 
 def test_public_constructor_still_coerces_and_validates():

@@ -27,7 +27,7 @@ from houghton.oracle import (
     _signed_alphabet,
     brute_force_conjugator,
 )
-from instances import lift, random_element, random_word
+from instances import drawn_cases, lift, random_element, random_word
 
 
 def count_conjugations(monkeypatch):
@@ -172,6 +172,12 @@ def test_random_values_are_frozen():
         '{"n":2,"t":[4,-4],"exceptions":'
         '[[[2,0],[1,2]],[[2,1],[1,3]],[[2,2],[1,1]],[[2,3],[2,0]],[[2,4],[1,0]]]}'
     )
+    # the first drawn case of test_far_lift_keeps_decision, then a float:
+    # randint, choice and random are the calls that every draw makes
+    draw = lambda rng: (  # noqa: E731
+        rng.randint(0, 10**6), rng.choice((False, True)), rng.randint(0, 10**6), rng.choice((False, True)), rng.random()
+    )
+    assert drawn_cases("test_far_lift_keeps_decision", 1, draw) == [(297856, False, 440708, True, 0.9704809764935018)]
 
 
 def test_random_element_profiles():

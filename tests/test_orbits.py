@@ -2,8 +2,6 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from houghton import (
     FiniteCycle,
@@ -26,7 +24,7 @@ from houghton import (
     sym_conjugate,
 )
 from houghton import core, orbits
-from instances import element, lift, random_element, random_word, successor
+from instances import drawn_cases, element, lift, random_element, random_word, successor
 
 
 def test_identity_has_no_orbits():
@@ -342,15 +340,16 @@ def reference_cutoffs(g):
     return {(i, r): m + abs(g.t[i - 1]) for (i, r), m in top.items()}
 
 
-def assert_cutoffs_match_reference(g):
+def assert_cutoffs_match_reference(g, case=None):
     # both cutoffs of every orbit are its classes' tops plus |t_i|, and its
-    # last run is the one point where the walk leaves the table
+    # last run is the one point where the walk leaves the table; a failure
+    # names the case that built g
     cutoffs = reference_cutoffs(g)
     for o in cycle_decomposition(g).infinite_orbits:
         up = g.t[o.pos_ray - 1]
-        assert o.pos_cutoff == cutoffs[(o.pos_ray, o.pos_residue)]
-        assert o.neg_cutoff == cutoffs[(o.neg_ray, o.neg_residue)]
-        assert o.runs[-1] == (o.pos_ray, o.pos_cutoff - up, up, 1)
+        assert o.pos_cutoff == cutoffs[(o.pos_ray, o.pos_residue)], case
+        assert o.neg_cutoff == cutoffs[(o.neg_ray, o.neg_residue)], case
+        assert o.runs[-1] == (o.pos_ray, o.pos_cutoff - up, up, 1), case
 
 
 def test_cutoffs_match_class_tops():
@@ -358,22 +357,23 @@ def test_cutoffs_match_class_tops():
         assert_cutoffs_match_reference(g)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    n=st.integers(2, 5),
-    seed=st.integers(0, 10**6),
-    length=st.integers(1, 14),
-    far=st.sampled_from([0, 10**2, 10**6, 10**12]),
-)
-def test_cutoffs_match_class_tops_on_random_elements(n, seed, length, far):
+def test_cutoffs_match_class_tops_on_random_elements():
     # random words times a random finite permutation, some of them moved
     # to far offsets by a swap of their low points
-    g = compose(evaluate(random_word(n, seed, length)), random_element(n, seed, "fsym"))
-    if far:
-        width = 1 + g.max_exception_offset()
-        assert width < far
-        g = conjugate_element(g, lift(n, far, width))
-    assert_cutoffs_match_reference(g)
+    fars = [0, 10**2, 10**6, 10**12]
+
+    def draw(rng):
+        return rng.randint(2, 5), rng.randint(0, 10**6), rng.randint(1, 14), rng.choice(fars)
+
+    explicit = [(2, 0, 1, far) for far in fars] + [(5, 10**6, 14, far) for far in fars]
+    for case in explicit + drawn_cases("test_cutoffs_match_class_tops_on_random_elements", 150, draw):
+        n, seed, length, far = case
+        g = compose(evaluate(random_word(n, seed, length)), random_element(n, seed, "fsym"))
+        if far:
+            width = 1 + g.max_exception_offset()
+            assert width < far, case
+            g = conjugate_element(g, lift(n, far, width))
+        assert_cutoffs_match_reference(g, case)
 
 
 def test_decomposition_matches_action_with_cycles_on_orbit_rays():

@@ -125,9 +125,9 @@ def opcodes(call, *args) -> Counter:
     function installed before, such as `tools/untested.py`'s line tracer
     when a test counts, is put back afterwards.  The cyclic collector is
     off during the call: a collection would run the Python callbacks in
-    `gc.callbacks` (hypothesis installs one) and any finalizers it frees,
-    at a point set by the process's earlier allocations, so the count
-    would depend on what ran before."""
+    `gc.callbacks`, which any imported library may install, and any
+    finalizers it frees, at a point set by the process's earlier
+    allocations, so the count would depend on what ran before."""
     cells = {}  # code object -> [its module's name, opcode events]
 
     def enter(frame, event, arg):
